@@ -87,24 +87,6 @@ def fiber_displacement(q: ReducedPoint, p: ReducedPoint) -> VerticalVector:
     return tangent_like(p, q.flat() - p.flat())
 
 
-def vlift_fiber_map(fmap: FiberMap, vec: ReducedTangent,
-                    p: ReducedPoint) -> VerticalVector:
-    """Carry ``vec``, a tangent at fmap(p), back to p along the straight
-    fiber line and return its vertical part.
-
-    The reduced base is a point, so the vertical part is the whole
-    vector, and straight-line transport on a vector fiber leaves the
-    components unchanged; what this adds over a copy is the
-    fiber-preservation check on ``fmap``. With the identity map the
-    result is ``vec`` itself.
-    """
-    q = fmap(p)
-    _check_same_fiber(q, p)
-    if vec.flat().size != p.flat().size:
-        raise ValueError("tangent size does not match the point")
-    return tangent_like(p, vec.flat())
-
-
 def _as_vertical(fmap, p: ReducedPoint) -> VerticalVector:
     val = fmap(p)
     if isinstance(val, ReducedPoint):

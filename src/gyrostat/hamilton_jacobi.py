@@ -4,8 +4,10 @@ A section assigns momenta to configurations: value(q) is a full phase
 point over q. Everything differential here is computed in the
 left-trivialized frame: a base direction is an (algebra vector, angle
 velocity) pair, a base move follows (g exp(t xi), theta + t dtheta), and
-component derivatives are central finite differences of the section's
-body components. Closedness, the canonical two-form, and the residuals
+component derivatives are central finite differences
+(:func:`gyrostat.poisson.central_difference`, step ``FD_STEP``) of the
+section's body components in these exponential coordinates centred at
+the base point. Closedness, the canonical two-form, and the residuals
 are all stated in that trivialization, so a section with constant body
 components is closed for these evaluators by construction.
 
@@ -28,6 +30,7 @@ they must vanish together or stay apart together, never disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,11 +38,10 @@ import numpy as np
 from . import lie
 from .controlled import RCHSystem, dynamical_field
 from .lie import AlgebraVector, GroupElement
-from .poisson import hamiltonian_field
+from .poisson import FD_STEP, central_difference, hamiltonian_field
 from .reduction import (MEMBERSHIP_TOL, PhasePoint, as_reduced,
                         full_dynamical_field, momentum_map)
 
-FD_STEP = 1e-6
 GATE_TOL = 1e-5
 FAMILIES = ("exact_dW", "constant_body", "custom")
 
@@ -203,6 +205,15 @@ def fiber_flat(gamma: OneFormSection, q: Configuration) -> np.ndarray:
     return np.concatenate([pt.p.flat(), pt.l])
 
 
+def _exp_chart(q: Configuration, fn: Callable[[Configuration], object]):
+    """fn in exponential coordinates centred at q, batched for
+    central_difference: row (xi, dtheta) of the argument stands for the
+    configuration (g exp(xi), theta + dtheta)."""
+    return lambda pts: np.array([
+        fn(move(q, base_tangent_from_flat(q.kind, q.n_theta, row), 1.0))
+        for row in pts])
+
+
 def fiber_derivative(gamma: OneFormSection, q: Configuration,
                      v: BaseTangent, step: float = FD_STEP) -> np.ndarray:
     """Derivative of the stacked fiber components along v."""
@@ -211,11 +222,10 @@ def fiber_derivative(gamma: OneFormSection, q: Configuration,
     speed = v.norm()
     if speed == 0.0:
         return np.zeros(lie.algebra_dim(gamma.kind) + gamma.rotor_count)
-    unit = base_tangent_from_flat(gamma.kind, v.d_theta.size,
-                                  v.flat() / speed)
-    plus = fiber_flat(gamma, move(q, unit, step))
-    minus = fiber_flat(gamma, move(q, unit, -step))
-    return speed * (plus - minus) / (2.0 * step)
+    unit = v.flat() / speed
+    fiber = _exp_chart(q, partial(fiber_flat, gamma))
+    return speed * central_difference(lambda s: fiber(s * unit),
+                                      np.zeros((1, 1)), step)[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +359,10 @@ def _default_samples(gamma: OneFormSection, n_samples: int,
 def _frame_partials(gamma: OneFormSection, q: Configuration) -> np.ndarray:
     """Matrix D with D[i] = derivative of the fiber components along
     frame direction i."""
+    if gamma.jacobian is None:
+        dim = lie.algebra_dim(gamma.kind) + q.n_theta
+        return central_difference(_exp_chart(q, partial(fiber_flat, gamma)),
+                                  np.zeros((1, dim)))[0]
     frame = base_frame(gamma.kind, gamma.rotor_count)
     return np.stack([fiber_derivative(gamma, q, e) for e in frame])
 
@@ -478,10 +492,9 @@ def hj_residual_components(sys: RCHSystem, gamma: OneFormSection,
     def restricted(cfg: Configuration) -> float:
         return sys.hamiltonian.eval(as_reduced(section_point(gamma, cfg)))
 
-    frame = base_frame(gamma.kind, gamma.rotor_count)
-    d_h = np.array([
-        (restricted(move(q, e, FD_STEP)) - restricted(move(q, e, -FD_STEP)))
-        / (2.0 * FD_STEP) for e in frame])
+    dim = lie.algebra_dim(gamma.kind) + q.n_theta
+    d_h = central_difference(_exp_chart(q, restricted),
+                             np.zeros((1, dim)))[0]
     return -d_h + fiber_shift
 
 

@@ -5,7 +5,8 @@ The reduced phase spaces handled here are products of a dual Lie algebra
 rotor factor V x V* of angle/momentum pairs. Points are
 :class:`ReducedPoint`; scalar observables are :class:`ScalarField`
 values whose gradients are either supplied analytically or taken by
-central finite differences.
+central finite differences (:func:`central_difference`, the package's
+one stencil).
 
 The minus bracket is the default everywhere because it is the one under
 which the body-frame equations take their usual form
@@ -146,8 +147,10 @@ class ScalarField:
     gradient in tangent layout and must agree with central finite
     differences to 1e-5 relative (see :func:`validate_gradient`).
     eval_batch, when given, evaluates a (n, dim) array of flat states in
-    one call and must match eval row by row; it exists purely to make
-    finite differencing cheap.
+    one call and must match eval row by row; it lets
+    :func:`central_difference` evaluate all perturbed points at once.
+    The three are plain callables: wrappers may replace them, so code
+    must not rely on attributes attached to them.
     """
 
     eval: Callable[[ReducedPoint], float]
@@ -161,30 +164,40 @@ def without_gradient(field: ScalarField) -> ScalarField:
     return replace(field, grad=None)
 
 
+def central_difference(fn: Callable[[np.ndarray], np.ndarray],
+                       pts: np.ndarray, step: float = FD_STEP) -> np.ndarray:
+    """Central finite-difference Jacobian of ``fn`` at each row of the
+    (m, d) array ``pts``, with step ``step * max(1, |x_i|)`` per
+    coordinate.
+
+    ``fn`` maps an (n, d) array of points to n values, or to an (n, k)
+    array of vector values, in one call. The result has shape (m, d),
+    or (m, d, k): entry [j, i] is the derivative along coordinate i at
+    point j.
+    """
+    pts = np.asarray(pts, dtype=float)
+    m, d = pts.shape
+    h = step * np.maximum(1.0, np.abs(pts))
+    per = np.repeat(pts[:, None, :], 2 * d, axis=1)
+    i = np.arange(d)
+    per[:, 2 * i, i] += h
+    per[:, 2 * i + 1, i] -= h
+    v = np.asarray(fn(per.reshape(-1, d)), dtype=float)
+    v = v.reshape((m, 2 * d) + v.shape[1:])
+    h = h.reshape(h.shape + (1,) * (v.ndim - 2))
+    return (v[:, 0::2] - v[:, 1::2]) / (2.0 * h)
+
+
 def fd_gradient(field: ScalarField, p: ReducedPoint,
                 step: float = FD_STEP) -> ReducedTangent:
     """Central finite-difference gradient, step ``step * max(1, |x_i|)``
     per coordinate (default step 1e-6)."""
-    x = p.flat()
-    n = x.size
-    h = step * np.maximum(1.0, np.abs(x))
-    if field.eval_batch is not None:
-        pts = np.repeat(x[None, :], 2 * n, axis=0)
-        idx = np.arange(n)
-        pts[2 * idx, idx] += h
-        pts[2 * idx + 1, idx] -= h
-        vals = np.asarray(field.eval_batch(pts), dtype=float)
-        g = (vals[0::2] - vals[1::2]) / (2.0 * h)
-    else:
-        g = np.empty(n)
-        for i in range(n):
-            xp = x.copy()
-            xm = x.copy()
-            xp[i] += h[i]
-            xm[i] -= h[i]
-            g[i] = (field.eval(point_like(p, xp))
-                    - field.eval(point_like(p, xm))) / (2.0 * h[i])
-    return tangent_like(p, g)
+    batch = field.eval_batch
+    if batch is None:
+        def batch(pts):
+            return [field.eval(point_like(p, x)) for x in pts]
+    return tangent_like(p, central_difference(batch, p.flat()[None, :],
+                                              step)[0])
 
 
 def gradient(field: ScalarField, p: ReducedPoint) -> ReducedTangent:
@@ -258,11 +271,6 @@ def product_bracket(f: ScalarField, k: ScalarField, p: ReducedPoint,
     if p.n_theta == p.n_l and p.n_theta > 0:
         out += float(gf.d_theta @ gk.d_l - gk.d_theta @ gf.d_l)
     return out
-
-
-def bracket_field(f: ScalarField, k: ScalarField, sign="-") -> ScalarField:
-    """The bracket {f, k} as a scalar field (for nested evaluations)."""
-    return ScalarField(lambda p: product_bracket(f, k, p, sign))
 
 
 def hamiltonian_field(h: ScalarField, p: ReducedPoint) -> ReducedTangent:
@@ -347,44 +355,55 @@ def casimir_fields(kind: str) -> list[tuple[str, ScalarField]]:
 # polynomial test fields and the bracket axiom suite
 # ---------------------------------------------------------------------------
 
-def polynomial_field(c0: float, a: np.ndarray, b: np.ndarray,
-                     cubic_idx: np.ndarray | None = None,
-                     cubic_coef: np.ndarray | None = None) -> ScalarField:
-    """c0 + a.x + x.B.x/2 plus optional sparse cubic terms, on the flat
-    coordinate layout, with analytic gradient and batched evaluation."""
+def _polynomial(c0: float, a: np.ndarray, b: np.ndarray,
+                cubic_idx: np.ndarray | None = None,
+                cubic_coef: np.ndarray | None = None):
+    """Value and gradient functions of c0 + a.x + x.B.x/2 plus optional
+    sparse cubic terms, each taking an (m, d) array of flat points."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     b = 0.5 * (b + b.T)
     idx = None if cubic_idx is None else np.asarray(cubic_idx, dtype=int)
     coef = None if cubic_coef is None else np.asarray(cubic_coef, dtype=float)
 
-    def ev_flat(x):
-        v = c0 + a @ x + 0.5 * (x @ b @ x)
-        if idx is not None:
-            v += float(coef @ (x[idx[:, 0]] * x[idx[:, 1]] * x[idx[:, 2]]))
-        return float(v)
-
-    def ev(p):
-        return ev_flat(p.flat())
-
-    def ev_batch(pts):
+    def value(pts):
         v = c0 + pts @ a + 0.5 * np.einsum("ni,ij,nj->n", pts, b, pts)
         if idx is not None:
             v = v + (pts[:, idx[:, 0]] * pts[:, idx[:, 1]]
                      * pts[:, idx[:, 2]]) @ coef
         return v
 
-    def gr(p):
-        x = p.flat()
-        g = a + b @ x
+    def grad(pts):
+        g = a + pts @ b
         if idx is not None:
             for (i, j, k), t in zip(idx, coef):
-                g[i] += t * x[j] * x[k]
-                g[j] += t * x[i] * x[k]
-                g[k] += t * x[i] * x[j]
-        return tangent_like(p, g)
+                g[:, i] += t * pts[:, j] * pts[:, k]
+                g[:, j] += t * pts[:, i] * pts[:, k]
+                g[:, k] += t * pts[:, i] * pts[:, j]
+        return g
 
-    return ScalarField(ev, gr, ev_batch)
+    return value, grad
+
+
+def polynomial_field(c0: float, a: np.ndarray, b: np.ndarray,
+                     cubic_idx: np.ndarray | None = None,
+                     cubic_coef: np.ndarray | None = None) -> ScalarField:
+    """c0 + a.x + x.B.x/2 plus optional sparse cubic terms, on the flat
+    coordinate layout. eval, grad (analytic) and eval_batch are views of
+    one batched implementation."""
+    value, grad = _polynomial(c0, a, b, cubic_idx, cubic_coef)
+    return ScalarField(lambda p: float(value(p.flat()[None, :])[0]),
+                       lambda p: tangent_like(p, grad(p.flat()[None, :])[0]),
+                       value)
+
+
+def _random_coefficients(rng: np.random.Generator, dim: int,
+                         cubic_terms: int = 2) -> tuple:
+    idx = rng.integers(0, dim, size=(cubic_terms, 3)) if cubic_terms else None
+    coef = 0.1 * rng.standard_normal(cubic_terms) if cubic_terms else None
+    return (0.3 * float(rng.standard_normal()),
+            (0.4 / np.sqrt(dim)) * rng.standard_normal(dim),
+            (0.6 / dim) * rng.standard_normal((dim, dim)), idx, coef)
 
 
 def random_polynomial_field(rng: np.random.Generator, dim: int,
@@ -392,13 +411,9 @@ def random_polynomial_field(rng: np.random.Generator, dim: int,
     """Random cubic polynomial with coefficients scaled so field values
     stay O(1) on standard-normal points. Keeping products of two such
     fields at O(1) keeps the rounding floor of their finite-difference
-    gradients (roughly eps * |f| / step) below the Leibniz tolerance."""
-    idx = rng.integers(0, dim, size=(cubic_terms, 3)) if cubic_terms else None
-    coef = 0.1 * rng.standard_normal(cubic_terms) if cubic_terms else None
-    return polynomial_field(0.3 * float(rng.standard_normal()),
-                            (0.4 / np.sqrt(dim)) * rng.standard_normal(dim),
-                            (0.6 / dim) * rng.standard_normal((dim, dim)),
-                            idx, coef)
+    gradients (roughly eps * |f| / step), which the Leibniz sweep of
+    :func:`bracket_axiom_suite` differences, below its tolerance."""
+    return polynomial_field(*_random_coefficients(rng, dim, cubic_terms))
 
 
 def field_product(f: ScalarField, g: ScalarField) -> ScalarField:
@@ -418,23 +433,18 @@ BRACKET_SPACES = {
     "se3_product": (SE3, 2, 2),
 }
 
-# Step used when differentiating a bracket whose own evaluation already
-# goes through finite differences. Such values carry ~1e-10 of rounding
-# jitter, so the usual 1e-6 step would amplify that to ~1e-4; a step
-# near the cube root of the jitter balances noise against truncation.
-NESTED_FD_STEP = 5e-4
-
 
 def _random_point(rng, kind: str, n_theta: int, n_l: int) -> ReducedPoint:
     return ReducedPoint(lie.random_coalgebra(rng, kind),
                         rng.standard_normal(n_theta), rng.standard_normal(n_l))
 
 
-def _flat_machinery(name: str, inject_error: bool):
-    """Vectorized minus-bracket evaluator and batched FD gradients on the
-    flat coordinate layout of one named bracket space. Used by the axiom
-    suite, where the nested differencing of the Jacobi sweep would be far
-    too slow one point at a time."""
+def _flat_bracket(name: str, inject_error: bool):
+    """Vectorized minus bracket on the flat coordinate layout of one
+    named bracket space: maps the gradients of two fields at m points,
+    as (m, d) arrays, and the points to the m bracket values. Used by
+    the axiom suite, where the differenced bracket of the Jacobi sweep
+    would be far too slow one point at a time."""
     kind, n_theta, n_l = BRACKET_SPACES[name]
     nc = 3 if kind == SO3 else 6
     paired = n_theta == n_l and n_l > 0
@@ -462,63 +472,43 @@ def _flat_machinery(name: str, inject_error: bool):
                          - np.einsum("mi,mi->m", tk, lf))
         return val
 
-    def grads(eval_batch, pts, step):
-        m, d = pts.shape
-        h = step * np.maximum(1.0, np.abs(pts))
-        per = np.repeat(pts[:, None, :], 2 * d, axis=1)
-        i = np.arange(d)
-        per[:, 2 * i, i] += h
-        per[:, 2 * i + 1, i] -= h
-        v = np.asarray(eval_batch(per.reshape(-1, d)),
-                       dtype=float).reshape(m, 2 * d)
-        return (v[:, 0::2] - v[:, 1::2]) / (2.0 * h)
-
-    return bk_vals, grads
+    return bk_vals
 
 
 def bracket_axiom_suite(name: str, n_instances: int = 1000, seed: int = 0,
                         inject_error: bool = False) -> dict:
-    """Seeded property sweep for one bracket: antisymmetry with analytic
-    gradients, Leibniz and Jacobi with finite-difference gradients, and
-    Casimir commutation. Returns max defects plus the worst sample index
-    per axiom. ``inject_error`` corrupts the structure constants so that
-    the Jacobi sweep must fail (mutation check hook).
+    """Seeded property sweep for one bracket over random cubic
+    polynomial fields f, g, k: antisymmetry and Casimir commutation with
+    analytic gradients, Leibniz with finite-difference gradients (the
+    product f*g has no analytic gradient), and Jacobi as the central
+    difference (:func:`central_difference`, step ``FD_STEP``) of the
+    brackets built from analytic gradients. Returns max defects plus the
+    worst sample index per axiom. ``inject_error`` corrupts the
+    structure constants so that the Jacobi sweep must fail (mutation
+    check hook).
     """
     kind, n_theta, n_l = BRACKET_SPACES[name]
     nc = 3 if kind == SO3 else 6
     dim = nc + n_theta + n_l
     rng = np.random.default_rng(seed)
-    bk_vals, grads = _flat_machinery(name, inject_error)
+    bk_vals = _flat_bracket(name, inject_error)
 
-    def leibniz_defect(f, g, k, x):
-        x1 = x[None, :]
-        gfg = grads(lambda pts: (np.asarray(f.eval_batch(pts))
-                                 * np.asarray(g.eval_batch(pts))), x1, FD_STEP)
-        gf = grads(f.eval_batch, x1, FD_STEP)
-        gg = grads(g.eval_batch, x1, FD_STEP)
-        gk = grads(k.eval_batch, x1, FD_STEP)
+    def leibniz_defect(f, g, k, x1):
+        gfg = central_difference(
+            lambda pts: f.eval_batch(pts) * g.eval_batch(pts), x1)
+        gf, gg, gk = (central_difference(h.eval_batch, x1) for h in (f, g, k))
         lhs = bk_vals(gfg, gk, x1)[0]
         rhs = (f.eval_batch(x1)[0] * bk_vals(gg, gk, x1)[0]
                + g.eval_batch(x1)[0] * bk_vals(gf, gk, x1)[0])
         return abs(lhs - rhs)
 
-    def jacobi_defect(f, g, k, x):
-        x1 = x[None, :]
-        d = x.size
+    def jacobi_defect(grad_f, grad_g, grad_k, x1):
         total = 0.0
-        for a, b, c in ((f, g, k), (g, k, f), (k, f, g)):
-            # outer differencing of the FD-evaluated bracket {A, B} uses
-            # the wider NESTED_FD_STEP; see the note on that constant
-            h = NESTED_FD_STEP * np.maximum(1.0, np.abs(x))
-            per = np.repeat(x1, 2 * d, axis=0)
-            i = np.arange(d)
-            per[2 * i, i] += h
-            per[2 * i + 1, i] -= h
-            vals = bk_vals(grads(a.eval_batch, per, FD_STEP),
-                           grads(b.eval_batch, per, FD_STEP), per)
-            gab = (vals[0::2] - vals[1::2]) / (2.0 * h)
-            gc = grads(c.eval_batch, x1, FD_STEP)
-            total += bk_vals(gab[None, :], gc, x1)[0]
+        for a, b, c in ((grad_f, grad_g, grad_k), (grad_g, grad_k, grad_f),
+                        (grad_k, grad_f, grad_g)):
+            gab = central_difference(
+                lambda pts: bk_vals(a(pts), b(pts), pts), x1)
+            total += bk_vals(gab, c(x1), x1)[0]
         return abs(total)
 
     worst = {"antisymmetry": (0.0, -1), "leibniz": (0.0, -1),
@@ -531,19 +521,16 @@ def bracket_axiom_suite(name: str, n_instances: int = 1000, seed: int = 0,
     cas = casimir_fields(kind)
     for i in range(n_instances):
         p = _random_point(rng, kind, n_theta, n_l)
-        f = random_polynomial_field(rng, dim)
-        g = random_polynomial_field(rng, dim)
-        k = random_polynomial_field(rng, dim)
-        x = p.flat()
-        x1 = x[None, :]
+        coefs = [_random_coefficients(rng, dim) for _ in range(3)]
+        f, g, k = (polynomial_field(*c) for c in coefs)
+        grad_f, grad_g, grad_k = (_polynomial(*c)[1] for c in coefs)
+        x1 = p.flat()[None, :]
+        gf, gk = grad_f(x1), grad_k(x1)
 
-        # antisymmetry and Casimir commutation use the analytic gradients
-        gf = f.grad(p).flat()[None, :]
-        gk = k.grad(p).flat()[None, :]
         track("antisymmetry",
               abs(bk_vals(gf, gk, x1)[0] + bk_vals(gk, gf, x1)[0]), i)
-        track("leibniz", leibniz_defect(f, g, k, x), i)
-        track("jacobi", jacobi_defect(f, g, k, x), i)
+        track("leibniz", leibniz_defect(f, g, k, x1), i)
+        track("jacobi", jacobi_defect(grad_f, grad_g, grad_k, x1), i)
         for _, c in cas:
             gc = c.grad(p).flat()[None, :]
             track("casimir", abs(bk_vals(gc, gk, x1)[0]), i)

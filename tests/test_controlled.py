@@ -4,8 +4,7 @@ import pytest
 
 from gyrostat import lie
 from gyrostat.controlled import (RCHSystem, dynamical_field,
-                                 fiber_displacement, matching_control,
-                                 vlift_fiber_map)
+                                 fiber_displacement, matching_control)
 from gyrostat.lie import SO3, SE3
 from gyrostat.poisson import (ReducedPoint, ReducedTangent, ScalarField,
                               hamiltonian_field, point_like,
@@ -31,35 +30,6 @@ def test_identity_fiber_map_contributes_nothing():
     p = random_point(np.random.default_rng(0))
     npt.assert_array_equal(dynamical_field(sys, p).flat(),
                            hamiltonian_field(h, p).flat())
-
-
-def test_vlift_identity_returns_vector_unchanged():
-    p = random_point(np.random.default_rng(1))
-    vec = tangent_like(p, np.arange(9.0))
-    out = vlift_fiber_map(lambda q: q, vec, p)
-    npt.assert_array_equal(out.flat(), vec.flat())
-
-
-def test_vlift_matches_finite_difference_transport():
-    # oracle: push the vector through the translation back to p by
-    # central differences and compare with the straight-line transport
-    rng = np.random.default_rng(2)
-    p = random_point(rng)
-    shift = np.zeros(9)
-    shift[6:] = [0.3, -0.1, 0.7]
-
-    def fmap(q):
-        return point_like(q, q.flat() + shift)
-
-    h = quadratic_h(9)
-    q = fmap(p)
-    vec = hamiltonian_field(h, q)
-    lifted = vlift_fiber_map(fmap, vec, p)
-
-    eps = 1e-6
-    back = lambda x: x - shift  # noqa: E731
-    fd = (back(q.flat() + eps * vec.flat()) - back(q.flat())) / eps
-    npt.assert_allclose(lifted.flat(), fd, atol=1e-8)
 
 
 def test_constant_rotor_torque_shifts_momentum_rate_only():

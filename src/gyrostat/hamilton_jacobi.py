@@ -359,10 +359,6 @@ def _default_samples(gamma: OneFormSection, n_samples: int,
 def _frame_partials(gamma: OneFormSection, q: Configuration) -> np.ndarray:
     """Matrix D with D[i] = derivative of the fiber components along
     frame direction i."""
-    if gamma.jacobian is None:
-        dim = lie.algebra_dim(gamma.kind) + q.n_theta
-        return central_difference(_exp_chart(q, partial(fiber_flat, gamma)),
-                                  np.zeros((1, dim)))[0]
     frame = base_frame(gamma.kind, gamma.rotor_count)
     return np.stack([fiber_derivative(gamma, q, e) for e in frame])
 

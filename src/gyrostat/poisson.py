@@ -149,13 +149,16 @@ class ScalarField:
     eval_batch, when given, evaluates a (n, dim) array of flat states in
     one call and must match eval row by row; it lets
     :func:`central_difference` evaluate all perturbed points at once.
-    The three are plain callables: wrappers may replace them, so code
-    must not rely on attributes attached to them.
+    grad_batch, when given, maps the same (n, dim) array to the (n, dim)
+    array of flat analytic gradients. The four are plain callables:
+    wrappers may replace them, so code must not rely on attributes
+    attached to them.
     """
 
     eval: Callable[[ReducedPoint], float]
     grad: Callable[[ReducedPoint], ReducedTangent] | None = None
     eval_batch: Callable[[np.ndarray], np.ndarray] | None = None
+    grad_batch: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def without_gradient(field: ScalarField) -> ScalarField:
@@ -389,12 +392,12 @@ def polynomial_field(c0: float, a: np.ndarray, b: np.ndarray,
                      cubic_idx: np.ndarray | None = None,
                      cubic_coef: np.ndarray | None = None) -> ScalarField:
     """c0 + a.x + x.B.x/2 plus optional sparse cubic terms, on the flat
-    coordinate layout. eval, grad (analytic) and eval_batch are views of
-    one batched implementation."""
+    coordinate layout. eval, grad (analytic), eval_batch and grad_batch
+    are views of one batched implementation."""
     value, grad = _polynomial(c0, a, b, cubic_idx, cubic_coef)
     return ScalarField(lambda p: float(value(p.flat()[None, :])[0]),
                        lambda p: tangent_like(p, grad(p.flat()[None, :])[0]),
-                       value)
+                       value, grad)
 
 
 def _random_coefficients(rng: np.random.Generator, dim: int,
@@ -502,7 +505,8 @@ def bracket_axiom_suite(name: str, n_instances: int = 1000, seed: int = 0,
                + g.eval_batch(x1)[0] * bk_vals(gf, gk, x1)[0])
         return abs(lhs - rhs)
 
-    def jacobi_defect(grad_f, grad_g, grad_k, x1):
+    def jacobi_defect(f, g, k, x1):
+        grad_f, grad_g, grad_k = f.grad_batch, g.grad_batch, k.grad_batch
         total = 0.0
         for a, b, c in ((grad_f, grad_g, grad_k), (grad_g, grad_k, grad_f),
                         (grad_k, grad_f, grad_g)):
@@ -521,16 +525,15 @@ def bracket_axiom_suite(name: str, n_instances: int = 1000, seed: int = 0,
     cas = casimir_fields(kind)
     for i in range(n_instances):
         p = _random_point(rng, kind, n_theta, n_l)
-        coefs = [_random_coefficients(rng, dim) for _ in range(3)]
-        f, g, k = (polynomial_field(*c) for c in coefs)
-        grad_f, grad_g, grad_k = (_polynomial(*c)[1] for c in coefs)
+        f, g, k = (polynomial_field(*_random_coefficients(rng, dim))
+                   for _ in range(3))
         x1 = p.flat()[None, :]
-        gf, gk = grad_f(x1), grad_k(x1)
+        gf, gk = f.grad_batch(x1), k.grad_batch(x1)
 
         track("antisymmetry",
               abs(bk_vals(gf, gk, x1)[0] + bk_vals(gk, gf, x1)[0]), i)
         track("leibniz", leibniz_defect(f, g, k, x1), i)
-        track("jacobi", jacobi_defect(grad_f, grad_g, grad_k, x1), i)
+        track("jacobi", jacobi_defect(f, g, k, x1), i)
         for _, c in cas:
             gc = c.grad(p).flat()[None, :]
             track("casimir", abs(bk_vals(gc, gk, x1)[0]), i)

@@ -10,7 +10,7 @@ integrator accuracy, and the rotor momenta never move at all.
 import numpy as np
 
 from gyrostat import lie
-from gyrostat.controlled import dynamical_field
+from gyrostat.controlled import flat_dynamical_field
 from gyrostat.integrate import run, standard_invariants
 from gyrostat.poisson import reduced_point
 from gyrostat.systems import RigidBodyRotorParams, rigid_body_system
@@ -20,7 +20,7 @@ sys = rigid_body_system(params)
 
 p0 = reduced_point(lie.SO3, (1.0, 0.4, -0.7), theta=(0.0, 0.0, 0.0),
                    l=(0.1, -0.2, 0.3))
-traj = run(lambda p: dynamical_field(sys, p), p0, 1e-3, 10.0,
+traj = run(flat_dynamical_field(sys, p0.layout), p0, 1e-3, 10.0,
            standard_invariants(sys.hamiltonian, lie.SO3))
 
 print(f"integrated {len(traj.states) - 1} RK4 steps to "
@@ -30,12 +30,12 @@ for name in traj.drift:
 
 # l is a momentum conjugate to a cyclic variable, so it is frozen
 # exactly, not merely to truncation error.
-print("rotor momenta at t = 0 :", traj.states[0].l)
-print("rotor momenta at t = 10:", traj.states[-1].l)
+print("rotor momenta at t = 0 :", traj.states[0, -3:])
+print("rotor momenta at t = 10:", traj.states[-1, -3:])
 
 # The body momentum itself wanders on its sphere.
 print("\n  t      pi")
 for i in range(0, len(traj.states), 2000):
-    pi = np.array2string(traj.states[i].nu.pi, precision=4,
+    pi = np.array2string(traj.states[i, :3], precision=4,
                          suppress_small=True)
     print(f"{traj.times[i]:5.2f}  {pi}")

@@ -44,7 +44,7 @@ import numpy as np
 from . import config as cfgmod
 from . import hamilton_jacobi as hj
 from . import lie
-from .controlled import dynamical_field
+from .controlled import flat_dynamical_field
 from .integrate import run, standard_invariants
 from .poisson import AXIOM_BOUNDS, axiom_suite_passes, bracket_axiom_suite
 
@@ -89,23 +89,27 @@ def _complain(msg: str):
 # simulate
 # ---------------------------------------------------------------------------
 
-def _state_columns(p0) -> list:
+def _state_columns(layout) -> list:
     names = ["pi_1", "pi_2", "pi_3"]
-    if p0.kind == lie.SE3:
+    if layout.kind == lie.SE3:
         names += ["gamma_1", "gamma_2", "gamma_3"]
-    names += [f"theta_{i}" for i in range(1, p0.n_theta + 1)]
-    names += [f"l_{i}" for i in range(1, p0.n_l + 1)]
+    names += [f"theta_{i}" for i in range(1, layout.n_theta + 1)]
+    names += [f"l_{i}" for i in range(1, layout.n_l + 1)]
     return names
 
 
-def _trajectory_csv(traj, invariants: dict) -> str:
-    header = ["t"] + _state_columns(traj.states[0]) + list(invariants)
-    lines = [",".join(header)]
-    for t, state in zip(traj.times, traj.states):
-        row = [float(t)] + [float(v) for v in state.flat()]
-        row += [float(fn(state)) for fn in invariants.values()]
-        lines.append(",".join(repr(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _trajectory_csv(path: Path, traj):
+    """Stream the trajectory's stored times, states and invariant series
+    to ``path``, one row per state, through a temporary file."""
+    series = list(traj.series.values())
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(",".join(["t"] + _state_columns(traj.layout)
+                          + list(traj.series)) + "\n")
+        for i, t in enumerate(traj.times.tolist()):
+            row = [t] + traj.states[i].tolist() + [float(s[i]) for s in series]
+            fh.write(",".join(map(repr, row)) + "\n")
+    os.replace(tmp, path)
 
 
 def _drift_bound(name: str, tolerances: dict) -> float:
@@ -120,12 +124,12 @@ def cmd_simulate(args) -> int:
     p0 = cfgmod.build_initial(cfg)
     invariants = standard_invariants(system.hamiltonian, system.kind)
     try:
-        traj = run(lambda p: dynamical_field(system, p), p0,
+        traj = run(flat_dynamical_field(system, p0.layout), p0,
                    cfg.run["dt"], cfg.run["t_final"], invariants)
     except ValueError as exc:
         _complain(f"simulation failed: {exc}")
         return EXIT_RUNTIME
-    _write_text(out / "trajectory.csv", _trajectory_csv(traj, invariants))
+    _trajectory_csv(out / "trajectory.csv", traj)
 
     ok = True
     lines = [f"run: dt = {cfg.run['dt']!r}, t_final = "
@@ -197,11 +201,7 @@ def cmd_hj_check(args) -> int:
         _complain(f"hj-check rejected: {exc}")
         return EXIT_MEMBERSHIP
 
-    rel = [s.relatedness for s in probe.samples]
-    res = [s.hj for s in probe.samples]
-    report = hj.ResidualReport(probe.gate_defect, max(rel), max(res),
-                               len(probe.samples), int(np.argmax(rel)),
-                               int(np.argmax(res)))
+    report = hj.residual_report(probe)
 
     lines = [f"section family: {section.family}",
              f"momentum level: {_vec_text(mu.flat())}",
@@ -239,13 +239,6 @@ def cmd_hj_check(args) -> int:
 # equivalence-demo
 # ---------------------------------------------------------------------------
 
-def _max_deviation(traj_a, traj_b) -> float:
-    worst = 0.0
-    for a, b in zip(traj_a.states, traj_b.states):
-        worst = max(worst, float(np.max(np.abs(a.flat() - b.flat()))))
-    return worst
-
-
 def cmd_equivalence_demo(args) -> int:
     cfg = cfgmod.load_config(args.config)
     out = _out_dir(args)
@@ -256,18 +249,18 @@ def cmd_equivalence_demo(args) -> int:
     q0 = to_target(p0)
     dt, t_final = cfg.run["dt"], cfg.run["t_final"]
     try:
-        target_traj = run(lambda p: dynamical_field(target_system, p),
+        target_traj = run(flat_dynamical_field(target_system, q0.layout),
                           q0, dt, t_final)
-        engaged_traj = run(lambda p: dynamical_field(engaged_system, p),
+        engaged_traj = run(flat_dynamical_field(engaged_system, p0.layout),
                            p0, dt, t_final)
-        free_traj = run(lambda p: dynamical_field(free_system, p),
+        free_traj = run(flat_dynamical_field(free_system, p0.layout),
                         p0, dt, t_final)
     except ValueError as exc:
         _complain(f"equivalence demo failed: {exc}")
         return EXIT_RUNTIME
 
-    engaged = _max_deviation(engaged_traj, target_traj)
-    disengaged = _max_deviation(free_traj, target_traj)
+    engaged = float(np.max(np.abs(engaged_traj.states - target_traj.states)))
+    disengaged = float(np.max(np.abs(free_traj.states - target_traj.states)))
     tol = cfg.tolerances["equivalence"]
     ok = engaged <= tol
     kv = [("target", cfg.control["target"]),

@@ -72,6 +72,11 @@ CONTROL_KINDS = ("none", "constant", "matching")
 MATCHING_TARGETS = ("heavy_top_free", "rigid_body_rotors")
 SECTION_BUILTINS = ("rotor_quadratic",)
 
+# Ceiling on round(t_final / dt). A run keeps one float64 row of time,
+# state and invariants per step, so 10^7 steps hold about 1.1 GB at
+# state size d = 10 with m = 3 invariants.
+MAX_STEPS = 10**7
+
 _SECTIONS = ("system", "params", "initial", "run", "gamma", "control",
              "tolerances")
 _PARAM_KEYS = {
@@ -231,6 +236,9 @@ def _parse_run(data: dict) -> dict:
     if t_final <= 0:
         raise ConfigError("[run] t_final: must be positive")
     n = round(t_final / dt)
+    if n > MAX_STEPS:
+        raise ConfigError(f"[run] t_final / dt: {n} steps exceed the limit "
+                          f"of {MAX_STEPS}")
     if n < 1 or abs(n * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
         raise ConfigError("[run] dt: must divide t_final into whole steps")
     if seed < 0:
@@ -497,12 +505,8 @@ def top_to_rotor_tangent(v: ReducedTangent) -> ReducedTangent:
                           v.d_gamma.copy())
 
 
-def _identity_point(p: ReducedPoint) -> ReducedPoint:
-    return p
-
-
-def _identity_tangent(v: ReducedTangent) -> ReducedTangent:
-    return v
+def _identity(x):
+    return x
 
 
 def build_matching(cfg: ScenarioConfig):
@@ -518,9 +522,9 @@ def build_matching(cfg: ScenarioConfig):
                                    top_to_rotor_tangent, rotor_to_top_point)
         return control, sys_b, rotor_to_top_point
     sys_b = rigid_body_system(_target_params(cfg.control))
-    control = matching_control(sys_a, sys_b, _identity_point,
-                               _identity_tangent, _identity_point)
-    return control, sys_b, _identity_point
+    control = matching_control(sys_a, sys_b, _identity, _identity,
+                               _identity)
+    return control, sys_b, _identity
 
 
 def _constant_control(cfg: ScenarioConfig):

@@ -16,6 +16,10 @@ Forces and controls come in two interchangeable forms:
 * a vertical field ``p -> ReducedTangent`` giving the lift directly,
   which is the form :func:`matching_control` produces.
 
+The integrator steps :func:`flat_dynamical_field`, a (d,) -> (d,) map
+on flat states; :func:`dynamical_field` is its view at one point.
+Forces and controls are called on a point view of the flat state.
+
 Admissibility of controls is not constrained here: any vertical field
 is accepted.
 """
@@ -28,8 +32,9 @@ from typing import Callable
 import numpy as np
 
 from .lie import SE3, SO3
-from .poisson import (ReducedPoint, ReducedTangent, ScalarField,
-                      hamiltonian_field, tangent_like)
+from .poisson import (Layout, ReducedPoint, ReducedTangent, ScalarField,
+                      flat_hamiltonian_field, hamiltonian_field, point_like,
+                      tangent_like)
 
 # On the reduced space the bundle base is a single point, so a vertical
 # vector is an ordinary reduced tangent.
@@ -61,7 +66,7 @@ class RCHSystem:
             raise ValueError("rotor_count must be nonnegative")
 
 
-def _check_point(sys: RCHSystem, p: ReducedPoint):
+def _check_point(sys: RCHSystem, p: ReducedPoint | Layout):
     if p.kind != sys.kind:
         raise ValueError(f"point kind {p.kind} does not match system "
                          f"kind {sys.kind}")
@@ -71,46 +76,56 @@ def _check_point(sys: RCHSystem, p: ReducedPoint):
             f"match system rotor_count {sys.rotor_count}")
 
 
-def _check_same_fiber(q: ReducedPoint, p: ReducedPoint):
-    if q.kind != p.kind or q.n_theta != p.n_theta or q.n_l != p.n_l:
-        raise ValueError(
-            "fiber map is not fiber-preserving: it changed the point "
-            f"layout from ({p.kind}, theta {p.n_theta}, l {p.n_l}) to "
-            f"({q.kind}, theta {q.n_theta}, l {q.n_l})")
-
-
 def fiber_displacement(q: ReducedPoint, p: ReducedPoint) -> VerticalVector:
     """Vertical vector from p toward q = fmap(p): the velocity of the
     straight fiber line s -> p + s (q - p) at s = 0. Zero when q == p,
     so an identity fiber map contributes nothing to the dynamics."""
-    _check_same_fiber(q, p)
+    if q.layout != p.layout:
+        raise ValueError("fiber map is not fiber-preserving: it changed "
+                         f"the point layout from {p.layout} to {q.layout}")
     return tangent_like(p, q.flat() - p.flat())
 
 
-def _as_vertical(fmap, p: ReducedPoint) -> VerticalVector:
+def _as_vertical(fmap, p: ReducedPoint) -> np.ndarray:
     val = fmap(p)
     if isinstance(val, ReducedPoint):
-        return fiber_displacement(val, p)
+        return fiber_displacement(val, p).flat()
     if isinstance(val, ReducedTangent):
-        if val.flat().size != p.flat().size:
+        flat = val.flat()
+        if flat.size != p.flat().size:
             raise ValueError("vertical field output does not match the "
                              "point layout")
-        return val
+        return flat
     raise TypeError("force/control must return a ReducedPoint (fiber "
                     "map) or a ReducedTangent (vertical field), got "
                     f"{type(val).__name__}")
 
 
-def dynamical_field(sys: RCHSystem, p: ReducedPoint) -> ReducedTangent:
-    """The full vector field of the controlled system at p: Hamiltonian
+def flat_dynamical_field(
+        sys: RCHSystem, layout: Layout) -> Callable[[np.ndarray], np.ndarray]:
+    """The full vector field of the controlled system as a (d,) -> (d,)
+    map on flat states of ``layout`` (checked here, once): Hamiltonian
     part plus the vertical lifts of force and control. With both absent
     (or the identity map) this is exactly the Hamiltonian field."""
-    _check_point(sys, p)
-    out = hamiltonian_field(sys.hamiltonian, p)
-    for fmap in (sys.force, sys.control):
-        if fmap is not None:
+    _check_point(sys, layout)
+    hamiltonian = flat_hamiltonian_field(sys.hamiltonian, layout)
+    lifts = [fmap for fmap in (sys.force, sys.control) if fmap is not None]
+    if not lifts:
+        return hamiltonian
+
+    def field(x: np.ndarray) -> np.ndarray:
+        out = hamiltonian(x)
+        p = point_like(layout, x)
+        for fmap in lifts:
             out = out + _as_vertical(fmap, p)
-    return out
+        return out
+
+    return field
+
+
+def dynamical_field(sys: RCHSystem, p: ReducedPoint) -> ReducedTangent:
+    """:func:`flat_dynamical_field` at the point p."""
+    return tangent_like(p, flat_dynamical_field(sys, p.layout)(p.flat()))
 
 
 INVERSE_TOL = 1e-9
@@ -148,6 +163,7 @@ def matching_control(sys_a: RCHSystem, sys_b: RCHSystem,
             raise ValueError("pullback is not invertible at this point "
                              f"(round-trip defect {defect:.3e})")
         transported = push_tangent(dynamical_field(sys_b, q))
-        return transported + (-hamiltonian_field(sys_a.hamiltonian, p))
+        return tangent_like(p, transported.flat()
+                            - hamiltonian_field(sys_a.hamiltonian, p).flat())
 
     return control

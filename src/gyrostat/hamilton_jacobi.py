@@ -452,10 +452,8 @@ def relatedness_residual(sys: RCHSystem, gamma: OneFormSection,
     d_fiber = fiber_derivative(gamma, q, x)
     dim = lie.algebra_dim(gamma.kind)
     if mu is None:
-        body = full_dynamical_field(sys, pt).body
-        field_fiber = np.concatenate([
-            body.d_pi if gamma.kind == lie.SO3
-            else np.concatenate([body.d_pi, body.d_gamma]), body.d_l])
+        body = full_dynamical_field(sys, pt).body.flat()
+        field_fiber = np.concatenate([body[:dim], body[dim + q.n_theta:]])
         return float(np.linalg.norm(d_fiber - field_fiber))
     _require_membership(gamma, q, mu)
     red = as_reduced(pt)
@@ -479,11 +477,10 @@ def hj_residual_components(sys: RCHSystem, gamma: OneFormSection,
         _require_membership(gamma, q, mu)
         return dynamical_field(sys, as_reduced(pt)).flat()
     red = as_reduced(pt)
-    shift = dynamical_field(sys, red) + (-hamiltonian_field(
-        sys.hamiltonian, red))
-    fiber_shift = np.concatenate([
-        shift.d_pi if gamma.kind == lie.SO3
-        else np.concatenate([shift.d_pi, shift.d_gamma]), shift.d_l])
+    shift = (dynamical_field(sys, red).flat()
+             - hamiltonian_field(sys.hamiltonian, red).flat())
+    nc = lie.algebra_dim(gamma.kind)
+    fiber_shift = np.concatenate([shift[:nc], shift[nc + red.n_theta:]])
 
     def restricted(cfg: Configuration) -> float:
         return sys.hamiltonian.eval(as_reduced(section_point(gamma, cfg)))
@@ -586,11 +583,11 @@ class ResidualReport:
             raise ValueError("report needs at least one sample")
 
 
-def residual_report(sys: RCHSystem, gamma: OneFormSection,
-                    samples: Sequence[Configuration],
-                    mu=None) -> ResidualReport:
-    rel = [relatedness_residual(sys, gamma, q, mu) for q in samples]
-    hj = [hj_residual(sys, gamma, q, mu) for q in samples]
-    return ResidualReport(closedness_defect(gamma, samples=samples),
-                          max(rel), max(hj), len(samples),
-                          int(np.argmax(rel)), int(np.argmax(hj)))
+def residual_report(probe: ProbeResult) -> ResidualReport:
+    """The probe's gate defect and, for each residual, its largest value
+    over the samples with the index where it occurred."""
+    rel = [s.relatedness for s in probe.samples]
+    hj = [s.hj for s in probe.samples]
+    return ResidualReport(probe.gate_defect, max(rel), max(hj),
+                          len(probe.samples), int(np.argmax(rel)),
+                          int(np.argmax(hj)))

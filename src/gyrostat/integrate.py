@@ -1,10 +1,11 @@
 """Fixed-step time integration of reduced fields and drift diagnostics.
 
 The single integrator is the classical fourth-order Runge-Kutta step on
-the flat coordinates of a reduced point. :func:`run` drives it over a
-uniform grid and records, for each supplied invariant, the relative
-drift series (I(t) - I(0)) / max(1, |I(0)|); the max(1, .) floor keeps
-the series meaningful when an invariant starts near zero.
+flat (d,) states with a (d,) -> (d,) field. :func:`run` drives it over a
+uniform grid, stores the (n+1, d) states and evaluates each invariant
+once per state on a point view; the relative drift series
+(I(t) - I(0)) / max(1, |I(0)|) comes from those raw series. The
+max(1, .) floor keeps it meaningful when an invariant starts near zero.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .poisson import (ReducedPoint, ReducedTangent, ScalarField,
-                      casimir_fields, point_like)
+from . import lie
+from .poisson import (Layout, ReducedPoint, ScalarField, casimir_fields,
+                      point_like)
 
-Field = Callable[[ReducedPoint], ReducedTangent]
+FlatField = Callable[[np.ndarray], np.ndarray]
 Invariant = Callable[[ReducedPoint], float]
 
 BLOWUP_LIMIT = 1e12
@@ -30,56 +32,69 @@ UNIFORM_TOL = 1e-15
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled integration output with drift diagnostics."""
+    """Uniformly sampled integration output: the (n+1, d) flat states in
+    ``layout`` and the raw (n+1,) series of each tracked invariant."""
 
     times: np.ndarray
-    states: tuple
-    drift: Mapping[str, np.ndarray]
+    states: np.ndarray
+    series: Mapping[str, np.ndarray]
+    layout: Layout
 
     def __post_init__(self):
         object.__setattr__(self, "times",
                            np.asarray(self.times, dtype=float))
-        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "states",
+                           np.asarray(self.states, dtype=float))
         if self.times.ndim != 1 or self.times.size != len(self.states):
             raise ValueError("times and states must have equal length")
+        kind, n_theta, n_l = self.layout
+        if self.states.shape[1:] != (lie.algebra_dim(kind) + n_theta + n_l,):
+            raise ValueError(f"states of shape {self.states.shape} do not "
+                             f"match the layout {self.layout}")
         if self.times.size >= 2:
             steps = np.diff(self.times)
             dt = steps[0]
             tol = UNIFORM_TOL * max(1.0, float(np.abs(self.times).max()))
             if np.max(np.abs(steps - dt)) > tol:
                 raise ValueError("trajectory times are not uniformly spaced")
-        for series in self.drift.values():
-            if len(series) != self.times.size:
-                raise ValueError("drift series length must match times")
+        for name, values in self.series.items():
+            if len(values) != self.times.size:
+                raise ValueError(f"invariant series {name!r} needs one "
+                                 "value per time for its drift")
 
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
+    @property
+    def drift(self) -> dict:
+        return {name: (s - s[0]) / max(1.0, abs(s[0]))
+                for name, s in self.series.items()}
+
     def max_drift(self, name: str) -> float:
         return float(np.max(np.abs(self.drift[name])))
 
 
-def rk4_step(field: Field, p: ReducedPoint, dt: float) -> ReducedPoint:
+def rk4_step(field: FlatField, x: np.ndarray, dt: float) -> np.ndarray:
     """One classical Runge-Kutta step of size dt (local error O(dt^5))."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    x = p.flat()
-    k1 = field(p).flat()
-    k2 = field(point_like(p, x + 0.5 * dt * k1)).flat()
-    k3 = field(point_like(p, x + 0.5 * dt * k2)).flat()
-    k4 = field(point_like(p, x + dt * k3)).flat()
+    k1 = field(x)
+    k2 = field(x + 0.5 * dt * k1)
+    k3 = field(x + 0.5 * dt * k2)
+    k4 = field(x + dt * k3)
     y = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ValueError("integration step produced a non-finite state")
-    return point_like(p, y)
+    return y
 
 
-def run(field: Field, p0: ReducedPoint, dt: float, t_final: float,
+def run(field: FlatField, p0: ReducedPoint, dt: float, t_final: float,
         invariants: Mapping[str, Invariant] | None = None) -> Trajectory:
     """Integrate p0 for t_final at fixed step dt and track invariants.
 
-    dt must divide t_final to rounding. Raises if any state component
+    ``field`` maps flat states in the layout of p0 to their rates. dt
+    must divide t_final to rounding. Raises if any state component
     exceeds ``BLOWUP_LIMIT`` in magnitude, reporting the failure time.
     """
     if dt <= 0:
@@ -88,36 +103,30 @@ def run(field: Field, p0: ReducedPoint, dt: float, t_final: float,
     if n < 1 or abs(n * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
         raise ValueError(f"dt {dt} does not divide t_final {t_final}")
     invariants = dict(invariants or {})
+    layout = p0.layout
 
-    states = [p0]
-    values = {name: [fn(p0)] for name, fn in invariants.items()}
-    p = p0
-    for i in range(n):
-        p = rk4_step(field, p, dt)
-        worst = float(np.max(np.abs(p.flat())))
-        if worst > BLOWUP_LIMIT:
-            raise ValueError(
-                f"trajectory blew up at t = {(i + 1) * dt:.6g}: "
-                f"max |component| = {worst:.3e}")
-        states.append(p)
+    x, p = p0.flat(), p0
+    states = np.empty((n + 1, x.size))
+    series = {name: np.empty(n + 1) for name in invariants}
+    for i in range(n + 1):
+        if i:
+            x = rk4_step(field, x, dt)
+            worst = float(np.abs(x).max())
+            if worst > BLOWUP_LIMIT:
+                raise ValueError(
+                    f"trajectory blew up at t = {i * dt:.6g}: "
+                    f"max |component| = {worst:.3e}")
+            if invariants:
+                p = point_like(layout, x)
+        states[i] = x
         for name, fn in invariants.items():
-            values[name].append(fn(p))
-
-    times = np.arange(n + 1) * dt
-    drift = {}
-    for name, series in values.items():
-        series = np.asarray(series, dtype=float)
-        drift[name] = (series - series[0]) / max(1.0, abs(series[0]))
-    return Trajectory(times, states, drift)
-
-
-def energy_invariant(h: ScalarField) -> Invariant:
-    return h.eval
+            series[name][i] = fn(p)
+    return Trajectory(np.arange(n + 1) * dt, states, series, layout)
 
 
 def standard_invariants(h: ScalarField, kind: str) -> dict:
     """Energy plus every Casimir of the algebra, keyed by name."""
-    out = {"energy": energy_invariant(h)}
+    out = {"energy": h.eval}
     for name, c in casimir_fields(kind):
         out[name] = c.eval
     return out

@@ -44,6 +44,16 @@ def _vec3(x, name: str) -> np.ndarray:
     return a
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b for two 3-vectors: np.cross's formula and rounding, without
+    its per-call overhead. The package's one cross product of single
+    3-vectors."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
+                     a0 * b1 - a1 * b0])
+
+
 def _check_kind(kind: str) -> str:
     if kind not in (SO3, SE3):
         raise ValueError(f"kind must be {SO3!r} or {SE3!r}, got {kind!r}")
@@ -211,10 +221,10 @@ def bracket(x: AlgebraVector, y: AlgebraVector) -> AlgebraVector:
     """Lie bracket. Cross product on so(3); on se(3) the semidirect
     bracket (w1 x w2, w1 x u2 - w2 x u1)."""
     kind = _same_kind(x, y)
-    w = np.cross(x.omega, y.omega)
+    w = _cross(x.omega, y.omega)
     if kind == SO3:
         return AlgebraVector(SO3, w)
-    u = np.cross(x.omega, y.vel) - np.cross(y.omega, x.vel)
+    u = _cross(x.omega, y.vel) - _cross(y.omega, x.vel)
     return AlgebraVector(SE3, w, u)
 
 
@@ -281,7 +291,7 @@ def adjoint(g: GroupElement, xi: AlgebraVector) -> AlgebraVector:
     w = g.rot @ xi.omega
     if kind == SO3:
         return AlgebraVector(SO3, w)
-    u = np.cross(g.trans, w) + g.rot @ xi.vel
+    u = _cross(g.trans, w) + g.rot @ xi.vel
     return AlgebraVector(SE3, w, u)
 
 
@@ -294,9 +304,9 @@ def coadjoint_ad_star(xi: AlgebraVector, mu: CoalgebraVector) -> CoalgebraVector
     """
     kind = _same_kind(xi, mu)
     if kind == SO3:
-        return CoalgebraVector(SO3, np.cross(mu.pi, xi.omega))
-    p = np.cross(mu.pi, xi.omega) + np.cross(mu.gamma, xi.vel)
-    g = np.cross(mu.gamma, xi.omega)
+        return CoalgebraVector(SO3, _cross(mu.pi, xi.omega))
+    p = _cross(mu.pi, xi.omega) + _cross(mu.gamma, xi.vel)
+    g = _cross(mu.gamma, xi.omega)
     return CoalgebraVector(SE3, p, g)
 
 
@@ -312,7 +322,7 @@ def Ad_star(g: GroupElement, mu: CoalgebraVector) -> CoalgebraVector:
     if kind == SO3:
         return CoalgebraVector(SO3, p)
     ag = g.rot @ mu.gamma
-    return CoalgebraVector(SE3, p + np.cross(g.trans, ag), ag)
+    return CoalgebraVector(SE3, p + _cross(g.trans, ag), ag)
 
 
 def random_algebra(rng: np.random.Generator, kind: str, scale: float = 1.0) -> AlgebraVector:

@@ -23,12 +23,12 @@ momenta are constants of motion of every Hamiltonian flow.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import lie
-from .lie import SE3, SO3, AlgebraVector, CoalgebraVector
+from .lie import SE3, SO3, AlgebraVector, CoalgebraVector, _cross
 
 FD_STEP = 1e-6
 
@@ -38,6 +38,14 @@ def _vec(x, name: str) -> np.ndarray:
     if a.ndim != 1:
         raise ValueError(f"{name} must be a 1-d array, got shape {a.shape}")
     return a
+
+
+class Layout(NamedTuple):
+    """Slot sizes of a flat state: pi(3) [, gamma(3)], theta, l."""
+
+    kind: str
+    n_theta: int
+    n_l: int
 
 
 @dataclass(frozen=True)
@@ -68,6 +76,10 @@ class ReducedPoint:
     def n_l(self) -> int:
         return self.l.size
 
+    @property
+    def layout(self) -> Layout:
+        return Layout(self.kind, self.n_theta, self.n_l)
+
     def flat(self) -> np.ndarray:
         """Layout: pi(3) [, gamma(3)], theta, l."""
         return np.concatenate([self.nu.flat(), self.theta, self.l])
@@ -78,8 +90,8 @@ def reduced_point(kind: str, pi, gamma=None, theta=(), l=()) -> ReducedPoint:
                         np.asarray(l, float))
 
 
-def point_like(p: ReducedPoint, arr) -> ReducedPoint:
-    """Rebuild a point with p's kind and slot sizes from a flat array."""
+def point_like(p: ReducedPoint | Layout, arr) -> ReducedPoint:
+    """Point view of flat arr in the layout of p (a point or Layout)."""
     arr = np.asarray(arr, dtype=float)
     nc = 3 if p.kind == SO3 else 6
     nu = lie.coalgebra_from_flat(p.kind, arr[:nc])
@@ -113,30 +125,15 @@ class ReducedTangent:
     def norm(self) -> float:
         return float(np.linalg.norm(self.flat()))
 
-    def __add__(self, other: "ReducedTangent") -> "ReducedTangent":
-        dg = None if self.d_gamma is None else self.d_gamma + other.d_gamma
-        return ReducedTangent(self.d_pi + other.d_pi, dg,
-                              self.d_theta + other.d_theta, self.d_l + other.d_l)
 
-    def __neg__(self) -> "ReducedTangent":
-        return self.scale(-1.0)
-
-    def scale(self, s: float) -> "ReducedTangent":
-        dg = None if self.d_gamma is None else s * self.d_gamma
-        return ReducedTangent(s * self.d_pi, dg, s * self.d_theta, s * self.d_l)
-
-
-def tangent_like(p: ReducedPoint, arr) -> ReducedTangent:
+def tangent_like(p: ReducedPoint | Layout, arr) -> ReducedTangent:
+    """Tangent view of flat arr in the layout of p (a point or Layout)."""
     arr = np.asarray(arr, dtype=float)
     if p.kind == SO3:
         nc, dg = 3, None
     else:
         nc, dg = 6, arr[3:6]
     return ReducedTangent(arr[:3], dg, arr[nc:nc + p.n_theta], arr[nc + p.n_theta:])
-
-
-def zero_tangent(p: ReducedPoint) -> ReducedTangent:
-    return tangent_like(p, np.zeros(p.flat().size))
 
 
 @dataclass(frozen=True)
@@ -159,6 +156,16 @@ class ScalarField:
     grad: Callable[[ReducedPoint], ReducedTangent] | None = None
     eval_batch: Callable[[np.ndarray], np.ndarray] | None = None
     grad_batch: Callable[[np.ndarray], np.ndarray] | None = None
+
+
+def analytic_field(ev: Callable[[ReducedPoint], float],
+                   grad_batch: Callable[[np.ndarray], np.ndarray],
+                   eval_batch=None) -> ScalarField:
+    """Field whose analytic gradient is given once, batched on flat
+    states; ``grad`` is its view on one point."""
+    return ScalarField(
+        ev, lambda p: tangent_like(p, grad_batch(p.flat()[None, :])[0]),
+        eval_batch, grad_batch)
 
 
 def without_gradient(field: ScalarField) -> ScalarField:
@@ -230,31 +237,12 @@ def _sign_value(sign) -> float:
         raise ValueError(f"sign must be '+' or '-', got {sign!r}") from None
 
 
-def _algebra_part(p: ReducedPoint, g: ReducedTangent) -> AlgebraVector:
-    if p.kind == SO3:
-        return AlgebraVector(SO3, g.d_pi)
-    return AlgebraVector(SE3, g.d_pi, g.d_gamma)
-
-
-def _require_finite(g: ReducedTangent):
-    if not np.all(np.isfinite(g.flat())):
-        raise ValueError("non-finite gradient")
-
-
-def _lp_term(nu: CoalgebraVector, df: AlgebraVector, dk: AlgebraVector,
-             sign: float) -> float:
-    return sign * lie.pairing(nu, lie.bracket(df, dk))
-
-
 def lie_poisson_bracket(f: ScalarField, k: ScalarField, nu: CoalgebraVector,
                         sign="-") -> float:
-    """(+/-)-Lie-Poisson bracket: +/- < nu, [df/dnu, dk/dnu] >."""
-    s = _sign_value(sign)
-    p = ReducedPoint(nu, np.zeros(0), np.zeros(0))
-    gf, gk = gradient(f, p), gradient(k, p)
-    _require_finite(gf)
-    _require_finite(gk)
-    return _lp_term(nu, _algebra_part(p, gf), _algebra_part(p, gk), s)
+    """(+/-)-Lie-Poisson bracket: +/- < nu, [df/dnu, dk/dnu] >, the
+    :func:`product_bracket` at nu with empty rotor slots."""
+    return product_bracket(f, k, ReducedPoint(nu, np.zeros(0), np.zeros(0)),
+                           sign)
 
 
 def product_bracket(f: ScalarField, k: ScalarField, p: ReducedPoint,
@@ -268,16 +256,30 @@ def product_bracket(f: ScalarField, k: ScalarField, p: ReducedPoint,
     """
     s = _sign_value(sign)
     gf, gk = gradient(f, p), gradient(k, p)
-    _require_finite(gf)
-    _require_finite(gk)
-    out = _lp_term(p.nu, _algebra_part(p, gf), _algebra_part(p, gk), s)
+    if not (np.isfinite(gf.flat()).all() and np.isfinite(gk.flat()).all()):
+        raise ValueError("non-finite gradient")
+    nc = lie.algebra_dim(p.kind)
+    df, dk = (lie.algebra_from_flat(p.kind, g.flat()[:nc]) for g in (gf, gk))
+    out = s * lie.pairing(p.nu, lie.bracket(df, dk))
     if p.n_theta == p.n_l and p.n_theta > 0:
         out += float(gf.d_theta @ gk.d_l - gk.d_theta @ gf.d_l)
     return out
 
 
-def hamiltonian_field(h: ScalarField, p: ReducedPoint) -> ReducedTangent:
-    """Minus-bracket Hamiltonian vector field in closed form.
+def flat_gradient(h: ScalarField,
+                  layout: Layout) -> Callable[[np.ndarray], np.ndarray]:
+    """(d,) -> (d,) gradient of h on flat states of ``layout``: one row
+    of ``grad_batch`` when h has it, otherwise :func:`gradient` on a
+    point view."""
+    if h.grad_batch is not None:
+        return lambda x: h.grad_batch(x[None, :])[0]
+    return lambda x: gradient(h, point_like(layout, x)).flat()
+
+
+def flat_hamiltonian_field(
+        h: ScalarField, layout: Layout) -> Callable[[np.ndarray], np.ndarray]:
+    """Minus-bracket Hamiltonian vector field of h as a (d,) -> (d,) map
+    on flat states of ``layout``, in closed form:
 
     so(3)*:  pi_dot = pi x grad_pi h
     se(3)*:  pi_dot = pi x grad_pi h + gamma x grad_gamma h,
@@ -288,21 +290,30 @@ def hamiltonian_field(h: ScalarField, p: ReducedPoint) -> ReducedTangent:
     Every component equals the minus bracket of its coordinate function
     with h, which the tests verify against :func:`product_bracket`.
     """
-    g = gradient(h, p)
-    _require_finite(g)
-    if p.kind == SO3:
-        d_pi = np.cross(p.nu.pi, g.d_pi)
-        d_gamma = None
-    else:
-        d_pi = np.cross(p.nu.pi, g.d_pi) + np.cross(p.nu.gamma, g.d_gamma)
-        d_gamma = np.cross(p.nu.gamma, g.d_pi)
-    if p.n_theta == p.n_l and p.n_theta > 0:
-        d_theta = g.d_l.copy()
-        d_l = -g.d_theta
-    else:
-        d_theta = np.zeros(p.n_theta)
-        d_l = np.zeros(p.n_l)
-    return ReducedTangent(d_pi, d_gamma, d_theta, d_l)
+    grad = flat_gradient(h, layout)
+    nc, n_theta = lie.algebra_dim(layout.kind), layout.n_theta
+    paired = n_theta == layout.n_l and n_theta > 0
+
+    def field(x: np.ndarray) -> np.ndarray:
+        g = grad(x)
+        if not np.isfinite(g).all():
+            raise ValueError("non-finite gradient")
+        out = np.zeros(x.size)
+        out[:3] = _cross(x[:3], g[:3])
+        if nc == 6:
+            out[:3] += _cross(x[3:6], g[3:6])
+            out[3:6] = _cross(x[3:6], g[:3])
+        if paired:
+            out[nc:nc + n_theta] = g[nc + n_theta:]
+            out[nc + n_theta:] = -g[nc:nc + n_theta]
+        return out
+
+    return field
+
+
+def hamiltonian_field(h: ScalarField, p: ReducedPoint) -> ReducedTangent:
+    """:func:`flat_hamiltonian_field` at the point p."""
+    return tangent_like(p, flat_hamiltonian_field(h, p.layout)(p.flat()))
 
 
 def kks_form(nu: CoalgebraVector, xi: AlgebraVector, eta: AlgebraVector,
@@ -330,28 +341,32 @@ def casimir_fields(kind: str) -> list[tuple[str, ScalarField]]:
         def pi_sq(p):
             return float(p.nu.pi @ p.nu.pi)
 
-        def pi_sq_grad(p):
-            return ReducedTangent(2.0 * p.nu.pi, None,
-                                  np.zeros(p.n_theta), np.zeros(p.n_l))
+        def pi_sq_grad(x):
+            g = np.zeros_like(x)
+            g[:, :3] = 2.0 * x[:, :3]
+            return g
 
-        return [("pi_sq", ScalarField(pi_sq, pi_sq_grad))]
+        return [("pi_sq", analytic_field(pi_sq, pi_sq_grad))]
 
     def pi_dot_gamma(p):
         return float(p.nu.pi @ p.nu.gamma)
 
-    def pi_dot_gamma_grad(p):
-        return ReducedTangent(p.nu.gamma.copy(), p.nu.pi.copy(),
-                              np.zeros(p.n_theta), np.zeros(p.n_l))
+    def pi_dot_gamma_grad(x):
+        g = np.zeros_like(x)
+        g[:, :3] = x[:, 3:6]
+        g[:, 3:6] = x[:, :3]
+        return g
 
     def gamma_sq(p):
         return float(p.nu.gamma @ p.nu.gamma)
 
-    def gamma_sq_grad(p):
-        return ReducedTangent(np.zeros(3), 2.0 * p.nu.gamma,
-                              np.zeros(p.n_theta), np.zeros(p.n_l))
+    def gamma_sq_grad(x):
+        g = np.zeros_like(x)
+        g[:, 3:6] = 2.0 * x[:, 3:6]
+        return g
 
-    return [("pi_dot_gamma", ScalarField(pi_dot_gamma, pi_dot_gamma_grad)),
-            ("gamma_sq", ScalarField(gamma_sq, gamma_sq_grad))]
+    return [("pi_dot_gamma", analytic_field(pi_dot_gamma, pi_dot_gamma_grad)),
+            ("gamma_sq", analytic_field(gamma_sq, gamma_sq_grad))]
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +410,8 @@ def polynomial_field(c0: float, a: np.ndarray, b: np.ndarray,
     coordinate layout. eval, grad (analytic), eval_batch and grad_batch
     are views of one batched implementation."""
     value, grad = _polynomial(c0, a, b, cubic_idx, cubic_coef)
-    return ScalarField(lambda p: float(value(p.flat()[None, :])[0]),
-                       lambda p: tangent_like(p, grad(p.flat()[None, :])[0]),
-                       value, grad)
+    return analytic_field(lambda p: float(value(p.flat()[None, :])[0]),
+                          grad, value)
 
 
 def _random_coefficients(rng: np.random.Generator, dim: int,
@@ -535,8 +549,7 @@ def bracket_axiom_suite(name: str, n_instances: int = 1000, seed: int = 0,
         track("leibniz", leibniz_defect(f, g, k, x1), i)
         track("jacobi", jacobi_defect(f, g, k, x1), i)
         for _, c in cas:
-            gc = c.grad(p).flat()[None, :]
-            track("casimir", abs(bk_vals(gc, gk, x1)[0]), i)
+            track("casimir", abs(bk_vals(c.grad_batch(x1), gk, x1)[0]), i)
 
     return {
         "bracket": name,

@@ -6,7 +6,9 @@ and momentum vectors. The momentum map of the lifted left action sends
 such a point to its spatial momentum Ad*_{g^-1} p; its level sets
 project onto the reduced space by simply dropping g. Reconstruction
 inverts that projection along a trajectory by integrating
-g_dot = g hat(xi) with xi = dh/dnu evaluated on the reduced states.
+g_dot = g hat(xi) with xi = dh/dnu evaluated on the flat states of a
+:class:`~gyrostat.integrate.Trajectory`, stepping at order 4 the same
+flat field the integrator stepped.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ import numpy as np
 
 from . import lie
 from .controlled import RCHSystem, dynamical_field
+from .integrate import Trajectory
 from .lie import AlgebraVector, CoalgebraVector, GroupElement
-from .poisson import (ReducedPoint, ReducedTangent, ScalarField, gradient,
-                      hamiltonian_field, point_like)
+from .poisson import (ReducedPoint, ReducedTangent, ScalarField,
+                      flat_gradient, hamiltonian_field)
 
 MEMBERSHIP_TOL = 1e-8
 
@@ -119,10 +122,8 @@ def reduced_hamiltonian_check(h_full: Callable[[PhasePoint], float],
 
 def body_velocity(h: ScalarField, q: ReducedPoint) -> AlgebraVector:
     """dh/dnu at q, the algebra element that drives g along the flow."""
-    grad = gradient(h, q)
-    if q.kind == lie.SO3:
-        return AlgebraVector(lie.SO3, grad.d_pi)
-    return AlgebraVector(lie.SE3, grad.d_pi, grad.d_gamma)
+    grad = flat_gradient(h, q.layout)(q.flat())
+    return lie.algebra_from_flat(q.kind, grad[:lie.algebra_dim(q.kind)])
 
 
 def full_dynamical_field(sys: RCHSystem, pt: PhasePoint) -> FullTangent:
@@ -135,8 +136,9 @@ def full_dynamical_field(sys: RCHSystem, pt: PhasePoint) -> FullTangent:
     """
     q = as_reduced(pt)
     body = dynamical_field(sys, q)
-    shift = body + (-hamiltonian_field(sys.hamiltonian, q))
-    if shift.d_theta.size and np.any(shift.d_theta != 0.0):
+    shift = body.flat() - hamiltonian_field(sys.hamiltonian, q).flat()
+    nc = lie.algebra_dim(q.kind)
+    if np.any(shift[nc:nc + q.n_theta] != 0.0):
         raise ValueError("force/control must be vertical: it cannot move "
                          "the rotor angles")
     return FullTangent(body_velocity(sys.hamiltonian, q), body)
@@ -173,71 +175,69 @@ def _dexpinv(kind: str, sigma: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return xi + 0.5 * c1 + br(sigma, c1) / 12.0
 
 
-def reconstruct(states: Sequence[ReducedPoint], g0: GroupElement,
-                dt: float, h: ScalarField, order: int = 1,
-                field=None) -> tuple:
+def reconstruct(traj: Trajectory, g0: GroupElement, h: ScalarField,
+                order: int = 1, field=None) -> tuple:
     """Recover the group trajectory over a reduced trajectory.
 
     order=1 steps g_{n+1} = g_n exp(dt xi_n) with xi_n = dh/dnu at
-    states[n]. order=4 integrates the exponential coordinate jointly
-    with the reduced state by a classical fourth-order step, which keeps
-    the recovered momentum map constant to integrator accuracy; it needs
-    ``field`` to evaluate the reduced flow between samples.
+    the n-th state. order=4 integrates the exponential coordinate
+    jointly with the reduced state by a classical fourth-order step,
+    which keeps the recovered momentum map constant to integrator
+    accuracy; it needs ``field``, the flat (d,) -> (d,) reduced field,
+    to evaluate the reduced flow between samples.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if not states:
+    if len(traj.states) == 0:
         raise ValueError("states must be non-empty")
+    if len(traj.states) > 1 and traj.dt <= 0:
+        raise ValueError("dt must be positive")
     if order not in (1, 4):
         raise ValueError(f"order must be 1 or 4, got {order}")
     if order == 4 and field is None:
         raise ValueError("order=4 reconstruction needs the reduced field")
-    kind = g0.kind
+    kind = traj.layout.kind
+    nc = lie.algebra_dim(kind)
+    grad = flat_gradient(h, traj.layout)
+
+    def xi_at(x: np.ndarray) -> np.ndarray:
+        return grad(x)[:nc]
+
     groups = [g0]
     g = g0
-    for n in range(len(states) - 1):
-        q = states[n]
+    for x in traj.states[:-1]:
         if order == 1:
-            sigma = dt * body_velocity(h, q).flat()
+            sigma = traj.dt * xi_at(x)
         else:
-            sigma = _rkmk_sigma(kind, q, dt, h, field)
+            sigma = _rkmk_sigma(kind, x, traj.dt, xi_at, field)
         g = lie.compose(g, lie.exp_group(lie.algebra_from_flat(kind, sigma)))
         groups.append(g)
     return tuple(groups)
 
 
-def _rkmk_sigma(kind: str, q: ReducedPoint, dt: float, h: ScalarField,
+def _rkmk_sigma(kind: str, x: np.ndarray, dt: float, xi_at,
                 field) -> np.ndarray:
     """One fourth-order step of sigma_dot = dexpinv(sigma, xi(y)),
-    y_dot = field(y) from sigma = 0, y = q; returns the step's sigma."""
-    def xi_at(y: ReducedPoint) -> np.ndarray:
-        return body_velocity(h, y).flat()
-
-    def advance(y: ReducedPoint, v: ReducedTangent, a: float) -> ReducedPoint:
-        return point_like(y, y.flat() + a * v.flat())
-
-    f1 = field(q)
-    k1 = xi_at(q)
-    y2 = advance(q, f1, 0.5 * dt)
-    f2 = field(y2)
+    y_dot = field(y) from sigma = 0, y = x; returns the step's sigma."""
+    k1 = xi_at(x)
+    y2 = x + 0.5 * dt * field(x)
     k2 = _dexpinv(kind, 0.5 * dt * k1, xi_at(y2))
-    y3 = advance(q, f2, 0.5 * dt)
-    f3 = field(y3)
+    y3 = x + 0.5 * dt * field(y2)
     k3 = _dexpinv(kind, 0.5 * dt * k2, xi_at(y3))
-    y4 = advance(q, f3, dt)
+    y4 = x + dt * field(y3)
     k4 = _dexpinv(kind, dt * k3, xi_at(y4))
     return (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def momentum_drift(states: Sequence[ReducedPoint], groups: Sequence[GroupElement]) -> float:
+def momentum_drift(traj: Trajectory, groups: Sequence[GroupElement]) -> float:
     """Max deviation of the recovered spatial momentum from its initial
     value along a reconstructed trajectory."""
-    if len(states) != len(groups):
+    if len(traj.states) != len(groups):
         raise ValueError("states and groups must have equal length")
+    kind = traj.layout.kind
+    nc = lie.algebra_dim(kind)
     j0 = None
     worst = 0.0
-    for q, g in zip(states, groups):
-        j = lie.Ad_star(g, q.nu).flat()
+    for x, g in zip(traj.states, groups):
+        j = lie.Ad_star(g, lie.coalgebra_from_flat(kind, x[:nc])).flat()
         if j0 is None:
             j0 = j
         else:

@@ -26,8 +26,8 @@ import numpy as np
 
 from .controlled import RCHSystem
 from .lie import SE3, SO3, CoalgebraVector
-from .poisson import (ReducedPoint, ReducedTangent, ScalarField, casimirs,
-                      reduced_point)
+from .poisson import (ReducedPoint, ReducedTangent, ScalarField,
+                      analytic_field, casimirs, reduced_point)
 
 UNIT_TOL = 1e-12
 ORBIT_TOL = 1e-8
@@ -224,12 +224,15 @@ def rigid_body_hamiltonian(params: RigidBodyRotorParams) -> ScalarField:
     def ev(p):
         return rigid_body_reduced_h(params, p)
 
-    def gr(p):
-        rel = (p.nu.pi - p.l) / params.ibar
-        return ReducedTangent(rel, None, np.zeros(p.n_theta),
-                              -rel + p.l / params.j)
+    def grad_batch(x):
+        l = x[:, -3:]
+        rel = (x[:, :3] - l) / params.ibar
+        g = np.zeros_like(x)
+        g[:, :3] = rel
+        g[:, -3:] = -rel + l / params.j
+        return g
 
-    return ScalarField(ev, gr)
+    return analytic_field(ev, grad_batch)
 
 
 def rigid_body_field(params: RigidBodyRotorParams,
@@ -290,9 +293,10 @@ def rigid_body_hj_lhs(params: RigidBodyRotorParams, cand: HJCandidate,
 # ---------------------------------------------------------------------------
 
 def _heavy_top_pi_grad(params: HeavyTopRotorParams, pi, l) -> np.ndarray:
-    return np.array([(pi[0] - l[0]) / params.ibar[0],
-                     (pi[1] - l[1]) / params.ibar[1],
-                     pi[2] / params.ibar[2]])
+    """dh/dpi for (..., 3) body momenta and (..., 2) rotor momenta."""
+    out = pi / params.ibar
+    out[..., :2] = (pi[..., :2] - l) / params.ibar[:2]
+    return out
 
 
 def heavy_top_reduced_h(params: HeavyTopRotorParams,
@@ -311,13 +315,15 @@ def heavy_top_hamiltonian(params: HeavyTopRotorParams) -> ScalarField:
     def ev(p):
         return heavy_top_reduced_h(params, p)
 
-    def gr(p):
-        d_pi = _heavy_top_pi_grad(params, p.nu.pi, p.l)
-        d_l = -d_pi[:2] + p.l / params.j
-        return ReducedTangent(d_pi, params.mgh * params.chi,
-                              np.zeros(p.n_theta), d_l)
+    def grad_batch(x):
+        l = x[:, -2:]
+        g = np.zeros_like(x)
+        g[:, :3] = _heavy_top_pi_grad(params, x[:, :3], l)
+        g[:, 3:6] = params.mgh * params.chi
+        g[:, -2:] = -g[:, :2] + l / params.j
+        return g
 
-    return ScalarField(ev, gr)
+    return analytic_field(ev, grad_batch)
 
 
 def heavy_top_field(params: HeavyTopRotorParams,
@@ -385,11 +391,13 @@ def heavy_top_free_hamiltonian(params: HeavyTopParams) -> ScalarField:
         return (0.5 * float(p.nu.pi @ (p.nu.pi / params.i))
                 + params.mgh * float(p.nu.gamma @ params.chi))
 
-    def gr(p):
-        return ReducedTangent(p.nu.pi / params.i, params.mgh * params.chi,
-                              np.zeros(p.n_theta), np.zeros(p.n_l))
+    def grad_batch(x):
+        g = np.zeros_like(x)
+        g[:, :3] = x[:, :3] / params.i
+        g[:, 3:6] = params.mgh * params.chi
+        return g
 
-    return ScalarField(ev, gr)
+    return analytic_field(ev, grad_batch)
 
 
 def heavy_top_free_system(params: HeavyTopParams) -> RCHSystem:

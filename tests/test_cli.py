@@ -177,6 +177,16 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert "[params] j" in capsys.readouterr().err
 
+    def test_step_ceiling_is_a_config_error(self, tmp_path, capsys):
+        # 10^12 steps of the blow-up scenario: refused at parse time
+        text = RB.replace("dt = 0.01", "dt = 10.0") \
+                 .replace("t_final = 1.0", "t_final = 1e13")
+        code = cli("simulate", "--config", scenario(tmp_path, text),
+                   "--out", tmp_path / "out")
+        assert code == EXIT_CONFIG
+        assert "[run]" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+
     def test_quiet_silences_stdout(self, tmp_path, capsys):
         code = cli("simulate", "--config", scenario(tmp_path, RB),
                    "--out", tmp_path / "out", "--quiet")

@@ -131,6 +131,15 @@ class TestParsing:
         with pytest.raises(ConfigError, match=field):
             parse_config(mutate(RB))
 
+    def test_step_ceiling_bounds_the_run(self):
+        # 10^12 steps are refused before anything is allocated; the
+        # ceiling itself is accepted
+        with pytest.raises(ConfigError, match=r"\[run\]"):
+            parse_config(RB + "\n[run]\ndt = 10.0\nt_final = 1e13\n")
+        cfg = parse_config(RB + f"\n[run]\ndt = 1e-6\nt_final = "
+                                f"{cfgmod.MAX_STEPS * 1e-6!r}\n")
+        assert round(cfg.run["t_final"] / cfg.run["dt"]) == cfgmod.MAX_STEPS
+
     def test_rigid_body_rejects_advected_slot(self):
         text = RB.replace("l = 0.1 0.2 0.3",
                           "l = 0.1 0.2 0.3\ngamma = 0.0 0.0 1.0")

@@ -199,7 +199,7 @@ def test_scaling_target_hamiltonian_doubles_transported_term():
     ha = random_polynomial_field(rng, 9)
     hb = random_polynomial_field(rng, 9)
     hb2 = ScalarField(lambda p: 2.0 * hb.eval(p),
-                      lambda p: hb.grad(p).scale(2.0))
+                      lambda p: tangent_like(p, 2.0 * hb.grad(p).flat()))
     pullback, push, inverse = linear_transport(1.0)
     sys_a = RCHSystem(ha, SO3, 3)
     v1 = matching_control(sys_a, RCHSystem(hb, SO3, 3), pullback, push, inverse)

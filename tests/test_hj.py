@@ -6,7 +6,7 @@ from gyrostat import hamilton_jacobi as hj
 from gyrostat import lie, systems
 from gyrostat.controlled import RCHSystem
 from gyrostat.poisson import (ReducedTangent, ScalarField, gradient,
-                              reduced_point, zero_tangent)
+                              reduced_point, tangent_like)
 from gyrostat.reduction import momentum_map
 
 RB = systems.RigidBodyRotorParams((1.0, 2.0, 3.0), (0.5, 0.4, 0.3))
@@ -231,7 +231,8 @@ class TestXGamma:
                                   np.zeros(p.n_theta),
                                   np.array([0.05, 0.0, 0.0]))
 
-        sys = RCHSystem(ScalarField(lambda p: 0.0, zero_tangent),
+        sys = RCHSystem(ScalarField(lambda p: 0.0, lambda p: tangent_like(
+                            p, np.zeros(p.flat().size))),
                         lie.SO3, 3, control=torque)
         nu = lie.coalgebra(lie.SO3, (0.7, -0.4, 0.2))
         sec = hj.constant_body_section(nu, (0.1, 0.0, -0.2))
@@ -470,7 +471,8 @@ class TestResidualReport:
         sec, mu, a = tilted_gravity_data()
         rng = np.random.default_rng(24)
         qs = hj.isotropy_configurations(rng, mu, 5, 2)
-        report = hj.residual_report(ht_system(), sec, qs, mu)
+        report = hj.residual_report(
+            hj.theorem_equivalence_probe(ht_system(), sec, qs, mu))
         assert report.sample_count == 5
         expected = HT.mgh * np.linalg.norm(np.cross(a, HT.chi))
         assert_allclose(report.relatedness_residual, expected, rtol=1e-12)

@@ -3,10 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gyrostat import lie
-from gyrostat.controlled import RCHSystem, dynamical_field
-from gyrostat.integrate import run
+from gyrostat.controlled import (RCHSystem, dynamical_field,
+                                 flat_dynamical_field)
+from gyrostat.integrate import Trajectory, run
 from gyrostat.poisson import (ReducedTangent, ScalarField, casimirs,
-                              reduced_point)
+                              reduced_point, tangent_like)
 from gyrostat.reduction import (PhasePoint, as_reduced, body_velocity,
                                 commutation_residual, full_dynamical_field,
                                 momentum_drift, momentum_fiber_point,
@@ -19,6 +20,12 @@ from gyrostat.systems import (HeavyTopRotorParams, RigidBodyRotorParams,
 RB = RigidBodyRotorParams((1.0, 2.0, 3.0), (0.5, 0.4, 0.3))
 HT = HeavyTopRotorParams((2.0, 1.5, 1.0), (0.4, 0.3), m=1.0, g=9.8, h=0.3,
                          chi=(0.0, 0.0, 1.0))
+
+
+def constant_trajectory(q, n, dt):
+    """n + 1 copies of the state q on the grid i * dt."""
+    return Trajectory(np.arange(n + 1) * dt, np.tile(q.flat(), (n + 1, 1)),
+                      {}, q.layout)
 
 
 def random_phase_point(rng, kind, k=3):
@@ -151,7 +158,8 @@ class TestCommutation:
         def corrupted(q):
             bump = ReducedTangent(np.array([eps, 0.0, 0.0]), None,
                                   np.zeros(q.n_theta), np.zeros(q.n_l))
-            return dynamical_field(sys, q) + bump
+            return tangent_like(q, dynamical_field(sys, q).flat()
+                                + bump.flat())
 
         res = commutation_residual(sys, pt, mu, reduced_field_fn=corrupted)
         assert res == pytest.approx(eps, abs=1e-15)
@@ -202,8 +210,9 @@ class TestReconstruct:
                                                  np.zeros(p.n_theta),
                                                  np.zeros(p.n_l)))
         g0 = lie.exp_group(lie.algebra(lie.SO3, (0.3, -0.1, 0.8)))
-        states = [reduced_point(lie.SO3, (1.0, 2.0, 3.0))] * 50
-        groups = reconstruct(states, g0, 0.01, h)
+        traj = constant_trajectory(reduced_point(lie.SO3, (1.0, 2.0, 3.0)),
+                                   49, 0.01)
+        groups = reconstruct(traj, g0, h)
         for g in groups:
             assert_allclose(g.rot, g0.rot, atol=1e-15)
 
@@ -215,8 +224,9 @@ class TestReconstruct:
                                                  np.zeros(p.n_l)))
         g0 = lie.identity(lie.SO3)
         n, dt = 1000, 1e-3
-        states = [reduced_point(lie.SO3, (0.0, 0.0, 1.0))] * (n + 1)
-        groups = reconstruct(states, g0, dt, h)
+        traj = constant_trajectory(reduced_point(lie.SO3, (0.0, 0.0, 1.0)),
+                                   n, dt)
+        groups = reconstruct(traj, g0, h)
         want = lie.exp_group(lie.algebra(lie.SO3, n * dt * omega))
         assert_allclose(groups[-1].rot, want.rot, atol=1e-9)
         # output stays a rotation to tight tolerance
@@ -227,26 +237,29 @@ class TestReconstruct:
         h = ScalarField(lambda p: 0.0)
         q = reduced_point(lie.SO3, (1.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="positive"):
-            reconstruct([q], lie.identity(lie.SO3), -0.1, h)
+            reconstruct(constant_trajectory(q, 1, -0.1),
+                        lie.identity(lie.SO3), h)
         with pytest.raises(ValueError, match="non-empty"):
-            reconstruct([], lie.identity(lie.SO3), 0.1, h)
+            reconstruct(constant_trajectory(q, -1, 0.1),
+                        lie.identity(lie.SO3), h)
         with pytest.raises(ValueError, match="order"):
-            reconstruct([q], lie.identity(lie.SO3), 0.1, h, order=2)
+            reconstruct(constant_trajectory(q, 0, 0.1),
+                        lie.identity(lie.SO3), h, order=2)
         with pytest.raises(ValueError, match="field"):
-            reconstruct([q, q], lie.identity(lie.SO3), 0.1, h, order=4)
+            reconstruct(constant_trajectory(q, 1, 0.1),
+                        lie.identity(lie.SO3), h, order=4)
 
     def test_rigid_body_momentum_drift_by_order(self):
         sys = rigid_body_system(RB)
         p0 = reduced_point(lie.SO3, (1.0, 0.4, -0.7), theta=(0, 0, 0),
                            l=(0.1, -0.2, 0.3))
-        fld = lambda p: dynamical_field(sys, p)
+        fld = flat_dynamical_field(sys, p0.layout)
         traj = run(fld, p0, 1e-3, 2.5)
-        coarse = reconstruct(traj.states, lie.identity(lie.SO3), 1e-3,
-                             sys.hamiltonian)
-        fine = reconstruct(traj.states, lie.identity(lie.SO3), 1e-3,
-                           sys.hamiltonian, order=4, field=fld)
-        d1 = momentum_drift(traj.states, coarse)
-        d4 = momentum_drift(traj.states, fine)
+        coarse = reconstruct(traj, lie.identity(lie.SO3), sys.hamiltonian)
+        fine = reconstruct(traj, lie.identity(lie.SO3), sys.hamiltonian,
+                           order=4, field=fld)
+        d1 = momentum_drift(traj, coarse)
+        d4 = momentum_drift(traj, fine)
         assert d4 <= 1e-6
         assert d4 < d1 <= 5e-3
 
@@ -256,16 +269,17 @@ class TestReconstruct:
         gamma0 /= np.linalg.norm(gamma0)
         q0 = reduced_point(lie.SE3, (0.4, -0.2, 0.8), gamma0,
                            theta=(0.0, 0.0), l=(0.05, -0.04))
-        fld = lambda p: dynamical_field(sys, p)
+        fld = flat_dynamical_field(sys, q0.layout)
         traj = run(fld, q0, 1e-3, 2.5)
-        groups = reconstruct(traj.states, lie.identity(lie.SE3), 1e-3,
-                             sys.hamiltonian, order=4, field=fld)
-        assert momentum_drift(traj.states, groups) <= 1e-6
+        groups = reconstruct(traj, lie.identity(lie.SE3), sys.hamiltonian,
+                             order=4, field=fld)
+        assert momentum_drift(traj, groups) <= 1e-6
 
     def test_drift_requires_matching_lengths(self):
         q = reduced_point(lie.SO3, (1.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="equal length"):
-            momentum_drift([q, q], [lie.identity(lie.SO3)])
+            momentum_drift(constant_trajectory(q, 1, 0.1),
+                           [lie.identity(lie.SO3)])
 
 
 class TestBodyVelocity:

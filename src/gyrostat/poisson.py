@@ -3,7 +3,8 @@
 The reduced phase spaces handled here are products of a dual Lie algebra
 (so(3)* or se(3)*, carrying the Lie-Poisson structure) with a canonical
 rotor factor V x V* of angle/momentum pairs. Points are
-:class:`ReducedPoint`; scalar observables are :class:`ScalarField`
+:class:`ReducedPoint` at the API and flat (d,) arrays in a
+:class:`Layout` inside fields; scalar observables are :class:`ScalarField`
 values whose gradients are either supplied analytically or taken by
 central finite differences (:func:`central_difference`, the package's
 one stencil).
@@ -147,9 +148,10 @@ class ScalarField:
     one call and must match eval row by row; it lets
     :func:`central_difference` evaluate all perturbed points at once.
     grad_batch, when given, maps the same (n, dim) array to the (n, dim)
-    array of flat analytic gradients. The four are plain callables:
-    wrappers may replace them, so code must not rely on attributes
-    attached to them.
+    array of flat analytic gradients; flat fields read it in preference
+    to grad, which :func:`analytic_field` builds as its view. The four
+    are plain callables: wrappers may replace them, so code must not
+    rely on attributes attached to them.
     """
 
     eval: Callable[[ReducedPoint], float]
@@ -169,9 +171,10 @@ def analytic_field(ev: Callable[[ReducedPoint], float],
 
 
 def without_gradient(field: ScalarField) -> ScalarField:
-    """Copy of a field with the analytic gradient dropped, so that all
-    derivative evaluations go through finite differences."""
-    return replace(field, grad=None)
+    """Copy of a field with the analytic gradient (grad and grad_batch)
+    dropped, so that all derivative evaluations go through finite
+    differences."""
+    return replace(field, grad=None, grad_batch=None)
 
 
 def central_difference(fn: Callable[[np.ndarray], np.ndarray],
@@ -451,11 +454,6 @@ BRACKET_SPACES = {
 }
 
 
-def _random_point(rng, kind: str, n_theta: int, n_l: int) -> ReducedPoint:
-    return ReducedPoint(lie.random_coalgebra(rng, kind),
-                        rng.standard_normal(n_theta), rng.standard_normal(n_l))
-
-
 def _flat_bracket(name: str, inject_error: bool):
     """Vectorized minus bracket on the flat coordinate layout of one
     named bracket space: maps the gradients of two fields at m points,
@@ -538,10 +536,11 @@ def bracket_axiom_suite(name: str, n_instances: int = 1000, seed: int = 0,
 
     cas = casimir_fields(kind)
     for i in range(n_instances):
-        p = _random_point(rng, kind, n_theta, n_l)
+        x1 = np.concatenate([lie.random_coalgebra(rng, kind).flat(),
+                             rng.standard_normal(n_theta),
+                             rng.standard_normal(n_l)])[None, :]
         f, g, k = (polynomial_field(*_random_coefficients(rng, dim))
                    for _ in range(3))
-        x1 = p.flat()[None, :]
         gf, gk = f.grad_batch(x1), k.grad_batch(x1)
 
         track("antisymmetry",

@@ -142,6 +142,12 @@ def test_trajectory_rejects_length_mismatch():
                    {"x": np.zeros(3)}, p.layout)
 
 
+def test_trajectory_rejects_states_off_layout():
+    p = start()
+    with pytest.raises(ValueError, match="layout"):
+        Trajectory(np.array([0.0, 0.1]), np.zeros((2, 4)), {}, p.layout)
+
+
 def test_default_grid_uniformity_at_scale():
     # the default experiment grid stays uniform to the documented bound
     times = np.arange(10001) * 1e-3

@@ -22,8 +22,8 @@ numbers; ``;`` and ``#`` open comments, inline ones included.
             mu (3 or 6, optional): the declared momentum level,
             defaulting to the section's body components at the identity;
             declaring a different level makes the membership check fail
-            samples (default 100); the whole section is optional and
-            only the residual-check command requires it
+            samples (default 100, at most 10^6); the whole section is
+            optional and only the residual-check command requires it
 [control]   kind = none | constant | matching (default none)
             constant: d_pi (3), d_gamma (3, heavy-top kinds), d_l
                       (rotor slots), each optional, default zeros
@@ -76,6 +76,11 @@ SECTION_BUILTINS = ("rotor_quadratic",)
 # state and invariants per step, so 10^7 steps hold about 1.1 GB at
 # state size d = 10 with m = 3 invariants.
 MAX_STEPS = 10**7
+
+# Ceiling on [gamma] samples. hj-check holds every sample configuration
+# and probe row at once, about 1 KB per sample (tracemalloc peak on the
+# 500-sample heavy-top probe), so 10^6 samples hold about 1 GB.
+MAX_SAMPLES = 10**6
 
 _SECTIONS = ("system", "params", "initial", "run", "gamma", "control",
              "tolerances")
@@ -295,6 +300,9 @@ def _parse_gamma(data: dict, system: str) -> dict | None:
     _no_extras(sec, "gamma")
     if out["samples"] < 1:
         raise ConfigError("[gamma] samples: must be at least 1")
+    if out["samples"] > MAX_SAMPLES:
+        raise ConfigError(f"[gamma] samples: {out['samples']} exceed the "
+                          f"limit of {MAX_SAMPLES}")
     if algebra_kind(system) == lie.SE3:
         pi, gm = np.array(out["mu"][:3]), np.array(out["mu"][3:6])
         level = np.linalg.norm(np.concatenate([pi, gm]))

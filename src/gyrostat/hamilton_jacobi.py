@@ -23,7 +23,8 @@ flavor (pass ``mu`` for the reduced one):
   image, matching the componentwise equation assemblies in
   :mod:`gyrostat.systems` up to their inertia row scales.
 
-``theorem_equivalence_probe`` evaluates the latter two side by side:
+All three are read from one evaluation of the full dynamical field per
+sample. ``theorem_equivalence_probe`` sets the latter two side by side:
 they must vanish together or stay apart together, never disagree.
 """
 
@@ -36,11 +37,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import lie
-from .controlled import RCHSystem, dynamical_field
+from .controlled import RCHSystem
 from .lie import AlgebraVector, GroupElement
-from .poisson import FD_STEP, central_difference, hamiltonian_field
-from .reduction import (MEMBERSHIP_TOL, PhasePoint, as_reduced,
-                        full_dynamical_field, momentum_map)
+from .poisson import FD_STEP, central_difference
+from .reduction import (MEMBERSHIP_TOL, PhasePoint, _membership_defect,
+                        as_reduced, full_dynamical_field)
 
 GATE_TOL = 1e-5
 FAMILIES = ("exact_dW", "constant_body", "custom")
@@ -427,19 +428,46 @@ def pullback_identity_defect(gamma: OneFormSection, n_samples: int = 20,
 # residuals
 # ---------------------------------------------------------------------------
 
-def x_gamma(sys: RCHSystem, gamma: OneFormSection,
-            q: Configuration) -> BaseTangent:
-    """Base projection of the dynamical field evaluated on the section."""
-    full = full_dynamical_field(sys, section_point(gamma, q))
-    return BaseTangent(full.xi, full.body.d_theta)
+@dataclass(frozen=True)
+class _SectionSample:
+    """The residuals of one section sample, read from one field evaluation."""
+
+    relatedness: float
+    hj_components: np.ndarray
+    x: BaseTangent
 
 
-def _require_membership(gamma: OneFormSection, q: Configuration, mu):
-    j = momentum_map(section_point(gamma, q))
-    defect = float(np.linalg.norm(j.flat() - mu.flat()))
+def _evaluate(sys: RCHSystem, gamma: OneFormSection, q: Configuration,
+              mu=None) -> _SectionSample:
+    """The section point at q, its level-set check when mu is given, and
+    one full dynamical field evaluation there, from which the relatedness
+    residual, the HJ components and X_gamma are all read."""
+    pt = section_point(gamma, q)
+    defect = 0.0 if mu is None else _membership_defect(pt, mu)
     if defect > MEMBERSHIP_TOL:
         raise MembershipError("section image is off the momentum level set "
                               f"(defect {defect:.3e})")
+    full = full_dynamical_field(sys, pt)
+    x = BaseTangent(full.xi, full.body.d_theta)
+    d_fiber = fiber_derivative(gamma, q, x)
+    body = full.body.flat()
+    dim = lie.algebra_dim(gamma.kind)
+    if mu is not None:
+        pushed = np.concatenate([d_fiber[:dim], x.d_theta, d_fiber[dim:]])
+        return _SectionSample(float(np.linalg.norm(pushed - body)), body, x)
+    angles = slice(dim, dim + q.n_theta)
+    restricted = _exp_chart(q, lambda cfg: sys.hamiltonian.eval(
+        as_reduced(section_point(gamma, cfg))))
+    d_h = central_difference(restricted, np.zeros((1, dim + q.n_theta)))[0]
+    return _SectionSample(
+        float(np.linalg.norm(d_fiber - np.delete(body, angles))),
+        -d_h + np.delete(full.lift, angles), x)
+
+
+def x_gamma(sys: RCHSystem, gamma: OneFormSection,
+            q: Configuration) -> BaseTangent:
+    """Base projection of the dynamical field evaluated on the section."""
+    return _evaluate(sys, gamma, q).x
 
 
 def relatedness_residual(sys: RCHSystem, gamma: OneFormSection,
@@ -447,19 +475,7 @@ def relatedness_residual(sys: RCHSystem, gamma: OneFormSection,
     """How far the section fails to intertwine its base field with the
     phase-space field: full-space flavor when mu is None, reduced-space
     flavor (with level-set membership enforced) otherwise."""
-    pt = section_point(gamma, q)
-    x = x_gamma(sys, gamma, q)
-    d_fiber = fiber_derivative(gamma, q, x)
-    dim = lie.algebra_dim(gamma.kind)
-    if mu is None:
-        body = full_dynamical_field(sys, pt).body.flat()
-        field_fiber = np.concatenate([body[:dim], body[dim + q.n_theta:]])
-        return float(np.linalg.norm(d_fiber - field_fiber))
-    _require_membership(gamma, q, mu)
-    red = as_reduced(pt)
-    field = dynamical_field(sys, red)
-    pushed = np.concatenate([d_fiber[:dim], x.d_theta, d_fiber[dim:]])
-    return float(np.linalg.norm(pushed - field.flat()))
+    return _evaluate(sys, gamma, q, mu).relatedness
 
 
 def hj_residual_components(sys: RCHSystem, gamma: OneFormSection,
@@ -472,23 +488,7 @@ def hj_residual_components(sys: RCHSystem, gamma: OneFormSection,
     flavor: minus the base differential of (hamiltonian restricted to
     the section) plus the fiber components of force and control.
     """
-    pt = section_point(gamma, q)
-    if mu is not None:
-        _require_membership(gamma, q, mu)
-        return dynamical_field(sys, as_reduced(pt)).flat()
-    red = as_reduced(pt)
-    shift = (dynamical_field(sys, red).flat()
-             - hamiltonian_field(sys.hamiltonian, red).flat())
-    nc = lie.algebra_dim(gamma.kind)
-    fiber_shift = np.concatenate([shift[:nc], shift[nc + red.n_theta:]])
-
-    def restricted(cfg: Configuration) -> float:
-        return sys.hamiltonian.eval(as_reduced(section_point(gamma, cfg)))
-
-    dim = lie.algebra_dim(gamma.kind) + q.n_theta
-    d_h = central_difference(_exp_chart(q, restricted),
-                             np.zeros((1, dim)))[0]
-    return -d_h + fiber_shift
+    return _evaluate(sys, gamma, q, mu).hj_components
 
 
 def hj_residual(sys: RCHSystem, gamma: OneFormSection, q: Configuration,
@@ -556,10 +556,10 @@ def theorem_equivalence_probe(sys: RCHSystem, gamma: OneFormSection,
                             f"(defect {gate:.3e} > {GATE_TOL:g})")
     rows = []
     for q in samples:
-        r = relatedness_residual(sys, gamma, q, mu)
-        h = hj_residual(sys, gamma, q, mu)
-        rows.append(ProbeSample(r, h, x_gamma(sys, gamma, q).norm(),
-                                _classify(r, h)))
+        ev = _evaluate(sys, gamma, q, mu)
+        h = float(np.linalg.norm(ev.hj_components))
+        rows.append(ProbeSample(ev.relatedness, h, ev.x.norm(),
+                                _classify(ev.relatedness, h)))
     return ProbeResult(tuple(rows), gate)
 
 

@@ -60,10 +60,12 @@ class PhasePoint:
 @dataclass(frozen=True)
 class FullTangent:
     """Velocity of a PhasePoint: body velocity of g plus the tangent of
-    the remaining coordinates."""
+    the remaining coordinates; ``lift`` is the flat force-plus-control
+    part of ``body``."""
 
     xi: AlgebraVector
     body: ReducedTangent
+    lift: np.ndarray
 
 
 def phase_point(g: GroupElement, p: CoalgebraVector, theta=(),
@@ -141,7 +143,7 @@ def full_dynamical_field(sys: RCHSystem, pt: PhasePoint) -> FullTangent:
     if np.any(shift[nc:nc + q.n_theta] != 0.0):
         raise ValueError("force/control must be vertical: it cannot move "
                          "the rotor angles")
-    return FullTangent(body_velocity(sys.hamiltonian, q), body)
+    return FullTangent(body_velocity(sys.hamiltonian, q), body, shift)
 
 
 def commutation_residual(sys: RCHSystem, pt: PhasePoint,
@@ -149,7 +151,6 @@ def commutation_residual(sys: RCHSystem, pt: PhasePoint,
                          reduced_field_fn=None) -> float:
     """Norm of (reduced field at the projection) minus (projection of
     the full field), a two-path consistency check of the reduction."""
-    _require_member(pt, mu)
     q = project_reduced(pt, mu)
     fn = reduced_field_fn or (lambda state: dynamical_field(sys, state))
     a = fn(q).flat()

@@ -140,6 +140,15 @@ class TestParsing:
                                 f"{cfgmod.MAX_STEPS * 1e-6!r}\n")
         assert round(cfg.run["t_final"] / cfg.run["dt"]) == cfgmod.MAX_STEPS
 
+    def test_sample_ceiling_bounds_the_probe(self):
+        # 10^12 samples are refused before any configuration is drawn;
+        # the ceiling itself is accepted
+        gamma = "\n[gamma]\nkind = zero\nsamples = {}\n"
+        with pytest.raises(ConfigError, match=r"\[gamma\] samples"):
+            parse_config(RB + gamma.format(10**12))
+        cfg = parse_config(RB + gamma.format(cfgmod.MAX_SAMPLES))
+        assert cfg.gamma["samples"] == cfgmod.MAX_SAMPLES
+
     def test_rigid_body_rejects_advected_slot(self):
         text = RB.replace("l = 0.1 0.2 0.3",
                           "l = 0.1 0.2 0.3\ngamma = 0.0 0.0 1.0")

@@ -11,15 +11,12 @@ regenerates it with
 and names each changed line and its numeric difference in CHANGES.md.
 """
 
-import sys
 from pathlib import Path
 
 import pytest
 
 from gyrostat.cli import main as cli_main
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from test_acceptance import HJ_CHECK, SIMULATE, TRANSPORT  # noqa: E402
+from test_acceptance import HJ_CHECK, SIMULATE, TRANSPORT
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -464,6 +466,58 @@ class TestProbe:
             == "MIXED"
         assert hj.ProbeResult((row("PASS"), row("INCONSISTENT")),
                               0.0).verdict == "INCONSISTENT"
+
+
+def constant_torque(p):
+    return ReducedTangent(np.array([0.1, -0.2, 0.3]), None, np.zeros(3),
+                          np.array([0.05, 0.0, -0.1]))
+
+
+class TestProbeRowsAreTheWrappers:
+    """Every probe row holds exactly what the public wrappers return at
+    its sample, in both flavours, with and without a section jacobian
+    and with and without a vertical control."""
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    @pytest.mark.parametrize("with_jacobian", [True, False])
+    @pytest.mark.parametrize("control", [None, constant_torque])
+    def test_rows_equal_wrappers(self, reduced, with_jacobian, control):
+        sys = RCHSystem(rb_system().hamiltonian, lie.SO3, 3,
+                        control=control)
+        rng = np.random.default_rng(26)
+        if with_jacobian:
+            nu = lie.coalgebra(lie.SO3, (0.7, -0.4, 0.2))
+            sec = hj.constant_body_section(nu, (0.1, 0.0, -0.2))
+            qs = hj.isotropy_configurations(rng, nu, 4, 3)
+        else:
+            # rotor_quadratic_section's grad_w alone, differenced
+            sec = hj.exact_section(lie.SO3, 3, partial(
+                hj.fiber_flat, hj.rotor_quadratic_section()))
+            nu = lie.coalgebra(lie.SO3, np.zeros(3))
+            qs = [hj.random_configuration(rng, lie.SO3, 3)
+                  for _ in range(4)]
+        assert (sec.jacobian is not None) == with_jacobian
+        mu = nu if reduced else None
+        res = hj.theorem_equivalence_probe(sys, sec, qs, mu)
+        assert len(res.samples) == len(qs)
+        for row, q in zip(res.samples, qs):
+            assert row.relatedness == hj.relatedness_residual(sys, sec, q, mu)
+            assert row.hj == hj.hj_residual(sys, sec, q, mu)
+            assert row.x_norm == hj.x_gamma(sys, sec, q).norm()
+            assert row.x_norm > 0.0
+
+    def test_off_level_sample_raises_from_probe_and_wrappers(self):
+        nu = lie.coalgebra(lie.SO3, (0.5, 0.0, 0.0))
+        sec = hj.constant_body_section(nu, np.zeros(3))
+        g = lie.exp_group(lie.algebra(lie.SO3, (0.0, 0.0, 1.0)))
+        q = hj.configuration(g, np.zeros(3))
+        sys = rb_system()
+        for residual in (hj.relatedness_residual, hj.hj_residual,
+                         hj.hj_residual_components):
+            with pytest.raises(hj.MembershipError, match="level set"):
+                residual(sys, sec, q, nu)
+        with pytest.raises(hj.MembershipError, match="level set"):
+            hj.theorem_equivalence_probe(sys, sec, [q], nu)
 
 
 class TestResidualReport:

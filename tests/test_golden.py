@@ -20,9 +20,7 @@ from test_acceptance import HJ_CHECK, SIMULATE, TRANSPORT
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# The unsolved heavy-top probe: the zero-torque constant-body candidate
-# on the gravity level, so every sample takes the reduced FAIL path.
-HEAVY_TOP_PROBE = """\
+HEAVY_TOP = """\
 [system]
 kind = heavy_top_rotors
 
@@ -37,12 +35,50 @@ chi = 0.5773502691896258 0.5773502691896258 0.5773502691896258
 [initial]
 pi = 0.4 -0.2 0.8
 gamma = 0.0 0.0 1.0
+"""
 
+# The unsolved heavy-top probe: the zero-torque constant-body candidate
+# on the gravity level, so every sample takes the reduced FAIL path.
+HEAVY_TOP_PROBE = HEAVY_TOP + """
 [gamma]
 kind = constant_body
 nu0 = 0.0 0.0 0.0 0.0 0.0 1.0
 l0 = 0.0 0.0
 samples = 40
+"""
+
+# The SE(3) invariant series (energy, pi_dot_gamma, gamma_sq) of a heavy
+# top whose rotors carry angles and momenta.
+HEAVY_TOP_SIMULATE = HEAVY_TOP.replace(
+    "gamma = 0.0 0.0 1.0\n",
+    "gamma = 0.0 0.0 1.0\ntheta = 0.1 -0.3\nl = 0.05 -0.04\n") + """
+[run]
+dt = 0.01
+t_final = 1.0
+"""
+
+# A matching control toward a rigid body with other inertias: the maps
+# between the two reduced spaces are the identity.
+RIGID_TRANSPORT = SIMULATE + """
+[control]
+kind = matching
+target = rigid_body_rotors
+target_ibar = 2.5 1.5 3.5
+target_j = 0.6 0.3 0.4
+"""
+
+# A constant vertical control: the force form that is called on a point
+# view of each state. The control pumps energy and pi_sq, so the drift
+# bounds are opened to keep the command passing.
+CONSTANT_CONTROL = SIMULATE + """
+[control]
+kind = constant
+d_pi = 0.1 -0.05 0.02
+d_l = 0.25 0.0 -0.1
+
+[tolerances]
+energy_drift = 10.0
+casimir_drift = 10.0
 """
 
 # case -> (subcommand and flags, scenario text or None)
@@ -53,6 +89,9 @@ CASES = {
                          TRANSPORT.replace("dt = 0.001", "dt = 0.01")),
     "bracket-verify": (["bracket-verify", "--seed", "0"], None),
     "hj-check-heavy-top": (["hj-check", "--seed", "1"], HEAVY_TOP_PROBE),
+    "simulate-heavy-top": (["simulate"], HEAVY_TOP_SIMULATE),
+    "equivalence-demo-rigid": (["equivalence-demo"], RIGID_TRANSPORT),
+    "simulate-constant-control": (["simulate"], CONSTANT_CONTROL),
 }
 
 

@@ -61,7 +61,8 @@ from .hamilton_jacobi import (Configuration, OneFormSection,
                               affine_rotor_section, constant_body_section,
                               isotropy_configurations,
                               rotor_quadratic_section, zero_section)
-from .poisson import ReducedPoint, ReducedTangent, reduced_point
+from .poisson import (Layout, ReducedPoint, ReducedTangent, point_like,
+                      reduced_point)
 from .systems import (HeavyTopParams, HeavyTopRotorParams,
                       RigidBodyRotorParams, heavy_top_free_system,
                       heavy_top_system, rigid_body_system)
@@ -496,43 +497,32 @@ def base_system(cfg: ScenarioConfig) -> RCHSystem:
     return heavy_top_free_system(params)
 
 
-def top_to_rotor_point(p: ReducedPoint) -> ReducedPoint:
-    """Identify a heavy-top point (pi, gamma) with the angle-free rotor
-    point (pi, l): the advected vector plays the rotor momentum."""
-    return ReducedPoint(lie.coalgebra(lie.SO3, p.nu.pi), np.zeros(0),
-                        p.nu.gamma.copy())
-
-
-def rotor_to_top_point(p: ReducedPoint) -> ReducedPoint:
-    return ReducedPoint(lie.coalgebra(lie.SE3, p.nu.pi, p.l), np.zeros(0),
-                        np.zeros(0))
-
-
-def top_to_rotor_tangent(v: ReducedTangent) -> ReducedTangent:
-    return ReducedTangent(v.d_pi.copy(), None, np.zeros(0),
-                          v.d_gamma.copy())
-
-
 def _identity(x):
     return x
 
 
 def build_matching(cfg: ScenarioConfig):
     """The matching control for the configured target, plus the target
-    system and the point map from controlled points to target points."""
+    system and the point map from controlled points to target points.
+    Flat (pi, l) is the flat target state, (pi, gamma) for the heavy
+    top, so the control's three flat maps are the identity."""
     if cfg.control["kind"] != "matching":
         raise ConfigError("[control] kind: this command needs "
                           "kind = matching")
     sys_a = base_system(cfg)
+    layout_a = Layout(lie.SO3, 0, sys_a.rotor_count)
     if cfg.control["target"] == "heavy_top_free":
         sys_b = heavy_top_free_system(_target_params(cfg.control))
-        control = matching_control(sys_a, sys_b, top_to_rotor_point,
-                                   top_to_rotor_tangent, rotor_to_top_point)
-        return control, sys_b, rotor_to_top_point
-    sys_b = rigid_body_system(_target_params(cfg.control))
-    control = matching_control(sys_a, sys_b, _identity, _identity,
-                               _identity)
-    return control, sys_b, _identity
+        layout_b = Layout(lie.SE3, 0, 0)
+
+        def to_target(p):
+            return point_like(layout_b, p.flat())
+    else:
+        sys_b = rigid_body_system(_target_params(cfg.control))
+        layout_b, to_target = layout_a, _identity
+    control = matching_control(sys_a, sys_b, layout_a, layout_b, _identity,
+                               _identity, _identity)
+    return control, sys_b, to_target
 
 
 def _constant_control(cfg: ScenarioConfig):

@@ -18,7 +18,8 @@ Forces and controls come in two interchangeable forms:
 
 The integrator steps :func:`flat_dynamical_field`, a (d,) -> (d,) map
 on flat states; :func:`dynamical_field` is its view at one point.
-Forces and controls are called on a point view of the flat state.
+Forces and controls are called on a point view of the flat state;
+:func:`matching_control` composes flat maps into a point-form control.
 
 Admissibility of controls is not constrained here: any vertical field
 is accepted.
@@ -33,8 +34,7 @@ import numpy as np
 
 from .lie import SE3, SO3
 from .poisson import (Layout, ReducedPoint, ReducedTangent, ScalarField,
-                      flat_hamiltonian_field, hamiltonian_field, point_like,
-                      tangent_like)
+                      flat_hamiltonian_field, point_like, tangent_like)
 
 # On the reduced space the bundle base is a single point, so a vertical
 # vector is an ordinary reduced tangent.
@@ -42,6 +42,7 @@ VerticalVector = ReducedTangent
 
 FiberMap = Callable[[ReducedPoint], ReducedPoint]
 VerticalField = Callable[[ReducedPoint], ReducedTangent]
+FlatMap = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,7 @@ def _as_vertical(fmap, p: ReducedPoint) -> np.ndarray:
                     f"{type(val).__name__}")
 
 
-def flat_dynamical_field(
-        sys: RCHSystem, layout: Layout) -> Callable[[np.ndarray], np.ndarray]:
+def flat_dynamical_field(sys: RCHSystem, layout: Layout) -> FlatMap:
     """The full vector field of the controlled system as a (d,) -> (d,)
     map on flat states of ``layout`` (checked here, once): Hamiltonian
     part plus the vertical lifts of force and control. With both absent
@@ -132,15 +132,15 @@ INVERSE_TOL = 1e-9
 
 
 def matching_control(sys_a: RCHSystem, sys_b: RCHSystem,
-                     pullback: Callable[[ReducedPoint], ReducedPoint],
-                     push_tangent: Callable[[ReducedTangent], ReducedTangent],
-                     pullback_inverse: Callable[[ReducedPoint], ReducedPoint],
-                     ) -> VerticalField:
+                     layout_a: Layout, layout_b: Layout,
+                     pullback: FlatMap, push_tangent: FlatMap,
+                     pullback_inverse: FlatMap) -> VerticalField:
     """Control law under which system A shadows system B through a
     diffeomorphism of their reduced spaces.
 
-    ``pullback`` maps B-points to A-points, ``pullback_inverse`` undoes
-    it, and ``push_tangent`` carries tangents at a B-point to tangents
+    The maps act on flat arrays: ``pullback`` maps B-states in
+    ``layout_b`` to A-states in ``layout_a``, ``pullback_inverse`` undoes
+    it, and ``push_tangent`` carries tangents at a B-state to tangents
     at its image. The returned vertical field is
 
         v(p) = -X_{h_A}(p) + push(X_B(pullback_inverse(p)))
@@ -149,21 +149,24 @@ def matching_control(sys_a: RCHSystem, sys_b: RCHSystem,
     carries no force or control of its own). Installing v as the
     control of a force-free A makes A's dynamical field agree with the
     transported B-field at every point; a force on A stays in the
-    controlled field on top of that. Each evaluation round-trips the
-    point through both maps and raises if they fail to invert each
-    other there.
+    controlled field on top of that. Each evaluation checks that p is
+    in ``layout_a``, round-trips it through both maps and raises if they
+    fail to invert each other there.
     """
+    _check_point(sys_a, layout_a)
+    field_a = flat_hamiltonian_field(sys_a.hamiltonian, layout_a)
+    field_b = flat_dynamical_field(sys_b, layout_b)
 
     def control(p: ReducedPoint) -> VerticalVector:
-        _check_point(sys_a, p)
-        q = pullback_inverse(p)
-        _check_point(sys_b, q)
-        defect = float(np.max(np.abs(pullback(q).flat() - p.flat())))
+        if p.layout != layout_a:
+            raise ValueError(f"point layout {p.layout} does not match the "
+                             f"control's layout {layout_a}")
+        x = p.flat()
+        y = pullback_inverse(x)
+        defect = float(np.max(np.abs(pullback(y) - x)))
         if defect > INVERSE_TOL:
             raise ValueError("pullback is not invertible at this point "
                              f"(round-trip defect {defect:.3e})")
-        transported = push_tangent(dynamical_field(sys_b, q))
-        return tangent_like(p, transported.flat()
-                            - hamiltonian_field(sys_a.hamiltonian, p).flat())
+        return tangent_like(layout_a, push_tangent(field_b(y)) - field_a(x))
 
     return control

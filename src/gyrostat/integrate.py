@@ -2,9 +2,9 @@
 
 The single integrator is the classical fourth-order Runge-Kutta step on
 flat (d,) states with a (d,) -> (d,) field. :func:`run` drives it over a
-uniform grid, stores the (n+1, d) states and evaluates each invariant
-once per state on a point view; the relative drift series
-(I(t) - I(0)) / max(1, |I(0)|) comes from those raw series. The
+uniform grid, stores the (n+1, d) states and evaluates each invariant,
+a batched value (n, d) -> (n,), once over them; the relative drift
+series (I(t) - I(0)) / max(1, |I(0)|) comes from those raw series. The
 max(1, .) floor keeps it meaningful when an invariant starts near zero.
 """
 
@@ -16,11 +16,10 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import lie
-from .poisson import (Layout, ReducedPoint, ScalarField, casimir_fields,
-                      point_like)
+from .poisson import Layout, ReducedPoint, ScalarField, casimir_fields
 
 FlatField = Callable[[np.ndarray], np.ndarray]
-Invariant = Callable[[ReducedPoint], float]
+Invariant = Callable[[np.ndarray], np.ndarray]
 
 BLOWUP_LIMIT = 1e12
 
@@ -58,9 +57,10 @@ class Trajectory:
             if np.max(np.abs(steps - dt)) > tol:
                 raise ValueError("trajectory times are not uniformly spaced")
         for name, values in self.series.items():
-            if len(values) != self.times.size:
-                raise ValueError(f"invariant series {name!r} needs one "
-                                 "value per time for its drift")
+            if np.shape(values) != self.times.shape:
+                raise ValueError(f"invariant series {name!r} has shape "
+                                 f"{np.shape(values)}; its drift needs one "
+                                 f"value per time, {self.times.shape}")
 
     @property
     def dt(self) -> float:
@@ -96,37 +96,34 @@ def run(field: FlatField, p0: ReducedPoint, dt: float, t_final: float,
     ``field`` maps flat states in the layout of p0 to their rates. dt
     must divide t_final to rounding. Raises if any state component
     exceeds ``BLOWUP_LIMIT`` in magnitude, reporting the failure time.
+    Each invariant is called once, on the (n+1, d) stored states.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     n = int(round(t_final / dt))
     if n < 1 or abs(n * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
         raise ValueError(f"dt {dt} does not divide t_final {t_final}")
-    invariants = dict(invariants or {})
-    layout = p0.layout
 
-    x, p = p0.flat(), p0
+    x = p0.flat()
     states = np.empty((n + 1, x.size))
-    series = {name: np.empty(n + 1) for name in invariants}
-    for i in range(n + 1):
-        if i:
-            x = rk4_step(field, x, dt)
-            worst = float(np.abs(x).max())
-            if worst > BLOWUP_LIMIT:
-                raise ValueError(
-                    f"trajectory blew up at t = {i * dt:.6g}: "
-                    f"max |component| = {worst:.3e}")
-            if invariants:
-                p = point_like(layout, x)
+    states[0] = x
+    for i in range(1, n + 1):
+        x = rk4_step(field, x, dt)
+        worst = float(np.abs(x).max())
+        if worst > BLOWUP_LIMIT:
+            raise ValueError(
+                f"trajectory blew up at t = {i * dt:.6g}: "
+                f"max |component| = {worst:.3e}")
         states[i] = x
-        for name, fn in invariants.items():
-            series[name][i] = fn(p)
-    return Trajectory(np.arange(n + 1) * dt, states, series, layout)
+    series = {name: fn(states) for name, fn in (invariants or {}).items()}
+    return Trajectory(np.arange(n + 1) * dt, states, series, p0.layout)
 
 
 def standard_invariants(h: ScalarField, kind: str) -> dict:
-    """Energy plus every Casimir of the algebra, keyed by name."""
-    out = {"energy": h.eval}
-    for name, c in casimir_fields(kind):
-        out[name] = c.eval
-    return out
+    """Energy plus every Casimir of the algebra, keyed by name, as their
+    batched values; raises ValueError when h has no ``eval_batch``."""
+    if h.eval_batch is None:
+        raise ValueError("the energy invariant needs the Hamiltonian's "
+                         "batched value (eval_batch)")
+    return {"energy": h.eval_batch,
+            **{name: c.eval_batch for name, c in casimir_fields(kind)}}

@@ -144,14 +144,14 @@ class ScalarField:
     eval maps a ReducedPoint to a float. grad, when given, returns the
     gradient in tangent layout and must agree with central finite
     differences to 1e-5 relative (see :func:`validate_gradient`).
-    eval_batch, when given, evaluates a (n, dim) array of flat states in
-    one call and must match eval row by row; it lets
-    :func:`central_difference` evaluate all perturbed points at once.
+    eval_batch, when given, maps a (n, dim) array of flat states to their
+    n values and must match eval row by row; :func:`central_difference`
+    and the invariants of :func:`~gyrostat.integrate.run` call it.
     grad_batch, when given, maps the same (n, dim) array to the (n, dim)
     array of flat analytic gradients; flat fields read it in preference
-    to grad, which :func:`analytic_field` builds as its view. The four
-    are plain callables: wrappers may replace them, so code must not
-    rely on attributes attached to them.
+    to grad. :func:`analytic_field` builds eval and grad as point views
+    of the two. The four are plain callables: wrappers may replace them,
+    so code must not rely on attributes attached to them.
     """
 
     eval: Callable[[ReducedPoint], float]
@@ -160,14 +160,24 @@ class ScalarField:
     grad_batch: Callable[[np.ndarray], np.ndarray] | None = None
 
 
-def analytic_field(ev: Callable[[ReducedPoint], float],
-                   grad_batch: Callable[[np.ndarray], np.ndarray],
-                   eval_batch=None) -> ScalarField:
-    """Field whose analytic gradient is given once, batched on flat
-    states; ``grad`` is its view on one point."""
+def analytic_field(eval_batch: Callable[[np.ndarray], np.ndarray],
+                   grad_batch: Callable[[np.ndarray], np.ndarray]
+                   ) -> ScalarField:
+    """Field whose value and analytic gradient are each given once,
+    batched on flat states; ``eval`` and ``grad`` are their views on one
+    point."""
     return ScalarField(
-        ev, lambda p: tangent_like(p, grad_batch(p.flat()[None, :])[0]),
+        lambda p: float(eval_batch(p.flat()[None, :])[0]),
+        lambda p: tangent_like(p, grad_batch(p.flat()[None, :])[0]),
         eval_batch, grad_batch)
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (n, k) arrays (b may be one (k,) row),
+    rounded as the 1-d ``a[i] @ b[i]``: the stacked matmul does that,
+    einsum, ``sum(axis=1)`` and a plain ``a @ b`` do not."""
+    b = np.broadcast_to(b, a.shape)
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def without_gradient(field: ScalarField) -> ScalarField:
@@ -338,38 +348,25 @@ def casimirs(p: ReducedPoint) -> list[tuple[str, float]]:
     return [(name, f.eval(p)) for name, f in casimir_fields(p.kind)]
 
 
+def _slot_product(a: slice, b: slice) -> ScalarField:
+    """x_a . x_b for two 3-slots of the flat state, batched."""
+    def grad_batch(x):
+        g = np.zeros_like(x)
+        g[:, b] = x[:, a]
+        g[:, a] = 2.0 * x[:, a] if a == b else x[:, b]
+        return g
+
+    return analytic_field(lambda x: _row_dot(x[:, a], x[:, b]), grad_batch)
+
+
 def casimir_fields(kind: str) -> list[tuple[str, ScalarField]]:
-    """Casimirs as scalar fields with analytic gradients."""
+    """Casimirs as scalar fields with batched values and analytic
+    gradients."""
+    pi, gamma = slice(0, 3), slice(3, 6)
     if kind == SO3:
-        def pi_sq(p):
-            return float(p.nu.pi @ p.nu.pi)
-
-        def pi_sq_grad(x):
-            g = np.zeros_like(x)
-            g[:, :3] = 2.0 * x[:, :3]
-            return g
-
-        return [("pi_sq", analytic_field(pi_sq, pi_sq_grad))]
-
-    def pi_dot_gamma(p):
-        return float(p.nu.pi @ p.nu.gamma)
-
-    def pi_dot_gamma_grad(x):
-        g = np.zeros_like(x)
-        g[:, :3] = x[:, 3:6]
-        g[:, 3:6] = x[:, :3]
-        return g
-
-    def gamma_sq(p):
-        return float(p.nu.gamma @ p.nu.gamma)
-
-    def gamma_sq_grad(x):
-        g = np.zeros_like(x)
-        g[:, 3:6] = 2.0 * x[:, 3:6]
-        return g
-
-    return [("pi_dot_gamma", analytic_field(pi_dot_gamma, pi_dot_gamma_grad)),
-            ("gamma_sq", analytic_field(gamma_sq, gamma_sq_grad))]
+        return [("pi_sq", _slot_product(pi, pi))]
+    return [("pi_dot_gamma", _slot_product(pi, gamma)),
+            ("gamma_sq", _slot_product(gamma, gamma))]
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +409,7 @@ def polynomial_field(c0: float, a: np.ndarray, b: np.ndarray,
     """c0 + a.x + x.B.x/2 plus optional sparse cubic terms, on the flat
     coordinate layout. eval, grad (analytic), eval_batch and grad_batch
     are views of one batched implementation."""
-    value, grad = _polynomial(c0, a, b, cubic_idx, cubic_coef)
-    return analytic_field(lambda p: float(value(p.flat()[None, :])[0]),
-                          grad, value)
+    return analytic_field(*_polynomial(c0, a, b, cubic_idx, cubic_coef))
 
 
 def _random_coefficients(rng: np.random.Generator, dim: int,

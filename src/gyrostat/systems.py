@@ -1,7 +1,8 @@
 """Worked systems: rigid bodies and heavy tops carrying internal rotors.
 
 Each system exposes its reduced Hamiltonian (as a plain function and as
-a :class:`~gyrostat.poisson.ScalarField` with analytic gradient), an
+a :class:`~gyrostat.poisson.ScalarField` with batched value and analytic
+gradient), an
 explicit closed-form vector field, and the left-hand sides of its
 Hamilton-Jacobi equations assembled row by row. The explicit forms are
 deliberately independent of the generic bracket machinery so the tests
@@ -26,7 +27,7 @@ import numpy as np
 
 from .controlled import RCHSystem
 from .lie import SE3, SO3, CoalgebraVector
-from .poisson import (ReducedPoint, ReducedTangent, ScalarField,
+from .poisson import (ReducedPoint, ReducedTangent, ScalarField, _row_dot,
                       analytic_field, casimirs, reduced_point)
 
 UNIT_TOL = 1e-12
@@ -221,8 +222,11 @@ def rigid_body_reduced_h(params: RigidBodyRotorParams,
 
 
 def rigid_body_hamiltonian(params: RigidBodyRotorParams) -> ScalarField:
-    def ev(p):
-        return rigid_body_reduced_h(params, p)
+    def eval_batch(x):
+        l = x[:, -3:]
+        rel = x[:, :3] - l
+        return 0.5 * (_row_dot(rel, rel / params.ibar)
+                      + _row_dot(l, l / params.j))
 
     def grad_batch(x):
         l = x[:, -3:]
@@ -232,7 +236,7 @@ def rigid_body_hamiltonian(params: RigidBodyRotorParams) -> ScalarField:
         g[:, -3:] = -rel + l / params.j
         return g
 
-    return analytic_field(ev, grad_batch)
+    return analytic_field(eval_batch, grad_batch)
 
 
 def rigid_body_field(params: RigidBodyRotorParams,
@@ -312,8 +316,16 @@ def heavy_top_reduced_h(params: HeavyTopRotorParams,
 
 
 def heavy_top_hamiltonian(params: HeavyTopRotorParams) -> ScalarField:
-    def ev(p):
-        return heavy_top_reduced_h(params, p)
+    def eval_batch(x):
+        # float_power calls pow per element, as the scalar ** of
+        # heavy_top_reduced_h does; an array ** 2 multiplies instead
+        # and rounds some rows differently
+        pi, l, sq = x[:, :3], x[:, -2:], np.float_power
+        kin = (sq(pi[:, 0] - l[:, 0], 2) / params.ibar[0]
+               + sq(pi[:, 1] - l[:, 1], 2) / params.ibar[1]
+               + sq(pi[:, 2], 2) / params.ibar[2]
+               + sq(l[:, 0], 2) / params.j[0] + sq(l[:, 1], 2) / params.j[1])
+        return 0.5 * kin + params.mgh * _row_dot(x[:, 3:6], params.chi)
 
     def grad_batch(x):
         l = x[:, -2:]
@@ -323,7 +335,7 @@ def heavy_top_hamiltonian(params: HeavyTopRotorParams) -> ScalarField:
         g[:, -2:] = -g[:, :2] + l / params.j
         return g
 
-    return analytic_field(ev, grad_batch)
+    return analytic_field(eval_batch, grad_batch)
 
 
 def heavy_top_field(params: HeavyTopRotorParams,
@@ -387,9 +399,10 @@ def heavy_top_hj_lhs(params: HeavyTopRotorParams,
 def heavy_top_free_hamiltonian(params: HeavyTopParams) -> ScalarField:
     """1/2 sum pi_i^2 / I_i + m g h (gamma . chi), no rotor slots."""
 
-    def ev(p):
-        return (0.5 * float(p.nu.pi @ (p.nu.pi / params.i))
-                + params.mgh * float(p.nu.gamma @ params.chi))
+    def eval_batch(x):
+        pi = x[:, :3]
+        return (0.5 * _row_dot(pi, pi / params.i)
+                + params.mgh * _row_dot(x[:, 3:6], params.chi))
 
     def grad_batch(x):
         g = np.zeros_like(x)
@@ -397,7 +410,7 @@ def heavy_top_free_hamiltonian(params: HeavyTopParams) -> ScalarField:
         g[:, 3:6] = params.mgh * params.chi
         return g
 
-    return analytic_field(ev, grad_batch)
+    return analytic_field(eval_batch, grad_batch)
 
 
 def heavy_top_free_system(params: HeavyTopParams) -> RCHSystem:

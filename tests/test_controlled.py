@@ -4,9 +4,10 @@ import pytest
 
 from gyrostat import lie
 from gyrostat.controlled import (RCHSystem, dynamical_field,
-                                 fiber_displacement, matching_control)
+                                 fiber_displacement, flat_dynamical_field,
+                                 matching_control)
 from gyrostat.lie import SO3, SE3
-from gyrostat.poisson import (ReducedPoint, ReducedTangent, ScalarField,
+from gyrostat.poisson import (Layout, ReducedPoint, ScalarField,
                               hamiltonian_field, point_like,
                               random_polynomial_field, reduced_point,
                               tangent_like)
@@ -134,17 +135,26 @@ def test_displacement_requires_same_fiber():
 
 # ------------------------------------------------------------ matching control
 
+LAYOUT = Layout(SO3, 3, 3)
+
+
+def same(x):
+    return x
+
+
 def linear_transport(scale):
-    """B-points (pi, theta, l) correspond to A-points (pi, theta, scale*l)."""
+    """Flat B-states (pi, theta, l) correspond to flat A-states
+    (pi, theta, scale*l)."""
+    stretch = np.concatenate([np.ones(6), np.full(3, scale)])
 
-    def pullback(q):
-        return ReducedPoint(q.nu, q.theta, scale * q.l)
+    def pullback(y):
+        return y * stretch
 
-    def pullback_inverse(p):
-        return ReducedPoint(p.nu, p.theta, p.l / scale)
+    def pullback_inverse(x):
+        return x / stretch
 
-    def push(t):
-        return ReducedTangent(t.d_pi, t.d_gamma, t.d_theta, scale * t.d_l)
+    def push(v):
+        return v * stretch
 
     return pullback, push, pullback_inverse
 
@@ -152,7 +162,7 @@ def linear_transport(scale):
 def test_matching_identical_systems_gives_zero_control():
     h = quadratic_h(9)
     sys = RCHSystem(h, SO3, 3)
-    v = matching_control(sys, sys, lambda q: q, lambda t: t, lambda p: p)
+    v = matching_control(sys, sys, LAYOUT, LAYOUT, same, same, same)
     rng = np.random.default_rng(11)
     for _ in range(10):
         out = v(random_point(rng))
@@ -166,12 +176,14 @@ def test_matching_control_reproduces_transported_field():
     sys_a = RCHSystem(ha, SO3, 3)
     sys_b = RCHSystem(hb, SO3, 3)
     pullback, push, inverse = linear_transport(2.0)
-    v = matching_control(sys_a, sys_b, pullback, push, inverse)
+    v = matching_control(sys_a, sys_b, LAYOUT, LAYOUT, pullback, push,
+                         inverse)
     controlled = RCHSystem(ha, SO3, 3, control=v)
+    field_b = flat_dynamical_field(sys_b, LAYOUT)
     for _ in range(100):
         p = random_point(rng)
         got = dynamical_field(controlled, p).flat()
-        want = push(dynamical_field(sys_b, inverse(p))).flat()
+        want = push(field_b(inverse(p.flat())))
         assert np.max(np.abs(got - want)) <= 1e-10
 
 
@@ -185,12 +197,14 @@ def test_matching_control_covers_forced_target():
                       force=lambda p: point_like(p, p.flat() + kick))
     sys_a = RCHSystem(ha, SO3, 3)
     pullback, push, inverse = linear_transport(0.5)
-    v = matching_control(sys_a, sys_b, pullback, push, inverse)
+    v = matching_control(sys_a, sys_b, LAYOUT, LAYOUT, pullback, push,
+                         inverse)
     controlled = RCHSystem(ha, SO3, 3, control=v)
+    field_b = flat_dynamical_field(sys_b, LAYOUT)
     for _ in range(20):
         p = random_point(rng)
         got = dynamical_field(controlled, p).flat()
-        want = push(dynamical_field(sys_b, inverse(p))).flat()
+        want = push(field_b(inverse(p.flat())))
         assert np.max(np.abs(got - want)) <= 1e-10
 
 
@@ -202,9 +216,10 @@ def test_scaling_target_hamiltonian_doubles_transported_term():
                       lambda p: tangent_like(p, 2.0 * hb.grad(p).flat()))
     pullback, push, inverse = linear_transport(1.0)
     sys_a = RCHSystem(ha, SO3, 3)
-    v1 = matching_control(sys_a, RCHSystem(hb, SO3, 3), pullback, push, inverse)
-    v2 = matching_control(sys_a, RCHSystem(hb2, SO3, 3), pullback, push,
-                          inverse)
+    v1 = matching_control(sys_a, RCHSystem(hb, SO3, 3), LAYOUT, LAYOUT,
+                          pullback, push, inverse)
+    v2 = matching_control(sys_a, RCHSystem(hb2, SO3, 3), LAYOUT, LAYOUT,
+                          pullback, push, inverse)
     p = random_point(rng)
     xa = hamiltonian_field(ha, p).flat()
     t1 = v1(p).flat() + xa
@@ -216,10 +231,20 @@ def test_non_invertible_pullback_raises():
     h = quadratic_h(9)
     sys = RCHSystem(h, SO3, 3)
 
-    def collapse(q):
-        return ReducedPoint(q.nu, q.theta, 0.0 * q.l)
+    def collapse(y):
+        return np.concatenate([y[:6], 0.0 * y[6:]])
 
-    v = matching_control(sys, sys, collapse, lambda t: t, lambda p: p)
+    v = matching_control(sys, sys, LAYOUT, LAYOUT, collapse, same, same)
     p = random_point(np.random.default_rng(15))
     with pytest.raises(ValueError, match="invertible"):
+        v(p)
+
+
+def test_control_rejects_points_of_another_layout():
+    # (SO3, 0, 3) fits the system, but the control was built for (SO3, 3, 3)
+    h = quadratic_h(9)
+    sys = RCHSystem(h, SO3, 3)
+    v = matching_control(sys, sys, LAYOUT, LAYOUT, same, same, same)
+    p = random_point(np.random.default_rng(16), nt=0)
+    with pytest.raises(ValueError, match="layout"):
         v(p)

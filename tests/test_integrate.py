@@ -107,10 +107,9 @@ def test_time_reversal_returns_to_start():
 def test_invariant_drift_series():
     # x_dot = x doubles nothing invariant; a genuinely conserved
     # quantity stays at zero drift while a growing one accumulates
-    h = ScalarField(lambda p: float(p.flat()[0]))
     traj = run(linear_field, start(), 0.01, 1.0,
-               invariants={"first": h.eval,
-                           "ratio": lambda p: p.flat()[0] / p.flat()[1]})
+               invariants={"first": lambda x: x[:, 0],
+                           "ratio": lambda x: x[:, 0] / x[:, 1]})
     assert traj.max_drift("ratio") <= 1e-12
     assert traj.max_drift("first") > 0.1
     assert set(traj.drift) == {"first", "ratio"}
@@ -118,10 +117,22 @@ def test_invariant_drift_series():
 
 
 def test_standard_invariants_names():
-    h = ScalarField(lambda p: 0.0)
+    h = ScalarField(lambda p: 0.0, eval_batch=lambda x: np.zeros(len(x)))
     assert set(standard_invariants(h, SO3)) == {"energy", "pi_sq"}
     assert set(standard_invariants(h, lie.SE3)) == {"energy", "pi_dot_gamma",
                                                     "gamma_sq"}
+
+
+def test_standard_invariants_need_a_batched_value():
+    with pytest.raises(ValueError, match="eval_batch"):
+        standard_invariants(ScalarField(lambda p: 0.0), SO3)
+
+
+@pytest.mark.parametrize("shape", [(11, 1), (11, 2)])
+def test_series_must_hold_one_value_per_time(shape):
+    with pytest.raises(ValueError, match="'bad'.*shape"):
+        run(zero_field, start(), 0.1, 1.0,
+            invariants={"bad": lambda x: np.zeros(shape)})
 
 
 # ----------------------------------------------------------------- container

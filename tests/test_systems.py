@@ -5,7 +5,8 @@ from numpy.testing import assert_allclose
 from gyrostat.controlled import dynamical_field, flat_dynamical_field
 from gyrostat.integrate import run
 from gyrostat.lie import SE3, SO3, Ad_star, coalgebra, random_group
-from gyrostat.poisson import ReducedPoint, reduced_point
+from gyrostat.poisson import (ReducedPoint, casimir_fields, point_like,
+                              reduced_point)
 from gyrostat.systems import (HeavyTopParams, HeavyTopRotorParams,
                               HJCandidate, RigidBodyRotorParams,
                               heavy_top_field, heavy_top_free_system,
@@ -32,6 +33,63 @@ def random_ht_point(rng, with_theta=True):
                          rng.standard_normal(3),
                          theta=rng.standard_normal(2) if with_theta else (),
                          l=rng.standard_normal(2))
+
+
+def random_free_point(rng):
+    return reduced_point(SE3, rng.standard_normal(3), rng.standard_normal(3))
+
+
+def free_top_h(params, p):
+    """The point formula of the rotor-free heavy top's Hamiltonian."""
+    return (0.5 * float(p.nu.pi @ (p.nu.pi / params.i))
+            + params.mgh * float(p.nu.gamma @ params.chi))
+
+
+def casimir(kind, name):
+    return dict(casimir_fields(kind))[name]
+
+
+# case -> (field, its formula on one point, point sampler)
+BATCHED_VALUES = {
+    "rigid body": (rigid_body_system(RB).hamiltonian,
+                   lambda p: rigid_body_reduced_h(RB, p), random_rb_point),
+    "rigid body, no angles": (
+        rigid_body_system(RB).hamiltonian,
+        lambda p: rigid_body_reduced_h(RB, p),
+        lambda rng: random_rb_point(rng, with_theta=False)),
+    "heavy top": (heavy_top_system(HT).hamiltonian,
+                  lambda p: heavy_top_reduced_h(HT, p), random_ht_point),
+    "heavy top, no angles": (
+        heavy_top_system(HT).hamiltonian,
+        lambda p: heavy_top_reduced_h(HT, p),
+        lambda rng: random_ht_point(rng, with_theta=False)),
+    "free heavy top": (heavy_top_free_system(FREE).hamiltonian,
+                       lambda p: free_top_h(FREE, p), random_free_point),
+    "pi_sq": (casimir(SO3, "pi_sq"), lambda p: float(p.nu.pi @ p.nu.pi),
+              random_rb_point),
+    "pi_dot_gamma": (casimir(SE3, "pi_dot_gamma"),
+                     lambda p: float(p.nu.pi @ p.nu.gamma), random_ht_point),
+    "gamma_sq": (casimir(SE3, "gamma_sq"),
+                 lambda p: float(p.nu.gamma @ p.nu.gamma), random_ht_point),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCHED_VALUES))
+def test_batched_value_rounds_as_the_point_formula(case):
+    # exact equality: the invariant series of a run are read from
+    # eval_batch and must keep the bits of the one-point formulas
+    field, formula, draw = BATCHED_VALUES[case]
+    rng = np.random.default_rng(200)
+    points = [draw(rng) for _ in range(2000)]
+    states = np.array([p.flat() for p in points])
+    want = np.array([formula(p) for p in points])
+    got = field.eval_batch(states)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want), \
+        f"{np.count_nonzero(got != want)} of 2000 rows differ"
+    layout = points[0].layout
+    assert [field.eval(point_like(layout, x)) for x in states] \
+        == want.tolist()
 
 
 class TestParams:

@@ -373,34 +373,47 @@ def casimir_fields(kind: str) -> list[tuple[str, ScalarField]]:
 # polynomial test fields and the bracket axiom suite
 # ---------------------------------------------------------------------------
 
-def _polynomial(c0: float, a: np.ndarray, b: np.ndarray,
-                cubic_idx: np.ndarray | None = None,
-                cubic_coef: np.ndarray | None = None):
-    """Value and gradient functions of c0 + a.x + x.B.x/2 plus optional
-    sparse cubic terms, each taking an (m, d) array of flat points."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    b = 0.5 * (b + b.T)
-    idx = None if cubic_idx is None else np.asarray(cubic_idx, dtype=int)
-    coef = None if cubic_coef is None else np.asarray(cubic_coef, dtype=float)
+class _Polynomials(NamedTuple):
+    """n polynomials c0 + a.x + x.b.x/2 + sum_q coef_q x_i x_j x_k with
+    (i, j, k) = idx_q on flat states, polynomial j at its own points:
+    ``value`` and ``grad`` map (n, m, d) points to (n, m) and (n, m, d)."""
 
-    def value(pts):
-        v = c0 + pts @ a + 0.5 * np.einsum("ni,ij,nj->n", pts, b, pts)
-        if idx is not None:
-            v = v + (pts[:, idx[:, 0]] * pts[:, idx[:, 1]]
-                     * pts[:, idx[:, 2]]) @ coef
-        return v
+    c0: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    idx: np.ndarray
+    coef: np.ndarray
 
-    def grad(pts):
-        g = a + pts @ b
-        if idx is not None:
-            for (i, j, k), t in zip(idx, coef):
-                g[:, i] += t * pts[:, j] * pts[:, k]
-                g[:, j] += t * pts[:, i] * pts[:, k]
-                g[:, k] += t * pts[:, i] * pts[:, j]
+    def value(self, pts: np.ndarray) -> np.ndarray:
+        v = (self.c0[:, None] + (pts @ self.a[:, :, None])[..., 0]
+             + 0.5 * np.einsum("nmi,nij,nmj->nm", pts, self.b, pts))
+        # BLAS rounds the matvec by block layout: column-major (m, q)
+        # blocks, gathered as (n, q, m), give the stored golden figures
+        rows = np.arange(len(pts))[:, None]
+        x = [pts[rows, :, self.idx[:, :, s]] for s in range(3)]
+        cubic = (x[0] * x[1] * x[2]).swapaxes(1, 2) @ self.coef[:, :, None]
+        return v + cubic[..., 0]
+
+    def grad(self, pts: np.ndarray) -> np.ndarray:
+        g = self.a[:, None, :] + pts @ self.b
+        rows = np.arange(len(pts))
+        for i, j, k, t in zip(*self.idx.transpose(2, 1, 0),
+                              self.coef.T[:, :, None]):
+            xi, xj, xk = (pts[rows, :, s] for s in (i, j, k))
+            g[rows, :, i] += t * xj * xk
+            g[rows, :, j] += t * xi * xk
+            g[rows, :, k] += t * xi * xj
         return g
 
-    return value, grad
+
+def _stack(coefficients) -> _Polynomials:
+    """The polynomials of a sequence of (c0, a, b, idx, coef) tuples, as
+    :func:`polynomial_field` takes them (b need not be symmetric)."""
+    c0, a, b, idx, coef = zip(*coefficients)
+    b = np.array(b, dtype=float)
+    return _Polynomials(np.array(c0, dtype=float), np.array(a, dtype=float),
+                        0.5 * (b + b.swapaxes(1, 2)), np.array(idx, dtype=int),
+                        np.array(coef, dtype=float))
 
 
 def polynomial_field(c0: float, a: np.ndarray, b: np.ndarray,
@@ -408,17 +421,22 @@ def polynomial_field(c0: float, a: np.ndarray, b: np.ndarray,
                      cubic_coef: np.ndarray | None = None) -> ScalarField:
     """c0 + a.x + x.B.x/2 plus optional sparse cubic terms, on the flat
     coordinate layout. eval, grad (analytic), eval_batch and grad_batch
-    are views of one batched implementation."""
-    return analytic_field(*_polynomial(c0, a, b, cubic_idx, cubic_coef))
+    are views of one :class:`_Polynomials` row."""
+    one = _stack([(c0, a, b,
+                   np.zeros((0, 3)) if cubic_idx is None else cubic_idx,
+                   () if cubic_coef is None else cubic_coef)])
+    return analytic_field(lambda pts: one.value(pts[None])[0],
+                          lambda pts: one.grad(pts[None])[0])
 
 
 def _random_coefficients(rng: np.random.Generator, dim: int,
                          cubic_terms: int = 2) -> tuple:
-    idx = rng.integers(0, dim, size=(cubic_terms, 3)) if cubic_terms else None
-    coef = 0.1 * rng.standard_normal(cubic_terms) if cubic_terms else None
-    return (0.3 * float(rng.standard_normal()),
-            (0.4 / np.sqrt(dim)) * rng.standard_normal(dim),
-            (0.6 / dim) * rng.standard_normal((dim, dim)), idx, coef)
+    """(c0, a, b, idx, coef); one normal draw gives coef, c0, a, b."""
+    q = cubic_terms
+    idx = rng.integers(0, dim, size=(q, 3))
+    z = rng.standard_normal(q + 1 + dim * (dim + 1))
+    return (0.3 * z[q], (0.4 / np.sqrt(dim)) * z[q + 1:q + 1 + dim],
+            (0.6 / dim) * z[q + 1 + dim:].reshape(dim, dim), idx, 0.1 * z[:q])
 
 
 def random_polynomial_field(rng: np.random.Generator, dim: int,
@@ -431,16 +449,6 @@ def random_polynomial_field(rng: np.random.Generator, dim: int,
     return polynomial_field(*_random_coefficients(rng, dim, cubic_terms))
 
 
-def field_product(f: ScalarField, g: ScalarField) -> ScalarField:
-    """Pointwise product f*g (no analytic gradient, so bracketing the
-    product exercises the finite-difference path)."""
-    batch = None
-    if f.eval_batch is not None and g.eval_batch is not None:
-        def batch(pts):  # noqa: E731 - simple closure
-            return np.asarray(f.eval_batch(pts)) * np.asarray(g.eval_batch(pts))
-    return ScalarField(lambda p: f.eval(p) * g.eval(p), None, batch)
-
-
 BRACKET_SPACES = {
     # bracket name -> (kind, n_theta, n_l)
     "so3_lie_poisson": (SO3, 0, 0),
@@ -451,10 +459,9 @@ BRACKET_SPACES = {
 
 def _flat_bracket(name: str, inject_error: bool):
     """Vectorized minus bracket on the flat coordinate layout of one
-    named bracket space: maps the gradients of two fields at m points,
-    as (m, d) arrays, and the points to the m bracket values. Used by
-    the axiom suite, where the differenced bracket of the Jacobi sweep
-    would be far too slow one point at a time."""
+    named bracket space: maps the gradients of two fields at a stack of
+    points, as (..., d) arrays, and the points to the (...) bracket
+    values. The axiom suite runs every instance through it at once."""
     kind, n_theta, n_l = BRACKET_SPACES[name]
     nc = 3 if kind == SO3 else 6
     paired = n_theta == n_l and n_l > 0
@@ -473,6 +480,10 @@ def _flat_bracket(name: str, inject_error: bool):
         return np.concatenate([om, vel], axis=1)
 
     def bk_vals(gf, gk, pts):
+        # contiguous rows: einsum's row dots round by operand layout
+        lead = pts.shape[:-1]
+        gf, gk, pts = (np.ascontiguousarray(x).reshape(-1, x.shape[-1])
+                       for x in (gf, gk, pts))
         val = -np.einsum("mi,mi->m", pts[:, :nc],
                          alg_br(gf[:, :nc], gk[:, :nc]))
         if paired:
@@ -480,7 +491,7 @@ def _flat_bracket(name: str, inject_error: bool):
             tk, lk = gk[:, nc:nc + n_theta], gk[:, nc + n_theta:]
             val = val + (np.einsum("mi,mi->m", tf, lk)
                          - np.einsum("mi,mi->m", tk, lf))
-        return val
+        return val.reshape(lead)
 
     return bk_vals
 
@@ -489,75 +500,57 @@ def bracket_axiom_suite(name: str, n_instances: int = 1000, seed: int = 0,
                         inject_error: bool = False) -> dict:
     """Seeded property sweep for one bracket over random cubic
     polynomial fields f, g, k: antisymmetry and Casimir commutation with
-    analytic gradients, Leibniz with finite-difference gradients (the
-    product f*g has no analytic gradient), and Jacobi as the central
-    difference (:func:`central_difference`, step ``FD_STEP``) of the
-    brackets built from analytic gradients. Returns max defects plus the
-    worst sample index per axiom. ``inject_error`` corrupts the
-    structure constants so that the Jacobi sweep must fail (mutation
-    check hook).
+    analytic gradients, Leibniz with finite-difference gradients of f,
+    g, k and f*g, and Jacobi as the finite difference of the brackets
+    built from analytic gradients (:func:`central_difference`, step
+    ``FD_STEP``). All instances are drawn first, then each axiom runs
+    over all of them as (n_instances, ...) array operations. Returns max
+    defects plus the worst sample index (in draw order) per axiom.
+    ``inject_error`` corrupts the structure constants so that the
+    Jacobi sweep must fail (mutation check hook).
     """
+    if n_instances < 1:
+        raise ValueError(f"n_instances must be at least 1, got {n_instances}")
     kind, n_theta, n_l = BRACKET_SPACES[name]
-    nc = 3 if kind == SO3 else 6
-    dim = nc + n_theta + n_l
+    n, d = n_instances, (3 if kind == SO3 else 6) + n_theta + n_l
     rng = np.random.default_rng(seed)
-    bk_vals = _flat_bracket(name, inject_error)
+    x, drawn = np.empty((n, d)), []
+    for row in x:  # one instance after another: its point, then f, g, k
+        rng.standard_normal(out=row)
+        drawn.append([_random_coefficients(rng, d) for _ in range(3)])
+    f, g, k = (_stack(c) for c in zip(*drawn))
+    bk = _flat_bracket(name, inject_error)
 
-    def leibniz_defect(f, g, k, x1):
-        gfg = central_difference(
-            lambda pts: f.eval_batch(pts) * g.eval_batch(pts), x1)
-        gf, gg, gk = (central_difference(h.eval_batch, x1) for h in (f, g, k))
-        lhs = bk_vals(gfg, gk, x1)[0]
-        rhs = (f.eval_batch(x1)[0] * bk_vals(gg, gk, x1)[0]
-               + g.eval_batch(x1)[0] * bk_vals(gf, gk, x1)[0])
-        return abs(lhs - rhs)
+    def values(rows):
+        pts = rows.reshape(n, -1, d)
+        vf, vg, vk = (h.value(pts) for h in (f, g, k))
+        return np.stack([vf, vg, vk, vf * vg], axis=-1).reshape(-1, 4)
 
-    def jacobi_defect(f, g, k, x1):
-        grad_f, grad_g, grad_k = f.grad_batch, g.grad_batch, k.grad_batch
-        total = 0.0
-        for a, b, c in ((grad_f, grad_g, grad_k), (grad_g, grad_k, grad_f),
-                        (grad_k, grad_f, grad_g)):
-            gab = central_difference(
-                lambda pts: bk_vals(a(pts), b(pts), pts), x1)
-            total += bk_vals(gab, c(x1), x1)[0]
-        return abs(total)
+    def brackets(rows):
+        pts = rows.reshape(n, -1, d)
+        gf, gg, gk = (h.grad(pts) for h in (f, g, k))
+        return np.stack([bk(gf, gg, pts), bk(gg, gk, pts), bk(gk, gf, pts)],
+                        axis=-1).reshape(-1, 3)
 
-    worst = {"antisymmetry": (0.0, -1), "leibniz": (0.0, -1),
-             "jacobi": (0.0, -1), "casimir": (0.0, -1)}
-
-    def track(key, value, i):
-        if value > worst[key][0]:
-            worst[key] = (value, i)
-
-    cas = casimir_fields(kind)
-    for i in range(n_instances):
-        x1 = np.concatenate([lie.random_coalgebra(rng, kind).flat(),
-                             rng.standard_normal(n_theta),
-                             rng.standard_normal(n_l)])[None, :]
-        f, g, k = (polynomial_field(*_random_coefficients(rng, dim))
-                   for _ in range(3))
-        gf, gk = f.grad_batch(x1), k.grad_batch(x1)
-
-        track("antisymmetry",
-              abs(bk_vals(gf, gk, x1)[0] + bk_vals(gk, gf, x1)[0]), i)
-        track("leibniz", leibniz_defect(f, g, k, x1), i)
-        track("jacobi", jacobi_defect(f, g, k, x1), i)
-        for _, c in cas:
-            track("casimir", abs(bk_vals(c.grad_batch(x1), gk, x1)[0]), i)
-
-    return {
-        "bracket": name,
-        "instances": n_instances,
-        "seed": seed,
-        "max_antisymmetry": worst["antisymmetry"][0],
-        "max_leibniz": worst["leibniz"][0],
-        "max_jacobi": worst["jacobi"][0],
-        "max_casimir": worst["casimir"][0],
-        "worst_antisymmetry_sample": worst["antisymmetry"][1],
-        "worst_leibniz_sample": worst["leibniz"][1],
-        "worst_jacobi_sample": worst["jacobi"][1],
-        "worst_casimir_sample": worst["casimir"][1],
+    fd_f, fd_g, fd_k, fd_fg = np.moveaxis(central_difference(values, x), 2, 0)
+    d_fg, d_gk, d_kf = np.moveaxis(central_difference(brackets, x), 2, 0)
+    vf, vg = (h.value(x[:, None])[:, 0] for h in (f, g))
+    gf, gg, gk = (h.grad(x[:, None])[:, 0] for h in (f, g, k))
+    defects = {
+        "antisymmetry": bk(gf, gk, x) + bk(gk, gf, x),
+        "leibniz": bk(fd_fg, fd_k, x) - (vf * bk(fd_g, fd_k, x)
+                                         + vg * bk(fd_f, fd_k, x)),
+        "jacobi": bk(d_fg, gk, x) + bk(d_gk, gf, x) + bk(d_kf, gg, x),
+        "casimir": np.max([np.abs(bk(c.grad_batch(x), gk, x))
+                           for _, c in casimir_fields(kind)], axis=0),
     }
+    report = {"bracket": name, "instances": n_instances, "seed": seed}
+    for axiom, v in defects.items():
+        # first instance at the maximum (a NaN counts); -1 if all are 0
+        report[f"max_{axiom}"] = top = float(np.max(np.abs(v)))
+        report[f"worst_{axiom}_sample"] = (
+            -1 if top == 0.0 else int(np.argmax(np.abs(v))))
+    return report
 
 
 AXIOM_BOUNDS = {"max_antisymmetry": 1e-12, "max_leibniz": 1e-8,

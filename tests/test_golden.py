@@ -1,7 +1,10 @@
-"""Stored reference outputs of the CLI (guarantee 9, against fixed bytes).
+"""Stored reference outputs of the CLI (guarantee 9, against fixed bytes)
+and of attitude reconstruction.
 
 Each case runs one command once and compares every file it writes with
-the copy under ``tests/golden/<case>/``. Guarantee 9 checks that two
+the copy under ``tests/golden/<case>/``. Each reconstruction case writes
+sampled attitudes and the momentum drift to
+``tests/golden/reconstruct/<case>.txt``. Guarantee 9 checks that two
 runs agree with each other; this checks that a refactor leaves the
 bytes where they were. A change that moves a golden file on purpose
 regenerates it with
@@ -13,10 +16,16 @@ and names each changed line and its numeric difference in CHANGES.md.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from gyrostat import lie, systems
 from gyrostat.cli import main as cli_main
-from test_acceptance import HJ_CHECK, SIMULATE, TRANSPORT
+from gyrostat.controlled import flat_dynamical_field
+from gyrostat.integrate import run
+from gyrostat.poisson import reduced_point
+from gyrostat.reduction import momentum_drift, reconstruct
+from test_acceptance import HJ_CHECK, HT, RB, SIMULATE, TRANSPORT
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -119,6 +128,55 @@ def _first_difference(name: str, stored: bytes, fresh: bytes) -> str:
     return f"{name}: same lines, different bytes (line endings?)"
 
 
+# Reconstruction over T = 1 at dt = 1e-3: the acceptance-4 rigid body at
+# orders 4 and 1 and the demo-03 heavy top at order 4.
+# case -> (system, initial point, order)
+RECONSTRUCT_CASES = {
+    "rigid-body-order4": (
+        systems.rigid_body_system(RB),
+        reduced_point(lie.SO3, (1.0, 0.4, -0.7), theta=(0.0, 0.0, 0.0),
+                      l=(0.1, -0.2, 0.3)), 4),
+    "heavy-top-order4": (
+        systems.heavy_top_system(HT),
+        reduced_point(lie.SE3, (0.4, -0.2, 0.8),
+                      np.array([0.2, -0.1, 0.97])
+                      / np.linalg.norm([0.2, -0.1, 0.97]),
+                      theta=(0.0, 0.0), l=(0.05, -0.04)), 4),
+    "rigid-body-order1": (
+        systems.rigid_body_system(RB),
+        reduced_point(lie.SO3, (1.0, 0.4, -0.7), theta=(0.0, 0.0, 0.0),
+                      l=(0.1, -0.2, 0.3)), 1),
+}
+
+
+def _reconstruct_text(case: str) -> bytes:
+    """Every 100th rotation and translation and the momentum drift, each
+    float written with repr."""
+    sys, p0, order = RECONSTRUCT_CASES[case]
+    field = flat_dynamical_field(sys, p0.layout)
+    traj = run(field, p0, 1e-3, 1.0)
+    groups = reconstruct(traj, lie.identity(p0.kind), sys.hamiltonian,
+                         order=order, field=field)
+    lines = []
+    for i in range(0, len(traj.states), 100):
+        g = groups[i]
+        lines.append(f"step {i} rot "
+                     + " ".join(map(repr, g.rot.ravel().tolist())))
+        if g.trans is not None:
+            lines.append(f"step {i} trans "
+                         + " ".join(map(repr, g.trans.tolist())))
+    lines.append(f"momentum_drift {momentum_drift(traj, groups)!r}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("case", sorted(RECONSTRUCT_CASES))
+def test_reconstruction_matches_golden(case):
+    stored = (GOLDEN / "reconstruct" / f"{case}.txt").read_bytes()
+    fresh = _reconstruct_text(case)
+    assert stored == fresh, _first_difference(f"reconstruct/{case}.txt",
+                                              stored, fresh)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_output_matches_golden(case, tmp_path):
     out = _run(case, tmp_path)
@@ -141,3 +199,8 @@ if __name__ == "__main__":
             shutil.rmtree(GOLDEN / case, ignore_errors=True)
             shutil.copytree(_run(case, Path(tmp)), GOLDEN / case)
             print(f"wrote {GOLDEN / case}")
+    (GOLDEN / "reconstruct").mkdir(exist_ok=True)
+    for case in RECONSTRUCT_CASES:
+        path = GOLDEN / "reconstruct" / f"{case}.txt"
+        path.write_bytes(_reconstruct_text(case))
+        print(f"wrote {path}")

@@ -59,7 +59,7 @@ from . import lie
 from .controlled import RCHSystem, matching_control
 from .hamilton_jacobi import (Configuration, OneFormSection,
                               affine_rotor_section, constant_body_section,
-                              isotropy_configurations,
+                              isotropy_configurations, isotropy_sampleable,
                               rotor_quadratic_section, zero_section)
 from .poisson import (Layout, ReducedPoint, ReducedTangent, point_like,
                       reduced_point)
@@ -304,15 +304,11 @@ def _parse_gamma(data: dict, system: str) -> dict | None:
     if out["samples"] > MAX_SAMPLES:
         raise ConfigError(f"[gamma] samples: {out['samples']} exceed the "
                           f"limit of {MAX_SAMPLES}")
-    if algebra_kind(system) == lie.SE3:
-        pi, gm = np.array(out["mu"][:3]), np.array(out["mu"][3:6])
-        level = np.linalg.norm(np.concatenate([pi, gm]))
-        if level > 0 and (np.linalg.norm(gm) == 0.0
-                          or np.linalg.norm(np.cross(pi, gm))
-                          > 1e-12 * max(1.0, np.linalg.norm(gm))):
-            raise ConfigError(
-                "[gamma] mu: sampling on a nonzero momentum level needs "
-                "pi parallel to gamma (or pi = 0) with gamma nonzero")
+    mu = lie.coalgebra_from_flat(algebra_kind(system), np.array(out["mu"]))
+    if np.linalg.norm(mu.flat()) > 0 and not isotropy_sampleable(mu):
+        raise ConfigError(
+            "[gamma] mu: sampling on a nonzero momentum level needs "
+            "pi parallel to gamma (or pi = 0) with gamma nonzero")
     return out
 
 

@@ -109,18 +109,21 @@ def flat_dynamical_field(sys: RCHSystem, layout: Layout) -> FlatMap:
     (or the identity map) this is exactly the Hamiltonian field."""
     _check_point(sys, layout)
     hamiltonian = flat_hamiltonian_field(sys.hamiltonian, layout)
-    lifts = [fmap for fmap in (sys.force, sys.control) if fmap is not None]
-    if not lifts:
+    if sys.force is None and sys.control is None:
         return hamiltonian
+    return lambda x: _add_lifts(sys, layout, x, hamiltonian(x))
 
-    def field(x: np.ndarray) -> np.ndarray:
-        out = hamiltonian(x)
+
+def _add_lifts(sys: RCHSystem, layout: Layout, x: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """out plus the vertical lifts of the force and then the control at
+    the flat state x: the one place the lifts are summed."""
+    lifts = [fmap for fmap in (sys.force, sys.control) if fmap is not None]
+    if lifts:
         p = point_like(layout, x)
         for fmap in lifts:
             out = out + _as_vertical(fmap, p)
-        return out
-
-    return field
+    return out
 
 
 def dynamical_field(sys: RCHSystem, p: ReducedPoint) -> ReducedTangent:

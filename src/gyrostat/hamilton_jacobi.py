@@ -39,7 +39,7 @@ import numpy as np
 from . import lie
 from .controlled import RCHSystem
 from .lie import AlgebraVector, GroupElement
-from .poisson import FD_STEP, central_difference
+from .poisson import FD_STEP, _vec, central_difference
 from .reduction import (MEMBERSHIP_TOL, PhasePoint, _membership_defect,
                         as_reduced, full_dynamical_field)
 
@@ -63,8 +63,7 @@ class Configuration:
     theta: np.ndarray
 
     def __post_init__(self):
-        theta = np.atleast_1d(np.asarray(self.theta, dtype=float)) \
-            if np.size(self.theta) else np.zeros(0)
+        theta = _vec(self.theta, "theta")
         if not np.all(np.isfinite(theta)):
             raise ValueError("rotor angles must be finite")
         object.__setattr__(self, "theta", theta)
@@ -87,6 +86,17 @@ def random_configuration(rng: np.random.Generator, kind: str,
                          scale: float = 1.0) -> Configuration:
     return Configuration(lie.random_group(rng, kind, scale),
                          scale * rng.standard_normal(n_theta))
+
+
+def isotropy_sampleable(mu) -> bool:
+    """Whether :func:`isotropy_configurations` can sample mu: any so(3)*
+    value, and on se(3)* pi parallel to gamma (or pi = 0) with gamma
+    nonzero, |pi x gamma| <= 1e-12 max(1, |gamma|)."""
+    if mu.kind == lie.SO3:
+        return True
+    norm = float(np.linalg.norm(mu.gamma))
+    return not (norm == 0.0 or np.linalg.norm(np.cross(mu.pi, mu.gamma))
+                > 1e-12 * max(1.0, norm))
 
 
 def isotropy_configurations(rng: np.random.Generator, mu, n: int,
@@ -113,11 +123,10 @@ def isotropy_configurations(rng: np.random.Generator, mu, n: int,
             out.append(Configuration(g, theta_scale
                                      * rng.standard_normal(rotor_count)))
         return out
-    norm = float(np.linalg.norm(mu.gamma))
-    if norm == 0.0 or np.linalg.norm(np.cross(mu.pi, mu.gamma)) > 1e-12 * max(1.0, norm):
+    if not isotropy_sampleable(mu):
         raise ValueError("isotropy sampling needs pi parallel to gamma "
                          "(or pi = 0) with gamma nonzero")
-    axis = mu.gamma / norm
+    axis = mu.gamma / np.linalg.norm(mu.gamma)
     for _ in range(n):
         angle = rng.uniform(-np.pi, np.pi)
         slide = rng.standard_normal()
@@ -235,8 +244,7 @@ def fiber_derivative(gamma: OneFormSection, q: Configuration,
 
 def constant_body_section(nu0, l0=()) -> OneFormSection:
     """Section with fixed body momentum nu0 and rotor momenta l0."""
-    l0 = np.atleast_1d(np.asarray(l0, dtype=float)) if np.size(l0) \
-        else np.zeros(0)
+    l0 = _vec(l0, "l0")
     dim = lie.algebra_dim(nu0.kind) + l0.size
 
     def value(q: Configuration) -> PhasePoint:
@@ -299,8 +307,7 @@ def affine_rotor_section(nu0, l0, coupling) -> OneFormSection:
     the section is closed exactly when C is symmetric; an asymmetric C
     plants a known closedness defect of max |C - C^T|.
     """
-    l0 = np.atleast_1d(np.asarray(l0, dtype=float)) if np.size(l0) \
-        else np.zeros(0)
+    l0 = _vec(l0, "l0")
     k = l0.size
     coupling = np.asarray(coupling, dtype=float).reshape(k, k)
     d = lie.algebra_dim(nu0.kind)

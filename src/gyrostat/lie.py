@@ -35,6 +35,8 @@ SE3 = "SE3"
 SMALL_ANGLE = 1e-8
 
 _ORTHO_TOL = 1e-10
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
 
 
 def _vec3(x, name: str) -> np.ndarray:
@@ -42,16 +44,6 @@ def _vec3(x, name: str) -> np.ndarray:
     if a.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {a.shape}")
     return a
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b for two 3-vectors: np.cross's formula and rounding, without
-    its per-call overhead. The package's one cross product of single
-    3-vectors."""
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
-                     a0 * b1 - a1 * b0])
 
 
 def _check_kind(kind: str) -> str:
@@ -121,6 +113,48 @@ class CoalgebraVector:
         return np.concatenate([self.pi, self.gamma])
 
 
+def _check_rotations(rot: np.ndarray) -> None:
+    """Raise unless every trailing 3x3 block of rot, one matrix or an
+    (n, 3, 3) stack, is finite and orthonormal with unit determinant
+    within 1e-10. Each test is one whole-array max; the first failing
+    block of a stack is located only to name it in the error."""
+    r = rot.reshape(-1, 3, 3)
+    if not np.isfinite(r).all():
+        _reject(rot, ~np.isfinite(r), "has non-finite entries")
+    ortho = abs(r.mT @ r - _EYE3)
+    if ortho.max() > _ORTHO_TOL:
+        _reject(rot, ortho > _ORTHO_TOL, "is not orthonormal within 1e-10")
+    det = abs(np.linalg.det(r) - 1.0)
+    if det.max() > _ORTHO_TOL:
+        _reject(rot, det > _ORTHO_TOL,
+                "determinant differs from 1 by more than 1e-10")
+
+
+def _reject(rot: np.ndarray, bad: np.ndarray, what: str):
+    where = f"[{np.argwhere(bad)[0, 0]}]" if rot.ndim == 3 else ""
+    raise ValueError(f"rot{where} {what}")
+
+
+def _set_group_parts(g, lead: tuple) -> None:
+    """Check g and store its rot and trans as float arrays of shapes
+    lead + (3, 3) and, for SE3 only, lead + (3,)."""
+    _check_kind(g.kind)
+    r = np.asarray(g.rot, dtype=float)
+    if r.shape != lead + (3, 3) or 0 in lead:
+        want = "a non-empty (n, 3, 3) stack" if lead else "3x3"
+        raise ValueError(f"rot must be {want}, got shape {r.shape}")
+    _check_rotations(r)
+    object.__setattr__(g, "rot", r)
+    if g.kind == SO3:
+        if g.trans is not None:
+            raise ValueError("SO3 elements carry no translation")
+    elif g.trans is None or np.shape(g.trans) != lead + (3,):
+        raise ValueError(f"SE3 elements need a translation of shape "
+                         f"{lead + (3,)}")
+    else:
+        object.__setattr__(g, "trans", np.asarray(g.trans, dtype=float))
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """SO(3) rotation or SE(3) (rotation, translation) pair.
@@ -134,24 +168,22 @@ class GroupElement:
     trans: np.ndarray | None = None
 
     def __post_init__(self):
-        _check_kind(self.kind)
-        r = np.asarray(self.rot, dtype=float)
-        if r.shape != (3, 3):
-            raise ValueError(f"rot must be 3x3, got shape {r.shape}")
-        if not np.all(np.isfinite(r)):
-            raise ValueError("rot has non-finite entries")
-        if np.max(np.abs(r.T @ r - np.eye(3))) > _ORTHO_TOL:
-            raise ValueError("rot is not orthonormal within 1e-10")
-        if abs(np.linalg.det(r) - 1.0) > _ORTHO_TOL:
-            raise ValueError("rot determinant differs from 1 by more than 1e-10")
-        object.__setattr__(self, "rot", r)
-        if self.kind == SO3:
-            if self.trans is not None:
-                raise ValueError("SO3 elements carry no translation")
-        else:
-            if self.trans is None:
-                raise ValueError("SE3 elements need a translation")
-            object.__setattr__(self, "trans", _vec3(self.trans, "trans"))
+        _set_group_parts(self, ())
+
+
+@dataclass(frozen=True)
+class GroupPath:
+    """n group elements as stacked (n, 3, 3) rotations and, for SE3,
+    (n, 3) translations: the attitudes that reconstruction recovers.
+    Every rotation passes the :class:`GroupElement` check, run once over
+    the stack."""
+
+    kind: str
+    rot: np.ndarray
+    trans: np.ndarray | None = None
+
+    def __post_init__(self):
+        _set_group_parts(self, np.shape(self.rot)[:1])
 
 
 def algebra(kind: str, omega, vel=None) -> AlgebraVector:
@@ -187,11 +219,11 @@ def coalgebra_from_flat(kind: str, arr) -> CoalgebraVector:
 
 def skew(w) -> np.ndarray:
     """3x3 skew matrix of a 3-vector: skew(w) @ x == w x x."""
-    w = np.asarray(w, dtype=float)
+    w0, w1, w2 = np.asarray(w, dtype=float).tolist()
     return np.array([
-        [0.0, -w[2], w[1]],
-        [w[2], 0.0, -w[0]],
-        [-w[1], w[0], 0.0],
+        [0.0, -w2, w1],
+        [w2, 0.0, -w0],
+        [-w1, w0, 0.0],
     ])
 
 
@@ -217,15 +249,41 @@ def vee(m) -> AlgebraVector:
     raise ValueError(f"expected a 3x3 or 4x4 matrix, got shape {m.shape}")
 
 
-def bracket(x: AlgebraVector, y: AlgebraVector) -> AlgebraVector:
-    """Lie bracket. Cross product on so(3); on se(3) the semidirect
+def _cross_list(a: list, b: list) -> list:
+    # the first three entries of a and b; np.cross's formula and rounding
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0]]
+
+
+def _bracket_list(a: list, b: list) -> list:
+    if len(a) == 3:
+        return _cross_list(a, b)
+    u1, u2 = _cross_list(a, b[3:]), _cross_list(b, a[3:])
+    return _cross_list(a, b) + [p - q for p, q in zip(u1, u2)]
+
+
+def flat_bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lie bracket of flat algebra vectors: the cross product of (3,)
+    so(3) vectors; on (6,) se(3) vectors (omega, vel) the semidirect
     bracket (w1 x w2, w1 x u2 - w2 x u1)."""
-    kind = _same_kind(x, y)
-    w = _cross(x.omega, y.omega)
-    if kind == SO3:
-        return AlgebraVector(SO3, w)
-    u = _cross(x.omega, y.vel) - _cross(y.omega, x.vel)
-    return AlgebraVector(SE3, w, u)
+    return np.array(_bracket_list(a.tolist(), b.tolist()))
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b for two 3-vectors, the so(3) case of :func:`flat_bracket`,
+    without the per-call overhead of np.cross."""
+    return np.array(_cross_list(a.tolist(), b.tolist()))
+
+
+def bracket(x: AlgebraVector, y: AlgebraVector) -> AlgebraVector:
+    """:func:`flat_bracket` of two algebra vectors of one kind, read from
+    their parts as lists, which costs less than building flat arrays."""
+    if _same_kind(x, y) == SO3:
+        return AlgebraVector(SO3, np.array(_bracket_list(x.omega.tolist(),
+                                                         y.omega.tolist())))
+    v = _bracket_list(x.omega.tolist() + x.vel.tolist(),
+                      y.omega.tolist() + y.vel.tolist())
+    return AlgebraVector(SE3, np.array(v[:3]), np.array(v[3:]))
 
 
 def pairing(mu: CoalgebraVector, xi: AlgebraVector) -> float:
@@ -249,18 +307,23 @@ def _rodrigues_coeffs(theta_sq: float) -> tuple[float, float, float]:
             (t - np.sin(t)) / (theta_sq * t))
 
 
-def exp_group(x: AlgebraVector) -> GroupElement:
-    """Group exponential: Rodrigues formula on SO(3); on SE(3) the
-    closed form with the translation kernel
-    V = I + b*skew + c*skew^2 applied to the vel part."""
-    w = x.omega
+def flat_exp(x: np.ndarray) -> tuple:
+    """Group exponential of a flat algebra vector as (rot, trans): the
+    Rodrigues formula on (3,) so(3) vectors, with trans None; on (6,)
+    se(3) vectors also the translation V vel, with the kernel
+    V = I + b*skew + c*skew^2."""
+    w = x[:3]
     s = skew(w)
     a, b, c = _rodrigues_coeffs(float(w @ w))
     rot = np.eye(3) + a * s + b * (s @ s)
-    if x.kind == SO3:
-        return GroupElement(SO3, rot)
-    v_mat = np.eye(3) + b * s + c * (s @ s)
-    return GroupElement(SE3, rot, v_mat @ x.vel)
+    if x.size == 3:
+        return rot, None
+    return rot, (np.eye(3) + b * s + c * (s @ s)) @ x[3:]
+
+
+def exp_group(x: AlgebraVector) -> GroupElement:
+    """:func:`flat_exp` of an algebra vector."""
+    return GroupElement(x.kind, *flat_exp(x.flat()))
 
 
 def identity(kind: str) -> GroupElement:

@@ -8,7 +8,8 @@ project onto the reduced space by simply dropping g. Reconstruction
 inverts that projection along a trajectory by integrating
 g_dot = g hat(xi) with xi = dh/dnu evaluated on the flat states of a
 :class:`~gyrostat.integrate.Trajectory`, stepping at order 4 the same
-flat field the integrator stepped.
+flat field the integrator stepped, into a stacked
+:class:`~gyrostat.lie.GroupPath`.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import lie
-from .controlled import RCHSystem, dynamical_field
-from .integrate import Trajectory
-from .lie import AlgebraVector, CoalgebraVector, GroupElement
-from .poisson import (ReducedPoint, ReducedTangent, ScalarField,
-                      flat_gradient, hamiltonian_field)
+from .controlled import RCHSystem, _add_lifts, _check_point, dynamical_field
+from .integrate import Trajectory, rk4_step
+from .lie import AlgebraVector, CoalgebraVector, GroupElement, GroupPath
+from .poisson import (ReducedPoint, ReducedTangent, ScalarField, _row_dot,
+                      _vec, flat_gradient, flat_hamiltonian_field,
+                      tangent_like)
 
 MEMBERSHIP_TOL = 1e-8
 
@@ -41,10 +43,7 @@ class PhasePoint:
         if self.g.kind != self.p.kind:
             raise ValueError("group element and momentum belong to "
                              "different groups")
-        theta = np.atleast_1d(np.asarray(self.theta, dtype=float)) \
-            if np.size(self.theta) else np.zeros(0)
-        momenta = np.atleast_1d(np.asarray(self.l, dtype=float)) \
-            if np.size(self.l) else np.zeros(0)
+        theta, momenta = _vec(self.theta, "theta"), _vec(self.l, "l")
         if theta.shape != momenta.shape:
             raise ValueError("rotor angles and momenta must pair up")
         if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(momenta))):
@@ -137,13 +136,17 @@ def full_dynamical_field(sys: RCHSystem, pt: PhasePoint) -> FullTangent:
     angle velocity on the full space is pinned to dh/dl.
     """
     q = as_reduced(pt)
-    body = dynamical_field(sys, q)
-    shift = body.flat() - hamiltonian_field(sys.hamiltonian, q).flat()
+    _check_point(sys, q.layout)
+    x = q.flat()
+    hamiltonian = flat_hamiltonian_field(sys.hamiltonian, q.layout)(x)
+    body = _add_lifts(sys, q.layout, x, hamiltonian)
+    lift = body - hamiltonian
     nc = lie.algebra_dim(q.kind)
-    if np.any(shift[nc:nc + q.n_theta] != 0.0):
+    if np.any(lift[nc:nc + q.n_theta] != 0.0):
         raise ValueError("force/control must be vertical: it cannot move "
                          "the rotor angles")
-    return FullTangent(body_velocity(sys.hamiltonian, q), body, shift)
+    return FullTangent(body_velocity(sys.hamiltonian, q),
+                       tangent_like(q, body), lift)
 
 
 def commutation_residual(sys: RCHSystem, pt: PhasePoint,
@@ -162,30 +165,28 @@ def commutation_residual(sys: RCHSystem, pt: PhasePoint,
 # reconstruction
 # ---------------------------------------------------------------------------
 
-def _dexpinv(kind: str, sigma: np.ndarray, xi: np.ndarray) -> np.ndarray:
+def _dexpinv(sigma: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Inverse differential of exp for the body-velocity equation
     g_dot = g hat(xi): the exponential coordinate obeys
     sigma_dot = xi + [sigma, xi]/2 + [sigma, [sigma, xi]]/12 + ...,
     truncated at the double bracket, which is exact enough for
     fourth-order steps where sigma is O(dt)."""
-    def br(a, b):
-        return lie.bracket(lie.algebra_from_flat(kind, a),
-                           lie.algebra_from_flat(kind, b)).flat()
-
-    c1 = br(sigma, xi)
-    return xi + 0.5 * c1 + br(sigma, c1) / 12.0
+    c1 = lie.flat_bracket(sigma, xi)
+    return xi + 0.5 * c1 + lie.flat_bracket(sigma, c1) / 12.0
 
 
 def reconstruct(traj: Trajectory, g0: GroupElement, h: ScalarField,
-                order: int = 1, field=None) -> tuple:
+                order: int = 1, field=None) -> GroupPath:
     """Recover the group trajectory over a reduced trajectory.
 
     order=1 steps g_{n+1} = g_n exp(dt xi_n) with xi_n = dh/dnu at
-    the n-th state. order=4 integrates the exponential coordinate
-    jointly with the reduced state by a classical fourth-order step,
-    which keeps the recovered momentum map constant to integrator
-    accuracy; it needs ``field``, the flat (d,) -> (d,) reduced field,
-    to evaluate the reduced flow between samples.
+    the n-th state. order=4 is the Runge-Kutta-Munthe-Kaas step: one
+    :func:`~gyrostat.integrate.rk4_step` of the reduced state jointly
+    with the exponential coordinate sigma_dot = dexpinv(sigma, xi(y))
+    from (x_n, 0), then g_{n+1} = g_n exp(sigma). It keeps the recovered
+    momentum map constant to integrator accuracy; it needs ``field``,
+    the flat (d,) -> (d,) reduced field, to evaluate the reduced flow
+    between samples.
     """
     if len(traj.states) == 0:
         raise ValueError("states must be non-empty")
@@ -195,52 +196,42 @@ def reconstruct(traj: Trajectory, g0: GroupElement, h: ScalarField,
         raise ValueError(f"order must be 1 or 4, got {order}")
     if order == 4 and field is None:
         raise ValueError("order=4 reconstruction needs the reduced field")
-    kind = traj.layout.kind
-    nc = lie.algebra_dim(kind)
+    if g0.kind != traj.layout.kind:
+        raise ValueError(f"kind mismatch: {g0.kind} vs {traj.layout.kind}")
+    n, d = traj.states.shape
+    nc = lie.algebra_dim(traj.layout.kind)
     grad = flat_gradient(h, traj.layout)
 
-    def xi_at(x: np.ndarray) -> np.ndarray:
-        return grad(x)[:nc]
+    def joint(z: np.ndarray) -> np.ndarray:
+        y = z[:d]
+        return np.concatenate([field(y), _dexpinv(z[d:], grad(y)[:nc])])
 
-    groups = [g0]
-    g = g0
-    for x in traj.states[:-1]:
+    z = np.zeros(d + nc)
+    rot, trans = np.empty((n, 3, 3)), np.zeros((n, 3))
+    rot[0] = g0.rot
+    if g0.trans is not None:
+        trans[0] = g0.trans
+    for i, x in enumerate(traj.states[:-1]):
         if order == 1:
-            sigma = traj.dt * xi_at(x)
+            sigma = traj.dt * grad(x)[:nc]
         else:
-            sigma = _rkmk_sigma(kind, x, traj.dt, xi_at, field)
-        g = lie.compose(g, lie.exp_group(lie.algebra_from_flat(kind, sigma)))
-        groups.append(g)
-    return tuple(groups)
+            z[:d] = x
+            sigma = rk4_step(joint, z, traj.dt)[d:]
+        e_rot, e_trans = lie.flat_exp(sigma)
+        if e_trans is not None:
+            trans[i + 1] = rot[i] @ e_trans + trans[i]
+        rot[i + 1] = rot[i] @ e_rot
+    return GroupPath(g0.kind, rot, None if g0.trans is None else trans)
 
 
-def _rkmk_sigma(kind: str, x: np.ndarray, dt: float, xi_at,
-                field) -> np.ndarray:
-    """One fourth-order step of sigma_dot = dexpinv(sigma, xi(y)),
-    y_dot = field(y) from sigma = 0, y = x; returns the step's sigma."""
-    k1 = xi_at(x)
-    y2 = x + 0.5 * dt * field(x)
-    k2 = _dexpinv(kind, 0.5 * dt * k1, xi_at(y2))
-    y3 = x + 0.5 * dt * field(y2)
-    k3 = _dexpinv(kind, 0.5 * dt * k2, xi_at(y3))
-    y4 = x + dt * field(y3)
-    k4 = _dexpinv(kind, dt * k3, xi_at(y4))
-    return (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def momentum_drift(traj: Trajectory, groups: Sequence[GroupElement]) -> float:
-    """Max deviation of the recovered spatial momentum from its initial
-    value along a reconstructed trajectory."""
-    if len(traj.states) != len(groups):
+def momentum_drift(traj: Trajectory, groups: GroupPath) -> float:
+    """Max deviation of the recovered spatial momentum Ad*_{g^-1} p from
+    its initial value along a reconstructed trajectory."""
+    if len(traj.states) != len(groups.rot):
         raise ValueError("states and groups must have equal length")
-    kind = traj.layout.kind
-    nc = lie.algebra_dim(kind)
-    j0 = None
-    worst = 0.0
-    for x, g in zip(traj.states, groups):
-        j = lie.Ad_star(g, lie.coalgebra_from_flat(kind, x[:nc])).flat()
-        if j0 is None:
-            j0 = j
-        else:
-            worst = max(worst, float(np.linalg.norm(j - j0)))
-    return worst
+    j = (groups.rot @ traj.states[:, :3, None])[:, :, 0]
+    if groups.kind == lie.SE3:
+        ag = (groups.rot @ traj.states[:, 3:6, None])[:, :, 0]
+        j = np.concatenate([j + np.cross(groups.trans, ag), ag], axis=1)
+    dev = j[1:] - j[0]
+    return float(np.max(np.sqrt(_row_dot(dev, dev)), initial=0.0))

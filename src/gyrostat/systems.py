@@ -28,7 +28,7 @@ import numpy as np
 from .controlled import RCHSystem
 from .lie import SE3, SO3, CoalgebraVector
 from .poisson import (ReducedPoint, ReducedTangent, ScalarField, _row_dot,
-                      analytic_field, casimirs, reduced_point)
+                      _vec, analytic_field, casimirs, reduced_point)
 
 UNIT_TOL = 1e-12
 ORBIT_TOL = 1e-8
@@ -165,9 +165,7 @@ class HJCandidate:
     def __post_init__(self):
         object.__setattr__(self, "gamma_bar",
                            np.atleast_1d(np.asarray(self.gamma_bar, float)))
-        object.__setattr__(self, "u",
-                           np.atleast_1d(np.asarray(self.u, float))
-                           if np.size(self.u) else np.zeros(0))
+        object.__setattr__(self, "u", _vec(self.u, "u"))
         if self.advected is not None:
             adv = np.asarray(self.advected, dtype=float)
             if adv.shape != (3,):

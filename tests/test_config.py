@@ -186,6 +186,27 @@ class TestParsing:
             parse_config(HT + "\n[gamma]\nkind = constant_body\n"
                               "nu0 = 1.0 0.0 0.0 0.0 1.0 0.0\n")
 
+    # The zero level is sampled globally; a nonzero one needs the
+    # isotropy rule of hamilton_jacobi.isotropy_sampleable.
+    @pytest.mark.parametrize("mu, accepted", [
+        ("0.0 0.0 0.0 0.0 0.0 0.0", True),
+        ("0.0 0.0 0.0 0.0 0.0 2.0", True),
+        ("0.0 0.0 3.0 0.0 0.0 2.0", True),
+        ("0.0 1e-13 3.0 0.0 0.0 2.0", True),
+        ("0.0 1e-11 3.0 0.0 0.0 2.0", False),
+        ("0.0 0.0 3.0 0.0 0.0 0.0", False),
+    ])
+    def test_momentum_level_follows_the_isotropy_rule(self, mu, accepted):
+        text = (HT + "\n[gamma]\nkind = constant_body\n"
+                "nu0 = 0.0 0.0 0.0 0.0 0.0 1.0\nmu = " + mu + "\n")
+        level = tuple(float(v) for v in mu.split())
+        if accepted:
+            assert parse_config(text).gamma["mu"] == level
+        else:
+            with pytest.raises(ConfigError, match=r"\[gamma\] mu: sampling "
+                               r"on a nonzero momentum level"):
+                parse_config(text)
+
     def test_matching_requires_target_parameters(self):
         broken = DEMO.replace("target_m = 1.2\n", "")
         with pytest.raises(ConfigError, match=r"\[control\] target_m"):

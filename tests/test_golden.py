@@ -159,12 +159,11 @@ def _reconstruct_text(case: str) -> bytes:
                          order=order, field=field)
     lines = []
     for i in range(0, len(traj.states), 100):
-        g = groups[i]
         lines.append(f"step {i} rot "
-                     + " ".join(map(repr, g.rot.ravel().tolist())))
-        if g.trans is not None:
+                     + " ".join(map(repr, groups.rot[i].ravel().tolist())))
+        if groups.trans is not None:
             lines.append(f"step {i} trans "
-                         + " ".join(map(repr, g.trans.tolist())))
+                         + " ".join(map(repr, groups.trans[i].tolist())))
     lines.append(f"momentum_drift {momentum_drift(traj, groups)!r}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 

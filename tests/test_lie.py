@@ -160,6 +160,61 @@ def test_group_element_rejects_bad_rotation():
         lie.GroupElement(SO3, -np.eye(3))  # det -1
 
 
+def test_group_path_checks_every_rotation_once():
+    rng = np.random.default_rng(8)
+    stack = np.array([lie.random_group(rng, SO3).rot for _ in range(6)])
+    npt.assert_array_equal(lie.GroupPath(SO3, stack).rot, stack)
+    for block, what in ((stack[3] * 1.001, "orthonormal"),
+                        (-stack[3], "determinant"),
+                        (np.where(np.eye(3), np.nan, stack[3]),
+                         "non-finite")):
+        bad = stack.copy()
+        bad[3] = bad[5] = block
+        with pytest.raises(ValueError, match=rf"rot\[3\] .*{what}"):
+            lie.GroupPath(SO3, bad)
+
+
+def test_group_path_part_validation():
+    stack = np.tile(np.eye(3), (4, 1, 1))
+    lie.GroupPath(SE3, stack, np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="stack"):
+        lie.GroupPath(SO3, np.eye(3))
+    with pytest.raises(ValueError, match="stack"):
+        lie.GroupPath(SO3, np.zeros((0, 3, 3)))
+    with pytest.raises(ValueError, match="translation"):
+        lie.GroupPath(SO3, stack, np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="translation"):
+        lie.GroupPath(SE3, stack)
+    with pytest.raises(ValueError, match="translation"):
+        lie.GroupPath(SE3, stack, np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("kind", [SO3, SE3])
+def test_views_equal_the_flat_kernels_bitwise(kind):
+    rng = np.random.default_rng(9)
+    # scale 1e-9 puts |omega|^2 below 1e-16, the small-angle branch
+    for scale in (1.0, 1e-9):
+        for _ in range(50):
+            x = lie.random_algebra(rng, kind, scale)
+            y = lie.random_algebra(rng, kind, scale)
+            assert (float(x.omega @ x.omega) < 1e-16) == (scale < 1.0)
+            g = lie.exp_group(x)
+            rot, trans = lie.flat_exp(x.flat())
+            npt.assert_array_equal(g.rot, rot)
+            if kind == SO3:
+                assert g.trans is None and trans is None
+            else:
+                npt.assert_array_equal(g.trans, trans)
+            a, b = x.flat(), y.flat()
+            flat = lie.flat_bracket(a, b)
+            npt.assert_array_equal(lie.bracket(x, y).flat(), flat)
+            want = np.cross(a[:3], b[:3])
+            if kind == SE3:
+                want = np.concatenate([want, np.cross(a[:3], b[3:])
+                                       - np.cross(b[:3], a[3:])])
+            npt.assert_array_equal(flat, want)
+
+
 def test_algebra_vector_part_validation():
     with pytest.raises(ValueError):
         lie.AlgebraVector(SO3, E1, E2)  # SO3 with a vel part

@@ -7,7 +7,7 @@ from gyrostat.controlled import (RCHSystem, dynamical_field,
                                  flat_dynamical_field)
 from gyrostat.integrate import Trajectory, run
 from gyrostat.poisson import (ReducedTangent, ScalarField, casimirs,
-                              reduced_point, tangent_like)
+                              hamiltonian_field, reduced_point, tangent_like)
 from gyrostat.reduction import (PhasePoint, as_reduced, body_velocity,
                                 commutation_residual, full_dynamical_field,
                                 momentum_drift, momentum_fiber_point,
@@ -186,6 +186,29 @@ class TestCommutation:
         with pytest.raises(ValueError, match="vertical"):
             full_dynamical_field(sys, pt)
 
+    def test_body_and_lift_read_from_one_field_evaluation(self):
+        # body is the controlled field and lift is body minus the
+        # Hamiltonian field, bit for bit, with a force and a control
+        def force(p):
+            return ReducedTangent(0.3 * p.nu.pi, None, np.zeros(p.n_theta),
+                                  np.zeros(p.n_l))
+
+        def control(p):
+            return ReducedTangent(np.sin(p.nu.pi), None,
+                                  np.zeros(p.n_theta), 0.7 * p.l)
+
+        sys = RCHSystem(rigid_body_system(RB).hamiltonian, lie.SO3, 3,
+                        force=force, control=control)
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            pt = random_phase_point(rng, lie.SO3)
+            q = as_reduced(pt)
+            v = full_dynamical_field(sys, pt)
+            body = dynamical_field(sys, q).flat()
+            assert np.array_equal(v.body.flat(), body)
+            assert np.array_equal(
+                v.lift, body - hamiltonian_field(sys.hamiltonian, q).flat())
+
     def test_vertical_control_passes_through(self):
         def torque(p):
             return ReducedTangent(np.array([0.1, 0.0, 0.0]), None,
@@ -213,8 +236,8 @@ class TestReconstruct:
         traj = constant_trajectory(reduced_point(lie.SO3, (1.0, 2.0, 3.0)),
                                    49, 0.01)
         groups = reconstruct(traj, g0, h)
-        for g in groups:
-            assert_allclose(g.rot, g0.rot, atol=1e-15)
+        for rot in groups.rot:
+            assert_allclose(rot, g0.rot, atol=1e-15)
 
     def test_constant_velocity_matches_closed_form(self):
         omega = np.array([0.4, -0.2, 0.9])
@@ -228,9 +251,9 @@ class TestReconstruct:
                                    n, dt)
         groups = reconstruct(traj, g0, h)
         want = lie.exp_group(lie.algebra(lie.SO3, n * dt * omega))
-        assert_allclose(groups[-1].rot, want.rot, atol=1e-9)
+        assert_allclose(groups.rot[-1], want.rot, atol=1e-9)
         # output stays a rotation to tight tolerance
-        final = groups[-1].rot
+        final = groups.rot[-1]
         assert_allclose(final @ final.T, np.eye(3), atol=1e-12)
 
     def test_argument_validation(self):
@@ -248,6 +271,9 @@ class TestReconstruct:
         with pytest.raises(ValueError, match="field"):
             reconstruct(constant_trajectory(q, 1, 0.1),
                         lie.identity(lie.SO3), h, order=4)
+        with pytest.raises(ValueError, match="kind mismatch"):
+            reconstruct(constant_trajectory(q, 1, 0.1),
+                        lie.identity(lie.SE3), h)
 
     def test_rigid_body_momentum_drift_by_order(self):
         sys = rigid_body_system(RB)
@@ -279,7 +305,7 @@ class TestReconstruct:
         q = reduced_point(lie.SO3, (1.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="equal length"):
             momentum_drift(constant_trajectory(q, 1, 0.1),
-                           [lie.identity(lie.SO3)])
+                           lie.GroupPath(lie.SO3, np.eye(3)[None]))
 
 
 class TestBodyVelocity:

@@ -16,10 +16,11 @@ Forces and controls come in two interchangeable forms:
 * a vertical field ``p -> ReducedTangent`` giving the lift directly,
   which is the form :func:`matching_control` produces.
 
-The integrator steps :func:`flat_dynamical_field`, a (d,) -> (d,) map
-on flat states; :func:`dynamical_field` is its view at one point.
-Forces and controls are called on a point view of the flat state;
-:func:`matching_control` composes flat maps into a point-form control.
+The integrator steps :func:`flat_dynamical_field`, a map from a flat
+state (a list of d floats) to its d rates; :func:`dynamical_field` is
+its view at one point. Forces and controls are called on a point view
+of the flat state; :func:`matching_control` composes flat array maps
+into a point-form control.
 
 Admissibility of controls is not constrained here: any vertical field
 is accepted.
@@ -33,8 +34,9 @@ from typing import Callable
 import numpy as np
 
 from .lie import SE3, SO3
-from .poisson import (Layout, ReducedPoint, ReducedTangent, ScalarField,
-                      flat_hamiltonian_field, point_like, tangent_like)
+from .poisson import (FlatField, Layout, ReducedPoint, ReducedTangent,
+                      ScalarField, flat_hamiltonian_field, point_like,
+                      tangent_like)
 
 # On the reduced space the bundle base is a single point, so a vertical
 # vector is an ordinary reduced tangent.
@@ -42,6 +44,7 @@ VerticalVector = ReducedTangent
 
 FiberMap = Callable[[ReducedPoint], ReducedPoint]
 VerticalField = Callable[[ReducedPoint], ReducedTangent]
+#: A map between flat states or tangents as (d,) float64 arrays.
 FlatMap = Callable[[np.ndarray], np.ndarray]
 
 
@@ -102,11 +105,12 @@ def _as_vertical(fmap, p: ReducedPoint) -> np.ndarray:
                     f"{type(val).__name__}")
 
 
-def flat_dynamical_field(sys: RCHSystem, layout: Layout) -> FlatMap:
-    """The full vector field of the controlled system as a (d,) -> (d,)
-    map on flat states of ``layout`` (checked here, once): Hamiltonian
-    part plus the vertical lifts of force and control. With both absent
-    (or the identity map) this is exactly the Hamiltonian field."""
+def flat_dynamical_field(sys: RCHSystem, layout: Layout) -> FlatField:
+    """The full vector field of the controlled system on flat states of
+    ``layout`` (checked here, once), lists of d floats to their d rates:
+    Hamiltonian part plus the vertical lifts of force and control. With
+    both absent (or the identity map) this is exactly the Hamiltonian
+    field."""
     _check_point(sys, layout)
     hamiltonian = flat_hamiltonian_field(sys.hamiltonian, layout)
     if sys.force is None and sys.control is None:
@@ -114,21 +118,21 @@ def flat_dynamical_field(sys: RCHSystem, layout: Layout) -> FlatMap:
     return lambda x: _add_lifts(sys, layout, x, hamiltonian(x))
 
 
-def _add_lifts(sys: RCHSystem, layout: Layout, x: np.ndarray,
-               out: np.ndarray) -> np.ndarray:
+def _add_lifts(sys: RCHSystem, layout: Layout, x: list, out: list) -> list:
     """out plus the vertical lifts of the force and then the control at
     the flat state x: the one place the lifts are summed."""
     lifts = [fmap for fmap in (sys.force, sys.control) if fmap is not None]
     if lifts:
         p = point_like(layout, x)
         for fmap in lifts:
-            out = out + _as_vertical(fmap, p)
+            out = [a + b for a, b in zip(out, _as_vertical(fmap, p).tolist())]
     return out
 
 
 def dynamical_field(sys: RCHSystem, p: ReducedPoint) -> ReducedTangent:
     """:func:`flat_dynamical_field` at the point p."""
-    return tangent_like(p, flat_dynamical_field(sys, p.layout)(p.flat()))
+    return tangent_like(
+        p, flat_dynamical_field(sys, p.layout)(p.flat().tolist()))
 
 
 INVERSE_TOL = 1e-9
@@ -170,6 +174,8 @@ def matching_control(sys_a: RCHSystem, sys_b: RCHSystem,
         if defect > INVERSE_TOL:
             raise ValueError("pullback is not invertible at this point "
                              f"(round-trip defect {defect:.3e})")
-        return tangent_like(layout_a, push_tangent(field_b(y)) - field_a(x))
+        rates_b = np.array(field_b(y.tolist()))
+        return tangent_like(layout_a, push_tangent(rates_b)
+                            - np.array(field_a(x.tolist())))
 
     return control

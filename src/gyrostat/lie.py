@@ -256,27 +256,24 @@ def _cross_list(a: list, b: list) -> list:
 
 
 def _bracket_list(a: list, b: list) -> list:
+    """Lie bracket of flat algebra vectors given as lists of floats: the
+    cross product of 3-component so(3) vectors; on 6-component se(3)
+    vectors (omega, vel) the semidirect bracket
+    (w1 x w2, w1 x u2 - w2 x u1)."""
     if len(a) == 3:
         return _cross_list(a, b)
     u1, u2 = _cross_list(a, b[3:]), _cross_list(b, a[3:])
     return _cross_list(a, b) + [p - q for p, q in zip(u1, u2)]
 
 
-def flat_bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Lie bracket of flat algebra vectors: the cross product of (3,)
-    so(3) vectors; on (6,) se(3) vectors (omega, vel) the semidirect
-    bracket (w1 x w2, w1 x u2 - w2 x u1)."""
-    return np.array(_bracket_list(a.tolist(), b.tolist()))
-
-
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b for two 3-vectors, the so(3) case of :func:`flat_bracket`,
+    """a x b for two 3-vectors, the so(3) case of :func:`_bracket_list`,
     without the per-call overhead of np.cross."""
     return np.array(_cross_list(a.tolist(), b.tolist()))
 
 
 def bracket(x: AlgebraVector, y: AlgebraVector) -> AlgebraVector:
-    """:func:`flat_bracket` of two algebra vectors of one kind, read from
+    """:func:`_bracket_list` of two algebra vectors of one kind, read from
     their parts as lists, which costs less than building flat arrays."""
     if _same_kind(x, y) == SO3:
         return AlgebraVector(SO3, np.array(_bracket_list(x.omega.tolist(),

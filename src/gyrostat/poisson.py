@@ -3,11 +3,12 @@
 The reduced phase spaces handled here are products of a dual Lie algebra
 (so(3)* or se(3)*, carrying the Lie-Poisson structure) with a canonical
 rotor factor V x V* of angle/momentum pairs. Points are
-:class:`ReducedPoint` at the API and flat (d,) arrays in a
-:class:`Layout` inside fields; scalar observables are :class:`ScalarField`
-values whose gradients are either supplied analytically or taken by
-central finite differences (:func:`central_difference`, the package's
-one stencil).
+:class:`ReducedPoint` at the API and flat states in a :class:`Layout`
+inside fields: one state is a row of d Python floats (a
+:data:`FlatField` maps it to d rates), and batched work takes (n, d)
+float64 arrays. Scalar observables are :class:`ScalarField` values whose
+gradients are either supplied analytically or taken by central finite
+differences (:func:`central_difference`, the package's one stencil).
 
 The minus bracket is the default everywhere because it is the one under
 which the body-frame equations take their usual form
@@ -23,13 +24,14 @@ momenta are constants of motion of every Hamiltonian flow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import lie
-from .lie import SE3, SO3, AlgebraVector, CoalgebraVector, _cross
+from .lie import SE3, SO3, AlgebraVector, CoalgebraVector, _cross_list
 
 FD_STEP = 1e-6
 
@@ -47,6 +49,11 @@ class Layout(NamedTuple):
     kind: str
     n_theta: int
     n_l: int
+
+
+#: A vector field on flat states: a list of d Python floats to its d
+#: rates, as a list.
+FlatField = Callable[[list], list]
 
 
 @dataclass(frozen=True)
@@ -148,28 +155,41 @@ class ScalarField:
     n values and must match eval row by row; :func:`central_difference`
     and the invariants of :func:`~gyrostat.integrate.run` call it.
     grad_batch, when given, maps the same (n, dim) array to the (n, dim)
-    array of flat analytic gradients; flat fields read it in preference
-    to grad. :func:`analytic_field` builds eval and grad as point views
-    of the two. The four are plain callables: wrappers may replace them,
-    so code must not rely on attributes attached to them.
+    array of flat analytic gradients. grad_row, when given, is the row
+    gradient: it maps one flat state, a list of dim Python floats, to
+    the list of its dim gradient components, and flat fields read it in
+    preference to grad. :func:`analytic_field` builds all four from one
+    componentwise formula; :func:`without_gradient` drops grad,
+    grad_batch and grad_row. The five are plain callables: wrappers may
+    replace them, so code must not rely on attributes attached to them.
     """
 
     eval: Callable[[ReducedPoint], float]
     grad: Callable[[ReducedPoint], ReducedTangent] | None = None
     eval_batch: Callable[[np.ndarray], np.ndarray] | None = None
     grad_batch: Callable[[np.ndarray], np.ndarray] | None = None
+    grad_row: Callable[[list], list] | None = None
 
 
 def analytic_field(eval_batch: Callable[[np.ndarray], np.ndarray],
-                   grad_batch: Callable[[np.ndarray], np.ndarray]
-                   ) -> ScalarField:
-    """Field whose value and analytic gradient are each given once,
-    batched on flat states; ``eval`` and ``grad`` are their views on one
-    point."""
+                   grad: Callable[[list], list]) -> ScalarField:
+    """Field whose value is given once, batched on flat states, and
+    whose analytic gradient is written once, componentwise: ``grad``
+    maps the d components of a flat state to the d components of its
+    gradient with elementwise operations only. On a list of d Python
+    floats it is the row gradient ``grad_row``; on the d columns of an
+    (n, d) array it gives ``grad_batch``, the same numbers bit for bit.
+    ``eval`` and ``grad`` are views on one point."""
+    def grad_batch(x: np.ndarray) -> np.ndarray:
+        g = np.empty(x.shape)
+        for i, column in enumerate(grad(list(x.T))):
+            g[:, i] = column
+        return g
+
     return ScalarField(
         lambda p: float(eval_batch(p.flat()[None, :])[0]),
-        lambda p: tangent_like(p, grad_batch(p.flat()[None, :])[0]),
-        eval_batch, grad_batch)
+        lambda p: tangent_like(p, grad(p.flat().tolist())),
+        eval_batch, grad_batch, grad)
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -181,10 +201,10 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def without_gradient(field: ScalarField) -> ScalarField:
-    """Copy of a field with the analytic gradient (grad and grad_batch)
-    dropped, so that all derivative evaluations go through finite
-    differences."""
-    return replace(field, grad=None, grad_batch=None)
+    """Copy of a field with the analytic gradient (grad, grad_batch and
+    grad_row) dropped, so that all derivative evaluations go through
+    finite differences."""
+    return replace(field, grad=None, grad_batch=None, grad_row=None)
 
 
 def central_difference(fn: Callable[[np.ndarray], np.ndarray],
@@ -279,20 +299,41 @@ def product_bracket(f: ScalarField, k: ScalarField, p: ReducedPoint,
     return out
 
 
-def flat_gradient(h: ScalarField,
-                  layout: Layout) -> Callable[[np.ndarray], np.ndarray]:
-    """(d,) -> (d,) gradient of h on flat states of ``layout``: one row
-    of ``grad_batch`` when h has it, otherwise :func:`gradient` on a
+def flat_gradient(h: ScalarField, layout: Layout) -> Callable[[list], list]:
+    """Row gradient of h on flat states of ``layout``, lists of d floats:
+    h's ``grad_row`` when it has one, otherwise :func:`gradient` on a
     point view."""
-    if h.grad_batch is not None:
-        return lambda x: h.grad_batch(x[None, :])[0]
-    return lambda x: gradient(h, point_like(layout, x)).flat()
+    if h.grad_row is not None:
+        return h.grad_row
+    return lambda x: gradient(h, point_like(layout, x)).flat().tolist()
 
 
-def flat_hamiltonian_field(
-        h: ScalarField, layout: Layout) -> Callable[[np.ndarray], np.ndarray]:
-    """Minus-bracket Hamiltonian vector field of h as a (d,) -> (d,) map
-    on flat states of ``layout``, in closed form:
+def _hamiltonian_rates(layout: Layout) -> Callable[[list, list], list]:
+    """(x, g) -> the rates of :func:`flat_hamiltonian_field` at the flat
+    state x, given the row gradient g of h there; raises on a non-finite
+    gradient."""
+    nc, n_theta = lie.algebra_dim(layout.kind), layout.n_theta
+    paired = n_theta == layout.n_l and n_theta > 0
+    still = [0.0] * (n_theta + layout.n_l)
+
+    def rates(x: list, g: list) -> list:
+        if not all(map(math.isfinite, g)):
+            raise ValueError("non-finite gradient")
+        out = _cross_list(x, g)
+        if nc == 6:
+            gamma = x[3:6]
+            out = ([a + b for a, b in zip(out, _cross_list(gamma, g[3:6]))]
+                   + _cross_list(gamma, g))
+        if paired:
+            return out + g[nc + n_theta:] + [-v for v in g[nc:nc + n_theta]]
+        return out + still
+
+    return rates
+
+
+def flat_hamiltonian_field(h: ScalarField, layout: Layout) -> FlatField:
+    """Minus-bracket Hamiltonian vector field of h on flat states of
+    ``layout``, lists of d floats, in closed form:
 
     so(3)*:  pi_dot = pi x grad_pi h
     se(3)*:  pi_dot = pi x grad_pi h + gamma x grad_gamma h,
@@ -303,30 +344,14 @@ def flat_hamiltonian_field(
     Every component equals the minus bracket of its coordinate function
     with h, which the tests verify against :func:`product_bracket`.
     """
-    grad = flat_gradient(h, layout)
-    nc, n_theta = lie.algebra_dim(layout.kind), layout.n_theta
-    paired = n_theta == layout.n_l and n_theta > 0
-
-    def field(x: np.ndarray) -> np.ndarray:
-        g = grad(x)
-        if not np.isfinite(g).all():
-            raise ValueError("non-finite gradient")
-        out = np.zeros(x.size)
-        out[:3] = _cross(x[:3], g[:3])
-        if nc == 6:
-            out[:3] += _cross(x[3:6], g[3:6])
-            out[3:6] = _cross(x[3:6], g[:3])
-        if paired:
-            out[nc:nc + n_theta] = g[nc + n_theta:]
-            out[nc + n_theta:] = -g[nc:nc + n_theta]
-        return out
-
-    return field
+    grad, rates = flat_gradient(h, layout), _hamiltonian_rates(layout)
+    return lambda x: rates(x, grad(x))
 
 
 def hamiltonian_field(h: ScalarField, p: ReducedPoint) -> ReducedTangent:
     """:func:`flat_hamiltonian_field` at the point p."""
-    return tangent_like(p, flat_hamiltonian_field(h, p.layout)(p.flat()))
+    return tangent_like(
+        p, flat_hamiltonian_field(h, p.layout)(p.flat().tolist()))
 
 
 def kks_form(nu: CoalgebraVector, xi: AlgebraVector, eta: AlgebraVector,
@@ -348,25 +373,27 @@ def casimirs(p: ReducedPoint) -> list[tuple[str, float]]:
     return [(name, f.eval(p)) for name, f in casimir_fields(p.kind)]
 
 
-def _slot_product(a: slice, b: slice) -> ScalarField:
-    """x_a . x_b for two 3-slots of the flat state, batched."""
-    def grad_batch(x):
-        g = np.zeros_like(x)
-        g[:, b] = x[:, a]
-        g[:, a] = 2.0 * x[:, a] if a == b else x[:, b]
+def _slot_product(a: int, b: int) -> ScalarField:
+    """x_a . x_b for the two 3-slots of the flat state that start at a
+    and b, batched."""
+    def grad(x):
+        g = [0.0] * len(x)
+        for i in range(3):
+            g[b + i] = x[a + i]
+            g[a + i] = 2.0 * x[a + i] if a == b else x[b + i]
         return g
 
-    return analytic_field(lambda x: _row_dot(x[:, a], x[:, b]), grad_batch)
+    return analytic_field(
+        lambda x: _row_dot(x[:, a:a + 3], x[:, b:b + 3]), grad)
 
 
 def casimir_fields(kind: str) -> list[tuple[str, ScalarField]]:
     """Casimirs as scalar fields with batched values and analytic
     gradients."""
-    pi, gamma = slice(0, 3), slice(3, 6)
     if kind == SO3:
-        return [("pi_sq", _slot_product(pi, pi))]
-    return [("pi_dot_gamma", _slot_product(pi, gamma)),
-            ("gamma_sq", _slot_product(gamma, gamma))]
+        return [("pi_sq", _slot_product(0, 0))]
+    return [("pi_dot_gamma", _slot_product(0, 3)),
+            ("gamma_sq", _slot_product(3, 3))]
 
 
 # ---------------------------------------------------------------------------
@@ -421,12 +448,16 @@ def polynomial_field(c0: float, a: np.ndarray, b: np.ndarray,
                      cubic_coef: np.ndarray | None = None) -> ScalarField:
     """c0 + a.x + x.B.x/2 plus optional sparse cubic terms, on the flat
     coordinate layout. eval, grad (analytic), eval_batch and grad_batch
-    are views of one :class:`_Polynomials` row."""
+    are views of one :class:`_Polynomials` row; flat fields read the
+    gradient through the point view."""
     one = _stack([(c0, a, b,
                    np.zeros((0, 3)) if cubic_idx is None else cubic_idx,
                    () if cubic_coef is None else cubic_coef)])
-    return analytic_field(lambda pts: one.value(pts[None])[0],
-                          lambda pts: one.grad(pts[None])[0])
+    return ScalarField(
+        lambda p: float(one.value(p.flat()[None, None])[0, 0]),
+        lambda p: tangent_like(p, one.grad(p.flat()[None, None])[0, 0]),
+        lambda pts: one.value(pts[None])[0],
+        lambda pts: one.grad(pts[None])[0])
 
 
 def _random_coefficients(rng: np.random.Generator, dim: int,

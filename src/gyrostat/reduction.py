@@ -23,8 +23,8 @@ from . import lie
 from .controlled import RCHSystem, _add_lifts, _check_point, dynamical_field
 from .integrate import Trajectory, rk4_step
 from .lie import AlgebraVector, CoalgebraVector, GroupElement, GroupPath
-from .poisson import (ReducedPoint, ReducedTangent, ScalarField, _row_dot,
-                      _vec, flat_gradient, flat_hamiltonian_field,
+from .poisson import (ReducedPoint, ReducedTangent, ScalarField,
+                      _hamiltonian_rates, _row_dot, _vec, flat_gradient,
                       tangent_like)
 
 MEMBERSHIP_TOL = 1e-8
@@ -123,7 +123,7 @@ def reduced_hamiltonian_check(h_full: Callable[[PhasePoint], float],
 
 def body_velocity(h: ScalarField, q: ReducedPoint) -> AlgebraVector:
     """dh/dnu at q, the algebra element that drives g along the flow."""
-    grad = flat_gradient(h, q.layout)(q.flat())
+    grad = flat_gradient(h, q.layout)(q.flat().tolist())
     return lie.algebra_from_flat(q.kind, grad[:lie.algebra_dim(q.kind)])
 
 
@@ -133,19 +133,22 @@ def full_dynamical_field(sys: RCHSystem, pt: PhasePoint) -> FullTangent:
 
     Forces and controls are vertical, so they may move momenta but never
     the rotor angles; a fiber map that does is rejected here because the
-    angle velocity on the full space is pinned to dh/dl.
+    angle velocity on the full space is pinned to dh/dl. The gradient
+    of h is evaluated once and gives both the rates and the body
+    velocity.
     """
     q = as_reduced(pt)
     _check_point(sys, q.layout)
-    x = q.flat()
-    hamiltonian = flat_hamiltonian_field(sys.hamiltonian, q.layout)(x)
+    x = q.flat().tolist()
+    grad = flat_gradient(sys.hamiltonian, q.layout)(x)
+    hamiltonian = _hamiltonian_rates(q.layout)(x, grad)
     body = _add_lifts(sys, q.layout, x, hamiltonian)
-    lift = body - hamiltonian
+    lift = np.subtract(body, hamiltonian)
     nc = lie.algebra_dim(q.kind)
     if np.any(lift[nc:nc + q.n_theta] != 0.0):
         raise ValueError("force/control must be vertical: it cannot move "
                          "the rotor angles")
-    return FullTangent(body_velocity(sys.hamiltonian, q),
+    return FullTangent(lie.algebra_from_flat(q.kind, grad[:nc]),
                        tangent_like(q, body), lift)
 
 
@@ -165,14 +168,16 @@ def commutation_residual(sys: RCHSystem, pt: PhasePoint,
 # reconstruction
 # ---------------------------------------------------------------------------
 
-def _dexpinv(sigma: np.ndarray, xi: np.ndarray) -> np.ndarray:
+def _dexpinv(sigma: list, xi: list) -> list:
     """Inverse differential of exp for the body-velocity equation
-    g_dot = g hat(xi): the exponential coordinate obeys
+    g_dot = g hat(xi), on flat algebra vectors as lists: the exponential
+    coordinate obeys
     sigma_dot = xi + [sigma, xi]/2 + [sigma, [sigma, xi]]/12 + ...,
     truncated at the double bracket, which is exact enough for
     fourth-order steps where sigma is O(dt)."""
-    c1 = lie.flat_bracket(sigma, xi)
-    return xi + 0.5 * c1 + lie.flat_bracket(sigma, c1) / 12.0
+    c1 = lie._bracket_list(sigma, xi)
+    c2 = lie._bracket_list(sigma, c1)
+    return [a + 0.5 * b + c / 12.0 for a, b, c in zip(xi, c1, c2)]
 
 
 def reconstruct(traj: Trajectory, g0: GroupElement, h: ScalarField,
@@ -185,8 +190,8 @@ def reconstruct(traj: Trajectory, g0: GroupElement, h: ScalarField,
     with the exponential coordinate sigma_dot = dexpinv(sigma, xi(y))
     from (x_n, 0), then g_{n+1} = g_n exp(sigma). It keeps the recovered
     momentum map constant to integrator accuracy; it needs ``field``,
-    the flat (d,) -> (d,) reduced field, to evaluate the reduced flow
-    between samples.
+    the flat reduced field (lists of d floats to their rates), to
+    evaluate the reduced flow between samples.
     """
     if len(traj.states) == 0:
         raise ValueError("states must be non-empty")
@@ -202,21 +207,19 @@ def reconstruct(traj: Trajectory, g0: GroupElement, h: ScalarField,
     nc = lie.algebra_dim(traj.layout.kind)
     grad = flat_gradient(h, traj.layout)
 
-    def joint(z: np.ndarray) -> np.ndarray:
+    def joint(z: list) -> list:
         y = z[:d]
-        return np.concatenate([field(y), _dexpinv(z[d:], grad(y)[:nc])])
+        return field(y) + _dexpinv(z[d:], grad(y)[:nc])
 
-    z = np.zeros(d + nc)
     rot, trans = np.empty((n, 3, 3)), np.zeros((n, 3))
     rot[0] = g0.rot
     if g0.trans is not None:
         trans[0] = g0.trans
-    for i, x in enumerate(traj.states[:-1]):
+    for i, x in enumerate(traj.states[:-1].tolist()):
         if order == 1:
-            sigma = traj.dt * grad(x)[:nc]
+            sigma = traj.dt * np.array(grad(x)[:nc])
         else:
-            z[:d] = x
-            sigma = rk4_step(joint, z, traj.dt)[d:]
+            sigma = np.array(rk4_step(joint, x + [0.0] * nc, traj.dt)[d:])
         e_rot, e_trans = lie.flat_exp(sigma)
         if e_trans is not None:
             trans[i + 1] = rot[i] @ e_trans + trans[i]

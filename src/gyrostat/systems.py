@@ -1,10 +1,11 @@
 """Worked systems: rigid bodies and heavy tops carrying internal rotors.
 
 Each system exposes its reduced Hamiltonian (as a plain function and as
-a :class:`~gyrostat.poisson.ScalarField` with batched value and analytic
-gradient), an
-explicit closed-form vector field, and the left-hand sides of its
-Hamilton-Jacobi equations assembled row by row. The explicit forms are
+a :class:`~gyrostat.poisson.ScalarField` with batched value and an
+analytic gradient written once, componentwise, which gives both the row
+gradient and the batched one), an explicit closed-form vector field,
+and the left-hand sides of its Hamilton-Jacobi equations assembled row
+by row. The explicit forms are
 deliberately independent of the generic bracket machinery so the tests
 can compare the two paths.
 
@@ -226,15 +227,15 @@ def rigid_body_hamiltonian(params: RigidBodyRotorParams) -> ScalarField:
         return 0.5 * (_row_dot(rel, rel / params.ibar)
                       + _row_dot(l, l / params.j))
 
-    def grad_batch(x):
-        l = x[:, -3:]
-        rel = (x[:, :3] - l) / params.ibar
-        g = np.zeros_like(x)
-        g[:, :3] = rel
-        g[:, -3:] = -rel + l / params.j
-        return g
+    ibar, j = params.ibar.tolist(), params.j.tolist()
 
-    return analytic_field(eval_batch, grad_batch)
+    def grad(x):
+        l = x[-3:]
+        rel = [(x[i] - l[i]) / ibar[i] for i in range(3)]
+        return (rel + [0.0] * (len(x) - 6)
+                + [-rel[i] + l[i] / j[i] for i in range(3)])
+
+    return analytic_field(eval_batch, grad)
 
 
 def rigid_body_field(params: RigidBodyRotorParams,
@@ -294,11 +295,21 @@ def rigid_body_hj_lhs(params: RigidBodyRotorParams, cand: HJCandidate,
 # heavy top with rotors
 # ---------------------------------------------------------------------------
 
-def _heavy_top_pi_grad(params: HeavyTopRotorParams, pi, l) -> np.ndarray:
-    """dh/dpi for (..., 3) body momenta and (..., 2) rotor momenta."""
-    out = pi / params.ibar
-    out[..., :2] = (pi[..., :2] - l) / params.ibar[:2]
-    return out
+def _heavy_top_grad(params: HeavyTopRotorParams):
+    """The gradient of the heavy top with rotors, componentwise: maps the
+    d components of a flat state (pi, gamma [, theta], l) to the d
+    components of dh/dx."""
+    ibar, j = params.ibar.tolist(), params.j.tolist()
+    dh_dgamma = (params.mgh * params.chi).tolist()
+
+    def grad(x):
+        l = x[-2:]
+        omega = [(x[0] - l[0]) / ibar[0], (x[1] - l[1]) / ibar[1],
+                 x[2] / ibar[2]]
+        return (omega + dh_dgamma + [0.0] * (len(x) - 8)
+                + [-omega[i] + l[i] / j[i] for i in range(2)])
+
+    return grad
 
 
 def heavy_top_reduced_h(params: HeavyTopRotorParams,
@@ -325,15 +336,7 @@ def heavy_top_hamiltonian(params: HeavyTopRotorParams) -> ScalarField:
                + sq(l[:, 0], 2) / params.j[0] + sq(l[:, 1], 2) / params.j[1])
         return 0.5 * kin + params.mgh * _row_dot(x[:, 3:6], params.chi)
 
-    def grad_batch(x):
-        l = x[:, -2:]
-        g = np.zeros_like(x)
-        g[:, :3] = _heavy_top_pi_grad(params, x[:, :3], l)
-        g[:, 3:6] = params.mgh * params.chi
-        g[:, -2:] = -g[:, :2] + l / params.j
-        return g
-
-    return analytic_field(eval_batch, grad_batch)
+    return analytic_field(eval_batch, _heavy_top_grad(params))
 
 
 def heavy_top_field(params: HeavyTopRotorParams,
@@ -341,11 +344,12 @@ def heavy_top_field(params: HeavyTopRotorParams,
     """Closed form: pi_dot = pi x grad_pi h + m g h (gamma x chi),
     gamma_dot = gamma x grad_pi h, theta_dot as for the rigid body on
     the first two axes, l_dot = 0."""
-    grad_pi = _heavy_top_pi_grad(params, p.nu.pi, p.l)
+    grad = _heavy_top_grad(params)(p.flat().tolist())
+    grad_pi = np.array(grad[:3])
     d_pi = (np.cross(p.nu.pi, grad_pi)
             + params.mgh * np.cross(p.nu.gamma, params.chi))
     d_gamma = np.cross(p.nu.gamma, grad_pi)
-    d_theta = (-grad_pi[:2] + p.l / params.j) if p.n_theta else np.zeros(0)
+    d_theta = np.array(grad[-2:]) if p.n_theta else np.zeros(0)
     return ReducedTangent(d_pi, d_gamma, d_theta, np.zeros(2))
 
 
@@ -402,13 +406,13 @@ def heavy_top_free_hamiltonian(params: HeavyTopParams) -> ScalarField:
         return (0.5 * _row_dot(pi, pi / params.i)
                 + params.mgh * _row_dot(x[:, 3:6], params.chi))
 
-    def grad_batch(x):
-        g = np.zeros_like(x)
-        g[:, :3] = x[:, :3] / params.i
-        g[:, 3:6] = params.mgh * params.chi
-        return g
+    inertia = params.i.tolist()
+    dh_dgamma = (params.mgh * params.chi).tolist()
 
-    return analytic_field(eval_batch, grad_batch)
+    def grad(x):
+        return [x[i] / inertia[i] for i in range(3)] + dh_dgamma
+
+    return analytic_field(eval_batch, grad)
 
 
 def heavy_top_free_system(params: HeavyTopParams) -> RCHSystem:

@@ -14,6 +14,7 @@ regenerates it with
 and names each changed line and its numeric difference in CHANGES.md.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,27 @@ def test_output_matches_golden(case, tmp_path):
         a = (stored_dir / name).read_bytes()
         b = (out / name).read_bytes()
         assert a == b, _first_difference(f"{case}/{name}", a, b)
+
+
+def test_probe_evaluates_the_gradient_once_per_sample(tmp_path,
+                                                      monkeypatch):
+    # each hj-check sample takes one full_dynamical_field, whose rates
+    # and body velocity share one evaluation of the gradient
+    calls = []
+    build = systems.heavy_top_hamiltonian
+
+    def counted(params):
+        h = build(params)
+
+        def grad_row(x):
+            calls.append(1)
+            return h.grad_row(x)
+
+        return replace(h, grad_row=grad_row)
+
+    monkeypatch.setattr(systems, "heavy_top_hamiltonian", counted)
+    _run("hj-check-heavy-top", tmp_path)
+    assert len(calls) == 40
 
 
 if __name__ == "__main__":

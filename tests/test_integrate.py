@@ -9,12 +9,12 @@ from gyrostat.poisson import ScalarField, point_like, reduced_point
 
 
 def zero_field(x):
-    return np.zeros(x.size)
+    return [0.0] * len(x)
 
 
 def linear_field(x):
     # x_dot = x componentwise
-    return x.copy()
+    return list(x)
 
 
 def start():
@@ -57,10 +57,21 @@ def test_step_halving_order_on_smooth_field():
 
 def test_non_finite_step_rejected():
     def bad(x):
-        return np.full(x.size, np.nan)
+        return [float("nan")] * len(x)
 
     with pytest.raises(ValueError, match="non-finite"):
         rk4_step(bad, start().flat(), 0.1)
+
+
+@pytest.mark.parametrize("field", [lambda x: x[:-1], lambda x: 2 * x],
+                         ids=["d-1 rates", "2d rates"])
+def test_step_rejects_rates_of_another_length(field):
+    # zip would silently truncate the stage sums
+    x = start().flat().tolist()
+    n = len(field(x))
+    with pytest.raises(ValueError,
+                       match=f"returned {n} rates for a state of 5 "):
+        rk4_step(field, x, 0.1)
 
 
 # ----------------------------------------------------------------------- runs
@@ -81,7 +92,7 @@ def test_run_reports_blowup_time():
     p = reduced_point(SO3, [1e3, 0.0, 0.0])
 
     def explosive(x):
-        return 40.0 * x
+        return [40.0 * v for v in x]
 
     with pytest.raises(ValueError, match="blew up at t"):
         run(explosive, p, 0.1, 10.0)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,8 +7,9 @@ from numpy.testing import assert_allclose
 from gyrostat.controlled import dynamical_field, flat_dynamical_field
 from gyrostat.integrate import run
 from gyrostat.lie import SE3, SO3, Ad_star, coalgebra, random_group
-from gyrostat.poisson import (ReducedPoint, casimir_fields, point_like,
-                              reduced_point)
+from gyrostat.poisson import (ReducedPoint, casimir_fields,
+                              flat_hamiltonian_field, point_like,
+                              reduced_point, without_gradient)
 from gyrostat.systems import (HeavyTopParams, HeavyTopRotorParams,
                               HJCandidate, RigidBodyRotorParams,
                               heavy_top_field, heavy_top_free_system,
@@ -90,6 +93,39 @@ def test_batched_value_rounds_as_the_point_formula(case):
     layout = points[0].layout
     assert [field.eval(point_like(layout, x)) for x in states] \
         == want.tolist()
+
+
+@pytest.mark.parametrize("case", sorted(BATCHED_VALUES))
+def test_row_gradient_equals_the_batched_gradient_bitwise(case):
+    # one componentwise formula gives both: the row of Python floats that
+    # each RK4 stage reads and the (n, d) batch must keep the same bits
+    field, _, draw = BATCHED_VALUES[case]
+    rng = np.random.default_rng(201)
+    states = np.array([draw(rng).flat() for _ in range(1000)])
+    rows = [field.grad_row(x) for x in states.tolist()]
+    assert all(type(v) is float for row in rows for v in row)
+    batch = field.grad_batch(states)
+    assert batch.shape == states.shape
+    assert np.array_equal(np.array(rows), batch)
+    assert np.array_equal(np.signbit(rows), np.signbit(batch))
+
+
+def test_flat_field_without_gradient_takes_finite_differences():
+    h = heavy_top_system(HT).hamiltonian
+    rows = []
+
+    def counted(x):
+        rows.append(len(x))
+        return h.eval_batch(x)
+
+    fd = replace(without_gradient(h), eval_batch=counted)
+    p = random_ht_point(np.random.default_rng(202))
+    x = p.flat().tolist()
+    got = flat_hamiltonian_field(fd, p.layout)(x)
+    assert rows == [2 * len(x)]
+    want = flat_hamiltonian_field(h, p.layout)(x)
+    assert_allclose(got, want, rtol=0, atol=1e-6)
+    assert got != want
 
 
 class TestParams:

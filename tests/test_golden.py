@@ -91,6 +91,25 @@ energy_drift = 10.0
 casimir_drift = 10.0
 """
 
+# A constant control on the heavy top with rotor angles: it fills every
+# slot of the lift, d_gamma included, and zero-fills the angle slot.
+HEAVY_TOP_CONSTANT_CONTROL = HEAVY_TOP_SIMULATE + """
+[control]
+kind = constant
+d_pi = 0.1 -0.05 0.02
+d_gamma = 0.03 -0.01 0.02
+d_l = 0.25 -0.1
+
+[tolerances]
+energy_drift = 10.0
+casimir_drift = 10.0
+"""
+
+# The same controlled heavy top under the unsolved constant-body probe:
+# each sample's full field carries the control's lift.
+HEAVY_TOP_CONSTANT_CONTROL_PROBE = HEAVY_TOP_CONSTANT_CONTROL \
+    + HEAVY_TOP_PROBE[len(HEAVY_TOP):]
+
 # case -> (subcommand and flags, scenario text or None)
 CASES = {
     "simulate": (["simulate"], SIMULATE),
@@ -102,6 +121,10 @@ CASES = {
     "simulate-heavy-top": (["simulate"], HEAVY_TOP_SIMULATE),
     "equivalence-demo-rigid": (["equivalence-demo"], RIGID_TRANSPORT),
     "simulate-constant-control": (["simulate"], CONSTANT_CONTROL),
+    "simulate-heavy-top-constant-control": (["simulate"],
+                                            HEAVY_TOP_CONSTANT_CONTROL),
+    "hj-check-constant-control": (["hj-check", "--seed", "1"],
+                                  HEAVY_TOP_CONSTANT_CONTROL_PROBE),
 }
 
 

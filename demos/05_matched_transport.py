@@ -15,7 +15,6 @@ import numpy as np
 from gyrostat import config as cfgmod
 from gyrostat.controlled import flat_dynamical_field
 from gyrostat.integrate import run
-from gyrostat.poisson import point_like
 
 SCENARIO = """\
 [system]
@@ -66,7 +65,6 @@ for i in range(0, len(target.times), 200):
 
 # The control that does the forcing is an honest state feedback; here
 # is its magnitude along the engaged trajectory.
-norms = [np.linalg.norm(control(point_like(engaged.layout, x)).flat())
-         for x in engaged.states[::200]]
+norms = [np.linalg.norm(control(x.tolist())) for x in engaged.states[::200]]
 print("\n|u| along the run:", np.array2string(np.asarray(norms),
                                               precision=3))

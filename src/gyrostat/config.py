@@ -61,8 +61,7 @@ from .hamilton_jacobi import (Configuration, OneFormSection,
                               affine_rotor_section, constant_body_section,
                               isotropy_configurations, isotropy_sampleable,
                               rotor_quadratic_section, zero_section)
-from .poisson import (Layout, ReducedPoint, ReducedTangent, point_like,
-                      reduced_point)
+from .poisson import Layout, ReducedPoint, point_like, reduced_point
 from .systems import (HeavyTopParams, HeavyTopRotorParams,
                       RigidBodyRotorParams, heavy_top_free_system,
                       heavy_top_system, rigid_body_system)
@@ -522,15 +521,12 @@ def build_matching(cfg: ScenarioConfig):
 
 
 def _constant_control(cfg: ScenarioConfig):
-    d_pi = np.array(cfg.control["d_pi"])
-    d_gamma = np.array(cfg.control["d_gamma"]) \
-        if "d_gamma" in cfg.control else None
-    d_l = np.array(cfg.control["d_l"])
+    """The constant lift (d_pi [, d_gamma], 0 on the angles, d_l)."""
+    head = list(cfg.control["d_pi"]) + list(cfg.control.get("d_gamma", ()))
+    d_l = list(cfg.control["d_l"])
 
-    def control(p: ReducedPoint) -> ReducedTangent:
-        return ReducedTangent(d_pi.copy(),
-                              None if d_gamma is None else d_gamma.copy(),
-                              np.zeros(p.n_theta), d_l.copy())
+    def control(x: list) -> list:
+        return head + [0.0] * (len(x) - len(head) - len(d_l)) + d_l
 
     return control
 

@@ -1,26 +1,22 @@
 """Controlled Hamiltonian systems on reduced phase spaces.
 
 A controlled system couples a Hamiltonian with an external force and a
-feedback control. Both enter the dynamics through vertical lifts: on a
-vector-bundle fiber, the lift of a fiber displacement is the tangent
-vector with those fiber components and no base motion. The reduced
-spaces here have a trivial base (the group part has been quotiented
-away, and rotor angles and momenta are themselves fiber coordinates),
-so every reduced tangent is vertical; :data:`VerticalVector` is an
-alias that marks intent at call sites.
+feedback control. Both enter the dynamics only through their vertical
+lifts: on a vector-bundle fiber, the lift of a fiber displacement is
+the tangent vector with those fiber components and no base motion. The
+reduced spaces here have a trivial base (the group part has been
+quotiented away, and rotor angles and momenta are themselves fiber
+coordinates), so every reduced tangent is vertical.
 
-Forces and controls come in two interchangeable forms:
-
-* a fiber map ``p -> ReducedPoint`` returning the displaced point,
-  with the identity map meaning "no force", or
-* a vertical field ``p -> ReducedTangent`` giving the lift directly,
-  which is the form :func:`matching_control` produces.
+Forces and controls share one protocol, a flat vertical field: it takes
+a flat state, a list of d floats, and returns its d lift components,
+the same shape as :data:`~gyrostat.poisson.FlatField`. The paper's
+fiber-map form, a fiber-preserving map F of flat states, enters through
+:func:`fiber_map_lift`, whose lift is F(x) - x; the identity map lifts
+to zero. :func:`matching_control` returns its lift directly.
 
 The integrator steps :func:`flat_dynamical_field`, a map from a flat
-state (a list of d floats) to its d rates; :func:`dynamical_field` is
-its view at one point. Forces and controls are called on a point view
-of the flat state; :func:`matching_control` composes flat array maps
-into a point-form control.
+state to its d rates; :func:`dynamical_field` is its view at one point.
 
 Admissibility of controls is not constrained here: any vertical field
 is accepted.
@@ -33,17 +29,10 @@ from typing import Callable
 
 import numpy as np
 
-from .lie import SE3, SO3
+from .lie import SE3, SO3, algebra_dim
 from .poisson import (FlatField, Layout, ReducedPoint, ReducedTangent,
-                      ScalarField, flat_hamiltonian_field, point_like,
-                      tangent_like)
+                      ScalarField, flat_hamiltonian_field, tangent_like)
 
-# On the reduced space the bundle base is a single point, so a vertical
-# vector is an ordinary reduced tangent.
-VerticalVector = ReducedTangent
-
-FiberMap = Callable[[ReducedPoint], ReducedPoint]
-VerticalField = Callable[[ReducedPoint], ReducedTangent]
 #: A map between flat states or tangents as (d,) float64 arrays.
 FlatMap = Callable[[np.ndarray], np.ndarray]
 
@@ -52,16 +41,16 @@ FlatMap = Callable[[np.ndarray], np.ndarray]
 class RCHSystem:
     """Hamiltonian plus optional force and control on a reduced space.
 
-    ``force`` and ``control`` accept either force form described in the
-    module docstring; ``None`` means absent. ``rotor_count`` fixes the
+    ``force`` and ``control`` are flat vertical fields (see the module
+    docstring); ``None`` means absent. ``rotor_count`` fixes the
     size of the rotor momentum slot that points of this system carry.
     """
 
     hamiltonian: ScalarField
     kind: str
     rotor_count: int
-    force: FiberMap | VerticalField | None = None
-    control: FiberMap | VerticalField | None = None
+    force: FlatField | None = None
+    control: FlatField | None = None
 
     def __post_init__(self):
         if self.kind not in (SO3, SE3):
@@ -80,52 +69,44 @@ def _check_point(sys: RCHSystem, p: ReducedPoint | Layout):
             f"match system rotor_count {sys.rotor_count}")
 
 
-def fiber_displacement(q: ReducedPoint, p: ReducedPoint) -> VerticalVector:
-    """Vertical vector from p toward q = fmap(p): the velocity of the
-    straight fiber line s -> p + s (q - p) at s = 0. Zero when q == p,
-    so an identity fiber map contributes nothing to the dynamics."""
-    if q.layout != p.layout:
-        raise ValueError("fiber map is not fiber-preserving: it changed "
-                         f"the point layout from {p.layout} to {q.layout}")
-    return tangent_like(p, q.flat() - p.flat())
+def fiber_map_lift(fmap: FlatField) -> FlatField:
+    """The vertical lift of a fiber map of flat states: x -> fmap(x) - x,
+    the velocity of the straight fiber line s -> x + s (fmap(x) - x) at
+    s = 0. Zero where fmap fixes x, so an identity fiber map contributes
+    nothing to the dynamics."""
 
+    def lift(x: list) -> list:
+        y = fmap(x)
+        if len(y) != len(x):
+            raise ValueError("fiber map is not fiber-preserving: it changed "
+                             f"the state length from {len(x)} to {len(y)}")
+        return [b - a for a, b in zip(x, y)]
 
-def _as_vertical(fmap, p: ReducedPoint) -> np.ndarray:
-    val = fmap(p)
-    if isinstance(val, ReducedPoint):
-        return fiber_displacement(val, p).flat()
-    if isinstance(val, ReducedTangent):
-        flat = val.flat()
-        if flat.size != p.flat().size:
-            raise ValueError("vertical field output does not match the "
-                             "point layout")
-        return flat
-    raise TypeError("force/control must return a ReducedPoint (fiber "
-                    "map) or a ReducedTangent (vertical field), got "
-                    f"{type(val).__name__}")
+    return lift
 
 
 def flat_dynamical_field(sys: RCHSystem, layout: Layout) -> FlatField:
     """The full vector field of the controlled system on flat states of
     ``layout`` (checked here, once), lists of d floats to their d rates:
     Hamiltonian part plus the vertical lifts of force and control. With
-    both absent (or the identity map) this is exactly the Hamiltonian
-    field."""
+    both absent this is exactly the Hamiltonian field."""
     _check_point(sys, layout)
     hamiltonian = flat_hamiltonian_field(sys.hamiltonian, layout)
     if sys.force is None and sys.control is None:
         return hamiltonian
-    return lambda x: _add_lifts(sys, layout, x, hamiltonian(x))
+    return lambda x: _add_lifts(sys, x, hamiltonian(x))
 
 
-def _add_lifts(sys: RCHSystem, layout: Layout, x: list, out: list) -> list:
+def _add_lifts(sys: RCHSystem, x: list, out: list) -> list:
     """out plus the vertical lifts of the force and then the control at
     the flat state x: the one place the lifts are summed."""
-    lifts = [fmap for fmap in (sys.force, sys.control) if fmap is not None]
-    if lifts:
-        p = point_like(layout, x)
-        for fmap in lifts:
-            out = [a + b for a, b in zip(out, _as_vertical(fmap, p).tolist())]
+    for lift in (sys.force, sys.control):
+        if lift is not None:
+            v = lift(x)
+            if len(v) != len(out):
+                raise ValueError(f"force/control returned {len(v)} lift "
+                                 f"components for {len(out)} rates")
+            out = [a + b for a, b in zip(out, v)]
     return out
 
 
@@ -141,41 +122,41 @@ INVERSE_TOL = 1e-9
 def matching_control(sys_a: RCHSystem, sys_b: RCHSystem,
                      layout_a: Layout, layout_b: Layout,
                      pullback: FlatMap, push_tangent: FlatMap,
-                     pullback_inverse: FlatMap) -> VerticalField:
+                     pullback_inverse: FlatMap) -> FlatField:
     """Control law under which system A shadows system B through a
     diffeomorphism of their reduced spaces.
 
     The maps act on flat arrays: ``pullback`` maps B-states in
     ``layout_b`` to A-states in ``layout_a``, ``pullback_inverse`` undoes
     it, and ``push_tangent`` carries tangents at a B-state to tangents
-    at its image. The returned vertical field is
+    at its image. The returned flat vertical field is
 
-        v(p) = -X_{h_A}(p) + push(X_B(pullback_inverse(p)))
+        v(x) = -X_{h_A}(x) + push(X_B(pullback_inverse(x)))
 
     where X_B is B's full dynamical field (its Hamiltonian field when B
     carries no force or control of its own). Installing v as the
     control of a force-free A makes A's dynamical field agree with the
-    transported B-field at every point; a force on A stays in the
-    controlled field on top of that. Each evaluation checks that p is
-    in ``layout_a``, round-trips it through both maps and raises if they
-    fail to invert each other there.
+    transported B-field at every state; a force on A stays in the
+    controlled field on top of that. Each evaluation checks that x has
+    the length of ``layout_a``, round-trips it through both maps and
+    raises if they fail to invert each other there.
     """
     _check_point(sys_a, layout_a)
     field_a = flat_hamiltonian_field(sys_a.hamiltonian, layout_a)
     field_b = flat_dynamical_field(sys_b, layout_b)
+    d = algebra_dim(layout_a.kind) + layout_a.n_theta + layout_a.n_l
 
-    def control(p: ReducedPoint) -> VerticalVector:
-        if p.layout != layout_a:
-            raise ValueError(f"point layout {p.layout} does not match the "
+    def control(x: list) -> list:
+        if len(x) != d:
+            raise ValueError(f"state of length {len(x)} does not match the "
                              f"control's layout {layout_a}")
-        x = p.flat()
-        y = pullback_inverse(x)
-        defect = float(np.max(np.abs(pullback(y) - x)))
+        xa = np.array(x)
+        y = pullback_inverse(xa)
+        defect = float(np.max(np.abs(pullback(y) - xa)))
         if defect > INVERSE_TOL:
             raise ValueError("pullback is not invertible at this point "
                              f"(round-trip defect {defect:.3e})")
-        rates_b = np.array(field_b(y.tolist()))
-        return tangent_like(layout_a, push_tangent(rates_b)
-                            - np.array(field_a(x.tolist())))
+        pushed = push_tangent(np.array(field_b(y.tolist()))).tolist()
+        return [b - a for a, b in zip(field_a(x), pushed)]
 
     return control

@@ -132,7 +132,7 @@ def full_dynamical_field(sys: RCHSystem, pt: PhasePoint) -> FullTangent:
     velocity that reconstruction integrates.
 
     Forces and controls are vertical, so they may move momenta but never
-    the rotor angles; a fiber map that does is rejected here because the
+    the rotor angles; a lift that does is rejected here because the
     angle velocity on the full space is pinned to dh/dl. The gradient
     of h is evaluated once and gives both the rates and the body
     velocity.
@@ -142,7 +142,7 @@ def full_dynamical_field(sys: RCHSystem, pt: PhasePoint) -> FullTangent:
     x = q.flat().tolist()
     grad = flat_gradient(sys.hamiltonian, q.layout)(x)
     hamiltonian = _hamiltonian_rates(q.layout)(x, grad)
-    body = _add_lifts(sys, q.layout, x, hamiltonian)
+    body = _add_lifts(sys, x, hamiltonian)
     lift = np.subtract(body, hamiltonian)
     nc = lie.algebra_dim(q.kind)
     if np.any(lift[nc:nc + q.n_theta] != 0.0):

@@ -4,12 +4,11 @@ import pytest
 
 from gyrostat import lie
 from gyrostat.controlled import (RCHSystem, dynamical_field,
-                                 fiber_displacement, flat_dynamical_field,
+                                 fiber_map_lift, flat_dynamical_field,
                                  matching_control)
 from gyrostat.lie import SO3, SE3
 from gyrostat.poisson import (Layout, ReducedPoint, ScalarField,
-                              hamiltonian_field, point_like,
-                              random_polynomial_field, reduced_point,
+                              hamiltonian_field, random_polynomial_field,
                               tangent_like)
 
 
@@ -27,7 +26,8 @@ def quadratic_h(dim):
 
 def test_identity_fiber_map_contributes_nothing():
     h = quadratic_h(9)
-    sys = RCHSystem(h, SO3, 3, force=lambda p: p, control=lambda p: p)
+    sys = RCHSystem(h, SO3, 3, force=fiber_map_lift(lambda x: x),
+                    control=fiber_map_lift(lambda x: x))
     p = random_point(np.random.default_rng(0))
     npt.assert_array_equal(dynamical_field(sys, p).flat(),
                            hamiltonian_field(h, p).flat())
@@ -37,10 +37,10 @@ def test_constant_rotor_torque_shifts_momentum_rate_only():
     h = quadratic_h(9)
     delta = np.array([0.2, 0.0, -1.1])
 
-    def torque(p):
-        return ReducedPoint(p.nu, p.theta, p.l + delta)
+    def torque(x):
+        return x[:6] + [a + b for a, b in zip(x[6:], delta)]
 
-    sys = RCHSystem(h, SO3, 3, control=torque)
+    sys = RCHSystem(h, SO3, 3, control=fiber_map_lift(torque))
     p = random_point(np.random.default_rng(3))
     base = hamiltonian_field(h, p)
     out = dynamical_field(sys, p)
@@ -53,8 +53,8 @@ def test_zero_hamiltonian_gives_purely_vertical_field():
     zero = ScalarField(lambda p: 0.0,
                        lambda p: tangent_like(p, np.zeros(p.flat().size)))
     delta = np.array([1.0, 2.0, 3.0])
-    sys = RCHSystem(zero, SO3, 3,
-                    control=lambda p: ReducedPoint(p.nu, p.theta, p.l + delta))
+    sys = RCHSystem(zero, SO3, 3, control=fiber_map_lift(
+        lambda x: x[:6] + [a + b for a, b in zip(x[6:], delta)]))
     p = random_point(np.random.default_rng(4))
     out = dynamical_field(sys, p)
     npt.assert_array_equal(out.d_pi, np.zeros(3))
@@ -67,8 +67,8 @@ def test_field_minus_hamiltonian_part_is_the_lift():
     h = quadratic_h(9)
     for _ in range(20):
         shift = rng.standard_normal(9)
-        sys = RCHSystem(h, SO3, 3,
-                        force=lambda p, s=shift: point_like(p, p.flat() + s))
+        sys = RCHSystem(h, SO3, 3, force=fiber_map_lift(
+            lambda x, s=shift: [a + b for a, b in zip(x, s)]))
         p = random_point(rng)
         residue = dynamical_field(sys, p).flat() - hamiltonian_field(h, p).flat()
         npt.assert_allclose(residue, shift, atol=1e-15)
@@ -78,26 +78,38 @@ def test_vertical_field_form_equals_fiber_map_form():
     h = quadratic_h(9)
     delta = np.array([0.5, -0.2, 0.1])
 
-    def as_map(p):
-        return ReducedPoint(p.nu, p.theta, p.l + delta)
+    def as_map(x):
+        return x[:6] + [a + b for a, b in zip(x[6:], delta)]
 
-    def as_field(p):
-        return tangent_like(p, np.concatenate([np.zeros(6), delta]))
+    def as_field(x):
+        return [0.0] * 6 + delta.tolist()
 
     p = random_point(np.random.default_rng(6))
-    a = dynamical_field(RCHSystem(h, SO3, 3, control=as_map), p)
+    a = dynamical_field(RCHSystem(h, SO3, 3, control=fiber_map_lift(as_map)),
+                        p)
     b = dynamical_field(RCHSystem(h, SO3, 3, control=as_field), p)
     # the map form computes (l + delta) - l, one rounding away from delta
     npt.assert_allclose(a.flat(), b.flat(), atol=1e-15)
+
+
+def test_force_lift_is_added_before_the_control_lift():
+    # (rates + force) + control rounds differently from the other order
+    h = quadratic_h(9)
+    p = random_point(np.random.default_rng(17))
+    force, control = [1.0] * 9, [2.0 ** 53] * 9
+    sys = RCHSystem(h, SO3, 3, force=lambda x: force,
+                    control=lambda x: control)
+    base = hamiltonian_field(h, p).flat().tolist()
+    want = [(r + f) + c for r, f, c in zip(base, force, control)]
+    assert want != [(r + c) + f for r, f, c in zip(base, force, control)]
+    assert flat_dynamical_field(sys, p.layout)(p.flat().tolist()) == want
 
 
 # ------------------------------------------------------------------ validation
 
 def test_fiber_map_changing_layout_rejected():
     h = quadratic_h(9)
-    sys = RCHSystem(h, SO3, 3,
-                    force=lambda p: reduced_point(SO3, p.nu.pi, theta=p.theta,
-                                                  l=p.l[:2]))
+    sys = RCHSystem(h, SO3, 3, force=fiber_map_lift(lambda x: x[:-1]))
     with pytest.raises(ValueError, match="fiber-preserving"):
         dynamical_field(sys, random_point(np.random.default_rng(7)))
 
@@ -111,11 +123,15 @@ def test_point_layout_must_match_system():
         dynamical_field(sys, random_point(np.random.default_rng(8), SE3, 3, 3))
 
 
-def test_bad_control_return_type_rejected():
+def test_lift_of_another_length_rejected():
+    # zip would drop the extra components or the missing rates silently
     h = quadratic_h(9)
-    sys = RCHSystem(h, SO3, 3, control=lambda p: p.flat())
-    with pytest.raises(TypeError, match="force/control"):
-        dynamical_field(sys, random_point(np.random.default_rng(9)))
+    p = random_point(np.random.default_rng(9))
+    for n in (8, 18):
+        sys = RCHSystem(h, SO3, 3, control=lambda x, n=n: [0.0] * n)
+        with pytest.raises(ValueError,
+                           match=f"returned {n} lift components for 9 rates"):
+            dynamical_field(sys, p)
 
 
 def test_bad_kind_and_rotor_count_rejected():
@@ -126,11 +142,11 @@ def test_bad_kind_and_rotor_count_rejected():
         RCHSystem(h, SO3, -1)
 
 
-def test_displacement_requires_same_fiber():
-    p = random_point(np.random.default_rng(10))
-    q = reduced_point(SO3, p.nu.pi, theta=p.theta[:1], l=p.l)
+def test_fiber_map_lift_requires_same_fiber():
+    x = random_point(np.random.default_rng(10)).flat().tolist()
+    lift = fiber_map_lift(lambda y: y[:4] + y[6:])
     with pytest.raises(ValueError, match="fiber-preserving"):
-        fiber_displacement(q, p)
+        lift(x)
 
 
 # ------------------------------------------------------------ matching control
@@ -165,8 +181,8 @@ def test_matching_identical_systems_gives_zero_control():
     v = matching_control(sys, sys, LAYOUT, LAYOUT, same, same, same)
     rng = np.random.default_rng(11)
     for _ in range(10):
-        out = v(random_point(rng))
-        npt.assert_allclose(out.flat(), np.zeros(9), atol=1e-15)
+        out = v(random_point(rng).flat().tolist())
+        npt.assert_allclose(out, np.zeros(9), atol=1e-15)
 
 
 def test_matching_control_reproduces_transported_field():
@@ -193,8 +209,8 @@ def test_matching_control_covers_forced_target():
     ha = random_polynomial_field(rng, 9)
     hb = random_polynomial_field(rng, 9)
     kick = np.concatenate([np.zeros(6), [0.4, -0.3, 0.9]])
-    sys_b = RCHSystem(hb, SO3, 3,
-                      force=lambda p: point_like(p, p.flat() + kick))
+    sys_b = RCHSystem(hb, SO3, 3, force=fiber_map_lift(
+        lambda x: [a + b for a, b in zip(x, kick)]))
     sys_a = RCHSystem(ha, SO3, 3)
     pullback, push, inverse = linear_transport(0.5)
     v = matching_control(sys_a, sys_b, LAYOUT, LAYOUT, pullback, push,
@@ -222,8 +238,8 @@ def test_scaling_target_hamiltonian_doubles_transported_term():
                           pullback, push, inverse)
     p = random_point(rng)
     xa = hamiltonian_field(ha, p).flat()
-    t1 = v1(p).flat() + xa
-    t2 = v2(p).flat() + xa
+    t1 = np.array(v1(p.flat().tolist())) + xa
+    t2 = np.array(v2(p.flat().tolist())) + xa
     npt.assert_allclose(t2, 2.0 * t1, atol=1e-12)
 
 
@@ -237,7 +253,7 @@ def test_non_invertible_pullback_raises():
     v = matching_control(sys, sys, LAYOUT, LAYOUT, collapse, same, same)
     p = random_point(np.random.default_rng(15))
     with pytest.raises(ValueError, match="invertible"):
-        v(p)
+        v(p.flat().tolist())
 
 
 def test_control_rejects_points_of_another_layout():
@@ -247,4 +263,4 @@ def test_control_rejects_points_of_another_layout():
     v = matching_control(sys, sys, LAYOUT, LAYOUT, same, same, same)
     p = random_point(np.random.default_rng(16), nt=0)
     with pytest.raises(ValueError, match="layout"):
-        v(p)
+        v(p.flat().tolist())

@@ -77,9 +77,9 @@ target_ibar = 2.5 1.5 3.5
 target_j = 0.6 0.3 0.4
 """
 
-# A constant vertical control: the force form that is called on a point
-# view of each state. The control pumps energy and pi_sq, so the drift
-# bounds are opened to keep the command passing.
+# A constant vertical control, a lift of fixed components. The control
+# pumps energy and pi_sq, so the drift bounds are opened to keep the
+# command passing.
 CONSTANT_CONTROL = SIMULATE + """
 [control]
 kind = constant

@@ -7,8 +7,8 @@ from numpy.testing import assert_allclose
 from gyrostat import hamilton_jacobi as hj
 from gyrostat import lie, systems
 from gyrostat.controlled import RCHSystem
-from gyrostat.poisson import (ReducedTangent, ScalarField, gradient,
-                              reduced_point, tangent_like)
+from gyrostat.poisson import (ScalarField, gradient, reduced_point,
+                              tangent_like)
 from gyrostat.reduction import momentum_map
 
 RB = systems.RigidBodyRotorParams((1.0, 2.0, 3.0), (0.5, 0.4, 0.3))
@@ -228,10 +228,8 @@ class TestXGamma:
         assert_allclose(x.d_theta, ref.d_l, atol=1e-15)
 
     def test_zero_hamiltonian_with_vertical_control_stays_put(self):
-        def torque(p):
-            return ReducedTangent(np.array([0.1, -0.2, 0.3]), None,
-                                  np.zeros(p.n_theta),
-                                  np.array([0.05, 0.0, 0.0]))
+        def torque(x):
+            return [0.1, -0.2, 0.3] + [0.0] * (len(x) - 6) + [0.05, 0.0, 0.0]
 
         sys = RCHSystem(ScalarField(lambda p: 0.0, lambda p: tangent_like(
                             p, np.zeros(p.flat().size))),
@@ -372,8 +370,8 @@ class TestHJResidual:
         u_pi = rng.standard_normal(3)
         u_l = rng.standard_normal(3)
 
-        def control(p):
-            return ReducedTangent(u_pi, None, np.zeros(3), u_l)
+        def control(x):
+            return u_pi.tolist() + [0.0] * 3 + u_l.tolist()
 
         sys = RCHSystem(systems.rigid_body_hamiltonian(RB), lie.SO3, 3,
                         control=control)
@@ -468,9 +466,8 @@ class TestProbe:
                               0.0).verdict == "INCONSISTENT"
 
 
-def constant_torque(p):
-    return ReducedTangent(np.array([0.1, -0.2, 0.3]), None, np.zeros(3),
-                          np.array([0.05, 0.0, -0.1]))
+def constant_torque(x):
+    return [0.1, -0.2, 0.3] + [0.0] * 3 + [0.05, 0.0, -0.1]
 
 
 class TestProbeRowsAreTheWrappers:

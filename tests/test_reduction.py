@@ -174,9 +174,8 @@ class TestCommutation:
                                  lie.coalgebra(lie.SO3, (0.0, 1.0, 0.0)))
 
     def test_angle_moving_control_rejected(self):
-        def sideways(p):
-            return ReducedTangent(np.zeros(3), None, np.ones(p.n_theta),
-                                  np.zeros(p.n_l))
+        def sideways(x):
+            return [0.0] * 3 + [1.0] * (len(x) - 6) + [0.0] * 3
 
         sys = RCHSystem(rigid_body_system(RB).hamiltonian, lie.SO3, 3,
                         control=sideways)
@@ -189,13 +188,12 @@ class TestCommutation:
     def test_body_and_lift_read_from_one_field_evaluation(self):
         # body is the controlled field and lift is body minus the
         # Hamiltonian field, bit for bit, with a force and a control
-        def force(p):
-            return ReducedTangent(0.3 * p.nu.pi, None, np.zeros(p.n_theta),
-                                  np.zeros(p.n_l))
+        def force(x):
+            return [0.3 * v for v in x[:3]] + [0.0] * (len(x) - 3)
 
-        def control(p):
-            return ReducedTangent(np.sin(p.nu.pi), None,
-                                  np.zeros(p.n_theta), 0.7 * p.l)
+        def control(x):
+            return (np.sin(x[:3]).tolist() + [0.0] * (len(x) - 6)
+                    + [0.7 * v for v in x[-3:]])
 
         sys = RCHSystem(rigid_body_system(RB).hamiltonian, lie.SO3, 3,
                         force=force, control=control)
@@ -210,9 +208,8 @@ class TestCommutation:
                 v.lift, body - hamiltonian_field(sys.hamiltonian, q).flat())
 
     def test_vertical_control_passes_through(self):
-        def torque(p):
-            return ReducedTangent(np.array([0.1, 0.0, 0.0]), None,
-                                  np.zeros(p.n_theta), np.zeros(p.n_l))
+        def torque(x):
+            return [0.1] + [0.0] * (len(x) - 1)
 
         sys = RCHSystem(rigid_body_system(RB).hamiltonian, lie.SO3, 3,
                         control=torque)

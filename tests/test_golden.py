@@ -153,7 +153,8 @@ def _first_difference(name: str, stored: bytes, fresh: bytes) -> str:
 
 
 # Reconstruction over T = 1 at dt = 1e-3: the acceptance-4 rigid body at
-# orders 4 and 1 and the demo-03 heavy top at order 4.
+# orders 4 and 1, and the demo-03 heavy top at order 4, free and under a
+# constant control whose lift the order-4 joint field must carry.
 # case -> (system, initial point, order)
 RECONSTRUCT_CASES = {
     "rigid-body-order4": (
@@ -162,6 +163,14 @@ RECONSTRUCT_CASES = {
                       l=(0.1, -0.2, 0.3)), 4),
     "heavy-top-order4": (
         systems.heavy_top_system(HT),
+        reduced_point(lie.SE3, (0.4, -0.2, 0.8),
+                      np.array([0.2, -0.1, 0.97])
+                      / np.linalg.norm([0.2, -0.1, 0.97]),
+                      theta=(0.0, 0.0), l=(0.05, -0.04)), 4),
+    "heavy-top-control-order4": (
+        replace(systems.heavy_top_system(HT),
+                control=lambda x: [0.05, -0.02, 0.0, 0.0, 0.0, 0.0,
+                                   0.0, 0.0, 0.1, -0.1]),
         reduced_point(lie.SE3, (0.4, -0.2, 0.8),
                       np.array([0.2, -0.1, 0.97])
                       / np.linalg.norm([0.2, -0.1, 0.97]),

@@ -28,8 +28,7 @@ gamma0 /= np.linalg.norm(gamma0)
 q0 = reduced_point(lie.SE3, (0.4, -0.2, 0.8), gamma0,
                    theta=(0.0, 0.0), l=(0.05, -0.04))
 
-field = flat_dynamical_field(sys, q0.layout)
-traj = run(field, q0, 1e-3, 10.0,
+traj = run(flat_dynamical_field(sys, q0.layout), q0, 1e-3, 10.0,
            standard_invariants(sys.hamiltonian, lie.SE3))
 
 for name in traj.drift:
@@ -37,8 +36,7 @@ for name in traj.drift:
 
 # Rebuild R(t) with the fourth-order update, then measure how far the
 # spatial momentum strays from its initial value.
-groups = reconstruct(traj, lie.identity(lie.SE3), sys.hamiltonian,
-                     order=4, field=field)
+groups = reconstruct(traj, lie.identity(lie.SE3), sys, order=4)
 print("max |J(t) - J(0)| after reconstruction:",
       f"{momentum_drift(traj, groups):.3e}")
 

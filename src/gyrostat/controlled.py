@@ -27,14 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .lie import SE3, SO3, algebra_dim
 from .poisson import (FlatField, Layout, ReducedPoint, ReducedTangent,
-                      ScalarField, flat_hamiltonian_field, tangent_like)
-
-#: A map between flat states or tangents as (d,) float64 arrays.
-FlatMap = Callable[[np.ndarray], np.ndarray]
+                      ScalarField, _hamiltonian_rates, flat_gradient,
+                      flat_hamiltonian_field, tangent_like)
 
 
 @dataclass(frozen=True)
@@ -85,16 +81,26 @@ def fiber_map_lift(fmap: FlatField) -> FlatField:
     return lift
 
 
-def flat_dynamical_field(sys: RCHSystem, layout: Layout) -> FlatField:
-    """The full vector field of the controlled system on flat states of
-    ``layout`` (checked here, once), lists of d floats to their d rates:
-    Hamiltonian part plus the vertical lifts of force and control. With
-    both absent this is exactly the Hamiltonian field."""
+def _controlled_rates(sys: RCHSystem,
+                      layout: Layout) -> Callable[[list, list], list]:
+    """(x, g) -> the rates of the controlled system at the flat state x
+    of ``layout`` (checked here, once), given the row gradient g of h
+    there: Hamiltonian rates plus the lifts of force and control."""
     _check_point(sys, layout)
-    hamiltonian = flat_hamiltonian_field(sys.hamiltonian, layout)
+    hamiltonian = _hamiltonian_rates(layout)
     if sys.force is None and sys.control is None:
         return hamiltonian
-    return lambda x: _add_lifts(sys, x, hamiltonian(x))
+    return lambda x, g: _add_lifts(sys, x, hamiltonian(x, g))
+
+
+def flat_dynamical_field(sys: RCHSystem, layout: Layout) -> FlatField:
+    """The full vector field of the controlled system on flat states of
+    ``layout``, lists of d floats to their d rates: Hamiltonian part
+    plus the vertical lifts of force and control. With both absent this
+    is exactly the Hamiltonian field."""
+    rates = _controlled_rates(sys, layout)
+    grad = flat_gradient(sys.hamiltonian, layout)
+    return lambda x: rates(x, grad(x))
 
 
 def _add_lifts(sys: RCHSystem, x: list, out: list) -> list:
@@ -121,12 +127,12 @@ INVERSE_TOL = 1e-9
 
 def matching_control(sys_a: RCHSystem, sys_b: RCHSystem,
                      layout_a: Layout, layout_b: Layout,
-                     pullback: FlatMap, push_tangent: FlatMap,
-                     pullback_inverse: FlatMap) -> FlatField:
+                     pullback: FlatField, push_tangent: FlatField,
+                     pullback_inverse: FlatField) -> FlatField:
     """Control law under which system A shadows system B through a
     diffeomorphism of their reduced spaces.
 
-    The maps act on flat arrays: ``pullback`` maps B-states in
+    The maps take and return lists of floats: ``pullback`` maps B-states in
     ``layout_b`` to A-states in ``layout_a``, ``pullback_inverse`` undoes
     it, and ``push_tangent`` carries tangents at a B-state to tangents
     at its image. The returned flat vertical field is
@@ -150,13 +156,11 @@ def matching_control(sys_a: RCHSystem, sys_b: RCHSystem,
         if len(x) != d:
             raise ValueError(f"state of length {len(x)} does not match the "
                              f"control's layout {layout_a}")
-        xa = np.array(x)
-        y = pullback_inverse(xa)
-        defect = float(np.max(np.abs(pullback(y) - xa)))
+        y = pullback_inverse(x)
+        defect = max(abs(a - b) for a, b in zip(pullback(y), x, strict=True))
         if defect > INVERSE_TOL:
             raise ValueError("pullback is not invertible at this point "
                              f"(round-trip defect {defect:.3e})")
-        pushed = push_tangent(np.array(field_b(y.tolist()))).tolist()
-        return [b - a for a, b in zip(field_a(x), pushed)]
+        return [b - a for a, b in zip(field_a(x), push_tangent(field_b(y)))]
 
     return control

@@ -5,11 +5,11 @@ The full phase space is modeled in left trivialization as tuples
 and momentum vectors. The momentum map of the lifted left action sends
 such a point to its spatial momentum Ad*_{g^-1} p; its level sets
 project onto the reduced space by simply dropping g. Reconstruction
-inverts that projection along a trajectory by integrating
-g_dot = g hat(xi) with xi = dh/dnu evaluated on the flat states of a
-:class:`~gyrostat.integrate.Trajectory`, stepping at order 4 the same
-flat field the integrator stepped, into a stacked
-:class:`~gyrostat.lie.GroupPath`.
+inverts that projection along a trajectory of a controlled system by
+integrating g_dot = g hat(xi) with xi = dh/dnu evaluated on the flat
+states of a :class:`~gyrostat.integrate.Trajectory`, stepping at order
+4 the system's controlled field jointly with g, one gradient per stage
+point, into a stacked :class:`~gyrostat.lie.GroupPath`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import lie
-from .controlled import RCHSystem, _add_lifts, _check_point, dynamical_field
+from .controlled import (RCHSystem, _add_lifts, _check_point,
+                         _controlled_rates, dynamical_field)
 from .integrate import Trajectory, rk4_step
 from .lie import AlgebraVector, CoalgebraVector, GroupElement, GroupPath
 from .poisson import (ReducedPoint, ReducedTangent, ScalarField,
@@ -121,12 +122,6 @@ def reduced_hamiltonian_check(h_full: Callable[[PhasePoint], float],
     return worst
 
 
-def body_velocity(h: ScalarField, q: ReducedPoint) -> AlgebraVector:
-    """dh/dnu at q, the algebra element that drives g along the flow."""
-    grad = flat_gradient(h, q.layout)(q.flat().tolist())
-    return lie.algebra_from_flat(q.kind, grad[:lie.algebra_dim(q.kind)])
-
-
 def full_dynamical_field(sys: RCHSystem, pt: PhasePoint) -> FullTangent:
     """Field on the full space: the reduced field plus the group
     velocity that reconstruction integrates.
@@ -180,18 +175,17 @@ def _dexpinv(sigma: list, xi: list) -> list:
     return [a + 0.5 * b + c / 12.0 for a, b, c in zip(xi, c1, c2)]
 
 
-def reconstruct(traj: Trajectory, g0: GroupElement, h: ScalarField,
-                order: int = 1, field=None) -> GroupPath:
-    """Recover the group trajectory over a reduced trajectory.
+def reconstruct(traj: Trajectory, g0: GroupElement, sys: RCHSystem,
+                order: int = 1) -> GroupPath:
+    """Recover the group trajectory over a reduced trajectory of the
+    controlled system ``sys``, whose layout must fit it.
 
     order=1 steps g_{n+1} = g_n exp(dt xi_n) with xi_n = dh/dnu at
     the n-th state. order=4 is the Runge-Kutta-Munthe-Kaas step: one
-    :func:`~gyrostat.integrate.rk4_step` of the reduced state jointly
-    with the exponential coordinate sigma_dot = dexpinv(sigma, xi(y))
-    from (x_n, 0), then g_{n+1} = g_n exp(sigma). It keeps the recovered
-    momentum map constant to integrator accuracy; it needs ``field``,
-    the flat reduced field (lists of d floats to their rates), to
-    evaluate the reduced flow between samples.
+    :func:`~gyrostat.integrate.rk4_step` of the state under the field of
+    ``sys`` jointly with sigma_dot = dexpinv(sigma, xi(y)) from (x_n, 0),
+    one gradient per stage point for both, then g_{n+1} = g_n exp(sigma).
+    It keeps the recovered momentum map constant to integrator accuracy.
     """
     if len(traj.states) == 0:
         raise ValueError("states must be non-empty")
@@ -199,17 +193,17 @@ def reconstruct(traj: Trajectory, g0: GroupElement, h: ScalarField,
         raise ValueError("dt must be positive")
     if order not in (1, 4):
         raise ValueError(f"order must be 1 or 4, got {order}")
-    if order == 4 and field is None:
-        raise ValueError("order=4 reconstruction needs the reduced field")
     if g0.kind != traj.layout.kind:
         raise ValueError(f"kind mismatch: {g0.kind} vs {traj.layout.kind}")
     n, d = traj.states.shape
     nc = lie.algebra_dim(traj.layout.kind)
-    grad = flat_gradient(h, traj.layout)
+    rates = _controlled_rates(sys, traj.layout)
+    grad = flat_gradient(sys.hamiltonian, traj.layout)
 
     def joint(z: list) -> list:
         y = z[:d]
-        return field(y) + _dexpinv(z[d:], grad(y)[:nc])
+        g = grad(y)
+        return rates(y, g) + _dexpinv(z[d:], g[:nc])
 
     rot, trans = np.empty((n, 3, 3)), np.zeros((n, 3))
     rot[0] = g0.rot

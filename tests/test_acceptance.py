@@ -116,10 +116,8 @@ def test_criterion_4_reconstructed_momentum_map():
     sys = systems.rigid_body_system(RB)
     p0 = reduced_point(lie.SO3, (1.0, 0.4, -0.7), theta=(0.0, 0.0, 0.0),
                        l=(0.1, -0.2, 0.3))
-    fld = flat_dynamical_field(sys, p0.layout)
-    traj = run(fld, p0, 1e-3, 10.0)
-    groups = reconstruct(traj, lie.identity(lie.SO3), sys.hamiltonian,
-                         order=4, field=fld)
+    traj = run(flat_dynamical_field(sys, p0.layout), p0, 1e-3, 10.0)
+    groups = reconstruct(traj, lie.identity(lie.SO3), sys, order=4)
     drift = momentum_drift(traj, groups)
     check("4 momentum map", drift <= 1e-6,
           f"max |J(t) - J(0)| = {drift:.1e} <= 1e-6 on the reconstructed "

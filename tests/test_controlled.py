@@ -161,16 +161,16 @@ def same(x):
 def linear_transport(scale):
     """Flat B-states (pi, theta, l) correspond to flat A-states
     (pi, theta, scale*l)."""
-    stretch = np.concatenate([np.ones(6), np.full(3, scale)])
+    stretch = [1.0] * 6 + [scale] * 3
 
     def pullback(y):
-        return y * stretch
+        return [a * s for a, s in zip(y, stretch)]
 
     def pullback_inverse(x):
-        return x / stretch
+        return [a / s for a, s in zip(x, stretch)]
 
     def push(v):
-        return v * stretch
+        return [a * s for a, s in zip(v, stretch)]
 
     return pullback, push, pullback_inverse
 
@@ -199,7 +199,7 @@ def test_matching_control_reproduces_transported_field():
     for _ in range(100):
         p = random_point(rng)
         got = dynamical_field(controlled, p).flat()
-        want = push(field_b(inverse(p.flat())))
+        want = push(field_b(inverse(p.flat().tolist())))
         assert np.max(np.abs(got - want)) <= 1e-10
 
 
@@ -220,7 +220,7 @@ def test_matching_control_covers_forced_target():
     for _ in range(20):
         p = random_point(rng)
         got = dynamical_field(controlled, p).flat()
-        want = push(field_b(inverse(p.flat())))
+        want = push(field_b(inverse(p.flat().tolist())))
         assert np.max(np.abs(got - want)) <= 1e-10
 
 
@@ -248,11 +248,22 @@ def test_non_invertible_pullback_raises():
     sys = RCHSystem(h, SO3, 3)
 
     def collapse(y):
-        return np.concatenate([y[:6], 0.0 * y[6:]])
+        return y[:6] + [0.0 * v for v in y[6:]]
 
     v = matching_control(sys, sys, LAYOUT, LAYOUT, collapse, same, same)
     p = random_point(np.random.default_rng(15))
     with pytest.raises(ValueError, match="invertible"):
+        v(p.flat().tolist())
+
+
+def test_pullback_changing_length_rejected():
+    # a round trip that drops a component cannot pass the defect check
+    h = quadratic_h(9)
+    sys = RCHSystem(h, SO3, 3)
+    v = matching_control(sys, sys, LAYOUT, LAYOUT, lambda y: y[:-1], same,
+                         same)
+    p = random_point(np.random.default_rng(17))
+    with pytest.raises(ValueError):
         v(p.flat().tolist())
 
 

@@ -1,4 +1,5 @@
-"""Each narrative demo runs standalone and prints its stored output.
+"""Each narrative demo runs standalone and prints its stored output, and
+the README's library quick start runs and prints what its comments say.
 
 A demo whose output changes on purpose regenerates the copies under
 ``tests/golden/demos/`` with
@@ -6,6 +7,8 @@ A demo whose output changes on purpose regenerates the copies under
     PYTHONPATH=src python tests/test_demos.py
 """
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -34,6 +37,27 @@ def test_demo_runs(demo, tmp_path):
     fresh = _stdout(demo, tmp_path)
     assert stored == fresh, _first_difference(f"demos/{demo.stem}.txt",
                                               stored, fresh)
+
+
+def _quick_start() -> str:
+    """The fenced python block under "Library quick start" in README.md."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_start_runs():
+    code = _quick_start()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md quick start", "exec"), {})
+    # each print writes one line; a trailing comment states that line
+    prints = [line for line in code.splitlines() if line.startswith("print(")]
+    printed = out.getvalue().splitlines()
+    assert len(printed) == len(prints)
+    for line, got in zip(prints, printed):
+        if "#" in line:
+            assert got == line.split("#", 1)[1].strip(), line
 
 
 if __name__ == "__main__":

@@ -186,10 +186,8 @@ def _reconstruct_text(case: str) -> bytes:
     """Every 100th rotation and translation and the momentum drift, each
     float written with repr."""
     sys, p0, order = RECONSTRUCT_CASES[case]
-    field = flat_dynamical_field(sys, p0.layout)
-    traj = run(field, p0, 1e-3, 1.0)
-    groups = reconstruct(traj, lie.identity(p0.kind), sys.hamiltonian,
-                         order=order, field=field)
+    traj = run(flat_dynamical_field(sys, p0.layout), p0, 1e-3, 1.0)
+    groups = reconstruct(traj, lie.identity(p0.kind), sys, order=order)
     lines = []
     for i in range(0, len(traj.states), 100):
         lines.append(f"step {i} rot "

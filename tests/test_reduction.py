@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,7 +10,7 @@ from gyrostat.controlled import (RCHSystem, dynamical_field,
 from gyrostat.integrate import Trajectory, run
 from gyrostat.poisson import (ReducedTangent, ScalarField, casimirs,
                               hamiltonian_field, reduced_point, tangent_like)
-from gyrostat.reduction import (PhasePoint, as_reduced, body_velocity,
+from gyrostat.reduction import (PhasePoint, as_reduced,
                                 commutation_residual, full_dynamical_field,
                                 momentum_drift, momentum_fiber_point,
                                 momentum_map, phase_point, project_reduced,
@@ -232,7 +234,7 @@ class TestReconstruct:
         g0 = lie.exp_group(lie.algebra(lie.SO3, (0.3, -0.1, 0.8)))
         traj = constant_trajectory(reduced_point(lie.SO3, (1.0, 2.0, 3.0)),
                                    49, 0.01)
-        groups = reconstruct(traj, g0, h)
+        groups = reconstruct(traj, g0, RCHSystem(h, lie.SO3, 0))
         for rot in groups.rot:
             assert_allclose(rot, g0.rot, atol=1e-15)
 
@@ -246,7 +248,7 @@ class TestReconstruct:
         n, dt = 1000, 1e-3
         traj = constant_trajectory(reduced_point(lie.SO3, (0.0, 0.0, 1.0)),
                                    n, dt)
-        groups = reconstruct(traj, g0, h)
+        groups = reconstruct(traj, g0, RCHSystem(h, lie.SO3, 0))
         want = lie.exp_group(lie.algebra(lie.SO3, n * dt * omega))
         assert_allclose(groups.rot[-1], want.rot, atol=1e-9)
         # output stays a rotation to tight tolerance
@@ -255,32 +257,54 @@ class TestReconstruct:
 
     def test_argument_validation(self):
         h = ScalarField(lambda p: 0.0)
+        sys = RCHSystem(h, lie.SO3, 0)
         q = reduced_point(lie.SO3, (1.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="positive"):
             reconstruct(constant_trajectory(q, 1, -0.1),
-                        lie.identity(lie.SO3), h)
+                        lie.identity(lie.SO3), sys)
         with pytest.raises(ValueError, match="non-empty"):
             reconstruct(constant_trajectory(q, -1, 0.1),
-                        lie.identity(lie.SO3), h)
+                        lie.identity(lie.SO3), sys)
         with pytest.raises(ValueError, match="order"):
             reconstruct(constant_trajectory(q, 0, 0.1),
-                        lie.identity(lie.SO3), h, order=2)
-        with pytest.raises(ValueError, match="field"):
-            reconstruct(constant_trajectory(q, 1, 0.1),
-                        lie.identity(lie.SO3), h, order=4)
+                        lie.identity(lie.SO3), sys, order=2)
+        for order in (1, 4):
+            # a layout without rotors against a system with three
+            with pytest.raises(ValueError, match="rotor_count"):
+                reconstruct(constant_trajectory(q, 1, 0.1),
+                            lie.identity(lie.SO3), RCHSystem(h, lie.SO3, 3),
+                            order=order)
         with pytest.raises(ValueError, match="kind mismatch"):
             reconstruct(constant_trajectory(q, 1, 0.1),
-                        lie.identity(lie.SE3), h)
+                        lie.identity(lie.SE3), sys)
+
+    @pytest.mark.parametrize("order, per_step", [(1, 1), (4, 4)])
+    def test_one_gradient_per_stage_point(self, order, per_step):
+        # order 4 takes the gradient once per RK4 stage point and feeds it
+        # to both the controlled rates and the body velocity
+        sys = rigid_body_system(RB)
+        p0 = reduced_point(lie.SO3, (1.0, 0.4, -0.7), theta=(0, 0, 0),
+                           l=(0.1, -0.2, 0.3))
+        traj = run(flat_dynamical_field(sys, p0.layout), p0, 1e-3, 0.1)
+        calls = []
+        grad_row = sys.hamiltonian.grad_row
+
+        def counted(x):
+            calls.append(1)
+            return grad_row(x)
+
+        counted_sys = replace(
+            sys, hamiltonian=replace(sys.hamiltonian, grad_row=counted))
+        reconstruct(traj, lie.identity(lie.SO3), counted_sys, order=order)
+        assert len(calls) == per_step * (len(traj.states) - 1)
 
     def test_rigid_body_momentum_drift_by_order(self):
         sys = rigid_body_system(RB)
         p0 = reduced_point(lie.SO3, (1.0, 0.4, -0.7), theta=(0, 0, 0),
                            l=(0.1, -0.2, 0.3))
-        fld = flat_dynamical_field(sys, p0.layout)
-        traj = run(fld, p0, 1e-3, 2.5)
-        coarse = reconstruct(traj, lie.identity(lie.SO3), sys.hamiltonian)
-        fine = reconstruct(traj, lie.identity(lie.SO3), sys.hamiltonian,
-                           order=4, field=fld)
+        traj = run(flat_dynamical_field(sys, p0.layout), p0, 1e-3, 2.5)
+        coarse = reconstruct(traj, lie.identity(lie.SO3), sys)
+        fine = reconstruct(traj, lie.identity(lie.SO3), sys, order=4)
         d1 = momentum_drift(traj, coarse)
         d4 = momentum_drift(traj, fine)
         assert d4 <= 1e-6
@@ -292,10 +316,8 @@ class TestReconstruct:
         gamma0 /= np.linalg.norm(gamma0)
         q0 = reduced_point(lie.SE3, (0.4, -0.2, 0.8), gamma0,
                            theta=(0.0, 0.0), l=(0.05, -0.04))
-        fld = flat_dynamical_field(sys, q0.layout)
-        traj = run(fld, q0, 1e-3, 2.5)
-        groups = reconstruct(traj, lie.identity(lie.SE3), sys.hamiltonian,
-                             order=4, field=fld)
+        traj = run(flat_dynamical_field(sys, q0.layout), q0, 1e-3, 2.5)
+        groups = reconstruct(traj, lie.identity(lie.SE3), sys, order=4)
         assert momentum_drift(traj, groups) <= 1e-6
 
     def test_drift_requires_matching_lengths(self):
@@ -310,6 +332,7 @@ class TestBodyVelocity:
         sys = heavy_top_system(HT)
         q = reduced_point(lie.SE3, (0.5, 0.0, 1.0), (0.0, 0.0, 1.0),
                           theta=(0.0, 0.0), l=(0.1, 0.0))
-        xi = body_velocity(sys.hamiltonian, q)
+        pt = phase_point(lie.identity(lie.SE3), q.nu, q.theta, q.l)
+        xi = full_dynamical_field(sys, pt).xi
         assert xi.kind == lie.SE3
         assert_allclose(xi.vel, HT.mgh * HT.chi)

@@ -57,6 +57,19 @@ l0 = 0.0 0.0
 samples = 40
 """
 
+# The rigid body on a nonzero momentum level: the samples come from the
+# SO(3) isotropy subgroup of nu0, rotations about the third axis. The
+# rotor momentum l0_3 = j_3 nu0_3 / (ibar_3 + j_3) = 0.6 / 3.3 parks the
+# third rotor, so this spun-up equilibrium solves the system and every
+# sample passes.
+RIGID_ISOTROPY_PROBE = SIMULATE + """
+[gamma]
+kind = constant_body
+nu0 = 0.0 0.0 2.0
+l0 = 0.0 0.0 0.18181818181818182
+samples = 40
+"""
+
 # The SE(3) invariant series (energy, pi_dot_gamma, gamma_sq) of a heavy
 # top whose rotors carry angles and momenta.
 HEAVY_TOP_SIMULATE = HEAVY_TOP.replace(
@@ -125,6 +138,8 @@ CASES = {
                                             HEAVY_TOP_CONSTANT_CONTROL),
     "hj-check-constant-control": (["hj-check", "--seed", "1"],
                                   HEAVY_TOP_CONSTANT_CONTROL_PROBE),
+    "hj-check-rigid-isotropy": (["hj-check", "--seed", "1"],
+                                RIGID_ISOTROPY_PROBE),
 }
 
 

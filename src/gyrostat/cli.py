@@ -189,15 +189,13 @@ def cmd_hj_check(args) -> int:
         probe = hj.theorem_equivalence_probe(system, section, samples,
                                              mu=mu)
     except hj.GateRejection as exc:
-        defect = hj.closedness_defect(section, samples=samples)
         _hj_failure_reports(out, section, mu, "GATE_REJECTED", str(exc),
-                            defect)
+                            exc.closedness_defect)
         _complain(f"hj-check rejected: {exc}")
         return EXIT_GATE
     except hj.MembershipError as exc:
-        defect = hj.closedness_defect(section, samples=samples)
         _hj_failure_reports(out, section, mu, "MEMBERSHIP_VIOLATION",
-                            str(exc), defect)
+                            str(exc), exc.closedness_defect)
         _complain(f"hj-check rejected: {exc}")
         return EXIT_MEMBERSHIP
 

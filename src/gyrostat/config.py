@@ -57,9 +57,9 @@ import numpy as np
 
 from . import lie
 from .controlled import RCHSystem, matching_control
-from .hamilton_jacobi import (Configuration, OneFormSection,
-                              affine_rotor_section, constant_body_section,
-                              isotropy_configurations, isotropy_sampleable,
+from .hamilton_jacobi import (ConfigurationStack, affine_rotor_section,
+                              constant_body_section, isotropy_configurations,
+                              isotropy_sampleable, random_configurations,
                               rotor_quadratic_section, zero_section)
 from .poisson import Layout, ReducedPoint, point_like, reduced_point
 from .systems import (HeavyTopParams, HeavyTopRotorParams,
@@ -77,9 +77,10 @@ SECTION_BUILTINS = ("rotor_quadratic",)
 # state size d = 10 with m = 3 invariants.
 MAX_STEPS = 10**7
 
-# Ceiling on [gamma] samples. hj-check holds every sample configuration
-# and probe row at once, about 1 KB per sample (tracemalloc peak on the
-# 500-sample heavy-top probe), so 10^6 samples hold about 1 GB.
+# Ceiling on [gamma] samples. hj-check holds every sample and probe row
+# at once: its tracemalloc peak on the heavy-top probe grows about 520 B
+# per sample (500 to 8000 samples), of which the stacked sample holds
+# 112 B and its probe row the rest, so 10^6 samples hold about 0.5 GB.
 MAX_SAMPLES = 10**6
 
 _SECTIONS = ("system", "params", "initial", "run", "gamma", "control",
@@ -585,17 +586,17 @@ def build_section(cfg: ScenarioConfig):
 
 
 def sample_configurations(cfg: ScenarioConfig, mu,
-                          rng: np.random.Generator) -> list:
-    """Sample batch for residual checks: global over the configuration
-    space on the zero level, the momentum's isotropy subgroup otherwise,
-    so constant sections sit exactly on their level set."""
+                          rng: np.random.Generator) -> ConfigurationStack:
+    """Stacked sample batch for residual checks: global over the
+    configuration space on the zero level, with angles uniform in
+    [-1, 1), and the momentum's isotropy subgroup otherwise, so constant
+    sections sit exactly on their level set."""
     if cfg.gamma is None:
         raise ConfigError("[gamma] kind: missing required key")
     n = cfg.gamma["samples"]
     k = rotor_count(cfg.system)
     kind = algebra_kind(cfg.system)
     if float(np.linalg.norm(mu.flat())) == 0.0:
-        return [Configuration(lie.random_group(rng, kind),
-                              rng.uniform(-1.0, 1.0, k))
-                for _ in range(n)]
+        return random_configurations(rng, kind, n, k,
+                                     lambda: rng.uniform(-1.0, 1.0, k))
     return isotropy_configurations(rng, mu, n, k)

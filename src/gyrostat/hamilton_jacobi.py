@@ -48,11 +48,18 @@ FAMILIES = ("exact_dW", "constant_body", "custom")
 
 
 class GateRejection(ValueError):
-    """A section failed the closedness prerequisite of a probe."""
+    """A section failed the closedness prerequisite of a probe;
+    ``closedness_defect`` is the gate value it failed with."""
+
+    closedness_defect: float | None = None
 
 
 class MembershipError(ValueError):
-    """A section image left the momentum level set it was declared on."""
+    """A section image left the momentum level set it was declared on.
+    Raised by :func:`theorem_equivalence_probe`, it carries the gate
+    value the section passed as ``closedness_defect``."""
+
+    closedness_defect: float | None = None
 
 
 @dataclass(frozen=True)
@@ -99,43 +106,111 @@ def isotropy_sampleable(mu) -> bool:
                 > 1e-12 * max(1.0, norm))
 
 
+@dataclass(frozen=True)
+class ConfigurationStack:
+    """n configurations stacked: a :class:`lie.GroupPath` of their group
+    parts and an (n, k) array of their rotor angles, each checked once.
+    Indexing and iteration give one-sample :class:`Configuration` views,
+    whose group elements run no second rotation check."""
+
+    g: lie.GroupPath
+    theta: np.ndarray
+
+    def __post_init__(self):
+        theta = np.asarray(self.theta, dtype=float)
+        n = self.g.rot.shape[0]
+        if theta.ndim != 2 or theta.shape[0] != n:
+            raise ValueError(f"theta must be an ({n}, k) array, got shape "
+                             f"{theta.shape}")
+        if not np.isfinite(theta).all():
+            raise ValueError("rotor angles must be finite")
+        object.__setattr__(self, "theta", theta)
+
+    def __len__(self) -> int:
+        return self.theta.shape[0]
+
+    def __getitem__(self, i: int) -> Configuration:
+        # row i passed the stack's checks, so the view skips them
+        q = object.__new__(Configuration)
+        object.__setattr__(q, "g", self.g.element(i))
+        object.__setattr__(q, "theta", self.theta[i])
+        return q
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
+def _stack(kind: str, n: int, rotor_count: int,
+           draw: Callable[[], tuple]) -> ConfigurationStack:
+    """n samples drawn one at a time, so the RNG order is the per-sample
+    one: draw() returns a sample's rotation, translation (None on SO(3))
+    and angles, which are written into preallocated stacks."""
+    if n < 1:
+        raise ValueError("need at least one sample configuration")
+    rot = np.empty((n, 3, 3))
+    trans = None if kind == lie.SO3 else np.empty((n, 3))
+    theta = np.empty((n, rotor_count))
+    for i in range(n):
+        rot[i], t, theta[i] = draw()
+        if trans is not None:
+            trans[i] = t
+    return ConfigurationStack(lie.GroupPath(kind, rot, trans), theta)
+
+
+def random_configurations(rng: np.random.Generator, kind: str, n: int,
+                          rotor_count: int,
+                          angles: Callable[[], np.ndarray]
+                          ) -> ConfigurationStack:
+    """n configurations over the whole configuration space, each drawn as
+    :func:`lie.random_group` draws its group part, then angles()."""
+
+    def draw():
+        return *lie.flat_exp(lie.random_algebra(rng, kind).flat()), angles()
+
+    return _stack(kind, n, rotor_count, draw)
+
+
 def isotropy_configurations(rng: np.random.Generator, mu, n: int,
                             rotor_count: int,
-                            theta_scale: float = 1.0) -> list:
-    """Configurations whose group part fixes the spatial momentum mu
-    under the coadjoint action, so constant-body sections at mu sit
-    exactly on the mu level set there.
+                            theta_scale: float = 1.0) -> ConfigurationStack:
+    """n configurations, stacked, whose group part fixes the spatial
+    momentum mu under the coadjoint action, so constant-body sections at
+    mu sit exactly on the mu level set there.
 
     Supports any so(3)* value and the aligned se(3)* values (pi parallel
     to gamma, including pi = 0); a generic se(3)* momentum has a
-    stabilizer this sampler does not parameterize.
+    stabilizer this sampler does not parameterize. Each sample draws its
+    angle about the axis, then on se(3)* its slide along the axis, then
+    its rotor angles.
     """
-    out = []
+
+    def angles():
+        return theta_scale * rng.standard_normal(rotor_count)
+
     if mu.kind == lie.SO3:
         norm = float(np.linalg.norm(mu.pi))
-        for _ in range(n):
-            if norm == 0.0:
-                g = lie.random_group(rng, lie.SO3)
-            else:
-                angle = rng.uniform(-np.pi, np.pi)
-                g = lie.exp_group(lie.algebra(lie.SO3,
-                                              angle * mu.pi / norm))
-            out.append(Configuration(g, theta_scale
-                                     * rng.standard_normal(rotor_count)))
-        return out
+        if norm == 0.0:
+            return random_configurations(rng, lie.SO3, n, rotor_count,
+                                         angles)
+
+        def draw():
+            angle = rng.uniform(-np.pi, np.pi)
+            return lie.flat_exp(angle * mu.pi / norm)[0], None, angles()
+
+        return _stack(lie.SO3, n, rotor_count, draw)
     if not isotropy_sampleable(mu):
         raise ValueError("isotropy sampling needs pi parallel to gamma "
                          "(or pi = 0) with gamma nonzero")
     axis = mu.gamma / np.linalg.norm(mu.gamma)
-    for _ in range(n):
-        angle = rng.uniform(-np.pi, np.pi)
-        slide = rng.standard_normal()
-        g = lie.compose(
-            lie.exp_group(lie.algebra(lie.SE3, angle * axis, (0, 0, 0))),
-            lie.exp_group(lie.algebra(lie.SE3, (0, 0, 0), slide * axis)))
-        out.append(Configuration(g, theta_scale
-                                 * rng.standard_normal(rotor_count)))
-    return out
+
+    def slide_draw():
+        # exp(angle axis, 0) composed with exp(0, slide axis): the second
+        # factor's rotation is the identity and the first one's
+        # translation zero, so the product is (R, R slide axis)
+        rot = lie.flat_exp(rng.uniform(-np.pi, np.pi) * axis)[0]
+        return rot, rot @ (rng.standard_normal() * axis), angles()
+
+    return _stack(lie.SE3, n, rotor_count, slide_draw)
 
 
 @dataclass(frozen=True)
@@ -358,24 +433,20 @@ def spatial_section(mu, rotor_count: int = 0, l0=()) -> OneFormSection:
 # ---------------------------------------------------------------------------
 
 def _default_samples(gamma: OneFormSection, n_samples: int,
-                     seed: int) -> list:
+                     seed: int) -> ConfigurationStack:
+    """n_samples configurations in :func:`random_configuration`'s order."""
     rng = np.random.default_rng(seed)
-    return [random_configuration(rng, gamma.kind, gamma.rotor_count)
-            for _ in range(n_samples)]
+    k = gamma.rotor_count
+    return random_configurations(rng, gamma.kind, n_samples, k,
+                                 lambda: rng.standard_normal(k))
 
 
-def _frame_partials(gamma: OneFormSection, q: Configuration) -> np.ndarray:
-    """Matrix D with D[i] = derivative of the fiber components along
-    frame direction i."""
-    frame = base_frame(gamma.kind, gamma.rotor_count)
-    return np.stack([fiber_derivative(gamma, q, e) for e in frame])
-
-
-def exterior_derivative_matrix(gamma: OneFormSection,
-                               q: Configuration) -> np.ndarray:
-    """Antisymmetric matrix of d gamma on frame pairs at q, computed
-    from central differences of the frame components."""
-    partials = _frame_partials(gamma, q)
+def _exterior_derivative(gamma: OneFormSection, q: Configuration,
+                         frame: list) -> np.ndarray:
+    """Antisymmetric matrix D - D^T of d gamma on the pairs of frame, the
+    :func:`base_frame` of gamma, at q: D[i] is the derivative of the
+    fiber components along frame[i]."""
+    partials = np.stack([fiber_derivative(gamma, q, e) for e in frame])
     return partials - partials.T
 
 
@@ -386,10 +457,11 @@ def closedness_defect(gamma: OneFormSection, n_samples: int = 20,
     section reports its unit coefficient."""
     configs = samples if samples is not None else \
         _default_samples(gamma, n_samples, seed)
+    frame = base_frame(gamma.kind, gamma.rotor_count)
     worst = 0.0
     for q in configs:
         worst = max(worst, float(np.max(np.abs(
-            exterior_derivative_matrix(gamma, q)))))
+            _exterior_derivative(gamma, q, frame)))))
     return worst
 
 
@@ -415,6 +487,7 @@ def pullback_identity_defect(gamma: OneFormSection, n_samples: int = 20,
     rng = np.random.default_rng(seed + 1)
     d = lie.algebra_dim(gamma.kind)
     dim = d + gamma.rotor_count
+    frame = base_frame(gamma.kind, gamma.rotor_count)
     worst = 0.0
     for q in configs:
         raw = rng.standard_normal((2, dim))
@@ -425,7 +498,7 @@ def pullback_identity_defect(gamma: OneFormSection, n_samples: int = 20,
         dv = fiber_derivative(gamma, q, v)
         dw = fiber_derivative(gamma, q, w)
         lhs = _two_form(dv[:d], dw[:d], v, w, dv[d:], dw[d:])
-        dmat = exterior_derivative_matrix(gamma, q)
+        dmat = _exterior_derivative(gamma, q, frame)
         rhs = -float(v.flat() @ dmat @ w.flat())
         worst = max(worst, abs(lhs - rhs))
     return worst
@@ -553,17 +626,24 @@ def theorem_equivalence_probe(sys: RCHSystem, gamma: OneFormSection,
     every sample must land PASS (both below 1e-6) or FAIL (both above
     1e-3); a sample with one small and one large residual is reported
     INCONSISTENT. Sections failing the closedness prerequisite are
-    rejected with :class:`GateRejection`.
+    rejected with :class:`GateRejection`. Either error carries the gate
+    value as ``closedness_defect``.
     """
     if not samples:
         raise ValueError("probe needs at least one sample configuration")
     gate = closedness_defect(gamma, samples=samples)
     if gate > GATE_TOL:
-        raise GateRejection("section fails the closedness gate "
+        exc = GateRejection("section fails the closedness gate "
                             f"(defect {gate:.3e} > {GATE_TOL:g})")
+        exc.closedness_defect = gate
+        raise exc
     rows = []
     for q in samples:
-        ev = _evaluate(sys, gamma, q, mu)
+        try:
+            ev = _evaluate(sys, gamma, q, mu)
+        except MembershipError as exc:
+            exc.closedness_defect = gate
+            raise
         h = float(np.linalg.norm(ev.hj_components))
         rows.append(ProbeSample(ev.relatedness, h, ev.x.norm(),
                                 _classify(ev.relatedness, h)))

@@ -185,6 +185,16 @@ class GroupPath:
     def __post_init__(self):
         _set_group_parts(self, np.shape(self.rot)[:1])
 
+    def element(self, i: int) -> GroupElement:
+        """Element i as a :class:`GroupElement` on views of row i. Its
+        rotation passed the check over the stack, so none runs again."""
+        g = object.__new__(GroupElement)
+        object.__setattr__(g, "kind", self.kind)
+        object.__setattr__(g, "rot", self.rot[i])
+        object.__setattr__(g, "trans",
+                           None if self.trans is None else self.trans[i])
+        return g
+
 
 def algebra(kind: str, omega, vel=None) -> AlgebraVector:
     """Convenience constructor; fills ``vel = 0`` for SE3 when omitted."""

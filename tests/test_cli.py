@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from gyrostat import hamilton_jacobi as hj
+
 from gyrostat.cli import (EXIT_CONFIG, EXIT_GATE, EXIT_MEMBERSHIP, EXIT_OK,
                           EXIT_RUNTIME, build_parser, main)
 
@@ -249,6 +251,31 @@ class TestHJCheck:
         assert kv["verdict"] == "MEMBERSHIP_VIOLATION"
         assert "level set" in kv["error"]
         assert "defect" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gamma, code, verdict, defect", [
+        ("kind = explicit\ncomponents = 0. 0. 0. 0.1 0.2 0.3\n"
+         "theta_coupling = 0. 0. 0. 1. 0. 0. 0. 0. 0.\n", EXIT_GATE,
+         "GATE_REJECTED", "1.0"),
+        ("kind = constant_body\nnu0 = 1.0 0.0 0.0\nmu = 0.0 0.0 1.0\n",
+         EXIT_MEMBERSHIP, "MEMBERSHIP_VIOLATION", "0.0"),
+    ], ids=["gate", "membership"])
+    def test_failure_report_runs_the_gate_once(self, tmp_path, monkeypatch,
+                                               gamma, code, verdict, defect):
+        # the report reads the probe's gate value off the error
+        calls = []
+        gate = hj.closedness_defect
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return gate(*args, **kwargs)
+
+        monkeypatch.setattr(hj, "closedness_defect", counted)
+        text = RB + f"\n[gamma]\n{gamma}samples = 10\n"
+        assert cli("hj-check", "--config", scenario(tmp_path, text),
+                   "--out", tmp_path / "out", "--quiet") == code
+        kv = read_kv(tmp_path / "out" / "hj_report.kv")
+        assert (kv["verdict"], kv["closedness_defect"]) == (verdict, defect)
+        assert len(calls) == 1
 
     def test_reports_are_seeded_and_reproducible(self, tmp_path):
         text = RB + "\n[gamma]\nkind = exact_dW\nname = rotor_quadratic\n" \

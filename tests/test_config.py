@@ -1,5 +1,7 @@
 """Scenario file parsing, emission, and the config-to-object builders."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -388,6 +390,47 @@ class TestBuilders:
         for q in cfgmod.sample_configurations(cfg, mu, rng):
             assert_allclose(lie.Ad_star(q.g, mu).flat(), mu.flat(),
                             atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 3, 2027])
+    @pytest.mark.parametrize("text", [RB, HT], ids=["so3", "se3"])
+    def test_zero_level_stack_is_bitwise_the_per_sample_loop(self, text,
+                                                             seed):
+        # the draws as they were made one Configuration at a time
+        cfg = parse_config(text + "\n[gamma]\nkind = zero\nsamples = 30\n")
+        _, mu = cfgmod.build_section(cfg)
+        stack = cfgmod.sample_configurations(cfg, mu,
+                                             np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        k = cfgmod.rotor_count(cfg.system)
+        want = [(lie.random_group(rng, mu.kind), rng.uniform(-1.0, 1.0, k))
+                for _ in range(30)]
+        assert np.array_equal(stack.g.rot, [g.rot for g, _ in want])
+        if mu.kind == lie.SE3:
+            assert np.array_equal(stack.g.trans, [g.trans for g, _ in want])
+        assert np.array_equal(stack.theta, [theta for _, theta in want])
+
+    def test_samples_retain_one_stacked_row_each(self):
+        # 112 B a sample on the heavy top (a 3x3 rotation, a translation
+        # and two angles); one Configuration object per sample held
+        # 657 B. The peak adds the rotation check's temporaries over the
+        # stack. Traced sampling runs about 5x slower than untraced, so
+        # this draws 10^4 samples; 10^5 retain 112 B each and peak at
+        # about 26 MB.
+        n = 10**4
+        cfg = parse_config(HT + "\n[gamma]\nkind = constant_body\n"
+                                f"nu0 = 0. 0. 0. 0. 0. 1.\nsamples = {n}\n")
+        _, mu = cfgmod.build_section(cfg)
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            samples = cfgmod.sample_configurations(cfg, mu, rng)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(samples) == n
+        assert held - base <= 150 * n
+        assert peak - base <= 400 * n
 
     def test_sampling_is_seed_deterministic(self):
         cfg = parse_config(RB + "\n[gamma]\nkind = zero\nsamples = 7\n")

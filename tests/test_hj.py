@@ -85,6 +85,115 @@ class TestConfigurations:
         assert qs[0].g.rot.shape == (3, 3)
 
 
+def _reference_rows(rng, mu, n, k):
+    """Samples as drawn one Configuration at a time before they were
+    stacked: per-sample flat_exp, and compose of the angle and slide
+    factors on se(3)*."""
+    rows = []
+    for _ in range(n):
+        if not np.any(mu.flat()):
+            x = lie.random_algebra(rng, mu.kind).flat()
+            g = lie.GroupElement(mu.kind, *lie.flat_exp(x))
+        elif mu.kind == lie.SO3:
+            norm = float(np.linalg.norm(mu.pi))
+            angle = rng.uniform(-np.pi, np.pi)
+            g = lie.GroupElement(lie.SO3,
+                                 *lie.flat_exp(angle * mu.pi / norm))
+        else:
+            axis = mu.gamma / np.linalg.norm(mu.gamma)
+            angle = rng.uniform(-np.pi, np.pi)
+            slide = rng.standard_normal()
+            turn = lie.flat_exp(np.concatenate([angle * axis, np.zeros(3)]))
+            shift = lie.flat_exp(np.concatenate([np.zeros(3), slide * axis]))
+            g = lie.compose(lie.GroupElement(lie.SE3, *turn),
+                            lie.GroupElement(lie.SE3, *shift))
+        rows.append((g.rot, g.trans, rng.standard_normal(k)))
+    return rows
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a),
+                                                   np.signbit(b))
+
+
+ISOTROPY_LEVELS = {
+    "so3-level": lie.coalgebra(lie.SO3, (0.4, -0.2, 0.9)),
+    "so3-zero": lie.coalgebra(lie.SO3, np.zeros(3)),
+    "se3-axis": lie.coalgebra(lie.SE3, np.zeros(3), (0.0, 0.0, 1.0)),
+    "se3-off-axis": lie.coalgebra(lie.SE3, (0.6, -0.8, 2.4),
+                                  (0.3, -0.4, 1.2)),
+}
+
+
+class TestStackedSamples:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2027])
+    @pytest.mark.parametrize("level", sorted(ISOTROPY_LEVELS))
+    def test_isotropy_stack_is_bitwise_the_per_sample_loop(self, level,
+                                                           seed):
+        mu = ISOTROPY_LEVELS[level]
+        stack = hj.isotropy_configurations(np.random.default_rng(seed), mu,
+                                           60, 3)
+        want = _reference_rows(np.random.default_rng(seed), mu, 60, 3)
+        assert _same_bits(stack.g.rot, np.array([r[0] for r in want]))
+        if mu.kind == lie.SE3:
+            assert _same_bits(stack.g.trans, np.array([r[1] for r in want]))
+        else:
+            assert stack.g.trans is None
+        assert _same_bits(stack.theta, np.array([r[2] for r in want]))
+
+    @pytest.mark.parametrize("seed", [0, 5, 2027])
+    @pytest.mark.parametrize("kind", [lie.SO3, lie.SE3])
+    def test_default_samples_are_bitwise_random_configuration(self, kind,
+                                                               seed):
+        gamma = hj.zero_section(kind, 2)
+        stack = hj._default_samples(gamma, 40, seed)
+        rng = np.random.default_rng(seed)
+        want = [hj.random_configuration(rng, kind, 2) for _ in range(40)]
+        assert _same_bits(stack.g.rot, np.array([q.g.rot for q in want]))
+        if kind == lie.SE3:
+            assert _same_bits(stack.g.trans,
+                              np.array([q.g.trans for q in want]))
+        assert _same_bits(stack.theta, np.array([q.theta for q in want]))
+
+    def test_rotations_are_checked_once_over_the_stack(self, monkeypatch):
+        calls = []
+        check = lie._check_rotations
+        monkeypatch.setattr(lie, "_check_rotations",
+                            lambda rot: calls.append(rot.shape) or check(rot))
+        mu = ISOTROPY_LEVELS["se3-off-axis"]
+        stack = hj.isotropy_configurations(np.random.default_rng(3), mu,
+                                           50, 2)
+        assert calls == [(50, 3, 3)]
+        views = list(stack)
+        assert calls == [(50, 3, 3)]
+        assert len(stack) == len(views) == 50
+        q = views[17]
+        assert isinstance(q, hj.Configuration) and q.kind == lie.SE3
+        assert np.shares_memory(q.g.rot, stack.g.rot)
+        assert np.array_equal(q.g.trans, stack.g.trans[17])
+        assert np.array_equal(q.theta, stack.theta[17])
+        assert stack[-1].theta.shape == (2,)
+
+    def test_corrupted_row_is_rejected_by_index(self):
+        mu = ISOTROPY_LEVELS["so3-level"]
+        stack = hj.isotropy_configurations(np.random.default_rng(4), mu,
+                                           8, 3)
+        rot = stack.g.rot.copy()
+        rot[5] *= 1.01
+        with pytest.raises(ValueError, match=r"rot\[5\] is not orthonormal"):
+            hj.ConfigurationStack(lie.GroupPath(lie.SO3, rot), stack.theta)
+
+    def test_angles_are_checked(self):
+        path = lie.GroupPath(lie.SO3, np.stack([np.eye(3)] * 3))
+        with pytest.raises(ValueError, match=r"\(3, k\)"):
+            hj.ConfigurationStack(path, np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="finite"):
+            hj.ConfigurationStack(path, [[0.0], [np.inf], [0.0]])
+        with pytest.raises(ValueError, match="at least one"):
+            hj.isotropy_configurations(np.random.default_rng(0),
+                                       ISOTROPY_LEVELS["so3-level"], 0, 1)
+
+
 class TestSections:
     def test_constant_body_value_covers(self):
         nu = lie.coalgebra(lie.SO3, (0.1, 0.2, 0.3))

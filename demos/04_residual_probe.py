@@ -26,9 +26,9 @@ HT = HeavyTopRotorParams((2.0, 1.5, 1.0), (0.4, 0.3), 1.2, 9.8, 0.5,
 def show(title, probe):
     print(title)
     print("  verdict:", probe.verdict)
-    for s in probe.samples[:4]:
-        print(f"  relatedness {s.relatedness:11.4e}   "
-              f"hj {s.hj:11.4e}   {s.label}")
+    for rel, res, label in zip(probe.relatedness[:4], probe.hj,
+                               probe.labels):
+        print(f"  relatedness {rel:11.4e}   hj {res:11.4e}   {label}")
     print()
 
 

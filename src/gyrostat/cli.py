@@ -199,34 +199,35 @@ def cmd_hj_check(args) -> int:
         _complain(f"hj-check rejected: {exc}")
         return EXIT_MEMBERSHIP
 
-    report = hj.residual_report(probe)
-
+    worst_rel = int(np.argmax(probe.relatedness))
+    worst_hj = int(np.argmax(probe.hj))
     lines = [f"section family: {section.family}",
              f"momentum level: {_vec_text(mu.flat())}",
-             f"samples: {report.sample_count}",
-             f"closedness defect: {report.closedness_defect:.6e} "
+             f"samples: {len(probe.labels)}",
+             f"closedness defect: {probe.gate_defect:.6e} "
              f"(gate {hj.GATE_TOL:g})",
              "",
              f"{'idx':>5}  {'relatedness':>13}  {'hj residual':>13}  "
              f"{'|X_gamma|':>11}  class"]
-    for i, s in enumerate(probe.samples):
-        lines.append(f"{i:5d}  {s.relatedness:13.6e}  {s.hj:13.6e}  "
-                     f"{s.x_norm:11.4e}  {s.label}")
+    for i, row in enumerate(zip(probe.relatedness.tolist(), probe.hj.tolist(),
+                                probe.x_norm.tolist(), probe.labels)):
+        lines.append("{:5d}  {:13.6e}  {:13.6e}  {:11.4e}  {}".format(i, *row))
     lines += ["", f"verdict: {probe.verdict}"]
     _write_text(out / "hj_report.txt", "\n".join(lines) + "\n")
 
-    kv = [("closedness_defect", repr(report.closedness_defect)),
-          ("relatedness_residual", repr(report.relatedness_residual)),
-          ("hj_residual", repr(report.hj_residual)),
-          ("sample_count", report.sample_count),
-          ("worst_relatedness_index", report.worst_relatedness_index),
-          ("worst_hj_index", report.worst_hj_index),
+    # repr(float(...)): a NumPy scalar's repr reads np.float64(...)
+    kv = [("closedness_defect", repr(float(probe.gate_defect))),
+          ("relatedness_residual", repr(float(probe.relatedness[worst_rel]))),
+          ("hj_residual", repr(float(probe.hj[worst_hj]))),
+          ("sample_count", len(probe.labels)),
+          ("worst_relatedness_index", worst_rel),
+          ("worst_hj_index", worst_hj),
           ("verdict", probe.verdict)]
     _write_text(out / "hj_report.kv", _kv_text(kv))
 
     _say(args, f"wrote {out / 'hj_report.txt'} and {out / 'hj_report.kv'}")
     _say(args, f"verdict: {probe.verdict}")
-    inconsistent = any(s.label == "INCONSISTENT" for s in probe.samples)
+    inconsistent = "INCONSISTENT" in probe.labels
     if inconsistent:
         _complain("residuals disagree on at least one sample; "
                   "see hj_report.txt")
@@ -324,12 +325,19 @@ exit codes: 0 success; 1 runtime check failed; 2 bad configuration;
 """
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(sp, config_required: bool = True):
     sp.add_argument("--config", required=config_required, default=None,
                     help="scenario file (INI; see the config module)")
     sp.add_argument("--out", default="./out",
                     help="output directory (default ./out)")
-    sp.add_argument("--seed", type=int, default=None,
+    sp.add_argument("--seed", type=_seed, default=None,
                     help="sampling seed; overrides [run] seed (default 0)")
     sp.add_argument("--quiet", action="store_true",
                     help="suppress success chatter on stdout")

@@ -77,10 +77,10 @@ SECTION_BUILTINS = ("rotor_quadratic",)
 # state size d = 10 with m = 3 invariants.
 MAX_STEPS = 10**7
 
-# Ceiling on [gamma] samples. hj-check holds every sample and probe row
-# at once: its tracemalloc peak on the heavy-top probe grows about 520 B
-# per sample (500 to 8000 samples), of which the stacked sample holds
-# 112 B and its probe row the rest, so 10^6 samples hold about 0.5 GB.
+# Ceiling on [gamma] samples. hj-check holds every sample and its probe
+# columns at once: its tracemalloc peak on the heavy-top probe grows about
+# 370 B per sample (500 to 8000 samples), of which the stacked sample holds
+# 112 B and the probe columns 33 B, so 10^6 samples peak near 0.37 GB.
 MAX_SAMPLES = 10**6
 
 _SECTIONS = ("system", "params", "initial", "run", "gamma", "control",
@@ -241,10 +241,11 @@ def _parse_run(data: dict) -> dict:
         raise ConfigError("[run] dt: must be positive")
     if t_final <= 0:
         raise ConfigError("[run] t_final: must be positive")
-    n = round(t_final / dt)
-    if n > MAX_STEPS:
-        raise ConfigError(f"[run] t_final / dt: {n} steps exceed the limit "
-                          f"of {MAX_STEPS}")
+    steps = t_final / dt
+    if steps > MAX_STEPS + 0.5:  # round(steps) > MAX_STEPS, or inf
+        raise ConfigError(f"[run] t_final / dt: {steps:.0f} steps exceed "
+                          f"the limit of {MAX_STEPS}")
+    n = round(steps)
     if n < 1 or abs(n * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
         raise ConfigError("[run] dt: must divide t_final into whole steps")
     if seed < 0:

@@ -2,30 +2,31 @@
 
 A section assigns momenta to configurations: value(q) is a full phase
 point over q. Everything differential here is computed in the
-left-trivialized frame: a base direction is an (algebra vector, angle
-velocity) pair, a base move follows (g exp(t xi), theta + t dtheta), and
-component derivatives are central finite differences
+left-trivialized frame: a base direction is a flat (d + k,) array of
+algebra components then angle rates, the row (xi, dtheta) stands for
+(g exp(xi), theta + dtheta), and component derivatives are central
+finite differences
 (:func:`gyrostat.poisson.central_difference`, step ``FD_STEP``) of the
 section's body components in these exponential coordinates centred at
 the base point. Closedness, the canonical two-form, and the residuals
 are all stated in that trivialization, so a section with constant body
 components is closed for these evaluators by construction.
 
-Three residual notions are provided, each in a full-space and a reduced
+:func:`section_residuals` reads three residuals of a sample from one
+evaluation of the full dynamical field, in a full-space and a reduced
 flavor (pass ``mu`` for the reduced one):
 
 * ``x_gamma``: the base projection of the dynamical field along the
   section, the vector field a solution would steer the base by.
-* ``relatedness_residual``: how far the section fails to intertwine the
-  base field with the phase-space field.
-* ``hj_residual``: the Hamilton-Jacobi left-hand side itself; reduced,
-  it is the norm of the controlled reduced field at the section's
-  image, matching the componentwise equation assemblies in
+* ``relatedness``: how far the section fails to intertwine the base
+  field with the phase-space field.
+* ``hj_components``: the Hamilton-Jacobi left-hand side itself;
+  reduced, it is the controlled reduced field at the section's image,
+  matching the componentwise equation assemblies in
   :mod:`gyrostat.systems` up to their inertia row scales.
 
-All three are read from one evaluation of the full dynamical field per
-sample. ``theorem_equivalence_probe`` sets the latter two side by side:
-they must vanish together or stay apart together, never disagree.
+``theorem_equivalence_probe`` sets the latter two side by side: they
+must vanish together or stay apart together, never disagree.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import lie
 from .controlled import RCHSystem
-from .lie import AlgebraVector, GroupElement
+from .lie import GroupElement
 from .poisson import FD_STEP, _vec, central_difference
 from .reduction import (MEMBERSHIP_TOL, PhasePoint, _membership_defect,
                         as_reduced, full_dynamical_field)
@@ -214,49 +215,13 @@ def isotropy_configurations(rng: np.random.Generator, mu, n: int,
 
 
 @dataclass(frozen=True)
-class BaseTangent:
-    """Tangent to the configuration space in the body frame."""
-
-    xi: AlgebraVector
-    d_theta: np.ndarray
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.xi.flat(), self.d_theta])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.flat()))
-
-
-def base_tangent_from_flat(kind: str, n_theta: int, arr) -> BaseTangent:
-    arr = np.asarray(arr, dtype=float)
-    d = lie.algebra_dim(kind)
-    if arr.shape != (d + n_theta,):
-        raise ValueError(f"expected a {d + n_theta}-component base tangent")
-    return BaseTangent(lie.algebra_from_flat(kind, arr[:d]),
-                       arr[d:].copy())
-
-
-def base_frame(kind: str, n_theta: int) -> list:
-    dim = lie.algebra_dim(kind) + n_theta
-    return [base_tangent_from_flat(kind, n_theta, row)
-            for row in np.eye(dim)]
-
-
-def move(q: Configuration, v: BaseTangent, t: float) -> Configuration:
-    """Flow q for time t along the frozen-body-components direction v."""
-    xi = lie.algebra_from_flat(q.kind, t * v.xi.flat())
-    return Configuration(lie.compose(q.g, lie.exp_group(xi)),
-                         q.theta + t * v.d_theta)
-
-
-@dataclass(frozen=True)
 class OneFormSection:
     """Assignment of momenta over configurations.
 
     value(q) must cover q exactly (same group element and angles).
-    jacobian, when given, maps (q, base tangent) to the derivative of
-    the stacked fiber components (momentum flat followed by l) along
-    that direction and replaces finite differences.
+    jacobian, when given, maps (q, flat base direction) to the
+    derivative of the stacked fiber components (momentum flat followed
+    by l) along that direction and replaces finite differences.
     """
 
     value: Callable[[Configuration], PhasePoint]
@@ -294,20 +259,26 @@ def _exp_chart(q: Configuration, fn: Callable[[Configuration], object]):
     """fn in exponential coordinates centred at q, batched for
     central_difference: row (xi, dtheta) of the argument stands for the
     configuration (g exp(xi), theta + dtheta)."""
+    d = lie.algebra_dim(q.kind)
     return lambda pts: np.array([
-        fn(move(q, base_tangent_from_flat(q.kind, q.n_theta, row), 1.0))
+        fn(Configuration(lie.compose(q.g, lie.exp_group(
+            lie.algebra_from_flat(q.kind, row[:d]))), q.theta + row[d:]))
         for row in pts])
 
 
 def fiber_derivative(gamma: OneFormSection, q: Configuration,
-                     v: BaseTangent, step: float = FD_STEP) -> np.ndarray:
-    """Derivative of the stacked fiber components along v."""
+                     v: np.ndarray, step: float = FD_STEP) -> np.ndarray:
+    """Derivative of the stacked fiber components along the flat v."""
+    v = np.asarray(v, dtype=float)
+    dim = lie.algebra_dim(gamma.kind) + gamma.rotor_count
+    if v.shape != (dim,):
+        raise ValueError(f"expected a {dim}-component base direction")
     if gamma.jacobian is not None:
         return np.asarray(gamma.jacobian(q, v), dtype=float)
-    speed = v.norm()
+    speed = float(np.linalg.norm(v))
     if speed == 0.0:
-        return np.zeros(lie.algebra_dim(gamma.kind) + gamma.rotor_count)
-    unit = v.flat() / speed
+        return np.zeros(dim)
+    unit = v / speed
     fiber = _exp_chart(q, partial(fiber_flat, gamma))
     return speed * central_difference(lambda s: fiber(s * unit),
                                       np.zeros((1, 1)), step)[0, 0]
@@ -368,8 +339,8 @@ def rotor_quadratic_section(kind: str = lie.SO3,
     def grad_w(q: Configuration) -> np.ndarray:
         return np.concatenate([np.zeros(d), q.theta + offset])
 
-    def jacobian(q: Configuration, v: BaseTangent) -> np.ndarray:
-        return np.concatenate([np.zeros(d), v.d_theta])
+    def jacobian(q: Configuration, v: np.ndarray) -> np.ndarray:
+        return np.concatenate([np.zeros(d), v[d:]])
 
     return exact_section(kind, k, grad_w, jacobian=jacobian)
 
@@ -390,8 +361,8 @@ def affine_rotor_section(nu0, l0, coupling) -> OneFormSection:
     def value(q: Configuration) -> PhasePoint:
         return PhasePoint(q.g, nu0, q.theta, l0 + coupling @ q.theta)
 
-    def jacobian(q: Configuration, v: BaseTangent) -> np.ndarray:
-        return np.concatenate([np.zeros(d), coupling @ v.d_theta])
+    def jacobian(q: Configuration, v: np.ndarray) -> np.ndarray:
+        return np.concatenate([np.zeros(d), coupling @ v[d:]])
 
     return OneFormSection(value, nu0.kind, k, jacobian=jacobian,
                           family="custom")
@@ -444,9 +415,9 @@ def _default_samples(gamma: OneFormSection, n_samples: int,
 def _exterior_derivative(gamma: OneFormSection, q: Configuration,
                          frame: list) -> np.ndarray:
     """Antisymmetric matrix D - D^T of d gamma on the pairs of frame, the
-    :func:`base_frame` of gamma, at q: D[i] is the derivative of the
-    fiber components along frame[i]."""
-    partials = np.stack([fiber_derivative(gamma, q, e) for e in frame])
+    unit base directions (the rows of the identity), at q: D[i] is the
+    derivative of the fiber components along frame[i]."""
+    partials = np.array([fiber_derivative(gamma, q, e) for e in frame])
     return partials - partials.T
 
 
@@ -457,19 +428,12 @@ def closedness_defect(gamma: OneFormSection, n_samples: int = 20,
     section reports its unit coefficient."""
     configs = samples if samples is not None else \
         _default_samples(gamma, n_samples, seed)
-    frame = base_frame(gamma.kind, gamma.rotor_count)
+    frame = list(np.eye(lie.algebra_dim(gamma.kind) + gamma.rotor_count))
     worst = 0.0
     for q in configs:
         worst = max(worst, float(np.max(np.abs(
             _exterior_derivative(gamma, q, frame)))))
     return worst
-
-
-def _two_form(dp_v, dp_w, v: BaseTangent, w: BaseTangent,
-              dl_v, dl_w) -> float:
-    """Canonical two-form of the trivialization on the pushed pair."""
-    term = float(dp_w @ v.xi.flat()) - float(dp_v @ w.xi.flat())
-    return term + float(dl_w @ v.d_theta) - float(dl_v @ w.d_theta)
 
 
 def pullback_identity_defect(gamma: OneFormSection, n_samples: int = 20,
@@ -486,20 +450,17 @@ def pullback_identity_defect(gamma: OneFormSection, n_samples: int = 20,
         _default_samples(gamma, n_samples, seed)
     rng = np.random.default_rng(seed + 1)
     d = lie.algebra_dim(gamma.kind)
-    dim = d + gamma.rotor_count
-    frame = base_frame(gamma.kind, gamma.rotor_count)
+    frame = list(np.eye(d + gamma.rotor_count))
     worst = 0.0
     for q in configs:
-        raw = rng.standard_normal((2, dim))
-        v = base_tangent_from_flat(gamma.kind, gamma.rotor_count,
-                                   raw[0] / np.linalg.norm(raw[0]))
-        w = base_tangent_from_flat(gamma.kind, gamma.rotor_count,
-                                   raw[1] / np.linalg.norm(raw[1]))
+        v, w = rng.standard_normal((2, len(frame)))
+        v, w = v / np.linalg.norm(v), w / np.linalg.norm(w)
         dv = fiber_derivative(gamma, q, v)
         dw = fiber_derivative(gamma, q, w)
-        lhs = _two_form(dv[:d], dw[:d], v, w, dv[d:], dw[d:])
-        dmat = _exterior_derivative(gamma, q, frame)
-        rhs = -float(v.flat() @ dmat @ w.flat())
+        # the canonical two-form of the trivialization on the pushed pair
+        lhs = (float(dw[:d] @ v[:d]) - float(dv[:d] @ w[:d])
+               + float(dw[d:] @ v[d:]) - float(dv[d:] @ w[d:]))
+        rhs = -float(v @ _exterior_derivative(gamma, q, frame) @ w)
         worst = max(worst, abs(lhs - rhs))
     return worst
 
@@ -509,75 +470,52 @@ def pullback_identity_defect(gamma: OneFormSection, n_samples: int = 20,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _SectionSample:
-    """The residuals of one section sample, read from one field evaluation."""
+class SectionResiduals:
+    """The residuals of one section sample; x_gamma is a flat base
+    direction."""
 
     relatedness: float
     hj_components: np.ndarray
-    x: BaseTangent
+    x_gamma: np.ndarray
 
 
-def _evaluate(sys: RCHSystem, gamma: OneFormSection, q: Configuration,
-              mu=None) -> _SectionSample:
-    """The section point at q, its level-set check when mu is given, and
-    one full dynamical field evaluation there, from which the relatedness
-    residual, the HJ components and X_gamma are all read."""
+def section_residuals(sys: RCHSystem, gamma: OneFormSection,
+                      q: Configuration, mu=None) -> SectionResiduals:
+    """The residuals of gamma at q from one full dynamical field
+    evaluation: full-space flavor when mu is None, else reduced-space
+    flavor, with a :class:`MembershipError` off the mu level set.
+
+    Reduced, hj_components is the controlled reduced field at the
+    section's image, which matches the equation assemblies of
+    :mod:`gyrostat.systems` up to their row scales. Full, it is minus the
+    base differential of the hamiltonian restricted to the section plus
+    the fiber components of force and control.
+    """
     pt = section_point(gamma, q)
     defect = 0.0 if mu is None else _membership_defect(pt, mu)
     if defect > MEMBERSHIP_TOL:
         raise MembershipError("section image is off the momentum level set "
                               f"(defect {defect:.3e})")
     full = full_dynamical_field(sys, pt)
-    x = BaseTangent(full.xi, full.body.d_theta)
+    x = np.concatenate([full.xi.flat(), full.body.d_theta])
     d_fiber = fiber_derivative(gamma, q, x)
     body = full.body.flat()
     dim = lie.algebra_dim(gamma.kind)
     if mu is not None:
-        pushed = np.concatenate([d_fiber[:dim], x.d_theta, d_fiber[dim:]])
-        return _SectionSample(float(np.linalg.norm(pushed - body)), body, x)
+        pushed = np.concatenate([d_fiber[:dim], x[dim:], d_fiber[dim:]])
+        return SectionResiduals(float(np.linalg.norm(pushed - body)), body,
+                                x)
     angles = slice(dim, dim + q.n_theta)
     restricted = _exp_chart(q, lambda cfg: sys.hamiltonian.eval(
         as_reduced(section_point(gamma, cfg))))
     d_h = central_difference(restricted, np.zeros((1, dim + q.n_theta)))[0]
-    return _SectionSample(
+    return SectionResiduals(
         float(np.linalg.norm(d_fiber - np.delete(body, angles))),
         -d_h + np.delete(full.lift, angles), x)
 
 
-def x_gamma(sys: RCHSystem, gamma: OneFormSection,
-            q: Configuration) -> BaseTangent:
-    """Base projection of the dynamical field evaluated on the section."""
-    return _evaluate(sys, gamma, q).x
-
-
-def relatedness_residual(sys: RCHSystem, gamma: OneFormSection,
-                         q: Configuration, mu=None) -> float:
-    """How far the section fails to intertwine its base field with the
-    phase-space field: full-space flavor when mu is None, reduced-space
-    flavor (with level-set membership enforced) otherwise."""
-    return _evaluate(sys, gamma, q, mu).relatedness
-
-
-def hj_residual_components(sys: RCHSystem, gamma: OneFormSection,
-                           q: Configuration, mu=None) -> np.ndarray:
-    """Componentwise Hamilton-Jacobi left-hand side at the section.
-
-    Reduced flavor: the controlled reduced field at the section's image;
-    its entries match the explicit equation assemblies of
-    :mod:`gyrostat.systems` up to their constant row scales. Full
-    flavor: minus the base differential of (hamiltonian restricted to
-    the section) plus the fiber components of force and control.
-    """
-    return _evaluate(sys, gamma, q, mu).hj_components
-
-
-def hj_residual(sys: RCHSystem, gamma: OneFormSection, q: Configuration,
-                mu=None) -> float:
-    return float(np.linalg.norm(hj_residual_components(sys, gamma, q, mu)))
-
-
 # ---------------------------------------------------------------------------
-# the equivalence probe and reporting
+# the equivalence probe
 # ---------------------------------------------------------------------------
 
 PASS_TOL = 1e-6
@@ -585,21 +523,26 @@ FAIL_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
-class ProbeSample:
-    relatedness: float
-    hj: float
-    x_norm: float
-    label: str
-
-
-@dataclass(frozen=True)
 class ProbeResult:
-    samples: tuple
+    """A probe's per-sample columns, each an (N,) float64 array: the
+    relatedness residual, the norm of the HJ components and |X_gamma|;
+    the N sample labels; and the gate value the section passed."""
+
+    relatedness: np.ndarray
+    hj: np.ndarray
+    x_norm: np.ndarray
+    labels: tuple
     gate_defect: float
+
+    def __post_init__(self):
+        values = np.concatenate([self.relatedness, self.hj, self.x_norm,
+                                 [self.gate_defect]])
+        if not (np.isfinite(values).all() and (values >= 0).all()):
+            raise ValueError("residuals must be non-negative and finite")
 
     @property
     def verdict(self) -> str:
-        labels = {s.label for s in self.samples}
+        labels = set(self.labels)
         if labels == {"PASS"}:
             return "PASS"
         if labels == {"FAIL"}:
@@ -637,44 +580,17 @@ def theorem_equivalence_probe(sys: RCHSystem, gamma: OneFormSection,
                             f"(defect {gate:.3e} > {GATE_TOL:g})")
         exc.closedness_defect = gate
         raise exc
-    rows = []
-    for q in samples:
+    n = len(samples)
+    relatedness, hj, x_norm = np.empty(n), np.empty(n), np.empty(n)
+    labels = []
+    for i, q in enumerate(samples):
         try:
-            ev = _evaluate(sys, gamma, q, mu)
+            r = section_residuals(sys, gamma, q, mu)
         except MembershipError as exc:
             exc.closedness_defect = gate
             raise
-        h = float(np.linalg.norm(ev.hj_components))
-        rows.append(ProbeSample(ev.relatedness, h, ev.x.norm(),
-                                _classify(ev.relatedness, h)))
-    return ProbeResult(tuple(rows), gate)
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Aggregate of the three defect measures over a sample set."""
-
-    closedness_defect: float
-    relatedness_residual: float
-    hj_residual: float
-    sample_count: int
-    worst_relatedness_index: int
-    worst_hj_index: int
-
-    def __post_init__(self):
-        values = (self.closedness_defect, self.relatedness_residual,
-                  self.hj_residual)
-        if not all(np.isfinite(v) and v >= 0 for v in values):
-            raise ValueError("residuals must be non-negative and finite")
-        if self.sample_count < 1:
-            raise ValueError("report needs at least one sample")
-
-
-def residual_report(probe: ProbeResult) -> ResidualReport:
-    """The probe's gate defect and, for each residual, its largest value
-    over the samples with the index where it occurred."""
-    rel = [s.relatedness for s in probe.samples]
-    hj = [s.hj for s in probe.samples]
-    return ResidualReport(probe.gate_defect, max(rel), max(hj),
-                          len(probe.samples), int(np.argmax(rel)),
-                          int(np.argmax(hj)))
+        h = float(np.linalg.norm(r.hj_components))
+        relatedness[i], hj[i] = r.relatedness, h
+        x_norm[i] = np.linalg.norm(r.x_gamma)
+        labels.append(_classify(r.relatedness, h))
+    return ProbeResult(relatedness, hj, x_norm, tuple(labels), gate)

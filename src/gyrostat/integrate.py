@@ -118,6 +118,8 @@ def run(field: FlatField, p0: ReducedPoint, dt: float, t_final: float,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if not math.isfinite(t_final / dt):
+        raise ValueError(f"t_final / dt = {t_final / dt} is not finite")
     n = int(round(t_final / dt))
     if n < 1 or abs(n * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
         raise ValueError(f"dt {dt} does not divide t_final {t_final}")

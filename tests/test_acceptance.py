@@ -142,10 +142,9 @@ def test_criterion_5_residuals_pass_and_fail_together():
     qs_top = hj.isotropy_configurations(rng, mu, 100, 2)
     unsolved = hj.theorem_equivalence_probe(ht_sys, sec, qs_top, mu)
 
-    worst_pass = max(max(s.relatedness, s.hj) for s in solved.samples)
-    floor_fail = min(min(s.relatedness, s.hj) for s in unsolved.samples)
-    inconsistent = sum(s.label == "INCONSISTENT"
-                       for s in solved.samples + unsolved.samples)
+    worst_pass = float(max(solved.relatedness.max(), solved.hj.max()))
+    floor_fail = float(min(unsolved.relatedness.min(), unsolved.hj.min()))
+    inconsistent = (solved.labels + unsolved.labels).count("INCONSISTENT")
     ok = (solved.verdict == "PASS" and worst_pass <= 1e-6
           and unsolved.verdict == "FAIL" and floor_fail >= 1e-3
           and inconsistent == 0)
@@ -172,7 +171,7 @@ def test_criterion_6_assembled_equations_match_generic_residual():
         nu = lie.coalgebra(lie.SO3, pi)
         sec = hj.constant_body_section(nu, l0)
         q = hj.configuration(lie.identity(lie.SO3), theta)
-        comp = hj.hj_residual_components(rb_sys, sec, q, nu)
+        comp = hj.section_residuals(rb_sys, sec, q, nu).hj_components
         cand = systems.HJCandidate(np.concatenate([pi, theta, l0]),
                                    np.zeros(9))
         rows = systems.rigid_body_hj_lhs(RB, cand)
@@ -193,7 +192,7 @@ def test_criterion_6_assembled_equations_match_generic_residual():
         nu = lie.coalgebra(lie.SE3, pi, gamma)
         sec = hj.constant_body_section(nu, l0)
         q = hj.configuration(lie.identity(lie.SE3), theta)
-        comp = hj.hj_residual_components(ht_sys, sec, q, nu)
+        comp = hj.section_residuals(ht_sys, sec, q, nu).hj_components
         cand = systems.HJCandidate(np.concatenate([pi, theta, l0]),
                                    np.zeros(10), advected=gamma)
         rows = systems.heavy_top_hj_lhs(HT, cand)
@@ -210,7 +209,7 @@ def test_criterion_6_assembled_equations_match_generic_residual():
         nu = lie.coalgebra(lie.SE3, pi, gamma)
         sec = hj.constant_body_section(nu)
         q = hj.configuration(lie.identity(lie.SE3), ())
-        comp = hj.hj_residual_components(free_sys, sec, q, nu)
+        comp = hj.section_residuals(free_sys, sec, q, nu).hj_components
         cand = systems.HJCandidate(pi, np.zeros(0), advected=gamma)
         rows = systems.heavy_top_lp_hj_lhs(FREE, cand)
         gap = max(gap, float(np.max(np.abs(rows - scales * comp))))

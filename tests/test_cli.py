@@ -189,6 +189,15 @@ class TestSimulate:
         assert "[run]" in capsys.readouterr().err
         assert not (tmp_path / "out" / "trajectory.csv").exists()
 
+    def test_overflowing_step_count_is_a_config_error(self, tmp_path,
+                                                      capsys):
+        text = RB.replace("dt = 0.01", "dt = 1e-300") \
+                 .replace("t_final = 1.0", "t_final = 1e300")
+        code = cli("simulate", "--config", scenario(tmp_path, text),
+                   "--out", tmp_path / "out")
+        assert code == EXIT_CONFIG
+        assert "[run] t_final / dt" in capsys.readouterr().err
+
     def test_quiet_silences_stdout(self, tmp_path, capsys):
         code = cli("simulate", "--config", scenario(tmp_path, RB),
                    "--out", tmp_path / "out", "--quiet")
@@ -372,6 +381,21 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "hj-check",
+                                         "equivalence-demo",
+                                         "bracket-verify"])
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_seed_must_be_a_non_negative_integer(self, tmp_path, capsys,
+                                                 command, seed):
+        path = scenario(tmp_path, RB)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", path, "--out", str(tmp_path / "out"),
+                  "--seed", seed])
+        assert exc.value.code == 2
+        assert "argument --seed: must be a non-negative integer" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_flag_is_required_for_scenario_commands(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -142,6 +142,11 @@ class TestParsing:
                                 f"{cfgmod.MAX_STEPS * 1e-6!r}\n")
         assert round(cfg.run["t_final"] / cfg.run["dt"]) == cfgmod.MAX_STEPS
 
+    def test_overflowing_step_count_is_a_config_error(self):
+        # t_final / dt overflows to inf, which round() cannot take
+        with pytest.raises(ConfigError, match=r"\[run\] t_final / dt: inf"):
+            parse_config(RB + "\n[run]\ndt = 1e-300\nt_final = 1e300\n")
+
     def test_sample_ceiling_bounds_the_probe(self):
         # 10^12 samples are refused before any configuration is drawn;
         # the ceiling itself is accepted

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -31,6 +32,14 @@ def spin_equilibrium(c=1.3):
     l3 = jj[2] * c / (ib[2] + jj[2])
     nu = lie.coalgebra(lie.SO3, (0.0, 0.0, c))
     return hj.constant_body_section(nu, (0.0, 0.0, l3)), nu
+
+
+def relatedness(*args):
+    return hj.section_residuals(*args).relatedness
+
+
+def hj_norm(*args):
+    return float(np.linalg.norm(hj.section_residuals(*args).hj_components))
 
 
 def tilted_gravity_data():
@@ -254,14 +263,18 @@ class TestSections:
         without = hj.exact_section(lie.SO3, 3, grad_w)
         rng = np.random.default_rng(6)
         q = hj.random_configuration(rng, lie.SO3, 3)
-        v = hj.base_tangent_from_flat(lie.SO3, 3,
-                                      rng.standard_normal(6))
+        v = rng.standard_normal(6)
         assert_allclose(hj.fiber_derivative(with_jac, q, v),
                         hj.fiber_derivative(without, q, v), atol=1e-9)
 
-    def test_base_tangent_size_is_checked(self):
-        with pytest.raises(ValueError, match="base tangent"):
-            hj.base_tangent_from_flat(lie.SO3, 2, np.zeros(4))
+    def test_fiber_derivative_checks_the_direction_shape(self):
+        # both paths: the analytic jacobian and finite differences
+        q = hj.configuration(lie.identity(lie.SO3), (0.0, 0.0))
+        for sec in (hj.zero_section(lie.SO3, 2),
+                    hj.shear_section(lie.SO3, 2)):
+            for shape in ((4,), (6,), (1, 5)):
+                with pytest.raises(ValueError, match="5-component base"):
+                    hj.fiber_derivative(sec, q, np.zeros(shape))
 
 
 class TestClosedness:
@@ -320,8 +333,10 @@ class TestXGamma:
     def test_zero_section_is_stationary(self):
         rng = np.random.default_rng(8)
         q = hj.random_configuration(rng, lie.SO3, 3)
-        x = hj.x_gamma(rb_system(), hj.zero_section(lie.SO3, 3), q)
-        assert x.norm() == 0.0
+        x = hj.section_residuals(rb_system(), hj.zero_section(lie.SO3, 3),
+                                 q).x_gamma
+        assert x.shape == (6,)
+        assert np.linalg.norm(x) == 0.0
 
     def test_constant_body_group_part_is_the_momentum_gradient(self):
         nu = lie.coalgebra(lie.SO3, (0.7, -0.4, 0.2))
@@ -330,11 +345,11 @@ class TestXGamma:
         sys = rb_system()
         rng = np.random.default_rng(9)
         q = hj.random_configuration(rng, lie.SO3, 3)
-        x = hj.x_gamma(sys, sec, q)
+        x = hj.section_residuals(sys, sec, q).x_gamma
         ref = gradient(sys.hamiltonian,
                        reduced_point(lie.SO3, nu.pi, theta=q.theta, l=l0))
-        assert_allclose(x.xi.flat(), ref.d_pi, atol=1e-15)
-        assert_allclose(x.d_theta, ref.d_l, atol=1e-15)
+        assert_allclose(x[:3], ref.d_pi, atol=1e-15)
+        assert_allclose(x[3:], ref.d_l, atol=1e-15)
 
     def test_zero_hamiltonian_with_vertical_control_stays_put(self):
         def torque(x):
@@ -347,7 +362,8 @@ class TestXGamma:
         sec = hj.constant_body_section(nu, (0.1, 0.0, -0.2))
         rng = np.random.default_rng(10)
         q = hj.random_configuration(rng, lie.SO3, 3)
-        assert hj.x_gamma(sys, sec, q).norm() == 0.0
+        assert np.linalg.norm(hj.section_residuals(sys, sec, q).x_gamma) \
+            == 0.0
 
 
 class TestRelatedness:
@@ -357,14 +373,14 @@ class TestRelatedness:
         mu = lie.coalgebra(lie.SO3, np.zeros(3))
         for _ in range(5):
             q = hj.random_configuration(rng, lie.SO3, 3)
-            assert hj.relatedness_residual(rb_system(), sec, q) <= 1e-10
-            assert hj.relatedness_residual(rb_system(), sec, q, mu) <= 1e-10
+            assert relatedness(rb_system(), sec, q) <= 1e-10
+            assert relatedness(rb_system(), sec, q, mu) <= 1e-10
 
     def test_gravity_breaks_the_zero_candidate(self):
         sec, mu, a = tilted_gravity_data()
         rng = np.random.default_rng(12)
         q = hj.isotropy_configurations(rng, mu, 1, 2)[0]
-        residual = hj.relatedness_residual(ht_system(), sec, q, mu)
+        residual = relatedness(ht_system(), sec, q, mu)
         expected = HT.mgh * np.linalg.norm(np.cross(a, HT.chi))
         assert_allclose(residual, expected, rtol=1e-12)
         assert residual > 1.0
@@ -380,8 +396,8 @@ class TestRelatedness:
             nu = lie.coalgebra(lie.SO3, (eps, 0.0, c))
             sec = hj.constant_body_section(nu, (0.0, 0.0, l3))
             qs = hj.isotropy_configurations(rng, nu, 3, 3)
-            rel = max(hj.relatedness_residual(sys, sec, q, nu) for q in qs)
-            res = max(hj.hj_residual(sys, sec, q, nu) for q in qs)
+            rel = max(relatedness(sys, sec, q, nu) for q in qs)
+            res = max(hj_norm(sys, sec, q, nu) for q in qs)
             ratios.append((rel / eps, res / eps))
         flat = np.asarray(ratios)
         assert np.max(flat, axis=0) / np.min(flat, axis=0) == \
@@ -393,7 +409,7 @@ class TestRelatedness:
         g = lie.exp_group(lie.algebra(lie.SO3, (0.0, 0.0, 1.0)))
         q = hj.configuration(g, np.zeros(3))
         with pytest.raises(ValueError, match="level set"):
-            hj.relatedness_residual(rb_system(), sec, q, nu)
+            hj.section_residuals(rb_system(), sec, q, nu)
 
 
 class TestHJResidual:
@@ -402,14 +418,14 @@ class TestHJResidual:
         sec = hj.zero_section(lie.SO3, 3)
         mu = lie.coalgebra(lie.SO3, np.zeros(3))
         q = hj.random_configuration(rng, lie.SO3, 3)
-        assert hj.hj_residual(rb_system(), sec, q) == 0.0
-        assert hj.hj_residual(rb_system(), sec, q, mu) == 0.0
+        assert hj_norm(rb_system(), sec, q) == 0.0
+        assert hj_norm(rb_system(), sec, q, mu) == 0.0
 
     def test_gravity_rows_survive_for_the_zero_candidate(self):
         sec, mu, a = tilted_gravity_data()
         rng = np.random.default_rng(15)
         q = hj.isotropy_configurations(rng, mu, 1, 2)[0]
-        residual = hj.hj_residual(ht_system(), sec, q, mu)
+        residual = hj_norm(ht_system(), sec, q, mu)
         assert_allclose(residual,
                         HT.mgh * np.linalg.norm(np.cross(a, HT.chi)),
                         rtol=1e-12)
@@ -428,7 +444,7 @@ class TestHJResidual:
             nu = lie.coalgebra(lie.SO3, pi)
             sec = hj.constant_body_section(nu, l0)
             q = hj.configuration(lie.identity(lie.SO3), theta)
-            comp = hj.hj_residual_components(sys, sec, q, nu)
+            comp = hj.section_residuals(sys, sec, q, nu).hj_components
             cand = systems.HJCandidate(
                 np.concatenate([pi, theta, l0]), np.zeros(9))
             rows = systems.rigid_body_hj_lhs(RB, cand)
@@ -449,7 +465,7 @@ class TestHJResidual:
             nu = lie.coalgebra(lie.SE3, pi, gamma)
             sec = hj.constant_body_section(nu, l0)
             q = hj.configuration(lie.identity(lie.SE3), theta)
-            comp = hj.hj_residual_components(sys, sec, q, nu)
+            comp = hj.section_residuals(sys, sec, q, nu).hj_components
             cand = systems.HJCandidate(
                 np.concatenate([pi, theta, l0]), np.zeros(10),
                 advected=gamma)
@@ -469,7 +485,7 @@ class TestHJResidual:
             nu = lie.coalgebra(lie.SE3, pi, gamma)
             sec = hj.constant_body_section(nu)
             q = hj.configuration(lie.identity(lie.SE3), ())
-            comp = hj.hj_residual_components(sys, sec, q, nu)
+            comp = hj.section_residuals(sys, sec, q, nu).hj_components
             cand = systems.HJCandidate(pi, np.zeros(0), advected=gamma)
             rows = systems.heavy_top_lp_hj_lhs(free, cand)
             assert_allclose(rows, scales * comp, atol=1e-10)
@@ -493,7 +509,7 @@ class TestHJResidual:
         nu = lie.coalgebra(lie.SO3, pi)
         sec = hj.constant_body_section(nu, l0)
         q = hj.configuration(lie.identity(lie.SO3), rng.standard_normal(3))
-        comp = hj.hj_residual_components(sys, sec, q, nu)
+        comp = hj.section_residuals(sys, sec, q, nu).hj_components
         u_rows = np.concatenate([u_pi, np.zeros(3), u_l])
         cand = systems.HJCandidate(
             np.concatenate([pi, q.theta, l0]), u_rows)
@@ -505,7 +521,7 @@ class TestHJResidual:
         sec = hj.rotor_quadratic_section()
         rng = np.random.default_rng(19)
         q = hj.random_configuration(rng, lie.SO3, 3)
-        comp = hj.hj_residual_components(sys, sec, q)
+        comp = hj.section_residuals(sys, sec, q).hj_components
         l = q.theta + np.array([3.0, 0.0, 0.0])
         rate = l * (1.0 / np.asarray(RB.ibar) + 1.0 / np.asarray(RB.j))
         assert_allclose(comp, np.concatenate([np.zeros(3), -rate]),
@@ -519,8 +535,8 @@ class TestProbe:
         qs = hj.isotropy_configurations(rng, mu, 6, 3)
         res = hj.theorem_equivalence_probe(rb_system(), sec, qs, mu)
         assert res.verdict == "PASS"
-        assert all(s.label == "PASS" for s in res.samples)
-        assert_allclose([s.x_norm for s in res.samples],
+        assert res.labels == ("PASS",) * 6
+        assert_allclose(res.x_norm,
                         1.3 / (np.asarray(RB.ibar)[2] + np.asarray(RB.j)[2]),
                         rtol=1e-12)
 
@@ -530,7 +546,7 @@ class TestProbe:
         qs = hj.isotropy_configurations(rng, mu, 6, 2)
         res = hj.theorem_equivalence_probe(ht_system(), sec, qs, mu)
         assert res.verdict == "FAIL"
-        assert all(s.label == "FAIL" for s in res.samples)
+        assert res.labels == ("FAIL",) * 6
 
     def test_rotor_quadratic_fails_on_the_unit_box(self):
         rng = np.random.default_rng(22)
@@ -540,7 +556,7 @@ class TestProbe:
         res = hj.theorem_equivalence_probe(rb_system(),
                                            hj.rotor_quadratic_section(), qs)
         assert res.verdict == "FAIL"
-        assert min(s.hj for s in res.samples) > 1.0
+        assert res.hj.min() > 1.0
 
     def test_gate_rejects_non_closed_sections(self):
         mu = lie.coalgebra(lie.SO3, (0.0, 0.0, 2.0))
@@ -566,13 +582,15 @@ class TestProbe:
         assert hj._classify(rel, res) == label
 
     def test_verdict_aggregation(self):
-        def row(label):
-            return hj.ProbeSample(0.0, 0.0, 0.0, label)
+        assert zero_result("PASS", "FAIL").verdict == "MIXED"
+        assert zero_result("PASS", "INCONSISTENT").verdict == "INCONSISTENT"
+        assert zero_result("PASS", "PASS").verdict == "PASS"
+        assert zero_result("FAIL").verdict == "FAIL"
 
-        assert hj.ProbeResult((row("PASS"), row("FAIL")), 0.0).verdict \
-            == "MIXED"
-        assert hj.ProbeResult((row("PASS"), row("INCONSISTENT")),
-                              0.0).verdict == "INCONSISTENT"
+
+def zero_result(*labels, gate=0.0):
+    zeros = np.zeros(len(labels))
+    return hj.ProbeResult(zeros, zeros, zeros, labels, gate)
 
 
 def constant_torque(x):
@@ -580,9 +598,10 @@ def constant_torque(x):
 
 
 class TestProbeRowsAreTheWrappers:
-    """Every probe row holds exactly what the public wrappers return at
-    its sample, in both flavours, with and without a section jacobian
-    and with and without a vertical control."""
+    """Every probe column entry holds exactly what section_residuals, the
+    one per-sample entry point, returns at its sample, in both flavours,
+    with and without a section jacobian and with and without a vertical
+    control."""
 
     @pytest.mark.parametrize("reduced", [False, True])
     @pytest.mark.parametrize("with_jacobian", [True, False])
@@ -605,12 +624,17 @@ class TestProbeRowsAreTheWrappers:
         assert (sec.jacobian is not None) == with_jacobian
         mu = nu if reduced else None
         res = hj.theorem_equivalence_probe(sys, sec, qs, mu)
-        assert len(res.samples) == len(qs)
-        for row, q in zip(res.samples, qs):
-            assert row.relatedness == hj.relatedness_residual(sys, sec, q, mu)
-            assert row.hj == hj.hj_residual(sys, sec, q, mu)
-            assert row.x_norm == hj.x_gamma(sys, sec, q).norm()
-            assert row.x_norm > 0.0
+        for column in (res.relatedness, res.hj, res.x_norm):
+            assert column.dtype == np.float64 and column.shape == (4,)
+        assert len(res.labels) == 4
+        for i, q in enumerate(qs):
+            r = hj.section_residuals(sys, sec, q, mu)
+            assert res.relatedness[i] == r.relatedness
+            assert res.hj[i] == np.linalg.norm(r.hj_components)
+            assert res.x_norm[i] == np.linalg.norm(r.x_gamma)
+            assert res.x_norm[i] > 0.0
+            assert res.labels[i] == hj._classify(r.relatedness,
+                                                 hj_norm(sys, sec, q, mu))
 
     def test_off_level_sample_raises_from_probe_and_wrappers(self):
         nu = lie.coalgebra(lie.SO3, (0.5, 0.0, 0.0))
@@ -618,33 +642,50 @@ class TestProbeRowsAreTheWrappers:
         g = lie.exp_group(lie.algebra(lie.SO3, (0.0, 0.0, 1.0)))
         q = hj.configuration(g, np.zeros(3))
         sys = rb_system()
-        for residual in (hj.relatedness_residual, hj.hj_residual,
-                         hj.hj_residual_components):
-            with pytest.raises(hj.MembershipError, match="level set"):
-                residual(sys, sec, q, nu)
+        with pytest.raises(hj.MembershipError, match="level set"):
+            hj.section_residuals(sys, sec, q, nu)
         with pytest.raises(hj.MembershipError, match="level set"):
             hj.theorem_equivalence_probe(sys, sec, [q], nu)
 
 
-class TestResidualReport:
+class TestProbeResult:
     def test_aggregates_match_single_calls(self):
         sec, mu, a = tilted_gravity_data()
         rng = np.random.default_rng(24)
         qs = hj.isotropy_configurations(rng, mu, 5, 2)
-        report = hj.residual_report(
-            hj.theorem_equivalence_probe(ht_system(), sec, qs, mu))
-        assert report.sample_count == 5
+        res = hj.theorem_equivalence_probe(ht_system(), sec, qs, mu)
+        assert len(res.labels) == 5
         expected = HT.mgh * np.linalg.norm(np.cross(a, HT.chi))
-        assert_allclose(report.relatedness_residual, expected, rtol=1e-12)
-        assert_allclose(report.hj_residual, expected, rtol=1e-12)
-        assert report.closedness_defect == 0.0
-        assert 0 <= report.worst_relatedness_index < 5
-        assert 0 <= report.worst_hj_index < 5
+        assert_allclose(res.relatedness.max(), expected, rtol=1e-12)
+        assert_allclose(res.hj.max(), expected, rtol=1e-12)
+        assert res.gate_defect == 0.0
+        assert 0 <= np.argmax(res.relatedness) < 5
+        assert 0 <= np.argmax(res.hj) < 5
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError, match="non-negative"):
-            hj.ResidualReport(-1.0, 0.0, 0.0, 1, 0, 0)
+            zero_result("PASS", gate=-1.0)
         with pytest.raises(ValueError, match="non-negative"):
-            hj.ResidualReport(0.0, np.nan, 0.0, 1, 0, 0)
-        with pytest.raises(ValueError, match="sample"):
-            hj.ResidualReport(0.0, 0.0, 0.0, 0, 0, 0)
+            hj.ProbeResult(np.array([np.nan]), np.zeros(1), np.zeros(1),
+                           ("PASS",), 0.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            hj.ProbeResult(np.zeros(1), np.array([-1e-300]), np.zeros(1),
+                           ("PASS",), 0.0)
+
+    def test_retained_bytes_per_sample(self):
+        # the result keeps three float64 columns and one tuple slot per
+        # sample, about 33 B at 1000 samples of the heavy-top level; one
+        # frozen row object per sample kept about 185 B
+        sec, mu, _ = tilted_gravity_data()
+        n = 1000
+        qs = hj.isotropy_configurations(np.random.default_rng(27), mu, n, 2)
+        sys = ht_system()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = hj.theorem_equivalence_probe(sys, sec, qs, mu)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(res.labels) == n
+        assert retained / n <= 64.0

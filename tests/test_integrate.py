@@ -88,6 +88,11 @@ def test_run_rejects_non_dividing_step():
         run(zero_field, start(), 0.3, 1.0)
 
 
+def test_run_rejects_an_overflowing_step_count():
+    with pytest.raises(ValueError, match="not finite"):
+        run(zero_field, start(), 1e-300, 1e300)
+
+
 def test_run_reports_blowup_time():
     p = reduced_point(SO3, [1e3, 0.0, 0.0])
 

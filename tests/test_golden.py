@@ -4,7 +4,9 @@ and of attitude reconstruction.
 Each case runs one command once and compares every file it writes with
 the copy under ``tests/golden/<case>/``. Each reconstruction case writes
 sampled attitudes and the momentum drift to
-``tests/golden/reconstruct/<case>.txt``. Guarantee 9 checks that two
+``tests/golden/reconstruct/<case>.txt``, and each full-space
+Hamilton-Jacobi case the gate values and residuals of four sections to
+``tests/golden/hj-full/<case>.txt``. Guarantee 9 checks that two
 runs agree with each other; this checks that a refactor leaves the
 bytes where they were. A change that moves a golden file on purpose
 regenerates it with
@@ -20,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gyrostat import hamilton_jacobi as hj
 from gyrostat import lie, systems
 from gyrostat.cli import main as cli_main
 from gyrostat.controlled import flat_dynamical_field
@@ -222,6 +225,82 @@ def test_reconstruction_matches_golden(case):
                                               stored, fresh)
 
 
+# The full-space flavor of section_residuals (mu None), which neither the
+# CLI nor a demo reaches: the rigid body, free and under a constant
+# vertical control, and the heavy top.
+# case -> system
+HJ_FULL_CASES = {
+    "rigid-body": systems.rigid_body_system(RB),
+    "rigid-body-constant-control": replace(
+        systems.rigid_body_system(RB),
+        control=lambda x: [0.1, -0.05, 0.02, 0.0, 0.0, 0.0,
+                           0.25, 0.0, -0.1]),
+    "heavy-top": systems.heavy_top_system(HT),
+}
+
+
+def _hj_full_sections(kind: str, k: int) -> dict:
+    """The zero section, an exact section differenced without a jacobian,
+    a symmetric affine rotor section and the rotor quadratic, over
+    ``kind`` with k >= 2 rotor slots."""
+    d = lie.algebra_dim(kind)
+    a = np.array([0.3, -0.5, 0.8])
+
+    def grad_w(q):
+        # W = a . R e3 + theta_1^2 theta_2 / 2; the body derivative of
+        # a . R e3 along xi is xi . (e3 x R^T a). The trivialized gate
+        # has no bracket term, so this body part reads as order-one
+        # non-closedness there.
+        angles = np.zeros(k)
+        angles[:2] = q.theta[0] * q.theta[1], 0.5 * q.theta[0] ** 2
+        return np.concatenate([np.cross([0.0, 0.0, 1.0], q.g.rot.T @ a),
+                               np.zeros(d - 3), angles])
+
+    coupling = 0.2 * np.eye(k) + 0.1
+    offset = np.zeros(k)
+    offset[0] = 3.0
+    return {
+        "zero": hj.zero_section(kind, k),
+        "exact": hj.exact_section(kind, k, grad_w),
+        "affine": hj.affine_rotor_section(
+            lie.coalgebra_from_flat(kind, np.linspace(0.6, -0.4, d)),
+            np.linspace(0.1, -0.2, k), coupling),
+        "rotor_quadratic": hj.rotor_quadratic_section(kind, offset),
+    }
+
+
+def _hj_full_text(case: str) -> bytes:
+    """Each section's closedness and pullback-identity defects, then the
+    full-space residuals at three sampled configurations, each float
+    written with repr."""
+    sys = HJ_FULL_CASES[case]
+    rng = np.random.default_rng(31)
+    qs = [hj.random_configuration(rng, sys.kind, sys.rotor_count)
+          for _ in range(3)]
+    lines = []
+    for name, sec in _hj_full_sections(sys.kind, sys.rotor_count).items():
+        lines += [f"section {name}",
+                  f"closedness_defect {hj.closedness_defect(sec)!r}",
+                  f"pullback_identity_defect "
+                  f"{hj.pullback_identity_defect(sec)!r}"]
+        for i, q in enumerate(qs):
+            r = hj.section_residuals(sys, sec, q)
+            lines += [f"sample {i} relatedness {r.relatedness!r}",
+                      f"sample {i} hj_components "
+                      + " ".join(map(repr, r.hj_components.tolist())),
+                      f"sample {i} x_gamma "
+                      + " ".join(map(repr, r.x_gamma.tolist()))]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("case", sorted(HJ_FULL_CASES))
+def test_full_space_residuals_match_golden(case):
+    stored = (GOLDEN / "hj-full" / f"{case}.txt").read_bytes()
+    fresh = _hj_full_text(case)
+    assert stored == fresh, _first_difference(f"hj-full/{case}.txt",
+                                              stored, fresh)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_output_matches_golden(case, tmp_path):
     out = _run(case, tmp_path)
@@ -269,4 +348,9 @@ if __name__ == "__main__":
     for case in RECONSTRUCT_CASES:
         path = GOLDEN / "reconstruct" / f"{case}.txt"
         path.write_bytes(_reconstruct_text(case))
+        print(f"wrote {path}")
+    (GOLDEN / "hj-full").mkdir(exist_ok=True)
+    for case in HJ_FULL_CASES:
+        path = GOLDEN / "hj-full" / f"{case}.txt"
+        path.write_bytes(_hj_full_text(case))
         print(f"wrote {path}")

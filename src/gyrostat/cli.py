@@ -28,8 +28,8 @@ Casimirs (``pi_sq``, or ``pi_dot_gamma`` and ``gamma_sq``). Numbers are
 written with shortest round-trip precision.
 
 Every command is a deterministic function of the scenario file and the
-seed, so reruns are byte-identical; output files are written to a
-temporary name and renamed into place.
+seed, so reruns are byte-identical; output files are written line by
+line to a temporary name and renamed into place.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys as _sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -58,9 +59,13 @@ SUITES = ("so3_lie_poisson", "so3_product", "se3_product")
 AXIOMS = ("antisymmetry", "leibniz", "jacobi", "casimir")
 
 
-def _write_text(path: Path, text: str):
+def _write_lines(path: Path, lines):
+    """Write each string of the iterable ``lines`` and a newline, as it
+    comes, to a temporary name, then rename it to ``path``."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        for line in lines:
+            fh.write(line + "\n")
     os.replace(tmp, path)
 
 
@@ -100,16 +105,16 @@ def _state_columns(layout) -> list:
 
 def _trajectory_csv(path: Path, traj):
     """Stream the trajectory's stored times, states and invariant series
-    to ``path``, one row per state, through a temporary file."""
+    to ``path``, one row per state."""
     series = list(traj.series.values())
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(",".join(["t"] + _state_columns(traj.layout)
-                          + list(traj.series)) + "\n")
+
+    def rows():
+        yield ",".join(["t"] + _state_columns(traj.layout) + list(traj.series))
         for i, t in enumerate(traj.times.tolist()):
             row = [t] + traj.states[i].tolist() + [float(s[i]) for s in series]
-            fh.write(",".join(map(repr, row)) + "\n")
-    os.replace(tmp, path)
+            yield ",".join(map(repr, row))
+
+    _write_lines(path, rows())
 
 
 def _drift_bound(name: str, tolerances: dict) -> float:
@@ -142,7 +147,7 @@ def cmd_simulate(args) -> int:
         lines.append(f"{name}: max relative drift {worst:.6e} "
                      f"(bound {bound:g}) {'pass' if passed else 'fail'}")
     lines.append(f"overall: {'pass' if ok else 'fail'}")
-    _write_text(out / "drift_summary.txt", "\n".join(lines) + "\n")
+    _write_lines(out / "drift_summary.txt", lines)
     _say(args, f"wrote {out / 'trajectory.csv'} and "
                f"{out / 'drift_summary.txt'}")
     if not ok:
@@ -154,21 +159,17 @@ def cmd_simulate(args) -> int:
 # hj-check
 # ---------------------------------------------------------------------------
 
-def _kv_text(pairs) -> str:
-    return "".join(f"{key} = {value}\n" for key, value in pairs)
-
-
 def _hj_failure_reports(out: Path, section, mu, verdict: str, message: str,
                         defect: float):
-    body = [f"section family: {section.family}",
-            f"momentum level: {_vec_text(mu.flat())}",
-            f"verdict: {verdict}",
-            f"error: {message}"]
-    _write_text(out / "hj_report.txt", "\n".join(body) + "\n")
-    _write_text(out / "hj_report.kv",
-                _kv_text([("closedness_defect", repr(float(defect))),
-                          ("verdict", verdict),
-                          ("error", message)]))
+    _write_lines(out / "hj_report.txt",
+                 [f"section family: {section.family}",
+                  f"momentum level: {_vec_text(mu.flat())}",
+                  f"verdict: {verdict}",
+                  f"error: {message}"])
+    _write_lines(out / "hj_report.kv",
+                 [f"closedness_defect = {float(defect)!r}",
+                  f"verdict = {verdict}",
+                  f"error = {message}"])
 
 
 def _vec_text(arr) -> str:
@@ -201,29 +202,30 @@ def cmd_hj_check(args) -> int:
 
     worst_rel = int(np.argmax(probe.relatedness))
     worst_hj = int(np.argmax(probe.hj))
-    lines = [f"section family: {section.family}",
-             f"momentum level: {_vec_text(mu.flat())}",
-             f"samples: {len(probe.labels)}",
-             f"closedness defect: {probe.gate_defect:.6e} "
-             f"(gate {hj.GATE_TOL:g})",
-             "",
-             f"{'idx':>5}  {'relatedness':>13}  {'hj residual':>13}  "
-             f"{'|X_gamma|':>11}  class"]
-    for i, row in enumerate(zip(probe.relatedness.tolist(), probe.hj.tolist(),
-                                probe.x_norm.tolist(), probe.labels)):
-        lines.append("{:5d}  {:13.6e}  {:13.6e}  {:11.4e}  {}".format(i, *row))
-    lines += ["", f"verdict: {probe.verdict}"]
-    _write_text(out / "hj_report.txt", "\n".join(lines) + "\n")
+    header = [f"section family: {section.family}",
+              f"momentum level: {_vec_text(mu.flat())}",
+              f"samples: {len(probe.labels)}",
+              f"closedness defect: {probe.gate_defect:.6e} "
+              f"(gate {hj.GATE_TOL:g})",
+              "",
+              f"{'idx':>5}  {'relatedness':>13}  {'hj residual':>13}  "
+              f"{'|X_gamma|':>11}  class"]
+    rows = ("{:5d}  {:13.6e}  {:13.6e}  {:11.4e}  {}".format(i, *row)
+            for i, row in enumerate(zip(probe.relatedness.tolist(),
+                                        probe.hj.tolist(),
+                                        probe.x_norm.tolist(), probe.labels)))
+    _write_lines(out / "hj_report.txt",
+                 chain(header, rows, ["", f"verdict: {probe.verdict}"]))
 
-    # repr(float(...)): a NumPy scalar's repr reads np.float64(...)
-    kv = [("closedness_defect", repr(float(probe.gate_defect))),
-          ("relatedness_residual", repr(float(probe.relatedness[worst_rel]))),
-          ("hj_residual", repr(float(probe.hj[worst_hj]))),
-          ("sample_count", len(probe.labels)),
-          ("worst_relatedness_index", worst_rel),
-          ("worst_hj_index", worst_hj),
-          ("verdict", probe.verdict)]
-    _write_text(out / "hj_report.kv", _kv_text(kv))
+    # float(...)!r: a NumPy scalar's repr reads np.float64(...)
+    _write_lines(out / "hj_report.kv", [
+        f"closedness_defect = {float(probe.gate_defect)!r}",
+        f"relatedness_residual = {float(probe.relatedness[worst_rel])!r}",
+        f"hj_residual = {float(probe.hj[worst_hj])!r}",
+        f"sample_count = {len(probe.labels)}",
+        f"worst_relatedness_index = {worst_rel}",
+        f"worst_hj_index = {worst_hj}",
+        f"verdict = {probe.verdict}"])
 
     _say(args, f"wrote {out / 'hj_report.txt'} and {out / 'hj_report.kv'}")
     _say(args, f"verdict: {probe.verdict}")
@@ -262,14 +264,14 @@ def cmd_equivalence_demo(args) -> int:
     disengaged = float(np.max(np.abs(free_traj.states - target_traj.states)))
     tol = cfg.tolerances["equivalence"]
     ok = engaged <= tol
-    kv = [("target", cfg.control["target"]),
-          ("dt", repr(dt)),
-          ("t_final", repr(t_final)),
-          ("engaged_deviation", repr(engaged)),
-          ("disengaged_deviation", repr(disengaged)),
-          ("tolerance", repr(tol)),
-          ("engaged_within_tolerance", "yes" if ok else "no")]
-    _write_text(out / "equivalence.txt", _kv_text(kv))
+    _write_lines(out / "equivalence.txt", [
+        f"target = {cfg.control['target']}",
+        f"dt = {dt!r}",
+        f"t_final = {t_final!r}",
+        f"engaged_deviation = {engaged!r}",
+        f"disengaged_deviation = {disengaged!r}",
+        f"tolerance = {tol!r}",
+        f"engaged_within_tolerance = {'yes' if ok else 'no'}"])
     _say(args, f"wrote {out / 'equivalence.txt'}")
     _say(args, f"engaged deviation {engaged:.6e}, disengaged "
                f"{disengaged:.6e} (tolerance {tol:g})")
@@ -303,7 +305,7 @@ def cmd_bracket_verify(args) -> int:
                          f"{report[f'worst_{axiom}_sample']})")
         lines.append(f"  result: {'pass' if passed else 'fail'}")
     lines.append(f"overall: {'pass' if all_ok else 'fail'}")
-    _write_text(out / "bracket_report.txt", "\n".join(lines) + "\n")
+    _write_lines(out / "bracket_report.txt", lines)
     _say(args, f"wrote {out / 'bracket_report.txt'}")
     if not all_ok:
         _complain("bracket axiom suite failed; see bracket_report.txt")

@@ -78,9 +78,9 @@ SECTION_BUILTINS = ("rotor_quadratic",)
 MAX_STEPS = 10**7
 
 # Ceiling on [gamma] samples. hj-check holds every sample and its probe
-# columns at once: its tracemalloc peak on the heavy-top probe grows about
-# 370 B per sample (500 to 8000 samples), of which the stacked sample holds
-# 112 B and the probe columns 33 B, so 10^6 samples peak near 0.37 GB.
+# columns at once and streams its report: its tracemalloc peak on the
+# heavy-top probe grows about 255 B per sample (1000 to 8000 samples), set
+# by the stacked samples and their rotation check, so 10^6 peak near 0.26 GB.
 MAX_SAMPLES = 10**6
 
 _SECTIONS = ("system", "params", "initial", "run", "gamma", "control",

@@ -1,7 +1,9 @@
 """One-form sections of the phase bundle and Hamilton-Jacobi residuals.
 
-A section assigns momenta to configurations: value(q) is a full phase
-point over q. Everything differential here is computed in the
+A section assigns momenta to configurations: value(q) is its fiber row
+at q, the flat (d + k,) body covector components then the k rotor
+momenta, read through the one check :func:`fiber`. Everything
+differential here is computed in the
 left-trivialized frame: a base direction is a flat (d + k,) array of
 algebra components then angle rates, the row (xi, dtheta) stands for
 (g exp(xi), theta + dtheta), and component derivatives are central
@@ -40,9 +42,9 @@ import numpy as np
 from . import lie
 from .controlled import RCHSystem
 from .lie import GroupElement
-from .poisson import FD_STEP, _vec, central_difference
-from .reduction import (MEMBERSHIP_TOL, PhasePoint, _membership_defect,
-                        as_reduced, full_dynamical_field)
+from .poisson import FD_STEP, Layout, _vec, central_difference, point_like
+from .reduction import (MEMBERSHIP_TOL, _membership_defect,
+                        full_dynamical_field)
 
 GATE_TOL = 1e-5
 FAMILIES = ("exact_dW", "constant_body", "custom")
@@ -218,13 +220,14 @@ def isotropy_configurations(rng: np.random.Generator, mu, n: int,
 class OneFormSection:
     """Assignment of momenta over configurations.
 
-    value(q) must cover q exactly (same group element and angles).
-    jacobian, when given, maps (q, flat base direction) to the
-    derivative of the stacked fiber components (momentum flat followed
-    by l) along that direction and replaces finite differences.
+    value(q) returns the fiber row at q: a flat (d + k,) array of the
+    body covector components followed by the k rotor momenta, checked
+    by :func:`fiber`. jacobian, when given, maps (q, flat base
+    direction) to the derivative of that row along the direction and
+    replaces finite differences.
     """
 
-    value: Callable[[Configuration], PhasePoint]
+    value: Callable[[Configuration], np.ndarray]
     kind: str
     rotor_count: int
     jacobian: Callable | None = None
@@ -239,20 +242,22 @@ class OneFormSection:
             raise ValueError("rotor_count must be non-negative")
 
 
-def section_point(gamma: OneFormSection, q: Configuration) -> PhasePoint:
-    pt = gamma.value(q)
-    if pt.kind != q.kind or not (np.array_equal(pt.g.rot, q.g.rot)
-                                 and (q.kind == lie.SO3
-                                      or np.array_equal(pt.g.trans,
-                                                        q.g.trans))
-                                 and np.array_equal(pt.theta, q.theta)):
-        raise ValueError("section value does not cover its configuration")
-    return pt
-
-
-def fiber_flat(gamma: OneFormSection, q: Configuration) -> np.ndarray:
-    pt = section_point(gamma, q)
-    return np.concatenate([pt.p.flat(), pt.l])
+def fiber(gamma: OneFormSection, q: Configuration) -> np.ndarray:
+    """The fiber row of gamma at q, checked: q must lie on the section's
+    base (its group kind and angle count) and the row must be a finite
+    (d + k,) array."""
+    if (q.kind, q.n_theta) != (gamma.kind, gamma.rotor_count):
+        raise ValueError(f"configuration ({q.kind}, {q.n_theta} angles) is "
+                         f"not on the section's base ({gamma.kind}, "
+                         f"{gamma.rotor_count} angles)")
+    row = np.asarray(gamma.value(q), dtype=float)
+    dim = lie.algebra_dim(gamma.kind) + gamma.rotor_count
+    if row.shape != (dim,):
+        raise ValueError(f"section value has shape {row.shape}, expected "
+                         f"a ({dim},) fiber row")
+    if not np.isfinite(row).all():
+        raise ValueError("section value is not finite")
+    return row
 
 
 def _exp_chart(q: Configuration, fn: Callable[[Configuration], object]):
@@ -261,14 +266,14 @@ def _exp_chart(q: Configuration, fn: Callable[[Configuration], object]):
     configuration (g exp(xi), theta + dtheta)."""
     d = lie.algebra_dim(q.kind)
     return lambda pts: np.array([
-        fn(Configuration(lie.compose(q.g, lie.exp_group(
-            lie.algebra_from_flat(q.kind, row[:d]))), q.theta + row[d:]))
+        fn(Configuration(lie.compose(q.g, GroupElement(
+            q.kind, *lie.flat_exp(row[:d]))), q.theta + row[d:]))
         for row in pts])
 
 
 def fiber_derivative(gamma: OneFormSection, q: Configuration,
                      v: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    """Derivative of the stacked fiber components along the flat v."""
+    """Derivative of the fiber row along the flat v."""
     v = np.asarray(v, dtype=float)
     dim = lie.algebra_dim(gamma.kind) + gamma.rotor_count
     if v.shape != (dim,):
@@ -279,8 +284,8 @@ def fiber_derivative(gamma: OneFormSection, q: Configuration,
     if speed == 0.0:
         return np.zeros(dim)
     unit = v / speed
-    fiber = _exp_chart(q, partial(fiber_flat, gamma))
-    return speed * central_difference(lambda s: fiber(s * unit),
+    chart = _exp_chart(q, partial(fiber, gamma))
+    return speed * central_difference(lambda s: chart(s * unit),
                                       np.zeros((1, 1)), step)[0, 0]
 
 
@@ -291,13 +296,9 @@ def fiber_derivative(gamma: OneFormSection, q: Configuration,
 def constant_body_section(nu0, l0=()) -> OneFormSection:
     """Section with fixed body momentum nu0 and rotor momenta l0."""
     l0 = _vec(l0, "l0")
-    dim = lie.algebra_dim(nu0.kind) + l0.size
-
-    def value(q: Configuration) -> PhasePoint:
-        return PhasePoint(q.g, nu0, q.theta, l0.copy())
-
-    return OneFormSection(value, nu0.kind, l0.size,
-                          jacobian=lambda q, v: np.zeros(dim),
+    row = np.concatenate([nu0.flat(), l0])
+    return OneFormSection(lambda q: row.copy(), nu0.kind, l0.size,
+                          jacobian=lambda q, v: np.zeros(row.size),
                           family="constant_body")
 
 
@@ -312,19 +313,10 @@ def zero_section(kind: str, rotor_count: int = 0) -> OneFormSection:
 def exact_section(kind: str, rotor_count: int,
                   grad_w: Callable[[Configuration], np.ndarray],
                   jacobian: Callable | None = None) -> OneFormSection:
-    """Differential of a scalar on the base: grad_w(q) returns the
-    stacked frame components (body derivatives, then angle partials)."""
-    d = lie.algebra_dim(kind)
-
-    def value(q: Configuration) -> PhasePoint:
-        comp = np.asarray(grad_w(q), dtype=float)
-        if comp.shape != (d + rotor_count,):
-            raise ValueError("grad_w returned the wrong number of "
-                             "components")
-        return PhasePoint(q.g, lie.coalgebra_from_flat(kind, comp[:d]),
-                          q.theta, comp[d:])
-
-    return OneFormSection(value, kind, rotor_count, jacobian=jacobian,
+    """Differential of a scalar on the base: grad_w(q) is the fiber row,
+    the stacked frame components (body derivatives, then angle
+    partials)."""
+    return OneFormSection(grad_w, kind, rotor_count, jacobian=jacobian,
                           family="exact_dW")
 
 
@@ -357,9 +349,10 @@ def affine_rotor_section(nu0, l0, coupling) -> OneFormSection:
     k = l0.size
     coupling = np.asarray(coupling, dtype=float).reshape(k, k)
     d = lie.algebra_dim(nu0.kind)
+    body = nu0.flat()
 
-    def value(q: Configuration) -> PhasePoint:
-        return PhasePoint(q.g, nu0, q.theta, l0 + coupling @ q.theta)
+    def value(q: Configuration) -> np.ndarray:
+        return np.concatenate([body, l0 + coupling @ q.theta])
 
     def jacobian(q: Configuration, v: np.ndarray) -> np.ndarray:
         return np.concatenate([np.zeros(d), coupling @ v[d:]])
@@ -376,11 +369,10 @@ def shear_section(kind: str, rotor_count: int) -> OneFormSection:
         raise ValueError("shear_section needs at least two rotor slots")
     d = lie.algebra_dim(kind)
 
-    def value(q: Configuration) -> PhasePoint:
-        l = np.zeros(rotor_count)
-        l[1] = q.theta[0]
-        return PhasePoint(q.g, lie.coalgebra_from_flat(kind, np.zeros(d)),
-                          q.theta, l)
+    def value(q: Configuration) -> np.ndarray:
+        row = np.zeros(d + rotor_count)
+        row[d + 1] = q.theta[0]
+        return row
 
     return OneFormSection(value, kind, rotor_count, family="custom")
 
@@ -392,9 +384,8 @@ def spatial_section(mu, rotor_count: int = 0, l0=()) -> OneFormSection:
     l0 = np.atleast_1d(np.asarray(l0, dtype=float)) if np.size(l0) \
         else np.zeros(rotor_count)
 
-    def value(q: Configuration) -> PhasePoint:
-        return PhasePoint(q.g, lie.Ad_star(lie.inverse(q.g), mu), q.theta,
-                          l0.copy())
+    def value(q: Configuration) -> np.ndarray:
+        return np.concatenate([lie.Ad_star(lie.inverse(q.g), mu).flat(), l0])
 
     return OneFormSection(value, mu.kind, rotor_count, family="custom")
 
@@ -491,26 +482,33 @@ def section_residuals(sys: RCHSystem, gamma: OneFormSection,
     base differential of the hamiltonian restricted to the section plus
     the fiber components of force and control.
     """
-    pt = section_point(gamma, q)
-    defect = 0.0 if mu is None else _membership_defect(pt, mu)
+    row = fiber(gamma, q)
+    dim = lie.algebra_dim(gamma.kind)
+    defect = 0.0 if mu is None else _membership_defect(
+        q.g, lie.coalgebra_from_flat(q.kind, row[:dim]), mu)
     if defect > MEMBERSHIP_TOL:
         raise MembershipError("section image is off the momentum level set "
                               f"(defect {defect:.3e})")
-    full = full_dynamical_field(sys, pt)
-    x = np.concatenate([full.xi.flat(), full.body.d_theta])
+    layout = Layout(q.kind, q.n_theta, gamma.rotor_count)
+    angles = slice(dim, dim + q.n_theta)
+
+    def state(comp: np.ndarray, theta: np.ndarray) -> list:
+        # the flat reduced state of a fiber row over the angles theta:
+        # body momentum, angles, rotor momenta
+        return comp[:dim].tolist() + theta.tolist() + comp[dim:].tolist()
+
+    full = full_dynamical_field(sys, layout, state(row, q.theta))
+    x = np.concatenate([full.xi, full.body[angles]])
     d_fiber = fiber_derivative(gamma, q, x)
-    body = full.body.flat()
-    dim = lie.algebra_dim(gamma.kind)
     if mu is not None:
         pushed = np.concatenate([d_fiber[:dim], x[dim:], d_fiber[dim:]])
-        return SectionResiduals(float(np.linalg.norm(pushed - body)), body,
-                                x)
-    angles = slice(dim, dim + q.n_theta)
+        return SectionResiduals(float(np.linalg.norm(pushed - full.body)),
+                                full.body, x)
     restricted = _exp_chart(q, lambda cfg: sys.hamiltonian.eval(
-        as_reduced(section_point(gamma, cfg))))
+        point_like(layout, state(fiber(gamma, cfg), cfg.theta))))
     d_h = central_difference(restricted, np.zeros((1, dim + q.n_theta)))[0]
     return SectionResiduals(
-        float(np.linalg.norm(d_fiber - np.delete(body, angles))),
+        float(np.linalg.norm(d_fiber - np.delete(full.body, angles))),
         -d_h + np.delete(full.lift, angles), x)
 
 

@@ -15,7 +15,7 @@ point, into a stacked :class:`~gyrostat.lie.GroupPath`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,10 +23,9 @@ from . import lie
 from .controlled import (RCHSystem, _add_lifts, _check_point,
                          _controlled_rates, dynamical_field)
 from .integrate import Trajectory, rk4_step
-from .lie import AlgebraVector, CoalgebraVector, GroupElement, GroupPath
-from .poisson import (ReducedPoint, ReducedTangent, ScalarField,
-                      _hamiltonian_rates, _row_dot, _vec, flat_gradient,
-                      tangent_like)
+from .lie import CoalgebraVector, GroupElement, GroupPath
+from .poisson import (Layout, ReducedPoint, ScalarField, _hamiltonian_rates,
+                      _row_dot, _vec, flat_gradient)
 
 MEMBERSHIP_TOL = 1e-8
 
@@ -57,14 +56,13 @@ class PhasePoint:
         return self.g.kind
 
 
-@dataclass(frozen=True)
-class FullTangent:
-    """Velocity of a PhasePoint: body velocity of g plus the tangent of
-    the remaining coordinates; ``lift`` is the flat force-plus-control
-    part of ``body``."""
+class FullTangent(NamedTuple):
+    """Velocity over a flat reduced state, the same at every g: the flat
+    body velocity ``xi`` of g, the flat controlled rates ``body`` of the
+    state, and ``lift``, their force-plus-control part."""
 
-    xi: AlgebraVector
-    body: ReducedTangent
+    xi: np.ndarray
+    body: np.ndarray
     lift: np.ndarray
 
 
@@ -84,12 +82,15 @@ def momentum_fiber_point(g: GroupElement, mu: CoalgebraVector, theta=(),
     return PhasePoint(g, lie.Ad_star(lie.inverse(g), mu), theta, l)
 
 
-def _membership_defect(pt: PhasePoint, mu: CoalgebraVector) -> float:
-    return float(np.linalg.norm(momentum_map(pt).flat() - mu.flat()))
+def _membership_defect(g: GroupElement, p: CoalgebraVector,
+                       mu: CoalgebraVector) -> float:
+    """|Ad*_{g^-1} p - mu|: how far the body momentum p over g is from
+    the level set momentum_map = mu."""
+    return float(np.linalg.norm(lie.Ad_star(g, p).flat() - mu.flat()))
 
 
 def _require_member(pt: PhasePoint, mu: CoalgebraVector):
-    defect = _membership_defect(pt, mu)
+    defect = _membership_defect(pt.g, pt.p, mu)
     if defect > MEMBERSHIP_TOL:
         raise ValueError("point is not on the requested momentum level "
                          f"set (defect {defect:.3e})")
@@ -99,11 +100,6 @@ def project_reduced(pt: PhasePoint, mu: CoalgebraVector) -> ReducedPoint:
     """Drop g: the reduced coordinates of a level-set point are its body
     momentum together with the rotor pair."""
     _require_member(pt, mu)
-    return ReducedPoint(pt.p, pt.theta.copy(), pt.l.copy())
-
-
-def as_reduced(pt: PhasePoint) -> ReducedPoint:
-    """Body coordinates of pt, with no level-set check."""
     return ReducedPoint(pt.p, pt.theta.copy(), pt.l.copy())
 
 
@@ -122,9 +118,11 @@ def reduced_hamiltonian_check(h_full: Callable[[PhasePoint], float],
     return worst
 
 
-def full_dynamical_field(sys: RCHSystem, pt: PhasePoint) -> FullTangent:
-    """Field on the full space: the reduced field plus the group
-    velocity that reconstruction integrates.
+def full_dynamical_field(sys: RCHSystem, layout: Layout,
+                         x: list) -> FullTangent:
+    """Field on the full space over the flat reduced state x of
+    ``layout``, a list of d floats: the reduced field plus the group
+    velocity that reconstruction integrates. Neither depends on g.
 
     Forces and controls are vertical, so they may move momenta but never
     the rotor angles; a lift that does is rejected here because the
@@ -132,19 +130,16 @@ def full_dynamical_field(sys: RCHSystem, pt: PhasePoint) -> FullTangent:
     of h is evaluated once and gives both the rates and the body
     velocity.
     """
-    q = as_reduced(pt)
-    _check_point(sys, q.layout)
-    x = q.flat().tolist()
-    grad = flat_gradient(sys.hamiltonian, q.layout)(x)
-    hamiltonian = _hamiltonian_rates(q.layout)(x, grad)
+    _check_point(sys, layout)
+    grad = flat_gradient(sys.hamiltonian, layout)(x)
+    hamiltonian = _hamiltonian_rates(layout)(x, grad)
     body = _add_lifts(sys, x, hamiltonian)
     lift = np.subtract(body, hamiltonian)
-    nc = lie.algebra_dim(q.kind)
-    if np.any(lift[nc:nc + q.n_theta] != 0.0):
+    nc = lie.algebra_dim(layout.kind)
+    if np.any(lift[nc:nc + layout.n_theta] != 0.0):
         raise ValueError("force/control must be vertical: it cannot move "
                          "the rotor angles")
-    return FullTangent(lie.algebra_from_flat(q.kind, grad[:nc]),
-                       tangent_like(q, body), lift)
+    return FullTangent(np.array(grad[:nc]), np.array(body), lift)
 
 
 def commutation_residual(sys: RCHSystem, pt: PhasePoint,
@@ -155,7 +150,7 @@ def commutation_residual(sys: RCHSystem, pt: PhasePoint,
     q = project_reduced(pt, mu)
     fn = reduced_field_fn or (lambda state: dynamical_field(sys, state))
     a = fn(q).flat()
-    b = full_dynamical_field(sys, pt).body.flat()
+    b = full_dynamical_field(sys, q.layout, q.flat().tolist()).body
     return float(np.linalg.norm(a - b))
 
 

@@ -1,5 +1,7 @@
 """End-to-end runs of the command-line scenario runner."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -299,6 +301,27 @@ class TestHJCheck:
                    "--seed", 7, "--quiet") == EXIT_OK
         assert (tmp_path / "a" / "hj_report.txt").read_bytes() \
             != (tmp_path / "c" / "hj_report.txt").read_bytes()
+
+    def test_peak_memory_grows_at_most_300_bytes_per_sample(self, tmp_path):
+        # On the heavy-top probe the command's tracemalloc peak grows
+        # about 255 B per sample, set by sampling (the stacked samples
+        # and the rotation check's temporaries). Formatting the whole
+        # report before writing it peaked at about 365 B per sample.
+        # A first run takes the one-time allocations out of the peaks.
+        def peak(n):
+            path = scenario(tmp_path, HT.replace("samples = 40",
+                                                 f"samples = {n}"))
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                assert cli("hj-check", "--config", path, "--out",
+                           tmp_path / "out", "--quiet") == EXIT_OK
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        peak(20)
+        assert (peak(3000) - peak(1000)) / 2000 <= 300.0
 
     def test_needs_a_gamma_section(self, tmp_path, capsys):
         code = cli("hj-check", "--config", scenario(tmp_path, RB),

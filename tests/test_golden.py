@@ -316,8 +316,10 @@ def test_output_matches_golden(case, tmp_path):
 
 def test_probe_evaluates_the_gradient_once_per_sample(tmp_path,
                                                       monkeypatch):
-    # each hj-check sample takes one full_dynamical_field, whose rates
-    # and body velocity share one evaluation of the gradient
+    # each hj-check sample reads its fiber row once and takes one
+    # full_dynamical_field over the flat state of that row and the
+    # sample's angles, whose rates and body velocity share one
+    # evaluation of the gradient
     calls = []
     build = systems.heavy_top_hamiltonian
 

@@ -1,5 +1,4 @@
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
@@ -209,36 +208,55 @@ class TestSections:
         sec = hj.constant_body_section(nu, (0.4, 0.5))
         rng = np.random.default_rng(5)
         q = hj.random_configuration(rng, lie.SO3, 2)
-        pt = hj.section_point(sec, q)
-        assert pt.g is q.g
-        assert_allclose(pt.p.flat(), nu.flat())
-        assert_allclose(pt.l, [0.4, 0.5])
+        assert_allclose(hj.fiber(sec, q), [0.1, 0.2, 0.3, 0.4, 0.5])
 
     def test_zero_section_is_zero(self):
         sec = hj.zero_section(lie.SE3, 2)
         q = hj.configuration(lie.identity(lie.SE3), (0.3, -0.1))
-        pt = hj.section_point(sec, q)
-        assert_allclose(pt.p.flat(), np.zeros(6))
-        assert_allclose(pt.l, np.zeros(2))
+        assert_allclose(hj.fiber(sec, q), np.zeros(8))
 
     def test_rotor_quadratic_components(self):
         sec = hj.rotor_quadratic_section()
         assert sec.family == "exact_dW"
         q = hj.configuration(lie.identity(lie.SO3), (0.2, -0.7, 1.1))
-        pt = hj.section_point(sec, q)
-        assert_allclose(pt.p.flat(), np.zeros(3))
-        assert_allclose(pt.l, q.theta + np.array([3.0, 0.0, 0.0]))
+        row = hj.fiber(sec, q)
+        assert_allclose(row[:3], np.zeros(3))
+        assert_allclose(row[3:], q.theta + np.array([3.0, 0.0, 0.0]))
 
-    def test_lying_section_is_caught(self):
-        def value(q):
-            from gyrostat.reduction import PhasePoint
-            return PhasePoint(q.g, lie.coalgebra(lie.SO3, np.zeros(3)),
-                              q.theta + 1.0, np.zeros(q.n_theta))
-
-        sec = hj.OneFormSection(value, lie.SO3, 2)
+    def test_fiber_rejects_a_row_of_the_wrong_shape(self):
         q = hj.configuration(lie.identity(lie.SO3), (0.0, 0.0))
-        with pytest.raises(ValueError, match="cover"):
-            hj.section_point(sec, q)
+        for row in (np.zeros(4), np.zeros(6), np.zeros((1, 5))):
+            sec = hj.exact_section(lie.SO3, 2, lambda q, row=row: row)
+            with pytest.raises(ValueError,
+                               match=r"shape \(.*\), expected a \(5,\)"):
+                hj.fiber(sec, q)
+
+    def test_fiber_rejects_a_non_finite_row(self):
+        q = hj.configuration(lie.identity(lie.SO3), (0.0, 0.0))
+        for bad in (np.nan, np.inf):
+            row = np.zeros(5)
+            row[1] = bad
+            sec = hj.exact_section(lie.SO3, 2, lambda q, row=row: row)
+            with pytest.raises(ValueError, match="not finite"):
+                hj.fiber(sec, q)
+
+    def test_fiber_rejects_a_configuration_of_the_wrong_kind(self):
+        sec = hj.zero_section(lie.SO3, 2)
+        q = hj.configuration(lie.identity(lie.SE3), (0.0, 0.0))
+        with pytest.raises(ValueError, match=r"\(SE3, 2 angles\) is not on "
+                           r"the section's base \(SO3, 2 angles\)"):
+            hj.fiber(sec, q)
+        with pytest.raises(ValueError, match=r"\(SE3, 2 angles\)"):
+            hj.section_residuals(rb_system(), sec, q)
+
+    def test_fiber_rejects_the_wrong_angle_count(self):
+        sec = hj.zero_section(lie.SO3, 2)
+        for theta in ((), (0.0,), (0.0, 0.0, 0.0)):
+            q = hj.configuration(lie.identity(lie.SO3), theta)
+            with pytest.raises(ValueError,
+                               match=rf"\(SO3, {len(theta)} angles\) is "
+                                     r"not on the section's base \(SO3, 2"):
+                hj.fiber(sec, q)
 
     def test_family_tag_is_checked(self):
         with pytest.raises(ValueError, match="family"):
@@ -247,12 +265,6 @@ class TestSections:
     def test_shear_needs_two_rotors(self):
         with pytest.raises(ValueError, match="two rotor"):
             hj.shear_section(lie.SO3, 1)
-
-    def test_exact_section_checks_component_count(self):
-        sec = hj.exact_section(lie.SO3, 2, lambda q: np.zeros(4))
-        q = hj.configuration(lie.identity(lie.SO3), (0.0, 0.0))
-        with pytest.raises(ValueError, match="components"):
-            hj.section_point(sec, q)
 
     def test_jacobian_matches_finite_differences(self):
         def grad_w(q):
@@ -616,8 +628,8 @@ class TestProbeRowsAreTheWrappers:
             qs = hj.isotropy_configurations(rng, nu, 4, 3)
         else:
             # rotor_quadratic_section's grad_w alone, differenced
-            sec = hj.exact_section(lie.SO3, 3, partial(
-                hj.fiber_flat, hj.rotor_quadratic_section()))
+            sec = hj.exact_section(lie.SO3, 3,
+                                   hj.rotor_quadratic_section().value)
             nu = lie.coalgebra(lie.SO3, np.zeros(3))
             qs = [hj.random_configuration(rng, lie.SO3, 3)
                   for _ in range(4)]

@@ -43,10 +43,10 @@ from . import lie
 from .controlled import RCHSystem
 from .lie import GroupElement
 from .poisson import FD_STEP, Layout, _vec, central_difference, point_like
-from .reduction import (MEMBERSHIP_TOL, _membership_defect,
-                        full_dynamical_field)
+from .reduction import full_dynamical_field
 
 GATE_TOL = 1e-5
+MEMBERSHIP_TOL = 1e-8
 FAMILIES = ("exact_dW", "constant_body", "custom")
 
 
@@ -483,12 +483,14 @@ def section_residuals(sys: RCHSystem, gamma: OneFormSection,
     the fiber components of force and control.
     """
     row = fiber(gamma, q)
+    if mu is not None:
+        # |Ad*_{g^-1} p - mu| for the row's body momentum p
+        defect = float(np.linalg.norm(
+            lie.coadjoint(q.g.rot, q.g.trans, row) - mu.flat()))
+        if defect > MEMBERSHIP_TOL:
+            raise MembershipError("section image is off the momentum level "
+                                  f"set (defect {defect:.3e})")
     dim = lie.algebra_dim(gamma.kind)
-    defect = 0.0 if mu is None else _membership_defect(
-        q.g, lie.coalgebra_from_flat(q.kind, row[:dim]), mu)
-    if defect > MEMBERSHIP_TOL:
-        raise MembershipError("section image is off the momentum level set "
-                              f"(defect {defect:.3e})")
     layout = Layout(q.kind, q.n_theta, gamma.rotor_count)
     angles = slice(dim, dim + q.n_theta)
 

@@ -16,9 +16,9 @@ Conventions fixed here and relied on everywhere else:
   ``pairing(ad*_xi(mu), eta) = pairing(mu, [xi, eta])``, which for
   so(3) gives ``ad*_xi(mu) = pi x omega``. Under this choice the
   minus Lie-Poisson equations come out as ``pi_dot = pi x grad_h``.
-* ``Ad_star`` is the coadjoint *action*
-  ``mu -> Ad*_{g^{-1}} mu`` (a left action, composing covariantly),
-  which for a rotation R sends ``pi -> R pi``.
+* ``coadjoint`` is the coadjoint *action* ``mu -> Ad*_{g^{-1}} mu``
+  on flat arrays, for one element or a stack; ``Ad_star`` is its
+  one-element view on dataclasses.
 """
 
 from __future__ import annotations
@@ -37,6 +37,10 @@ SMALL_ANGLE = 1e-8
 _ORTHO_TOL = 1e-10
 _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False
+# a x b = a[_ROLL1] * b[_ROLL2] - a[_ROLL2] * b[_ROLL1] on stacked 3-vectors;
+# index arrays built once cost less per call than index lists
+_ROLL1, _ROLL2 = np.array([1, 2, 0]), np.array([2, 0, 1])
+_ROLL1.flags.writeable = _ROLL2.flags.writeable = False
 
 
 def _vec3(x, name: str) -> np.ndarray:
@@ -119,20 +123,22 @@ def _check_rotations(rot: np.ndarray) -> None:
     within 1e-10. Each test is one whole-array max; the first failing
     block of a stack is located only to name it in the error."""
     r = rot.reshape(-1, 3, 3)
+    stacked = rot.ndim == 3
     if not np.isfinite(r).all():
-        _reject(rot, ~np.isfinite(r), "has non-finite entries")
+        _reject("rot", stacked, ~np.isfinite(r), "has non-finite entries")
     ortho = abs(r.mT @ r - _EYE3)
     if ortho.max() > _ORTHO_TOL:
-        _reject(rot, ortho > _ORTHO_TOL, "is not orthonormal within 1e-10")
+        _reject("rot", stacked, ortho > _ORTHO_TOL,
+                "is not orthonormal within 1e-10")
     det = abs(np.linalg.det(r) - 1.0)
     if det.max() > _ORTHO_TOL:
-        _reject(rot, det > _ORTHO_TOL,
+        _reject("rot", stacked, det > _ORTHO_TOL,
                 "determinant differs from 1 by more than 1e-10")
 
 
-def _reject(rot: np.ndarray, bad: np.ndarray, what: str):
-    where = f"[{np.argwhere(bad)[0, 0]}]" if rot.ndim == 3 else ""
-    raise ValueError(f"rot{where} {what}")
+def _reject(name: str, stacked: bool, bad: np.ndarray, what: str):
+    where = f"[{np.argwhere(bad)[0, 0]}]" if stacked else ""
+    raise ValueError(f"{name}{where} {what}")
 
 
 def _set_group_parts(g, lead: tuple) -> None:
@@ -152,7 +158,11 @@ def _set_group_parts(g, lead: tuple) -> None:
         raise ValueError(f"SE3 elements need a translation of shape "
                          f"{lead + (3,)}")
     else:
-        object.__setattr__(g, "trans", np.asarray(g.trans, dtype=float))
+        t = np.asarray(g.trans, dtype=float)
+        if not np.isfinite(t).all():
+            _reject("trans", bool(lead), ~np.isfinite(t),
+                    "has non-finite entries")
+        object.__setattr__(g, "trans", t)
 
 
 @dataclass(frozen=True)
@@ -160,7 +170,7 @@ class GroupElement:
     """SO(3) rotation or SE(3) (rotation, translation) pair.
 
     The rotation block must be orthonormal with unit determinant within
-    1e-10; construction fails otherwise.
+    1e-10 and the translation finite; construction fails otherwise.
     """
 
     kind: str
@@ -175,7 +185,7 @@ class GroupElement:
 class GroupPath:
     """n group elements as stacked (n, 3, 3) rotations and, for SE3,
     (n, 3) translations: the attitudes that reconstruction recovers.
-    Every rotation passes the :class:`GroupElement` check, run once over
+    Every element passes the :class:`GroupElement` checks, run once over
     the stack."""
 
     kind: str
@@ -380,19 +390,26 @@ def coadjoint_ad_star(xi: AlgebraVector, mu: CoalgebraVector) -> CoalgebraVector
     return CoalgebraVector(SE3, p, g)
 
 
-def Ad_star(g: GroupElement, mu: CoalgebraVector) -> CoalgebraVector:
-    """Coadjoint action mu -> Ad*_{g^{-1}} mu.
-
-    This is a left action: Ad_star(compose(g, h), mu) equals
-    Ad_star(g, Ad_star(h, mu)). For SO(3) it is pi -> R pi; for SE(3)
-    with g = (A, b) it is (pi, gamma) -> (A pi + b x A gamma, A gamma).
+def coadjoint(rot: np.ndarray, trans, mu: np.ndarray) -> np.ndarray:
+    """Coadjoint action mu -> Ad*_{g^{-1}} mu of g = (rot, trans) on flat
+    arrays: rot (3, 3), trans (3,) or None on SO(3) and mu (>= d,) for
+    one element, each with a leading n for a stack; only the first d = 3
+    or 6 entries of mu are read. A left action: pi -> R pi on SO(3), and
+    (pi, gamma) -> (A pi + b x A gamma, A gamma) on SE(3), g = (A, b).
     """
-    kind = _same_kind(g, mu)
-    p = g.rot @ mu.pi
-    if kind == SO3:
-        return CoalgebraVector(SO3, p)
-    ag = g.rot @ mu.gamma
-    return CoalgebraVector(SE3, p + _cross(g.trans, ag), ag)
+    p = (rot @ mu[..., :3, None])[..., 0]
+    if trans is None:
+        return p
+    ag = (rot @ mu[..., 3:6, None])[..., 0]
+    cross = (trans[..., _ROLL1] * ag[..., _ROLL2]
+             - trans[..., _ROLL2] * ag[..., _ROLL1])
+    return np.concatenate([p + cross, ag], axis=-1)
+
+
+def Ad_star(g: GroupElement, mu: CoalgebraVector) -> CoalgebraVector:
+    """:func:`coadjoint` of one group element and momentum of one kind."""
+    return coalgebra_from_flat(_same_kind(g, mu),
+                               coadjoint(g.rot, g.trans, mu.flat()))
 
 
 def random_algebra(rng: np.random.Generator, kind: str, scale: float = 1.0) -> AlgebraVector:

@@ -1,11 +1,11 @@
-"""Momentum maps, projection to body coordinates, and reconstruction.
+"""The full dynamical field over a flat reduced state, reconstruction
+and momentum drift.
 
-The full phase space is modeled in left trivialization as tuples
-(g, p, theta, l): a group element, a body momentum, and the rotor angle
-and momentum vectors. The momentum map of the lifted left action sends
-such a point to its spatial momentum Ad*_{g^-1} p; its level sets
-project onto the reduced space by simply dropping g. Reconstruction
-inverts that projection along a trajectory of a controlled system by
+In left trivialization the momentum map of the lifted left action sends
+a group element g and a body momentum p to the spatial momentum
+Ad*_{g^-1} p (:func:`gyrostat.lie.coadjoint`), and its level sets
+project onto the reduced space by dropping g. Reconstruction inverts
+that projection along a trajectory of a controlled system by
 integrating g_dot = g hat(xi) with xi = dh/dnu evaluated on the flat
 states of a :class:`~gyrostat.integrate.Trajectory`, stepping at order
 4 the system's controlled field jointly with g, one gradient per stage
@@ -14,46 +14,16 @@ point, into a stacked :class:`~gyrostat.lie.GroupPath`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from . import lie
 from .controlled import (RCHSystem, _add_lifts, _check_point,
-                         _controlled_rates, dynamical_field)
+                         _controlled_rates)
 from .integrate import Trajectory, rk4_step
-from .lie import CoalgebraVector, GroupElement, GroupPath
-from .poisson import (Layout, ReducedPoint, ScalarField, _hamiltonian_rates,
-                      _row_dot, _vec, flat_gradient)
-
-MEMBERSHIP_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """Point of the full phase space in left trivialization."""
-
-    g: GroupElement
-    p: CoalgebraVector
-    theta: np.ndarray
-    l: np.ndarray
-
-    def __post_init__(self):
-        if self.g.kind != self.p.kind:
-            raise ValueError("group element and momentum belong to "
-                             "different groups")
-        theta, momenta = _vec(self.theta, "theta"), _vec(self.l, "l")
-        if theta.shape != momenta.shape:
-            raise ValueError("rotor angles and momenta must pair up")
-        if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(momenta))):
-            raise ValueError("rotor components must be finite")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "l", momenta)
-
-    @property
-    def kind(self) -> str:
-        return self.g.kind
+from .lie import GroupElement, GroupPath
+from .poisson import Layout, _hamiltonian_rates, _row_dot, flat_gradient
 
 
 class FullTangent(NamedTuple):
@@ -64,58 +34,6 @@ class FullTangent(NamedTuple):
     xi: np.ndarray
     body: np.ndarray
     lift: np.ndarray
-
-
-def phase_point(g: GroupElement, p: CoalgebraVector, theta=(),
-                l=()) -> PhasePoint:
-    return PhasePoint(g, p, theta, l)
-
-
-def momentum_map(pt: PhasePoint) -> CoalgebraVector:
-    """Spatial momentum Ad*_{g^-1} p of the lifted left action."""
-    return lie.Ad_star(pt.g, pt.p)
-
-
-def momentum_fiber_point(g: GroupElement, mu: CoalgebraVector, theta=(),
-                         l=()) -> PhasePoint:
-    """The point over g on the level set momentum_map = mu."""
-    return PhasePoint(g, lie.Ad_star(lie.inverse(g), mu), theta, l)
-
-
-def _membership_defect(g: GroupElement, p: CoalgebraVector,
-                       mu: CoalgebraVector) -> float:
-    """|Ad*_{g^-1} p - mu|: how far the body momentum p over g is from
-    the level set momentum_map = mu."""
-    return float(np.linalg.norm(lie.Ad_star(g, p).flat() - mu.flat()))
-
-
-def _require_member(pt: PhasePoint, mu: CoalgebraVector):
-    defect = _membership_defect(pt.g, pt.p, mu)
-    if defect > MEMBERSHIP_TOL:
-        raise ValueError("point is not on the requested momentum level "
-                         f"set (defect {defect:.3e})")
-
-
-def project_reduced(pt: PhasePoint, mu: CoalgebraVector) -> ReducedPoint:
-    """Drop g: the reduced coordinates of a level-set point are its body
-    momentum together with the rotor pair."""
-    _require_member(pt, mu)
-    return ReducedPoint(pt.p, pt.theta.copy(), pt.l.copy())
-
-
-def reduced_hamiltonian_check(h_full: Callable[[PhasePoint], float],
-                              h_red: ScalarField,
-                              samples: Sequence[PhasePoint]) -> float:
-    """Max over samples of |h_full(pt) - h_red(projection of pt)|.
-
-    Each sample is projected on its own momentum level, so membership
-    holds by construction and the defect isolates the two Hamiltonians.
-    """
-    worst = 0.0
-    for pt in samples:
-        q = project_reduced(pt, momentum_map(pt))
-        worst = max(worst, abs(h_full(pt) - h_red.eval(q)))
-    return worst
 
 
 def full_dynamical_field(sys: RCHSystem, layout: Layout,
@@ -140,18 +58,6 @@ def full_dynamical_field(sys: RCHSystem, layout: Layout,
         raise ValueError("force/control must be vertical: it cannot move "
                          "the rotor angles")
     return FullTangent(np.array(grad[:nc]), np.array(body), lift)
-
-
-def commutation_residual(sys: RCHSystem, pt: PhasePoint,
-                         mu: CoalgebraVector,
-                         reduced_field_fn=None) -> float:
-    """Norm of (reduced field at the projection) minus (projection of
-    the full field), a two-path consistency check of the reduction."""
-    q = project_reduced(pt, mu)
-    fn = reduced_field_fn or (lambda state: dynamical_field(sys, state))
-    a = fn(q).flat()
-    b = full_dynamical_field(sys, q.layout, q.flat().tolist()).body
-    return float(np.linalg.norm(a - b))
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +127,6 @@ def momentum_drift(traj: Trajectory, groups: GroupPath) -> float:
     its initial value along a reconstructed trajectory."""
     if len(traj.states) != len(groups.rot):
         raise ValueError("states and groups must have equal length")
-    j = (groups.rot @ traj.states[:, :3, None])[:, :, 0]
-    if groups.kind == lie.SE3:
-        ag = (groups.rot @ traj.states[:, 3:6, None])[:, :, 0]
-        j = np.concatenate([j + np.cross(groups.trans, ag), ag], axis=1)
+    j = lie.coadjoint(groups.rot, groups.trans, traj.states)
     dev = j[1:] - j[0]
     return float(np.max(np.sqrt(_row_dot(dev, dev)), initial=0.0))

@@ -4,6 +4,7 @@ import pytest
 
 from gyrostat import lie
 from gyrostat.lie import SO3, SE3
+from gyrostat.poisson import casimirs, reduced_point
 
 E1, E2, E3 = np.eye(3)
 
@@ -189,6 +190,16 @@ def test_group_path_part_validation():
         lie.GroupPath(SE3, stack, np.zeros((3, 3)))
 
 
+def test_non_finite_translations_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^trans has non-finite"):
+            lie.GroupElement(SE3, np.eye(3), [bad, 0.0, 0.0])
+        trans = np.zeros((4, 3))
+        trans[2, 1] = trans[3, 0] = bad
+        with pytest.raises(ValueError, match=r"^trans\[2\] has non-finite"):
+            lie.GroupPath(SE3, np.tile(np.eye(3), (4, 1, 1)), trans)
+
+
 @pytest.mark.parametrize("kind", [SO3, SE3])
 def test_views_equal_the_flat_kernels_bitwise(kind):
     rng = np.random.default_rng(9)
@@ -273,6 +284,29 @@ def test_Ad_star_composition_law(kind):
         two_step = lie.Ad_star(g, lie.Ad_star(h, mu))
         one_step = lie.Ad_star(lie.compose(g, h), mu)
         npt.assert_allclose(one_step.flat(), two_step.flat(), atol=1e-12)
+        # the action keeps mu on its coadjoint orbit: Casimirs are preserved
+        want = dict(casimirs(reduced_point(kind, mu.pi, mu.gamma)))
+        for name, value in casimirs(reduced_point(kind, one_step.pi,
+                                                  one_step.gamma)):
+            assert abs(value - want[name]) <= 1e-8
+
+
+@pytest.mark.parametrize("kind", [SO3, SE3])
+def test_coadjoint_stack_rows_equal_one_element_calls(kind):
+    # one formula serves a stack and one element, bit for bit
+    rng = np.random.default_rng(11)
+    n, d = 500, lie.algebra_dim(kind)
+    groups = [lie.random_group(rng, kind) for _ in range(n)]
+    rot = np.array([g.rot for g in groups])
+    trans = None if kind == SO3 else np.array([g.trans for g in groups])
+    mu = rng.standard_normal((n, d + 2))  # trailing entries are not read
+    stacked = lie.coadjoint(rot, trans, mu)
+    assert stacked.shape == (n, d)
+    for i, g in enumerate(groups):
+        npt.assert_array_equal(stacked[i],
+                               lie.coadjoint(g.rot, g.trans, mu[i]))
+        one = lie.Ad_star(g, lie.coalgebra_from_flat(kind, mu[i, :d]))
+        npt.assert_array_equal(stacked[i], one.flat())
 
 
 @pytest.mark.parametrize("kind", [SO3, SE3])

@@ -8,16 +8,12 @@ from gyrostat import lie
 from gyrostat.controlled import (RCHSystem, dynamical_field,
                                  flat_dynamical_field)
 from gyrostat.integrate import Trajectory, run
-from gyrostat.poisson import (ReducedPoint, ReducedTangent, ScalarField,
-                              casimirs, hamiltonian_field, reduced_point,
-                              tangent_like)
-from gyrostat.reduction import (commutation_residual, full_dynamical_field,
-                                momentum_drift, momentum_fiber_point,
-                                momentum_map, phase_point, project_reduced,
-                                reconstruct, reduced_hamiltonian_check)
+from gyrostat.poisson import (ReducedTangent, ScalarField,
+                              hamiltonian_field, reduced_point)
+from gyrostat.reduction import (full_dynamical_field, momentum_drift,
+                                reconstruct)
 from gyrostat.systems import (HeavyTopRotorParams, RigidBodyRotorParams,
-                              heavy_top_reduced_h, heavy_top_system,
-                              rigid_body_reduced_h, rigid_body_system)
+                              heavy_top_system, rigid_body_system)
 
 RB = RigidBodyRotorParams((1.0, 2.0, 3.0), (0.5, 0.4, 0.3))
 HT = HeavyTopRotorParams((2.0, 1.5, 1.0), (0.4, 0.3), m=1.0, g=9.8, h=0.3,
@@ -30,173 +26,21 @@ def constant_trajectory(q, n, dt):
                       {}, q.layout)
 
 
-def body_point(pt):
-    """The body coordinates (p, theta, l) of pt, with no level-set
-    check."""
-    return ReducedPoint(pt.p, pt.theta, pt.l)
-
-
-def full_field_at(sys, pt):
-    q = body_point(pt)
+def full_field_at(sys, q):
     return full_dynamical_field(sys, q.layout, q.flat().tolist())
 
 
-def random_phase_point(rng, kind, k=3):
-    return phase_point(lie.random_group(rng, kind),
-                       lie.random_coalgebra(rng, kind),
-                       theta=rng.standard_normal(k),
-                       l=rng.standard_normal(k))
-
-
-class TestMomentumMap:
-    def test_identity_group_returns_body_momentum(self):
-        p = lie.coalgebra(lie.SO3, (1.0, -2.0, 0.5))
-        pt = phase_point(lie.identity(lie.SO3), p)
-        assert_allclose(momentum_map(pt).flat(), p.flat())
-
-    def test_quarter_turn_rotates_momentum(self):
-        g = lie.exp_group(lie.algebra(lie.SO3, (0.0, 0.0, np.pi / 2)))
-        pt = phase_point(g, lie.coalgebra(lie.SO3, (1.0, 0.0, 0.0)))
-        assert_allclose(momentum_map(pt).flat(), [0.0, 1.0, 0.0],
-                        atol=1e-15)
-
-    @pytest.mark.parametrize("kind", [lie.SO3, lie.SE3])
-    def test_fiber_point_hits_the_level_set(self, kind):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            g = lie.random_group(rng, kind)
-            mu = lie.random_coalgebra(rng, kind)
-            pt = momentum_fiber_point(g, mu)
-            assert_allclose(momentum_map(pt).flat(), mu.flat(), rtol=0,
-                            atol=1e-12)
-
-    def test_kind_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="different groups"):
-            phase_point(lie.identity(lie.SO3),
-                        lie.coalgebra(lie.SE3, (1, 0, 0), (0, 0, 1)))
-
-    def test_rotor_slots_must_pair(self):
-        with pytest.raises(ValueError, match="pair"):
-            phase_point(lie.identity(lie.SO3),
-                        lie.coalgebra(lie.SO3, (1, 0, 0)),
-                        theta=(0.0,), l=(0.0, 0.0))
-
-
-class TestProjection:
-    def test_identity_point_projects_to_mu(self):
-        mu = lie.coalgebra(lie.SO3, (0.3, -1.2, 0.7))
-        pt = phase_point(lie.identity(lie.SO3), mu, theta=(0.1,), l=(0.2,))
-        q = project_reduced(pt, mu)
-        assert_allclose(q.nu.flat(), mu.flat())
-        assert_allclose(q.theta, [0.1])
-        assert_allclose(q.l, [0.2])
-
-    @pytest.mark.parametrize("kind", [lie.SO3, lie.SE3])
-    def test_lifted_points_stay_on_the_orbit(self, kind):
-        rng = np.random.default_rng(2)
-        mu = lie.random_coalgebra(rng, kind)
-        want = dict(casimirs(reduced_point(kind, mu.pi, mu.gamma)))
-        for _ in range(50):
-            pt = momentum_fiber_point(lie.random_group(rng, kind), mu)
-            q = project_reduced(pt, mu)
-            for name, value in casimirs(q):
-                assert abs(value - want[name]) <= 1e-8
-
-    def test_membership_violation_reports_defect(self):
-        mu = lie.coalgebra(lie.SO3, (1.0, 0.0, 0.0))
-        off = lie.coalgebra(lie.SO3, (1.0, 0.5, 0.0))
-        pt = phase_point(lie.identity(lie.SO3), off)
-        with pytest.raises(ValueError, match="defect 5.000e-01"):
-            project_reduced(pt, mu)
-
-
-class TestReducedHamiltonian:
-    def test_rigid_body_defect_is_rounding(self):
-        rng = np.random.default_rng(3)
-        h_red = rigid_body_system(RB).hamiltonian
-
-        def h_full(pt):
-            return rigid_body_reduced_h(RB, body_point(pt))
-
-        samples = [random_phase_point(rng, lie.SO3) for _ in range(50)]
-        assert reduced_hamiltonian_check(h_full, h_red, samples) <= 1e-10
-
-    def test_heavy_top_defect_is_rounding(self):
-        rng = np.random.default_rng(4)
-        h_red = heavy_top_system(HT).hamiltonian
-
-        def h_full(pt):
-            return heavy_top_reduced_h(HT, body_point(pt))
-
-        samples = [random_phase_point(rng, lie.SE3, k=2) for _ in range(50)]
-        assert reduced_hamiltonian_check(h_full, h_red, samples) <= 1e-12
-
-    def test_perturbed_reduced_hamiltonian_is_detected(self):
-        rng = np.random.default_rng(5)
-        base = rigid_body_system(RB).hamiltonian
-        bumped = ScalarField(lambda p: base.eval(p) + 0.5, base.grad)
-
-        def h_full(pt):
-            return rigid_body_reduced_h(RB, body_point(pt))
-
-        samples = [random_phase_point(rng, lie.SO3) for _ in range(20)]
-        assert reduced_hamiltonian_check(h_full, bumped, samples) == \
-            pytest.approx(0.5, abs=1e-12)
-
-
 class TestCommutation:
-    def test_builtin_rigid_body_two_paths_agree(self):
-        rng = np.random.default_rng(6)
-        sys = rigid_body_system(RB)
-        for _ in range(100):
-            g = lie.random_group(rng, lie.SO3)
-            mu = lie.random_coalgebra(rng, lie.SO3)
-            pt = momentum_fiber_point(g, mu, theta=rng.standard_normal(3),
-                                      l=rng.standard_normal(3))
-            assert commutation_residual(sys, pt, mu) <= 1e-8
-
-    def test_identity_point_residual_is_zero(self):
-        mu = lie.coalgebra(lie.SO3, (1.0, -0.5, 0.2))
-        pt = phase_point(lie.identity(lie.SO3), mu, theta=np.zeros(3),
-                         l=np.full(3, 0.1))
-        assert commutation_residual(rigid_body_system(RB), pt, mu) == 0.0
-
-    def test_corrupted_reduced_field_is_measured(self):
-        sys = rigid_body_system(RB)
-        mu = lie.coalgebra(lie.SO3, (1.0, -0.5, 0.2))
-        pt = phase_point(lie.identity(lie.SO3), mu, theta=np.zeros(3),
-                         l=np.zeros(3))
-        eps = 1e-3
-
-        def corrupted(q):
-            bump = ReducedTangent(np.array([eps, 0.0, 0.0]), None,
-                                  np.zeros(q.n_theta), np.zeros(q.n_l))
-            return tangent_like(q, dynamical_field(sys, q).flat()
-                                + bump.flat())
-
-        res = commutation_residual(sys, pt, mu, reduced_field_fn=corrupted)
-        assert res == pytest.approx(eps, abs=1e-15)
-
-    def test_membership_checked_first(self):
-        sys = rigid_body_system(RB)
-        pt = phase_point(lie.identity(lie.SO3),
-                         lie.coalgebra(lie.SO3, (1.0, 0.0, 0.0)),
-                         theta=np.zeros(3), l=np.zeros(3))
-        with pytest.raises(ValueError, match="defect"):
-            commutation_residual(sys, pt,
-                                 lie.coalgebra(lie.SO3, (0.0, 1.0, 0.0)))
-
     def test_angle_moving_control_rejected(self):
         def sideways(x):
             return [0.0] * 3 + [1.0] * (len(x) - 6) + [0.0] * 3
 
         sys = RCHSystem(rigid_body_system(RB).hamiltonian, lie.SO3, 3,
                         control=sideways)
-        mu = lie.coalgebra(lie.SO3, (1.0, 0.0, 0.0))
-        pt = phase_point(lie.identity(lie.SO3), mu, theta=np.zeros(3),
-                         l=np.zeros(3))
+        q = reduced_point(lie.SO3, (1.0, 0.0, 0.0), theta=np.zeros(3),
+                          l=np.zeros(3))
         with pytest.raises(ValueError, match="vertical"):
-            full_field_at(sys, pt)
+            full_field_at(sys, q)
 
     def test_body_and_lift_read_from_one_field_evaluation(self):
         # body is the controlled field and lift is body minus the
@@ -212,9 +56,10 @@ class TestCommutation:
                         force=force, control=control)
         rng = np.random.default_rng(12)
         for _ in range(20):
-            pt = random_phase_point(rng, lie.SO3)
-            q = body_point(pt)
-            v = full_field_at(sys, pt)
+            q = reduced_point(lie.SO3, rng.standard_normal(3),
+                              theta=rng.standard_normal(3),
+                              l=rng.standard_normal(3))
+            v = full_field_at(sys, q)
             body = dynamical_field(sys, q).flat()
             assert np.array_equal(v.body, body)
             assert np.array_equal(
@@ -226,11 +71,10 @@ class TestCommutation:
 
         sys = RCHSystem(rigid_body_system(RB).hamiltonian, lie.SO3, 3,
                         control=torque)
-        mu = lie.coalgebra(lie.SO3, (1.0, 0.0, 0.0))
-        pt = phase_point(lie.identity(lie.SO3), mu, theta=np.zeros(3),
-                         l=np.zeros(3))
-        v = full_field_at(sys, pt)
-        plain = full_field_at(rigid_body_system(RB), pt)
+        q = reduced_point(lie.SO3, (1.0, 0.0, 0.0), theta=np.zeros(3),
+                          l=np.zeros(3))
+        v = full_field_at(sys, q)
+        plain = full_field_at(rigid_body_system(RB), q)
         assert_allclose(v.body[:3] - plain.body[:3], [0.1, 0.0, 0.0],
                         atol=1e-15)
         assert_allclose(v.xi, plain.xi)

@@ -4,11 +4,13 @@ and of attitude reconstruction.
 Each case runs one command once and compares every file it writes with
 the copy under ``tests/golden/<case>/``. Each reconstruction case writes
 sampled attitudes and the momentum drift to
-``tests/golden/reconstruct/<case>.txt``, and each full-space
+``tests/golden/reconstruct/<case>.txt``, each full-space
 Hamilton-Jacobi case the gate values and residuals of four sections to
-``tests/golden/hj-full/<case>.txt``. Guarantee 9 checks that two
-runs agree with each other; this checks that a refactor leaves the
-bytes where they were. A change that moves a golden file on purpose
+``tests/golden/hj-full/<case>.txt``, and the bracket axiom suite every
+report field of its three sweeps to
+``tests/golden/bracket-suite/reports.txt``. Guarantee 9 checks that two
+runs agree with each other; this checks that a refactor leaves the bytes
+where they were. A change that moves a golden file on purpose
 regenerates it with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -27,7 +29,7 @@ from gyrostat import lie, systems
 from gyrostat.cli import main as cli_main
 from gyrostat.controlled import flat_dynamical_field
 from gyrostat.integrate import run
-from gyrostat.poisson import reduced_point
+from gyrostat.poisson import BRACKET_SPACES, bracket_axiom_suite, reduced_point
 from gyrostat.reduction import momentum_drift, reconstruct
 from test_acceptance import HJ_CHECK, HT, RB, SIMULATE, TRANSPORT
 
@@ -301,6 +303,32 @@ def test_full_space_residuals_match_golden(case):
                                               stored, fresh)
 
 
+# The axiom suite's reports at three seeds (seed 10 holds a Jacobi
+# sample near its bound) and with the mutation hook on: each run as
+# (seed, instances, inject_error).
+BRACKET_SUITE_RUNS = [(1, 300, False), (10, 300, False), (2027, 300, False),
+                      (12, 40, True)]
+
+
+def _bracket_suite_text() -> bytes:
+    """Every report field of the three sweeps in each of
+    BRACKET_SUITE_RUNS, written with repr."""
+    lines = []
+    for seed, n, inject in BRACKET_SUITE_RUNS:
+        for name in sorted(BRACKET_SPACES):
+            report = bracket_axiom_suite(name, n, seed, inject_error=inject)
+            lines += [f"{name} seed {seed} inject {inject} {key} {value!r}"
+                      for key, value in report.items()]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_bracket_suite_matches_golden():
+    stored = (GOLDEN / "bracket-suite" / "reports.txt").read_bytes()
+    fresh = _bracket_suite_text()
+    assert stored == fresh, _first_difference("bracket-suite/reports.txt",
+                                              stored, fresh)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_output_matches_golden(case, tmp_path):
     out = _run(case, tmp_path)
@@ -356,3 +384,7 @@ if __name__ == "__main__":
         path = GOLDEN / "hj-full" / f"{case}.txt"
         path.write_bytes(_hj_full_text(case))
         print(f"wrote {path}")
+    (GOLDEN / "bracket-suite").mkdir(exist_ok=True)
+    path = GOLDEN / "bracket-suite" / "reports.txt"
+    path.write_bytes(_bracket_suite_text())
+    print(f"wrote {path}")

@@ -433,41 +433,47 @@ class _Polynomials(NamedTuple):
         return g
 
 
-def _stack(coefficients) -> _Polynomials:
-    """The polynomials of a sequence of (c0, a, b, idx, coef) tuples, as
-    :func:`polynomial_field` takes them (b need not be symmetric)."""
-    c0, a, b, idx, coef = zip(*coefficients)
-    b = np.array(b, dtype=float)
-    return _Polynomials(np.array(c0, dtype=float), np.array(a, dtype=float),
-                        0.5 * (b + b.swapaxes(1, 2)), np.array(idx, dtype=int),
-                        np.array(coef, dtype=float))
+def _polynomials(idx: np.ndarray, z: np.ndarray) -> _Polynomials:
+    """The polynomials of n raw draws: cubic indices idx (n, q, 3) and
+    standard normals z (n, q + 1 + d(d + 1)), which give coef, c0, a and
+    b in this order. The scales keep values O(1) on standard-normal
+    points."""
+    q = idx.shape[1]
+    d = math.isqrt(z.shape[1] - q - 1)
+    a = (0.4 / np.sqrt(d)) * z[:, q + 1:q + 1 + d]
+    b = (0.6 / d) * z[:, q + 1 + d:].reshape(-1, d, d)
+    return _Polynomials(0.3 * z[:, q], a, 0.5 * (b + b.swapaxes(1, 2)), idx,
+                        0.1 * z[:, :q])
 
 
 def polynomial_field(c0: float, a: np.ndarray, b: np.ndarray,
                      cubic_idx: np.ndarray | None = None,
                      cubic_coef: np.ndarray | None = None) -> ScalarField:
     """c0 + a.x + x.B.x/2 plus optional sparse cubic terms, on the flat
-    coordinate layout. eval, grad (analytic), eval_batch and grad_batch
-    are views of one :class:`_Polynomials` row; flat fields read the
-    gradient through the point view."""
-    one = _stack([(c0, a, b,
-                   np.zeros((0, 3)) if cubic_idx is None else cubic_idx,
-                   () if cubic_coef is None else cubic_coef)])
+    coordinate layout (B is symmetrised). eval, grad (analytic),
+    eval_batch and grad_batch are views of one :class:`_Polynomials`
+    row; flat fields read the gradient through the point view."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    idx = np.asarray(np.zeros((0, 3), int) if cubic_idx is None else cubic_idx)
+    coef = np.asarray(() if cubic_coef is None else cubic_coef, dtype=float)
+    d, q = a.size, len(idx)
+    if a.shape != (d,) or b.shape != (d, d):
+        raise ValueError(f"a and b must have shapes (d,) and (d, d), got "
+                         f"{a.shape} and {b.shape}")
+    if (idx.shape != (q, 3) or not np.issubdtype(idx.dtype, np.integer)
+            or np.any((idx < 0) | (idx >= d))):
+        raise ValueError(f"cubic_idx must be (q, 3) integers in [0, {d}), "
+                         f"got {idx.tolist()}")
+    if coef.shape != (q,):
+        raise ValueError(f"cubic_coef must have shape ({q},), got "
+                         f"{coef.shape}")
+    one = _Polynomials(np.array([c0], dtype=float), a[None],
+                       0.5 * (b + b.T)[None], idx[None], coef[None])
     return ScalarField(
         lambda p: float(one.value(p.flat()[None, None])[0, 0]),
         lambda p: tangent_like(p, one.grad(p.flat()[None, None])[0, 0]),
         lambda pts: one.value(pts[None])[0],
         lambda pts: one.grad(pts[None])[0])
-
-
-def _random_coefficients(rng: np.random.Generator, dim: int,
-                         cubic_terms: int = 2) -> tuple:
-    """(c0, a, b, idx, coef); one normal draw gives coef, c0, a, b."""
-    q = cubic_terms
-    idx = rng.integers(0, dim, size=(q, 3))
-    z = rng.standard_normal(q + 1 + dim * (dim + 1))
-    return (0.3 * z[q], (0.4 / np.sqrt(dim)) * z[q + 1:q + 1 + dim],
-            (0.6 / dim) * z[q + 1 + dim:].reshape(dim, dim), idx, 0.1 * z[:q])
 
 
 def random_polynomial_field(rng: np.random.Generator, dim: int,
@@ -477,7 +483,9 @@ def random_polynomial_field(rng: np.random.Generator, dim: int,
     fields at O(1) keeps the rounding floor of their finite-difference
     gradients (roughly eps * |f| / step), which the Leibniz sweep of
     :func:`bracket_axiom_suite` differences, below its tolerance."""
-    return polynomial_field(*_random_coefficients(rng, dim, cubic_terms))
+    idx = rng.integers(0, dim, size=(1, cubic_terms, 3))
+    z = rng.standard_normal((1, cubic_terms + 1 + dim * (dim + 1)))
+    return polynomial_field(*(c[0] for c in _polynomials(idx, z)))
 
 
 BRACKET_SPACES = {
@@ -534,8 +542,9 @@ def bracket_axiom_suite(name: str, n_instances: int = 1000, seed: int = 0,
     analytic gradients, Leibniz with finite-difference gradients of f,
     g, k and f*g, and Jacobi as the finite difference of the brackets
     built from analytic gradients (:func:`central_difference`, step
-    ``FD_STEP``). All instances are drawn first, then each axiom runs
-    over all of them as (n_instances, ...) array operations. Returns max
+    ``FD_STEP``). All instances are drawn first, one after another,
+    into stacked arrays; then each axiom runs over all of them as
+    (n_instances, ...) array operations. Returns max
     defects plus the worst sample index (in draw order) per axiom.
     ``inject_error`` corrupts the structure constants so that the
     Jacobi sweep must fail (mutation check hook).
@@ -544,12 +553,15 @@ def bracket_axiom_suite(name: str, n_instances: int = 1000, seed: int = 0,
         raise ValueError(f"n_instances must be at least 1, got {n_instances}")
     kind, n_theta, n_l = BRACKET_SPACES[name]
     n, d = n_instances, (3 if kind == SO3 else 6) + n_theta + n_l
-    rng = np.random.default_rng(seed)
-    x, drawn = np.empty((n, d)), []
-    for row in x:  # one instance after another: its point, then f, g, k
-        rng.standard_normal(out=row)
-        drawn.append([_random_coefficients(rng, d) for _ in range(3)])
-    f, g, k = (_stack(c) for c in zip(*drawn))
+    rng, q = np.random.default_rng(seed), 2
+    x, z = np.empty((n, d)), np.empty((3, n, q + 1 + d * (d + 1)))
+    idx = np.empty((3, n, q, 3), dtype=np.int64)
+    for i in range(n):  # one instance after another: its point, then f, g, k
+        rng.standard_normal(out=x[i])
+        for j in range(3):
+            idx[j, i] = rng.integers(0, d, size=(q, 3))
+            rng.standard_normal(out=z[j, i])
+    f, g, k = map(_polynomials, idx, z)
     bk = _flat_bracket(name, inject_error)
 
     def values(rows):

@@ -127,6 +127,8 @@ def momentum_drift(traj: Trajectory, groups: GroupPath) -> float:
     its initial value along a reconstructed trajectory."""
     if len(traj.states) != len(groups.rot):
         raise ValueError("states and groups must have equal length")
+    if groups.kind != traj.layout.kind:
+        raise ValueError(f"kind mismatch: {groups.kind} vs {traj.layout.kind}")
     j = lie.coadjoint(groups.rot, groups.trans, traj.states)
     dev = j[1:] - j[0]
     return float(np.max(np.sqrt(_row_dot(dev, dev)), initial=0.0))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -318,17 +320,19 @@ def test_suite_machinery_matches_object_path(name):
 @pytest.mark.parametrize("name", sorted(poisson.BRACKET_SPACES))
 def test_stacked_polynomials_match_polynomial_field(name):
     # the suite evaluates all instances' f, g, k at once; each row must
-    # equal the instance's own polynomial_field, bit for bit
+    # equal the instance's own polynomial_field, bit for bit, with and
+    # without cubic terms
     kind, nt, nl = poisson.BRACKET_SPACES[name]
     dim = (3 if kind == SO3 else 6) + nt + nl
     rng = np.random.default_rng(16)
-    coefficients = [poisson._random_coefficients(rng, dim) for _ in range(6)]
-    stack = poisson._stack(coefficients)
-    for m in (1, 2 * dim):
+    for q, m in itertools.product((0, 2), (1, 2 * dim)):
+        stack = poisson._polynomials(
+            rng.integers(0, dim, size=(6, q, 3)),
+            rng.standard_normal((6, q + 1 + dim * (dim + 1))))
         pts = rng.standard_normal((6, m, dim))
         values, grads = stack.value(pts), stack.grad(pts)
-        for (c0, a, b, idx, coef), x, v, g in zip(coefficients, pts,
-                                                 values, grads):
+        for c0, a, b, idx, coef, x, v, g in zip(*stack, pts, values, grads):
+            npt.assert_array_equal(b, b.T)
             field = poisson.polynomial_field(c0, a, b, idx, coef)
             npt.assert_array_equal(v, field.eval_batch(x))
             npt.assert_array_equal(g, field.grad_batch(x))
@@ -337,6 +341,62 @@ def test_stacked_polynomials_match_polynomial_field(name):
                         for (i, j, k), t in zip(idx, coef))
             npt.assert_allclose(v, c0 + x @ a + 0.5 * np.einsum(
                 "mi,ij,mj->m", x, b, x) + cubic, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(poisson.BRACKET_SPACES))
+def test_suite_draws_instances_in_order(name, monkeypatch):
+    # the suite's stacked f, g, k are the fields that random_polynomial_
+    # field draws when each instance's point comes first, bit for bit
+    kind, nt, nl = poisson.BRACKET_SPACES[name]
+    dim, n = (3 if kind == SO3 else 6) + nt + nl, 30
+    built, polynomials = [], poisson._polynomials
+    monkeypatch.setattr(poisson, "_polynomials",
+                        lambda idx, z: built.append(polynomials(idx, z))
+                        or built[-1])
+    bracket_axiom_suite(name, n_instances=n, seed=21)
+    monkeypatch.undo()
+    rng = np.random.default_rng(21)
+    fields = []
+    for _ in range(n):
+        rng.standard_normal(dim)
+        fields.append([random_polynomial_field(rng, dim) for _ in range(3)])
+    pts = np.random.default_rng(22).standard_normal((7, dim))
+    for stack, row in zip(built, zip(*fields)):
+        stacked = np.repeat(pts[None], n, axis=0)
+        values, grads = stack.value(stacked), stack.grad(stacked)
+        for field, v, g in zip(row, values, grads):
+            npt.assert_array_equal(v, field.eval_batch(pts))
+            npt.assert_array_equal(g, field.grad_batch(pts))
+    assert len(built) == 3
+
+
+def test_quadratic_random_field_has_no_cubic_terms():
+    h = random_polynomial_field(np.random.default_rng(3), 6, cubic_terms=0)
+    x = np.random.default_rng(4).standard_normal((5, 6))
+    # a quadratic's gradient is affine: g(x) + g(-x) = 2 g(0)
+    npt.assert_allclose(h.grad_batch(x) + h.grad_batch(-x),
+                        2 * h.grad_batch(np.zeros((1, 6))).repeat(5, 0),
+                        rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"a": np.zeros((3, 1))}, "shapes"),
+    ({"b": np.zeros((3, 4))}, "shapes"),
+    ({"b": np.zeros((4, 4))}, "shapes"),
+    ({"cubic_idx": [[0, 1, 2], [1, 1, 2]]}, "cubic_coef"),
+    ({"cubic_idx": [[0, 1, -1]]}, "cubic_idx"),
+    ({"cubic_idx": [[0, 1, 3]]}, "cubic_idx"),
+    ({"cubic_idx": [[0, 1]], "cubic_coef": [1.0]}, "cubic_idx"),
+    ({"cubic_idx": [[0.0, 1.0, 2.0]]}, "cubic_idx"),
+    ({"cubic_coef": [1.0, 2.0]}, "cubic_coef"),
+])
+def test_polynomial_field_rejects_inconsistent_coefficients(kwargs, match):
+    args = {"c0": 0.5, "a": np.ones(3), "b": np.eye(3),
+            "cubic_idx": [[0, 1, 2]], "cubic_coef": [1.0]}
+    with pytest.raises(ValueError, match=match):
+        poisson.polynomial_field(**{**args, **kwargs})
+    assert poisson.polynomial_field(**args).eval_batch(
+        np.ones((1, 3)))[0] == 6.0
 
 
 # ----------------------------------------------------------------- plumbing

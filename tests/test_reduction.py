@@ -8,7 +8,7 @@ from gyrostat import lie
 from gyrostat.controlled import (RCHSystem, dynamical_field,
                                  flat_dynamical_field)
 from gyrostat.integrate import Trajectory, run
-from gyrostat.poisson import (ReducedTangent, ScalarField,
+from gyrostat.poisson import (Layout, ReducedTangent, ScalarField,
                               hamiltonian_field, reduced_point)
 from gyrostat.reduction import (full_dynamical_field, momentum_drift,
                                 reconstruct)
@@ -180,6 +180,21 @@ class TestReconstruct:
         with pytest.raises(ValueError, match="equal length"):
             momentum_drift(constant_trajectory(q, 1, 0.1),
                            lie.GroupPath(lie.SO3, np.eye(3)[None]))
+
+    def test_drift_requires_matching_kinds(self):
+        # SE(3) elements over an SO(3) state with rotors would read the
+        # rotor angles as gamma: here a drift of 8.77 where it is 0
+        states = np.zeros((3, 9))
+        states[:, 0] = 1.0
+        states[1:, 3:6] = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+        traj = Trajectory(np.arange(3) * 0.1, states, {},
+                          Layout(lie.SO3, 3, 3))
+        groups = lie.GroupPath(lie.SE3, np.tile(np.eye(3), (3, 1, 1)),
+                               np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="kind mismatch: SE3 vs SO3"):
+            momentum_drift(traj, groups)
+        assert momentum_drift(traj, lie.GroupPath(
+            lie.SO3, groups.rot)) == 0.0
 
 
 class TestBodyVelocity:

@@ -3,9 +3,9 @@ Hat maps, exponentials, and coadjoint transport
 ===============================================
 
 A walk through the fixed-size kernel underneath everything else:
-3-vectors as so(3), twists as se(3), the closed-form Rodrigues
-exponential, and the coadjoint action that moves momenta between
-frames while pinning the orbit invariants.
+flat 3-vectors as so(3), flat 6-vector twists as se(3), the
+closed-form Rodrigues exponential, and the coadjoint action that
+moves momenta between frames while pinning the orbit invariants.
 """
 
 import numpy as np
@@ -16,11 +16,11 @@ rng = np.random.default_rng(7)
 
 # hat turns a body angular velocity into the matrix that acts as the
 # cross product; vee inverts it.
-omega = lie.algebra(lie.SO3, (0.3, -1.1, 0.7))
+omega = np.array([0.3, -1.1, 0.7])
 W = lie.hat(omega)
 print("hat(omega) @ e1      =", W @ np.array([1.0, 0.0, 0.0]))
-print("omega x e1           =", np.cross(omega.omega, [1.0, 0.0, 0.0]))
-print("vee(hat(omega))      =", lie.vee(W).flat())
+print("omega x e1           =", np.cross(omega, [1.0, 0.0, 0.0]))
+print("vee(hat(omega))      =", lie.vee(W))
 
 # The exponential is Rodrigues' formula; the output is a genuine
 # rotation no matter how large the input.

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -537,12 +537,9 @@ def build_system(cfg: ScenarioConfig) -> RCHSystem:
     """The declared system with the configured control installed."""
     sys = base_system(cfg)
     if cfg.control["kind"] == "constant":
-        return RCHSystem(sys.hamiltonian, sys.kind, sys.rotor_count,
-                         force=sys.force, control=_constant_control(cfg))
+        return replace(sys, control=_constant_control(cfg))
     if cfg.control["kind"] == "matching":
-        control, _, _ = build_matching(cfg)
-        return RCHSystem(sys.hamiltonian, sys.kind, sys.rotor_count,
-                         force=sys.force, control=control)
+        return replace(sys, control=build_matching(cfg)[0])
     return sys
 
 

@@ -33,6 +33,7 @@ must vanish together or stay apart together, never disagree.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -133,7 +134,10 @@ class ConfigurationStack:
         return self.theta.shape[0]
 
     def __getitem__(self, i: int) -> Configuration:
-        # row i passed the stack's checks, so the view skips them
+        # row i passed the stack's checks, so the view skips them; a
+        # slice would give one Configuration of stacked rows, so only
+        # integer indices are taken
+        i = operator.index(i)
         q = object.__new__(Configuration)
         object.__setattr__(q, "g", self.g.element(i))
         object.__setattr__(q, "theta", self.theta[i])
@@ -168,7 +172,7 @@ def random_configurations(rng: np.random.Generator, kind: str, n: int,
     :func:`lie.random_group` draws its group part, then angles()."""
 
     def draw():
-        return *lie.flat_exp(lie.random_algebra(rng, kind).flat()), angles()
+        return *lie.flat_exp(lie.random_algebra(rng, kind)), angles()
 
     return _stack(kind, n, rotor_count, draw)
 

@@ -1,12 +1,19 @@
 """Lie group and algebra kernel for SO(3) and SE(3).
 
-All quantities live in body (left-trivialized) coordinates. Algebra
-elements of so(3) are identified with 3-vectors through the hat map,
-elements of se(3) with pairs (omega, vel) of 3-vectors, and the duals
-so(3)*, se(3)* with 3-vectors / pairs of 3-vectors through the dot
-product pairing. No abstract dual type exists; a momentum is just a
-vector whose pairing with an algebra vector is the dot product of
+All quantities live in body (left-trivialized) coordinates. An algebra
+element is a flat float array: a (3,) vector omega of so(3), identified
+with a skew matrix through the hat map, or a (6,) vector (omega, vel) of
+se(3). The kind is read from the length; any other shape is rejected.
+The duals so(3)*, se(3)* are :class:`CoalgebraVector` momenta, pi or
+(pi, gamma), whose pairing with an algebra vector is the dot product of
 matching parts.
+
+Each formula is written once, as a private kernel on flat lists of
+floats: :func:`_bracket_list` is the bracket behind :func:`bracket`,
+the exponential-coordinate reconstruction and the axiom suite's stacked
+brackets, and :func:`_ad_star_list` is the ad* behind
+:func:`coadjoint_ad_star` and the Lie-Poisson part of the Hamiltonian
+rates in :mod:`gyrostat.poisson`.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -18,11 +25,12 @@ Conventions fixed here and relied on everywhere else:
   minus Lie-Poisson equations come out as ``pi_dot = pi x grad_h``.
 * ``coadjoint`` is the coadjoint *action* ``mu -> Ad*_{g^{-1}} mu``
   on flat arrays, for one element or a stack; ``Ad_star`` is its
-  one-element view on dataclasses.
+  one-element view on a group element and a momentum.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,33 +70,18 @@ def _same_kind(a, b) -> str:
     return a.kind
 
 
-@dataclass(frozen=True)
-class AlgebraVector:
-    """Element of so(3) or se(3) in vector coordinates.
-
-    ``omega`` is the angular part; ``vel`` is the translational part and
-    exists exactly when ``kind == SE3``.
-    """
-
-    kind: str
-    omega: np.ndarray
-    vel: np.ndarray | None = None
-
-    def __post_init__(self):
-        _check_kind(self.kind)
-        object.__setattr__(self, "omega", _vec3(self.omega, "omega"))
-        if self.kind == SO3:
-            if self.vel is not None:
-                raise ValueError("SO3 algebra vectors carry no vel part")
-        else:
-            if self.vel is None:
-                raise ValueError("SE3 algebra vectors need a vel part")
-            object.__setattr__(self, "vel", _vec3(self.vel, "vel"))
-
-    def flat(self) -> np.ndarray:
-        if self.kind == SO3:
-            return self.omega.copy()
-        return np.concatenate([self.omega, self.vel])
+def _flat_algebra(x, kind: str | None = None) -> tuple[np.ndarray, str]:
+    """x as a flat algebra vector and its kind: a (3,) float array is
+    so(3), a (6,) one se(3). Raises on any other shape, and when x is
+    not of ``kind`` if that is given."""
+    a = np.asarray(x, dtype=float)
+    if a.shape not in ((3,), (6,)):
+        raise ValueError(f"algebra vectors have shape (3,) or (6,), got "
+                         f"{a.shape}")
+    own = SO3 if a.size == 3 else SE3
+    if kind is not None and own != kind:
+        raise ValueError(f"kind mismatch: {kind} vs {own}")
+    return a, own
 
 
 @dataclass(frozen=True)
@@ -197,20 +190,15 @@ class GroupPath:
 
     def element(self, i: int) -> GroupElement:
         """Element i as a :class:`GroupElement` on views of row i. Its
-        rotation passed the check over the stack, so none runs again."""
+        rotation passed the check over the stack, so none runs again.
+        i must be an integer: a slice raises TypeError."""
+        i = operator.index(i)
         g = object.__new__(GroupElement)
         object.__setattr__(g, "kind", self.kind)
         object.__setattr__(g, "rot", self.rot[i])
         object.__setattr__(g, "trans",
                            None if self.trans is None else self.trans[i])
         return g
-
-
-def algebra(kind: str, omega, vel=None) -> AlgebraVector:
-    """Convenience constructor; fills ``vel = 0`` for SE3 when omitted."""
-    if kind == SE3 and vel is None:
-        vel = np.zeros(3)
-    return AlgebraVector(kind, omega, vel)
 
 
 def coalgebra(kind: str, pi, gamma=None) -> CoalgebraVector:
@@ -221,13 +209,6 @@ def coalgebra(kind: str, pi, gamma=None) -> CoalgebraVector:
 
 def algebra_dim(kind: str) -> int:
     return 3 if kind == SO3 else 6
-
-
-def algebra_from_flat(kind: str, arr) -> AlgebraVector:
-    arr = np.asarray(arr, dtype=float)
-    if kind == SO3:
-        return AlgebraVector(SO3, arr)
-    return AlgebraVector(SE3, arr[:3], arr[3:6])
 
 
 def coalgebra_from_flat(kind: str, arr) -> CoalgebraVector:
@@ -247,26 +228,25 @@ def skew(w) -> np.ndarray:
     ])
 
 
-def hat(x: AlgebraVector) -> np.ndarray:
-    """Matrix form of an algebra vector: 3x3 skew for so(3), the 4x4
+def hat(x) -> np.ndarray:
+    """Matrix form of a flat algebra vector: 3x3 skew for so(3), the 4x4
     homogeneous block matrix [[skew(omega), vel], [0, 0]] for se(3)."""
-    if x.kind == SO3:
-        return skew(x.omega)
+    x, kind = _flat_algebra(x)
+    if kind == SO3:
+        return skew(x)
     m = np.zeros((4, 4))
-    m[:3, :3] = skew(x.omega)
-    m[:3, 3] = x.vel
+    m[:3, :3] = skew(x[:3])
+    m[:3, 3] = x[3:]
     return m
 
 
-def vee(m) -> AlgebraVector:
+def vee(m) -> np.ndarray:
     """Inverse of :func:`hat`; the kind is inferred from the shape."""
     m = np.asarray(m, dtype=float)
-    if m.shape == (3, 3):
-        return AlgebraVector(SO3, np.array([m[2, 1], m[0, 2], m[1, 0]]))
-    if m.shape == (4, 4):
-        w = np.array([m[2, 1], m[0, 2], m[1, 0]])
-        return AlgebraVector(SE3, w, m[:3, 3].copy())
-    raise ValueError(f"expected a 3x3 or 4x4 matrix, got shape {m.shape}")
+    if m.shape not in ((3, 3), (4, 4)):
+        raise ValueError(f"expected a 3x3 or 4x4 matrix, got shape {m.shape}")
+    w = [m[2, 1], m[0, 2], m[1, 0]]
+    return np.array(w if m.shape == (3, 3) else w + m[:3, 3].tolist())
 
 
 def _cross_list(a: list, b: list) -> list:
@@ -276,39 +256,42 @@ def _cross_list(a: list, b: list) -> list:
 
 
 def _bracket_list(a: list, b: list) -> list:
-    """Lie bracket of flat algebra vectors given as lists of floats: the
-    cross product of 3-component so(3) vectors; on 6-component se(3)
-    vectors (omega, vel) the semidirect bracket
-    (w1 x w2, w1 x u2 - w2 x u1)."""
+    """Lie bracket of flat algebra vectors given as lists, of floats or
+    of equal-shape arrays (a stack of vectors as its columns): the cross
+    product of 3-component so(3) vectors; on 6-component se(3) vectors
+    (omega, vel) the semidirect bracket (w1 x w2, w1 x u2 - w2 x u1)."""
     if len(a) == 3:
         return _cross_list(a, b)
     u1, u2 = _cross_list(a, b[3:]), _cross_list(b, a[3:])
     return _cross_list(a, b) + [p - q for p, q in zip(u1, u2)]
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b for two 3-vectors, the so(3) case of :func:`_bracket_list`,
-    without the per-call overhead of np.cross."""
-    return np.array(_cross_list(a.tolist(), b.tolist()))
+def _ad_star_list(mu: list, xi: list, se3: bool) -> list:
+    """ad*_xi(mu) on flat lists, reading the first 3 (so(3)) or, when
+    se3, 6 entries of each: pi x omega on so(3)*, and
+    (pi x omega + gamma x vel, gamma x omega) on se(3)*."""
+    p = _cross_list(mu, xi)
+    if not se3:
+        return p
+    gamma = mu[3:6]
+    return ([a + b for a, b in zip(p, _cross_list(gamma, xi[3:6]))]
+            + _cross_list(gamma, xi))
 
 
-def bracket(x: AlgebraVector, y: AlgebraVector) -> AlgebraVector:
-    """:func:`_bracket_list` of two algebra vectors of one kind, read from
-    their parts as lists, which costs less than building flat arrays."""
-    if _same_kind(x, y) == SO3:
-        return AlgebraVector(SO3, np.array(_bracket_list(x.omega.tolist(),
-                                                         y.omega.tolist())))
-    v = _bracket_list(x.omega.tolist() + x.vel.tolist(),
-                      y.omega.tolist() + y.vel.tolist())
-    return AlgebraVector(SE3, np.array(v[:3]), np.array(v[3:]))
+def bracket(x, y) -> np.ndarray:
+    """:func:`_bracket_list` of two flat algebra vectors of one kind."""
+    x, kind = _flat_algebra(x)
+    y, _ = _flat_algebra(y, kind)
+    return np.array(_bracket_list(x.tolist(), y.tolist()))
 
 
-def pairing(mu: CoalgebraVector, xi: AlgebraVector) -> float:
-    """Dual pairing: dot product of matching parts."""
-    kind = _same_kind(mu, xi)
-    v = float(mu.pi @ xi.omega)
+def pairing(mu: CoalgebraVector, xi) -> float:
+    """Dual pairing with a flat algebra vector: the dot product of the pi
+    part, plus that of the gamma part on se(3)."""
+    xi, kind = _flat_algebra(xi, mu.kind)
+    v = float(mu.pi @ xi[:3])
     if kind == SE3:
-        v += float(mu.gamma @ xi.vel)
+        v += float(mu.gamma @ xi[3:])
     return v
 
 
@@ -338,9 +321,10 @@ def flat_exp(x: np.ndarray) -> tuple:
     return rot, (np.eye(3) + b * s + c * (s @ s)) @ x[3:]
 
 
-def exp_group(x: AlgebraVector) -> GroupElement:
-    """:func:`flat_exp` of an algebra vector."""
-    return GroupElement(x.kind, *flat_exp(x.flat()))
+def exp_group(x) -> GroupElement:
+    """:func:`flat_exp` of a flat algebra vector."""
+    x, kind = _flat_algebra(x)
+    return GroupElement(kind, *flat_exp(x))
 
 
 def identity(kind: str) -> GroupElement:
@@ -364,30 +348,24 @@ def inverse(g: GroupElement) -> GroupElement:
     return GroupElement(SE3, g.rot.T, -(g.rot.T @ g.trans))
 
 
-def adjoint(g: GroupElement, xi: AlgebraVector) -> AlgebraVector:
-    """Adjoint action Ad_g. For SE(3) with g = (A, b):
-    (omega, vel) -> (A omega, b x A omega + A vel)."""
-    kind = _same_kind(g, xi)
-    w = g.rot @ xi.omega
+def adjoint(g: GroupElement, xi) -> np.ndarray:
+    """Adjoint action Ad_g on a flat algebra vector. For SE(3) with
+    g = (A, b): (omega, vel) -> (A omega, b x A omega + A vel)."""
+    xi, kind = _flat_algebra(xi, g.kind)
+    w = g.rot @ xi[:3]
     if kind == SO3:
-        return AlgebraVector(SO3, w)
-    u = _cross(g.trans, w) + g.rot @ xi.vel
-    return AlgebraVector(SE3, w, u)
+        return w
+    u = np.array(_cross_list(g.trans.tolist(), w.tolist())) + g.rot @ xi[3:]
+    return np.concatenate([w, u])
 
 
-def coadjoint_ad_star(xi: AlgebraVector, mu: CoalgebraVector) -> CoalgebraVector:
-    """Infinitesimal coadjoint map with the convention
-    pairing(ad*_xi(mu), eta) = pairing(mu, [xi, eta]).
-
-    so(3):  pi -> pi x omega.
-    se(3):  (pi, gamma) -> (pi x omega + gamma x vel, gamma x omega).
-    """
-    kind = _same_kind(xi, mu)
-    if kind == SO3:
-        return CoalgebraVector(SO3, _cross(mu.pi, xi.omega))
-    p = _cross(mu.pi, xi.omega) + _cross(mu.gamma, xi.vel)
-    g = _cross(mu.gamma, xi.omega)
-    return CoalgebraVector(SE3, p, g)
+def coadjoint_ad_star(xi, mu: CoalgebraVector) -> CoalgebraVector:
+    """:func:`_ad_star_list` of a flat algebra vector and a momentum of
+    one kind: the infinitesimal coadjoint map with the convention
+    pairing(ad*_xi(mu), eta) = pairing(mu, [xi, eta])."""
+    xi, kind = _flat_algebra(xi, mu.kind)
+    return coalgebra_from_flat(kind, _ad_star_list(
+        mu.flat().tolist(), xi.tolist(), kind == SE3))
 
 
 def coadjoint(rot: np.ndarray, trans, mu: np.ndarray) -> np.ndarray:
@@ -412,18 +390,15 @@ def Ad_star(g: GroupElement, mu: CoalgebraVector) -> CoalgebraVector:
                                coadjoint(g.rot, g.trans, mu.flat()))
 
 
-def random_algebra(rng: np.random.Generator, kind: str, scale: float = 1.0) -> AlgebraVector:
-    _check_kind(kind)
-    if kind == SO3:
-        return AlgebraVector(SO3, scale * rng.standard_normal(3))
-    return AlgebraVector(SE3, scale * rng.standard_normal(3), scale * rng.standard_normal(3))
+def random_algebra(rng: np.random.Generator, kind: str,
+                   scale: float = 1.0) -> np.ndarray:
+    """Flat algebra vector of independent normal entries times scale."""
+    return scale * rng.standard_normal(algebra_dim(_check_kind(kind)))
 
 
-def random_coalgebra(rng: np.random.Generator, kind: str, scale: float = 1.0) -> CoalgebraVector:
-    _check_kind(kind)
-    if kind == SO3:
-        return CoalgebraVector(SO3, scale * rng.standard_normal(3))
-    return CoalgebraVector(SE3, scale * rng.standard_normal(3), scale * rng.standard_normal(3))
+def random_coalgebra(rng: np.random.Generator, kind: str,
+                     scale: float = 1.0) -> CoalgebraVector:
+    return coalgebra_from_flat(kind, random_algebra(rng, kind, scale))
 
 
 def random_group(rng: np.random.Generator, kind: str, scale: float = 1.0) -> GroupElement:

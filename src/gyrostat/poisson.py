@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import lie
-from .lie import SE3, SO3, AlgebraVector, CoalgebraVector, _cross_list
+from .lie import SE3, SO3, CoalgebraVector, _ad_star_list, _bracket_list
 
 FD_STEP = 1e-6
 
@@ -292,8 +292,7 @@ def product_bracket(f: ScalarField, k: ScalarField, p: ReducedPoint,
     if not (np.isfinite(gf.flat()).all() and np.isfinite(gk.flat()).all()):
         raise ValueError("non-finite gradient")
     nc = lie.algebra_dim(p.kind)
-    df, dk = (lie.algebra_from_flat(p.kind, g.flat()[:nc]) for g in (gf, gk))
-    out = s * lie.pairing(p.nu, lie.bracket(df, dk))
+    out = s * lie.pairing(p.nu, lie.bracket(gf.flat()[:nc], gk.flat()[:nc]))
     if p.n_theta == p.n_l and p.n_theta > 0:
         out += float(gf.d_theta @ gk.d_l - gk.d_theta @ gf.d_l)
     return out
@@ -313,17 +312,13 @@ def _hamiltonian_rates(layout: Layout) -> Callable[[list, list], list]:
     state x, given the row gradient g of h there; raises on a non-finite
     gradient."""
     nc, n_theta = lie.algebra_dim(layout.kind), layout.n_theta
-    paired = n_theta == layout.n_l and n_theta > 0
+    se3, paired = nc == 6, n_theta == layout.n_l and n_theta > 0
     still = [0.0] * (n_theta + layout.n_l)
 
     def rates(x: list, g: list) -> list:
         if not all(map(math.isfinite, g)):
             raise ValueError("non-finite gradient")
-        out = _cross_list(x, g)
-        if nc == 6:
-            gamma = x[3:6]
-            out = ([a + b for a, b in zip(out, _cross_list(gamma, g[3:6]))]
-                   + _cross_list(gamma, g))
+        out = _ad_star_list(x, g, se3)
         if paired:
             return out + g[nc + n_theta:] + [-v for v in g[nc:nc + n_theta]]
         return out + still
@@ -354,14 +349,11 @@ def hamiltonian_field(h: ScalarField, p: ReducedPoint) -> ReducedTangent:
         p, flat_hamiltonian_field(h, p.layout)(p.flat().tolist()))
 
 
-def kks_form(nu: CoalgebraVector, xi: AlgebraVector, eta: AlgebraVector,
-             sign="-") -> float:
+def kks_form(nu: CoalgebraVector, xi, eta, sign="-") -> float:
     """Orbit symplectic form +/- < nu, [xi, eta] > evaluated on the
-    orbit tangent pair (ad*_xi nu, ad*_eta nu)."""
-    s = _sign_value(sign)
-    if xi.kind != eta.kind or xi.kind != nu.kind:
-        raise ValueError("kind mismatch in kks_form")
-    return s * lie.pairing(nu, lie.bracket(xi, eta))
+    orbit tangent pair (ad*_xi nu, ad*_eta nu) of flat algebra vectors
+    xi and eta of nu's kind."""
+    return _sign_value(sign) * lie.pairing(nu, lie.bracket(xi, eta))
 
 
 def casimirs(p: ReducedPoint) -> list[tuple[str, float]]:
@@ -506,17 +498,17 @@ def _flat_bracket(name: str, inject_error: bool):
     paired = n_theta == n_l and n_l > 0
 
     def alg_br(w1, w2):
-        om = np.cross(w1[:, :3], w2[:, :3])
+        # the bracket kernel on whole columns; contiguous columns keep
+        # its elementwise operations fast
+        a, b = (list(np.ascontiguousarray(w.T)) for w in (w1, w2))
+        out = _bracket_list(a, b)
         if inject_error:
             # antisymmetric corruption of the structure constants: it
             # breaks the Jacobi identity (and Casimir commutation) while
             # leaving antisymmetry intact, so a healthy implementation of
             # the suite must flag it (mutation check hook)
-            om[:, 0] += 0.5 * (w1[:, 0] * w2[:, 1] - w1[:, 1] * w2[:, 0])
-        if nc == 3:
-            return om
-        vel = np.cross(w1[:, :3], w2[:, 3:]) - np.cross(w2[:, :3], w1[:, 3:])
-        return np.concatenate([om, vel], axis=1)
+            out[0] = out[0] + 0.5 * (a[0] * b[1] - a[1] * b[0])
+        return np.stack(out, axis=1)
 
     def bk_vals(gf, gk, pts):
         # contiguous rows: einsum's row dots round by operand layout

@@ -164,8 +164,8 @@ class HJCandidate:
     orbit: CoalgebraVector | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma_bar",
-                           np.atleast_1d(np.asarray(self.gamma_bar, float)))
+        object.__setattr__(self, "gamma_bar", _vec(self.gamma_bar,
+                                                   "gamma_bar"))
         object.__setattr__(self, "u", _vec(self.u, "u"))
         if self.advected is not None:
             adv = np.asarray(self.advected, dtype=float)

@@ -99,7 +99,7 @@ def _reference_rows(rng, mu, n, k):
     rows = []
     for _ in range(n):
         if not np.any(mu.flat()):
-            x = lie.random_algebra(rng, mu.kind).flat()
+            x = lie.random_algebra(rng, mu.kind)
             g = lie.GroupElement(mu.kind, *lie.flat_exp(x))
         elif mu.kind == lie.SO3:
             norm = float(np.linalg.norm(mu.pi))
@@ -180,6 +180,19 @@ class TestStackedSamples:
         assert np.array_equal(q.g.trans, stack.g.trans[17])
         assert np.array_equal(q.theta, stack.theta[17])
         assert stack[-1].theta.shape == (2,)
+
+    def test_slices_are_rejected(self):
+        # a slice view would carry (2, 3, 3) rotations and (2, k) angles
+        # past every check
+        mu = ISOTROPY_LEVELS["so3-level"]
+        stack = hj.isotropy_configurations(np.random.default_rng(5), mu,
+                                           4, 3)
+        assert np.array_equal(stack[np.int64(3)].theta, stack.theta[3])
+        for index in (slice(1, 3), slice(None), [0, 1], 1.0):
+            with pytest.raises(TypeError):
+                stack[index]
+            with pytest.raises(TypeError):
+                stack.g.element(index)
 
     def test_corrupted_row_is_rejected_by_index(self):
         mu = ISOTROPY_LEVELS["so3-level"]
@@ -417,7 +430,7 @@ class TestRelatedness:
     def test_membership_is_enforced(self):
         nu = lie.coalgebra(lie.SO3, (0.5, 0.0, 0.0))
         sec = hj.constant_body_section(nu, np.zeros(3))
-        g = lie.exp_group(lie.algebra(lie.SO3, (0.0, 0.0, 1.0)))
+        g = lie.exp_group((0.0, 0.0, 1.0))
         q = hj.configuration(g, np.zeros(3))
         with pytest.raises(hj.MembershipError,
                            match=r"level set \(defect 4\.794e-01\)"):
@@ -651,7 +664,7 @@ class TestProbeRowsAreTheWrappers:
     def test_off_level_sample_raises_from_probe_and_wrappers(self):
         nu = lie.coalgebra(lie.SO3, (0.5, 0.0, 0.0))
         sec = hj.constant_body_section(nu, np.zeros(3))
-        g = lie.exp_group(lie.algebra(lie.SO3, (0.0, 0.0, 1.0)))
+        g = lie.exp_group((0.0, 0.0, 1.0))
         q = hj.configuration(g, np.zeros(3))
         sys = rb_system()
         with pytest.raises(hj.MembershipError, match="level set"):

@@ -20,20 +20,20 @@ def series_exp(m, terms=30):
 
 
 def test_hat_basis_case():
-    m = lie.hat(lie.algebra(SO3, E1))
+    m = lie.hat(E1)
     npt.assert_array_equal(m, [[0, 0, 0], [0, 0, -1], [0, 1, 0]])
     npt.assert_array_equal(m @ E2, E3)
 
 
 def test_hat_vee_round_trip():
-    x = lie.algebra(SO3, [1.0, 2.0, 3.0])
+    x = np.array([1.0, 2.0, 3.0])
     back = lie.vee(lie.hat(x))
-    npt.assert_array_equal(back.omega, x.omega)
+    npt.assert_array_equal(back, x)
 
-    y = lie.algebra(SE3, [1.0, -2.0, 0.5], [0.1, 0.2, 0.3])
+    y = np.array([1.0, -2.0, 0.5, 0.1, 0.2, 0.3])
     back = lie.vee(lie.hat(y))
-    npt.assert_array_equal(back.omega, y.omega)
-    npt.assert_array_equal(back.vel, y.vel)
+    npt.assert_array_equal(back[:3], y[:3])
+    npt.assert_array_equal(back[3:], y[3:])
 
 
 def test_hat_acts_as_cross_product():
@@ -42,22 +42,22 @@ def test_hat_acts_as_cross_product():
         w = rng.standard_normal(3)
         v = rng.standard_normal(3)
         npt.assert_allclose(lie.skew(w) @ v, np.cross(w, v), atol=1e-14)
-    npt.assert_array_equal(lie.hat(lie.algebra(SO3, E1)) @ E2, E3)
+    npt.assert_array_equal(lie.hat(E1) @ E2, E3)
 
 
 def test_bracket_so3_structure_constants():
-    out = lie.bracket(lie.algebra(SO3, E1), lie.algebra(SO3, E2))
-    npt.assert_array_equal(out.omega, E3)
-    x = lie.algebra(SO3, [0.3, -1.2, 2.0])
-    npt.assert_array_equal(lie.bracket(x, x).omega, np.zeros(3))
+    out = lie.bracket(E1, E2)
+    npt.assert_array_equal(out, E3)
+    x = np.array([0.3, -1.2, 2.0])
+    npt.assert_array_equal(lie.bracket(x, x), np.zeros(3))
 
 
 def test_bracket_se3_hand_case():
-    x = lie.algebra(SE3, E3, np.zeros(3))
-    y = lie.algebra(SE3, np.zeros(3), E1)
+    x = np.concatenate([E3, np.zeros(3)])
+    y = np.concatenate([np.zeros(3), E1])
     out = lie.bracket(x, y)
-    npt.assert_array_equal(out.omega, np.zeros(3))
-    npt.assert_array_equal(out.vel, E2)
+    npt.assert_array_equal(out[:3], np.zeros(3))
+    npt.assert_array_equal(out[3:], E2)
 
 
 def test_bracket_matches_matrix_commutator():
@@ -73,7 +73,7 @@ def test_bracket_matches_matrix_commutator():
 
 def test_bracket_kind_mismatch():
     with pytest.raises(ValueError):
-        lie.bracket(lie.algebra(SO3, E1), lie.algebra(SE3, E1, E2))
+        lie.bracket(E1, np.concatenate([E1, E2]))
 
 
 @pytest.mark.parametrize("kind", [SO3, SE3])
@@ -84,23 +84,23 @@ def test_jacobi_identity(kind):
         x = lie.random_algebra(rng, kind)
         y = lie.random_algebra(rng, kind)
         z = lie.random_algebra(rng, kind)
-        s = (lie.bracket(x, lie.bracket(y, z)).flat()
-             + lie.bracket(y, lie.bracket(z, x)).flat()
-             + lie.bracket(z, lie.bracket(x, y)).flat())
+        s = (lie.bracket(x, lie.bracket(y, z))
+             + lie.bracket(y, lie.bracket(z, x))
+             + lie.bracket(z, lie.bracket(x, y)))
         worst = max(worst, float(np.max(np.abs(s))))
     assert worst <= 1e-12
 
 
 def test_exp_zero_is_identity():
-    g = lie.exp_group(lie.algebra(SO3, np.zeros(3)))
+    g = lie.exp_group(np.zeros(3))
     npt.assert_array_equal(g.rot, np.eye(3))
-    g = lie.exp_group(lie.algebra(SE3, np.zeros(3), np.zeros(3)))
+    g = lie.exp_group(np.zeros(6))
     npt.assert_array_equal(g.rot, np.eye(3))
     npt.assert_array_equal(g.trans, np.zeros(3))
 
 
 def test_exp_quarter_turn():
-    g = lie.exp_group(lie.algebra(SO3, (np.pi / 2) * E3))
+    g = lie.exp_group((np.pi / 2) * E3)
     npt.assert_allclose(g.rot @ E1, E2, atol=1e-15)
 
 
@@ -123,9 +123,7 @@ def test_exp_inverse_round_trip(kind):
     rng = np.random.default_rng(4)
     for _ in range(100):
         x = lie.random_algebra(rng, kind)
-        flipped = (lie.AlgebraVector(SO3, -x.omega) if kind == SO3
-                   else lie.AlgebraVector(SE3, -x.omega, -x.vel))
-        g = lie.compose(lie.exp_group(x), lie.exp_group(flipped))
+        g = lie.compose(lie.exp_group(x), lie.exp_group(-x))
         npt.assert_allclose(g.rot, np.eye(3), atol=1e-12)
         if kind == SE3:
             npt.assert_allclose(g.trans, np.zeros(3), atol=1e-12)
@@ -136,13 +134,13 @@ def test_exp_small_angle_branch():
     # to the first-order rotation
     for scale in (1e-9, 1e-10, 1e-12, 0.0):
         w = scale * np.array([1.0, -2.0, 0.5])
-        x = lie.algebra(SE3, w, [0.3, 0.1, -0.2])
+        x = np.concatenate([w, [0.3, 0.1, -0.2]])
         g = lie.exp_group(x)
         npt.assert_allclose(g.rot, np.eye(3) + lie.skew(w), atol=1e-15)
-        npt.assert_allclose(g.trans, x.vel, atol=1e-9)
+        npt.assert_allclose(g.trans, x[3:], atol=1e-9)
     # continuity across the threshold
-    lo = lie.exp_group(lie.algebra(SO3, 0.999e-8 * E1))
-    hi = lie.exp_group(lie.algebra(SO3, 1.001e-8 * E1))
+    lo = lie.exp_group(0.999e-8 * E1)
+    hi = lie.exp_group(1.001e-8 * E1)
     npt.assert_allclose(lo.rot, hi.rot, atol=1e-10)
 
 
@@ -208,44 +206,54 @@ def test_views_equal_the_flat_kernels_bitwise(kind):
         for _ in range(50):
             x = lie.random_algebra(rng, kind, scale)
             y = lie.random_algebra(rng, kind, scale)
-            assert (float(x.omega @ x.omega) < 1e-16) == (scale < 1.0)
+            assert (float(x[:3] @ x[:3]) < 1e-16) == (scale < 1.0)
             g = lie.exp_group(x)
-            rot, trans = lie.flat_exp(x.flat())
+            rot, trans = lie.flat_exp(x)
             npt.assert_array_equal(g.rot, rot)
             if kind == SO3:
                 assert g.trans is None and trans is None
             else:
                 npt.assert_array_equal(g.trans, trans)
-            a, b = x.flat(), y.flat()
-            flat = np.array(lie._bracket_list(a.tolist(), b.tolist()))
-            npt.assert_array_equal(lie.bracket(x, y).flat(), flat)
-            want = np.cross(a[:3], b[:3])
+            flat = np.array(lie._bracket_list(x.tolist(), y.tolist()))
+            npt.assert_array_equal(lie.bracket(x, y), flat)
+            want = np.cross(x[:3], y[:3])
             if kind == SE3:
-                want = np.concatenate([want, np.cross(a[:3], b[3:])
-                                       - np.cross(b[:3], a[3:])])
+                want = np.concatenate([want, np.cross(x[:3], y[3:])
+                                       - np.cross(y[:3], x[3:])])
             npt.assert_array_equal(flat, want)
 
 
-def test_algebra_vector_part_validation():
-    with pytest.raises(ValueError):
-        lie.AlgebraVector(SO3, E1, E2)  # SO3 with a vel part
-    with pytest.raises(ValueError):
-        lie.AlgebraVector(SE3, E1)  # SE3 without one
+def test_flat_algebra_shape_check():
+    # the kind is read from the length: (3,) or (6,), nothing else
+    mu3, mu6 = lie.coalgebra(SO3, E1), lie.coalgebra(SE3, E1, E2)
+    for bad in (np.zeros(4), np.zeros((3, 1))):
+        for call in (lie.hat, lie.exp_group, lambda x: lie.bracket(x, x),
+                     lambda x: lie.pairing(mu3, x)):
+            with pytest.raises(ValueError, match=r"shape \(3,\) or \(6,\)"):
+                call(bad)
+    six = np.concatenate([E1, E2])
+    for a, b in ((E1, six), (six, E1)):
+        with pytest.raises(ValueError, match="kind mismatch"):
+            lie.bracket(a, b)
+    with pytest.raises(ValueError, match="kind mismatch: SO3 vs SE3"):
+        lie.pairing(mu3, six)
+    with pytest.raises(ValueError, match="kind mismatch: SE3 vs SO3"):
+        lie.pairing(mu6, E1)
     with pytest.raises(ValueError):
         lie.CoalgebraVector(SE3, E1)
 
 
 def test_pairing_is_dot_of_matching_parts():
     mu = lie.coalgebra(SE3, [1, 2, 3], [4, 5, 6])
-    xi = lie.algebra(SE3, [1, 1, 0], [0, 0, 2])
+    xi = [1, 1, 0, 0, 0, 2]
     assert lie.pairing(mu, xi) == pytest.approx(1 + 2 + 12)
 
 
 def test_coadjoint_basis_case():
     # pairing convention makes ad*_{e1} act on pi = e2 as e2 x e1 = -e3
-    out = lie.coadjoint_ad_star(lie.algebra(SO3, E1), lie.coalgebra(SO3, E2))
+    out = lie.coadjoint_ad_star(E1, lie.coalgebra(SO3, E2))
     npt.assert_array_equal(out.pi, -E3)
-    out = lie.coadjoint_ad_star(lie.algebra(SO3, np.zeros(3)),
+    out = lie.coadjoint_ad_star(np.zeros(3),
                                 lie.coalgebra(SO3, [1.0, 2.0, 3.0]))
     npt.assert_array_equal(out.pi, np.zeros(3))
 
@@ -269,7 +277,7 @@ def test_Ad_star_identity_and_quarter_turn():
     out = lie.Ad_star(lie.identity(SO3), mu)
     npt.assert_array_equal(out.pi, mu.pi)
 
-    g = lie.exp_group(lie.algebra(SO3, (np.pi / 2) * E3))
+    g = lie.exp_group((np.pi / 2) * E3)
     out = lie.Ad_star(g, lie.coalgebra(SO3, E1))
     npt.assert_allclose(out.pi, E2, atol=1e-15)
 

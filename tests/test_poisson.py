@@ -186,6 +186,23 @@ def test_field_components_with_fd_hamiltonian():
             assert abs(out[i] - want) <= 1e-8
 
 
+@pytest.mark.parametrize("kind,nt,nl", [(SO3, 3, 3), (SE3, 2, 2)])
+def test_lie_poisson_rates_are_the_ad_star_kernel(kind, nt, nl):
+    # the Lie-Poisson part of the Hamiltonian rates is ad*_{dh/dnu} nu,
+    # bit for bit the coadjoint_ad_star view of the one kernel
+    rng = np.random.default_rng(17)
+    nc = lie.algebra_dim(kind)
+    layout = poisson.Layout(kind, nt, nl)
+    for _ in range(50):
+        h = random_polynomial_field(rng, nc + nt + nl)
+        x = random_point(rng, kind, nt, nl).flat().tolist()
+        grad = poisson.flat_gradient(h, layout)(x)
+        rates = poisson.flat_hamiltonian_field(h, layout)(x)
+        nu = lie.coalgebra_from_flat(kind, x[:nc])
+        npt.assert_array_equal(
+            rates[:nc], lie.coadjoint_ad_star(grad[:nc], nu).flat())
+
+
 def test_unpaired_momentum_slot_is_constant():
     # rotor momenta without conjugate angles must not move
     rng = np.random.default_rng(8)
@@ -201,7 +218,7 @@ def test_unpaired_momentum_slot_is_constant():
 
 def test_kks_basis_case():
     nu = lie.coalgebra(SO3, E3)
-    xi, eta = lie.algebra(SO3, E1), lie.algebra(SO3, E2)
+    xi, eta = E1, E2
     assert kks_form(nu, xi, eta, "-") == pytest.approx(-1.0)
     assert kks_form(nu, xi, xi, "-") == pytest.approx(0.0)
 
@@ -315,6 +332,29 @@ def test_suite_machinery_matches_object_path(name):
     for (f, k, p), value in zip(cases, fast):
         slow = product_bracket(without_gradient(f), without_gradient(k), p)
         assert value == pytest.approx(slow, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(poisson.BRACKET_SPACES))
+def test_suite_bracket_is_the_bracket_kernel(name):
+    # the suite's stacked bracket is lie.bracket row by row: with nu a
+    # basis momentum the pairing reads one component exactly, so each
+    # component must match bit for bit; at random nu the stacked row dot
+    # (einsum) and the pairing's 1-d dots may round apart by an ulp
+    kind, nt, nl = poisson.BRACKET_SPACES[name]
+    nc = lie.algebra_dim(kind)
+    bk_vals = poisson._flat_bracket(name, inject_error=False)
+    rng = np.random.default_rng(18)
+    gf, gk, pts = rng.standard_normal((3, 40, nc + nt + nl))
+    gf[:, nc:] = gk[:, nc:] = 0.0  # no canonical rotor part
+    basis = np.zeros((nc, 40, nc + nt + nl))
+    basis[:, :, :nc] = np.eye(nc)[:, None, :]
+    stacked = bk_vals(*np.broadcast_arrays(gf, gk, basis)).T
+    for i, (a, b, x) in enumerate(zip(gf, gk, pts)):
+        br = lie.bracket(a[:nc], b[:nc])
+        npt.assert_array_equal(stacked[i], -br)
+        nu = lie.coalgebra_from_flat(kind, x[:nc])
+        npt.assert_allclose(bk_vals(a, b, x), -lie.pairing(nu, br),
+                            rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("name", sorted(poisson.BRACKET_SPACES))

@@ -86,7 +86,7 @@ class TestReconstruct:
                         lambda p: ReducedTangent(np.zeros(3), None,
                                                  np.zeros(p.n_theta),
                                                  np.zeros(p.n_l)))
-        g0 = lie.exp_group(lie.algebra(lie.SO3, (0.3, -0.1, 0.8)))
+        g0 = lie.exp_group((0.3, -0.1, 0.8))
         traj = constant_trajectory(reduced_point(lie.SO3, (1.0, 2.0, 3.0)),
                                    49, 0.01)
         groups = reconstruct(traj, g0, RCHSystem(h, lie.SO3, 0))
@@ -104,7 +104,7 @@ class TestReconstruct:
         traj = constant_trajectory(reduced_point(lie.SO3, (0.0, 0.0, 1.0)),
                                    n, dt)
         groups = reconstruct(traj, g0, RCHSystem(h, lie.SO3, 0))
-        want = lie.exp_group(lie.algebra(lie.SO3, n * dt * omega))
+        want = lie.exp_group(n * dt * omega)
         assert_allclose(groups.rot[-1], want.rot, atol=1e-9)
         # output stays a rotation to tight tolerance
         final = groups.rot[-1]

@@ -311,6 +311,11 @@ class TestCandidates:
         with pytest.raises(ValueError, match="3-vector"):
             HJCandidate(np.zeros(7), np.zeros(10), advected=np.zeros(2))
 
+    def test_two_dimensional_gamma_bar_rejected_at_construction(self):
+        for shape in ((9, 1), (1, 9), (3, 3)):
+            with pytest.raises(ValueError, match="gamma_bar must be a 1-d"):
+                HJCandidate(np.zeros(shape), np.zeros(9))
+
 
 def rb_scales(params):
     ib, jj = params.ibar, params.j

@@ -25,6 +25,7 @@ is accepted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Callable
 
 from .lie import SE3, SO3, algebra_dim
@@ -112,7 +113,7 @@ def _add_lifts(sys: RCHSystem, x: list, out: list) -> list:
             if len(v) != len(out):
                 raise ValueError(f"force/control returned {len(v)} lift "
                                  f"components for {len(out)} rates")
-            out = [a + b for a, b in zip(out, v)]
+            out = list(map(add, out, v))
     return out
 
 
@@ -157,10 +158,14 @@ def matching_control(sys_a: RCHSystem, sys_b: RCHSystem,
             raise ValueError(f"state of length {len(x)} does not match the "
                              f"control's layout {layout_a}")
         y = pullback_inverse(x)
-        defect = max(abs(a - b) for a, b in zip(pullback(y), x, strict=True))
+        back = pullback(y)
+        if len(back) != d:
+            raise ValueError(f"pullback returned {len(back)} components for "
+                             f"a state of {d}")
+        defect = max(map(abs, map(sub, back, x)))
         if defect > INVERSE_TOL:
             raise ValueError("pullback is not invertible at this point "
                              f"(round-trip defect {defect:.3e})")
-        return [b - a for a, b in zip(field_a(x), push_tangent(field_b(y)))]
+        return list(map(sub, push_tangent(field_b(y)), field_a(x)))
 
     return control

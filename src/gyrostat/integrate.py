@@ -3,12 +3,13 @@
 The single integrator is the classical fourth-order Runge-Kutta step on
 one flat state, a list of d Python floats, with a field that maps such a
 list to its d rates: at d = 6-11 each numpy call would cost more than
-the arithmetic inside it. :func:`run` drives it over a uniform grid,
-writes each state into an (n+1, d) float64 array and evaluates each
-invariant, a batched value (n, d) -> (n,), once over those stored
-states; the relative drift series (I(t) - I(0)) / max(1, |I(0)|) comes
-from those raw series. The max(1, .) floor keeps it meaningful when an
-invariant starts near zero.
+the arithmetic inside it, and fixed-size slots on the per-evaluation
+path are list displays, as on Python 3.11 each comprehension costs a
+frame. :func:`run` drives it over a uniform grid, writes each state into
+an (n+1, d) float64 array and evaluates each invariant, a batched value
+(n, d) -> (n,), once over those stored states; the relative drift series
+(I(t) - I(0)) / max(1, |I(0)|) comes from those raw series. The
+max(1, .) floor keeps it meaningful when an invariant starts near zero.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ class Trajectory:
 
     @property
     def dt(self) -> float:
+        if self.times.size < 2:
+            raise ValueError("a single-sample trajectory has no step")
         return float(self.times[1] - self.times[0])
 
     @property
@@ -79,25 +82,31 @@ class Trajectory:
         return float(np.max(np.abs(self.drift[name])))
 
 
-def _rates(field: FlatField, x: list) -> list:
-    k = field(x)
-    if len(k) != len(x):
-        raise ValueError(f"field returned {len(k)} rates for a state of "
-                         f"{len(x)} components")
-    return k
+def _rate_count_error(k: list, n: int) -> ValueError:
+    return ValueError(f"field returned {len(k)} rates for a state of "
+                      f"{n} components")
 
 
 def rk4_step(field: FlatField, x: list, dt: float) -> list:
     """One classical Runge-Kutta step of size dt (local error O(dt^5))
     of the list x; raises if the field returns a rate list of another
-    length or the step a non-finite state."""
+    length (checked at each stage, before its rates are used) or the
+    step a non-finite state."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    half = 0.5 * dt
-    k1 = _rates(field, x)
-    k2 = _rates(field, [a + half * k for a, k in zip(x, k1)])
-    k3 = _rates(field, [a + half * k for a, k in zip(x, k2)])
-    k4 = _rates(field, [a + dt * k for a, k in zip(x, k3)])
+    n, half = len(x), 0.5 * dt
+    k1 = field(x)
+    if len(k1) != n:
+        raise _rate_count_error(k1, n)
+    k2 = field([a + half * k for a, k in zip(x, k1)])
+    if len(k2) != n:
+        raise _rate_count_error(k2, n)
+    k3 = field([a + half * k for a, k in zip(x, k2)])
+    if len(k3) != n:
+        raise _rate_count_error(k3, n)
+    k4 = field([a + dt * k for a, k in zip(x, k3)])
+    if len(k4) != n:
+        raise _rate_count_error(k4, n)
     sixth = dt / 6.0
     y = [a + sixth * (p + 2.0 * q + 2.0 * r + s)
          for a, p, q, r, s in zip(x, k1, k2, k3, k4)]

@@ -274,8 +274,8 @@ def _ad_star_list(mu: list, xi: list, se3: bool) -> list:
     if not se3:
         return p
     gamma = mu[3:6]
-    return ([a + b for a, b in zip(p, _cross_list(gamma, xi[3:6]))]
-            + _cross_list(gamma, xi))
+    q = _cross_list(gamma, xi[3:6])
+    return [p[0] + q[0], p[1] + q[1], p[2] + q[2], *_cross_list(gamma, xi)]
 
 
 def bracket(x, y) -> np.ndarray:

@@ -5,9 +5,11 @@ a :class:`~gyrostat.poisson.ScalarField` with batched value and an
 analytic gradient written once, componentwise, which gives both the row
 gradient and the batched one), an explicit closed-form vector field,
 and the left-hand sides of its Hamilton-Jacobi equations assembled row
-by row. The explicit forms are
-deliberately independent of the generic bracket machinery so the tests
-can compare the two paths.
+by row. The explicit forms are deliberately independent of the generic
+bracket machinery so the tests can compare the two paths. Each gradient
+is one list display over parameters unpacked at build time: it runs at
+every field evaluation, where on Python 3.11 a comprehension costs a
+frame.
 
 Conventions: pi is the body angular momentum, gamma the advected unit
 vertical (heavy top), theta/l the rotor angles and momenta. A rotor
@@ -227,13 +229,13 @@ def rigid_body_hamiltonian(params: RigidBodyRotorParams) -> ScalarField:
         return 0.5 * (_row_dot(rel, rel / params.ibar)
                       + _row_dot(l, l / params.j))
 
-    ibar, j = params.ibar.tolist(), params.j.tolist()
+    (i0, i1, i2), (j0, j1, j2) = params.ibar.tolist(), params.j.tolist()
 
     def grad(x):
-        l = x[-3:]
-        rel = [(x[i] - l[i]) / ibar[i] for i in range(3)]
-        return (rel + [0.0] * (len(x) - 6)
-                + [-rel[i] + l[i] / j[i] for i in range(3)])
+        l0, l1, l2 = x[-3:]
+        r0, r1, r2 = (x[0] - l0) / i0, (x[1] - l1) / i1, (x[2] - l2) / i2
+        return [r0, r1, r2, *[0.0] * (len(x) - 6),
+                -r0 + l0 / j0, -r1 + l1 / j1, -r2 + l2 / j2]
 
     return analytic_field(eval_batch, grad)
 
@@ -299,15 +301,14 @@ def _heavy_top_grad(params: HeavyTopRotorParams):
     """The gradient of the heavy top with rotors, componentwise: maps the
     d components of a flat state (pi, gamma [, theta], l) to the d
     components of dh/dx."""
-    ibar, j = params.ibar.tolist(), params.j.tolist()
+    (i0, i1, i2), (j0, j1) = params.ibar.tolist(), params.j.tolist()
     dh_dgamma = (params.mgh * params.chi).tolist()
 
     def grad(x):
-        l = x[-2:]
-        omega = [(x[0] - l[0]) / ibar[0], (x[1] - l[1]) / ibar[1],
-                 x[2] / ibar[2]]
-        return (omega + dh_dgamma + [0.0] * (len(x) - 8)
-                + [-omega[i] + l[i] / j[i] for i in range(2)])
+        l0, l1 = x[-2:]
+        w0, w1 = (x[0] - l0) / i0, (x[1] - l1) / i1
+        return [w0, w1, x[2] / i2, *dh_dgamma, *[0.0] * (len(x) - 8),
+                -w0 + l0 / j0, -w1 + l1 / j1]
 
     return grad
 
@@ -406,11 +407,11 @@ def heavy_top_free_hamiltonian(params: HeavyTopParams) -> ScalarField:
         return (0.5 * _row_dot(pi, pi / params.i)
                 + params.mgh * _row_dot(x[:, 3:6], params.chi))
 
-    inertia = params.i.tolist()
+    i0, i1, i2 = params.i.tolist()
     dh_dgamma = (params.mgh * params.chi).tolist()
 
     def grad(x):
-        return [x[i] / inertia[i] for i in range(3)] + dh_dgamma
+        return [x[0] / i0, x[1] / i1, x[2] / i2, *dh_dgamma]
 
     return analytic_field(eval_batch, grad)
 

@@ -257,14 +257,16 @@ def test_non_invertible_pullback_raises():
 
 
 def test_pullback_changing_length_rejected():
-    # a round trip that drops a component cannot pass the defect check
+    # a round trip that drops or adds a component names the pullback and
+    # both lengths
     h = quadratic_h(9)
     sys = RCHSystem(h, SO3, 3)
-    v = matching_control(sys, sys, LAYOUT, LAYOUT, lambda y: y[:-1], same,
-                         same)
-    p = random_point(np.random.default_rng(17))
-    with pytest.raises(ValueError):
-        v(p.flat().tolist())
+    x = random_point(np.random.default_rng(17)).flat().tolist()
+    for pullback, k in ((lambda y: y[:-1], 8), (lambda y: y + [0.0], 10)):
+        v = matching_control(sys, sys, LAYOUT, LAYOUT, pullback, same, same)
+        with pytest.raises(ValueError, match=f"^pullback returned {k} "
+                                             "components for a state of 9$"):
+            v(x)
 
 
 def test_control_rejects_points_of_another_layout():

@@ -74,6 +74,28 @@ def test_step_rejects_rates_of_another_length(field):
         rk4_step(field, x, 0.1)
 
 
+@pytest.mark.parametrize("stage", [2, 3, 4], ids=lambda s: f"stage {s}")
+@pytest.mark.parametrize("delta", [-1, 1], ids=["d-1 rates", "d+1 rates"])
+def test_step_checks_each_stage_before_using_it(stage, delta):
+    # a stage that returns the wrong count must be caught before its rates
+    # enter the next stage's state or the final sum, where zip would
+    # silently truncate them
+    x = start().flat().tolist()
+    calls = []
+
+    def field(y):
+        calls.append(len(y))
+        rates = [0.5] * len(y)
+        if len(calls) == stage:
+            return rates[:-1] if delta < 0 else rates + [0.5]
+        return rates
+
+    with pytest.raises(ValueError, match=f"field returned {5 + delta} "
+                                         "rates for a state of 5 "):
+        rk4_step(field, x, 0.1)
+    assert calls == [5] * stage
+
+
 # ----------------------------------------------------------------------- runs
 
 def test_run_grid_and_lengths():
@@ -173,6 +195,14 @@ def test_trajectory_rejects_states_off_layout():
     p = start()
     with pytest.raises(ValueError, match="layout"):
         Trajectory(np.array([0.0, 0.1]), np.zeros((2, 4)), {}, p.layout)
+
+
+def test_single_sample_trajectory_has_no_step():
+    p = start()
+    traj = Trajectory(np.zeros(1), p.flat()[None, :], {}, p.layout)
+    with pytest.raises(ValueError,
+                       match="single-sample trajectory has no step"):
+        traj.dt
 
 
 def test_default_grid_uniformity_at_scale():

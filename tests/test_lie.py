@@ -223,6 +223,22 @@ def test_views_equal_the_flat_kernels_bitwise(kind):
             npt.assert_array_equal(flat, want)
 
 
+@pytest.mark.parametrize("kind", [SO3, SE3])
+def test_ad_star_kernel_equals_np_cross_bitwise(kind):
+    rng = np.random.default_rng(13)
+    for scale in (1.0, 1e-9):
+        for _ in range(200):
+            xi = lie.random_algebra(rng, kind, scale)
+            mu = lie.random_coalgebra(rng, kind).flat()
+            got = np.array(lie._ad_star_list(mu.tolist(), xi.tolist(),
+                                             kind == SE3))
+            want = np.cross(mu[:3], xi[:3])
+            if kind == SE3:
+                want = np.concatenate([want + np.cross(mu[3:], xi[3:]),
+                                       np.cross(mu[3:], xi[:3])])
+            npt.assert_array_equal(got, want)
+
+
 def test_flat_algebra_shape_check():
     # the kind is read from the length: (3,) or (6,), nothing else
     mu3, mu6 = lie.coalgebra(SO3, E1), lie.coalgebra(SE3, E1, E2)

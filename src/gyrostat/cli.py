@@ -185,10 +185,11 @@ def cmd_hj_check(args) -> int:
     section, mu = cfgmod.build_section(cfg)
     system = cfgmod.build_system(cfg)
     rng = np.random.default_rng(_effective_seed(args, cfg))
-    samples = cfgmod.sample_configurations(cfg, mu, rng)
     try:
-        probe = hj.theorem_equivalence_probe(system, section, samples,
-                                             mu=mu)
+        # unnamed, the samples are freed before the report is formatted
+        probe = hj.theorem_equivalence_probe(
+            system, section, cfgmod.sample_configurations(cfg, mu, rng),
+            mu=mu)
     except hj.GateRejection as exc:
         _hj_failure_reports(out, section, mu, "GATE_REJECTED", str(exc),
                             exc.closedness_defect)

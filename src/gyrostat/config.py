@@ -77,10 +77,10 @@ SECTION_BUILTINS = ("rotor_quadratic",)
 # state size d = 10 with m = 3 invariants.
 MAX_STEPS = 10**7
 
-# Ceiling on [gamma] samples. hj-check holds every sample and its probe
-# columns at once and streams its report: its tracemalloc peak on the
-# heavy-top probe grows about 255 B per sample (1000 to 8000 samples), set
-# by the stacked samples and their rotation check, so 10^6 peak near 0.26 GB.
+# Ceiling on [gamma] samples. hj-check holds every sample, its fiber row
+# and its probe columns at once and streams its report: its tracemalloc
+# peak on the heavy-top probe grows about 224 B per sample (1000 to 3000
+# samples), so 10^6 peak near 0.23 GB.
 MAX_SAMPLES = 10**6
 
 _SECTIONS = ("system", "params", "initial", "run", "gamma", "control",

@@ -28,7 +28,13 @@ flavor (pass ``mu`` for the reduced one):
   :mod:`gyrostat.systems` up to their inertia row scales.
 
 ``theorem_equivalence_probe`` sets the latter two side by side: they
-must vanish together or stay apart together, never disagree.
+must vanish together or stay apart together, never disagree. It runs in
+passes over a :class:`ConfigurationStack`, ``lie.CHUNK`` samples at a
+time: the samplers draw every sample's raw numbers in RNG order and then
+exponentiate them a block at a time; the probe reads every fiber row
+once into an (N, d + k) array, checks a block's membership with one
+coadjoint call, and takes the hj and |X_gamma| columns as row norms of a
+block. Only the field evaluation behind the residuals runs per sample.
 """
 
 from __future__ import annotations
@@ -147,20 +153,40 @@ class ConfigurationStack:
         return map(self.__getitem__, range(len(self)))
 
 
-def _stack(kind: str, n: int, rotor_count: int,
-           draw: Callable[[], tuple]) -> ConfigurationStack:
+def _as_stack(samples) -> ConfigurationStack:
+    """samples as a :class:`ConfigurationStack`, a sequence stacked once."""
+    if isinstance(samples, ConfigurationStack):
+        return samples
+    if len({(q.kind, q.n_theta) for q in samples}) != 1:
+        raise ValueError("probe needs sample configurations, all of one "
+                         "group kind and angle count")
+    trans = None if samples[0].kind == lie.SO3 else \
+        [q.g.trans for q in samples]
+    return ConfigurationStack(lie.GroupPath(
+        samples[0].kind, [q.g.rot for q in samples], trans),
+        [q.theta for q in samples])
+
+
+def _stack(kind: str, n: int, rotor_count: int, width: int,
+           draw: Callable[[], tuple],
+           group: Callable[[np.ndarray], tuple]) -> ConfigurationStack:
     """n samples drawn one at a time, so the RNG order is the per-sample
-    one: draw() returns a sample's rotation, translation (None on SO(3))
-    and angles, which are written into preallocated stacks."""
+    one: draw() returns a sample's width raw numbers and its angles,
+    written into preallocated arrays; then group maps each block of
+    lie.CHUNK raw rows to its rotations and translations (None on
+    SO(3))."""
     if n < 1:
         raise ValueError("need at least one sample configuration")
+    raw, theta = np.empty((n, width)), np.empty((n, rotor_count))
+    for i in range(n):
+        raw[i], theta[i] = draw()
     rot = np.empty((n, 3, 3))
     trans = None if kind == lie.SO3 else np.empty((n, 3))
-    theta = np.empty((n, rotor_count))
-    for i in range(n):
-        rot[i], t, theta[i] = draw()
+    for lo in range(0, n, lie.CHUNK):
+        b = slice(lo, lo + lie.CHUNK)
+        rot[b], t = group(raw[b])
         if trans is not None:
-            trans[i] = t
+            trans[b] = t
     return ConfigurationStack(lie.GroupPath(kind, rot, trans), theta)
 
 
@@ -172,9 +198,10 @@ def random_configurations(rng: np.random.Generator, kind: str, n: int,
     :func:`lie.random_group` draws its group part, then angles()."""
 
     def draw():
-        return *lie.flat_exp(lie.random_algebra(rng, kind)), angles()
+        return lie.random_algebra(rng, kind), angles()
 
-    return _stack(kind, n, rotor_count, draw)
+    return _stack(kind, n, rotor_count, lie.algebra_dim(kind), draw,
+                  lie.flat_exp)
 
 
 def isotropy_configurations(rng: np.random.Generator, mu, n: int,
@@ -199,25 +226,25 @@ def isotropy_configurations(rng: np.random.Generator, mu, n: int,
         if norm == 0.0:
             return random_configurations(rng, lie.SO3, n, rotor_count,
                                          angles)
-
-        def draw():
-            angle = rng.uniform(-np.pi, np.pi)
-            return lie.flat_exp(angle * mu.pi / norm)[0], None, angles()
-
-        return _stack(lie.SO3, n, rotor_count, draw)
+        return _stack(lie.SO3, n, rotor_count, 1,
+                      lambda: (rng.uniform(-np.pi, np.pi), angles()),
+                      lambda angle: lie.flat_exp(angle * mu.pi / norm))
     if not isotropy_sampleable(mu):
         raise ValueError("isotropy sampling needs pi parallel to gamma "
                          "(or pi = 0) with gamma nonzero")
     axis = mu.gamma / np.linalg.norm(mu.gamma)
 
     def slide_draw():
+        return (rng.uniform(-np.pi, np.pi), rng.standard_normal()), angles()
+
+    def slide_group(raw):
         # exp(angle axis, 0) composed with exp(0, slide axis): the second
         # factor's rotation is the identity and the first one's
         # translation zero, so the product is (R, R slide axis)
-        rot = lie.flat_exp(rng.uniform(-np.pi, np.pi) * axis)[0]
-        return rot, rot @ (rng.standard_normal() * axis), angles()
+        rot = lie.flat_exp(raw[:, :1] * axis)[0]
+        return rot, (rot @ (raw[:, 1:] * axis)[..., None])[..., 0]
 
-    return _stack(lie.SE3, n, rotor_count, slide_draw)
+    return _stack(lie.SE3, n, rotor_count, 2, slide_draw, slide_group)
 
 
 @dataclass(frozen=True)
@@ -488,12 +515,28 @@ def section_residuals(sys: RCHSystem, gamma: OneFormSection,
     """
     row = fiber(gamma, q)
     if mu is not None:
-        # |Ad*_{g^-1} p - mu| for the row's body momentum p
-        defect = float(np.linalg.norm(
-            lie.coadjoint(q.g.rot, q.g.trans, row) - mu.flat()))
-        if defect > MEMBERSHIP_TOL:
-            raise MembershipError("section image is off the momentum level "
-                                  f"set (defect {defect:.3e})")
+        _check_level(q.g.rot, q.g.trans, row, mu)
+    return _residuals(sys, gamma, q, row, mu)
+
+
+def _check_level(rot, trans, rows, mu, gate: float | None = None) -> None:
+    """Raise a :class:`MembershipError` carrying gate at the first of the
+    fiber rows (one or a stack) whose body momentum p is off the mu level
+    at its group part: |Ad*_{g^-1} p - mu| > MEMBERSHIP_TOL."""
+    off = lie.coadjoint(rot, trans, rows) - mu.flat()
+    # np.vecdot rounds each row as np.linalg.norm's 1-d dot does
+    defect = np.sqrt(np.vecdot(off, off)).reshape(-1)
+    bad = np.flatnonzero(defect > MEMBERSHIP_TOL)
+    if bad.size:
+        exc = MembershipError("section image is off the momentum level "
+                              f"set (defect {defect[bad[0]]:.3e})")
+        exc.closedness_defect = gate
+        raise exc
+
+
+def _residuals(sys: RCHSystem, gamma: OneFormSection, q: Configuration,
+               row: np.ndarray, mu) -> SectionResiduals:
+    """:func:`section_residuals` at q from its checked fiber row."""
     dim = lie.algebra_dim(gamma.kind)
     layout = Layout(q.kind, q.n_theta, gamma.rotor_count)
     angles = slice(dim, dim + q.n_theta)
@@ -573,28 +616,34 @@ def theorem_equivalence_probe(sys: RCHSystem, gamma: OneFormSection,
     every sample must land PASS (both below 1e-6) or FAIL (both above
     1e-3); a sample with one small and one large residual is reported
     INCONSISTENT. Sections failing the closedness prerequisite are
-    rejected with :class:`GateRejection`. Either error carries the gate
-    value as ``closedness_defect``.
+    rejected with :class:`GateRejection`, and the first off-level sample
+    with :class:`MembershipError` before any residual is computed. Either
+    error carries the gate value as ``closedness_defect``. A plain
+    sequence of samples is stacked once.
     """
-    if not samples:
-        raise ValueError("probe needs at least one sample configuration")
+    samples = _as_stack(samples)
     gate = closedness_defect(gamma, samples=samples)
     if gate > GATE_TOL:
         exc = GateRejection("section fails the closedness gate "
                             f"(defect {gate:.3e} > {GATE_TOL:g})")
         exc.closedness_defect = gate
         raise exc
-    n = len(samples)
-    relatedness, hj, x_norm = np.empty(n), np.empty(n), np.empty(n)
-    labels = []
+    n, g = len(samples), samples.g
+    rows = np.empty((n, lie.algebra_dim(gamma.kind) + gamma.rotor_count))
     for i, q in enumerate(samples):
-        try:
-            r = section_residuals(sys, gamma, q, mu)
-        except MembershipError as exc:
-            exc.closedness_defect = gate
-            raise
-        h = float(np.linalg.norm(r.hj_components))
-        relatedness[i], hj[i] = r.relatedness, h
-        x_norm[i] = np.linalg.norm(r.x_gamma)
-        labels.append(_classify(r.relatedness, h))
+        rows[i] = fiber(gamma, q)
+    blocks = [slice(lo, lo + lie.CHUNK) for lo in range(0, n, lie.CHUNK)]
+    if mu is not None:
+        for b in blocks:
+            _check_level(g.rot[b], None if g.trans is None else g.trans[b],
+                         rows[b], mu, gate)
+    relatedness, hj, x_norm = np.empty(n), np.empty(n), np.empty(n)
+    for b in blocks:
+        res = [_residuals(sys, gamma, samples[i], rows[i], mu)
+               for i in range(n)[b]]
+        relatedness[b] = [r.relatedness for r in res]
+        h = np.array([r.hj_components for r in res])
+        x = np.array([r.x_gamma for r in res])
+        hj[b], x_norm[b] = np.sqrt(np.vecdot(h, h)), np.sqrt(np.vecdot(x, x))
+    labels = map(_classify, relatedness, hj)
     return ProbeResult(relatedness, hj, x_norm, tuple(labels), gate)

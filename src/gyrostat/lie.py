@@ -38,6 +38,9 @@ import numpy as np
 SO3 = "SO3"
 SE3 = "SE3"
 
+#: rows per block when a stack is checked or built a block at a time
+CHUNK = 64
+
 #: below this angle the exponential's Rodrigues coefficients switch to
 #: 2-term Taylor expansions to avoid 0/0
 SMALL_ANGLE = 1e-8
@@ -49,6 +52,9 @@ _EYE3.flags.writeable = False
 # index arrays built once cost less per call than index lists
 _ROLL1, _ROLL2 = np.array([1, 2, 0]), np.array([2, 0, 1])
 _ROLL1.flags.writeable = _ROLL2.flags.writeable = False
+# the entries of skew(w), row-major, as indices into (w, -w, 0)
+_SKEW = np.array([6, 5, 1, 2, 6, 3, 4, 0, 6])
+_SKEW.flags.writeable = False
 
 
 def _vec3(x, name: str) -> np.ndarray:
@@ -113,24 +119,29 @@ class CoalgebraVector:
 def _check_rotations(rot: np.ndarray) -> None:
     """Raise unless every trailing 3x3 block of rot, one matrix or an
     (n, 3, 3) stack, is finite and orthonormal with unit determinant
-    within 1e-10. Each test is one whole-array max; the first failing
-    block of a stack is located only to name it in the error."""
+    within 1e-10. A stack is tested CHUNK blocks at a time, so the
+    temporaries keep a fixed size; the error names the first failing
+    block by its index in the whole stack."""
     r = rot.reshape(-1, 3, 3)
     stacked = rot.ndim == 3
-    if not np.isfinite(r).all():
-        _reject("rot", stacked, ~np.isfinite(r), "has non-finite entries")
-    ortho = abs(r.mT @ r - _EYE3)
-    if ortho.max() > _ORTHO_TOL:
-        _reject("rot", stacked, ortho > _ORTHO_TOL,
-                "is not orthonormal within 1e-10")
-    det = abs(np.linalg.det(r) - 1.0)
-    if det.max() > _ORTHO_TOL:
-        _reject("rot", stacked, det > _ORTHO_TOL,
-                "determinant differs from 1 by more than 1e-10")
+    for lo in range(0, len(r), CHUNK):
+        part = r[lo:lo + CHUNK]
+        if not np.isfinite(part).all():
+            _reject("rot", stacked, ~np.isfinite(part),
+                    "has non-finite entries", lo)
+        ortho = abs(part.mT @ part - _EYE3)
+        if ortho.max() > _ORTHO_TOL:
+            _reject("rot", stacked, ortho > _ORTHO_TOL,
+                    "is not orthonormal within 1e-10", lo)
+        det = abs(np.linalg.det(part) - 1.0)
+        if det.max() > _ORTHO_TOL:
+            _reject("rot", stacked, det > _ORTHO_TOL,
+                    "determinant differs from 1 by more than 1e-10", lo)
 
 
-def _reject(name: str, stacked: bool, bad: np.ndarray, what: str):
-    where = f"[{np.argwhere(bad)[0, 0]}]" if stacked else ""
+def _reject(name: str, stacked: bool, bad: np.ndarray, what: str,
+            offset: int = 0):
+    where = f"[{offset + np.argwhere(bad)[0, 0]}]" if stacked else ""
     raise ValueError(f"{name}{where} {what}")
 
 
@@ -219,13 +230,13 @@ def coalgebra_from_flat(kind: str, arr) -> CoalgebraVector:
 
 
 def skew(w) -> np.ndarray:
-    """3x3 skew matrix of a 3-vector: skew(w) @ x == w x x."""
-    w0, w1, w2 = np.asarray(w, dtype=float).tolist()
-    return np.array([
-        [0.0, -w2, w1],
-        [w2, 0.0, -w0],
-        [-w1, w0, 0.0],
-    ])
+    """Skew matrix of a 3-vector, or the (n, 3, 3) stack of an (n, 3)
+    stack: skew(w) @ x == w x x."""
+    w = np.asarray(w, dtype=float)
+    lead = w.shape[:-1]
+    padded = np.zeros(lead + (7,))
+    padded[..., :3], padded[..., 3:6] = w, -w
+    return padded.take(_SKEW, axis=-1).reshape(lead + (3, 3))
 
 
 def hat(x) -> np.ndarray:
@@ -295,30 +306,39 @@ def pairing(mu: CoalgebraVector, xi) -> float:
     return v
 
 
-def _rodrigues_coeffs(theta_sq: float) -> tuple[float, float, float]:
-    # a = sin t / t, b = (1 - cos t) / t^2, c = (t - sin t) / t^3
-    if theta_sq < SMALL_ANGLE * SMALL_ANGLE:
-        return (1.0 - theta_sq / 6.0,
-                0.5 - theta_sq / 24.0,
-                1.0 / 6.0 - theta_sq / 120.0)
-    t = np.sqrt(theta_sq)
-    return (np.sin(t) / t,
-            (1.0 - np.cos(t)) / theta_sq,
-            (t - np.sin(t)) / (theta_sq * t))
+def _rodrigues_coeffs(theta_sq):
+    # a = sin t / t, b = (1 - cos t) / t^2, c = (t - sin t) / t^3 of
+    # t^2 = theta_sq elementwise, as scalars or (n, 1, 1) stacks; where
+    # small, the series replace them, and t^2 + 1 avoids 0/0
+    small = theta_sq < SMALL_ANGLE * SMALL_ANGLE
+    sq = theta_sq + small
+    t = np.sqrt(sq)
+    sin = np.sin(t)
+    closed = (sin / t, (1.0 - np.cos(t)) / sq, (t - sin) / (sq * t))
+    if not (small.ndim or small):
+        return closed
+    series = (1.0 - theta_sq / 6.0, 0.5 - theta_sq / 24.0,
+              1.0 / 6.0 - theta_sq / 120.0)
+    if not small.ndim:
+        return series
+    return tuple(np.where(small, s, c)[..., None, None]
+                 for s, c in zip(series, closed))
 
 
 def flat_exp(x: np.ndarray) -> tuple:
-    """Group exponential of a flat algebra vector as (rot, trans): the
-    Rodrigues formula on (3,) so(3) vectors, with trans None; on (6,)
-    se(3) vectors also the translation V vel, with the kernel
-    V = I + b*skew + c*skew^2."""
-    w = x[:3]
+    """Group exponential of one flat algebra vector or of an (n, 3|6)
+    stack of them, as (rot, trans): the Rodrigues formula on so(3)
+    vectors, with trans None; on se(3) vectors also the translation
+    V vel, with the kernel V = I + b*skew + c*skew^2. Row i of a stack
+    equals the one-vector call on x[i] bit for bit."""
+    w = x[..., :3]
     s = skew(w)
-    a, b, c = _rodrigues_coeffs(float(w @ w))
-    rot = np.eye(3) + a * s + b * (s @ s)
-    if x.size == 3:
+    ss = s @ s
+    a, b, c = _rodrigues_coeffs(np.vecdot(w, w))
+    rot = _EYE3 + a * s + b * ss
+    if x.shape[-1] == 3:
         return rot, None
-    return rot, (np.eye(3) + b * s + c * (s @ s)) @ x[3:]
+    return rot, ((_EYE3 + b * s + c * ss) @ x[..., 3:, None])[..., 0]
 
 
 def exp_group(x) -> GroupElement:

@@ -52,12 +52,12 @@ def full_dynamical_field(sys: RCHSystem, layout: Layout,
     grad = flat_gradient(sys.hamiltonian, layout)(x)
     hamiltonian = _hamiltonian_rates(layout)(x, grad)
     body = _add_lifts(sys, x, hamiltonian)
-    lift = np.subtract(body, hamiltonian)
+    lift = [b - h for b, h in zip(body, hamiltonian)]
     nc = lie.algebra_dim(layout.kind)
-    if np.any(lift[nc:nc + layout.n_theta] != 0.0):
+    if any(lift[nc:nc + layout.n_theta]):
         raise ValueError("force/control must be vertical: it cannot move "
                          "the rotor angles")
-    return FullTangent(np.array(grad[:nc]), np.array(body), lift)
+    return FullTangent(np.array(grad[:nc]), np.array(body), np.array(lift))
 
 
 # ---------------------------------------------------------------------------

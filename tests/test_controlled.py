@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from gyrostat import lie
+from gyrostat import lie, systems
 from gyrostat.controlled import (RCHSystem, dynamical_field,
                                  fiber_map_lift, flat_dynamical_field,
                                  matching_control)
@@ -277,3 +279,64 @@ def test_control_rejects_points_of_another_layout():
     p = random_point(np.random.default_rng(16), nt=0)
     with pytest.raises(ValueError, match="layout"):
         v(p.flat().tolist())
+
+
+# ------------------------------------- a non-identity equivalence (cyclic)
+
+def axis_permutation(perm):
+    """Flat maps of one axis permutation applied to the pi, theta and l
+    blocks alike: B-state component i is A-state component perm[i]."""
+    index = [3 * block + p for block in range(3) for p in perm]
+    inverse = list(np.argsort(index))
+
+    def pullback(y):
+        return [y[i] for i in inverse]
+
+    def pullback_inverse(x):
+        return [x[i] for i in index]
+
+    return pullback, pullback, pullback_inverse
+
+
+def rigid_body(ibar, j):
+    return systems.rigid_body_system(systems.RigidBodyRotorParams(ibar, j))
+
+
+RB_A = rigid_body((1.0, 2.0, 3.0), (0.5, 0.4, 0.3))
+
+
+class TestCyclicAxisPermutation:
+    """The cyclic permutation (0, 1, 2) -> (1, 2, 0) preserves the cross
+    product, so it is a Lie-Poisson automorphism of so(3)*. Applied to
+    the pi, theta and l blocks it maps the rigid body ibar = 1 2 3,
+    j = 0.5 0.4 0.3 onto ibar = 2 3 1, j = 0.4 0.3 0.5."""
+
+    def states(self, seed, n=200):
+        return np.random.default_rng(seed).standard_normal((n, 9)).tolist()
+
+    def test_control_toward_the_permuted_body_is_zero(self):
+        permuted = rigid_body((2.0, 3.0, 1.0), (0.4, 0.3, 0.5))
+        v = matching_control(RB_A, permuted, LAYOUT, LAYOUT,
+                             *axis_permutation((1, 2, 0)))
+        for x in self.states(40):
+            assert v(x) == [0.0] * 9
+
+    def test_control_toward_a_third_body_transports_its_field(self):
+        third = rigid_body((1.5, 2.5, 0.8), (0.2, 0.6, 0.35))
+        pullback, push, inverse = axis_permutation((1, 2, 0))
+        v = matching_control(RB_A, third, LAYOUT, LAYOUT, pullback, push,
+                             inverse)
+        controlled = flat_dynamical_field(replace(RB_A, control=v), LAYOUT)
+        field = flat_dynamical_field(third, LAYOUT)
+        for x in self.states(41):
+            want = push(field(inverse(x)))
+            npt.assert_allclose(controlled(x), want, rtol=1e-12,
+                                atol=1e-12)
+            assert max(map(abs, v(x))) > 1e-3
+
+    def test_swap_is_anti_poisson_and_leaves_a_control(self):
+        swapped = rigid_body((2.0, 1.0, 3.0), (0.4, 0.5, 0.3))
+        v = matching_control(RB_A, swapped, LAYOUT, LAYOUT,
+                             *axis_permutation((1, 0, 2)))
+        worst = max(max(map(abs, v(x))) for x in self.states(42))
+        assert worst > 1.0

@@ -673,6 +673,55 @@ class TestProbeRowsAreTheWrappers:
             hj.theorem_equivalence_probe(sys, sec, [q], nu)
 
 
+class TestProbeInputs:
+    """The probe stacks a plain sequence once and reads every fiber row
+    and membership defect in blocks of lie.CHUNK samples."""
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_list_and_stack_give_identical_columns(self, reduced):
+        sec, mu, _ = tilted_gravity_data()
+        n = lie.CHUNK + 9
+        stack = hj.isotropy_configurations(np.random.default_rng(28), mu,
+                                           n, 2)
+        level = mu if reduced else None
+        got = hj.theorem_equivalence_probe(ht_system(), sec, stack, level)
+        again = hj.theorem_equivalence_probe(ht_system(), sec, list(stack),
+                                             level)
+        for column in ("relatedness", "hj", "x_norm"):
+            assert _same_bits(getattr(got, column), getattr(again, column))
+        assert got.labels == again.labels and len(got.labels) == n
+        assert got.gate_defect == again.gate_defect
+
+    def test_mixed_samples_are_rejected(self):
+        sec, mu = spin_equilibrium()
+        qs = [hj.configuration(lie.identity(lie.SO3), np.zeros(3)),
+              hj.configuration(lie.identity(lie.SO3), np.zeros(2))]
+        with pytest.raises(ValueError, match="angle count"):
+            hj.theorem_equivalence_probe(rb_system(), sec, qs, mu)
+
+    def test_stack_membership_error_names_the_first_offender(self):
+        sec, nu = spin_equilibrium()
+        n = 2 * lie.CHUNK + 7
+        stack = hj.isotropy_configurations(np.random.default_rng(29), nu,
+                                           n, 3)
+        rot = stack.g.rot.copy()
+        first = lie.CHUNK + 5
+        rng = np.random.default_rng(30)
+        for i in (first, first + 3, n - 1):
+            rot[i] = lie.random_group(rng, lie.SO3).rot
+        moved = hj.ConfigurationStack(lie.GroupPath(lie.SO3, rot),
+                                      stack.theta)
+        with pytest.raises(hj.MembershipError) as probe:
+            hj.theorem_equivalence_probe(rb_system(), sec, moved, nu)
+        with pytest.raises(hj.MembershipError) as single:
+            hj.section_residuals(rb_system(), sec, moved[first], nu)
+        defect = np.linalg.norm(rot[first] @ nu.pi - nu.pi)
+        assert str(probe.value) == str(single.value)
+        assert f"(defect {defect:.3e})" in str(probe.value)
+        assert probe.value.closedness_defect == 0.0
+        assert single.value.closedness_defect is None
+
+
 class TestProbeResult:
     def test_aggregates_match_single_calls(self):
         sec, mu, a = tilted_gravity_data()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -173,6 +175,37 @@ def test_group_path_checks_every_rotation_once():
             lie.GroupPath(SO3, bad)
 
 
+
+@pytest.mark.parametrize("what", ["orthonormal", "determinant",
+                                  "non-finite"])
+def test_group_path_names_a_bad_block_past_the_first_chunk(what):
+    # the check runs lie.CHUNK blocks at a time; the index it reports
+    # counts from the start of the whole stack
+    n = 3 * lie.CHUNK + 5
+    rot = np.tile(np.eye(3), (n, 1, 1))
+    block = {"orthonormal": np.eye(3) * 1.001, "determinant": -np.eye(3),
+             "non-finite": np.where(np.eye(3), np.nan, 0.0)}[what]
+    first = 2 * lie.CHUNK + 3
+    rot[first] = rot[n - 1] = block
+    with pytest.raises(ValueError, match=rf"^rot\[{first}\] .*{what}"):
+        lie.GroupPath(SO3, rot)
+
+
+def test_rotation_check_temporaries_do_not_grow_with_the_stack():
+    def peak(n):
+        rot = np.tile(np.eye(3), (n, 1, 1))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            lie._check_rotations(rot)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    peak(lie.CHUNK)
+    # a whole-stack check held about 256 B per matrix, 1 MB at 4096
+    assert peak(16 * lie.CHUNK) <= peak(2 * lie.CHUNK) + 4096
+
 def test_group_path_part_validation():
     stack = np.tile(np.eye(3), (4, 1, 1))
     lie.GroupPath(SE3, stack, np.zeros((4, 3)))
@@ -222,6 +255,36 @@ def test_views_equal_the_flat_kernels_bitwise(kind):
                                        - np.cross(y[:3], x[3:])])
             npt.assert_array_equal(flat, want)
 
+
+
+@pytest.mark.parametrize("kind", [SO3, SE3])
+def test_stacked_exp_rows_equal_one_vector_calls_bitwise(kind):
+    rng = np.random.default_rng(21)
+    d = lie.algebra_dim(kind)
+    axes = rng.standard_normal((12, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    near_pi = np.nextafter(np.pi, 0.0), np.pi, np.nextafter(np.pi, 4.0)
+    angles = np.concatenate([
+        [0.0, 0.0, 1e-12, 0.5e-8, 0.9e-8], near_pi,
+        [-a for a in near_pi], [1.5e-8]])
+    rows = rng.standard_normal((200, d))
+    rows[:12, :3] = angles[:, None] * axes
+    rows[0] = 0.0
+    # both sides of the small-angle switch
+    small = np.vecdot(rows[:, :3], rows[:, :3]) < lie.SMALL_ANGLE ** 2
+    assert small[:5].all() and not small[5:].any()
+    rot, trans = lie.flat_exp(rows)
+    assert rot.shape == (200, 3, 3)
+    for i, x in enumerate(rows):
+        one_rot, one_trans = lie.flat_exp(x)
+        assert np.array_equal(rot[i], one_rot)
+        assert np.array_equal(np.signbit(rot[i]), np.signbit(one_rot))
+        if kind == SO3:
+            assert trans is None and one_trans is None
+        else:
+            assert np.array_equal(trans[i], one_trans)
+            assert np.array_equal(np.signbit(trans[i]),
+                                  np.signbit(one_trans))
 
 @pytest.mark.parametrize("kind", [SO3, SE3])
 def test_ad_star_kernel_equals_np_cross_bitwise(kind):

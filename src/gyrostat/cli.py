@@ -163,7 +163,7 @@ def _hj_failure_reports(out: Path, section, mu, verdict: str, message: str,
                         defect: float):
     _write_lines(out / "hj_report.txt",
                  [f"section family: {section.family}",
-                  f"momentum level: {_vec_text(mu.flat())}",
+                  f"momentum level: {_vec_text(mu)}",
                   f"verdict: {verdict}",
                   f"error: {message}"])
     _write_lines(out / "hj_report.kv",
@@ -204,7 +204,7 @@ def cmd_hj_check(args) -> int:
     worst_rel = int(np.argmax(probe.relatedness))
     worst_hj = int(np.argmax(probe.hj))
     header = [f"section family: {section.family}",
-              f"momentum level: {_vec_text(mu.flat())}",
+              f"momentum level: {_vec_text(mu)}",
               f"samples: {len(probe.labels)}",
               f"closedness defect: {probe.gate_defect:.6e} "
               f"(gate {hj.GATE_TOL:g})",

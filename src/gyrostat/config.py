@@ -305,8 +305,8 @@ def _parse_gamma(data: dict, system: str) -> dict | None:
     if out["samples"] > MAX_SAMPLES:
         raise ConfigError(f"[gamma] samples: {out['samples']} exceed the "
                           f"limit of {MAX_SAMPLES}")
-    mu = lie.coalgebra_from_flat(algebra_kind(system), np.array(out["mu"]))
-    if np.linalg.norm(mu.flat()) > 0 and not isotropy_sampleable(mu):
+    mu = np.array(out["mu"])
+    if np.linalg.norm(mu) > 0 and not isotropy_sampleable(mu):
         raise ConfigError(
             "[gamma] mu: sampling on a nonzero momentum level needs "
             "pi parallel to gamma (or pi = 0) with gamma nonzero")
@@ -568,19 +568,17 @@ def build_section(cfg: ScenarioConfig):
         offset[0] = 3.0
         section = rotor_quadratic_section(kind, offset)
     elif block["kind"] == "constant_body":
-        section = constant_body_section(
-            lie.coalgebra_from_flat(kind, np.array(block["nu0"])),
-            np.array(block["l0"]))
+        section = constant_body_section(np.array(block["nu0"]),
+                                        np.array(block["l0"]))
     else:
         comps = np.array(block["components"])
-        nu0 = lie.coalgebra_from_flat(kind, comps[:dim])
+        nu0 = comps[:dim]
         coupling = np.array(block["theta_coupling"]).reshape(k, k)
         if np.any(coupling != 0.0):
             section = affine_rotor_section(nu0, comps[dim:], coupling)
         else:
             section = constant_body_section(nu0, comps[dim:])
-    mu = lie.coalgebra_from_flat(kind, np.array(block["mu"]))
-    return section, mu
+    return section, np.array(block["mu"])
 
 
 def sample_configurations(cfg: ScenarioConfig, mu,
@@ -594,7 +592,7 @@ def sample_configurations(cfg: ScenarioConfig, mu,
     n = cfg.gamma["samples"]
     k = rotor_count(cfg.system)
     kind = algebra_kind(cfg.system)
-    if float(np.linalg.norm(mu.flat())) == 0.0:
+    if float(np.linalg.norm(mu)) == 0.0:
         return random_configurations(rng, kind, n, k,
                                      lambda: rng.uniform(-1.0, 1.0, k))
     return isotropy_configurations(rng, mu, n, k)

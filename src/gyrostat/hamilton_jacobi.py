@@ -106,13 +106,14 @@ def random_configuration(rng: np.random.Generator, kind: str,
 
 
 def isotropy_sampleable(mu) -> bool:
-    """Whether :func:`isotropy_configurations` can sample mu: any so(3)*
-    value, and on se(3)* pi parallel to gamma (or pi = 0) with gamma
-    nonzero, |pi x gamma| <= 1e-12 max(1, |gamma|)."""
-    if mu.kind == lie.SO3:
+    """Whether :func:`isotropy_configurations` can sample the flat
+    momentum mu: any so(3)* value, and on se(3)* pi parallel to gamma
+    (or pi = 0) with gamma nonzero, |pi x gamma| <= 1e-12 max(1, |gamma|)."""
+    mu, kind = lie._flat_algebra(mu)
+    if kind == lie.SO3:
         return True
-    norm = float(np.linalg.norm(mu.gamma))
-    return not (norm == 0.0 or np.linalg.norm(np.cross(mu.pi, mu.gamma))
+    norm = float(np.linalg.norm(mu[3:]))
+    return not (norm == 0.0 or np.linalg.norm(np.cross(mu[:3], mu[3:]))
                 > 1e-12 * max(1.0, norm))
 
 
@@ -207,7 +208,7 @@ def random_configurations(rng: np.random.Generator, kind: str, n: int,
 def isotropy_configurations(rng: np.random.Generator, mu, n: int,
                             rotor_count: int,
                             theta_scale: float = 1.0) -> ConfigurationStack:
-    """n configurations, stacked, whose group part fixes the spatial
+    """n configurations, stacked, whose group part fixes the flat spatial
     momentum mu under the coadjoint action, so constant-body sections at
     mu sit exactly on the mu level set there.
 
@@ -221,18 +222,19 @@ def isotropy_configurations(rng: np.random.Generator, mu, n: int,
     def angles():
         return theta_scale * rng.standard_normal(rotor_count)
 
-    if mu.kind == lie.SO3:
-        norm = float(np.linalg.norm(mu.pi))
+    mu, kind = lie._flat_algebra(mu)
+    if kind == lie.SO3:
+        norm = float(np.linalg.norm(mu))
         if norm == 0.0:
             return random_configurations(rng, lie.SO3, n, rotor_count,
                                          angles)
         return _stack(lie.SO3, n, rotor_count, 1,
                       lambda: (rng.uniform(-np.pi, np.pi), angles()),
-                      lambda angle: lie.flat_exp(angle * mu.pi / norm))
+                      lambda angle: lie.flat_exp(angle * mu / norm))
     if not isotropy_sampleable(mu):
         raise ValueError("isotropy sampling needs pi parallel to gamma "
                          "(or pi = 0) with gamma nonzero")
-    axis = mu.gamma / np.linalg.norm(mu.gamma)
+    axis = mu[3:] / np.linalg.norm(mu[3:])
 
     def slide_draw():
         return (rng.uniform(-np.pi, np.pi), rng.standard_normal()), angles()
@@ -325,20 +327,18 @@ def fiber_derivative(gamma: OneFormSection, q: Configuration,
 # ---------------------------------------------------------------------------
 
 def constant_body_section(nu0, l0=()) -> OneFormSection:
-    """Section with fixed body momentum nu0 and rotor momenta l0."""
+    """Section with fixed flat body momentum nu0 and rotor momenta l0."""
+    nu0, kind = lie._flat_algebra(nu0)
     l0 = _vec(l0, "l0")
-    row = np.concatenate([nu0.flat(), l0])
-    return OneFormSection(lambda q: row.copy(), nu0.kind, l0.size,
+    row = np.concatenate([nu0, l0])
+    return OneFormSection(lambda q: row.copy(), kind, l0.size,
                           jacobian=lambda q, v: np.zeros(row.size),
                           family="constant_body")
 
 
 def zero_section(kind: str, rotor_count: int = 0) -> OneFormSection:
-    if kind == lie.SO3:
-        nu0 = lie.coalgebra(lie.SO3, np.zeros(3))
-    else:
-        nu0 = lie.coalgebra(lie.SE3, np.zeros(3), np.zeros(3))
-    return constant_body_section(nu0, np.zeros(rotor_count))
+    return constant_body_section(np.zeros(lie.algebra_dim(kind)),
+                                 np.zeros(rotor_count))
 
 
 def exact_section(kind: str, rotor_count: int,
@@ -369,8 +369,8 @@ def rotor_quadratic_section(kind: str = lie.SO3,
 
 
 def affine_rotor_section(nu0, l0, coupling) -> OneFormSection:
-    """Constant body momentum with rotor momenta affine in the angles:
-    l(theta) = l0 + C theta.
+    """Constant flat body momentum nu0 with rotor momenta affine in the
+    angles: l(theta) = l0 + C theta.
 
     In the trivialized frame the only nonzero derivative block is C, so
     the section is closed exactly when C is symmetric; an asymmetric C
@@ -379,16 +379,16 @@ def affine_rotor_section(nu0, l0, coupling) -> OneFormSection:
     l0 = _vec(l0, "l0")
     k = l0.size
     coupling = np.asarray(coupling, dtype=float).reshape(k, k)
-    d = lie.algebra_dim(nu0.kind)
-    body = nu0.flat()
+    nu0, kind = lie._flat_algebra(nu0)
+    d = nu0.size
 
     def value(q: Configuration) -> np.ndarray:
-        return np.concatenate([body, l0 + coupling @ q.theta])
+        return np.concatenate([nu0, l0 + coupling @ q.theta])
 
     def jacobian(q: Configuration, v: np.ndarray) -> np.ndarray:
         return np.concatenate([np.zeros(d), coupling @ v[d:]])
 
-    return OneFormSection(value, nu0.kind, k, jacobian=jacobian,
+    return OneFormSection(value, kind, k, jacobian=jacobian,
                           family="custom")
 
 
@@ -409,16 +409,17 @@ def shear_section(kind: str, rotor_count: int) -> OneFormSection:
 
 
 def spatial_section(mu, rotor_count: int = 0, l0=()) -> OneFormSection:
-    """Section with constant spatial momentum mu; its body components
-    rotate with the configuration, so it is not closed in the body
-    frame and probe gates reject it for nonzero mu."""
+    """Section with constant flat spatial momentum mu; its body
+    components rotate with the configuration, so it is not closed in the
+    body frame and probe gates reject it for nonzero mu."""
+    mu, kind = lie._flat_algebra(mu)
     l0 = np.atleast_1d(np.asarray(l0, dtype=float)) if np.size(l0) \
         else np.zeros(rotor_count)
 
     def value(q: Configuration) -> np.ndarray:
-        return np.concatenate([lie.Ad_star(lie.inverse(q.g), mu).flat(), l0])
+        return np.concatenate([lie.Ad_star(lie.inverse(q.g), mu), l0])
 
-    return OneFormSection(value, mu.kind, rotor_count, family="custom")
+    return OneFormSection(value, kind, rotor_count, family="custom")
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +524,7 @@ def _check_level(rot, trans, rows, mu, gate: float | None = None) -> None:
     """Raise a :class:`MembershipError` carrying gate at the first of the
     fiber rows (one or a stack) whose body momentum p is off the mu level
     at its group part: |Ad*_{g^-1} p - mu| > MEMBERSHIP_TOL."""
-    off = lie.coadjoint(rot, trans, rows) - mu.flat()
+    off = lie.coadjoint(rot, trans, rows) - mu
     # np.vecdot rounds each row as np.linalg.norm's 1-d dot does
     defect = np.sqrt(np.vecdot(off, off)).reshape(-1)
     bad = np.flatnonzero(defect > MEMBERSHIP_TOL)

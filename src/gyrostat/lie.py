@@ -3,24 +3,22 @@
 All quantities live in body (left-trivialized) coordinates. An algebra
 element is a flat float array: a (3,) vector omega of so(3), identified
 with a skew matrix through the hat map, or a (6,) vector (omega, vel) of
-se(3). The kind is read from the length; any other shape is rejected.
-The duals so(3)*, se(3)* are :class:`CoalgebraVector` momenta, pi or
-(pi, gamma), whose pairing with an algebra vector is the dot product of
-matching parts.
+se(3). A momentum of the dual so(3)* or se(3)* is a flat array of the
+same shapes, pi or (pi, gamma), paired with an algebra vector by the dot
+product. The kind is read from the length; any other shape is rejected.
 
 Each formula is written once, as a private kernel on flat lists of
-floats: :func:`_bracket_list` is the bracket behind :func:`bracket`,
-the exponential-coordinate reconstruction and the axiom suite's stacked
-brackets, and :func:`_ad_star_list` is the ad* behind
-:func:`coadjoint_ad_star` and the Lie-Poisson part of the Hamiltonian
-rates in :mod:`gyrostat.poisson`.
+floats: :func:`_bracket_list` is the bracket behind the
+exponential-coordinate reconstruction and the axiom suite's stacked
+brackets, and :func:`_ad_star_list` is the ad* behind the Lie-Poisson
+part of the Hamiltonian rates in :mod:`gyrostat.poisson`.
 
 Conventions fixed here and relied on everywhere else:
 
-* ``bracket`` on se(3) is the semidirect-product bracket
-  ``[(w1, u1), (w2, u2)] = (w1 x w2, w1 x u2 - w2 x u1)``.
-* ``coadjoint_ad_star`` satisfies
-  ``pairing(ad*_xi(mu), eta) = pairing(mu, [xi, eta])``, which for
+* the bracket on se(3) is the semidirect-product bracket
+  ``[(w1, u1), (w2, u2)] = (w1 x w2, w1 x u2 - w2 x u1)``, the matrix
+  commutator of the :func:`hat` images.
+* ad* satisfies ``<ad*_xi(mu), eta> = <mu, [xi, eta]>``, which for
   so(3) gives ``ad*_xi(mu) = pi x omega``. Under this choice the
   minus Lie-Poisson equations come out as ``pi_dot = pi x grad_h``.
 * ``coadjoint`` is the coadjoint *action* ``mu -> Ad*_{g^{-1}} mu``
@@ -77,43 +75,17 @@ def _same_kind(a, b) -> str:
 
 
 def _flat_algebra(x, kind: str | None = None) -> tuple[np.ndarray, str]:
-    """x as a flat algebra vector and its kind: a (3,) float array is
-    so(3), a (6,) one se(3). Raises on any other shape, and when x is
-    not of ``kind`` if that is given."""
+    """x as a flat algebra vector or momentum and its kind: a (3,) float
+    array is so(3) or so(3)*, a (6,) one se(3) or se(3)*. Raises on any
+    other shape, and when x is not of ``kind`` if that is given."""
     a = np.asarray(x, dtype=float)
     if a.shape not in ((3,), (6,)):
-        raise ValueError(f"algebra vectors have shape (3,) or (6,), got "
-                         f"{a.shape}")
+        raise ValueError(f"algebra vectors and momenta have shape (3,) or "
+                         f"(6,), got {a.shape}")
     own = SO3 if a.size == 3 else SE3
     if kind is not None and own != kind:
         raise ValueError(f"kind mismatch: {kind} vs {own}")
     return a, own
-
-
-@dataclass(frozen=True)
-class CoalgebraVector:
-    """Element of so(3)* or se(3)*: momentum ``pi`` plus, for SE3, the
-    advected vector ``gamma``."""
-
-    kind: str
-    pi: np.ndarray
-    gamma: np.ndarray | None = None
-
-    def __post_init__(self):
-        _check_kind(self.kind)
-        object.__setattr__(self, "pi", _vec3(self.pi, "pi"))
-        if self.kind == SO3:
-            if self.gamma is not None:
-                raise ValueError("SO3 momenta carry no gamma part")
-        else:
-            if self.gamma is None:
-                raise ValueError("SE3 momenta need a gamma part")
-            object.__setattr__(self, "gamma", _vec3(self.gamma, "gamma"))
-
-    def flat(self) -> np.ndarray:
-        if self.kind == SO3:
-            return self.pi.copy()
-        return np.concatenate([self.pi, self.gamma])
 
 
 def _check_rotations(rot: np.ndarray) -> None:
@@ -212,21 +184,21 @@ class GroupPath:
         return g
 
 
-def coalgebra(kind: str, pi, gamma=None) -> CoalgebraVector:
-    if kind == SE3 and gamma is None:
-        gamma = np.zeros(3)
-    return CoalgebraVector(kind, pi, gamma)
+def coalgebra(kind: str, pi, gamma=None) -> np.ndarray:
+    """The flat momentum of kind: pi on so(3)*, which carries no gamma
+    part, and (pi, gamma) on se(3)*, gamma defaulting to zero."""
+    _check_kind(kind)
+    parts = [_vec3(pi, "pi")]
+    if kind == SO3:
+        if gamma is not None:
+            raise ValueError("SO3 momenta carry no gamma part")
+    else:
+        parts.append(np.zeros(3) if gamma is None else _vec3(gamma, "gamma"))
+    return np.concatenate(parts)
 
 
 def algebra_dim(kind: str) -> int:
     return 3 if kind == SO3 else 6
-
-
-def coalgebra_from_flat(kind: str, arr) -> CoalgebraVector:
-    arr = np.asarray(arr, dtype=float)
-    if kind == SO3:
-        return CoalgebraVector(SO3, arr)
-    return CoalgebraVector(SE3, arr[:3], arr[3:6])
 
 
 def skew(w) -> np.ndarray:
@@ -287,23 +259,6 @@ def _ad_star_list(mu: list, xi: list, se3: bool) -> list:
     gamma = mu[3:6]
     q = _cross_list(gamma, xi[3:6])
     return [p[0] + q[0], p[1] + q[1], p[2] + q[2], *_cross_list(gamma, xi)]
-
-
-def bracket(x, y) -> np.ndarray:
-    """:func:`_bracket_list` of two flat algebra vectors of one kind."""
-    x, kind = _flat_algebra(x)
-    y, _ = _flat_algebra(y, kind)
-    return np.array(_bracket_list(x.tolist(), y.tolist()))
-
-
-def pairing(mu: CoalgebraVector, xi) -> float:
-    """Dual pairing with a flat algebra vector: the dot product of the pi
-    part, plus that of the gamma part on se(3)."""
-    xi, kind = _flat_algebra(xi, mu.kind)
-    v = float(mu.pi @ xi[:3])
-    if kind == SE3:
-        v += float(mu.gamma @ xi[3:])
-    return v
 
 
 def _rodrigues_coeffs(theta_sq):
@@ -368,26 +323,6 @@ def inverse(g: GroupElement) -> GroupElement:
     return GroupElement(SE3, g.rot.T, -(g.rot.T @ g.trans))
 
 
-def adjoint(g: GroupElement, xi) -> np.ndarray:
-    """Adjoint action Ad_g on a flat algebra vector. For SE(3) with
-    g = (A, b): (omega, vel) -> (A omega, b x A omega + A vel)."""
-    xi, kind = _flat_algebra(xi, g.kind)
-    w = g.rot @ xi[:3]
-    if kind == SO3:
-        return w
-    u = np.array(_cross_list(g.trans.tolist(), w.tolist())) + g.rot @ xi[3:]
-    return np.concatenate([w, u])
-
-
-def coadjoint_ad_star(xi, mu: CoalgebraVector) -> CoalgebraVector:
-    """:func:`_ad_star_list` of a flat algebra vector and a momentum of
-    one kind: the infinitesimal coadjoint map with the convention
-    pairing(ad*_xi(mu), eta) = pairing(mu, [xi, eta])."""
-    xi, kind = _flat_algebra(xi, mu.kind)
-    return coalgebra_from_flat(kind, _ad_star_list(
-        mu.flat().tolist(), xi.tolist(), kind == SE3))
-
-
 def coadjoint(rot: np.ndarray, trans, mu: np.ndarray) -> np.ndarray:
     """Coadjoint action mu -> Ad*_{g^{-1}} mu of g = (rot, trans) on flat
     arrays: rot (3, 3), trans (3,) or None on SO(3) and mu (>= d,) for
@@ -404,21 +339,17 @@ def coadjoint(rot: np.ndarray, trans, mu: np.ndarray) -> np.ndarray:
     return np.concatenate([p + cross, ag], axis=-1)
 
 
-def Ad_star(g: GroupElement, mu: CoalgebraVector) -> CoalgebraVector:
-    """:func:`coadjoint` of one group element and momentum of one kind."""
-    return coalgebra_from_flat(_same_kind(g, mu),
-                               coadjoint(g.rot, g.trans, mu.flat()))
+def Ad_star(g: GroupElement, mu) -> np.ndarray:
+    """:func:`coadjoint` of one group element and a flat momentum of its
+    kind."""
+    mu, _ = _flat_algebra(mu, g.kind)
+    return coadjoint(g.rot, g.trans, mu)
 
 
 def random_algebra(rng: np.random.Generator, kind: str,
                    scale: float = 1.0) -> np.ndarray:
     """Flat algebra vector of independent normal entries times scale."""
     return scale * rng.standard_normal(algebra_dim(_check_kind(kind)))
-
-
-def random_coalgebra(rng: np.random.Generator, kind: str,
-                     scale: float = 1.0) -> CoalgebraVector:
-    return coalgebra_from_flat(kind, random_algebra(rng, kind, scale))
 
 
 def random_group(rng: np.random.Generator, kind: str, scale: float = 1.0) -> GroupElement:

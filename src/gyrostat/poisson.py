@@ -6,15 +6,18 @@ rotor factor V x V* of angle/momentum pairs. Points are
 :class:`ReducedPoint` at the API and flat states in a :class:`Layout`
 inside fields: one state is a row of d Python floats (a
 :data:`FlatField` maps it to d rates), and batched work takes (n, d)
-float64 arrays. Scalar observables are :class:`ScalarField` values whose
-gradients are either supplied analytically or taken by central finite
-differences (:func:`central_difference`, the package's one stencil).
+float64 arrays. A momentum nu is a flat (3,) or (6,) array (see
+:mod:`gyrostat.lie`). Scalar observables are :class:`ScalarField` values
+whose gradients are either supplied analytically or taken by central
+finite differences (:func:`central_difference`, the package's one
+stencil); :func:`flat_gradient` is the one place that reads them.
 
-The minus bracket is the default everywhere because it is the one under
-which the body-frame equations take their usual form
-(pi_dot = pi x grad_pi h and, on se(3)*, the advected vector equation
-gamma_dot = gamma x grad_pi h). The plus sign is available throughout
-and in the orbit two-form evaluator :func:`kks_form`.
+The bracket is the minus Lie-Poisson bracket plus the canonical rotor
+pairs, the one under which the body-frame equations take their usual
+form (pi_dot = pi x grad_pi h and, on se(3)*, the advected vector
+equation gamma_dot = gamma x grad_pi h). It is evaluated in one place,
+:func:`_flat_bracket`, on stacked gradient rows; :func:`product_bracket`
+is its one-point view.
 
 A reduced point may also carry rotor momenta without conjugate angles
 (``theta`` empty while ``l`` is not). In that case the rotor factor is
@@ -25,13 +28,13 @@ momenta are constants of motion of every Hamiltonian flow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import lie
-from .lie import SE3, SO3, CoalgebraVector, _ad_star_list, _bracket_list
+from .lie import SE3, SO3, _ad_star_list, _bracket_list
 
 FD_STEP = 1e-6
 
@@ -58,23 +61,25 @@ FlatField = Callable[[list], list]
 
 @dataclass(frozen=True)
 class ReducedPoint:
-    """Point (nu, theta, l) of O_mu x V x V* in body coordinates."""
+    """Point (nu, theta, l) of O_mu x V x V* in body coordinates; nu is
+    a flat (3,) so(3)* or (6,) se(3)* momentum, which gives the kind."""
 
-    nu: CoalgebraVector
+    nu: np.ndarray
     theta: np.ndarray
     l: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "nu", lie._flat_algebra(self.nu)[0])
         object.__setattr__(self, "theta", _vec(self.theta, "theta"))
         object.__setattr__(self, "l", _vec(self.l, "l"))
-        if not (np.all(np.isfinite(self.nu.flat()))
+        if not (np.all(np.isfinite(self.nu))
                 and np.all(np.isfinite(self.theta))
                 and np.all(np.isfinite(self.l))):
             raise ValueError("reduced point has non-finite components")
 
     @property
     def kind(self) -> str:
-        return self.nu.kind
+        return SO3 if self.nu.size == 3 else SE3
 
     @property
     def n_theta(self) -> int:
@@ -90,7 +95,7 @@ class ReducedPoint:
 
     def flat(self) -> np.ndarray:
         """Layout: pi(3) [, gamma(3)], theta, l."""
-        return np.concatenate([self.nu.flat(), self.theta, self.l])
+        return np.concatenate([self.nu, self.theta, self.l])
 
 
 def reduced_point(kind: str, pi, gamma=None, theta=(), l=()) -> ReducedPoint:
@@ -101,9 +106,8 @@ def reduced_point(kind: str, pi, gamma=None, theta=(), l=()) -> ReducedPoint:
 def point_like(p: ReducedPoint | Layout, arr) -> ReducedPoint:
     """Point view of flat arr in the layout of p (a point or Layout)."""
     arr = np.asarray(arr, dtype=float)
-    nc = 3 if p.kind == SO3 else 6
-    nu = lie.coalgebra_from_flat(p.kind, arr[:nc])
-    return ReducedPoint(nu, arr[nc:nc + p.n_theta], arr[nc + p.n_theta:])
+    nc = lie.algebra_dim(p.kind)
+    return ReducedPoint(arr[:nc], arr[nc:nc + p.n_theta], arr[nc + p.n_theta:])
 
 
 @dataclass(frozen=True)
@@ -149,19 +153,19 @@ class ScalarField:
     """Observable on reduced points.
 
     eval maps a ReducedPoint to a float. grad, when given, returns the
-    gradient in tangent layout and must agree with central finite
-    differences to 1e-5 relative (see :func:`validate_gradient`).
-    eval_batch, when given, maps a (n, dim) array of flat states to their
-    n values and must match eval row by row; :func:`central_difference`
-    and the invariants of :func:`~gyrostat.integrate.run` call it.
-    grad_batch, when given, maps the same (n, dim) array to the (n, dim)
-    array of flat analytic gradients. grad_row, when given, is the row
-    gradient: it maps one flat state, a list of dim Python floats, to
-    the list of its dim gradient components, and flat fields read it in
-    preference to grad. :func:`analytic_field` builds all four from one
-    componentwise formula; :func:`without_gradient` drops grad,
-    grad_batch and grad_row. The five are plain callables: wrappers may
-    replace them, so code must not rely on attributes attached to them.
+    analytic gradient at a point in tangent layout. eval_batch, when
+    given, maps a (n, dim) array of flat states to their n values and
+    must match eval row by row; :func:`central_difference` and the
+    invariants of :func:`~gyrostat.integrate.run` call it. grad_batch,
+    when given, maps the same (n, dim) array to the (n, dim) array of
+    flat analytic gradients. grad_row, when given, is the row gradient:
+    it maps one flat state, a list of dim Python floats, to the list of
+    its dim gradient components. :func:`flat_gradient` reads grad_row,
+    else grad_batch, else finite differences, and never the point
+    members eval and grad. :func:`analytic_field` builds all four from
+    one componentwise formula. The five are plain callables: wrappers
+    may replace them, so code must not rely on attributes attached to
+    them.
     """
 
     eval: Callable[[ReducedPoint], float]
@@ -200,13 +204,6 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def without_gradient(field: ScalarField) -> ScalarField:
-    """Copy of a field with the analytic gradient (grad, grad_batch and
-    grad_row) dropped, so that all derivative evaluations go through
-    finite differences."""
-    return replace(field, grad=None, grad_batch=None, grad_row=None)
-
-
 def central_difference(fn: Callable[[np.ndarray], np.ndarray],
                        pts: np.ndarray, step: float = FD_STEP) -> np.ndarray:
     """Central finite-difference Jacobian of ``fn`` at each row of the
@@ -231,80 +228,38 @@ def central_difference(fn: Callable[[np.ndarray], np.ndarray],
     return (v[:, 0::2] - v[:, 1::2]) / (2.0 * h)
 
 
-def fd_gradient(field: ScalarField, p: ReducedPoint,
-                step: float = FD_STEP) -> ReducedTangent:
-    """Central finite-difference gradient, step ``step * max(1, |x_i|)``
-    per coordinate (default step 1e-6)."""
-    batch = field.eval_batch
+def flat_gradient(h: ScalarField, layout: Layout) -> Callable[[list], list]:
+    """Row gradient of h on flat states of ``layout``, lists of d floats:
+    h's ``grad_row`` when it has one, else one row of its ``grad_batch``,
+    else :func:`central_difference` over its ``eval_batch`` (over
+    ``eval`` on point views when h has no batched value)."""
+    if h.grad_row is not None:
+        return h.grad_row
+    if h.grad_batch is not None:
+        return lambda x: h.grad_batch(np.array([x]))[0].tolist()
+    batch = h.eval_batch
     if batch is None:
         def batch(pts):
-            return [field.eval(point_like(p, x)) for x in pts]
-    return tangent_like(p, central_difference(batch, p.flat()[None, :],
-                                              step)[0])
+            return [h.eval(point_like(layout, x)) for x in pts]
+    return lambda x: central_difference(batch, np.array([x]))[0].tolist()
 
 
-def gradient(field: ScalarField, p: ReducedPoint) -> ReducedTangent:
-    if field.grad is not None:
-        return field.grad(p)
-    return fd_gradient(field, p)
-
-
-def validate_gradient(field: ScalarField, p: ReducedPoint) -> float:
-    """Relative deviation between the supplied gradient and finite
-    differences (0 when no analytic gradient is present)."""
-    if field.grad is None:
-        return 0.0
-    ana = field.grad(p).flat()
-    num = fd_gradient(field, p).flat()
-    scale = max(1.0, float(np.max(np.abs(ana))), float(np.max(np.abs(num))))
-    return float(np.max(np.abs(ana - num))) / scale
-
-
-_SIGNS = {"+": 1.0, "-": -1.0, 1: 1.0, -1: -1.0, 1.0: 1.0, -1.0: -1.0}
-
-
-def _sign_value(sign) -> float:
-    try:
-        return _SIGNS[sign]
-    except (KeyError, TypeError):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}") from None
-
-
-def lie_poisson_bracket(f: ScalarField, k: ScalarField, nu: CoalgebraVector,
-                        sign="-") -> float:
-    """(+/-)-Lie-Poisson bracket: +/- < nu, [df/dnu, dk/dnu] >, the
-    :func:`product_bracket` at nu with empty rotor slots."""
-    return product_bracket(f, k, ReducedPoint(nu, np.zeros(0), np.zeros(0)),
-                           sign)
-
-
-def product_bracket(f: ScalarField, k: ScalarField, p: ReducedPoint,
-                    sign="-") -> float:
-    """Bracket on g* x V x V*: the Lie-Poisson part plus the canonical
-    rotor part sum_i (dF/dtheta_i dK/dl_i - dK/dtheta_i dF/dl_i).
+def product_bracket(f: ScalarField, k: ScalarField, p: ReducedPoint) -> float:
+    """Bracket on g* x V x V* at p: the minus Lie-Poisson part
+    -<nu, [df/dnu, dk/dnu]> plus the canonical rotor part
+    sum_i (df/dtheta_i dk/dl_i - dk/dtheta_i df/dl_i), through
+    :func:`_flat_bracket` on the :func:`flat_gradient` rows of f and k.
 
     The canonical part requires theta and l slots of equal size; with an
     empty theta slot the rotor momenta sit in a Poisson-trivial factor
-    and only the Lie-Poisson part remains.
+    and only the Lie-Poisson part remains. Raises on a non-finite
+    gradient.
     """
-    s = _sign_value(sign)
-    gf, gk = gradient(f, p), gradient(k, p)
-    if not (np.isfinite(gf.flat()).all() and np.isfinite(gk.flat()).all()):
+    x = p.flat()
+    gf, gk = (np.array(flat_gradient(h, p.layout)(x.tolist())) for h in (f, k))
+    if not (np.isfinite(gf).all() and np.isfinite(gk).all()):
         raise ValueError("non-finite gradient")
-    nc = lie.algebra_dim(p.kind)
-    out = s * lie.pairing(p.nu, lie.bracket(gf.flat()[:nc], gk.flat()[:nc]))
-    if p.n_theta == p.n_l and p.n_theta > 0:
-        out += float(gf.d_theta @ gk.d_l - gk.d_theta @ gf.d_l)
-    return out
-
-
-def flat_gradient(h: ScalarField, layout: Layout) -> Callable[[list], list]:
-    """Row gradient of h on flat states of ``layout``, lists of d floats:
-    h's ``grad_row`` when it has one, otherwise :func:`gradient` on a
-    point view."""
-    if h.grad_row is not None:
-        return h.grad_row
-    return lambda x: gradient(h, point_like(layout, x)).flat().tolist()
+    return float(_flat_bracket(p.layout)(gf, gk, x))
 
 
 def _hamiltonian_rates(layout: Layout) -> Callable[[list, list], list]:
@@ -343,28 +298,6 @@ def flat_hamiltonian_field(h: ScalarField, layout: Layout) -> FlatField:
     return lambda x: rates(x, grad(x))
 
 
-def hamiltonian_field(h: ScalarField, p: ReducedPoint) -> ReducedTangent:
-    """:func:`flat_hamiltonian_field` at the point p."""
-    return tangent_like(
-        p, flat_hamiltonian_field(h, p.layout)(p.flat().tolist()))
-
-
-def kks_form(nu: CoalgebraVector, xi, eta, sign="-") -> float:
-    """Orbit symplectic form +/- < nu, [xi, eta] > evaluated on the
-    orbit tangent pair (ad*_xi nu, ad*_eta nu) of flat algebra vectors
-    xi and eta of nu's kind."""
-    return _sign_value(sign) * lie.pairing(nu, lie.bracket(xi, eta))
-
-
-def casimirs(p: ReducedPoint) -> list[tuple[str, float]]:
-    """Casimir values of the Lie-Poisson factor at p.
-
-    so(3)*: |pi|^2. se(3)*: pi . gamma and |gamma|^2. Each returned
-    function Poisson-commutes with every observable.
-    """
-    return [(name, f.eval(p)) for name, f in casimir_fields(p.kind)]
-
-
 def _slot_product(a: int, b: int) -> ScalarField:
     """x_a . x_b for the two 3-slots of the flat state that start at a
     and b, batched."""
@@ -380,8 +313,9 @@ def _slot_product(a: int, b: int) -> ScalarField:
 
 
 def casimir_fields(kind: str) -> list[tuple[str, ScalarField]]:
-    """Casimirs as scalar fields with batched values and analytic
-    gradients."""
+    """Casimirs of the Lie-Poisson factor as scalar fields with batched
+    values and analytic gradients: |pi|^2 on so(3)*, pi . gamma and
+    |gamma|^2 on se(3)*. Each Poisson-commutes with every observable."""
     if kind == SO3:
         return [("pi_sq", _slot_product(0, 0))]
     return [("pi_dot_gamma", _slot_product(0, 3)),
@@ -444,7 +378,7 @@ def polynomial_field(c0: float, a: np.ndarray, b: np.ndarray,
     """c0 + a.x + x.B.x/2 plus optional sparse cubic terms, on the flat
     coordinate layout (B is symmetrised). eval, grad (analytic),
     eval_batch and grad_batch are views of one :class:`_Polynomials`
-    row; flat fields read the gradient through the point view."""
+    row; flat fields read one row of grad_batch."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     idx = np.asarray(np.zeros((0, 3), int) if cubic_idx is None else cubic_idx)
     coef = np.asarray(() if cubic_coef is None else cubic_coef, dtype=float)
@@ -481,20 +415,21 @@ def random_polynomial_field(rng: np.random.Generator, dim: int,
 
 
 BRACKET_SPACES = {
-    # bracket name -> (kind, n_theta, n_l)
-    "so3_lie_poisson": (SO3, 0, 0),
-    "so3_product": (SO3, 3, 3),
-    "se3_product": (SE3, 2, 2),
+    # bracket name -> the layout of its flat states
+    "so3_lie_poisson": Layout(SO3, 0, 0),
+    "so3_product": Layout(SO3, 3, 3),
+    "se3_product": Layout(SE3, 2, 2),
 }
 
 
-def _flat_bracket(name: str, inject_error: bool):
-    """Vectorized minus bracket on the flat coordinate layout of one
-    named bracket space: maps the gradients of two fields at a stack of
-    points, as (..., d) arrays, and the points to the (...) bracket
-    values. The axiom suite runs every instance through it at once."""
-    kind, n_theta, n_l = BRACKET_SPACES[name]
-    nc = 3 if kind == SO3 else 6
+def _flat_bracket(layout: Layout, inject_error: bool = False):
+    """Vectorized minus bracket on flat states of ``layout``: maps the
+    gradients of two fields at a stack of points, as (..., d) arrays,
+    and the points to the (...) bracket values. The axiom suite runs
+    every instance through it at once; :func:`product_bracket` runs one
+    row."""
+    kind, n_theta, n_l = layout
+    nc = lie.algebra_dim(kind)
     paired = n_theta == n_l and n_l > 0
 
     def alg_br(w1, w2):
@@ -543,8 +478,9 @@ def bracket_axiom_suite(name: str, n_instances: int = 1000, seed: int = 0,
     """
     if n_instances < 1:
         raise ValueError(f"n_instances must be at least 1, got {n_instances}")
-    kind, n_theta, n_l = BRACKET_SPACES[name]
-    n, d = n_instances, (3 if kind == SO3 else 6) + n_theta + n_l
+    layout = BRACKET_SPACES[name]
+    kind, n_theta, n_l = layout
+    n, d = n_instances, lie.algebra_dim(kind) + n_theta + n_l
     rng, q = np.random.default_rng(seed), 2
     x, z = np.empty((n, d)), np.empty((3, n, q + 1 + d * (d + 1)))
     idx = np.empty((3, n, q, 3), dtype=np.int64)
@@ -554,7 +490,7 @@ def bracket_axiom_suite(name: str, n_instances: int = 1000, seed: int = 0,
             idx[j, i] = rng.integers(0, d, size=(q, 3))
             rng.standard_normal(out=z[j, i])
     f, g, k = map(_polynomials, idx, z)
-    bk = _flat_bracket(name, inject_error)
+    bk = _flat_bracket(layout, inject_error)
 
     def values(rows):
         pts = rows.reshape(n, -1, d)

@@ -29,9 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controlled import RCHSystem
-from .lie import SE3, SO3, CoalgebraVector
+from . import lie
+from .lie import SE3, SO3
 from .poisson import (ReducedPoint, ReducedTangent, ScalarField, _row_dot,
-                      _vec, analytic_field, casimirs, reduced_point)
+                      _vec, analytic_field, casimir_fields)
 
 UNIT_TOL = 1e-12
 ORBIT_TOL = 1e-8
@@ -155,15 +156,16 @@ class HJCandidate:
     gamma_bar holds the section's components in the layout the equation
     system expects (orbit part first); advected carries the advected
     vector for the heavy-top assemblies; u holds the lifted control
-    components, one per equation row that carries one. When ``orbit`` is
-    supplied, the orbit part of gamma_bar (plus advected) must lie on
-    that coadjoint orbit: every Casimir must match within 1e-8.
+    components, one per equation row that carries one. When ``orbit``, a
+    flat (3,) or (6,) momentum, is supplied, the orbit part of gamma_bar
+    (plus advected) must lie on that coadjoint orbit: every Casimir must
+    match within 1e-8.
     """
 
     gamma_bar: np.ndarray
     u: np.ndarray
     advected: np.ndarray | None = None
-    orbit: CoalgebraVector | None = None
+    orbit: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "gamma_bar", _vec(self.gamma_bar,
@@ -174,8 +176,8 @@ class HJCandidate:
             if adv.shape != (3,):
                 raise ValueError("advected part must be a 3-vector")
             object.__setattr__(self, "advected", adv)
-        if not (np.all(np.isfinite(self.gamma_bar))
-                and np.all(np.isfinite(self.u))):
+        if not all(np.isfinite(a).all() for a in
+                   (self.gamma_bar, self.u, self.advected) if a is not None):
             raise ValueError("candidate has non-finite components")
         if self.gamma_bar.size < 3:
             raise ValueError("gamma_bar needs at least the 3 orbit "
@@ -184,15 +186,17 @@ class HJCandidate:
             self._check_orbit()
 
     def _check_orbit(self):
-        kind = self.orbit.kind
+        orbit, kind = lie._flat_algebra(self.orbit)
+        object.__setattr__(self, "orbit", orbit)
         if (kind == SE3) != (self.advected is not None):
             raise ValueError("orbit kind does not match the candidate "
                              "layout")
-        pt = reduced_point(kind, self.gamma_bar[:3], self.advected)
-        have = dict(casimirs(pt))
-        want = dict(casimirs(ReducedPoint(self.orbit, np.zeros(0),
-                                          np.zeros(0))))
-        defect = max(abs(have[k] - want[k]) for k in want)
+        have = self.gamma_bar[:3]
+        if self.advected is not None:
+            have = np.concatenate([have, self.advected])
+        rows = np.array([have, orbit])
+        defect = max(abs(v[0] - v[1]) for v in
+                     (c.eval_batch(rows) for _, c in casimir_fields(kind)))
         if defect > ORBIT_TOL:
             raise ValueError("candidate orbit components are off the "
                              f"declared orbit (Casimir defect {defect:.3e})")
@@ -218,7 +222,7 @@ def _require_counts(cand: HJCandidate, n_gamma: int, n_u: int,
 def rigid_body_reduced_h(params: RigidBodyRotorParams,
                          p: ReducedPoint) -> float:
     """1/2 [ sum (pi_i - l_i)^2 / ibar_i + sum l_i^2 / j_i ]."""
-    rel = p.nu.pi - p.l
+    rel = p.nu[:3] - p.l
     return 0.5 * float(rel @ (rel / params.ibar) + p.l @ (p.l / params.j))
 
 
@@ -244,8 +248,8 @@ def rigid_body_field(params: RigidBodyRotorParams,
                      p: ReducedPoint) -> ReducedTangent:
     """Closed form: pi_dot = pi x (pi - l)/ibar,
     theta_dot_i = -(pi_i - l_i)/ibar_i + l_i/j_i, l_dot = 0."""
-    rel = (p.nu.pi - p.l) / params.ibar
-    d_pi = np.cross(p.nu.pi, rel)
+    rel = (p.nu[:3] - p.l) / params.ibar
+    d_pi = np.cross(p.nu[:3], rel)
     d_theta = (-rel + p.l / params.j) if p.n_theta else np.zeros(0)
     return ReducedTangent(d_pi, None, d_theta, np.zeros(3))
 
@@ -317,12 +321,12 @@ def heavy_top_reduced_h(params: HeavyTopRotorParams,
                         p: ReducedPoint) -> float:
     """Kinetic part with rotors on axes 1 and 2 plus the potential
     m g h (gamma . chi)."""
-    pi, l = p.nu.pi, p.l
+    pi, l = p.nu[:3], p.l
     kin = ((pi[0] - l[0]) ** 2 / params.ibar[0]
            + (pi[1] - l[1]) ** 2 / params.ibar[1]
            + pi[2] ** 2 / params.ibar[2]
            + l[0] ** 2 / params.j[0] + l[1] ** 2 / params.j[1])
-    return 0.5 * kin + params.mgh * float(p.nu.gamma @ params.chi)
+    return 0.5 * kin + params.mgh * float(p.nu[3:] @ params.chi)
 
 
 def heavy_top_hamiltonian(params: HeavyTopRotorParams) -> ScalarField:
@@ -347,9 +351,9 @@ def heavy_top_field(params: HeavyTopRotorParams,
     the first two axes, l_dot = 0."""
     grad = _heavy_top_grad(params)(p.flat().tolist())
     grad_pi = np.array(grad[:3])
-    d_pi = (np.cross(p.nu.pi, grad_pi)
-            + params.mgh * np.cross(p.nu.gamma, params.chi))
-    d_gamma = np.cross(p.nu.gamma, grad_pi)
+    d_pi = (np.cross(p.nu[:3], grad_pi)
+            + params.mgh * np.cross(p.nu[3:], params.chi))
+    d_gamma = np.cross(p.nu[3:], grad_pi)
     d_theta = np.array(grad[-2:]) if p.n_theta else np.zeros(0)
     return ReducedTangent(d_pi, d_gamma, d_theta, np.zeros(2))
 

@@ -237,6 +237,20 @@ class TestHJCheck:
         assert len(rows) == 40
         assert all(line.endswith("FAIL") for line in rows)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 2: the reduced HJ residual is the whole reduced "
+        "field at the section's image, angle rates included, while the "
+        "relatedness residual cancels them; this valid section reads "
+        "relatedness 0.0 against HJ residual 0.6667 on every sample"))
+    def test_related_constant_body_section_is_not_inconsistent(self,
+                                                               tmp_path):
+        text = RB + ("\n[gamma]\nkind = constant_body\nnu0 = 0.0 0.0 2.0\n"
+                     "l0 = 0.0 0.0 0.0\nsamples = 40\n")
+        cli("hj-check", "--config", scenario(tmp_path, text), "--seed", 1,
+            "--out", tmp_path / "out", "--quiet")
+        kv = read_kv(tmp_path / "out" / "hj_report.kv")
+        assert kv["verdict"] != "INCONSISTENT"
+
     def test_planted_coupling_is_gate_rejected(self, tmp_path, capsys):
         text = RB + ("\n[gamma]\nkind = explicit\n"
                      "components = 0. 0. 0. 0.1 0.2 0.3\n"

@@ -265,7 +265,7 @@ def _hj_full_sections(kind: str, k: int) -> dict:
         "zero": hj.zero_section(kind, k),
         "exact": hj.exact_section(kind, k, grad_w),
         "affine": hj.affine_rotor_section(
-            lie.coalgebra_from_flat(kind, np.linspace(0.6, -0.4, d)),
+            np.linspace(0.6, -0.4, d),
             np.linspace(0.1, -0.2, k), coupling),
         "rotor_quadratic": hj.rotor_quadratic_section(kind, offset),
     }

@@ -6,32 +6,53 @@ import pytest
 
 from gyrostat import lie, poisson
 from gyrostat.lie import SO3, SE3
-from gyrostat.poisson import (ReducedPoint, ReducedTangent, ScalarField,
-                              bracket_axiom_suite, casimirs,
-                              central_difference, fd_gradient,
-                              gradient, hamiltonian_field, kks_form,
-                              lie_poisson_bracket, point_like,
-                              product_bracket, random_polynomial_field,
-                              reduced_point, tangent_like, validate_gradient,
-                              without_gradient)
+from gyrostat.poisson import (ReducedPoint, ScalarField, analytic_field,
+                              bracket_axiom_suite, central_difference,
+                              flat_gradient, flat_hamiltonian_field,
+                              point_like, product_bracket,
+                              random_polynomial_field, reduced_point,
+                              tangent_like)
 
 E1, E2, E3 = np.eye(3)
 
 
 def coord_field(i):
     """The i-th flat coordinate as a scalar field with analytic gradient."""
-    def gr(p):
-        g = np.zeros(p.flat().size)
-        g[i] = 1.0
-        return tangent_like(p, g)
-    return ScalarField(lambda p: float(p.flat()[i]), gr,
-                       lambda pts: pts[:, i])
+    return analytic_field(lambda x: x[:, i],
+                          lambda x: [float(j == i) for j in range(len(x))])
+
+
+# |pi|^2 / 2 on so(3)* with its analytic gradient pi
+HALF_SQ = analytic_field(lambda x: 0.5 * np.vecdot(x, x), list)
+
+
+def without_gradient(field):
+    """field with its value members only, so that every gradient is a
+    central difference."""
+    return ScalarField(field.eval, eval_batch=field.eval_batch)
+
+
+def linear_field(w):
+    """x -> <w, x> on flat states, with the constant gradient w."""
+    w = np.asarray(w, dtype=float)
+    grad = w.tolist()
+    return ScalarField(lambda p: float(w @ p.flat()), grad_row=lambda x: grad)
 
 
 def random_point(rng, kind, n_theta, n_l):
-    return ReducedPoint(lie.random_coalgebra(rng, kind),
+    return ReducedPoint(lie.random_algebra(rng, kind),
                         rng.standard_normal(n_theta),
                         rng.standard_normal(n_l))
+
+
+def rates(h, p):
+    """The Hamiltonian rates of h at p as a flat array."""
+    return np.array(flat_hamiltonian_field(h, p.layout)(p.flat().tolist()))
+
+
+def lie_poisson(f, k, nu):
+    """The bracket at nu with empty rotor slots."""
+    return product_bracket(f, k, ReducedPoint(nu, np.zeros(0), np.zeros(0)))
 
 
 # ---------------------------------------------------------------- gradients
@@ -43,16 +64,34 @@ def test_fd_gradient_matches_analytic_polynomial():
         for _ in range(20):
             f = random_polynomial_field(rng, dim)
             p = random_point(rng, kind, nt, nl)
-            assert validate_gradient(f, p) <= 1e-5
+            x = p.flat().tolist()
+            ana = np.array(flat_gradient(f, p.layout)(x))
+            num = np.array(flat_gradient(without_gradient(f), p.layout)(x))
+            scale = max(1.0, np.max(np.abs(ana)), np.max(np.abs(num)))
+            assert np.max(np.abs(ana - num)) / scale <= 1e-5
 
 
 def test_fd_gradient_batched_equals_loop():
     rng = np.random.default_rng(1)
     f = random_polynomial_field(rng, 9)
     p = random_point(rng, SO3, 3, 3)
-    batched = fd_gradient(f, p).flat()
-    looped = fd_gradient(ScalarField(f.eval), p).flat()
+    x = p.flat().tolist()
+    batched = flat_gradient(without_gradient(f), p.layout)(x)
+    looped = flat_gradient(ScalarField(f.eval), p.layout)(x)
     npt.assert_allclose(batched, looped, atol=1e-12)
+
+
+def test_polynomial_gradient_is_one_row_of_grad_batch_bitwise():
+    # a field without grad_row reads one row of its grad_batch: the same
+    # (1, 1, d) computation as its point grad
+    rng = np.random.default_rng(19)
+    for kind, nt, nl in ((SO3, 3, 3), (SE3, 2, 2)):
+        dim = lie.algebra_dim(kind) + nt + nl
+        for _ in range(20):
+            f = random_polynomial_field(rng, dim)
+            p = random_point(rng, kind, nt, nl)
+            row = flat_gradient(f, p.layout)(p.flat().tolist())
+            assert row == f.grad(p).flat().tolist()
 
 
 def test_central_difference_returns_jacobian_of_vector_map():
@@ -72,9 +111,8 @@ def test_central_difference_returns_jacobian_of_vector_map():
 
 def test_gradient_error_on_nan_field():
     f = ScalarField(lambda p: float("nan"))
-    p = reduced_point(SO3, E1)
     with pytest.raises(ValueError, match="non-finite"):
-        lie_poisson_bracket(f, f, p.nu)
+        product_bracket(f, f, reduced_point(SO3, E1))
 
 
 # ----------------------------------------------------------------- brackets
@@ -83,29 +121,21 @@ def test_lie_poisson_antisymmetry_self():
     rng = np.random.default_rng(2)
     f = random_polynomial_field(rng, 3)
     nu = lie.coalgebra(SO3, [0.2, -1.0, 0.7])
-    assert lie_poisson_bracket(f, f, nu) == pytest.approx(0.0, abs=1e-14)
+    assert lie_poisson(f, f, nu) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_lie_poisson_basis_case():
     # {pi_1, pi_2}_- at pi = e3 is -<e3, e1 x e2> = -1
-    val = lie_poisson_bracket(coord_field(0), coord_field(1),
-                              lie.coalgebra(SO3, E3), "-")
+    val = lie_poisson(coord_field(0), coord_field(1), lie.coalgebra(SO3, E3))
     assert val == pytest.approx(-1.0, abs=1e-12)
-    val = lie_poisson_bracket(coord_field(0), coord_field(1),
-                              lie.coalgebra(SO3, E3), "+")
-    assert val == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lie_poisson_casimir_brute_force():
     rng = np.random.default_rng(3)
-    half_sq = ScalarField(
-        lambda p: 0.5 * float(p.nu.pi @ p.nu.pi),
-        lambda p: ReducedTangent(p.nu.pi.copy(), None, np.zeros(0),
-                                 np.zeros(0)))
     for _ in range(100):
         k = random_polynomial_field(rng, 3)
-        nu = lie.random_coalgebra(rng, SO3)
-        assert abs(lie_poisson_bracket(half_sq, k, nu)) <= 1e-10
+        nu = lie.random_algebra(rng, SO3)
+        assert abs(lie_poisson(HALF_SQ, k, nu)) <= 1e-10
 
 
 def test_product_bracket_canonical_pairs():
@@ -120,11 +150,11 @@ def test_product_bracket_canonical_pairs():
 def test_product_bracket_mixed_field_vs_fd_oracle():
     # F = pi_1 * l_2, K = theta_2 gives {F, K} = -pi_1
     rng = np.random.default_rng(4)
-    f = ScalarField(lambda p: float(p.nu.pi[0] * p.l[1]))
+    f = ScalarField(lambda p: float(p.nu[0] * p.l[1]))
     k = ScalarField(lambda p: float(p.theta[1]))
     for _ in range(10):
         p = random_point(rng, SO3, 3, 3)
-        assert product_bracket(f, k, p) == pytest.approx(-p.nu.pi[0], abs=1e-8)
+        assert product_bracket(f, k, p) == pytest.approx(-p.nu[0], abs=1e-8)
 
 
 def test_product_bracket_reduces_to_lie_poisson():
@@ -138,28 +168,17 @@ def test_product_bracket_reduces_to_lie_poisson():
             ReducedPoint(p.nu, np.zeros(0), np.zeros(0))))
 
     for _ in range(10):
-        nu = lie.random_coalgebra(rng, SO3)
+        nu = lie.random_algebra(rng, SO3)
         p = ReducedPoint(nu, rng.standard_normal(3), rng.standard_normal(3))
         assert product_bracket(lift(f), lift(k), p) == pytest.approx(
-            lie_poisson_bracket(f, k, nu), abs=1e-8)
-
-
-def test_bad_sign_rejected():
-    f = coord_field(0)
-    with pytest.raises(ValueError, match="sign"):
-        lie_poisson_bracket(f, f, lie.coalgebra(SO3, E1), sign="x")
+            lie_poisson(f, k, nu), abs=1e-8)
 
 
 # --------------------------------------------------------- hamiltonian field
 
 def test_kinetic_field_is_equilibrium_everywhere():
-    h = ScalarField(
-        lambda p: 0.5 * float(p.nu.pi @ p.nu.pi),
-        lambda p: ReducedTangent(p.nu.pi.copy(), None, np.zeros(0),
-                                 np.zeros(0)))
     p = reduced_point(SO3, [0.4, -0.2, 1.0])
-    out = hamiltonian_field(h, p)
-    npt.assert_allclose(out.d_pi, np.zeros(3), atol=1e-12)
+    npt.assert_allclose(rates(HALF_SQ, p), np.zeros(3), atol=1e-12)
 
 
 @pytest.mark.parametrize("kind,nt,nl", [(SO3, 3, 3), (SE3, 2, 2)])
@@ -169,9 +188,9 @@ def test_field_components_equal_coordinate_brackets(kind, nt, nl):
     for _ in range(100):
         h = random_polynomial_field(rng, dim)
         p = random_point(rng, kind, nt, nl)
-        out = hamiltonian_field(h, p).flat()
+        out = rates(h, p)
         for i in range(dim):
-            want = product_bracket(coord_field(i), h, p, "-")
+            want = product_bracket(coord_field(i), h, p)
             assert abs(out[i] - want) <= 1e-8
 
 
@@ -180,16 +199,16 @@ def test_field_components_with_fd_hamiltonian():
     for _ in range(20):
         h = without_gradient(random_polynomial_field(rng, 10))
         p = random_point(rng, SE3, 2, 2)
-        out = hamiltonian_field(h, p).flat()
+        out = rates(h, p)
         for i in range(10):
-            want = product_bracket(coord_field(i), h, p, "-")
+            want = product_bracket(coord_field(i), h, p)
             assert abs(out[i] - want) <= 1e-8
 
 
 @pytest.mark.parametrize("kind,nt,nl", [(SO3, 3, 3), (SE3, 2, 2)])
 def test_lie_poisson_rates_are_the_ad_star_kernel(kind, nt, nl):
     # the Lie-Poisson part of the Hamiltonian rates is ad*_{dh/dnu} nu,
-    # bit for bit the coadjoint_ad_star view of the one kernel
+    # bit for bit the one kernel
     rng = np.random.default_rng(17)
     nc = lie.algebra_dim(kind)
     layout = poisson.Layout(kind, nt, nl)
@@ -197,51 +216,55 @@ def test_lie_poisson_rates_are_the_ad_star_kernel(kind, nt, nl):
         h = random_polynomial_field(rng, nc + nt + nl)
         x = random_point(rng, kind, nt, nl).flat().tolist()
         grad = poisson.flat_gradient(h, layout)(x)
-        rates = poisson.flat_hamiltonian_field(h, layout)(x)
-        nu = lie.coalgebra_from_flat(kind, x[:nc])
-        npt.assert_array_equal(
-            rates[:nc], lie.coadjoint_ad_star(grad[:nc], nu).flat())
+        out = poisson.flat_hamiltonian_field(h, layout)(x)
+        assert out[:nc] == lie._ad_star_list(x, grad, kind == SE3)
 
 
 def test_unpaired_momentum_slot_is_constant():
     # rotor momenta without conjugate angles must not move
     rng = np.random.default_rng(8)
     h = random_polynomial_field(rng, 6)
-    p = ReducedPoint(lie.random_coalgebra(rng, SO3), np.zeros(0),
+    p = ReducedPoint(lie.random_algebra(rng, SO3), np.zeros(0),
                      rng.standard_normal(3))
-    out = hamiltonian_field(h, p)
+    out = tangent_like(p, rates(h, p))
     npt.assert_array_equal(out.d_l, np.zeros(3))
     npt.assert_array_equal(out.d_theta, np.zeros(0))
 
 
 # ------------------------------------------------------------------ kks form
+# the orbit form -<nu, [xi, eta]> on the tangent pair (ad*_xi nu,
+# ad*_eta nu) is the bracket of the linear fields <xi, .> and <eta, .>
 
 def test_kks_basis_case():
     nu = lie.coalgebra(SO3, E3)
-    xi, eta = E1, E2
-    assert kks_form(nu, xi, eta, "-") == pytest.approx(-1.0)
-    assert kks_form(nu, xi, xi, "-") == pytest.approx(0.0)
+    xi, eta = linear_field(E1), linear_field(E2)
+    assert lie_poisson(xi, eta, nu) == pytest.approx(-1.0)
+    assert lie_poisson(xi, xi, nu) == pytest.approx(0.0)
 
 
-def test_kks_sign_flip_and_antisymmetry():
+def test_kks_antisymmetry():
     rng = np.random.default_rng(9)
     for kind in (SO3, SE3):
         for _ in range(100):
-            nu = lie.random_coalgebra(rng, kind)
+            nu = lie.random_algebra(rng, kind)
             xi = lie.random_algebra(rng, kind)
             eta = lie.random_algebra(rng, kind)
-            minus = kks_form(nu, xi, eta, "-")
-            assert kks_form(nu, xi, eta, "+") == pytest.approx(-minus)
-            assert kks_form(nu, eta, xi, "-") == pytest.approx(-minus)
+            minus = lie_poisson(linear_field(xi), linear_field(eta), nu)
+            assert lie_poisson(linear_field(eta), linear_field(xi),
+                               nu) == pytest.approx(-minus)
+            # the matrix commutator of the hat images is [xi, eta]
+            mx, my = lie.hat(xi), lie.hat(eta)
+            assert minus == pytest.approx(-(nu @ lie.vee(mx @ my - my @ mx)))
 
 
 # ------------------------------------------------------------------ casimirs
 
 def test_casimir_values():
-    p = reduced_point(SO3, [3.0, 4.0, 0.0])
-    assert dict(casimirs(p))["pi_sq"] == pytest.approx(25.0)
-    q = reduced_point(SE3, E1, E2)
-    vals = dict(casimirs(q))
+    (_, pi_sq), = poisson.casimir_fields(SO3)
+    assert pi_sq.eval_batch(np.array([[3.0, 4.0, 0.0]]))[0] == \
+        pytest.approx(25.0)
+    vals = {name: c.eval_batch(np.array([[*E1, *E2]]))[0]
+            for name, c in poisson.casimir_fields(SE3)}
     assert vals["pi_dot_gamma"] == pytest.approx(0.0)
     assert vals["gamma_sq"] == pytest.approx(1.0)
 
@@ -316,7 +339,7 @@ def test_suite_machinery_matches_object_path(name):
     # instances at once, must agree with the one-point product_bracket
     kind, nt, nl = poisson.BRACKET_SPACES[name]
     dim = (3 if kind == SO3 else 6) + nt + nl
-    bk_vals = poisson._flat_bracket(name, inject_error=False)
+    bk_vals = poisson._flat_bracket(poisson.BRACKET_SPACES[name])
     rng = np.random.default_rng(15)
     cases = [(random_polynomial_field(rng, dim),
               random_polynomial_field(rng, dim),
@@ -336,13 +359,13 @@ def test_suite_machinery_matches_object_path(name):
 
 @pytest.mark.parametrize("name", sorted(poisson.BRACKET_SPACES))
 def test_suite_bracket_is_the_bracket_kernel(name):
-    # the suite's stacked bracket is lie.bracket row by row: with nu a
-    # basis momentum the pairing reads one component exactly, so each
-    # component must match bit for bit; at random nu the stacked row dot
-    # (einsum) and the pairing's 1-d dots may round apart by an ulp
+    # the suite's stacked bracket is the bracket kernel row by row: with
+    # nu a basis momentum the row dot reads one component exactly, so
+    # each component must match bit for bit; at random nu the stacked
+    # row dot (einsum) and a 1-d dot may round apart by an ulp
     kind, nt, nl = poisson.BRACKET_SPACES[name]
     nc = lie.algebra_dim(kind)
-    bk_vals = poisson._flat_bracket(name, inject_error=False)
+    bk_vals = poisson._flat_bracket(poisson.BRACKET_SPACES[name])
     rng = np.random.default_rng(18)
     gf, gk, pts = rng.standard_normal((3, 40, nc + nt + nl))
     gf[:, nc:] = gk[:, nc:] = 0.0  # no canonical rotor part
@@ -350,10 +373,9 @@ def test_suite_bracket_is_the_bracket_kernel(name):
     basis[:, :, :nc] = np.eye(nc)[:, None, :]
     stacked = bk_vals(*np.broadcast_arrays(gf, gk, basis)).T
     for i, (a, b, x) in enumerate(zip(gf, gk, pts)):
-        br = lie.bracket(a[:nc], b[:nc])
+        br = np.array(lie._bracket_list(a[:nc].tolist(), b[:nc].tolist()))
         npt.assert_array_equal(stacked[i], -br)
-        nu = lie.coalgebra_from_flat(kind, x[:nc])
-        npt.assert_allclose(bk_vals(a, b, x), -lie.pairing(nu, br),
+        npt.assert_allclose(bk_vals(a, b, x), -(x[:nc] @ br),
                             rtol=0, atol=1e-14)
 
 
@@ -458,3 +480,10 @@ def test_tangent_flat_round_trip():
 def test_non_finite_point_rejected():
     with pytest.raises(ValueError):
         reduced_point(SO3, [np.inf, 0, 0])
+    # the momentum's checks live in ReducedPoint: its shape gives the kind
+    for nu in ([np.nan, 0, 0], [0, 0, 0, 0, 0, np.inf]):
+        with pytest.raises(ValueError, match="non-finite"):
+            ReducedPoint(np.array(nu), np.zeros(0), np.zeros(0))
+    for nu in (np.zeros(4), np.zeros((3, 1))):
+        with pytest.raises(ValueError, match=r"shape \(3,\) or \(6,\)"):
+            ReducedPoint(nu, np.zeros(0), np.zeros(0))

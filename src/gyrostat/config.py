@@ -28,8 +28,8 @@ numbers; ``;`` and ``#`` open comments, inline ones included.
             constant: d_pi (3), d_gamma (3, heavy-top kinds), d_l
                       (rotor slots), each optional, default zeros
             matching: target = heavy_top_free | rigid_body_rotors plus
-                      target_i/target_m/target_g/target_h/target_chi or
-                      target_ibar/target_j
+                      the target kind's [params] keys, each prefixed
+                      target_ (target_i, ..., or target_ibar, target_j)
 [tolerances] energy_drift (1e-8), casimir_drift (1e-8),
              equivalence (1e-6), all strictly positive
 
@@ -38,6 +38,12 @@ plain floats, ints) and every validation error names the offending
 ``[section] key``. :func:`emit_config` writes the canonical form back
 out; ``parse_config(emit_config(cfg)) == cfg`` exactly, since floats are
 printed with shortest round-trip precision.
+
+:data:`CATALOGUE` is the one place a system kind is declared: its row
+gives the algebra kind, the rotor-slot count, the ``[params]`` keys with
+their sizes, the params class and the system builder. Parsing, the
+matching target (the same keys with a ``target_`` prefix), the builders
+and emission all read it.
 
 The matching control runs the rigid body with rotors as the controlled
 side and identifies its angle-free (pi, l) subsystem with the target's
@@ -52,6 +58,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -66,7 +73,6 @@ from .systems import (HeavyTopParams, HeavyTopRotorParams,
                       RigidBodyRotorParams, heavy_top_free_system,
                       heavy_top_system, rigid_body_system)
 
-SYSTEMS = ("rigid_body_rotors", "heavy_top_rotors", "heavy_top_free")
 GAMMA_KINDS = ("zero", "exact_dW", "constant_body", "explicit")
 CONTROL_KINDS = ("none", "constant", "matching")
 MATCHING_TARGETS = ("heavy_top_free", "rigid_body_rotors")
@@ -85,18 +91,32 @@ MAX_SAMPLES = 10**6
 
 _SECTIONS = ("system", "params", "initial", "run", "gamma", "control",
              "tolerances")
-_PARAM_KEYS = {
-    "rigid_body_rotors": ("ibar", "j"),
-    "heavy_top_rotors": ("ibar", "j", "m", "g", "h", "chi"),
-    "heavy_top_free": ("i", "m", "g", "h", "chi"),
+
+
+class SystemKind(NamedTuple):
+    """One system kind: its algebra kind (lie.SO3 or lie.SE3), its rotor
+    slots, its [params] keys in the params class's positional order, each
+    mapped to its vector size (None for a scalar), the params class, and
+    the builder from params to the RCHSystem."""
+
+    algebra: str
+    rotors: int
+    keys: dict
+    params: type
+    build: Callable
+
+
+CATALOGUE = {
+    "rigid_body_rotors": SystemKind(
+        lie.SO3, 3, {"ibar": 3, "j": 3}, RigidBodyRotorParams,
+        rigid_body_system),
+    "heavy_top_rotors": SystemKind(
+        lie.SE3, 2, {"ibar": 3, "j": 2, "m": None, "g": None, "h": None,
+                     "chi": 3}, HeavyTopRotorParams, heavy_top_system),
+    "heavy_top_free": SystemKind(
+        lie.SE3, 0, {"i": 3, "m": None, "g": None, "h": None, "chi": 3},
+        HeavyTopParams, heavy_top_free_system),
 }
-_TARGET_KEYS = {
-    "heavy_top_free": ("target_i", "target_m", "target_g", "target_h",
-                       "target_chi"),
-    "rigid_body_rotors": ("target_ibar", "target_j"),
-}
-_VECTOR_PARAMS = ("ibar", "j", "chi", "i", "target_ibar", "target_j",
-                  "target_i", "target_chi")
 
 
 class ConfigError(ValueError):
@@ -104,12 +124,11 @@ class ConfigError(ValueError):
 
 
 def algebra_kind(system: str) -> str:
-    return lie.SO3 if system == "rigid_body_rotors" else lie.SE3
+    return CATALOGUE[system].algebra
 
 
 def rotor_count(system: str) -> int:
-    return {"rigid_body_rotors": 3, "heavy_top_rotors": 2,
-            "heavy_top_free": 0}[system]
+    return CATALOGUE[system].rotors
 
 
 @dataclass(frozen=True)
@@ -178,42 +197,37 @@ def _no_extras(sec: dict, name: str):
 
 
 def _parse_system(data: dict) -> str:
-    sec = data.get("system")
-    if sec is None:
-        raise ConfigError("[system] kind: missing required key")
+    sec = data.get("system", {})
     kind = _take(sec, "system", "kind", required=True)
-    if kind not in SYSTEMS:
+    if kind not in CATALOGUE:
         raise ConfigError(f"[system] kind: expected one of "
-                          f"{', '.join(SYSTEMS)}, got {kind!r}")
+                          f"{', '.join(CATALOGUE)}, got {kind!r}")
     _no_extras(sec, "system")
     return kind
 
 
-def _parse_params(data: dict, system: str) -> dict:
-    sec = data.get("params")
-    if sec is None:
-        raise ConfigError(f"[params] {_PARAM_KEYS[system][0]}: missing "
-                          "required key")
+def _parse_params(sec: dict, name: str, system: str,
+                  prefix: str = "") -> dict:
+    """The params keys of ``system`` (each spelled ``prefix + key``),
+    which must be all that is left in ``sec``, checked by its params
+    class."""
     out = {}
-    for key in _PARAM_KEYS[system]:
-        raw = _take(sec, "params", key, required=True)
-        if key in _VECTOR_PARAMS:
-            n = 2 if (key == "j" and system == "heavy_top_rotors") else 3
-            out[key] = _vector(raw, n, f"[params] {key}")
-        else:
-            out[key] = _scalar(raw, f"[params] {key}")
-    _no_extras(sec, "params")
+    for key, n in CATALOGUE[system].keys.items():
+        key = prefix + key
+        raw = _take(sec, name, key, required=True)
+        where = f"[{name}] {key}"
+        out[key] = _scalar(raw, where) if n is None \
+            else _vector(raw, n, where)
+    _no_extras(sec, name)
     try:
-        _params_from(system, out)
+        _params(system, out, prefix)
     except ValueError as exc:
-        raise ConfigError(f"[params] {exc}") from None
+        raise ConfigError(f"[{name}] {exc}") from None
     return out
 
 
 def _parse_initial(data: dict, system: str) -> dict:
-    sec = data.get("initial")
-    if sec is None:
-        raise ConfigError("[initial] pi: missing required key")
+    sec = data.get("initial", {})
     k = rotor_count(system)
     out = {"pi": _vector(_take(sec, "initial", "pi", required=True), 3,
                          "[initial] pi")}
@@ -322,16 +336,13 @@ def _parse_control(data: dict, system: str, initial: dict) -> dict:
                           f"{', '.join(CONTROL_KINDS)}, got {kind!r}")
     out = {"kind": kind}
     if kind == "constant":
-        k = rotor_count(system)
-        sizes = {"d_pi": 3, "d_l": k}
-        if algebra_kind(system) == lie.SE3:
-            sizes["d_gamma"] = 3
-        for key in ("d_pi", "d_gamma", "d_l"):
-            if key not in sizes:
-                continue
+        sizes = {"d_pi": 3, "d_gamma": 3, "d_l": rotor_count(system)}
+        if algebra_kind(system) == lie.SO3:
+            del sizes["d_gamma"]
+        for key, n in sizes.items():
             raw = _take(sec, "control", key)
-            out[key] = (0.0,) * sizes[key] if raw is None \
-                else _vector(raw, sizes[key], f"[control] {key}")
+            out[key] = (0.0,) * n if raw is None \
+                else _vector(raw, n, f"[control] {key}")
     elif kind == "matching":
         target = _take(sec, "control", "target", required=True)
         if target not in MATCHING_TARGETS:
@@ -347,18 +358,7 @@ def _parse_control(data: dict, system: str, initial: dict) -> dict:
                               "the angle-free subsystem; omit theta or "
                               "set it to zeros")
         out["target"] = target
-        tgt = {}
-        for key in _TARGET_KEYS[target]:
-            raw = _take(sec, "control", key, required=True)
-            if key in _VECTOR_PARAMS:
-                tgt[key] = _vector(raw, 3, f"[control] {key}")
-            else:
-                tgt[key] = _scalar(raw, f"[control] {key}")
-        out.update(tgt)
-        try:
-            _target_params(out)
-        except ValueError as exc:
-            raise ConfigError(f"[control] {exc}") from None
+        out.update(_parse_params(sec, "control", target, "target_"))
     _no_extras(sec, "control")
     return out
 
@@ -379,8 +379,11 @@ def _parse_tolerances(data: dict) -> dict:
 
 
 def parse_config(text: str) -> ScenarioConfig:
+    # no section header can be empty, so [DEFAULT] is read as an ordinary
+    # (unknown) section instead of leaking its keys into every section
     cp = configparser.ConfigParser(interpolation=None,
-                                   inline_comment_prefixes=(";", "#"))
+                                   inline_comment_prefixes=(";", "#"),
+                                   default_section="")
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -390,7 +393,7 @@ def parse_config(text: str) -> ScenarioConfig:
         if name not in _SECTIONS:
             raise ConfigError(f"[{name}]: unknown section")
     system = _parse_system(data)
-    params = _parse_params(data, system)
+    params = _parse_params(data.get("params", {}), "params", system)
     initial = _parse_initial(data, system)
     run = _parse_run(data)
     gamma = _parse_gamma(data, system)
@@ -423,32 +426,15 @@ def _fmt(value) -> str:
 
 
 def emit_config(cfg: ScenarioConfig) -> str:
-    """Write the canonical text form; parse_config inverts it exactly."""
-    blocks = [("system", [("kind", cfg.system)])]
-    blocks.append(("params", [(k, cfg.params[k])
-                              for k in _PARAM_KEYS[cfg.system]]))
-    initial_keys = [k for k in ("pi", "gamma", "theta", "l")
-                    if k in cfg.initial]
-    blocks.append(("initial", [(k, cfg.initial[k]) for k in initial_keys]))
-    blocks.append(("run", [(k, cfg.run[k])
-                           for k in ("dt", "t_final", "seed")]))
-    if cfg.gamma is not None:
-        keys = [k for k in ("kind", "name", "nu0", "l0", "components",
-                            "theta_coupling", "mu", "samples")
-                if k in cfg.gamma]
-        blocks.append(("gamma", [(k, cfg.gamma[k]) for k in keys]))
-    ctl_keys = ["kind"] + [k for k in ("d_pi", "d_gamma", "d_l", "target",
-                                       *_TARGET_KEYS["heavy_top_free"],
-                                       *_TARGET_KEYS["rigid_body_rotors"])
-                           if k in cfg.control]
-    blocks.append(("control", [(k, cfg.control[k]) for k in ctl_keys]))
-    blocks.append(("tolerances", [(k, cfg.tolerances[k])
-                                  for k in ("energy_drift", "casimir_drift",
-                                            "equivalence")]))
+    """Write the canonical text form; parse_config inverts it exactly.
+    Each section's keys come out in the order parse_config stored them."""
     lines = []
-    for name, items in blocks:
+    for name in _SECTIONS:
+        sec = {"kind": cfg.system} if name == "system" else getattr(cfg, name)
+        if sec is None:
+            continue
         lines.append(f"[{name}]")
-        lines.extend(f"{key} = {_fmt(value)}" for key, value in items)
+        lines.extend(f"{key} = {_fmt(value)}" for key, value in sec.items())
         lines.append("")
     return "\n".join(lines)
 
@@ -457,41 +443,20 @@ def emit_config(cfg: ScenarioConfig) -> str:
 # builders
 # ---------------------------------------------------------------------------
 
-def _params_from(system: str, params: dict):
-    if system == "rigid_body_rotors":
-        return RigidBodyRotorParams(np.array(params["ibar"]),
-                                    np.array(params["j"]))
-    if system == "heavy_top_rotors":
-        return HeavyTopRotorParams(np.array(params["ibar"]),
-                                   np.array(params["j"]), params["m"],
-                                   params["g"], params["h"],
-                                   np.array(params["chi"]))
-    return HeavyTopParams(np.array(params["i"]), params["m"], params["g"],
-                          params["h"], np.array(params["chi"]))
-
-
-def _target_params(control: dict):
-    if control["target"] == "heavy_top_free":
-        return HeavyTopParams(np.array(control["target_i"]),
-                              control["target_m"], control["target_g"],
-                              control["target_h"],
-                              np.array(control["target_chi"]))
-    return RigidBodyRotorParams(np.array(control["target_ibar"]),
-                                np.array(control["target_j"]))
+def _params(system: str, values: dict, prefix: str = ""):
+    """The params class of ``system`` built from ``values``, whose keys
+    carry ``prefix``."""
+    row = CATALOGUE[system]
+    return row.params(*(values[prefix + key] for key in row.keys))
 
 
 def build_params(cfg: ScenarioConfig):
-    return _params_from(cfg.system, cfg.params)
+    return _params(cfg.system, cfg.params)
 
 
 def base_system(cfg: ScenarioConfig) -> RCHSystem:
     """The declared system without any configured control attached."""
-    params = build_params(cfg)
-    if cfg.system == "rigid_body_rotors":
-        return rigid_body_system(params)
-    if cfg.system == "heavy_top_rotors":
-        return heavy_top_system(params)
-    return heavy_top_free_system(params)
+    return CATALOGUE[cfg.system].build(build_params(cfg))
 
 
 def _identity(x):
@@ -508,15 +473,15 @@ def build_matching(cfg: ScenarioConfig):
                           "kind = matching")
     sys_a = base_system(cfg)
     layout_a = Layout(lie.SO3, 0, sys_a.rotor_count)
-    if cfg.control["target"] == "heavy_top_free":
-        sys_b = heavy_top_free_system(_target_params(cfg.control))
-        layout_b = Layout(lie.SE3, 0, 0)
-
+    name = cfg.control["target"]
+    target = CATALOGUE[name]
+    sys_b = target.build(_params(name, cfg.control, "target_"))
+    layout_b = Layout(target.algebra, 0, target.rotors)
+    if layout_b == layout_a:
+        to_target = _identity
+    else:
         def to_target(p):
             return point_like(layout_b, p.flat())
-    else:
-        sys_b = rigid_body_system(_target_params(cfg.control))
-        layout_b, to_target = layout_a, _identity
     control = matching_control(sys_a, sys_b, layout_a, layout_b, _identity,
                                _identity, _identity)
     return control, sys_b, to_target

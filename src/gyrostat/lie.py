@@ -198,7 +198,12 @@ def coalgebra(kind: str, pi, gamma=None) -> np.ndarray:
 
 
 def algebra_dim(kind: str) -> int:
-    return 3 if kind == SO3 else 6
+    # compared before checked: the probe asks once per fiber derivative
+    if kind == SO3:
+        return 3
+    if kind != SE3:
+        _check_kind(kind)  # raises
+    return 6
 
 
 def skew(w) -> np.ndarray:
@@ -349,7 +354,7 @@ def Ad_star(g: GroupElement, mu) -> np.ndarray:
 def random_algebra(rng: np.random.Generator, kind: str,
                    scale: float = 1.0) -> np.ndarray:
     """Flat algebra vector of independent normal entries times scale."""
-    return scale * rng.standard_normal(algebra_dim(_check_kind(kind)))
+    return scale * rng.standard_normal(algebra_dim(kind))
 
 
 def random_group(rng: np.random.Generator, kind: str, scale: float = 1.0) -> GroupElement:

@@ -128,6 +128,8 @@ class TestParsing:
          r"\[tolerances\] energy_drift"),
         (lambda t: t.replace("l = 0.1 0.2 0.3", "l = 0.1 0.2 0.3\nspin = 1"),
          r"\[initial\] spin"),
+        (lambda t: "[DEFAULT]\nseed = 3\n" + t,
+         r"^\[DEFAULT\]: unknown section$"),
     ])
     def test_errors_name_the_field(self, mutate, field):
         with pytest.raises(ConfigError, match=field):
@@ -219,6 +221,22 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"\[control\] target_m"):
             parse_config(broken)
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("target_i = 2.0 1.5 1.0", "target_i = 2.0 1.5",
+         "[control] target_i: expected 3 numbers, got 2"),
+        ("target_m = 1.2", "target_m = 1.2 3",
+         "[control] target_m: expected a single number, got 2"),
+        ("target_m = 1.2", "target_m = -1.2",
+         "[control] m, g, h entries must be finite and strictly positive, "
+         "got [-1.2  9.8  0.5]"),
+        ("target_chi = 0.0 0.0 1.0", "target_chi = 0.0 1.0 1.0",
+         "[control] chi must be a unit 3-vector"),
+    ])
+    def test_matching_target_is_validated(self, old, new, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(DEMO.replace(old, new))
+        assert str(err.value) == message
+
     def test_matching_requires_rigid_body_source(self):
         text = HT + """
 [control]
@@ -289,6 +307,140 @@ class TestRoundTrip:
                           "name = rotor_quadratic\n",
         "constant_control": RB + "\n[control]\nkind = constant\n"
                                  "d_pi = 0.0 0.1 0.0\n",
+        "heavy_top_control": HT + "\n[control]\nkind = constant\n"
+                                  "d_gamma = 0.0 0.1 0.0\n",
+    }
+
+    # the exact canonical text, key order included
+    EMITTED = {
+        "demo": """\
+[system]
+kind = rigid_body_rotors
+
+[params]
+ibar = 1.0 2.0 3.0
+j = 0.5 0.4 0.3
+
+[initial]
+pi = 0.3 -0.2 0.5
+theta = 0.0 0.0 0.0
+l = 0.1 0.2 0.3
+
+[run]
+dt = 0.001
+t_final = 1.0
+seed = 0
+
+[control]
+kind = matching
+target = heavy_top_free
+target_i = 2.0 1.5 1.0
+target_m = 1.2
+target_g = 9.8
+target_h = 0.5
+target_chi = 0.0 0.0 1.0
+
+[tolerances]
+energy_drift = 1e-08
+casimir_drift = 1e-08
+equivalence = 1e-06
+""",
+        "identity": """\
+[system]
+kind = rigid_body_rotors
+
+[params]
+ibar = 1.0 2.0 3.0
+j = 0.5 0.4 0.3
+
+[initial]
+pi = 1.0 0.5 -0.2
+theta = 0.0 0.0 0.0
+l = 0.1 0.2 0.3
+
+[run]
+dt = 0.001
+t_final = 10.0
+seed = 0
+
+[control]
+kind = matching
+target = rigid_body_rotors
+target_ibar = 1.0 2.0 3.0
+target_j = 0.5 0.4 0.3
+
+[tolerances]
+energy_drift = 1e-08
+casimir_drift = 1e-08
+equivalence = 1e-06
+""",
+        "explicit": """\
+[system]
+kind = rigid_body_rotors
+
+[params]
+ibar = 1.0 2.0 3.0
+j = 0.5 0.4 0.3
+
+[initial]
+pi = 1.0 0.5 -0.2
+theta = 0.0 0.0 0.0
+l = 0.1 0.2 0.3
+
+[run]
+dt = 0.001
+t_final = 10.0
+seed = 0
+
+[gamma]
+kind = explicit
+components = 0.0 0.0 0.0 0.1 0.2 0.3
+theta_coupling = 0.0 0.0 0.0 1.0 0.0 0.0 0.0 0.0 0.0
+mu = 0.0 0.0 0.0
+samples = 100
+
+[control]
+kind = none
+
+[tolerances]
+energy_drift = 1e-08
+casimir_drift = 1e-08
+equivalence = 1e-06
+""",
+        "heavy_top_control": """\
+[system]
+kind = heavy_top_rotors
+
+[params]
+ibar = 2.0 1.5 1.0
+j = 0.4 0.3
+m = 1.2
+g = 9.8
+h = 0.5
+chi = 0.5773502691896258 0.5773502691896258 0.5773502691896258
+
+[initial]
+pi = 0.1 0.2 0.3
+gamma = 0.0 0.0 1.0
+theta = 0.0 0.0
+l = 0.0 0.0
+
+[run]
+dt = 0.001
+t_final = 10.0
+seed = 0
+
+[control]
+kind = constant
+d_pi = 0.0 0.0 0.0
+d_gamma = 0.0 0.1 0.0
+d_l = 0.0 0.0
+
+[tolerances]
+energy_drift = 1e-08
+casimir_drift = 1e-08
+equivalence = 1e-06
+""",
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -298,6 +450,11 @@ class TestRoundTrip:
         again = parse_config(text)
         assert again == cfg
         assert emit_config(again) == text
+
+    @pytest.mark.parametrize("name", sorted(EMITTED))
+    def test_emitted_text_is_pinned(self, name):
+        assert emit_config(parse_config(self.CASES[name])) == \
+            self.EMITTED[name]
 
     def test_emitted_text_spells_out_defaults(self):
         text = emit_config(parse_config(RB))

@@ -225,6 +225,13 @@ class TestSections:
         q = hj.configuration(lie.identity(lie.SE3), (0.3, -0.1))
         assert_allclose(hj.fiber(sec, q), np.zeros(8))
 
+    def test_zero_section_rejects_an_unknown_kind(self):
+        # a misspelt kind used to build an SE(3) section
+        with pytest.raises(ValueError, match="kind must be"):
+            hj.zero_section("so3", 3)
+        with pytest.raises(ValueError, match="kind must be"):
+            lie.algebra_dim("bogus")
+
     def test_rotor_quadratic_components(self):
         sec = hj.rotor_quadratic_section()
         assert sec.family == "exact_dW"

@@ -31,10 +31,11 @@ flavor (pass ``mu`` for the reduced one):
 must vanish together or stay apart together, never disagree. It runs in
 passes over a :class:`ConfigurationStack`, ``lie.CHUNK`` samples at a
 time: the samplers draw every sample's raw numbers in RNG order and then
-exponentiate them a block at a time; the probe reads every fiber row
-once into an (N, d + k) array, checks a block's membership with one
-coadjoint call, and takes the hj and |X_gamma| columns as row norms of a
-block. Only the field evaluation behind the residuals runs per sample.
+exponentiate them a block at a time; the gate stacks a block's frame
+partials into one array; the probe reads every fiber row once into an
+(N, d + k) array, checks a block's membership with one coadjoint call,
+and takes all three columns from one field pass over a block. Per
+sample there remain a view and the section and field calls.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -121,8 +123,9 @@ def isotropy_sampleable(mu) -> bool:
 class ConfigurationStack:
     """n configurations stacked: a :class:`lie.GroupPath` of their group
     parts and an (n, k) array of their rotor angles, each checked once.
-    Indexing and iteration give one-sample :class:`Configuration` views,
-    whose group elements run no second rotation check."""
+    Indexing, iteration and :meth:`views` give one-sample
+    :class:`Configuration` views, whose group elements run no second
+    rotation check."""
 
     g: lie.GroupPath
     theta: np.ndarray
@@ -152,6 +155,10 @@ class ConfigurationStack:
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
+
+    def views(self, rows: slice) -> list:
+        """The views of a slice of the stack's rows, as a list."""
+        return list(map(self.__getitem__, range(len(self))[rows]))
 
 
 def _as_stack(samples) -> ConfigurationStack:
@@ -275,22 +282,31 @@ class OneFormSection:
             raise ValueError("rotor_count must be non-negative")
 
 
+def _check_base(gamma: OneFormSection, kind: str, n_theta: int) -> None:
+    if (kind, n_theta) != (gamma.kind, gamma.rotor_count):
+        raise ValueError(f"configuration ({kind}, {n_theta} angles) is "
+                         f"not on the section's base ({gamma.kind}, "
+                         f"{gamma.rotor_count} angles)")
+
+
+def _check_rows(rows: np.ndarray, shape: tuple, what: str) -> np.ndarray:
+    """rows (one fiber row or a stack) checked to be finite, of shape."""
+    if rows.shape != shape:
+        raise ValueError(f"{what} has shape {rows.shape[len(shape) - 1:]}, "
+                         f"expected a ({shape[-1]},) fiber row")
+    if not np.isfinite(rows).all():
+        raise ValueError(f"{what} is not finite")
+    return rows
+
+
 def fiber(gamma: OneFormSection, q: Configuration) -> np.ndarray:
     """The fiber row of gamma at q, checked: q must lie on the section's
     base (its group kind and angle count) and the row must be a finite
     (d + k,) array."""
-    if (q.kind, q.n_theta) != (gamma.kind, gamma.rotor_count):
-        raise ValueError(f"configuration ({q.kind}, {q.n_theta} angles) is "
-                         f"not on the section's base ({gamma.kind}, "
-                         f"{gamma.rotor_count} angles)")
-    row = np.asarray(gamma.value(q), dtype=float)
-    dim = lie.algebra_dim(gamma.kind) + gamma.rotor_count
-    if row.shape != (dim,):
-        raise ValueError(f"section value has shape {row.shape}, expected "
-                         f"a ({dim},) fiber row")
-    if not np.isfinite(row).all():
-        raise ValueError("section value is not finite")
-    return row
+    _check_base(gamma, q.kind, q.n_theta)
+    return _check_rows(np.asarray(gamma.value(q), dtype=float),
+                       (lie.algebra_dim(gamma.kind) + gamma.rotor_count,),
+                       "section value")
 
 
 def _exp_chart(q: Configuration, fn: Callable[[Configuration], object]):
@@ -306,13 +322,14 @@ def _exp_chart(q: Configuration, fn: Callable[[Configuration], object]):
 
 def fiber_derivative(gamma: OneFormSection, q: Configuration,
                      v: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    """Derivative of the fiber row along the flat v."""
+    """Derivative of the fiber row along the flat v, checked as
+    :func:`fiber` checks a row."""
     v = np.asarray(v, dtype=float)
     dim = lie.algebra_dim(gamma.kind) + gamma.rotor_count
     if v.shape != (dim,):
         raise ValueError(f"expected a {dim}-component base direction")
     if gamma.jacobian is not None:
-        return np.asarray(gamma.jacobian(q, v), dtype=float)
+        return _fiber_derivatives(gamma, [(q, v)])[0]
     speed = float(np.linalg.norm(v))
     if speed == 0.0:
         return np.zeros(dim)
@@ -320,6 +337,16 @@ def fiber_derivative(gamma: OneFormSection, q: Configuration,
     chart = _exp_chart(q, partial(fiber, gamma))
     return speed * central_difference(lambda s: chart(s * unit),
                                       np.zeros((1, 1)), step)[0, 0]
+
+
+def _fiber_derivatives(gamma: OneFormSection, pairs) -> np.ndarray:
+    """:func:`fiber_derivative` at each (q, v) of pairs, stacked and
+    checked once; the directions v must already have the right shape."""
+    derivative = gamma.jacobian if gamma.jacobian is not None else \
+        partial(fiber_derivative, gamma)
+    rows = np.array([derivative(q, v) for q, v in pairs], dtype=float)
+    return _check_rows(rows, (len(rows), lie.algebra_dim(gamma.kind)
+                              + gamma.rotor_count), "section jacobian")
 
 
 # ---------------------------------------------------------------------------
@@ -435,27 +462,31 @@ def _default_samples(gamma: OneFormSection, n_samples: int,
                                  lambda: rng.standard_normal(k))
 
 
-def _exterior_derivative(gamma: OneFormSection, q: Configuration,
-                         frame: list) -> np.ndarray:
-    """Antisymmetric matrix D - D^T of d gamma on the pairs of frame, the
-    unit base directions (the rows of the identity), at q: D[i] is the
-    derivative of the fiber components along frame[i]."""
-    partials = np.array([fiber_derivative(gamma, q, e) for e in frame])
-    return partials - partials.T
+def _frame_partials(gamma: OneFormSection, samples, n_samples: int,
+                    seed: int):
+    """Per lie.CHUNK block of samples (n_samples default ones if None),
+    whose base is checked once, its views and (b, m, m) partials D:
+    D[j, i] is the derivative of the fiber row at sample j along row i
+    of the identity, so D[j] - D[j]^T is d gamma on the frame pairs."""
+    stack = _default_samples(gamma, n_samples, seed) if samples is None \
+        else _as_stack(samples)
+    _check_base(gamma, stack.g.kind, stack.theta.shape[1])
+    frame = np.eye(lie.algebra_dim(gamma.kind) + gamma.rotor_count)
+    for lo in range(0, len(stack), lie.CHUNK):
+        views = stack.views(slice(lo, lo + lie.CHUNK))
+        yield views, _fiber_derivatives(gamma, product(views, frame)
+                                        ).reshape(len(views), *frame.shape)
 
 
 def closedness_defect(gamma: OneFormSection, n_samples: int = 20,
                       seed: int = 0, samples=None) -> float:
     """Max |d gamma(e_i, e_j)| over sampled configurations and frame
     pairs. Exact sections stay at finite-difference noise; the shear
-    section reports its unit coefficient."""
-    configs = samples if samples is not None else \
-        _default_samples(gamma, n_samples, seed)
-    frame = list(np.eye(lie.algebra_dim(gamma.kind) + gamma.rotor_count))
+    section reports its unit coefficient. Samples off the section's base
+    raise as :func:`fiber` does."""
     worst = 0.0
-    for q in configs:
-        worst = max(worst, float(np.max(np.abs(
-            _exterior_derivative(gamma, q, frame)))))
+    for _, partials in _frame_partials(gamma, samples, n_samples, seed):
+        worst = max(worst, float(np.max(np.abs(partials - partials.mT))))
     return worst
 
 
@@ -468,23 +499,20 @@ def pullback_identity_defect(gamma: OneFormSection, n_samples: int = 20,
     evaluates the two-form; the right side expands d gamma bilinearly
     from frame partials. The two sides difference the section at
     different points, so their agreement is a genuine two-path check.
+    Samples off the section's base raise as :func:`fiber` does.
     """
-    configs = samples if samples is not None else \
-        _default_samples(gamma, n_samples, seed)
     rng = np.random.default_rng(seed + 1)
     d = lie.algebra_dim(gamma.kind)
-    frame = list(np.eye(d + gamma.rotor_count))
     worst = 0.0
-    for q in configs:
-        v, w = rng.standard_normal((2, len(frame)))
-        v, w = v / np.linalg.norm(v), w / np.linalg.norm(w)
-        dv = fiber_derivative(gamma, q, v)
-        dw = fiber_derivative(gamma, q, w)
-        # the canonical two-form of the trivialization on the pushed pair
-        lhs = (float(dw[:d] @ v[:d]) - float(dv[:d] @ w[:d])
-               + float(dw[d:] @ v[d:]) - float(dv[d:] @ w[d:]))
-        rhs = -float(v @ _exterior_derivative(gamma, q, frame) @ w)
-        worst = max(worst, abs(lhs - rhs))
+    for views, partials in _frame_partials(gamma, samples, n_samples, seed):
+        for q, curl in zip(views, partials - partials.mT):
+            v, w = rng.standard_normal((2, len(curl)))
+            v, w = v / np.linalg.norm(v), w / np.linalg.norm(w)
+            dv, dw = _fiber_derivatives(gamma, [(q, v), (q, w)])
+            # the trivialization's canonical two-form on the pushed pair
+            lhs = (float(dw[:d] @ v[:d]) - float(dv[:d] @ w[:d])
+                   + float(dw[d:] @ v[d:]) - float(dv[d:] @ w[d:]))
+            worst = max(worst, abs(lhs + float(v @ curl @ w)))
     return worst
 
 
@@ -506,7 +534,8 @@ def section_residuals(sys: RCHSystem, gamma: OneFormSection,
                       q: Configuration, mu=None) -> SectionResiduals:
     """The residuals of gamma at q from one full dynamical field
     evaluation: full-space flavor when mu is None, else reduced-space
-    flavor, with a :class:`MembershipError` off the mu level set.
+    flavor, with a :class:`MembershipError` off the mu level set. This is
+    the one-sample pass of :func:`theorem_equivalence_probe`, bit for bit.
 
     Reduced, hj_components is the controlled reduced field at the
     section's image, which matches the equation assemblies of
@@ -517,16 +546,21 @@ def section_residuals(sys: RCHSystem, gamma: OneFormSection,
     row = fiber(gamma, q)
     if mu is not None:
         _check_level(q.g.rot, q.g.trans, row, mu)
-    return _residuals(sys, gamma, q, row, mu)
+    relatedness, hj_components, x = _residuals(sys, gamma, [q],
+                                               q.theta[None], row[None], mu)
+    return SectionResiduals(float(relatedness[0]), hj_components[0], x[0])
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    # np.vecdot rounds each row as np.linalg.norm's 1-d dot does
+    return np.sqrt(np.vecdot(rows, rows))
 
 
 def _check_level(rot, trans, rows, mu, gate: float | None = None) -> None:
     """Raise a :class:`MembershipError` carrying gate at the first of the
     fiber rows (one or a stack) whose body momentum p is off the mu level
     at its group part: |Ad*_{g^-1} p - mu| > MEMBERSHIP_TOL."""
-    off = lie.coadjoint(rot, trans, rows) - mu
-    # np.vecdot rounds each row as np.linalg.norm's 1-d dot does
-    defect = np.sqrt(np.vecdot(off, off)).reshape(-1)
+    defect = _row_norms(lie.coadjoint(rot, trans, rows) - mu).reshape(-1)
     bad = np.flatnonzero(defect > MEMBERSHIP_TOL)
     if bad.size:
         exc = MembershipError("section image is off the momentum level "
@@ -535,31 +569,34 @@ def _check_level(rot, trans, rows, mu, gate: float | None = None) -> None:
         raise exc
 
 
-def _residuals(sys: RCHSystem, gamma: OneFormSection, q: Configuration,
-               row: np.ndarray, mu) -> SectionResiduals:
-    """:func:`section_residuals` at q from its checked fiber row."""
+def _residuals(sys: RCHSystem, gamma: OneFormSection, views: list,
+               theta: np.ndarray, rows: np.ndarray, mu) -> tuple:
+    """The residuals of gamma at the b configurations views, from their
+    (b, k) angles and checked (b, d + k) fiber rows: the relatedness
+    column and the (b, .) hj components and X_gamma."""
     dim = lie.algebra_dim(gamma.kind)
-    layout = Layout(q.kind, q.n_theta, gamma.rotor_count)
-    angles = slice(dim, dim + q.n_theta)
-
-    def state(comp: np.ndarray, theta: np.ndarray) -> list:
-        # the flat reduced state of a fiber row over the angles theta:
-        # body momentum, angles, rotor momenta
-        return comp[:dim].tolist() + theta.tolist() + comp[dim:].tolist()
-
-    full = full_dynamical_field(sys, layout, state(row, q.theta))
-    x = np.concatenate([full.xi, full.body[angles]])
-    d_fiber = fiber_derivative(gamma, q, x)
+    layout = Layout(gamma.kind, gamma.rotor_count, gamma.rotor_count)
+    angles = slice(dim, dim + layout.n_theta)
+    # the flat reduced states: body momenta, angles, rotor momenta
+    full = full_dynamical_field(sys, layout, np.concatenate(
+        [rows[:, :dim], theta, rows[:, dim:]], axis=1))
+    x = np.concatenate([full.xi, full.body[:, angles]], axis=1)
+    d_fiber = _fiber_derivatives(gamma, zip(views, x))
     if mu is not None:
-        pushed = np.concatenate([d_fiber[:dim], x[dim:], d_fiber[dim:]])
-        return SectionResiduals(float(np.linalg.norm(pushed - full.body)),
-                                full.body, x)
-    restricted = _exp_chart(q, lambda cfg: sys.hamiltonian.eval(
-        point_like(layout, state(fiber(gamma, cfg), cfg.theta))))
-    d_h = central_difference(restricted, np.zeros((1, dim + q.n_theta)))[0]
-    return SectionResiduals(
-        float(np.linalg.norm(d_fiber - np.delete(full.body, angles))),
-        -d_h + np.delete(full.lift, angles), x)
+        pushed = np.concatenate([d_fiber[:, :dim], x[:, dim:],
+                                 d_fiber[:, dim:]], axis=1)
+        return _row_norms(pushed - full.body), full.body, x
+
+    def h_on_section(cfg: Configuration) -> float:
+        row = fiber(gamma, cfg)
+        return sys.hamiltonian.eval(point_like(layout, np.concatenate(
+            [row[:dim], cfg.theta, row[dim:]])))
+
+    d_h = np.array([central_difference(_exp_chart(q, h_on_section),
+                                       np.zeros((1, x.shape[1])))[0]
+                    for q in views])
+    return (_row_norms(d_fiber - np.delete(full.body, angles, axis=1)),
+            -d_h + np.delete(full.lift, angles, axis=1), x)
 
 
 # ---------------------------------------------------------------------------
@@ -640,11 +677,8 @@ def theorem_equivalence_probe(sys: RCHSystem, gamma: OneFormSection,
                          rows[b], mu, gate)
     relatedness, hj, x_norm = np.empty(n), np.empty(n), np.empty(n)
     for b in blocks:
-        res = [_residuals(sys, gamma, samples[i], rows[i], mu)
-               for i in range(n)[b]]
-        relatedness[b] = [r.relatedness for r in res]
-        h = np.array([r.hj_components for r in res])
-        x = np.array([r.x_gamma for r in res])
-        hj[b], x_norm[b] = np.sqrt(np.vecdot(h, h)), np.sqrt(np.vecdot(x, x))
+        relatedness[b], h, x = _residuals(sys, gamma, samples.views(b),
+                                          samples.theta[b], rows[b], mu)
+        hj[b], x_norm[b] = _row_norms(h), _row_norms(x)
     labels = map(_classify, relatedness, hj)
     return ProbeResult(relatedness, hj, x_norm, tuple(labels), gate)

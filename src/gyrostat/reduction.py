@@ -27,9 +27,10 @@ from .poisson import Layout, _hamiltonian_rates, _row_dot, flat_gradient
 
 
 class FullTangent(NamedTuple):
-    """Velocity over a flat reduced state, the same at every g: the flat
-    body velocity ``xi`` of g, the flat controlled rates ``body`` of the
-    state, and ``lift``, their force-plus-control part."""
+    """Velocities over n flat reduced states, the same at every g: the
+    (n, 3|6) body velocities ``xi`` of g, the (n, d) controlled rates
+    ``body`` of the states, and ``lift``, their force-plus-control
+    part."""
 
     xi: np.ndarray
     body: np.ndarray
@@ -37,27 +38,38 @@ class FullTangent(NamedTuple):
 
 
 def full_dynamical_field(sys: RCHSystem, layout: Layout,
-                         x: list) -> FullTangent:
-    """Field on the full space over the flat reduced state x of
-    ``layout``, a list of d floats: the reduced field plus the group
-    velocity that reconstruction integrates. Neither depends on g.
+                         states: np.ndarray) -> FullTangent:
+    """Field on the full space over the (n, d) flat reduced states of
+    ``layout``, each evaluated on the list path: the reduced field plus
+    the group velocity that reconstruction integrates. Neither depends
+    on g, and one gradient of h per state gives both.
 
     Forces and controls are vertical, so they may move momenta but never
-    the rotor angles; a lift that does is rejected here because the
-    angle velocity on the full space is pinned to dh/dl. The gradient
-    of h is evaluated once and gives both the rates and the body
-    velocity.
+    the rotor angles; a lift that does is rejected here, in one check
+    over the stack, because the angle velocity on the full space is
+    pinned to dh/dl.
     """
     _check_point(sys, layout)
-    grad = flat_gradient(sys.hamiltonian, layout)(x)
-    hamiltonian = _hamiltonian_rates(layout)(x, grad)
-    body = _add_lifts(sys, x, hamiltonian)
-    lift = [b - h for b, h in zip(body, hamiltonian)]
     nc = lie.algebra_dim(layout.kind)
-    if any(lift[nc:nc + layout.n_theta]):
+    states = np.asarray(states, dtype=float)
+    d = nc + layout.n_theta + layout.n_l
+    if states.ndim != 2 or states.shape[1] != d or not len(states):
+        raise ValueError(f"expected an (n, {d}) array of flat states, got "
+                         f"shape {states.shape}")
+    grad = flat_gradient(sys.hamiltonian, layout)
+    rates = _hamiltonian_rates(layout)
+    xi, hamiltonian, body = [], [], []
+    for x in states.tolist():
+        g = grad(x)
+        xi.append(g[:nc])
+        hamiltonian.append(rates(x, g))
+        body.append(_add_lifts(sys, x, hamiltonian[-1]))
+    body = np.array(body)
+    lift = body - hamiltonian
+    if lift[:, nc:nc + layout.n_theta].any():
         raise ValueError("force/control must be vertical: it cannot move "
                          "the rotor angles")
-    return FullTangent(np.array(grad[:nc]), np.array(body), np.array(lift))
+    return FullTangent(np.array(xi), body, lift)
 
 
 # ---------------------------------------------------------------------------

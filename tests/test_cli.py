@@ -336,7 +336,7 @@ class TestHJCheck:
         return (peak(3000) - peak(1000)) / 2000
 
     def test_peak_memory_grows_at_most_300_bytes_per_sample(self, tmp_path):
-        # On the heavy-top probe the command's peak grows about 224 B per
+        # On the heavy-top probe the command's peak grows about 200 B per
         # sample, reached inside the probe: the stacked samples (112 B),
         # the fiber rows it reads once (64 B) and the result columns.
         # Checking the rotations over the whole stack at once peaked at
@@ -347,7 +347,7 @@ class TestHJCheck:
     def test_zero_level_peak_memory_grows_at_most_300_bytes_per_sample(
             self, tmp_path):
         # the zero level samples the whole group (random_configurations):
-        # about 218 B per sample, 230-243 B while the samples stayed alive
+        # about 165 B per sample, 230-243 B while the samples stayed alive
         # through the report
         text = RB + ("\n[gamma]\nkind = exact_dW\nname = rotor_quadratic\n"
                      "samples = 40\n")

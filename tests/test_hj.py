@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -179,6 +180,20 @@ class TestStackedSamples:
         assert np.array_equal(q.theta, stack.theta[17])
         assert stack[-1].theta.shape == (2,)
 
+    def test_views_of_a_slice_are_the_indexed_views(self):
+        mu = ISOTROPY_LEVELS["se3-off-axis"]
+        stack = hj.isotropy_configurations(np.random.default_rng(6), mu,
+                                           7, 2)
+        for rows in (slice(2, 5), slice(5, 70), slice(None)):
+            views = stack.views(rows)
+            assert len(views) == len(range(7)[rows])
+            for q, i in zip(views, range(7)[rows]):
+                want = stack[i]
+                assert q.g.rot is not want.g.rot
+                assert _same_bits(q.g.rot, want.g.rot)
+                assert _same_bits(q.g.trans, want.g.trans)
+                assert _same_bits(q.theta, want.theta)
+
     def test_slices_are_rejected(self):
         # a slice view would carry (2, 3, 3) rotations and (2, k) angles
         # past every check
@@ -338,6 +353,126 @@ class TestClosedness:
         a = hj.closedness_defect(sec, 6, seed=7)
         b = hj.closedness_defect(sec, 6, seed=7)
         assert a == b
+
+    @pytest.mark.parametrize("jacobian,match", [
+        # a 1-element row broadcast in D - D^T and read 0.0
+        (lambda q, v: np.zeros(1),
+         r"section jacobian has shape \(1,\), expected a \(6,\) fiber row"),
+        (lambda q, v: np.zeros((6, 1)),
+         r"section jacobian has shape \(6, 1\), expected a \(6,\)"),
+        # max(worst, nan) dropped the NaN and read 0.0
+        (lambda q, v: np.full(6, np.nan), "section jacobian is not finite"),
+    ], ids=["one-element", "column", "nan"])
+    def test_bad_jacobian_rows_are_rejected(self, jacobian, match):
+        nu = lie.coalgebra(lie.SO3, (0.7, -0.4, 0.2))
+        sec = replace(hj.constant_body_section(nu, np.zeros(3)),
+                      jacobian=jacobian)
+        q = hj.configuration(lie.identity(lie.SO3), np.zeros(3))
+        for probe in (lambda: hj.closedness_defect(sec, 5),
+                      lambda: hj.pullback_identity_defect(sec, 5),
+                      lambda: hj.fiber_derivative(sec, q, np.ones(6)),
+                      lambda: hj.section_residuals(rb_system(), sec, q, nu)):
+            with pytest.raises(ValueError, match=match):
+                probe()
+
+    def test_samples_off_the_section_base_are_rejected(self):
+        nu = lie.coalgebra(lie.SO3, (0.7, -0.4, 0.2))
+        sec = hj.constant_body_section(nu, np.zeros(3))
+        rng = np.random.default_rng(8)
+        qs = [hj.random_configuration(rng, lie.SE3, 1) for _ in range(3)]
+        match = (r"configuration \(SE3, 1 angles\) is not on the "
+                 r"section's base \(SO3, 3 angles\)")
+        with pytest.raises(ValueError, match=match):
+            hj.fiber(sec, qs[0])
+        for samples in (qs, hj._as_stack(qs)):
+            with pytest.raises(ValueError, match=match):
+                hj.closedness_defect(sec, samples=samples)
+            with pytest.raises(ValueError, match=match):
+                hj.pullback_identity_defect(sec, samples=samples)
+
+
+def _per_sample_gate(sec, samples) -> float:
+    """The gate one sample at a time: max over samples of
+    max |D - D^T|, D's rows the fiber derivatives along the unit base
+    directions."""
+    frame = np.eye(lie.algebra_dim(sec.kind) + sec.rotor_count)
+    worst = 0.0
+    for q in samples:
+        d = np.array([hj.fiber_derivative(sec, q, e) for e in frame])
+        worst = max(worst, float(np.max(np.abs(d - d.T))))
+    return worst
+
+
+class TestGateBlocks:
+    """The gate takes one max |D - D^T| per block of lie.CHUNK samples:
+    over two full blocks and a partial one it equals the per-sample
+    maximum, wherever the asymmetry sits."""
+
+    N = 2 * lie.CHUNK + 3
+    NU = lie.coalgebra(lie.SO3, (0.7, -0.4, 0.2))
+    SYMMETRIC = np.array([[0.5, 0.2, 0.0], [0.2, -0.3, 0.1],
+                          [0.0, 0.1, 0.4]])
+
+    def stack(self):
+        return hj.isotropy_configurations(np.random.default_rng(33),
+                                          self.NU, self.N, 3)
+
+    def section(self, coupling):
+        """Constant body momentum NU with rotor momenta whose derivative
+        along the angles is coupling(q)."""
+        def jacobian(q, v):
+            return np.concatenate([np.zeros(3), coupling(q) @ v[3:]])
+
+        return hj.OneFormSection(
+            lambda q: np.concatenate([self.NU, coupling(q) @ q.theta]),
+            lie.SO3, 3, jacobian=jacobian)
+
+    def test_symmetric_coupling_reads_zero(self):
+        sec = hj.affine_rotor_section(self.NU, (0.1, 0.0, -0.2),
+                                      self.SYMMETRIC)
+        stack = self.stack()
+        assert hj.closedness_defect(sec, samples=stack) == 0.0
+        assert _per_sample_gate(sec, stack) == 0.0
+
+    def test_q_dependent_jacobian(self):
+        shear = np.zeros((3, 3))
+        shear[0, 1] = 1.0
+        sec = self.section(lambda q: self.SYMMETRIC + q.theta[0] * shear)
+        stack = self.stack()
+        gate = hj.closedness_defect(sec, samples=stack)
+        assert gate == _per_sample_gate(sec, stack)
+        assert gate == np.max(np.abs(stack.theta[:, 0]))
+
+    def test_asymmetry_only_in_the_last_block(self):
+        stack = self.stack()
+        planted = stack.theta[self.N - 2].copy()
+        shear = np.zeros((3, 3))
+        shear[2, 0] = 0.75
+
+        def coupling(q):
+            return self.SYMMETRIC + np.array_equal(q.theta, planted) * shear
+
+        sec = self.section(coupling)
+        gate = hj.closedness_defect(sec, samples=stack)
+        assert gate == _per_sample_gate(sec, stack) == 0.75
+        head = stack.views(slice(0, 2 * lie.CHUNK))
+        assert hj.closedness_defect(sec, samples=head) == 0.0
+        with pytest.raises(hj.GateRejection):
+            hj.theorem_equivalence_probe(rb_system(), sec, stack, self.NU)
+
+    def test_non_finite_jacobian_only_in_the_last_block(self):
+        stack = self.stack()
+        planted = stack.theta[self.N - 1].copy()
+
+        def coupling(q):
+            return self.SYMMETRIC * (np.nan if np.array_equal(q.theta,
+                                                              planted)
+                                     else 1.0)
+
+        sec = self.section(coupling)
+        with pytest.raises(ValueError, match="section jacobian is not "
+                                             "finite"):
+            hj.closedness_defect(sec, samples=stack)
 
 
 class TestPullbackIdentity:
@@ -626,6 +761,24 @@ def constant_torque(x):
     return [0.1, -0.2, 0.3] + [0.0] * 3 + [0.05, 0.0, -0.1]
 
 
+def _assert_probe_rows_are_wrappers(sys, sec, qs, mu):
+    """Each probe column entry equals the section_residuals value at its
+    sample, bit for bit."""
+    n = len(qs)
+    res = hj.theorem_equivalence_probe(sys, sec, qs, mu)
+    for column in (res.relatedness, res.hj, res.x_norm):
+        assert column.dtype == np.float64 and column.shape == (n,)
+    assert len(res.labels) == n
+    for i, q in enumerate(qs):
+        r = hj.section_residuals(sys, sec, q, mu)
+        assert res.relatedness[i] == r.relatedness
+        assert res.hj[i] == np.linalg.norm(r.hj_components)
+        assert res.x_norm[i] == np.linalg.norm(r.x_gamma)
+        assert res.x_norm[i] > 0.0
+        assert res.labels[i] == hj._classify(r.relatedness,
+                                             hj_norm(sys, sec, q, mu))
+
+
 class TestProbeRowsAreTheWrappers:
     """Every probe column entry holds exactly what section_residuals, the
     one per-sample entry point, returns at its sample, in both flavours,
@@ -651,19 +804,33 @@ class TestProbeRowsAreTheWrappers:
             qs = [hj.random_configuration(rng, lie.SO3, 3)
                   for _ in range(4)]
         assert (sec.jacobian is not None) == with_jacobian
-        mu = nu if reduced else None
-        res = hj.theorem_equivalence_probe(sys, sec, qs, mu)
-        for column in (res.relatedness, res.hj, res.x_norm):
-            assert column.dtype == np.float64 and column.shape == (4,)
-        assert len(res.labels) == 4
-        for i, q in enumerate(qs):
-            r = hj.section_residuals(sys, sec, q, mu)
-            assert res.relatedness[i] == r.relatedness
-            assert res.hj[i] == np.linalg.norm(r.hj_components)
-            assert res.x_norm[i] == np.linalg.norm(r.x_gamma)
-            assert res.x_norm[i] > 0.0
-            assert res.labels[i] == hj._classify(r.relatedness,
-                                                 hj_norm(sys, sec, q, mu))
+        _assert_probe_rows_are_wrappers(sys, sec, qs, nu if reduced else None)
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    @pytest.mark.parametrize("with_jacobian", [True, False])
+    @pytest.mark.parametrize("control", [None, constant_torque])
+    def test_rows_equal_wrappers_across_blocks(self, reduced, with_jacobian,
+                                               control):
+        # two full lie.CHUNK blocks and a partial one, every sample with
+        # its own fiber row
+        sys = RCHSystem(rb_system().hamiltonian, lie.SO3, 3,
+                        control=control)
+        rng = np.random.default_rng(34)
+        n = 2 * lie.CHUNK + 3
+        if with_jacobian:
+            nu = lie.coalgebra(lie.SO3, (0.7, -0.4, 0.2))
+            sec = hj.affine_rotor_section(nu, (0.1, 0.0, -0.2),
+                                          TestGateBlocks.SYMMETRIC)
+            qs = hj.isotropy_configurations(rng, nu, n, 3)
+        else:
+            sec = hj.exact_section(lie.SO3, 3,
+                                   hj.rotor_quadratic_section().value)
+            nu = lie.coalgebra(lie.SO3, np.zeros(3))
+            qs = hj.random_configurations(rng, lie.SO3, n, 3,
+                                          lambda: rng.standard_normal(3))
+        assert (sec.jacobian is not None) == with_jacobian
+        assert len({hj.fiber(sec, q).tobytes() for q in qs}) == n
+        _assert_probe_rows_are_wrappers(sys, sec, qs, nu if reduced else None)
 
     def test_off_level_sample_raises_from_probe_and_wrappers(self):
         nu = lie.coalgebra(lie.SO3, (0.5, 0.0, 0.0))

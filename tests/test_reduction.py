@@ -27,7 +27,9 @@ def constant_trajectory(q, n, dt):
 
 
 def full_field_at(sys, q):
-    return full_dynamical_field(sys, q.layout, q.flat().tolist())
+    """The full field at the one flat state of q, as 1-d rows."""
+    full = full_dynamical_field(sys, q.layout, q.flat()[None])
+    return type(full)(*(part[0] for part in full))
 
 
 class TestCommutation:
@@ -65,6 +67,41 @@ class TestCommutation:
             rates = flat_hamiltonian_field(sys.hamiltonian, q.layout)(
                 q.flat().tolist())
             assert np.array_equal(v.lift, body - rates)
+
+    def test_stack_rows_equal_single_states(self):
+        # each row of a stacked evaluation is the one-state evaluation of
+        # that row, bit for bit
+        sys = RCHSystem(heavy_top_system(HT).hamiltonian, lie.SE3, 2,
+                        control=lambda x: [0.2] * 6 + [0.0] * 2 + [-0.1] * 2)
+        rng = np.random.default_rng(13)
+        layout = Layout(lie.SE3, 2, 2)
+        states = rng.standard_normal((5, 10))
+        full = full_dynamical_field(sys, layout, states)
+        assert [a.shape for a in full] == [(5, 6), (5, 10), (5, 10)]
+        for i, x in enumerate(states):
+            one = full_dynamical_field(sys, layout, x[None])
+            for stacked, single in zip(full, one):
+                assert np.array_equal(stacked[i], single[0])
+
+    @pytest.mark.parametrize("shape", [(9,), (2, 8), (0, 9), (1, 2, 9)])
+    def test_states_must_be_a_stack_of_flat_states(self, shape):
+        with pytest.raises(ValueError, match=r"\(n, 9\) array"):
+            full_dynamical_field(rigid_body_system(RB), Layout(lie.SO3, 3, 3),
+                                 np.zeros(shape))
+
+    def test_angle_moving_lift_anywhere_in_the_stack_is_rejected(self):
+        def late(x):
+            # moves the angles only at the state whose first entry is 2
+            return [0.0] * 3 + [x[0] == 2.0] * 3 + [0.0] * 3
+
+        sys = RCHSystem(rigid_body_system(RB).hamiltonian, lie.SO3, 3,
+                        control=late)
+        states = np.zeros((4, 9))
+        assert not full_dynamical_field(sys, Layout(lie.SO3, 3, 3),
+                                        states).lift.any()
+        states[3, 0] = 2.0
+        with pytest.raises(ValueError, match="vertical"):
+            full_dynamical_field(sys, Layout(lie.SO3, 3, 3), states)
 
     def test_vertical_control_passes_through(self):
         def torque(x):
@@ -199,6 +236,6 @@ class TestBodyVelocity:
         sys = heavy_top_system(HT)
         q = reduced_point(lie.SE3, (0.5, 0.0, 1.0), (0.0, 0.0, 1.0),
                           theta=(0.0, 0.0), l=(0.1, 0.0))
-        xi = full_dynamical_field(sys, q.layout, q.flat().tolist()).xi
+        xi = full_field_at(sys, q).xi
         assert xi.shape == (6,)
         assert_allclose(xi[3:], HT.mgh * HT.chi)

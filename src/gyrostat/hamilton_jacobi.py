@@ -1,18 +1,16 @@
 """One-form sections of the phase bundle and Hamilton-Jacobi residuals.
 
-A section assigns momenta to configurations: value(q) is its fiber row
-at q, the flat (d + k,) body covector components then the k rotor
-momenta, read through the one check :func:`fiber`. Everything
-differential here is computed in the
-left-trivialized frame: a base direction is a flat (d + k,) array of
-algebra components then angle rates, the row (xi, dtheta) stands for
-(g exp(xi), theta + dtheta), and component derivatives are central
-finite differences
-(:func:`gyrostat.poisson.central_difference`, step ``FD_STEP``) of the
-section's body components in these exponential coordinates centred at
-the base point. Closedness, the canonical two-form, and the residuals
-are all stated in that trivialization, so a section with constant body
-components is closed for these evaluators by construction.
+A section maps a :class:`ConfigurationStack` of n samples to their
+(n, d + k) fiber rows (body covector, then rotor momenta), read through
+the one check :func:`fiber`; a :class:`Configuration` is a one-row
+stack. Everything differential is in the left-trivialized frame: a base
+direction is a flat (d + k,) row of algebra components then angle
+rates, (xi, dtheta) stands for (g exp(xi), theta + dtheta), and
+derivatives are :func:`gyrostat.poisson.central_difference` quotients
+in these exponential coordinates centred at each sample. Closedness,
+the canonical two-form, and the residuals are all stated in that
+trivialization, so a section with constant body components is closed
+for these evaluators by construction.
 
 :func:`section_residuals` reads three residuals of a sample from one
 evaluation of the full dynamical field, in a full-space and a reduced
@@ -28,22 +26,17 @@ flavor (pass ``mu`` for the reduced one):
   :mod:`gyrostat.systems` up to their inertia row scales.
 
 ``theorem_equivalence_probe`` sets the latter two side by side: they
-must vanish together or stay apart together, never disagree. It runs in
-passes over a :class:`ConfigurationStack`, ``lie.CHUNK`` samples at a
-time: the samplers draw every sample's raw numbers in RNG order and then
-exponentiate them a block at a time; the gate stacks a block's frame
-partials into one array; the probe reads every fiber row once into an
-(N, d + k) array, checks a block's membership with one coadjoint call,
-and takes all three columns from one field pass over a block. Per
-sample there remain a view and the section and field calls.
+must vanish together or stay apart together, never disagree. It reads
+all N fiber rows in one section call, then per block of ``lie.CHUNK``
+samples makes the gate's derivative passes (one per frame direction),
+one membership check, one field pass and one derivative pass. Only the
+samplers' RNG draws and the field rows inside
+:func:`~gyrostat.reduction.full_dynamical_field` run per sample.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import partial
-from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,7 +44,8 @@ import numpy as np
 from . import lie
 from .controlled import RCHSystem
 from .lie import GroupElement
-from .poisson import FD_STEP, Layout, _vec, central_difference, point_like
+from .poisson import (Layout, _row_dot, _vec, central_difference,
+                      point_like)
 from .reduction import full_dynamical_field
 
 GATE_TOL = 1e-5
@@ -123,9 +117,7 @@ def isotropy_sampleable(mu) -> bool:
 class ConfigurationStack:
     """n configurations stacked: a :class:`lie.GroupPath` of their group
     parts and an (n, k) array of their rotor angles, each checked once.
-    Indexing, iteration and :meth:`views` give one-sample
-    :class:`Configuration` views, whose group elements run no second
-    rotation check."""
+    Sections read it whole; :meth:`rows` gives a block of it."""
 
     g: lie.GroupPath
     theta: np.ndarray
@@ -143,22 +135,11 @@ class ConfigurationStack:
     def __len__(self) -> int:
         return self.theta.shape[0]
 
-    def __getitem__(self, i: int) -> Configuration:
-        # row i passed the stack's checks, so the view skips them; a
-        # slice would give one Configuration of stacked rows, so only
-        # integer indices are taken
-        i = operator.index(i)
-        q = object.__new__(Configuration)
-        object.__setattr__(q, "g", self.g.element(i))
-        object.__setattr__(q, "theta", self.theta[i])
-        return q
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-    def views(self, rows: slice) -> list:
-        """The views of a slice of the stack's rows, as a list."""
-        return list(map(self.__getitem__, range(len(self))[rows]))
+    def rows(self, b: slice) -> ConfigurationStack:
+        """The samples of a non-empty slice b as a stack of views."""
+        stack = object.__new__(ConfigurationStack)
+        stack.__dict__.update(g=self.g.rows(b), theta=self.theta[b])
+        return stack
 
 
 def _as_stack(samples) -> ConfigurationStack:
@@ -258,16 +239,16 @@ def isotropy_configurations(rng: np.random.Generator, mu, n: int,
 
 @dataclass(frozen=True)
 class OneFormSection:
-    """Assignment of momenta over configurations.
+    """Assignment of momenta over configurations, a stack at a time.
 
-    value(q) returns the fiber row at q: a flat (d + k,) array of the
-    body covector components followed by the k rotor momenta, checked
-    by :func:`fiber`. jacobian, when given, maps (q, flat base
-    direction) to the derivative of that row along the direction and
-    replaces finite differences.
+    value maps a :class:`ConfigurationStack` of n samples to their
+    (n, d + k) fiber rows, checked by :func:`fiber`. jacobian, when
+    given, maps the stack and (n, d + k) base directions, one per
+    sample, to the rows' derivatives along them, replacing finite
+    differences.
     """
 
-    value: Callable[[Configuration], np.ndarray]
+    value: Callable[[ConfigurationStack], np.ndarray]
     kind: str
     rotor_count: int
     jacobian: Callable | None = None
@@ -289,64 +270,73 @@ def _check_base(gamma: OneFormSection, kind: str, n_theta: int) -> None:
                          f"{gamma.rotor_count} angles)")
 
 
-def _check_rows(rows: np.ndarray, shape: tuple, what: str) -> np.ndarray:
-    """rows (one fiber row or a stack) checked to be finite, of shape."""
+def _check_rows(rows, shape: tuple, what: str) -> np.ndarray:
+    """rows as a finite float array of the (n, m) shape, never broadcast."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape[:1] != shape[:1]:
+        raise ValueError(f"{what} has shape {rows.shape} for {shape[0]} "
+                         f"samples, expected a ({shape[1]},) fiber row each")
     if rows.shape != shape:
-        raise ValueError(f"{what} has shape {rows.shape[len(shape) - 1:]}, "
-                         f"expected a ({shape[-1]},) fiber row")
+        raise ValueError(f"{what} has shape {rows.shape[1:]}, expected a "
+                         f"({shape[1]},) fiber row")
     if not np.isfinite(rows).all():
         raise ValueError(f"{what} is not finite")
     return rows
 
 
-def fiber(gamma: OneFormSection, q: Configuration) -> np.ndarray:
-    """The fiber row of gamma at q, checked: q must lie on the section's
-    base (its group kind and angle count) and the row must be a finite
-    (d + k,) array."""
-    _check_base(gamma, q.kind, q.n_theta)
-    return _check_rows(np.asarray(gamma.value(q), dtype=float),
-                       (lie.algebra_dim(gamma.kind) + gamma.rotor_count,),
-                       "section value")
+def fiber(gamma: OneFormSection, q) -> np.ndarray:
+    """The fiber rows of gamma at the stack q, checked: q must lie on the
+    section's base (group kind and angle count) and the rows must be a
+    finite (n, d + k) array. A :class:`Configuration` q is read as a
+    one-row stack and gives its (d + k,) row."""
+    if isinstance(q, Configuration):
+        return fiber(gamma, _as_stack([q]))[0]
+    _check_base(gamma, q.g.kind, q.theta.shape[1])
+    return _check_rows(gamma.value(q), (len(q), lie.algebra_dim(gamma.kind)
+                                        + gamma.rotor_count), "section value")
 
 
-def _exp_chart(q: Configuration, fn: Callable[[Configuration], object]):
-    """fn in exponential coordinates centred at q, batched for
-    central_difference: row (xi, dtheta) of the argument stands for the
-    configuration (g exp(xi), theta + dtheta)."""
-    d = lie.algebra_dim(q.kind)
-    return lambda pts: np.array([
-        fn(Configuration(lie.compose(q.g, GroupElement(
-            q.kind, *lie.flat_exp(row[:d]))), q.theta + row[d:]))
-        for row in pts])
+def _chart(stack: ConfigurationStack, pts: np.ndarray) -> ConfigurationStack:
+    """The configurations at pts in exponential coordinates centred at
+    each sample of stack: the rows of pts fall to the samples in equal
+    runs, row (xi, dtheta) of sample j's run standing for
+    (g_j exp(xi), theta_j + dtheta)."""
+    g, d, run = stack.g, lie.algebra_dim(stack.g.kind), len(pts) // len(stack)
+    rot, e_rot, e_trans = np.repeat(g.rot, run, 0), *lie.flat_exp(pts[:, :d])
+    trans = None if e_trans is None else \
+        (rot @ e_trans[..., None])[..., 0] + np.repeat(g.trans, run, 0)
+    return ConfigurationStack(lie.GroupPath(g.kind, rot @ e_rot, trans),
+                              np.repeat(stack.theta, run, 0) + pts[:, d:])
 
 
 def fiber_derivative(gamma: OneFormSection, q: Configuration,
-                     v: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    """Derivative of the fiber row along the flat v, checked as
-    :func:`fiber` checks a row."""
+                     v: np.ndarray) -> np.ndarray:
+    """Derivative of the fiber row at q along the flat v, checked as
+    :func:`fiber` checks a row: the one-row view of the block pass."""
     v = np.asarray(v, dtype=float)
     dim = lie.algebra_dim(gamma.kind) + gamma.rotor_count
     if v.shape != (dim,):
         raise ValueError(f"expected a {dim}-component base direction")
-    if gamma.jacobian is not None:
-        return _fiber_derivatives(gamma, [(q, v)])[0]
-    speed = float(np.linalg.norm(v))
-    if speed == 0.0:
-        return np.zeros(dim)
-    unit = v / speed
-    chart = _exp_chart(q, partial(fiber, gamma))
-    return speed * central_difference(lambda s: chart(s * unit),
-                                      np.zeros((1, 1)), step)[0, 0]
+    return _fiber_derivatives(gamma, _as_stack([q]), v[None])[0]
 
 
-def _fiber_derivatives(gamma: OneFormSection, pairs) -> np.ndarray:
-    """:func:`fiber_derivative` at each (q, v) of pairs, stacked and
-    checked once; the directions v must already have the right shape."""
-    derivative = gamma.jacobian if gamma.jacobian is not None else \
-        partial(fiber_derivative, gamma)
-    rows = np.array([derivative(q, v) for q, v in pairs], dtype=float)
-    return _check_rows(rows, (len(rows), lie.algebra_dim(gamma.kind)
-                              + gamma.rotor_count), "section jacobian")
+def _fiber_derivatives(gamma: OneFormSection, stack: ConfigurationStack,
+                       v: np.ndarray) -> np.ndarray:
+    """The derivatives of the fiber rows of stack along its (n, d + k)
+    base directions v, checked as :func:`fiber` checks rows: one jacobian
+    call, else a central difference along each unit direction from one
+    value call on 2n configurations (zero along a zero direction)."""
+    _check_base(gamma, stack.g.kind, stack.theta.shape[1])
+    if gamma.jacobian is None:
+        speed = _row_norms(v)
+        still = speed == 0.0
+        unit = np.repeat(v / np.where(still, 1.0, speed)[:, None], 2, axis=0)
+        rows = speed[:, None] * central_difference(lambda s: fiber(
+            gamma, _chart(stack, s * unit)), np.zeros((len(v), 1)))[:, 0]
+        rows[still] = 0.0
+    else:
+        rows = gamma.jacobian(stack, v)
+    return _check_rows(rows, v.shape, "section jacobian")
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +348,8 @@ def constant_body_section(nu0, l0=()) -> OneFormSection:
     nu0, kind = lie._flat_algebra(nu0)
     l0 = _vec(l0, "l0")
     row = np.concatenate([nu0, l0])
-    return OneFormSection(lambda q: row.copy(), kind, l0.size,
-                          jacobian=lambda q, v: np.zeros(row.size),
+    return OneFormSection(lambda q: np.tile(row, (len(q), 1)), kind, l0.size,
+                          jacobian=lambda q, v: np.zeros((len(q), row.size)),
                           family="constant_body")
 
 
@@ -369,11 +359,11 @@ def zero_section(kind: str, rotor_count: int = 0) -> OneFormSection:
 
 
 def exact_section(kind: str, rotor_count: int,
-                  grad_w: Callable[[Configuration], np.ndarray],
+                  grad_w: Callable[[ConfigurationStack], np.ndarray],
                   jacobian: Callable | None = None) -> OneFormSection:
-    """Differential of a scalar on the base: grad_w(q) is the fiber row,
-    the stacked frame components (body derivatives, then angle
-    partials)."""
+    """Differential of a scalar on the base: grad_w(stack) is the fiber
+    rows, the stacked frame components (body derivatives, then angle
+    partials) of each sample."""
     return OneFormSection(grad_w, kind, rotor_count, jacobian=jacobian,
                           family="exact_dW")
 
@@ -382,22 +372,21 @@ def rotor_quadratic_section(kind: str = lie.SO3,
                             offset=(3.0, 0.0, 0.0)) -> OneFormSection:
     """Exact section of the scalar |theta|^2 / 2 + offset . theta: zero
     body momentum and l = theta + offset."""
-    offset = np.asarray(offset, dtype=float)
-    k = offset.size
+    offset = _vec(offset, "offset")
     d = lie.algebra_dim(kind)
 
-    def grad_w(q: Configuration) -> np.ndarray:
-        return np.concatenate([np.zeros(d), q.theta + offset])
+    def grad_w(q: ConfigurationStack) -> np.ndarray:
+        return np.hstack([np.zeros((len(q), d)), q.theta + offset])
 
-    def jacobian(q: Configuration, v: np.ndarray) -> np.ndarray:
-        return np.concatenate([np.zeros(d), v[d:]])
+    def jacobian(q: ConfigurationStack, v: np.ndarray) -> np.ndarray:
+        return np.hstack([np.zeros((len(v), d)), v[:, d:]])
 
-    return exact_section(kind, k, grad_w, jacobian=jacobian)
+    return exact_section(kind, offset.size, grad_w, jacobian=jacobian)
 
 
 def affine_rotor_section(nu0, l0, coupling) -> OneFormSection:
     """Constant flat body momentum nu0 with rotor momenta affine in the
-    angles: l(theta) = l0 + C theta.
+    angles: l(theta) = l0 + C theta, C of shape (k, k) for k rotors.
 
     In the trivialized frame the only nonzero derivative block is C, so
     the section is closed exactly when C is symmetric; an asymmetric C
@@ -405,15 +394,21 @@ def affine_rotor_section(nu0, l0, coupling) -> OneFormSection:
     """
     l0 = _vec(l0, "l0")
     k = l0.size
-    coupling = np.asarray(coupling, dtype=float).reshape(k, k)
+    coupling = np.asarray(coupling, dtype=float)
+    if coupling.shape != (k, k):
+        raise ValueError(f"coupling must be a ({k}, {k}) matrix for {k} "
+                         f"rotor momenta, got shape {coupling.shape}")
     nu0, kind = lie._flat_algebra(nu0)
     d = nu0.size
 
-    def value(q: Configuration) -> np.ndarray:
-        return np.concatenate([nu0, l0 + coupling @ q.theta])
+    # the stacked matvecs round each row as coupling @ theta does
+    def value(q: ConfigurationStack) -> np.ndarray:
+        return np.hstack([np.tile(nu0, (len(q), 1)),
+                          l0 + (coupling @ q.theta[..., None])[..., 0]])
 
-    def jacobian(q: Configuration, v: np.ndarray) -> np.ndarray:
-        return np.concatenate([np.zeros(d), coupling @ v[d:]])
+    def jacobian(q: ConfigurationStack, v: np.ndarray) -> np.ndarray:
+        return np.hstack([np.zeros((len(v), d)),
+                          (coupling @ v[:, d:, None])[..., 0]])
 
     return OneFormSection(value, kind, k, jacobian=jacobian,
                           family="custom")
@@ -427,24 +422,31 @@ def shear_section(kind: str, rotor_count: int) -> OneFormSection:
         raise ValueError("shear_section needs at least two rotor slots")
     d = lie.algebra_dim(kind)
 
-    def value(q: Configuration) -> np.ndarray:
-        row = np.zeros(d + rotor_count)
-        row[d + 1] = q.theta[0]
-        return row
+    def value(q: ConfigurationStack) -> np.ndarray:
+        rows = np.zeros((len(q), d + rotor_count))
+        rows[:, d + 1] = q.theta[:, 0]
+        return rows
 
     return OneFormSection(value, kind, rotor_count, family="custom")
 
 
 def spatial_section(mu, rotor_count: int = 0, l0=()) -> OneFormSection:
-    """Section with constant flat spatial momentum mu; its body
-    components rotate with the configuration, so it is not closed in the
-    body frame and probe gates reject it for nonzero mu."""
+    """Section with constant flat spatial momentum mu and rotor_count
+    rotor momenta l0 (zero by default); its body components rotate with
+    the configuration, so it is not closed in the body frame and probe
+    gates reject it for nonzero mu."""
     mu, kind = lie._flat_algebra(mu)
-    l0 = np.atleast_1d(np.asarray(l0, dtype=float)) if np.size(l0) \
-        else np.zeros(rotor_count)
+    l0 = _vec(l0, "l0") if np.size(l0) else np.zeros(rotor_count)
+    if l0.size != rotor_count:
+        raise ValueError(f"l0 has {l0.size} rotor momenta, expected "
+                         f"rotor_count = {rotor_count}")
 
-    def value(q: Configuration) -> np.ndarray:
-        return np.concatenate([lie.Ad_star(lie.inverse(q.g), mu), l0])
+    def value(q: ConfigurationStack) -> np.ndarray:
+        rot = q.g.rot.mT  # coadjoint action of g^-1 = (R^T, -R^T t)
+        trans = None if q.g.trans is None else \
+            -(rot @ q.g.trans[..., None])[..., 0]
+        return np.hstack([lie.coadjoint(rot, trans, mu),
+                          np.tile(l0, (len(q), 1))])
 
     return OneFormSection(value, kind, rotor_count, family="custom")
 
@@ -465,17 +467,19 @@ def _default_samples(gamma: OneFormSection, n_samples: int,
 def _frame_partials(gamma: OneFormSection, samples, n_samples: int,
                     seed: int):
     """Per lie.CHUNK block of samples (n_samples default ones if None),
-    whose base is checked once, its views and (b, m, m) partials D:
-    D[j, i] is the derivative of the fiber row at sample j along row i
-    of the identity, so D[j] - D[j]^T is d gamma on the frame pairs."""
+    the block and its (b, m, m) partials D, one derivative pass per frame
+    row: D[j, i] is the derivative of the fiber row at sample j along
+    row i of the identity, so D[j] - D[j]^T is d gamma on the frame
+    pairs."""
     stack = _default_samples(gamma, n_samples, seed) if samples is None \
         else _as_stack(samples)
-    _check_base(gamma, stack.g.kind, stack.theta.shape[1])
-    frame = np.eye(lie.algebra_dim(gamma.kind) + gamma.rotor_count)
+    m = lie.algebra_dim(gamma.kind) + gamma.rotor_count
+    # frame row i repeated over a block, for each i
+    frames = np.repeat(np.eye(m)[:, None], lie.CHUNK, axis=1)
     for lo in range(0, len(stack), lie.CHUNK):
-        views = stack.views(slice(lo, lo + lie.CHUNK))
-        yield views, _fiber_derivatives(gamma, product(views, frame)
-                                        ).reshape(len(views), *frame.shape)
+        block = stack.rows(slice(lo, lo + lie.CHUNK))
+        yield block, np.stack([_fiber_derivatives(gamma, block, e[:len(block)])
+                               for e in frames], 1)
 
 
 def closedness_defect(gamma: OneFormSection, n_samples: int = 20,
@@ -493,7 +497,7 @@ def closedness_defect(gamma: OneFormSection, n_samples: int = 20,
 def pullback_identity_defect(gamma: OneFormSection, n_samples: int = 20,
                              seed: int = 0, samples=None) -> float:
     """Max defect of (pullback of the canonical two-form) = -(d gamma)
-    on random unit tangent pairs.
+    on random unit tangent pairs, one (v, w) pair drawn per sample.
 
     The left side pushes the pair through the section's tangent map and
     evaluates the two-form; the right side expands d gamma bilinearly
@@ -504,15 +508,18 @@ def pullback_identity_defect(gamma: OneFormSection, n_samples: int = 20,
     rng = np.random.default_rng(seed + 1)
     d = lie.algebra_dim(gamma.kind)
     worst = 0.0
-    for views, partials in _frame_partials(gamma, samples, n_samples, seed):
-        for q, curl in zip(views, partials - partials.mT):
-            v, w = rng.standard_normal((2, len(curl)))
-            v, w = v / np.linalg.norm(v), w / np.linalg.norm(w)
-            dv, dw = _fiber_derivatives(gamma, [(q, v), (q, w)])
-            # the trivialization's canonical two-form on the pushed pair
-            lhs = (float(dw[:d] @ v[:d]) - float(dv[:d] @ w[:d])
-                   + float(dw[d:] @ v[d:]) - float(dv[d:] @ w[d:]))
-            worst = max(worst, abs(lhs + float(v @ curl @ w)))
+    for block, partials in _frame_partials(gamma, samples, n_samples, seed):
+        # the stream of one (2, m) draw per sample
+        v, w = rng.standard_normal((len(block), 2, d + gamma.rotor_count)
+                                   ).swapaxes(0, 1)
+        v, w = v / _row_norms(v)[:, None], w / _row_norms(w)[:, None]
+        dv, dw = (_fiber_derivatives(gamma, block, u) for u in (v, w))
+        # the trivialization's canonical two-form on the pushed pairs
+        lhs = (_row_dot(dw[:, :d], v[:, :d]) - _row_dot(dv[:, :d], w[:, :d])
+               + _row_dot(dw[:, d:], v[:, d:])
+               - _row_dot(dv[:, d:], w[:, d:]))
+        curl = v[:, None] @ (partials - partials.mT) @ w[..., None]
+        worst = max(worst, float(np.max(np.abs(lhs + curl[:, 0, 0]))))
     return worst
 
 
@@ -543,11 +550,11 @@ def section_residuals(sys: RCHSystem, gamma: OneFormSection,
     base differential of the hamiltonian restricted to the section plus
     the fiber components of force and control.
     """
-    row = fiber(gamma, q)
+    stack = _as_stack([q])
+    rows = fiber(gamma, stack)
     if mu is not None:
-        _check_level(q.g.rot, q.g.trans, row, mu)
-    relatedness, hj_components, x = _residuals(sys, gamma, [q],
-                                               q.theta[None], row[None], mu)
+        _check_level(stack, rows, mu)
+    relatedness, hj_components, x = _residuals(sys, gamma, stack, rows, mu)
     return SectionResiduals(float(relatedness[0]), hj_components[0], x[0])
 
 
@@ -556,11 +563,11 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(rows, rows))
 
 
-def _check_level(rot, trans, rows, mu, gate: float | None = None) -> None:
+def _check_level(stack: ConfigurationStack, rows, mu, gate=None) -> None:
     """Raise a :class:`MembershipError` carrying gate at the first of the
-    fiber rows (one or a stack) whose body momentum p is off the mu level
-    at its group part: |Ad*_{g^-1} p - mu| > MEMBERSHIP_TOL."""
-    defect = _row_norms(lie.coadjoint(rot, trans, rows) - mu).reshape(-1)
+    fiber rows of stack whose body momentum p is off the mu level at its
+    group part: |Ad*_{g^-1} p - mu| > MEMBERSHIP_TOL."""
+    defect = _row_norms(lie.coadjoint(stack.g.rot, stack.g.trans, rows) - mu)
     bad = np.flatnonzero(defect > MEMBERSHIP_TOL)
     if bad.size:
         exc = MembershipError("section image is off the momentum level "
@@ -569,32 +576,32 @@ def _check_level(rot, trans, rows, mu, gate: float | None = None) -> None:
         raise exc
 
 
-def _residuals(sys: RCHSystem, gamma: OneFormSection, views: list,
-               theta: np.ndarray, rows: np.ndarray, mu) -> tuple:
-    """The residuals of gamma at the b configurations views, from their
-    (b, k) angles and checked (b, d + k) fiber rows: the relatedness
-    column and the (b, .) hj components and X_gamma."""
+def _residuals(sys: RCHSystem, gamma: OneFormSection,
+               block: ConfigurationStack, rows: np.ndarray, mu) -> tuple:
+    """The residuals of gamma at the b configurations of block, from their
+    checked (b, d + k) fiber rows: the relatedness column and the (b, .)
+    hj components and X_gamma. One field pass and one derivative pass;
+    the full flavor adds one difference pass of h along the section."""
     dim = lie.algebra_dim(gamma.kind)
     layout = Layout(gamma.kind, gamma.rotor_count, gamma.rotor_count)
     angles = slice(dim, dim + layout.n_theta)
-    # the flat reduced states: body momenta, angles, rotor momenta
-    full = full_dynamical_field(sys, layout, np.concatenate(
-        [rows[:, :dim], theta, rows[:, dim:]], axis=1))
-    x = np.concatenate([full.xi, full.body[:, angles]], axis=1)
-    d_fiber = _fiber_derivatives(gamma, zip(views, x))
+
+    def states(stack, rows):
+        # the flat reduced states: body momenta, angles, rotor momenta
+        return np.hstack([rows[:, :dim], stack.theta, rows[:, dim:]])
+
+    full = full_dynamical_field(sys, layout, states(block, rows))
+    x = np.hstack([full.xi, full.body[:, angles]])
+    d_fiber = _fiber_derivatives(gamma, block, x)
     if mu is not None:
-        pushed = np.concatenate([d_fiber[:, :dim], x[:, dim:],
-                                 d_fiber[:, dim:]], axis=1)
+        pushed = np.hstack([d_fiber[:, :dim], x[:, dim:], d_fiber[:, dim:]])
         return _row_norms(pushed - full.body), full.body, x
-
-    def h_on_section(cfg: Configuration) -> float:
-        row = fiber(gamma, cfg)
-        return sys.hamiltonian.eval(point_like(layout, np.concatenate(
-            [row[:dim], cfg.theta, row[dim:]])))
-
-    d_h = np.array([central_difference(_exp_chart(q, h_on_section),
-                                       np.zeros((1, x.shape[1])))[0]
-                    for q in views])
+    # h on the section at the chart points; eval_batch matches eval
+    h = sys.hamiltonian
+    energy = h.eval_batch or (lambda pts: [h.eval(point_like(layout, p))
+                                           for p in pts])
+    d_h = central_difference(lambda pts: energy(states(
+        (q := _chart(block, pts)), fiber(gamma, q))), np.zeros(x.shape))
     return (_row_norms(d_fiber - np.delete(full.body, angles, axis=1)),
             -d_h + np.delete(full.lift, angles, axis=1), x)
 
@@ -666,19 +673,15 @@ def theorem_equivalence_probe(sys: RCHSystem, gamma: OneFormSection,
                             f"(defect {gate:.3e} > {GATE_TOL:g})")
         exc.closedness_defect = gate
         raise exc
-    n, g = len(samples), samples.g
-    rows = np.empty((n, lie.algebra_dim(gamma.kind) + gamma.rotor_count))
-    for i, q in enumerate(samples):
-        rows[i] = fiber(gamma, q)
+    n, rows = len(samples), fiber(gamma, samples)
     blocks = [slice(lo, lo + lie.CHUNK) for lo in range(0, n, lie.CHUNK)]
     if mu is not None:
         for b in blocks:
-            _check_level(g.rot[b], None if g.trans is None else g.trans[b],
-                         rows[b], mu, gate)
+            _check_level(samples.rows(b), rows[b], mu, gate)
     relatedness, hj, x_norm = np.empty(n), np.empty(n), np.empty(n)
     for b in blocks:
-        relatedness[b], h, x = _residuals(sys, gamma, samples.views(b),
-                                          samples.theta[b], rows[b], mu)
+        relatedness[b], h, x = _residuals(sys, gamma, samples.rows(b),
+                                          rows[b], mu)
         hj[b], x_norm[b] = _row_norms(h), _row_norms(x)
     labels = map(_classify, relatedness, hj)
     return ProbeResult(relatedness, hj, x_norm, tuple(labels), gate)

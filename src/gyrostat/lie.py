@@ -28,7 +28,6 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,16 +170,14 @@ class GroupPath:
     def __post_init__(self):
         _set_group_parts(self, np.shape(self.rot)[:1])
 
-    def element(self, i: int) -> GroupElement:
-        """Element i as a :class:`GroupElement` on views of row i. Its
-        rotation passed the check over the stack, so none runs again.
-        i must be an integer: a slice raises TypeError."""
-        i = operator.index(i)
-        g = object.__new__(GroupElement)
-        object.__setattr__(g, "kind", self.kind)
-        object.__setattr__(g, "rot", self.rot[i])
-        object.__setattr__(g, "trans",
-                           None if self.trans is None else self.trans[i])
+    def rows(self, b: slice) -> GroupPath:
+        """The rows of a non-empty slice b as a path of views, which run no
+        second check."""
+        if not isinstance(b, slice):
+            raise TypeError(f"rows takes a slice, got {type(b).__name__}")
+        g = object.__new__(GroupPath)
+        g.__dict__.update(kind=self.kind, rot=self.rot[b],
+                          trans=None if self.trans is None else self.trans[b])
         return g
 
 

@@ -540,8 +540,8 @@ class TestBuilders:
         rng = np.random.default_rng(0)
         samples = cfgmod.sample_configurations(cfg, mu, rng)
         assert len(samples) == 40
-        assert all(np.all(np.abs(q.theta) <= 1.0) for q in samples)
-        rotations = np.array([q.g.rot for q in samples])
+        assert np.all(np.abs(samples.theta) <= 1.0)
+        rotations = samples.g.rot
         assert np.max(np.abs(rotations - rotations[0])) > 0.1
 
     def test_nonzero_level_samples_fix_the_momentum(self):
@@ -549,9 +549,10 @@ class TestBuilders:
                                 "nu0 = 0.0 0.0 2.0\nsamples = 25\n")
         _, mu = cfgmod.build_section(cfg)
         rng = np.random.default_rng(1)
-        for q in cfgmod.sample_configurations(cfg, mu, rng):
-            assert_allclose(lie.Ad_star(q.g, mu), mu,
-                            atol=1e-12)
+        samples = cfgmod.sample_configurations(cfg, mu, rng)
+        for rot in samples.g.rot:
+            assert_allclose(lie.Ad_star(lie.GroupElement(lie.SO3, rot), mu),
+                            mu, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 3, 2027])
     @pytest.mark.parametrize("text", [RB, HT], ids=["so3", "se3"])
@@ -602,9 +603,8 @@ class TestBuilders:
                                          np.random.default_rng(11))
         b = cfgmod.sample_configurations(cfg, mu,
                                          np.random.default_rng(11))
-        for qa, qb in zip(a, b):
-            assert np.array_equal(qa.g.rot, qb.g.rot)
-            assert np.array_equal(qa.theta, qb.theta)
+        assert np.array_equal(a.g.rot, b.g.rot)
+        assert np.array_equal(a.theta, b.theta)
 
     def test_identity_matching_control_vanishes(self):
         cfg = parse_config(IDENT)

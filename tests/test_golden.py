@@ -253,10 +253,12 @@ def _hj_full_sections(kind: str, k: int) -> dict:
         # a . R e3 along xi is xi . (e3 x R^T a). The trivialized gate
         # has no bracket term, so this body part reads as order-one
         # non-closedness there.
-        angles = np.zeros(k)
-        angles[:2] = q.theta[0] * q.theta[1], 0.5 * q.theta[0] ** 2
-        return np.concatenate([np.cross([0.0, 0.0, 1.0], q.g.rot.T @ a),
-                               np.zeros(d - 3), angles])
+        theta = q.theta
+        angles = np.zeros((len(q), k))
+        angles[:, 0] = theta[:, 0] * theta[:, 1]
+        angles[:, 1] = 0.5 * theta[:, 0] ** 2
+        return np.concatenate([np.cross([0.0, 0.0, 1.0], q.g.rot.mT @ a),
+                               np.zeros((len(q), d - 3)), angles], axis=1)
 
     coupling = 0.2 * np.eye(k) + 0.1
     offset = np.zeros(k)

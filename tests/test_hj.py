@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -40,6 +41,14 @@ def hj_norm(*args):
     return float(np.linalg.norm(hj.section_residuals(*args).hj_components))
 
 
+def configurations(stack):
+    """The samples of a stack as Configurations, each checked anew."""
+    g = stack.g
+    trans = [None] * len(stack) if g.trans is None else g.trans
+    return [hj.configuration(lie.GroupElement(g.kind, r, t), theta)
+            for r, t, theta in zip(g.rot, trans, stack.theta)]
+
+
 def tilted_gravity_data():
     """Heavy-top level set mu = (0, e3) whose plumb line is not aligned
     with the rotor-free symmetry axis chi."""
@@ -68,14 +77,14 @@ class TestConfigurations:
     def test_isotropy_samples_fix_the_momentum(self):
         rng = np.random.default_rng(1)
         mu = lie.coalgebra(lie.SO3, (0.4, -0.2, 0.9))
-        for q in hj.isotropy_configurations(rng, mu, 8, 3):
+        for q in configurations(hj.isotropy_configurations(rng, mu, 8, 3)):
             assert_allclose(lie.Ad_star(q.g, mu), mu,
                             atol=1e-12)
 
     def test_isotropy_samples_se3_aligned(self):
         rng = np.random.default_rng(2)
         mu = lie.coalgebra(lie.SE3, (0.0, 0.6, 0.0), (0.0, 3.0, 0.0))
-        for q in hj.isotropy_configurations(rng, mu, 8, 2):
+        for q in configurations(hj.isotropy_configurations(rng, mu, 8, 2)):
             assert_allclose(lie.Ad_star(q.g, mu), mu,
                             atol=1e-12)
 
@@ -89,7 +98,7 @@ class TestConfigurations:
         rng = np.random.default_rng(4)
         mu = lie.coalgebra(lie.SO3, np.zeros(3))
         qs = hj.isotropy_configurations(rng, mu, 2, 0)
-        assert qs[0].g.rot.shape == (3, 3)
+        assert configurations(qs)[0].g.rot.shape == (3, 3)
 
 
 def _reference_rows(rng, mu, n, k):
@@ -170,42 +179,51 @@ class TestStackedSamples:
         stack = hj.isotropy_configurations(np.random.default_rng(3), mu,
                                            50, 2)
         assert calls == [(50, 3, 3)]
-        views = list(stack)
+        block = stack.rows(slice(10, 30))
         assert calls == [(50, 3, 3)]
-        assert len(stack) == len(views) == 50
-        q = views[17]
-        assert isinstance(q, hj.Configuration) and q.kind == lie.SE3
-        assert np.shares_memory(q.g.rot, stack.g.rot)
-        assert np.array_equal(q.g.trans, stack.g.trans[17])
-        assert np.array_equal(q.theta, stack.theta[17])
-        assert stack[-1].theta.shape == (2,)
+        assert len(stack) == 50 and len(block) == 20
+        assert isinstance(block, hj.ConfigurationStack)
+        assert block.g.kind == lie.SE3
+        assert np.shares_memory(block.g.rot, stack.g.rot)
+        assert np.array_equal(block.g.trans, stack.g.trans[10:30])
+        assert np.array_equal(block.theta, stack.theta[10:30])
+        assert stack.rows(slice(49, 50)).theta.shape == (1, 2)
 
     def test_views_of_a_slice_are_the_indexed_views(self):
         mu = ISOTROPY_LEVELS["se3-off-axis"]
         stack = hj.isotropy_configurations(np.random.default_rng(6), mu,
                                            7, 2)
         for rows in (slice(2, 5), slice(5, 70), slice(None)):
-            views = stack.views(rows)
-            assert len(views) == len(range(7)[rows])
-            for q, i in zip(views, range(7)[rows]):
-                want = stack[i]
-                assert q.g.rot is not want.g.rot
-                assert _same_bits(q.g.rot, want.g.rot)
-                assert _same_bits(q.g.trans, want.g.trans)
-                assert _same_bits(q.theta, want.theta)
+            block = stack.rows(rows)
+            assert len(block) == len(range(7)[rows])
+            assert np.shares_memory(block.g.rot, stack.g.rot)
+            assert _same_bits(block.g.rot, stack.g.rot[rows])
+            assert _same_bits(block.g.trans, stack.g.trans[rows])
+            assert _same_bits(block.theta, stack.theta[rows])
+            for j, i in enumerate(range(7)[rows]):
+                assert _same_bits(block.g.rot[j], stack.g.rot[i])
+                assert _same_bits(block.g.trans[j], stack.g.trans[i])
+                assert _same_bits(block.theta[j], stack.theta[i])
 
     def test_slices_are_rejected(self):
-        # a slice view would carry (2, 3, 3) rotations and (2, k) angles
-        # past every check
-        mu = ISOTROPY_LEVELS["so3-level"]
+        # a slice stands for a block of rows, never for one configuration:
+        # its (2, 3, 3) rotations and (2, k) angles fail the element checks
+        mu = ISOTROPY_LEVELS["se3-off-axis"]
         stack = hj.isotropy_configurations(np.random.default_rng(5), mu,
                                            4, 3)
-        assert np.array_equal(stack[np.int64(3)].theta, stack.theta[3])
-        for index in (slice(1, 3), slice(None), [0, 1], 1.0):
-            with pytest.raises(TypeError):
-                stack[index]
-            with pytest.raises(TypeError):
-                stack.g.element(index)
+        block = stack.rows(slice(1, 3))
+        with pytest.raises(ValueError, match="rot must be 3x3"):
+            lie.GroupElement(lie.SE3, block.g.rot, block.g.trans)
+        g = lie.GroupElement(lie.SE3, stack.g.rot[1], stack.g.trans[1])
+        with pytest.raises(ValueError, match="1-d"):
+            hj.Configuration(g, block.theta)
+        # and an integer or list index would drop or copy the stack axis
+        # past every check, so rows takes slices only
+        for index in (3, np.int64(3), [0, 1], 1.0):
+            with pytest.raises(TypeError, match="slice"):
+                stack.rows(index)
+            with pytest.raises(TypeError, match="slice"):
+                stack.g.rows(index)
 
     def test_corrupted_row_is_rejected_by_index(self):
         mu = ISOTROPY_LEVELS["so3-level"]
@@ -258,7 +276,8 @@ class TestSections:
     def test_fiber_rejects_a_row_of_the_wrong_shape(self):
         q = hj.configuration(lie.identity(lie.SO3), (0.0, 0.0))
         for row in (np.zeros(4), np.zeros(6), np.zeros((1, 5))):
-            sec = hj.exact_section(lie.SO3, 2, lambda q, row=row: row)
+            sec = hj.exact_section(lie.SO3, 2, lambda q, row=row:
+                                   np.array([row] * len(q)))
             with pytest.raises(ValueError,
                                match=r"shape \(.*\), expected a \(5,\)"):
                 hj.fiber(sec, q)
@@ -268,7 +287,8 @@ class TestSections:
         for bad in (np.nan, np.inf):
             row = np.zeros(5)
             row[1] = bad
-            sec = hj.exact_section(lie.SO3, 2, lambda q, row=row: row)
+            sec = hj.exact_section(lie.SO3, 2, lambda q, row=row:
+                                   np.array([row] * len(q)))
             with pytest.raises(ValueError, match="not finite"):
                 hj.fiber(sec, q)
 
@@ -300,8 +320,9 @@ class TestSections:
 
     def test_jacobian_matches_finite_differences(self):
         def grad_w(q):
-            return np.concatenate([np.zeros(3),
-                                   q.theta + np.array([3.0, 0.0, 0.0])])
+            return np.concatenate([np.zeros((len(q), 3)),
+                                   q.theta + np.array([3.0, 0.0, 0.0])],
+                                  axis=1)
 
         with_jac = hj.rotor_quadratic_section()
         without = hj.exact_section(lie.SO3, 3, grad_w)
@@ -333,8 +354,10 @@ class TestClosedness:
     def test_exact_section_closed_through_finite_differences(self):
         def grad_w(q):
             # differential of theta_1^2 theta_2 / 2
-            return np.array([0.0, 0.0, 0.0, q.theta[0] * q.theta[1],
-                             0.5 * q.theta[0] ** 2])
+            t1, t2 = q.theta.T
+            zero = np.zeros(len(q))
+            return np.stack([zero, zero, zero, t1 * t2, 0.5 * t1 ** 2],
+                            axis=1)
 
         sec = hj.exact_section(lie.SO3, 2, grad_w)
         assert hj.closedness_defect(sec, 10) <= 1e-6
@@ -356,12 +379,13 @@ class TestClosedness:
 
     @pytest.mark.parametrize("jacobian,match", [
         # a 1-element row broadcast in D - D^T and read 0.0
-        (lambda q, v: np.zeros(1),
+        (lambda q, v: np.zeros((len(q), 1)),
          r"section jacobian has shape \(1,\), expected a \(6,\) fiber row"),
-        (lambda q, v: np.zeros((6, 1)),
+        (lambda q, v: np.zeros((len(q), 6, 1)),
          r"section jacobian has shape \(6, 1\), expected a \(6,\)"),
         # max(worst, nan) dropped the NaN and read 0.0
-        (lambda q, v: np.full(6, np.nan), "section jacobian is not finite"),
+        (lambda q, v: np.full((len(q), 6), np.nan),
+         "section jacobian is not finite"),
     ], ids=["one-element", "column", "nan"])
     def test_bad_jacobian_rows_are_rejected(self, jacobian, match):
         nu = lie.coalgebra(lie.SO3, (0.7, -0.4, 0.2))
@@ -419,12 +443,16 @@ class TestGateBlocks:
 
     def section(self, coupling):
         """Constant body momentum NU with rotor momenta whose derivative
-        along the angles is coupling(q)."""
+        along the angles is coupling(q), one (3, 3) block per sample."""
         def jacobian(q, v):
-            return np.concatenate([np.zeros(3), coupling(q) @ v[3:]])
+            return np.concatenate([np.zeros((len(q), 3)),
+                                   (coupling(q) @ v[:, 3:, None])[..., 0]],
+                                  axis=1)
 
         return hj.OneFormSection(
-            lambda q: np.concatenate([self.NU, coupling(q) @ q.theta]),
+            lambda q: np.concatenate(
+                [np.tile(self.NU, (len(q), 1)),
+                 (coupling(q) @ q.theta[..., None])[..., 0]], axis=1),
             lie.SO3, 3, jacobian=jacobian)
 
     def test_symmetric_coupling_reads_zero(self):
@@ -432,15 +460,16 @@ class TestGateBlocks:
                                       self.SYMMETRIC)
         stack = self.stack()
         assert hj.closedness_defect(sec, samples=stack) == 0.0
-        assert _per_sample_gate(sec, stack) == 0.0
+        assert _per_sample_gate(sec, configurations(stack)) == 0.0
 
     def test_q_dependent_jacobian(self):
         shear = np.zeros((3, 3))
         shear[0, 1] = 1.0
-        sec = self.section(lambda q: self.SYMMETRIC + q.theta[0] * shear)
+        sec = self.section(lambda q: self.SYMMETRIC
+                           + q.theta[:, 0, None, None] * shear)
         stack = self.stack()
         gate = hj.closedness_defect(sec, samples=stack)
-        assert gate == _per_sample_gate(sec, stack)
+        assert gate == _per_sample_gate(sec, configurations(stack))
         assert gate == np.max(np.abs(stack.theta[:, 0]))
 
     def test_asymmetry_only_in_the_last_block(self):
@@ -450,12 +479,13 @@ class TestGateBlocks:
         shear[2, 0] = 0.75
 
         def coupling(q):
-            return self.SYMMETRIC + np.array_equal(q.theta, planted) * shear
+            hit = (q.theta == planted).all(axis=1)
+            return self.SYMMETRIC + hit[:, None, None] * shear
 
         sec = self.section(coupling)
         gate = hj.closedness_defect(sec, samples=stack)
-        assert gate == _per_sample_gate(sec, stack) == 0.75
-        head = stack.views(slice(0, 2 * lie.CHUNK))
+        assert gate == _per_sample_gate(sec, configurations(stack)) == 0.75
+        head = stack.rows(slice(0, 2 * lie.CHUNK))
         assert hj.closedness_defect(sec, samples=head) == 0.0
         with pytest.raises(hj.GateRejection):
             hj.theorem_equivalence_probe(rb_system(), sec, stack, self.NU)
@@ -465,9 +495,8 @@ class TestGateBlocks:
         planted = stack.theta[self.N - 1].copy()
 
         def coupling(q):
-            return self.SYMMETRIC * (np.nan if np.array_equal(q.theta,
-                                                              planted)
-                                     else 1.0)
+            hit = (q.theta == planted).all(axis=1)
+            return self.SYMMETRIC * np.where(hit, np.nan, 1.0)[:, None, None]
 
         sec = self.section(coupling)
         with pytest.raises(ValueError, match="section jacobian is not "
@@ -542,7 +571,7 @@ class TestRelatedness:
     def test_gravity_breaks_the_zero_candidate(self):
         sec, mu, a = tilted_gravity_data()
         rng = np.random.default_rng(12)
-        q = hj.isotropy_configurations(rng, mu, 1, 2)[0]
+        q = configurations(hj.isotropy_configurations(rng, mu, 1, 2))[0]
         residual = relatedness(ht_system(), sec, q, mu)
         expected = HT.mgh * np.linalg.norm(np.cross(a, HT.chi))
         assert_allclose(residual, expected, rtol=1e-12)
@@ -558,7 +587,7 @@ class TestRelatedness:
         for eps in (1e-2, 1e-3, 1e-4):
             nu = lie.coalgebra(lie.SO3, (eps, 0.0, c))
             sec = hj.constant_body_section(nu, (0.0, 0.0, l3))
-            qs = hj.isotropy_configurations(rng, nu, 3, 3)
+            qs = configurations(hj.isotropy_configurations(rng, nu, 3, 3))
             rel = max(relatedness(sys, sec, q, nu) for q in qs)
             res = max(hj_norm(sys, sec, q, nu) for q in qs)
             ratios.append((rel / eps, res / eps))
@@ -588,7 +617,7 @@ class TestHJResidual:
     def test_gravity_rows_survive_for_the_zero_candidate(self):
         sec, mu, a = tilted_gravity_data()
         rng = np.random.default_rng(15)
-        q = hj.isotropy_configurations(rng, mu, 1, 2)[0]
+        q = configurations(hj.isotropy_configurations(rng, mu, 1, 2))[0]
         residual = hj_norm(ht_system(), sec, q, mu)
         assert_allclose(residual,
                         HT.mgh * np.linalg.norm(np.cross(a, HT.chi)),
@@ -769,6 +798,8 @@ def _assert_probe_rows_are_wrappers(sys, sec, qs, mu):
     for column in (res.relatedness, res.hj, res.x_norm):
         assert column.dtype == np.float64 and column.shape == (n,)
     assert len(res.labels) == n
+    if isinstance(qs, hj.ConfigurationStack):
+        qs = configurations(qs)
     for i, q in enumerate(qs):
         r = hj.section_residuals(sys, sec, q, mu)
         assert res.relatedness[i] == r.relatedness
@@ -829,7 +860,7 @@ class TestProbeRowsAreTheWrappers:
             qs = hj.random_configurations(rng, lie.SO3, n, 3,
                                           lambda: rng.standard_normal(3))
         assert (sec.jacobian is not None) == with_jacobian
-        assert len({hj.fiber(sec, q).tobytes() for q in qs}) == n
+        assert len({row.tobytes() for row in hj.fiber(sec, qs)}) == n
         _assert_probe_rows_are_wrappers(sys, sec, qs, nu if reduced else None)
 
     def test_off_level_sample_raises_from_probe_and_wrappers(self):
@@ -856,8 +887,8 @@ class TestProbeInputs:
                                            n, 2)
         level = mu if reduced else None
         got = hj.theorem_equivalence_probe(ht_system(), sec, stack, level)
-        again = hj.theorem_equivalence_probe(ht_system(), sec, list(stack),
-                                             level)
+        again = hj.theorem_equivalence_probe(ht_system(), sec,
+                                             configurations(stack), level)
         for column in ("relatedness", "hj", "x_norm"):
             assert _same_bits(getattr(got, column), getattr(again, column))
         assert got.labels == again.labels and len(got.labels) == n
@@ -885,7 +916,8 @@ class TestProbeInputs:
         with pytest.raises(hj.MembershipError) as probe:
             hj.theorem_equivalence_probe(rb_system(), sec, moved, nu)
         with pytest.raises(hj.MembershipError) as single:
-            hj.section_residuals(rb_system(), sec, moved[first], nu)
+            hj.section_residuals(rb_system(), sec,
+                                 configurations(moved)[first], nu)
         defect = np.linalg.norm(rot[first] @ nu - nu)
         assert str(probe.value) == str(single.value)
         assert f"(defect {defect:.3e})" in str(probe.value)
@@ -934,3 +966,217 @@ class TestProbeResult:
             tracemalloc.stop()
         assert len(res.labels) == n
         assert retained / n <= 64.0
+
+
+class TestBuilderSizes:
+    """Builders check their sizes when the section is built, not at its
+    first fiber read."""
+
+    MU = lie.coalgebra(lie.SO3, (0.0, 0.0, 2.0))
+
+    def test_spatial_rotor_momenta_must_fill_the_rotor_slots(self):
+        # one l0 entry for two slots failed only at the first fiber read;
+        # two entries for no slots gave 5-component rows on a k = 0 base
+        for k, l0 in ((2, (1.0,)), (0, (1.0, 2.0)), (1, (1.0, 2.0))):
+            with pytest.raises(ValueError, match=rf"l0 has {len(l0)} rotor "
+                               rf"momenta, expected rotor_count = {k}"):
+                hj.spatial_section(self.MU, k, l0=l0)
+        sec = hj.spatial_section(self.MU, 2, l0=(1.0, -1.0))
+        q = hj.configuration(lie.identity(lie.SO3), (0.3, 0.0))
+        assert_allclose(hj.fiber(sec, q), [0.0, 0.0, 2.0, 1.0, -1.0])
+        assert hj.spatial_section(self.MU, 3).rotor_count == 3
+
+    @pytest.mark.parametrize("coupling", [
+        np.eye(3), np.zeros(4), np.zeros((2, 2, 1)), np.zeros((2, 1))],
+        ids=["3x3", "flat", "3-d", "column"])
+    def test_affine_coupling_must_be_k_by_k(self, coupling):
+        # numpy's reshape message was the only error, and a flat k * k
+        # coupling was reshaped silently
+        with pytest.raises(ValueError, match=r"coupling must be a \(2, 2\) "
+                           r"matrix for 2 rotor momenta, got shape"):
+            hj.affine_rotor_section(self.MU, (0.1, 0.2), coupling)
+
+    def test_rotor_quadratic_offset_must_be_a_vector(self):
+        with pytest.raises(ValueError, match="offset must be a 1-d array"):
+            hj.rotor_quadratic_section(lie.SO3, np.zeros((3, 1)))
+
+
+N_BLOCKS = 2 * lie.CHUNK + 3
+BLOCK_SIZES = [lie.CHUNK, lie.CHUNK, 3]
+
+
+def family_sections(kind: str, k: int) -> dict:
+    """Every built-in family over kind with k rotor slots, and an exact
+    section without a jacobian, differenced, whose body and rotor parts
+    both vary."""
+    d = lie.algebra_dim(kind)
+    nu, l0 = np.linspace(0.7, -0.4, d), np.linspace(0.1, -0.2, k)
+    offset = np.linspace(1.0, 2.0, k)
+    a = np.array([0.3, -0.5, 0.8])
+
+    def grad_w(q):
+        # W = a . R e3 + |theta|^2 / 2 + offset . theta
+        body = np.cross([0.0, 0.0, 1.0], q.g.rot.mT @ a)
+        return np.hstack([body, np.zeros((len(q), d - 3)), q.theta + offset])
+    return {
+        "constant_body": hj.constant_body_section(nu, l0),
+        "zero": hj.zero_section(kind, k),
+        "rotor_quadratic": hj.rotor_quadratic_section(kind, offset),
+        "affine": hj.affine_rotor_section(nu, l0, 0.2 * np.eye(k) + 0.1),
+        "shear": hj.shear_section(kind, k),
+        "spatial": hj.spatial_section(nu, k, l0),
+        "exact_differenced": hj.exact_section(kind, k, grad_w),
+    }
+
+
+FAMILY_CASES = [(kind, k, name) for kind, k in ((lie.SO3, 3), (lie.SE3, 2))
+                for name in family_sections(kind, k)]
+
+
+def _per_sample_defects(sec, qs, seed):
+    """The gate and the pullback identity defect one sample at a time,
+    through the one-row fiber_derivative: per sample its frame partials,
+    then one (2, m) draw."""
+    rng = np.random.default_rng(seed + 1)
+    d = lie.algebra_dim(sec.kind)
+    frame = np.eye(d + sec.rotor_count)
+    gate = pullback = 0.0
+    for q in qs:
+        partials = np.array([hj.fiber_derivative(sec, q, e) for e in frame])
+        curl = partials - partials.T
+        gate = max(gate, float(np.max(np.abs(curl))))
+        v, w = rng.standard_normal((2, len(frame)))
+        v, w = v / np.linalg.norm(v), w / np.linalg.norm(w)
+        dv, dw = hj.fiber_derivative(sec, q, v), hj.fiber_derivative(sec, q, w)
+        lhs = (float(dw[:d] @ v[:d]) - float(dv[:d] @ w[:d])
+               + float(dw[d:] @ v[d:]) - float(dv[d:] @ w[d:]))
+        pullback = max(pullback, abs(lhs + float(v @ curl @ w)))
+    return gate, pullback
+
+
+@pytest.mark.parametrize("kind,k,name", FAMILY_CASES)
+class TestBlocksAreOneRowPasses:
+    """Over two full lie.CHUNK blocks and a partial one, each block pass
+    gives bit for bit what its one-row view gives at every sample."""
+
+    @staticmethod
+    def setup(kind, k, name):
+        sec = family_sections(kind, k)[name]
+        rng = np.random.default_rng(41)
+        stack = hj.random_configurations(rng, kind, N_BLOCKS, k,
+                                         lambda: rng.standard_normal(k))
+        return sec, stack, configurations(stack)
+
+    def test_values_and_jacobians(self, kind, k, name):
+        sec, stack, qs = self.setup(kind, k, name)
+        rows = hj.fiber(sec, stack)
+        assert rows.shape == (N_BLOCKS, lie.algebra_dim(kind) + k)
+        v = np.random.default_rng(42).standard_normal(rows.shape)
+        v[5] = 0.0
+        derivatives = hj._fiber_derivatives(sec, stack, v)
+        for i, q in enumerate(qs):
+            assert _same_bits(rows[i], hj.fiber(sec, q))
+            assert _same_bits(derivatives[i],
+                              hj.fiber_derivative(sec, q, v[i]))
+        assert not derivatives[5].any()
+
+    def test_gate_and_pullback(self, kind, k, name):
+        sec, stack, qs = self.setup(kind, k, name)
+        gate, pullback = _per_sample_defects(sec, qs, 3)
+        assert hj.closedness_defect(sec, samples=stack) == gate
+        assert hj.pullback_identity_defect(sec, samples=stack, seed=3) \
+            == pullback
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_residuals(self, kind, k, name, reduced):
+        sec, stack, qs = self.setup(kind, k, name)
+        sys = rb_system() if kind == lie.SO3 else ht_system()
+        rows = hj.fiber(sec, stack)
+        d = lie.algebra_dim(kind)
+        for lo in range(0, N_BLOCKS, lie.CHUNK):
+            b = slice(lo, lo + lie.CHUNK)
+            # the block pass never reads mu's value, only its presence
+            rel, h, x = hj._residuals(sys, sec, stack.rows(b), rows[b],
+                                      np.zeros(d) if reduced else None)
+            for j, q in enumerate(qs[b]):
+                # each sample on its own momentum level
+                mu = lie.Ad_star(q.g, rows[lo + j, :d]) if reduced else None
+                r = hj.section_residuals(sys, sec, q, mu)
+                assert rel[j] == r.relatedness
+                assert _same_bits(h[j], r.hj_components)
+                assert _same_bits(x[j], r.x_gamma)
+
+
+def counted(sec):
+    """sec with its value and jacobian logging each call and the number
+    of samples it covers."""
+    calls = []
+
+    def value(q):
+        calls.append(("value", len(q)))
+        return sec.value(q)
+
+    def jacobian(q, v):
+        calls.append(("jacobian", len(q)))
+        return sec.jacobian(q, v)
+
+    return replace(sec, value=value, jacobian=sec.jacobian and jacobian), \
+        calls
+
+
+class TestWorkCount:
+    """The probe calls a section per block (and its value once over all
+    samples), never per sample."""
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    @pytest.mark.parametrize("with_jacobian", [True, False])
+    def test_section_calls_per_block(self, reduced, with_jacobian):
+        if with_jacobian:
+            nu = lie.coalgebra(lie.SO3, (0.7, -0.4, 0.2))
+            sec, calls = counted(hj.constant_body_section(nu, (0.1, 0.0,
+                                                               -0.2)))
+            qs = hj.isotropy_configurations(np.random.default_rng(43), nu,
+                                            N_BLOCKS, 3)
+        else:
+            nu = lie.coalgebra(lie.SO3, np.zeros(3))
+            sec, calls = counted(hj.exact_section(
+                lie.SO3, 3, hj.rotor_quadratic_section().value))
+            rng = np.random.default_rng(44)
+            qs = hj.random_configurations(rng, lie.SO3, N_BLOCKS, 3,
+                                          lambda: rng.standard_normal(3))
+        hj.theorem_equivalence_probe(rb_system(), sec, qs,
+                                     nu if reduced else None)
+        m = 6
+        # a derivative pass: one jacobian call, or one value call on the
+        # 2 b configurations of the central difference
+        derivative = ("jacobian", 1) if with_jacobian else ("value", 2)
+        want = [(derivative[0], derivative[1] * b) for b in BLOCK_SIZES
+                for _ in range(m)]
+        want.append(("value", N_BLOCKS))
+        for b in BLOCK_SIZES:
+            want.append((derivative[0], derivative[1] * b))
+            if not reduced:
+                # d(h o gamma) over the block's 2 m b chart points
+                want.append(("value", 2 * m * b))
+        assert calls == want
+
+    @pytest.mark.parametrize("row", [(6,), (1, 6)], ids=["flat", "one-row"])
+    def test_one_row_for_a_stack_is_rejected(self, row):
+        nu = lie.coalgebra(lie.SO3, (0.7, -0.4, 0.2))
+        base = hj.constant_body_section(nu, np.zeros(3))
+        stack = hj.isotropy_configurations(np.random.default_rng(45), nu, 5,
+                                           3)
+        match = (rf"section (value|jacobian) has shape {re.escape(str(row))}"
+                 r" for 5 samples, expected a \(6,\) fiber row each")
+        value = replace(base, value=lambda q: np.ones(row))
+        jacobian = replace(base, jacobian=lambda q, v: np.zeros(row))
+        for probe in (lambda: hj.fiber(value, stack),
+                      lambda: hj.theorem_equivalence_probe(
+                          rb_system(), value, stack, nu),
+                      lambda: hj.closedness_defect(jacobian, samples=stack),
+                      lambda: hj.pullback_identity_defect(jacobian,
+                                                          samples=stack),
+                      lambda: hj.theorem_equivalence_probe(
+                          rb_system(), jacobian, stack, nu)):
+            with pytest.raises(ValueError, match=match):
+                probe()

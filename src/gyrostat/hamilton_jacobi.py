@@ -1,20 +1,20 @@
 """One-form sections of the phase bundle and Hamilton-Jacobi residuals.
 
-A section maps a :class:`ConfigurationStack` of n samples to their
-(n, d + k) fiber rows (body covector, then rotor momenta), read through
-the one check :func:`fiber`; a :class:`Configuration` is a one-row
-stack. Everything differential is in the left-trivialized frame: a base
-direction is a flat (d + k,) row of algebra components then angle
-rates, (xi, dtheta) stands for (g exp(xi), theta + dtheta), and
+Base points come in stacks: a section maps a :class:`ConfigurationStack`
+of n samples to their (n, d + k) fiber rows (body covector, then rotor
+momenta), read through the one check :func:`fiber`, and one sample is a
+one-row stack. Everything differential is in the left-trivialized
+frame: a base direction is a flat (d + k,) row of algebra components
+then angle rates, (xi, dtheta) stands for (g exp(xi), theta + dtheta), and
 derivatives are :func:`gyrostat.poisson.central_difference` quotients
 in these exponential coordinates centred at each sample. Closedness,
 the canonical two-form, and the residuals are all stated in that
 trivialization, so a section with constant body components is closed
 for these evaluators by construction.
 
-:func:`section_residuals` reads three residuals of a sample from one
-evaluation of the full dynamical field, in a full-space and a reduced
-flavor (pass ``mu`` for the reduced one):
+:func:`section_residuals` reads three residuals per sample of a stack,
+from one evaluation of the full dynamical field per block, in a
+full-space and a reduced flavor (pass ``mu`` for the reduced one):
 
 * ``x_gamma``: the base projection of the dynamical field along the
   section, the vector field a solution would steer the base by.
@@ -26,24 +26,23 @@ flavor (pass ``mu`` for the reduced one):
   :mod:`gyrostat.systems` up to their inertia row scales.
 
 ``theorem_equivalence_probe`` sets the latter two side by side: they
-must vanish together or stay apart together, never disagree. It reads
-all N fiber rows in one section call, then per block of ``lie.CHUNK``
-samples makes the gate's derivative passes (one per frame direction),
-one membership check, one field pass and one derivative pass. Only the
-samplers' RNG draws and the field rows inside
+must vanish together or stay apart together, never disagree. Per block
+of ``lie.CHUNK`` samples it makes the gate's derivative passes (one per
+frame direction); then it reads all N fiber rows in one section call
+and per block makes one membership check, one field pass and one
+derivative pass. Only the samplers' RNG draws and the field rows inside
 :func:`~gyrostat.reduction.full_dynamical_field` run per sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import lie
 from .controlled import RCHSystem
-from .lie import GroupElement
 from .poisson import (Layout, _row_dot, _vec, central_difference,
                       point_like)
 from .reduction import full_dynamical_field
@@ -62,43 +61,10 @@ class GateRejection(ValueError):
 
 class MembershipError(ValueError):
     """A section image left the momentum level set it was declared on.
-    Raised by :func:`theorem_equivalence_probe`, it carries the gate
-    value the section passed as ``closedness_defect``."""
+    Raised through :func:`theorem_equivalence_probe`, it carries the
+    gate value the section passed as ``closedness_defect``."""
 
     closedness_defect: float | None = None
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """Base point: group element plus rotor angles."""
-
-    g: GroupElement
-    theta: np.ndarray
-
-    def __post_init__(self):
-        theta = _vec(self.theta, "theta")
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("rotor angles must be finite")
-        object.__setattr__(self, "theta", theta)
-
-    @property
-    def kind(self) -> str:
-        return self.g.kind
-
-    @property
-    def n_theta(self) -> int:
-        return self.theta.size
-
-
-def configuration(g: GroupElement, theta=()) -> Configuration:
-    return Configuration(g, theta)
-
-
-def random_configuration(rng: np.random.Generator, kind: str,
-                         n_theta: int = 0,
-                         scale: float = 1.0) -> Configuration:
-    return Configuration(lie.random_group(rng, kind, scale),
-                         scale * rng.standard_normal(n_theta))
 
 
 def isotropy_sampleable(mu) -> bool:
@@ -140,20 +106,6 @@ class ConfigurationStack:
         stack = object.__new__(ConfigurationStack)
         stack.__dict__.update(g=self.g.rows(b), theta=self.theta[b])
         return stack
-
-
-def _as_stack(samples) -> ConfigurationStack:
-    """samples as a :class:`ConfigurationStack`, a sequence stacked once."""
-    if isinstance(samples, ConfigurationStack):
-        return samples
-    if len({(q.kind, q.n_theta) for q in samples}) != 1:
-        raise ValueError("probe needs sample configurations, all of one "
-                         "group kind and angle count")
-    trans = None if samples[0].kind == lie.SO3 else \
-        [q.g.trans for q in samples]
-    return ConfigurationStack(lie.GroupPath(
-        samples[0].kind, [q.g.rot for q in samples], trans),
-        [q.theta for q in samples])
 
 
 def _stack(kind: str, n: int, rotor_count: int, width: int,
@@ -217,7 +169,7 @@ def isotropy_configurations(rng: np.random.Generator, mu, n: int,
             return random_configurations(rng, lie.SO3, n, rotor_count,
                                          angles)
         return _stack(lie.SO3, n, rotor_count, 1,
-                      lambda: (rng.uniform(-np.pi, np.pi), angles()),
+                      lambda: (-np.pi + 2 * np.pi * rng.random(), angles()),
                       lambda angle: lie.flat_exp(angle * mu / norm))
     if not isotropy_sampleable(mu):
         raise ValueError("isotropy sampling needs pi parallel to gamma "
@@ -225,7 +177,8 @@ def isotropy_configurations(rng: np.random.Generator, mu, n: int,
     axis = mu[3:] / np.linalg.norm(mu[3:])
 
     def slide_draw():
-        return (rng.uniform(-np.pi, np.pi), rng.standard_normal()), angles()
+        return ((-np.pi + 2 * np.pi * rng.random(), rng.standard_normal()),
+                angles())
 
     def slide_group(raw):
         # exp(angle axis, 0) composed with exp(0, slide axis): the second
@@ -263,7 +216,12 @@ class OneFormSection:
             raise ValueError("rotor_count must be non-negative")
 
 
-def _check_base(gamma: OneFormSection, kind: str, n_theta: int) -> None:
+def _check_base(gamma: OneFormSection, stack) -> None:
+    """stack as a :class:`ConfigurationStack` on the section's base."""
+    if not isinstance(stack, ConfigurationStack):
+        raise TypeError("samples must be a ConfigurationStack, got "
+                        f"{type(stack).__name__}")
+    kind, n_theta = stack.g.kind, stack.theta.shape[1]
     if (kind, n_theta) != (gamma.kind, gamma.rotor_count):
         raise ValueError(f"configuration ({kind}, {n_theta} angles) is "
                          f"not on the section's base ({gamma.kind}, "
@@ -284,14 +242,11 @@ def _check_rows(rows, shape: tuple, what: str) -> np.ndarray:
     return rows
 
 
-def fiber(gamma: OneFormSection, q) -> np.ndarray:
+def fiber(gamma: OneFormSection, q: ConfigurationStack) -> np.ndarray:
     """The fiber rows of gamma at the stack q, checked: q must lie on the
     section's base (group kind and angle count) and the rows must be a
-    finite (n, d + k) array. A :class:`Configuration` q is read as a
-    one-row stack and gives its (d + k,) row."""
-    if isinstance(q, Configuration):
-        return fiber(gamma, _as_stack([q]))[0]
-    _check_base(gamma, q.g.kind, q.theta.shape[1])
+    finite (n, d + k) array."""
+    _check_base(gamma, q)
     return _check_rows(gamma.value(q), (len(q), lie.algebra_dim(gamma.kind)
                                         + gamma.rotor_count), "section value")
 
@@ -309,24 +264,18 @@ def _chart(stack: ConfigurationStack, pts: np.ndarray) -> ConfigurationStack:
                               np.repeat(stack.theta, run, 0) + pts[:, d:])
 
 
-def fiber_derivative(gamma: OneFormSection, q: Configuration,
+def fiber_derivative(gamma: OneFormSection, stack: ConfigurationStack,
                      v: np.ndarray) -> np.ndarray:
-    """Derivative of the fiber row at q along the flat v, checked as
-    :func:`fiber` checks a row: the one-row view of the block pass."""
-    v = np.asarray(v, dtype=float)
-    dim = lie.algebra_dim(gamma.kind) + gamma.rotor_count
-    if v.shape != (dim,):
-        raise ValueError(f"expected a {dim}-component base direction")
-    return _fiber_derivatives(gamma, _as_stack([q]), v[None])[0]
-
-
-def _fiber_derivatives(gamma: OneFormSection, stack: ConfigurationStack,
-                       v: np.ndarray) -> np.ndarray:
     """The derivatives of the fiber rows of stack along its (n, d + k)
-    base directions v, checked as :func:`fiber` checks rows: one jacobian
-    call, else a central difference along each unit direction from one
-    value call on 2n configurations (zero along a zero direction)."""
-    _check_base(gamma, stack.g.kind, stack.theta.shape[1])
+    base directions v, one per sample, checked as :func:`fiber` checks
+    rows: one jacobian call, else a central difference along each unit
+    direction from one value call on 2n configurations (zero along a
+    zero direction)."""
+    _check_base(gamma, stack)
+    v = np.asarray(v, dtype=float)
+    shape = (len(stack), lie.algebra_dim(gamma.kind) + gamma.rotor_count)
+    if v.shape != shape:
+        raise ValueError(f"expected {shape} base directions, got {v.shape}")
     if gamma.jacobian is None:
         speed = _row_norms(v)
         still = speed == 0.0
@@ -457,7 +406,8 @@ def spatial_section(mu, rotor_count: int = 0, l0=()) -> OneFormSection:
 
 def _default_samples(gamma: OneFormSection, n_samples: int,
                      seed: int) -> ConfigurationStack:
-    """n_samples configurations in :func:`random_configuration`'s order."""
+    """n_samples configurations, each group part drawn as
+    :func:`lie.random_group` draws it, then standard normal angles."""
     rng = np.random.default_rng(seed)
     k = gamma.rotor_count
     return random_configurations(rng, gamma.kind, n_samples, k,
@@ -472,18 +422,20 @@ def _frame_partials(gamma: OneFormSection, samples, n_samples: int,
     row i of the identity, so D[j] - D[j]^T is d gamma on the frame
     pairs."""
     stack = _default_samples(gamma, n_samples, seed) if samples is None \
-        else _as_stack(samples)
+        else samples
+    _check_base(gamma, stack)
     m = lie.algebra_dim(gamma.kind) + gamma.rotor_count
     # frame row i repeated over a block, for each i
     frames = np.repeat(np.eye(m)[:, None], lie.CHUNK, axis=1)
     for lo in range(0, len(stack), lie.CHUNK):
         block = stack.rows(slice(lo, lo + lie.CHUNK))
-        yield block, np.stack([_fiber_derivatives(gamma, block, e[:len(block)])
+        yield block, np.stack([fiber_derivative(gamma, block, e[:len(block)])
                                for e in frames], 1)
 
 
 def closedness_defect(gamma: OneFormSection, n_samples: int = 20,
-                      seed: int = 0, samples=None) -> float:
+                      seed: int = 0,
+                      samples: ConfigurationStack | None = None) -> float:
     """Max |d gamma(e_i, e_j)| over sampled configurations and frame
     pairs. Exact sections stay at finite-difference noise; the shear
     section reports its unit coefficient. Samples off the section's base
@@ -495,7 +447,9 @@ def closedness_defect(gamma: OneFormSection, n_samples: int = 20,
 
 
 def pullback_identity_defect(gamma: OneFormSection, n_samples: int = 20,
-                             seed: int = 0, samples=None) -> float:
+                             seed: int = 0,
+                             samples: ConfigurationStack | None = None
+                             ) -> float:
     """Max defect of (pullback of the canonical two-form) = -(d gamma)
     on random unit tangent pairs, one (v, w) pair drawn per sample.
 
@@ -513,7 +467,7 @@ def pullback_identity_defect(gamma: OneFormSection, n_samples: int = 20,
         v, w = rng.standard_normal((len(block), 2, d + gamma.rotor_count)
                                    ).swapaxes(0, 1)
         v, w = v / _row_norms(v)[:, None], w / _row_norms(w)[:, None]
-        dv, dw = (_fiber_derivatives(gamma, block, u) for u in (v, w))
+        dv, dw = (fiber_derivative(gamma, block, u) for u in (v, w))
         # the trivialization's canonical two-form on the pushed pairs
         lhs = (_row_dot(dw[:, :d], v[:, :d]) - _row_dot(dv[:, :d], w[:, :d])
                + _row_dot(dw[:, d:], v[:, d:])
@@ -527,53 +481,20 @@ def pullback_identity_defect(gamma: OneFormSection, n_samples: int = 20,
 # residuals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SectionResiduals:
-    """The residuals of one section sample; x_gamma is a flat base
-    direction."""
-
-    relatedness: float
-    hj_components: np.ndarray
-    x_gamma: np.ndarray
-
-
-def section_residuals(sys: RCHSystem, gamma: OneFormSection,
-                      q: Configuration, mu=None) -> SectionResiduals:
-    """The residuals of gamma at q from one full dynamical field
-    evaluation: full-space flavor when mu is None, else reduced-space
-    flavor, with a :class:`MembershipError` off the mu level set. This is
-    the one-sample pass of :func:`theorem_equivalence_probe`, bit for bit.
-
-    Reduced, hj_components is the controlled reduced field at the
-    section's image, which matches the equation assemblies of
-    :mod:`gyrostat.systems` up to their row scales. Full, it is minus the
-    base differential of the hamiltonian restricted to the section plus
-    the fiber components of force and control.
-    """
-    stack = _as_stack([q])
-    rows = fiber(gamma, stack)
-    if mu is not None:
-        _check_level(stack, rows, mu)
-    relatedness, hj_components, x = _residuals(sys, gamma, stack, rows, mu)
-    return SectionResiduals(float(relatedness[0]), hj_components[0], x[0])
-
-
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     # np.vecdot rounds each row as np.linalg.norm's 1-d dot does
     return np.sqrt(np.vecdot(rows, rows))
 
 
-def _check_level(stack: ConfigurationStack, rows, mu, gate=None) -> None:
-    """Raise a :class:`MembershipError` carrying gate at the first of the
-    fiber rows of stack whose body momentum p is off the mu level at its
-    group part: |Ad*_{g^-1} p - mu| > MEMBERSHIP_TOL."""
+def _check_level(stack: ConfigurationStack, rows, mu) -> None:
+    """Raise a :class:`MembershipError` at the first of the fiber rows of
+    stack whose body momentum p is off the mu level at its group part:
+    |Ad*_{g^-1} p - mu| > MEMBERSHIP_TOL."""
     defect = _row_norms(lie.coadjoint(stack.g.rot, stack.g.trans, rows) - mu)
     bad = np.flatnonzero(defect > MEMBERSHIP_TOL)
     if bad.size:
-        exc = MembershipError("section image is off the momentum level "
+        raise MembershipError("section image is off the momentum level "
                               f"set (defect {defect[bad[0]]:.3e})")
-        exc.closedness_defect = gate
-        raise exc
 
 
 def _residuals(sys: RCHSystem, gamma: OneFormSection,
@@ -592,7 +513,7 @@ def _residuals(sys: RCHSystem, gamma: OneFormSection,
 
     full = full_dynamical_field(sys, layout, states(block, rows))
     x = np.hstack([full.xi, full.body[:, angles]])
-    d_fiber = _fiber_derivatives(gamma, block, x)
+    d_fiber = fiber_derivative(gamma, block, x)
     if mu is not None:
         pushed = np.hstack([d_fiber[:, :dim], x[:, dim:], d_fiber[:, dim:]])
         return _row_norms(pushed - full.body), full.body, x
@@ -604,6 +525,37 @@ def _residuals(sys: RCHSystem, gamma: OneFormSection,
         (q := _chart(block, pts)), fiber(gamma, q))), np.zeros(x.shape))
     return (_row_norms(d_fiber - np.delete(full.body, angles, axis=1)),
             -d_h + np.delete(full.lift, angles, axis=1), x)
+
+
+def _block_residuals(sys: RCHSystem, gamma: OneFormSection,
+                     stack: ConfigurationStack, mu):
+    """Each block of lie.CHUNK samples of stack as a slice and its
+    :func:`_residuals`, after one checked :func:`fiber` read of all
+    samples and, with mu, the membership check of every sample."""
+    rows = fiber(gamma, stack)
+    blocks = [slice(lo, lo + lie.CHUNK)
+              for lo in range(0, len(stack), lie.CHUNK)]
+    if mu is not None:
+        for b in blocks:
+            _check_level(stack.rows(b), rows[b], mu)
+    for b in blocks:
+        yield b, _residuals(sys, gamma, stack.rows(b), rows[b], mu)
+
+
+def section_residuals(sys: RCHSystem, gamma: OneFormSection,
+                      stack: ConfigurationStack, mu=None) -> tuple:
+    """The residuals of gamma at the n samples of stack, bit for bit the
+    probe's: the (n,) relatedness column and the (n, .) hj_components and
+    X_gamma rows. Full-space flavor when mu is None, else reduced, with a
+    :class:`MembershipError` at the first sample off the mu level set.
+
+    Reduced, hj_components is the controlled reduced field at the
+    section's image, which matches the equation assemblies of
+    :mod:`gyrostat.systems` up to their row scales. Full, it is minus the
+    base differential of the hamiltonian restricted to the section plus
+    the fiber components of force and control."""
+    parts = [part for _, part in _block_residuals(sys, gamma, stack, mu)]
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +605,7 @@ def _classify(relatedness: float, hj: float) -> str:
 
 
 def theorem_equivalence_probe(sys: RCHSystem, gamma: OneFormSection,
-                              samples: Sequence[Configuration],
+                              samples: ConfigurationStack,
                               mu=None) -> ProbeResult:
     """Evaluate the two residuals side by side on each sample.
 
@@ -663,25 +615,22 @@ def theorem_equivalence_probe(sys: RCHSystem, gamma: OneFormSection,
     INCONSISTENT. Sections failing the closedness prerequisite are
     rejected with :class:`GateRejection`, and the first off-level sample
     with :class:`MembershipError` before any residual is computed. Either
-    error carries the gate value as ``closedness_defect``. A plain
-    sequence of samples is stacked once.
+    error carries the gate value as ``closedness_defect``.
     """
-    samples = _as_stack(samples)
     gate = closedness_defect(gamma, samples=samples)
     if gate > GATE_TOL:
         exc = GateRejection("section fails the closedness gate "
                             f"(defect {gate:.3e} > {GATE_TOL:g})")
         exc.closedness_defect = gate
         raise exc
-    n, rows = len(samples), fiber(gamma, samples)
-    blocks = [slice(lo, lo + lie.CHUNK) for lo in range(0, n, lie.CHUNK)]
-    if mu is not None:
-        for b in blocks:
-            _check_level(samples.rows(b), rows[b], mu, gate)
-    relatedness, hj, x_norm = np.empty(n), np.empty(n), np.empty(n)
-    for b in blocks:
-        relatedness[b], h, x = _residuals(sys, gamma, samples.rows(b),
-                                          rows[b], mu)
-        hj[b], x_norm[b] = _row_norms(h), _row_norms(x)
+    relatedness, hj, x_norm = np.empty((3, len(samples)))
+    try:
+        # block by block, so no (N, d + k) residual rows are kept
+        for b, (rel, h, x) in _block_residuals(sys, gamma, samples, mu):
+            relatedness[b], hj[b] = rel, _row_norms(h)
+            x_norm[b] = _row_norms(x)
+    except MembershipError as exc:
+        exc.closedness_defect = gate
+        raise
     labels = map(_classify, relatedness, hj)
     return ProbeResult(relatedness, hj, x_norm, tuple(labels), gate)

@@ -131,7 +131,8 @@ def test_criterion_5_residuals_pass_and_fail_together():
     rb_sys = systems.rigid_body_system(RB)
     zero = hj.zero_section(lie.SO3, 3)
     mu0 = lie.coalgebra(lie.SO3, np.zeros(3))
-    qs = [hj.random_configuration(rng, lie.SO3, 3) for _ in range(100)]
+    qs = hj.random_configurations(rng, lie.SO3, 100, 3,
+                                  lambda: rng.standard_normal(3))
     solved = hj.theorem_equivalence_probe(rb_sys, zero, qs, mu0)
 
     # Unsolved scenario: gravity torque survives the zero candidate.
@@ -154,6 +155,14 @@ def test_criterion_5_residuals_pass_and_fail_together():
           f"{inconsistent} inconsistent")
 
 
+def at_identity(kind, theta):
+    """The one-row configuration stack at the identity with rotor angles
+    theta."""
+    g = lie.GroupPath(kind, np.eye(3)[None],
+                      None if kind == lie.SO3 else np.zeros((1, 3)))
+    return hj.ConfigurationStack(g, np.reshape(theta, (1, -1)))
+
+
 def test_criterion_6_assembled_equations_match_generic_residual():
     rng = np.random.default_rng(6)
     worst = {}
@@ -170,8 +179,8 @@ def test_criterion_6_assembled_equations_match_generic_residual():
         l0 = rng.standard_normal(3)
         nu = lie.coalgebra(lie.SO3, pi)
         sec = hj.constant_body_section(nu, l0)
-        q = hj.configuration(lie.identity(lie.SO3), theta)
-        comp = hj.section_residuals(rb_sys, sec, q, nu).hj_components
+        q = at_identity(lie.SO3, theta)
+        comp = hj.section_residuals(rb_sys, sec, q, nu)[1][0]
         cand = systems.HJCandidate(np.concatenate([pi, theta, l0]),
                                    np.zeros(9))
         rows = systems.rigid_body_hj_lhs(RB, cand)
@@ -191,8 +200,8 @@ def test_criterion_6_assembled_equations_match_generic_residual():
         l0 = rng.standard_normal(2)
         nu = lie.coalgebra(lie.SE3, pi, gamma)
         sec = hj.constant_body_section(nu, l0)
-        q = hj.configuration(lie.identity(lie.SE3), theta)
-        comp = hj.section_residuals(ht_sys, sec, q, nu).hj_components
+        q = at_identity(lie.SE3, theta)
+        comp = hj.section_residuals(ht_sys, sec, q, nu)[1][0]
         cand = systems.HJCandidate(np.concatenate([pi, theta, l0]),
                                    np.zeros(10), advected=gamma)
         rows = systems.heavy_top_hj_lhs(HT, cand)
@@ -208,8 +217,8 @@ def test_criterion_6_assembled_equations_match_generic_residual():
         gamma = rng.standard_normal(3)
         nu = lie.coalgebra(lie.SE3, pi, gamma)
         sec = hj.constant_body_section(nu)
-        q = hj.configuration(lie.identity(lie.SE3), ())
-        comp = hj.section_residuals(free_sys, sec, q, nu).hj_components
+        q = at_identity(lie.SE3, ())
+        comp = hj.section_residuals(free_sys, sec, q, nu)[1][0]
         cand = systems.HJCandidate(pi, np.zeros(0), advected=gamma)
         rows = systems.heavy_top_lp_hj_lhs(FREE, cand)
         gap = max(gap, float(np.max(np.abs(rows - scales * comp))))

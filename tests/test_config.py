@@ -558,7 +558,8 @@ class TestBuilders:
     @pytest.mark.parametrize("text", [RB, HT], ids=["so3", "se3"])
     def test_zero_level_stack_is_bitwise_the_per_sample_loop(self, text,
                                                              seed):
-        # the draws as they were made one Configuration at a time
+        # the draws as they were made one sample at a time, before
+        # sampling stacked them
         cfg = parse_config(text + "\n[gamma]\nkind = zero\nsamples = 30\n")
         _, mu = cfgmod.build_section(cfg)
         stack = cfgmod.sample_configurations(cfg, mu,
@@ -575,11 +576,11 @@ class TestBuilders:
 
     def test_samples_retain_one_stacked_row_each(self):
         # 112 B a sample on the heavy top (a 3x3 rotation, a translation
-        # and two angles); one Configuration object per sample held
-        # 657 B. The peak adds the rotation check's temporaries over the
-        # stack. Traced sampling runs about 5x slower than untraced, so
-        # this draws 10^4 samples; 10^5 retain 112 B each and peak at
-        # about 26 MB.
+        # and two angles); one configuration object per sample held
+        # 657 B before sampling stacked them. The peak adds the rotation
+        # check's temporaries over the stack. Traced sampling runs about
+        # 5x slower than untraced, so this draws 10^4 samples; 10^5
+        # retain 112 B each and peak at about 26 MB.
         n = 10**4
         cfg = parse_config(HT + "\n[gamma]\nkind = constant_body\n"
                                 f"nu0 = 0. 0. 0. 0. 0. 1.\nsamples = {n}\n")

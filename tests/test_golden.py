@@ -275,25 +275,26 @@ def _hj_full_sections(kind: str, k: int) -> dict:
 
 def _hj_full_text(case: str) -> bytes:
     """Each section's closedness and pullback-identity defects, then the
-    full-space residuals at three sampled configurations, each float
-    written with repr."""
+    full-space residuals over a stack of three sampled configurations,
+    each float written with repr."""
     sys = HJ_FULL_CASES[case]
     rng = np.random.default_rng(31)
-    qs = [hj.random_configuration(rng, sys.kind, sys.rotor_count)
-          for _ in range(3)]
+    k = sys.rotor_count
+    qs = hj.random_configurations(rng, sys.kind, 3, k,
+                                  lambda: rng.standard_normal(k))
     lines = []
     for name, sec in _hj_full_sections(sys.kind, sys.rotor_count).items():
         lines += [f"section {name}",
                   f"closedness_defect {hj.closedness_defect(sec)!r}",
                   f"pullback_identity_defect "
                   f"{hj.pullback_identity_defect(sec)!r}"]
-        for i, q in enumerate(qs):
-            r = hj.section_residuals(sys, sec, q)
-            lines += [f"sample {i} relatedness {r.relatedness!r}",
+        residuals = hj.section_residuals(sys, sec, qs)
+        for i, (rel, comp, x) in enumerate(zip(*residuals)):
+            lines += [f"sample {i} relatedness {float(rel)!r}",
                       f"sample {i} hj_components "
-                      + " ".join(map(repr, r.hj_components.tolist())),
+                      + " ".join(map(repr, comp.tolist())),
                       f"sample {i} x_gamma "
-                      + " ".join(map(repr, r.x_gamma.tolist()))]
+                      + " ".join(map(repr, x.tolist()))]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

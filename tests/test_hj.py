@@ -33,20 +33,43 @@ def spin_equilibrium(c=1.3):
     return hj.constant_body_section(nu, (0.0, 0.0, l3)), nu
 
 
+def one_row(g, theta=()):
+    """The one-row stack of the group element g and the angles theta."""
+    trans = None if g.trans is None else g.trans[None]
+    return hj.ConfigurationStack(lie.GroupPath(g.kind, g.rot[None], trans),
+                                 np.reshape(theta, (1, -1)))
+
+
+def one_row_views(stack):
+    """The samples of a stack as its one-row views."""
+    return [stack.rows(slice(i, i + 1)) for i in range(len(stack))]
+
+
+def element(q):
+    """The group element of the one-row stack q."""
+    trans = None if q.g.trans is None else q.g.trans[0]
+    return lie.GroupElement(q.g.kind, q.g.rot[0], trans)
+
+
+def one_sample(*args):
+    """section_residuals at a one-row stack: its relatedness,
+    hj_components and x_gamma."""
+    return tuple(column[0] for column in hj.section_residuals(*args))
+
+
 def relatedness(*args):
-    return hj.section_residuals(*args).relatedness
+    return float(one_sample(*args)[0])
 
 
 def hj_norm(*args):
-    return float(np.linalg.norm(hj.section_residuals(*args).hj_components))
+    return float(np.linalg.norm(one_sample(*args)[1]))
 
 
-def configurations(stack):
-    """The samples of a stack as Configurations, each checked anew."""
-    g = stack.g
-    trans = [None] * len(stack) if g.trans is None else g.trans
-    return [hj.configuration(lie.GroupElement(g.kind, r, t), theta)
-            for r, t, theta in zip(g.rot, trans, stack.theta)]
+def random_stack(rng, kind, n, k):
+    """n configurations, each group part drawn as lie.random_group draws
+    it, then k standard normal angles."""
+    return hj.random_configurations(rng, kind, n, k,
+                                    lambda: rng.standard_normal(k))
 
 
 def tilted_gravity_data():
@@ -59,33 +82,39 @@ def tilted_gravity_data():
 
 class TestConfigurations:
     def test_fields_and_sizes(self):
-        q = hj.configuration(lie.identity(lie.SO3), (0.1, 0.2))
-        assert q.kind == lie.SO3
-        assert q.n_theta == 2
-        assert q.theta.shape == (2,)
+        q = one_row(lie.identity(lie.SO3), (0.1, 0.2))
+        assert q.g.kind == lie.SO3
+        assert len(q) == 1
+        assert q.theta.shape == (1, 2)
+        assert q.theta.dtype == np.float64
 
     def test_rejects_non_finite_angles(self):
-        with pytest.raises(ValueError, match="finite"):
-            hj.configuration(lie.identity(lie.SO3), (np.nan,))
+        for bad in (np.nan, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                one_row(lie.identity(lie.SO3), (bad,))
 
     def test_random_configuration_shapes(self):
         rng = np.random.default_rng(0)
-        q = hj.random_configuration(rng, lie.SE3, 2)
-        assert q.kind == lie.SE3
-        assert q.n_theta == 2
+        q = random_stack(rng, lie.SE3, 3, 2)
+        assert q.g.kind == lie.SE3
+        assert len(q) == 3
+        assert q.g.rot.shape == (3, 3, 3) and q.g.trans.shape == (3, 3)
+        assert q.theta.shape == (3, 2)
 
     def test_isotropy_samples_fix_the_momentum(self):
         rng = np.random.default_rng(1)
         mu = lie.coalgebra(lie.SO3, (0.4, -0.2, 0.9))
-        for q in configurations(hj.isotropy_configurations(rng, mu, 8, 3)):
-            assert_allclose(lie.Ad_star(q.g, mu), mu,
+        stack = hj.isotropy_configurations(rng, mu, 8, 3)
+        for q in one_row_views(stack):
+            assert_allclose(lie.Ad_star(element(q), mu), mu,
                             atol=1e-12)
 
     def test_isotropy_samples_se3_aligned(self):
         rng = np.random.default_rng(2)
         mu = lie.coalgebra(lie.SE3, (0.0, 0.6, 0.0), (0.0, 3.0, 0.0))
-        for q in configurations(hj.isotropy_configurations(rng, mu, 8, 2)):
-            assert_allclose(lie.Ad_star(q.g, mu), mu,
+        stack = hj.isotropy_configurations(rng, mu, 8, 2)
+        for q in one_row_views(stack):
+            assert_allclose(lie.Ad_star(element(q), mu), mu,
                             atol=1e-12)
 
     def test_isotropy_rejects_skew_se3_momentum(self):
@@ -98,13 +127,14 @@ class TestConfigurations:
         rng = np.random.default_rng(4)
         mu = lie.coalgebra(lie.SO3, np.zeros(3))
         qs = hj.isotropy_configurations(rng, mu, 2, 0)
-        assert configurations(qs)[0].g.rot.shape == (3, 3)
+        assert qs.g.rot.shape == (2, 3, 3) and qs.theta.shape == (2, 0)
+        assert not np.array_equal(qs.g.rot[0], qs.g.rot[1])
 
 
 def _reference_rows(rng, mu, n, k):
-    """Samples as drawn one Configuration at a time before they were
-    stacked: per-sample flat_exp, and compose of the angle and slide
-    factors on se(3)*."""
+    """Samples as drawn one group element at a time before they were
+    stacked: rng.uniform turn angles, per-sample flat_exp, and compose of
+    the angle and slide factors on se(3)*."""
     rows, kind = [], lie.SO3 if mu.size == 3 else lie.SE3
     for _ in range(n):
         if not np.any(mu):
@@ -158,17 +188,19 @@ class TestStackedSamples:
 
     @pytest.mark.parametrize("seed", [0, 5, 2027])
     @pytest.mark.parametrize("kind", [lie.SO3, lie.SE3])
-    def test_default_samples_are_bitwise_random_configuration(self, kind,
-                                                               seed):
+    def test_default_samples_are_bitwise_random_group_draws(self, kind,
+                                                             seed):
+        # per sample: lie.random_group, then two standard normal angles
         gamma = hj.zero_section(kind, 2)
         stack = hj._default_samples(gamma, 40, seed)
         rng = np.random.default_rng(seed)
-        want = [hj.random_configuration(rng, kind, 2) for _ in range(40)]
-        assert _same_bits(stack.g.rot, np.array([q.g.rot for q in want]))
+        want = [(lie.random_group(rng, kind), rng.standard_normal(2))
+                for _ in range(40)]
+        assert _same_bits(stack.g.rot, np.array([g.rot for g, _ in want]))
         if kind == lie.SE3:
             assert _same_bits(stack.g.trans,
-                              np.array([q.g.trans for q in want]))
-        assert _same_bits(stack.theta, np.array([q.theta for q in want]))
+                              np.array([g.trans for g, _ in want]))
+        assert _same_bits(stack.theta, np.array([t for _, t in want]))
 
     def test_rotations_are_checked_once_over_the_stack(self, monkeypatch):
         calls = []
@@ -206,17 +238,14 @@ class TestStackedSamples:
                 assert _same_bits(block.theta[j], stack.theta[i])
 
     def test_slices_are_rejected(self):
-        # a slice stands for a block of rows, never for one configuration:
-        # its (2, 3, 3) rotations and (2, k) angles fail the element checks
+        # a slice stands for a block of rows, never for one group element:
+        # its (2, 3, 3) rotations fail the element check
         mu = ISOTROPY_LEVELS["se3-off-axis"]
         stack = hj.isotropy_configurations(np.random.default_rng(5), mu,
                                            4, 3)
         block = stack.rows(slice(1, 3))
         with pytest.raises(ValueError, match="rot must be 3x3"):
             lie.GroupElement(lie.SE3, block.g.rot, block.g.trans)
-        g = lie.GroupElement(lie.SE3, stack.g.rot[1], stack.g.trans[1])
-        with pytest.raises(ValueError, match="1-d"):
-            hj.Configuration(g, block.theta)
         # and an integer or list index would drop or copy the stack axis
         # past every check, so rows takes slices only
         for index in (3, np.int64(3), [0, 1], 1.0):
@@ -250,13 +279,13 @@ class TestSections:
         nu = lie.coalgebra(lie.SO3, (0.1, 0.2, 0.3))
         sec = hj.constant_body_section(nu, (0.4, 0.5))
         rng = np.random.default_rng(5)
-        q = hj.random_configuration(rng, lie.SO3, 2)
-        assert_allclose(hj.fiber(sec, q), [0.1, 0.2, 0.3, 0.4, 0.5])
+        q = random_stack(rng, lie.SO3, 3, 2)
+        assert_allclose(hj.fiber(sec, q), [[0.1, 0.2, 0.3, 0.4, 0.5]] * 3)
 
     def test_zero_section_is_zero(self):
         sec = hj.zero_section(lie.SE3, 2)
-        q = hj.configuration(lie.identity(lie.SE3), (0.3, -0.1))
-        assert_allclose(hj.fiber(sec, q), np.zeros(8))
+        q = one_row(lie.identity(lie.SE3), (0.3, -0.1))
+        assert_allclose(hj.fiber(sec, q), np.zeros((1, 8)))
 
     def test_zero_section_rejects_an_unknown_kind(self):
         # a misspelt kind used to build an SE(3) section
@@ -268,13 +297,13 @@ class TestSections:
     def test_rotor_quadratic_components(self):
         sec = hj.rotor_quadratic_section()
         assert sec.family == "exact_dW"
-        q = hj.configuration(lie.identity(lie.SO3), (0.2, -0.7, 1.1))
-        row = hj.fiber(sec, q)
+        q = one_row(lie.identity(lie.SO3), (0.2, -0.7, 1.1))
+        row = hj.fiber(sec, q)[0]
         assert_allclose(row[:3], np.zeros(3))
-        assert_allclose(row[3:], q.theta + np.array([3.0, 0.0, 0.0]))
+        assert_allclose(row[3:], q.theta[0] + np.array([3.0, 0.0, 0.0]))
 
     def test_fiber_rejects_a_row_of_the_wrong_shape(self):
-        q = hj.configuration(lie.identity(lie.SO3), (0.0, 0.0))
+        q = one_row(lie.identity(lie.SO3), (0.0, 0.0))
         for row in (np.zeros(4), np.zeros(6), np.zeros((1, 5))):
             sec = hj.exact_section(lie.SO3, 2, lambda q, row=row:
                                    np.array([row] * len(q)))
@@ -283,7 +312,7 @@ class TestSections:
                 hj.fiber(sec, q)
 
     def test_fiber_rejects_a_non_finite_row(self):
-        q = hj.configuration(lie.identity(lie.SO3), (0.0, 0.0))
+        q = one_row(lie.identity(lie.SO3), (0.0, 0.0))
         for bad in (np.nan, np.inf):
             row = np.zeros(5)
             row[1] = bad
@@ -294,7 +323,7 @@ class TestSections:
 
     def test_fiber_rejects_a_configuration_of_the_wrong_kind(self):
         sec = hj.zero_section(lie.SO3, 2)
-        q = hj.configuration(lie.identity(lie.SE3), (0.0, 0.0))
+        q = one_row(lie.identity(lie.SE3), (0.0, 0.0))
         with pytest.raises(ValueError, match=r"\(SE3, 2 angles\) is not on "
                            r"the section's base \(SO3, 2 angles\)"):
             hj.fiber(sec, q)
@@ -304,7 +333,7 @@ class TestSections:
     def test_fiber_rejects_the_wrong_angle_count(self):
         sec = hj.zero_section(lie.SO3, 2)
         for theta in ((), (0.0,), (0.0, 0.0, 0.0)):
-            q = hj.configuration(lie.identity(lie.SO3), theta)
+            q = one_row(lie.identity(lie.SO3), theta)
             with pytest.raises(ValueError,
                                match=rf"\(SO3, {len(theta)} angles\) is "
                                      r"not on the section's base \(SO3, 2"):
@@ -327,18 +356,20 @@ class TestSections:
         with_jac = hj.rotor_quadratic_section()
         without = hj.exact_section(lie.SO3, 3, grad_w)
         rng = np.random.default_rng(6)
-        q = hj.random_configuration(rng, lie.SO3, 3)
-        v = rng.standard_normal(6)
+        q = random_stack(rng, lie.SO3, 5, 3)
+        v = rng.standard_normal((5, 6))
         assert_allclose(hj.fiber_derivative(with_jac, q, v),
                         hj.fiber_derivative(without, q, v), atol=1e-9)
 
     def test_fiber_derivative_checks_the_direction_shape(self):
-        # both paths: the analytic jacobian and finite differences
-        q = hj.configuration(lie.identity(lie.SO3), (0.0, 0.0))
+        # both paths: the analytic jacobian and finite differences; one
+        # (d + k,) row per sample, never a flat row or a broadcast one
+        q = random_stack(np.random.default_rng(7), lie.SO3, 3, 2)
         for sec in (hj.zero_section(lie.SO3, 2),
                     hj.shear_section(lie.SO3, 2)):
-            for shape in ((4,), (6,), (1, 5)):
-                with pytest.raises(ValueError, match="5-component base"):
+            for shape in ((5,), (1, 5), (3, 4), (3, 6), (3, 5, 1)):
+                with pytest.raises(ValueError, match=r"expected \(3, 5\) "
+                                   r"base directions, got"):
                     hj.fiber_derivative(sec, q, np.zeros(shape))
 
 
@@ -391,10 +422,10 @@ class TestClosedness:
         nu = lie.coalgebra(lie.SO3, (0.7, -0.4, 0.2))
         sec = replace(hj.constant_body_section(nu, np.zeros(3)),
                       jacobian=jacobian)
-        q = hj.configuration(lie.identity(lie.SO3), np.zeros(3))
+        q = one_row(lie.identity(lie.SO3), np.zeros(3))
         for probe in (lambda: hj.closedness_defect(sec, 5),
                       lambda: hj.pullback_identity_defect(sec, 5),
-                      lambda: hj.fiber_derivative(sec, q, np.ones(6)),
+                      lambda: hj.fiber_derivative(sec, q, np.ones((1, 6))),
                       lambda: hj.section_residuals(rb_system(), sec, q, nu)):
             with pytest.raises(ValueError, match=match):
                 probe()
@@ -403,26 +434,26 @@ class TestClosedness:
         nu = lie.coalgebra(lie.SO3, (0.7, -0.4, 0.2))
         sec = hj.constant_body_section(nu, np.zeros(3))
         rng = np.random.default_rng(8)
-        qs = [hj.random_configuration(rng, lie.SE3, 1) for _ in range(3)]
+        qs = random_stack(rng, lie.SE3, 3, 1)
         match = (r"configuration \(SE3, 1 angles\) is not on the "
                  r"section's base \(SO3, 3 angles\)")
-        with pytest.raises(ValueError, match=match):
-            hj.fiber(sec, qs[0])
-        for samples in (qs, hj._as_stack(qs)):
+        for probe in (lambda: hj.fiber(sec, qs),
+                      lambda: hj.fiber(sec, qs.rows(slice(0, 1))),
+                      lambda: hj.closedness_defect(sec, samples=qs),
+                      lambda: hj.pullback_identity_defect(sec, samples=qs)):
             with pytest.raises(ValueError, match=match):
-                hj.closedness_defect(sec, samples=samples)
-            with pytest.raises(ValueError, match=match):
-                hj.pullback_identity_defect(sec, samples=samples)
+                probe()
 
 
-def _per_sample_gate(sec, samples) -> float:
-    """The gate one sample at a time: max over samples of
-    max |D - D^T|, D's rows the fiber derivatives along the unit base
-    directions."""
+def _per_sample_gate(sec, stack) -> float:
+    """The gate one sample at a time: max over the one-row views of
+    stack of max |D - D^T|, D's rows the fiber derivatives along the unit
+    base directions."""
     frame = np.eye(lie.algebra_dim(sec.kind) + sec.rotor_count)
     worst = 0.0
-    for q in samples:
-        d = np.array([hj.fiber_derivative(sec, q, e) for e in frame])
+    for q in one_row_views(stack):
+        d = np.array([hj.fiber_derivative(sec, q, e[None])[0]
+                      for e in frame])
         worst = max(worst, float(np.max(np.abs(d - d.T))))
     return worst
 
@@ -460,7 +491,7 @@ class TestGateBlocks:
                                       self.SYMMETRIC)
         stack = self.stack()
         assert hj.closedness_defect(sec, samples=stack) == 0.0
-        assert _per_sample_gate(sec, configurations(stack)) == 0.0
+        assert _per_sample_gate(sec, stack) == 0.0
 
     def test_q_dependent_jacobian(self):
         shear = np.zeros((3, 3))
@@ -469,7 +500,7 @@ class TestGateBlocks:
                            + q.theta[:, 0, None, None] * shear)
         stack = self.stack()
         gate = hj.closedness_defect(sec, samples=stack)
-        assert gate == _per_sample_gate(sec, configurations(stack))
+        assert gate == _per_sample_gate(sec, stack)
         assert gate == np.max(np.abs(stack.theta[:, 0]))
 
     def test_asymmetry_only_in_the_last_block(self):
@@ -484,7 +515,7 @@ class TestGateBlocks:
 
         sec = self.section(coupling)
         gate = hj.closedness_defect(sec, samples=stack)
-        assert gate == _per_sample_gate(sec, configurations(stack)) == 0.75
+        assert gate == _per_sample_gate(sec, stack) == 0.75
         head = stack.rows(slice(0, 2 * lie.CHUNK))
         assert hj.closedness_defect(sec, samples=head) == 0.0
         with pytest.raises(hj.GateRejection):
@@ -525,11 +556,11 @@ class TestPullbackIdentity:
 class TestXGamma:
     def test_zero_section_is_stationary(self):
         rng = np.random.default_rng(8)
-        q = hj.random_configuration(rng, lie.SO3, 3)
+        q = random_stack(rng, lie.SO3, 4, 3)
         x = hj.section_residuals(rb_system(), hj.zero_section(lie.SO3, 3),
-                                 q).x_gamma
-        assert x.shape == (6,)
-        assert np.linalg.norm(x) == 0.0
+                                 q)[2]
+        assert x.shape == (4, 6)
+        assert not x.any()
 
     def test_constant_body_group_part_is_the_momentum_gradient(self):
         nu = lie.coalgebra(lie.SO3, (0.7, -0.4, 0.2))
@@ -537,10 +568,10 @@ class TestXGamma:
         sec = hj.constant_body_section(nu, l0)
         sys = rb_system()
         rng = np.random.default_rng(9)
-        q = hj.random_configuration(rng, lie.SO3, 3)
-        x = hj.section_residuals(sys, sec, q).x_gamma
+        q = random_stack(rng, lie.SO3, 1, 3)
+        x = one_sample(sys, sec, q)[2]
         ref = sys.hamiltonian.grad(
-            reduced_point(lie.SO3, nu, theta=q.theta, l=l0))
+            reduced_point(lie.SO3, nu, theta=q.theta[0], l=l0))
         assert_allclose(x[:3], ref.d_pi, atol=1e-15)
         assert_allclose(x[3:], ref.d_l, atol=1e-15)
 
@@ -553,9 +584,8 @@ class TestXGamma:
         nu = lie.coalgebra(lie.SO3, (0.7, -0.4, 0.2))
         sec = hj.constant_body_section(nu, (0.1, 0.0, -0.2))
         rng = np.random.default_rng(10)
-        q = hj.random_configuration(rng, lie.SO3, 3)
-        assert np.linalg.norm(hj.section_residuals(sys, sec, q).x_gamma) \
-            == 0.0
+        q = random_stack(rng, lie.SO3, 1, 3)
+        assert np.linalg.norm(one_sample(sys, sec, q)[2]) == 0.0
 
 
 class TestRelatedness:
@@ -563,15 +593,15 @@ class TestRelatedness:
         rng = np.random.default_rng(11)
         sec = hj.zero_section(lie.SO3, 3)
         mu = lie.coalgebra(lie.SO3, np.zeros(3))
-        for _ in range(5):
-            q = hj.random_configuration(rng, lie.SO3, 3)
-            assert relatedness(rb_system(), sec, q) <= 1e-10
-            assert relatedness(rb_system(), sec, q, mu) <= 1e-10
+        qs = random_stack(rng, lie.SO3, 5, 3)
+        for level in (None, mu):
+            rel = hj.section_residuals(rb_system(), sec, qs, level)[0]
+            assert rel.shape == (5,) and rel.max() <= 1e-10
 
     def test_gravity_breaks_the_zero_candidate(self):
         sec, mu, a = tilted_gravity_data()
         rng = np.random.default_rng(12)
-        q = configurations(hj.isotropy_configurations(rng, mu, 1, 2))[0]
+        q = hj.isotropy_configurations(rng, mu, 1, 2)
         residual = relatedness(ht_system(), sec, q, mu)
         expected = HT.mgh * np.linalg.norm(np.cross(a, HT.chi))
         assert_allclose(residual, expected, rtol=1e-12)
@@ -587,9 +617,9 @@ class TestRelatedness:
         for eps in (1e-2, 1e-3, 1e-4):
             nu = lie.coalgebra(lie.SO3, (eps, 0.0, c))
             sec = hj.constant_body_section(nu, (0.0, 0.0, l3))
-            qs = configurations(hj.isotropy_configurations(rng, nu, 3, 3))
-            rel = max(relatedness(sys, sec, q, nu) for q in qs)
-            res = max(hj_norm(sys, sec, q, nu) for q in qs)
+            qs = hj.isotropy_configurations(rng, nu, 3, 3)
+            rel, comp, _ = hj.section_residuals(sys, sec, qs, nu)
+            rel, res = rel.max(), np.linalg.norm(comp, axis=1).max()
             ratios.append((rel / eps, res / eps))
         flat = np.asarray(ratios)
         assert np.max(flat, axis=0) / np.min(flat, axis=0) == \
@@ -599,7 +629,7 @@ class TestRelatedness:
         nu = lie.coalgebra(lie.SO3, (0.5, 0.0, 0.0))
         sec = hj.constant_body_section(nu, np.zeros(3))
         g = lie.exp_group((0.0, 0.0, 1.0))
-        q = hj.configuration(g, np.zeros(3))
+        q = one_row(g, np.zeros(3))
         with pytest.raises(hj.MembershipError,
                            match=r"level set \(defect 4\.794e-01\)"):
             hj.section_residuals(rb_system(), sec, q, nu)
@@ -610,14 +640,14 @@ class TestHJResidual:
         rng = np.random.default_rng(14)
         sec = hj.zero_section(lie.SO3, 3)
         mu = lie.coalgebra(lie.SO3, np.zeros(3))
-        q = hj.random_configuration(rng, lie.SO3, 3)
+        q = random_stack(rng, lie.SO3, 1, 3)
         assert hj_norm(rb_system(), sec, q) == 0.0
         assert hj_norm(rb_system(), sec, q, mu) == 0.0
 
     def test_gravity_rows_survive_for_the_zero_candidate(self):
         sec, mu, a = tilted_gravity_data()
         rng = np.random.default_rng(15)
-        q = configurations(hj.isotropy_configurations(rng, mu, 1, 2))[0]
+        q = hj.isotropy_configurations(rng, mu, 1, 2)
         residual = hj_norm(ht_system(), sec, q, mu)
         assert_allclose(residual,
                         HT.mgh * np.linalg.norm(np.cross(a, HT.chi)),
@@ -636,8 +666,8 @@ class TestHJResidual:
             theta = rng.standard_normal(3)
             nu = lie.coalgebra(lie.SO3, pi)
             sec = hj.constant_body_section(nu, l0)
-            q = hj.configuration(lie.identity(lie.SO3), theta)
-            comp = hj.section_residuals(sys, sec, q, nu).hj_components
+            q = one_row(lie.identity(lie.SO3), theta)
+            comp = one_sample(sys, sec, q, nu)[1]
             cand = systems.HJCandidate(
                 np.concatenate([pi, theta, l0]), np.zeros(9))
             rows = systems.rigid_body_hj_lhs(RB, cand)
@@ -657,8 +687,8 @@ class TestHJResidual:
             theta = rng.standard_normal(2)
             nu = lie.coalgebra(lie.SE3, pi, gamma)
             sec = hj.constant_body_section(nu, l0)
-            q = hj.configuration(lie.identity(lie.SE3), theta)
-            comp = hj.section_residuals(sys, sec, q, nu).hj_components
+            q = one_row(lie.identity(lie.SE3), theta)
+            comp = one_sample(sys, sec, q, nu)[1]
             cand = systems.HJCandidate(
                 np.concatenate([pi, theta, l0]), np.zeros(10),
                 advected=gamma)
@@ -677,8 +707,8 @@ class TestHJResidual:
             gamma = rng.standard_normal(3)
             nu = lie.coalgebra(lie.SE3, pi, gamma)
             sec = hj.constant_body_section(nu)
-            q = hj.configuration(lie.identity(lie.SE3), ())
-            comp = hj.section_residuals(sys, sec, q, nu).hj_components
+            q = one_row(lie.identity(lie.SE3), ())
+            comp = one_sample(sys, sec, q, nu)[1]
             cand = systems.HJCandidate(pi, np.zeros(0), advected=gamma)
             rows = systems.heavy_top_lp_hj_lhs(free, cand)
             assert_allclose(rows, scales * comp, atol=1e-10)
@@ -701,11 +731,11 @@ class TestHJResidual:
         l0 = rng.standard_normal(3)
         nu = lie.coalgebra(lie.SO3, pi)
         sec = hj.constant_body_section(nu, l0)
-        q = hj.configuration(lie.identity(lie.SO3), rng.standard_normal(3))
-        comp = hj.section_residuals(sys, sec, q, nu).hj_components
+        q = one_row(lie.identity(lie.SO3), rng.standard_normal(3))
+        comp = one_sample(sys, sec, q, nu)[1]
         u_rows = np.concatenate([u_pi, np.zeros(3), u_l])
         cand = systems.HJCandidate(
-            np.concatenate([pi, q.theta, l0]), u_rows)
+            np.concatenate([pi, q.theta[0], l0]), u_rows)
         rows = systems.rigid_body_hj_lhs(RB, cand)
         assert_allclose(rows, scales * comp, atol=1e-10)
 
@@ -713,9 +743,9 @@ class TestHJResidual:
         sys = rb_system()
         sec = hj.rotor_quadratic_section()
         rng = np.random.default_rng(19)
-        q = hj.random_configuration(rng, lie.SO3, 3)
-        comp = hj.section_residuals(sys, sec, q).hj_components
-        l = q.theta + np.array([3.0, 0.0, 0.0])
+        q = random_stack(rng, lie.SO3, 1, 3)
+        comp = one_sample(sys, sec, q)[1]
+        l = q.theta[0] + np.array([3.0, 0.0, 0.0])
         rate = l * (1.0 / np.asarray(RB.ibar) + 1.0 / np.asarray(RB.j))
         assert_allclose(comp, np.concatenate([np.zeros(3), -rate]),
                         atol=1e-7)
@@ -743,9 +773,8 @@ class TestProbe:
 
     def test_rotor_quadratic_fails_on_the_unit_box(self):
         rng = np.random.default_rng(22)
-        qs = [hj.configuration(lie.random_group(rng, lie.SO3),
-                               rng.uniform(-1.0, 1.0, 3))
-              for _ in range(8)]
+        qs = hj.random_configurations(rng, lie.SO3, 8, 3,
+                                      lambda: rng.uniform(-1.0, 1.0, 3))
         res = hj.theorem_equivalence_probe(rb_system(),
                                            hj.rotor_quadratic_section(), qs)
         assert res.verdict == "FAIL"
@@ -754,15 +783,19 @@ class TestProbe:
     def test_gate_rejects_non_closed_sections(self):
         mu = lie.coalgebra(lie.SO3, (0.0, 0.0, 2.0))
         rng = np.random.default_rng(23)
-        qs = [hj.random_configuration(rng, lie.SO3, 2) for _ in range(3)]
+        qs = random_stack(rng, lie.SO3, 3, 2)
         with pytest.raises(hj.GateRejection, match="closedness gate"):
             hj.theorem_equivalence_probe(rb_system(),
                                          hj.spatial_section(mu, 2), qs, mu)
 
     def test_probe_needs_samples(self):
-        sec, mu = spin_equilibrium()
-        with pytest.raises(ValueError, match="sample"):
-            hj.theorem_equivalence_probe(rb_system(), sec, [], mu)
+        # the probe takes a stack, and no stack holds zero samples
+        _, mu = spin_equilibrium()
+        with pytest.raises(ValueError, match="at least one sample"):
+            hj.isotropy_configurations(np.random.default_rng(0), mu, 0, 3)
+        with pytest.raises(ValueError, match="non-empty"):
+            hj.ConfigurationStack(
+                lie.GroupPath(lie.SO3, np.zeros((0, 3, 3))), np.zeros((0, 3)))
 
     @pytest.mark.parametrize("rel,res,label", [
         (1e-9, 1e-8, "PASS"),
@@ -792,29 +825,25 @@ def constant_torque(x):
 
 def _assert_probe_rows_are_wrappers(sys, sec, qs, mu):
     """Each probe column entry equals the section_residuals value at its
-    sample, bit for bit."""
+    sample's one-row view, bit for bit."""
     n = len(qs)
     res = hj.theorem_equivalence_probe(sys, sec, qs, mu)
     for column in (res.relatedness, res.hj, res.x_norm):
         assert column.dtype == np.float64 and column.shape == (n,)
     assert len(res.labels) == n
-    if isinstance(qs, hj.ConfigurationStack):
-        qs = configurations(qs)
-    for i, q in enumerate(qs):
-        r = hj.section_residuals(sys, sec, q, mu)
-        assert res.relatedness[i] == r.relatedness
-        assert res.hj[i] == np.linalg.norm(r.hj_components)
-        assert res.x_norm[i] == np.linalg.norm(r.x_gamma)
+    for i, q in enumerate(one_row_views(qs)):
+        rel, comp, x = one_sample(sys, sec, q, mu)
+        assert res.relatedness[i] == rel
+        assert res.hj[i] == np.linalg.norm(comp)
+        assert res.x_norm[i] == np.linalg.norm(x)
         assert res.x_norm[i] > 0.0
-        assert res.labels[i] == hj._classify(r.relatedness,
-                                             hj_norm(sys, sec, q, mu))
+        assert res.labels[i] == hj._classify(rel, hj_norm(sys, sec, q, mu))
 
 
 class TestProbeRowsAreTheWrappers:
-    """Every probe column entry holds exactly what section_residuals, the
-    one per-sample entry point, returns at its sample, in both flavours,
-    with and without a section jacobian and with and without a vertical
-    control."""
+    """Every probe column entry holds exactly what section_residuals
+    returns at its sample's one-row view, in both flavours, with and
+    without a section jacobian and with and without a vertical control."""
 
     @pytest.mark.parametrize("reduced", [False, True])
     @pytest.mark.parametrize("with_jacobian", [True, False])
@@ -832,8 +861,7 @@ class TestProbeRowsAreTheWrappers:
             sec = hj.exact_section(lie.SO3, 3,
                                    hj.rotor_quadratic_section().value)
             nu = lie.coalgebra(lie.SO3, np.zeros(3))
-            qs = [hj.random_configuration(rng, lie.SO3, 3)
-                  for _ in range(4)]
+            qs = random_stack(rng, lie.SO3, 4, 3)
         assert (sec.jacobian is not None) == with_jacobian
         _assert_probe_rows_are_wrappers(sys, sec, qs, nu if reduced else None)
 
@@ -857,8 +885,7 @@ class TestProbeRowsAreTheWrappers:
             sec = hj.exact_section(lie.SO3, 3,
                                    hj.rotor_quadratic_section().value)
             nu = lie.coalgebra(lie.SO3, np.zeros(3))
-            qs = hj.random_configurations(rng, lie.SO3, n, 3,
-                                          lambda: rng.standard_normal(3))
+            qs = random_stack(rng, lie.SO3, n, 3)
         assert (sec.jacobian is not None) == with_jacobian
         assert len({row.tobytes() for row in hj.fiber(sec, qs)}) == n
         _assert_probe_rows_are_wrappers(sys, sec, qs, nu if reduced else None)
@@ -867,39 +894,40 @@ class TestProbeRowsAreTheWrappers:
         nu = lie.coalgebra(lie.SO3, (0.5, 0.0, 0.0))
         sec = hj.constant_body_section(nu, np.zeros(3))
         g = lie.exp_group((0.0, 0.0, 1.0))
-        q = hj.configuration(g, np.zeros(3))
+        q = one_row(g, np.zeros(3))
         sys = rb_system()
         with pytest.raises(hj.MembershipError, match="level set"):
             hj.section_residuals(sys, sec, q, nu)
         with pytest.raises(hj.MembershipError, match="level set"):
-            hj.theorem_equivalence_probe(sys, sec, [q], nu)
+            hj.theorem_equivalence_probe(sys, sec, q, nu)
 
 
 class TestProbeInputs:
-    """The probe stacks a plain sequence once and reads every fiber row
-    and membership defect in blocks of lie.CHUNK samples."""
+    """The probe takes its samples as one ConfigurationStack and reads
+    every membership defect in blocks of lie.CHUNK samples."""
 
-    @pytest.mark.parametrize("reduced", [False, True])
-    def test_list_and_stack_give_identical_columns(self, reduced):
-        sec, mu, _ = tilted_gravity_data()
-        n = lie.CHUNK + 9
-        stack = hj.isotropy_configurations(np.random.default_rng(28), mu,
-                                           n, 2)
-        level = mu if reduced else None
-        got = hj.theorem_equivalence_probe(ht_system(), sec, stack, level)
-        again = hj.theorem_equivalence_probe(ht_system(), sec,
-                                             configurations(stack), level)
-        for column in ("relatedness", "hj", "x_norm"):
-            assert _same_bits(getattr(got, column), getattr(again, column))
-        assert got.labels == again.labels and len(got.labels) == n
-        assert got.gate_defect == again.gate_defect
-
-    def test_mixed_samples_are_rejected(self):
+    def test_non_stack_samples_are_rejected(self):
+        # a list of one-row stacks, an empty list, a tuple holding a stack
+        # and a bare angle array all name the type they should have been
         sec, mu = spin_equilibrium()
-        qs = [hj.configuration(lie.identity(lie.SO3), np.zeros(3)),
-              hj.configuration(lie.identity(lie.SO3), np.zeros(2))]
-        with pytest.raises(ValueError, match="angle count"):
-            hj.theorem_equivalence_probe(rb_system(), sec, qs, mu)
+        stack = hj.isotropy_configurations(np.random.default_rng(28), mu,
+                                           3, 3)
+        match = (r"samples must be a ConfigurationStack, got "
+                 r"(list|tuple|ndarray)$")
+        for samples in (one_row_views(stack), [], (stack,), stack.theta):
+            for probe in (
+                    lambda: hj.theorem_equivalence_probe(rb_system(), sec,
+                                                         samples, mu),
+                    lambda: hj.closedness_defect(sec, samples=samples),
+                    lambda: hj.pullback_identity_defect(sec,
+                                                        samples=samples),
+                    lambda: hj.fiber(sec, samples),
+                    lambda: hj.fiber_derivative(sec, samples,
+                                                np.zeros((3, 6))),
+                    lambda: hj.section_residuals(rb_system(), sec, samples,
+                                                 mu)):
+                with pytest.raises(TypeError, match=match):
+                    probe()
 
     def test_stack_membership_error_names_the_first_offender(self):
         sec, nu = spin_equilibrium()
@@ -917,7 +945,7 @@ class TestProbeInputs:
             hj.theorem_equivalence_probe(rb_system(), sec, moved, nu)
         with pytest.raises(hj.MembershipError) as single:
             hj.section_residuals(rb_system(), sec,
-                                 configurations(moved)[first], nu)
+                                 moved.rows(slice(first, first + 1)), nu)
         defect = np.linalg.norm(rot[first] @ nu - nu)
         assert str(probe.value) == str(single.value)
         assert f"(defect {defect:.3e})" in str(probe.value)
@@ -982,8 +1010,8 @@ class TestBuilderSizes:
                                rf"momenta, expected rotor_count = {k}"):
                 hj.spatial_section(self.MU, k, l0=l0)
         sec = hj.spatial_section(self.MU, 2, l0=(1.0, -1.0))
-        q = hj.configuration(lie.identity(lie.SO3), (0.3, 0.0))
-        assert_allclose(hj.fiber(sec, q), [0.0, 0.0, 2.0, 1.0, -1.0])
+        q = one_row(lie.identity(lie.SO3), (0.3, 0.0))
+        assert_allclose(hj.fiber(sec, q), [[0.0, 0.0, 2.0, 1.0, -1.0]])
         assert hj.spatial_section(self.MU, 3).rotor_count == 3
 
     @pytest.mark.parametrize("coupling", [
@@ -1035,19 +1063,20 @@ FAMILY_CASES = [(kind, k, name) for kind, k in ((lie.SO3, 3), (lie.SE3, 2))
 
 def _per_sample_defects(sec, qs, seed):
     """The gate and the pullback identity defect one sample at a time,
-    through the one-row fiber_derivative: per sample its frame partials,
-    then one (2, m) draw."""
+    through fiber_derivative on one-row stacks: per sample its frame
+    partials, then one (2, m) draw."""
     rng = np.random.default_rng(seed + 1)
     d = lie.algebra_dim(sec.kind)
     frame = np.eye(d + sec.rotor_count)
     gate = pullback = 0.0
     for q in qs:
-        partials = np.array([hj.fiber_derivative(sec, q, e) for e in frame])
+        partials = np.array([hj.fiber_derivative(sec, q, e[None])[0]
+                             for e in frame])
         curl = partials - partials.T
         gate = max(gate, float(np.max(np.abs(curl))))
         v, w = rng.standard_normal((2, len(frame)))
         v, w = v / np.linalg.norm(v), w / np.linalg.norm(w)
-        dv, dw = hj.fiber_derivative(sec, q, v), hj.fiber_derivative(sec, q, w)
+        dv, dw = (hj.fiber_derivative(sec, q, u[None])[0] for u in (v, w))
         lhs = (float(dw[:d] @ v[:d]) - float(dv[:d] @ w[:d])
                + float(dw[d:] @ v[d:]) - float(dv[d:] @ w[d:]))
         pullback = max(pullback, abs(lhs + float(v @ curl @ w)))
@@ -1057,15 +1086,14 @@ def _per_sample_defects(sec, qs, seed):
 @pytest.mark.parametrize("kind,k,name", FAMILY_CASES)
 class TestBlocksAreOneRowPasses:
     """Over two full lie.CHUNK blocks and a partial one, each block pass
-    gives bit for bit what its one-row view gives at every sample."""
+    gives bit for bit what the pass over its one-row view gives at every
+    sample."""
 
     @staticmethod
     def setup(kind, k, name):
         sec = family_sections(kind, k)[name]
-        rng = np.random.default_rng(41)
-        stack = hj.random_configurations(rng, kind, N_BLOCKS, k,
-                                         lambda: rng.standard_normal(k))
-        return sec, stack, configurations(stack)
+        stack = random_stack(np.random.default_rng(41), kind, N_BLOCKS, k)
+        return sec, stack, one_row_views(stack)
 
     def test_values_and_jacobians(self, kind, k, name):
         sec, stack, qs = self.setup(kind, k, name)
@@ -1073,11 +1101,11 @@ class TestBlocksAreOneRowPasses:
         assert rows.shape == (N_BLOCKS, lie.algebra_dim(kind) + k)
         v = np.random.default_rng(42).standard_normal(rows.shape)
         v[5] = 0.0
-        derivatives = hj._fiber_derivatives(sec, stack, v)
+        derivatives = hj.fiber_derivative(sec, stack, v)
         for i, q in enumerate(qs):
-            assert _same_bits(rows[i], hj.fiber(sec, q))
+            assert _same_bits(rows[i], hj.fiber(sec, q)[0])
             assert _same_bits(derivatives[i],
-                              hj.fiber_derivative(sec, q, v[i]))
+                              hj.fiber_derivative(sec, q, v[i:i + 1])[0])
         assert not derivatives[5].any()
 
     def test_gate_and_pullback(self, kind, k, name):
@@ -1100,11 +1128,12 @@ class TestBlocksAreOneRowPasses:
                                       np.zeros(d) if reduced else None)
             for j, q in enumerate(qs[b]):
                 # each sample on its own momentum level
-                mu = lie.Ad_star(q.g, rows[lo + j, :d]) if reduced else None
-                r = hj.section_residuals(sys, sec, q, mu)
-                assert rel[j] == r.relatedness
-                assert _same_bits(h[j], r.hj_components)
-                assert _same_bits(x[j], r.x_gamma)
+                mu = lie.Ad_star(element(q), rows[lo + j, :d]) if reduced \
+                    else None
+                r = one_sample(sys, sec, q, mu)
+                assert rel[j] == r[0]
+                assert _same_bits(h[j], r[1])
+                assert _same_bits(x[j], r[2])
 
 
 def counted(sec):
@@ -1141,9 +1170,8 @@ class TestWorkCount:
             nu = lie.coalgebra(lie.SO3, np.zeros(3))
             sec, calls = counted(hj.exact_section(
                 lie.SO3, 3, hj.rotor_quadratic_section().value))
-            rng = np.random.default_rng(44)
-            qs = hj.random_configurations(rng, lie.SO3, N_BLOCKS, 3,
-                                          lambda: rng.standard_normal(3))
+            qs = random_stack(np.random.default_rng(44), lie.SO3, N_BLOCKS,
+                              3)
         hj.theorem_equivalence_probe(rb_system(), sec, qs,
                                      nu if reduced else None)
         m = 6

@@ -929,6 +929,39 @@ class TestProbeInputs:
                 with pytest.raises(TypeError, match=match):
                     probe()
 
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_list_and_stack_give_identical_columns(self, reduced):
+        # the probe is no longer handed a list, but probing the list of a
+        # stack's one-row views one by one gives its columns bit for bit
+        sec, mu, _ = tilted_gravity_data()
+        n = lie.CHUNK + 9
+        stack = hj.isotropy_configurations(np.random.default_rng(28), mu,
+                                           n, 2)
+        level = mu if reduced else None
+        got = hj.theorem_equivalence_probe(ht_system(), sec, stack, level)
+        rows = [hj.theorem_equivalence_probe(ht_system(), sec, q, level)
+                for q in one_row_views(stack)]
+        for column in ("relatedness", "hj", "x_norm"):
+            again = np.concatenate([getattr(r, column) for r in rows])
+            assert _same_bits(getattr(got, column), again)
+        assert got.labels == tuple(r.labels[0] for r in rows)
+        assert len(got.labels) == n
+        assert got.gate_defect == max(r.gate_defect for r in rows)
+
+    def test_mixed_samples_are_rejected(self):
+        # samples of mixed angle counts cannot share a stack: a list of
+        # them is refused as a list, and each sample off the section's
+        # angle count is refused by the base check
+        sec, mu = spin_equilibrium()
+        qs = [one_row(lie.identity(lie.SO3), np.zeros(3)),
+              one_row(lie.identity(lie.SO3), np.zeros(2))]
+        with pytest.raises(TypeError, match="ConfigurationStack"):
+            hj.theorem_equivalence_probe(rb_system(), sec, qs, mu)
+        with pytest.raises(ValueError, match=r"\(SO3, 2 angles\) is not on "
+                                             r"the section's base"):
+            hj.theorem_equivalence_probe(rb_system(), sec, qs[1], mu)
+        hj.theorem_equivalence_probe(rb_system(), sec, qs[0], mu)
+
     def test_stack_membership_error_names_the_first_offender(self):
         sec, nu = spin_equilibrium()
         n = 2 * lie.CHUNK + 7

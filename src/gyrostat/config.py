@@ -85,8 +85,8 @@ MAX_STEPS = 10**7
 
 # Ceiling on [gamma] samples. hj-check holds every sample, its fiber row
 # and its probe columns at once and streams its report: its tracemalloc
-# peak on the heavy-top probe grows about 224 B per sample (1000 to 3000
-# samples), so 10^6 peak near 0.23 GB.
+# peak on the heavy-top probe grows about 200 B per sample (1000 to 3000
+# samples; 189-224 B over 10 runs), so 10^6 peak near 0.2 GB.
 MAX_SAMPLES = 10**6
 
 _SECTIONS = ("system", "params", "initial", "run", "gamma", "control",

@@ -8,12 +8,12 @@ reduced spaces here have a trivial base (the group part has been
 quotiented away, and rotor angles and momenta are themselves fiber
 coordinates), so every reduced tangent is vertical.
 
-Forces and controls share one protocol, a flat vertical field: it takes
-a flat state, a list of d floats, and returns its d lift components,
-the same shape as :data:`~gyrostat.poisson.FlatField`. The paper's
-fiber-map form, a fiber-preserving map F of flat states, enters through
+Forces and controls share one protocol, a flat vertical field: it maps
+the d components of flat states, floats of one state or equal-length
+columns of a stack, to their d lift components. The paper's fiber-map
+form, a fiber-preserving map F of flat states, enters through
 :func:`fiber_map_lift`, whose lift is F(x) - x; the identity map lifts
-to zero. :func:`matching_control` returns its lift directly.
+to zero. :func:`matching_control` returns its lift, on one state only.
 
 The integrator steps :func:`flat_dynamical_field`, a map from a flat
 state to its d rates; :func:`dynamical_field` is its view at one point.
@@ -26,21 +26,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add, sub
-from typing import Callable
 
 from .lie import SE3, SO3, algebra_dim
 from .poisson import (FlatField, Layout, ReducedPoint, ReducedTangent,
-                      ScalarField, _hamiltonian_rates, flat_gradient,
-                      flat_hamiltonian_field, tangent_like)
+                      ScalarField, flat_hamiltonian_field, tangent_like)
 
 
 @dataclass(frozen=True)
 class RCHSystem:
     """Hamiltonian plus optional force and control on a reduced space.
 
-    ``force`` and ``control`` are flat vertical fields (see the module
-    docstring); ``None`` means absent. ``rotor_count`` fixes the
-    size of the rotor momentum slot that points of this system carry.
+    ``force`` and ``control`` are flat vertical fields, on floats or
+    columns (see the module docstring); ``None`` means absent.
+    ``rotor_count`` fixes the size of the rotor momentum slot of points.
     """
 
     hamiltonian: ScalarField
@@ -82,31 +80,21 @@ def fiber_map_lift(fmap: FlatField) -> FlatField:
     return lift
 
 
-def _controlled_rates(sys: RCHSystem,
-                      layout: Layout) -> Callable[[list, list], list]:
-    """(x, g) -> the rates of the controlled system at the flat state x
-    of ``layout`` (checked here, once), given the row gradient g of h
-    there: Hamiltonian rates plus the lifts of force and control."""
-    _check_point(sys, layout)
-    hamiltonian = _hamiltonian_rates(layout)
-    if sys.force is None and sys.control is None:
-        return hamiltonian
-    return lambda x, g: _add_lifts(sys, x, hamiltonian(x, g))
-
-
 def flat_dynamical_field(sys: RCHSystem, layout: Layout) -> FlatField:
     """The full vector field of the controlled system on flat states of
     ``layout``, lists of d floats to their d rates: Hamiltonian part
     plus the vertical lifts of force and control. With both absent this
     is exactly the Hamiltonian field."""
-    rates = _controlled_rates(sys, layout)
-    grad = flat_gradient(sys.hamiltonian, layout)
-    return lambda x: rates(x, grad(x))
+    _check_point(sys, layout)
+    field = flat_hamiltonian_field(sys.hamiltonian, layout)
+    if sys.force is None and sys.control is None:
+        return field
+    return lambda x: _add_lifts(sys, x, field(x))
 
 
 def _add_lifts(sys: RCHSystem, x: list, out: list) -> list:
     """out plus the vertical lifts of the force and then the control at
-    the flat state x: the one place the lifts are summed."""
+    the flat states x, floats or columns: the one place they are summed."""
     for lift in (sys.force, sys.control):
         if lift is not None:
             v = lift(x)
@@ -144,9 +132,9 @@ def matching_control(sys_a: RCHSystem, sys_b: RCHSystem,
     carries no force or control of its own). Installing v as the
     control of a force-free A makes A's dynamical field agree with the
     transported B-field at every state; a force on A stays in the
-    controlled field on top of that. Each evaluation checks that x has
-    the length of ``layout_a``, round-trips it through both maps and
-    raises if they fail to invert each other there.
+    controlled field on top of that. Each evaluation takes one state
+    (columns raise TypeError), checks its length against ``layout_a``,
+    round-trips it through both maps and raises where they do not invert.
     """
     _check_point(sys_a, layout_a)
     field_a = flat_hamiltonian_field(sys_a.hamiltonian, layout_a)
@@ -157,6 +145,8 @@ def matching_control(sys_a: RCHSystem, sys_b: RCHSystem,
         if len(x) != d:
             raise ValueError(f"state of length {len(x)} does not match the "
                              f"control's layout {layout_a}")
+        if not isinstance(x[0], float):
+            raise TypeError("the control takes one flat state, not columns")
         y = pullback_inverse(x)
         back = pullback(y)
         if len(back) != d:

@@ -30,8 +30,8 @@ must vanish together or stay apart together, never disagree. Per block
 of ``lie.CHUNK`` samples it makes the gate's derivative passes (one per
 frame direction); then it reads all N fiber rows in one section call
 and per block makes one membership check, one field pass and one
-derivative pass. Only the samplers' RNG draws and the field rows inside
-:func:`~gyrostat.reduction.full_dynamical_field` run per sample.
+derivative pass; the field pass evaluates the field once on the columns
+of the block. Only the samplers' RNG draws run per sample.
 """
 
 from __future__ import annotations
@@ -146,8 +146,7 @@ def random_configurations(rng: np.random.Generator, kind: str, n: int,
 
 
 def isotropy_configurations(rng: np.random.Generator, mu, n: int,
-                            rotor_count: int,
-                            theta_scale: float = 1.0) -> ConfigurationStack:
+                            rotor_count: int) -> ConfigurationStack:
     """n configurations, stacked, whose group part fixes the flat spatial
     momentum mu under the coadjoint action, so constant-body sections at
     mu sit exactly on the mu level set there.
@@ -160,7 +159,7 @@ def isotropy_configurations(rng: np.random.Generator, mu, n: int,
     """
 
     def angles():
-        return theta_scale * rng.standard_normal(rotor_count)
+        return rng.standard_normal(rotor_count)
 
     mu, kind = lie._flat_algebra(mu)
     if kind == lie.SO3:

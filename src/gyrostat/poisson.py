@@ -10,7 +10,7 @@ float64 arrays. A momentum nu is a flat (3,) or (6,) array (see
 :mod:`gyrostat.lie`). Scalar observables are :class:`ScalarField` values
 whose gradients are either supplied analytically or taken by central
 finite differences (:func:`central_difference`, the package's one
-stencil); :func:`flat_gradient` is the one place that reads them.
+stencil); :func:`_gradient_rows` and :func:`flat_gradient` read them.
 
 The bracket is the minus Lie-Poisson bracket plus the canonical rotor
 pairs, the one under which the body-frame equations take their usual
@@ -152,20 +152,19 @@ def tangent_like(p: ReducedPoint | Layout, arr) -> ReducedTangent:
 class ScalarField:
     """Observable on reduced points.
 
-    eval maps a ReducedPoint to a float. grad, when given, returns the
-    analytic gradient at a point in tangent layout. eval_batch, when
-    given, maps a (n, dim) array of flat states to their n values and
-    must match eval row by row; :func:`central_difference` and the
-    invariants of :func:`~gyrostat.integrate.run` call it. grad_batch,
-    when given, maps the same (n, dim) array to the (n, dim) array of
-    flat analytic gradients. grad_row, when given, is the row gradient:
-    it maps one flat state, a list of dim Python floats, to the list of
-    its dim gradient components. :func:`flat_gradient` reads grad_row,
-    else grad_batch, else finite differences, and never the point
-    members eval and grad. :func:`analytic_field` builds all four from
-    one componentwise formula. The five are plain callables: wrappers
-    may replace them, so code must not rely on attributes attached to
-    them.
+    eval maps a ReducedPoint to a float and grad, when given, to its
+    analytic gradient in tangent layout. eval_batch, when given, maps an
+    (n, dim) array of flat states to their n values and must match eval
+    row by row; :func:`central_difference` and the invariants of
+    :func:`~gyrostat.integrate.run` call it. grad_batch, when given, maps
+    it to the (n, dim) flat analytic gradients. grad_row, when given, is
+    the componentwise gradient: the dim floats of one flat state, or the
+    dim equal-length columns of a stack, to dim components, floats or
+    columns. :func:`flat_gradient` and :func:`_gradient_rows` read
+    grad_row, else grad_batch, else finite differences, never eval and
+    grad; :func:`analytic_field` builds all four from one formula. The
+    five are plain callables that wrappers may replace, so code must not
+    rely on attributes attached to them.
     """
 
     eval: Callable[[ReducedPoint], float]
@@ -184,16 +183,18 @@ def analytic_field(eval_batch: Callable[[np.ndarray], np.ndarray],
     floats it is the row gradient ``grad_row``; on the d columns of an
     (n, d) array it gives ``grad_batch``, the same numbers bit for bit.
     ``eval`` and ``grad`` are views on one point."""
-    def grad_batch(x: np.ndarray) -> np.ndarray:
-        g = np.empty(x.shape)
-        for i, column in enumerate(grad(list(x.T))):
-            g[:, i] = column
-        return g
-
     return ScalarField(
         lambda p: float(eval_batch(p.flat()[None, :])[0]),
         lambda p: tangent_like(p, grad(p.flat().tolist())),
-        eval_batch, grad_batch, grad)
+        eval_batch, lambda x: _from_columns(grad(list(x.T)), x.shape), grad)
+
+
+def _from_columns(columns: list, shape: tuple) -> np.ndarray:
+    """The array of ``shape`` whose columns are ``columns``, (n,) or float."""
+    out = np.empty(shape)
+    for i, column in enumerate(columns):
+        out[:, i] = column
+    return out
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -205,9 +206,9 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def central_difference(fn: Callable[[np.ndarray], np.ndarray],
-                       pts: np.ndarray, step: float = FD_STEP) -> np.ndarray:
+                       pts: np.ndarray) -> np.ndarray:
     """Central finite-difference Jacobian of ``fn`` at each row of the
-    (m, d) array ``pts``, with step ``step * max(1, |x_i|)`` per
+    (m, d) array ``pts``, with step ``FD_STEP * max(1, |x_i|)`` per
     coordinate.
 
     ``fn`` maps an (n, d) array of points to n values, or to an (n, k)
@@ -217,7 +218,7 @@ def central_difference(fn: Callable[[np.ndarray], np.ndarray],
     """
     pts = np.asarray(pts, dtype=float)
     m, d = pts.shape
-    h = step * np.maximum(1.0, np.abs(pts))
+    h = FD_STEP * np.maximum(1.0, np.abs(pts))
     per = np.repeat(pts[:, None, :], 2 * d, axis=1)
     i = np.arange(d)
     per[:, 2 * i, i] += h
@@ -228,51 +229,56 @@ def central_difference(fn: Callable[[np.ndarray], np.ndarray],
     return (v[:, 0::2] - v[:, 1::2]) / (2.0 * h)
 
 
+def _gradient_rows(h: ScalarField, layout: Layout,
+                   pts: np.ndarray) -> np.ndarray:
+    """The (n, d) gradient rows of h at the flat states ``pts`` of
+    ``layout``, checked finite once: grad_row on the columns of pts, else
+    grad_batch, else :func:`central_difference` over eval_batch or eval."""
+    if h.grad_row is not None:
+        g = _from_columns(h.grad_row(list(pts.T)), pts.shape)
+    elif h.grad_batch is not None:
+        g = h.grad_batch(pts)
+    else:
+        g = central_difference(h.eval_batch or (lambda q: [
+            h.eval(point_like(layout, x)) for x in q]), pts)
+    if not np.isfinite(g).all():
+        raise ValueError("non-finite gradient")
+    return g
+
+
 def flat_gradient(h: ScalarField, layout: Layout) -> Callable[[list], list]:
-    """Row gradient of h on flat states of ``layout``, lists of d floats:
-    h's ``grad_row`` when it has one, else one row of its ``grad_batch``,
-    else :func:`central_difference` over its ``eval_batch`` (over
-    ``eval`` on point views when h has no batched value)."""
+    """Row gradient of h on one flat state of ``layout``, d floats: its
+    grad_row, else the one-row view of :func:`_gradient_rows`."""
     if h.grad_row is not None:
         return h.grad_row
-    if h.grad_batch is not None:
-        return lambda x: h.grad_batch(np.array([x]))[0].tolist()
-    batch = h.eval_batch
-    if batch is None:
-        def batch(pts):
-            return [h.eval(point_like(layout, x)) for x in pts]
-    return lambda x: central_difference(batch, np.array([x]))[0].tolist()
+    return lambda x: _gradient_rows(h, layout, np.array([x]))[0].tolist()
 
 
 def product_bracket(f: ScalarField, k: ScalarField, p: ReducedPoint) -> float:
     """Bracket on g* x V x V* at p: the minus Lie-Poisson part
     -<nu, [df/dnu, dk/dnu]> plus the canonical rotor part
     sum_i (df/dtheta_i dk/dl_i - dk/dtheta_i df/dl_i), through
-    :func:`_flat_bracket` on the :func:`flat_gradient` rows of f and k.
+    :func:`_flat_bracket` on the :func:`_gradient_rows` rows of f and k.
 
     The canonical part requires theta and l slots of equal size; with an
     empty theta slot the rotor momenta sit in a Poisson-trivial factor
     and only the Lie-Poisson part remains. Raises on a non-finite
     gradient.
     """
-    x = p.flat()
-    gf, gk = (np.array(flat_gradient(h, p.layout)(x.tolist())) for h in (f, k))
-    if not (np.isfinite(gf).all() and np.isfinite(gk).all()):
-        raise ValueError("non-finite gradient")
-    return float(_flat_bracket(p.layout)(gf, gk, x))
+    x = p.flat()[None]
+    gf, gk = (_gradient_rows(h, p.layout, x) for h in (f, k))
+    return float(_flat_bracket(p.layout)(gf, gk, x)[0])
 
 
 def _hamiltonian_rates(layout: Layout) -> Callable[[list, list], list]:
-    """(x, g) -> the rates of :func:`flat_hamiltonian_field` at the flat
-    state x, given the row gradient g of h there; raises on a non-finite
-    gradient."""
+    """(x, g) -> the rates of :func:`flat_hamiltonian_field` at flat
+    states x, d floats or d equal-length columns, given the gradient g of
+    h there, unchecked."""
     nc, n_theta = lie.algebra_dim(layout.kind), layout.n_theta
     se3, paired = nc == 6, n_theta == layout.n_l and n_theta > 0
     still = [0.0] * (n_theta + layout.n_l)
 
     def rates(x: list, g: list) -> list:
-        if not all(map(math.isfinite, g)):
-            raise ValueError("non-finite gradient")
         out = _ad_star_list(x, g, se3)
         if paired:
             return out + g[nc + n_theta:] + [-v for v in g[nc:nc + n_theta]]
@@ -293,9 +299,17 @@ def flat_hamiltonian_field(h: ScalarField, layout: Layout) -> FlatField:
 
     Every component equals the minus bracket of its coordinate function
     with h, which the tests verify against :func:`product_bracket`.
+    Raises on a non-finite gradient: the row path's one check.
     """
     grad, rates = flat_gradient(h, layout), _hamiltonian_rates(layout)
-    return lambda x: rates(x, grad(x))
+
+    def field(x: list) -> list:
+        g = grad(x)
+        if not all(map(math.isfinite, g)):
+            raise ValueError("non-finite gradient")
+        return rates(x, g)
+
+    return field
 
 
 def _slot_product(a: int, b: int) -> ScalarField:

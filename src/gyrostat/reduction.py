@@ -19,11 +19,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lie
-from .controlled import (RCHSystem, _add_lifts, _check_point,
-                         _controlled_rates)
+from .controlled import RCHSystem, _add_lifts, _check_point
 from .integrate import Trajectory, rk4_step
 from .lie import GroupElement, GroupPath
-from .poisson import Layout, _hamiltonian_rates, _row_dot, flat_gradient
+from .poisson import (Layout, _from_columns, _gradient_rows,
+                      _hamiltonian_rates, _row_dot, flat_gradient)
 
 
 class FullTangent(NamedTuple):
@@ -40,9 +40,10 @@ class FullTangent(NamedTuple):
 def full_dynamical_field(sys: RCHSystem, layout: Layout,
                          states: np.ndarray) -> FullTangent:
     """Field on the full space over the (n, d) flat reduced states of
-    ``layout``, each evaluated on the list path: the reduced field plus
-    the group velocity that reconstruction integrates. Neither depends
-    on g, and one gradient of h per state gives both.
+    ``layout``: the reduced field plus the group velocity that
+    reconstruction integrates. Neither depends on g; one gradient read
+    over the stack gives both, and the list path's formulas run once on
+    its d columns, so each row is the one-state field bit for bit.
 
     Forces and controls are vertical, so they may move momenta but never
     the rotor angles; a lift that does is rejected here, in one check
@@ -56,20 +57,15 @@ def full_dynamical_field(sys: RCHSystem, layout: Layout,
     if states.ndim != 2 or states.shape[1] != d or not len(states):
         raise ValueError(f"expected an (n, {d}) array of flat states, got "
                          f"shape {states.shape}")
-    grad = flat_gradient(sys.hamiltonian, layout)
-    rates = _hamiltonian_rates(layout)
-    xi, hamiltonian, body = [], [], []
-    for x in states.tolist():
-        g = grad(x)
-        xi.append(g[:nc])
-        hamiltonian.append(rates(x, g))
-        body.append(_add_lifts(sys, x, hamiltonian[-1]))
-    body = np.array(body)
-    lift = body - hamiltonian
+    g = _gradient_rows(sys.hamiltonian, layout, states)
+    x = list(states.T)
+    hamiltonian = _hamiltonian_rates(layout)(x, list(g.T))
+    body = _from_columns(_add_lifts(sys, x, hamiltonian), states.shape)
+    lift = body - _from_columns(hamiltonian, states.shape)
     if lift[:, nc:nc + layout.n_theta].any():
         raise ValueError("force/control must be vertical: it cannot move "
                          "the rotor angles")
-    return FullTangent(np.array(xi), body, lift)
+    return FullTangent(g[:, :nc], body, lift)
 
 
 # ---------------------------------------------------------------------------
@@ -110,13 +106,14 @@ def reconstruct(traj: Trajectory, g0: GroupElement, sys: RCHSystem,
         raise ValueError(f"kind mismatch: {g0.kind} vs {traj.layout.kind}")
     n, d = traj.states.shape
     nc = lie.algebra_dim(traj.layout.kind)
-    rates = _controlled_rates(sys, traj.layout)
+    _check_point(sys, traj.layout)
+    rates = _hamiltonian_rates(traj.layout)
     grad = flat_gradient(sys.hamiltonian, traj.layout)
 
     def joint(z: list) -> list:
         y = z[:d]
         g = grad(y)
-        return rates(y, g) + _dexpinv(z[d:], g[:nc])
+        return _add_lifts(sys, y, rates(y, g)) + _dexpinv(z[d:], g[:nc])
 
     rot, trans = np.empty((n, 3, 3)), np.zeros((n, 3))
     rot[0] = g0.rot

@@ -12,6 +12,7 @@ from gyrostat.lie import SO3, SE3
 from gyrostat.poisson import (Layout, ReducedPoint, ScalarField,
                               flat_hamiltonian_field,
                               random_polynomial_field, tangent_like)
+from gyrostat.reduction import full_dynamical_field
 
 
 def random_point(rng, kind=SO3, nt=3, nl=3):
@@ -285,6 +286,17 @@ def test_control_rejects_points_of_another_layout():
     p = random_point(np.random.default_rng(16), nt=0)
     with pytest.raises(ValueError, match="layout"):
         v(p.flat().tolist())
+
+
+def test_control_rejects_the_columns_of_a_stack():
+    # the control takes one state, so the column pass of
+    # full_dynamical_field gets a clear error rather than numpy's
+    h = quadratic_h(9)
+    sys = RCHSystem(h, SO3, 3)
+    v = matching_control(sys, sys, LAYOUT, LAYOUT, same, same, same)
+    states = np.random.default_rng(18).standard_normal((4, 9))
+    with pytest.raises(TypeError, match="one flat state, not columns"):
+        full_dynamical_field(RCHSystem(h, SO3, 3, control=v), LAYOUT, states)
 
 
 # ------------------------------------- a non-identity equivalence (cyclic)

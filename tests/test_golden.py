@@ -345,27 +345,28 @@ def test_output_matches_golden(case, tmp_path):
         assert a == b, _first_difference(f"{case}/{name}", a, b)
 
 
-def test_probe_evaluates_the_gradient_once_per_sample(tmp_path,
-                                                      monkeypatch):
-    # each hj-check sample reads its fiber row once and takes one
-    # full_dynamical_field over the flat state of that row and the
-    # sample's angles, whose rates and body velocity share one
-    # evaluation of the gradient
-    calls = []
+def test_probe_reads_the_gradient_once_per_block(tmp_path, monkeypatch):
+    # hj-check reads the fiber rows once and takes one full_dynamical_field
+    # per lie.CHUNK block over the flat states of those rows and the
+    # samples' angles, whose rates and body velocity share one gradient
+    # read on the columns of the block: one grad_row call per block, and
+    # the calls cover each of the 40 samples once
+    rows = []
     build = systems.heavy_top_hamiltonian
 
     def counted(params):
         h = build(params)
 
         def grad_row(x):
-            calls.append(1)
+            rows.append(len(x[0]))
             return h.grad_row(x)
 
         return replace(h, grad_row=grad_row)
 
     monkeypatch.setattr(systems, "heavy_top_hamiltonian", counted)
     _run("hj-check-heavy-top", tmp_path)
-    assert len(calls) == 40
+    assert len(rows) == -(-40 // lie.CHUNK)
+    assert sum(rows) == 40
 
 
 if __name__ == "__main__":

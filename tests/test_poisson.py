@@ -100,11 +100,11 @@ def test_central_difference_returns_jacobian_of_vector_map():
     rng = np.random.default_rng(16)
     a = rng.standard_normal((4, 5))
     pts = 3.0 * rng.standard_normal((2, 5))
-    jac = central_difference(lambda x: x @ a.T, pts, poisson.FD_STEP)
+    jac = central_difference(lambda x: x @ a.T, pts)
     assert jac.shape == (2, 5, 4)
     for j in range(2):
         npt.assert_allclose(jac[j], a.T, atol=1e-8)
-    scalar = central_difference(lambda x: x @ a[0], pts, poisson.FD_STEP)
+    scalar = central_difference(lambda x: x @ a[0], pts)
     assert scalar.shape == (2, 5)
     npt.assert_allclose(scalar, np.tile(a[0], (2, 1)), atol=1e-8)
 
@@ -346,8 +346,7 @@ def test_suite_machinery_matches_object_path(name):
               random_point(rng, kind, nt, nl)) for _ in range(25)]
 
     def fd(h, p):
-        return central_difference(h.eval_batch, p.flat()[None, :],
-                                  poisson.FD_STEP)[0]
+        return central_difference(h.eval_batch, p.flat()[None, :])[0]
 
     stacked = [np.array(rows).reshape(5, 5, dim) for rows in zip(
         *((fd(f, p), fd(k, p), p.flat()) for f, k, p in cases))]

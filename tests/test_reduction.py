@@ -5,10 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gyrostat import lie
+from gyrostat.config import CATALOGUE
 from gyrostat.controlled import (RCHSystem, dynamical_field,
                                  flat_dynamical_field)
 from gyrostat.integrate import Trajectory, run
-from gyrostat.poisson import (Layout, ScalarField, flat_hamiltonian_field,
+from gyrostat.poisson import (Layout, ScalarField, flat_gradient,
+                              flat_hamiltonian_field, random_polynomial_field,
                               reduced_point)
 from gyrostat.reduction import (full_dynamical_field, momentum_drift,
                                 reconstruct)
@@ -116,6 +118,95 @@ class TestCommutation:
         assert_allclose(v.body[:3] - plain.body[:3], [0.1, 0.0, 0.0],
                         atol=1e-15)
         assert_allclose(v.xi, plain.xi)
+
+
+def list_path(sys, layout, states):
+    """full_dynamical_field's three outputs built one state at a time on
+    the list path: xi from the flat_gradient row, body from
+    flat_dynamical_field and lift as body minus flat_hamiltonian_field."""
+    nc = lie.algebra_dim(layout.kind)
+    grad = flat_gradient(sys.hamiltonian, layout)
+    field = flat_dynamical_field(sys, layout)
+    hamiltonian = flat_hamiltonian_field(sys.hamiltonian, layout)
+    rows = states.tolist()
+    body = np.array([field(x) for x in rows])
+    return (np.array([grad(x)[:nc] for x in rows]), body,
+            body - np.array([hamiltonian(x) for x in rows]))
+
+
+def with_lifts(h, kind, rotors):
+    """h with a state-dependent force on the momenta and a constant
+    control, both vertical."""
+    nc = lie.algebra_dim(kind)
+
+    def force(x):
+        return ([a * b for a, b in zip(x[:3], x[-3:])]
+                + [0.0] * (len(x) - 3))
+
+    return RCHSystem(h, kind, rotors, force=force,
+                     control=lambda x: [0.2] * nc + [0.0] * rotors
+                     + [-0.1] * rotors)
+
+
+class TestColumnPass:
+    """full_dynamical_field evaluates the list path's formulas once on the
+    columns of its stack, so each of its rows is the list path's state."""
+
+    @pytest.mark.parametrize("name", sorted(CATALOGUE))
+    def test_catalogue_systems_equal_the_list_path(self, name):
+        kind = CATALOGUE[name]
+        rng = np.random.default_rng(31)
+        values = {key: rng.uniform(0.5, 2.0, size)
+                  for key, size in kind.keys.items()}
+        if "chi" in values:
+            values["chi"] /= np.linalg.norm(values["chi"])
+        params = kind.params(*values.values())
+        layout = Layout(kind.algebra, kind.rotors, kind.rotors)
+        sys = with_lifts(kind.build(params).hamiltonian, kind.algebra,
+                         kind.rotors)
+        states = rng.standard_normal(
+            (lie.CHUNK + 9, lie.algebra_dim(kind.algebra) + 2 * kind.rotors))
+        full = full_dynamical_field(sys, layout, states)
+        for got, want in zip(full, list_path(sys, layout, states)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("source", ["eval_batch", "eval"])
+    def test_finite_difference_gradients_equal_the_list_path(self, source):
+        # the catalogue systems above read grad_row; these read central
+        # differences of the heavy top's batched or pointwise value
+        h = heavy_top_system(HT).hamiltonian
+        h = {"eval_batch": ScalarField(h.eval, eval_batch=h.eval_batch),
+             "eval": ScalarField(h.eval)}[source]
+        sys, layout = with_lifts(h, lie.SE3, 2), Layout(lie.SE3, 2, 2)
+        states = np.random.default_rng(32).standard_normal((23, 10))
+        full = full_dynamical_field(sys, layout, states)
+        for got, want in zip(full, list_path(sys, layout, states)):
+            assert np.array_equal(got, want)
+
+    def test_grad_batch_field_reads_the_batched_rows(self):
+        # a polynomial's grad_batch rounds its matmul by the height of the
+        # stack (the axiom suite's tests pin that), so its rows may differ
+        # from its one-row calls, the list path's gradient, in the last
+        # bit; the column pass reads the batched rows themselves
+        h = random_polynomial_field(np.random.default_rng(33), 10)
+        sys, layout = with_lifts(h, lie.SE3, 2), Layout(lie.SE3, 2, 2)
+        states = np.random.default_rng(34).standard_normal((23, 10))
+        full = full_dynamical_field(sys, layout, states)
+        assert np.array_equal(full.xi, h.grad_batch(states)[:, :6])
+        for got, want in zip(full, list_path(sys, layout, states)):
+            assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("source", ["grad_row", "eval"])
+    def test_non_finite_gradient_is_rejected(self, source):
+        h = heavy_top_system(HT).hamiltonian
+        h = {"grad_row": h,
+             "eval": ScalarField(
+                 lambda p: float("nan") if p.nu[0] < 0 else 0.0)}[source]
+        states = np.ones((5, 10))
+        states[3, 0] = {"grad_row": np.inf, "eval": -1.0}[source]
+        with pytest.raises(ValueError, match="^non-finite gradient$"):
+            full_dynamical_field(RCHSystem(h, lie.SE3, 2),
+                                 Layout(lie.SE3, 2, 2), states)
 
 
 class TestReconstruct:

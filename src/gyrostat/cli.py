@@ -71,7 +71,10 @@ def _write_lines(path: Path, lines):
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise cfgmod.ConfigError(f"--out {out}: {exc.strerror}") from None
     return out
 
 
@@ -211,10 +214,9 @@ def cmd_hj_check(args) -> int:
               "",
               f"{'idx':>5}  {'relatedness':>13}  {'hj residual':>13}  "
               f"{'|X_gamma|':>11}  class"]
-    rows = ("{:5d}  {:13.6e}  {:13.6e}  {:11.4e}  {}".format(i, *row)
-            for i, row in enumerate(zip(probe.relatedness.tolist(),
-                                        probe.hj.tolist(),
-                                        probe.x_norm.tolist(), probe.labels)))
+    rows = map("%5d  %13.6e  %13.6e  %11.4e  %s".__mod__,
+               zip(range(len(probe.labels)), probe.relatedness.tolist(),
+                   probe.hj.tolist(), probe.x_norm.tolist(), probe.labels))
     _write_lines(out / "hj_report.txt",
                  chain(header, rows, ["", f"verdict: {probe.verdict}"]))
 

@@ -84,9 +84,9 @@ SECTION_BUILTINS = ("rotor_quadratic",)
 MAX_STEPS = 10**7
 
 # Ceiling on [gamma] samples. hj-check holds every sample, its fiber row
-# and its probe columns at once and streams its report: its tracemalloc
-# peak on the heavy-top probe grows about 200 B per sample (1000 to 3000
-# samples; 189-224 B over 10 runs), so 10^6 peak near 0.2 GB.
+# and its probe columns at once and streams its report: past the fixed
+# 0.6 MB of its lie.CHUNK blocks, its heavy-top tracemalloc peak grows
+# about 200 B per sample (3000 to 30000), so 10^6 peak near 0.2 GB.
 MAX_SAMPLES = 10**6
 
 _SECTIONS = ("system", "params", "initial", "run", "gamma", "control",
@@ -120,7 +120,7 @@ CATALOGUE = {
 
 
 class ConfigError(ValueError):
-    """A scenario file failed validation; the message names the field."""
+    """A scenario file or option is invalid; the message names the field."""
 
 
 def algebra_kind(system: str) -> str:
@@ -410,6 +410,9 @@ def load_config(path) -> ScenarioConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file {path}: "
                           f"{exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"scenario file {path} is not UTF-8: "
+                          f"{exc.reason} at byte {exc.start}") from None
     return parse_config(text)
 
 

@@ -109,18 +109,18 @@ class ConfigurationStack:
 
 
 def _stack(kind: str, n: int, rotor_count: int, width: int,
-           draw: Callable[[], tuple],
+           draw: Callable[[np.ndarray, np.ndarray], None],
            group: Callable[[np.ndarray], tuple]) -> ConfigurationStack:
     """n samples drawn one at a time, so the RNG order is the per-sample
-    one: draw() returns a sample's width raw numbers and its angles,
-    written into preallocated arrays; then group maps each block of
-    lie.CHUNK raw rows to its rotations and translations (None on
-    SO(3))."""
+    one: draw(raw_row, theta_row) writes a sample's width raw numbers and
+    its angles into its rows of preallocated arrays; then group maps each
+    block of lie.CHUNK raw rows to its rotations and translations (None
+    on SO(3))."""
     if n < 1:
         raise ValueError("need at least one sample configuration")
     raw, theta = np.empty((n, width)), np.empty((n, rotor_count))
     for i in range(n):
-        raw[i], theta[i] = draw()
+        draw(raw[i], theta[i])
     rot = np.empty((n, 3, 3))
     trans = None if kind == lie.SO3 else np.empty((n, 3))
     for lo in range(0, n, lie.CHUNK):
@@ -136,10 +136,15 @@ def random_configurations(rng: np.random.Generator, kind: str, n: int,
                           angles: Callable[[], np.ndarray]
                           ) -> ConfigurationStack:
     """n configurations over the whole configuration space, each drawn as
-    :func:`lie.random_group` draws its group part, then angles()."""
+    :func:`lie.random_group` draws its group part, then angles(), which
+    must return a (rotor_count,) array: it is never broadcast."""
 
-    def draw():
-        return lie.random_algebra(rng, kind), angles()
+    def draw(raw_row, theta_row):
+        rng.standard_normal(out=raw_row)
+        if np.shape(a := angles()) != (rotor_count,):
+            raise ValueError(f"angles() returned shape {np.shape(a)}, "
+                             f"expected ({rotor_count},)")
+        theta_row[:] = a
 
     return _stack(kind, n, rotor_count, lie.algebra_dim(kind), draw,
                   lie.flat_exp)
@@ -155,29 +160,27 @@ def isotropy_configurations(rng: np.random.Generator, mu, n: int,
     to gamma, including pi = 0); a generic se(3)* momentum has a
     stabilizer this sampler does not parameterize. Each sample draws its
     angle about the axis, then on se(3)* its slide along the axis, then
-    its rotor angles.
+    its rotor angles, straight into its rows of the stack.
     """
 
-    def angles():
-        return rng.standard_normal(rotor_count)
+    def draw(raw_row, theta_row):
+        raw_row[0] = -np.pi + 2 * np.pi * rng.random()
+        rng.standard_normal(out=raw_row[1:])
+        rng.standard_normal(out=theta_row)
 
     mu, kind = lie._flat_algebra(mu)
     if kind == lie.SO3:
         norm = float(np.linalg.norm(mu))
         if norm == 0.0:
-            return random_configurations(rng, lie.SO3, n, rotor_count,
-                                         angles)
-        return _stack(lie.SO3, n, rotor_count, 1,
-                      lambda: (-np.pi + 2 * np.pi * rng.random(), angles()),
+            return random_configurations(
+                rng, lie.SO3, n, rotor_count,
+                lambda: rng.standard_normal(rotor_count))
+        return _stack(lie.SO3, n, rotor_count, 1, draw,
                       lambda angle: lie.flat_exp(angle * mu / norm))
     if not isotropy_sampleable(mu):
         raise ValueError("isotropy sampling needs pi parallel to gamma "
                          "(or pi = 0) with gamma nonzero")
     axis = mu[3:] / np.linalg.norm(mu[3:])
-
-    def slide_draw():
-        return ((-np.pi + 2 * np.pi * rng.random(), rng.standard_normal()),
-                angles())
 
     def slide_group(raw):
         # exp(angle axis, 0) composed with exp(0, slide axis): the second
@@ -186,7 +189,7 @@ def isotropy_configurations(rng: np.random.Generator, mu, n: int,
         rot = lie.flat_exp(raw[:, :1] * axis)[0]
         return rot, (rot @ (raw[:, 1:] * axis)[..., None])[..., 0]
 
-    return _stack(lie.SE3, n, rotor_count, 2, slide_draw, slide_group)
+    return _stack(lie.SE3, n, rotor_count, 2, draw, slide_group)
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,9 @@ import numpy as np
 SO3 = "SO3"
 SE3 = "SE3"
 
-#: rows per block when a stack is checked or built a block at a time
-CHUNK = 64
+#: rows per block when a stack is checked or built a block at a time; the
+#: blocks' temporaries are a fixed peak (0.6 MB on a heavy-top hj-check)
+CHUNK = 256
 
 #: below this angle the exponential's Rodrigues coefficients switch to
 #: 2-term Taylor expansions to avoid 0/0

@@ -450,6 +450,38 @@ class TestParser:
             in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command,text", [
+        ("simulate", RB), ("hj-check", HT), ("equivalence-demo", DEMO),
+        ("bracket-verify", None)])
+    def test_out_that_cannot_be_a_directory_is_a_bad_argument(
+            self, tmp_path, capsys, command, text):
+        # an existing file as --out, or a path below one, is refused on
+        # one stderr line before any work runs
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        args = [command] if text is None else \
+            [command, "--config", scenario(tmp_path, text)]
+        for out in (taken, taken / "sub"):
+            assert cli(*args, "--out", out) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"config error: --out {out}: ")
+            assert captured.err.count("\n") == 1
+        assert taken.read_text() == "keep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["taken"] + ([] if text is None else ["scenario.ini"]))
+
+    def test_scenario_that_is_not_utf8_is_a_config_error(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "scenario.ini"
+        path.write_bytes(b"\xff\xfe" + RB.encode("utf-16-le"))
+        assert cli("simulate", "--config", path, "--out",
+                   tmp_path / "out") == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: scenario file {path} is not UTF-8: invalid "
+            "start byte at byte 0\n")
+        assert not (tmp_path / "out").exists()
+
     def test_config_flag_is_required_for_scenario_commands(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate"])

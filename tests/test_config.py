@@ -1,5 +1,6 @@
 """Scenario file parsing, emission, and the config-to-object builders."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -290,6 +291,13 @@ target_chi = 0.0 0.0 1.0
     def test_missing_file_is_a_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             cfgmod.load_config(tmp_path / "absent.ini")
+
+    def test_file_that_is_not_utf8_is_a_config_error(self, tmp_path):
+        path = tmp_path / "utf16.ini"
+        path.write_bytes(b"\xff\xfe" + "[system]\n".encode("utf-16-le"))
+        with pytest.raises(ConfigError, match=rf"scenario file "
+                           rf"{re.escape(str(path))} is not UTF-8"):
+            cfgmod.load_config(path)
 
 
 class TestRoundTrip:

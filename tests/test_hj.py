@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from gyrostat import hamilton_jacobi as hj
 from gyrostat import lie, systems
+from gyrostat.config import CATALOGUE
 from gyrostat.controlled import RCHSystem
 from gyrostat.poisson import ScalarField, reduced_point
 
@@ -22,6 +23,16 @@ def rb_system():
 
 def ht_system():
     return systems.heavy_top_system(HT)
+
+
+# the block size the block tests run at: small, so their per-row reference
+# loops cover full and partial blocks in a few dozen samples
+CHUNK = 8
+
+
+@pytest.fixture
+def small_chunk(monkeypatch):
+    monkeypatch.setattr(lie, "CHUNK", CHUNK)
 
 
 def spin_equilibrium(c=1.3):
@@ -185,6 +196,44 @@ class TestStackedSamples:
         else:
             assert stack.g.trans is None
         assert _same_bits(stack.theta, np.array([r[2] for r in want]))
+
+    @pytest.mark.parametrize("k", [0, 3])
+    @pytest.mark.parametrize("level", sorted(ISOTROPY_LEVELS))
+    def test_isotropy_sampler_leaves_the_per_sample_rng_state(self, level,
+                                                              k):
+        # the rows are written in place, one sample's draws at a time, and
+        # the generator ends where the per-sample draws leave it
+        mu = ISOTROPY_LEVELS[level]
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        stack = hj.isotropy_configurations(rng, mu, 37, k)
+        want = _reference_rows(ref, mu, 37, k)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert _same_bits(stack.theta, np.array([r[2] for r in want])
+                          .reshape(37, k))
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("kind", [lie.SO3, lie.SE3])
+    def test_zero_level_sampler_leaves_the_per_sample_rng_state(self, kind,
+                                                                k):
+        # the zero level's sampler: a group draw, then config's uniform
+        # angles
+        rng, ref = np.random.default_rng(12), np.random.default_rng(12)
+        stack = hj.random_configurations(rng, kind, 37, k,
+                                         lambda: rng.uniform(-1.0, 1.0, k))
+        want = [(ref.standard_normal(lie.algebra_dim(kind)),
+                 ref.uniform(-1.0, 1.0, k)) for _ in range(37)]
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert _same_bits(stack.theta, np.array([t for _, t in want])
+                          .reshape(37, k))
+
+    @pytest.mark.parametrize("angles", [
+        lambda: np.array([0.5]), lambda: 0.25, lambda: np.zeros((1, 3)),
+        lambda: np.zeros(4)], ids=["one", "scalar", "row", "long"])
+    def test_angles_of_another_shape_are_not_broadcast(self, angles):
+        rng = np.random.default_rng(13)
+        with pytest.raises(ValueError, match=r"angles\(\) returned shape "
+                                             r".*, expected \(3,\)"):
+            hj.random_configurations(rng, lie.SO3, 4, 3, angles)
 
     @pytest.mark.parametrize("seed", [0, 5, 2027])
     @pytest.mark.parametrize("kind", [lie.SO3, lie.SE3])
@@ -458,12 +507,13 @@ def _per_sample_gate(sec, stack) -> float:
     return worst
 
 
+@pytest.mark.usefixtures("small_chunk")
 class TestGateBlocks:
     """The gate takes one max |D - D^T| per block of lie.CHUNK samples:
     over two full blocks and a partial one it equals the per-sample
     maximum, wherever the asymmetry sits."""
 
-    N = 2 * lie.CHUNK + 3
+    N = 2 * CHUNK + 3
     NU = lie.coalgebra(lie.SO3, (0.7, -0.4, 0.2))
     SYMMETRIC = np.array([[0.5, 0.2, 0.0], [0.2, -0.3, 0.1],
                           [0.0, 0.1, 0.4]])
@@ -516,7 +566,7 @@ class TestGateBlocks:
         sec = self.section(coupling)
         gate = hj.closedness_defect(sec, samples=stack)
         assert gate == _per_sample_gate(sec, stack) == 0.75
-        head = stack.rows(slice(0, 2 * lie.CHUNK))
+        head = stack.rows(slice(0, 2 * CHUNK))
         assert hj.closedness_defect(sec, samples=head) == 0.0
         with pytest.raises(hj.GateRejection):
             hj.theorem_equivalence_probe(rb_system(), sec, stack, self.NU)
@@ -869,13 +919,13 @@ class TestProbeRowsAreTheWrappers:
     @pytest.mark.parametrize("with_jacobian", [True, False])
     @pytest.mark.parametrize("control", [None, constant_torque])
     def test_rows_equal_wrappers_across_blocks(self, reduced, with_jacobian,
-                                               control):
+                                               control, small_chunk):
         # two full lie.CHUNK blocks and a partial one, every sample with
         # its own fiber row
         sys = RCHSystem(rb_system().hamiltonian, lie.SO3, 3,
                         control=control)
         rng = np.random.default_rng(34)
-        n = 2 * lie.CHUNK + 3
+        n = 2 * CHUNK + 3
         if with_jacobian:
             nu = lie.coalgebra(lie.SO3, (0.7, -0.4, 0.2))
             sec = hj.affine_rotor_section(nu, (0.1, 0.0, -0.2),
@@ -930,11 +980,12 @@ class TestProbeInputs:
                     probe()
 
     @pytest.mark.parametrize("reduced", [False, True])
-    def test_list_and_stack_give_identical_columns(self, reduced):
+    def test_list_and_stack_give_identical_columns(self, reduced,
+                                                   small_chunk):
         # the probe is no longer handed a list, but probing the list of a
         # stack's one-row views one by one gives its columns bit for bit
         sec, mu, _ = tilted_gravity_data()
-        n = lie.CHUNK + 9
+        n = CHUNK + 9
         stack = hj.isotropy_configurations(np.random.default_rng(28), mu,
                                            n, 2)
         level = mu if reduced else None
@@ -962,13 +1013,14 @@ class TestProbeInputs:
             hj.theorem_equivalence_probe(rb_system(), sec, qs[1], mu)
         hj.theorem_equivalence_probe(rb_system(), sec, qs[0], mu)
 
-    def test_stack_membership_error_names_the_first_offender(self):
+    def test_stack_membership_error_names_the_first_offender(self,
+                                                             small_chunk):
         sec, nu = spin_equilibrium()
-        n = 2 * lie.CHUNK + 7
+        n = 2 * CHUNK + 7
         stack = hj.isotropy_configurations(np.random.default_rng(29), nu,
                                            n, 3)
         rot = stack.g.rot.copy()
-        first = lie.CHUNK + 5
+        first = CHUNK + 5
         rng = np.random.default_rng(30)
         for i in (first, first + 3, n - 1):
             rot[i] = lie.random_group(rng, lie.SO3).rot
@@ -1062,8 +1114,8 @@ class TestBuilderSizes:
             hj.rotor_quadratic_section(lie.SO3, np.zeros((3, 1)))
 
 
-N_BLOCKS = 2 * lie.CHUNK + 3
-BLOCK_SIZES = [lie.CHUNK, lie.CHUNK, 3]
+N_BLOCKS = 2 * CHUNK + 3
+BLOCK_SIZES = [CHUNK, CHUNK, 3]
 
 
 def family_sections(kind: str, k: int) -> dict:
@@ -1116,6 +1168,7 @@ def _per_sample_defects(sec, qs, seed):
     return gate, pullback
 
 
+@pytest.mark.usefixtures("small_chunk")
 @pytest.mark.parametrize("kind,k,name", FAMILY_CASES)
 class TestBlocksAreOneRowPasses:
     """Over two full lie.CHUNK blocks and a partial one, each block pass
@@ -1154,8 +1207,8 @@ class TestBlocksAreOneRowPasses:
         sys = rb_system() if kind == lie.SO3 else ht_system()
         rows = hj.fiber(sec, stack)
         d = lie.algebra_dim(kind)
-        for lo in range(0, N_BLOCKS, lie.CHUNK):
-            b = slice(lo, lo + lie.CHUNK)
+        for lo in range(0, N_BLOCKS, CHUNK):
+            b = slice(lo, lo + CHUNK)
             # the block pass never reads mu's value, only its presence
             rel, h, x = hj._residuals(sys, sec, stack.rows(b), rows[b],
                                       np.zeros(d) if reduced else None)
@@ -1167,6 +1220,47 @@ class TestBlocksAreOneRowPasses:
                 assert rel[j] == r[0]
                 assert _same_bits(h[j], r[1])
                 assert _same_bits(x[j], r[2])
+
+
+class TestBlockSize:
+    """The block size sets how many samples share a pass, never a bit of
+    the result: the probe and the residuals read the same at one sample a
+    block, at odd and at full sizes. The heavy top's Hamiltonian is
+    elementwise, so no gradient rounds by the height of its block."""
+
+    N = 260
+    MU = lie.coalgebra(lie.SE3, (0.0, 0.0, 0.0), (0.0, 0.6, 0.8))
+
+    def sections(self):
+        affine = hj.affine_rotor_section(self.MU, (0.1, -0.2),
+                                         [[0.3, 0.1], [0.1, -0.2]])
+        return {"affine": affine,
+                "differenced": hj.exact_section(lie.SE3, 2, affine.value)}
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    @pytest.mark.parametrize("name", ["affine", "differenced"])
+    def test_probe_and_residuals_do_not_depend_on_it(self, name, reduced,
+                                                     monkeypatch):
+        sec = self.sections()[name]
+        sys = CATALOGUE["heavy_top_rotors"].build(HT)
+        stack = hj.isotropy_configurations(np.random.default_rng(46),
+                                           self.MU, self.N, 2)
+        level = self.MU if reduced else None
+        runs = []
+        for chunk in (1, 7, 64, 256):
+            monkeypatch.setattr(lie, "CHUNK", chunk)
+            runs.append((hj.theorem_equivalence_probe(sys, sec, stack,
+                                                      level),
+                         hj.section_residuals(sys, sec, stack, level)))
+        (probe, residuals), rest = runs[0], runs[1:]
+        for other, again in rest:
+            for column in ("relatedness", "hj", "x_norm"):
+                assert _same_bits(getattr(other, column),
+                                  getattr(probe, column))
+            assert other.labels == probe.labels
+            assert _same_bits(other.gate_defect, probe.gate_defect)
+            for got, want in zip(again, residuals):
+                assert _same_bits(got, want)
 
 
 def counted(sec):
@@ -1186,6 +1280,7 @@ def counted(sec):
         calls
 
 
+@pytest.mark.usefixtures("small_chunk")
 class TestWorkCount:
     """The probe calls a section per block (and its value once over all
     samples), never per sample."""

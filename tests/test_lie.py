@@ -192,9 +192,11 @@ def test_group_path_checks_every_rotation_once():
 
 @pytest.mark.parametrize("what", ["orthonormal", "determinant",
                                   "non-finite"])
-def test_group_path_names_a_bad_block_past_the_first_chunk(what):
+def test_group_path_names_a_bad_block_past_the_first_chunk(what,
+                                                          monkeypatch):
     # the check runs lie.CHUNK blocks at a time; the index it reports
     # counts from the start of the whole stack
+    monkeypatch.setattr(lie, "CHUNK", 8)
     n = 3 * lie.CHUNK + 5
     rot = np.tile(np.eye(3), (n, 1, 1))
     block = {"orthonormal": np.eye(3) * 1.001, "determinant": -np.eye(3),

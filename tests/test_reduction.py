@@ -165,7 +165,7 @@ class TestColumnPass:
         sys = with_lifts(kind.build(params).hamiltonian, kind.algebra,
                          kind.rotors)
         states = rng.standard_normal(
-            (lie.CHUNK + 9, lie.algebra_dim(kind.algebra) + 2 * kind.rotors))
+            (73, lie.algebra_dim(kind.algebra) + 2 * kind.rotors))
         full = full_dynamical_field(sys, layout, states)
         for got, want in zip(full, list_path(sys, layout, states)):
             assert np.array_equal(got, want)

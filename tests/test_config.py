@@ -300,6 +300,176 @@ target_chi = 0.0 0.0 1.0
             cfgmod.load_config(path)
 
 
+REQUIRED = object()  # a key table default: the key must be given
+KEEP = object()      # a key table default: the key is not dropped alone
+
+# Each [params] key of each system kind: its value and how it is read,
+# n for n numbers or "num" for one number.
+PARAM_KEYS = {
+    "rigid_body_rotors": {"ibar": ("1.0 2.0 3.0", 3),
+                          "j": ("0.5 0.4 0.3", 3)},
+    "heavy_top_rotors": {"ibar": ("2.0 1.5 1.0", 3), "j": ("0.4 0.3", 2),
+                         "m": ("1.2", "num"), "g": ("9.8", "num"),
+                         "h": ("0.5", "num"), "chi": ("0.0 0.0 1.0", 3)},
+    "heavy_top_free": {"i": ("2.0 1.5 1.0", 3), "m": ("1.2", "num"),
+                       "g": ("9.8", "num"), "h": ("0.5", "num"),
+                       "chi": ("0.0 0.0 1.0", 3)},
+}
+
+
+def _numbers(n, value=0.0):
+    return " ".join([repr(value)] * n)
+
+
+def _key_table(system):
+    """Every section variant of a scenario on ``system``, written out
+    apart from config: label -> (section, {key: (value, how, default)}),
+    with how n (n numbers), "num", "int" or "str", and the parsed value
+    of an omitted key as its default."""
+    k = {"rigid_body_rotors": 3, "heavy_top_rotors": 2,
+         "heavy_top_free": 0}[system]
+    se3 = system != "rigid_body_rotors"
+    dim = 6 if se3 else 3
+
+    def params(keys, prefix=""):
+        return {prefix + key: (value, how, REQUIRED)
+                for key, (value, how) in keys.items()}
+
+    initial = {"pi": ("0.1 0.2 0.3", 3, REQUIRED)}
+    if se3:
+        initial["gamma"] = ("0.0 0.0 1.0", 3, REQUIRED)
+    initial["theta"] = (_numbers(k), k, (0.0,) * k)
+    initial["l"] = (_numbers(k, 0.1), k, (0.0,) * k)
+    level = {"mu": (_numbers(dim), dim, (0.0,) * dim),
+             "samples": ("10", "int", 100)}
+    gammas = {
+        "zero": {},
+        "exact_dW": {"name": ("rotor_quadratic", "str", REQUIRED)},
+        "constant_body": {"nu0": (_numbers(dim), dim, REQUIRED),
+                          "l0": (_numbers(k, 0.1), k, (0.0,) * k)},
+        "explicit": {"components": (_numbers(dim + k), dim + k, REQUIRED),
+                     "theta_coupling": (_numbers(k * k, 0.5), k * k,
+                                        (0.0,) * (k * k))},
+    }
+    if k == 0:
+        del gammas["exact_dW"]
+    constant = {"kind": ("constant", "str", KEEP),
+                "d_pi": (_numbers(3, 0.1), 3, (0.0,) * 3)}
+    if se3:
+        constant["d_gamma"] = (_numbers(3, 0.1), 3, (0.0,) * 3)
+    constant["d_l"] = (_numbers(k, 0.1), k, (0.0,) * k)
+    table = {
+        "system": ("system", {"kind": (system, "str", REQUIRED)}),
+        "params": ("params", params(PARAM_KEYS[system])),
+        "initial": ("initial", initial),
+        "run": ("run", {"dt": ("0.01", "num", 1e-3),
+                        "t_final": ("1.0", "num", 10.0),
+                        "seed": ("3", "int", 0)}),
+        "control.none": ("control", {"kind": ("none", "str", "none")}),
+        "control.constant": ("control", constant),
+        "tolerances": ("tolerances", {
+            "energy_drift": ("1e-7", "num", 1e-8),
+            "casimir_drift": ("1e-7", "num", 1e-8),
+            "equivalence": ("1e-5", "num", 1e-6)}),
+    }
+    for kind, keys in gammas.items():
+        table[f"gamma.{kind}"] = ("gamma", {
+            "kind": (kind, "str", REQUIRED), **keys, **level})
+    if system == "rigid_body_rotors":
+        for target in ("heavy_top_free", "rigid_body_rotors"):
+            table[f"control.matching.{target}"] = ("control", {
+                "kind": ("matching", "str", KEEP),
+                "target": (target, "str", REQUIRED),
+                **params(PARAM_KEYS[target], "target_")})
+    return table
+
+
+def _key_cases():
+    for system in PARAM_KEYS:
+        for label, (name, keys) in _key_table(system).items():
+            for key in keys:
+                yield pytest.param(system, label, key,
+                                   id=f"{system}-{label}-{key}")
+
+
+def _read_as(value, how):
+    if how == "str":
+        return value
+    if how == "int":
+        return int(value)
+    numbers = tuple(float(tok) for tok in value.split())
+    return numbers[0] if how == "num" else numbers
+
+
+def _faults(how):
+    """Bad values of a key read as ``how`` and the message tail each
+    must raise."""
+    if how == "str":
+        return {}
+    if how == "int":
+        return {raw: f"expected an integer, got {raw!r}"
+                for raw in ("1 2", "spin", "2.5", "inf")}
+    faults = {"spin": "could not read 'spin' as numbers",
+              "1.0 spin": "could not read '1.0 spin' as numbers",
+              "inf": "entries must be finite",
+              "1.0 nan": "entries must be finite"}
+    if how == "num":
+        faults.update({"1.0 1.0": "expected a single number, got 2",
+                       "": "expected a single number, got 0"})
+    else:
+        faults[_numbers(how + 1)] = f"expected {how} numbers, got {how + 1}"
+        if how:
+            faults[_numbers(how - 1)] = \
+                f"expected {how} numbers, got {how - 1}"
+    return faults
+
+
+class TestKeyTable:
+    """Every declared key of every section, per system kind: a wrong
+    count, a non-number, a non-finite entry, an omitted key and an extra
+    key next to it each give their exact ``[section] key: ...`` outcome."""
+
+    @staticmethod
+    def _parse(system, label, section):
+        table = _key_table(system)
+        sections = {name: {key: value for key, (value, _, _) in keys.items()}
+                    for name, keys in (table[part] for part in
+                                       ("system", "params", "initial"))}
+        sections[table[label][0]] = section
+        return parse_config("".join(
+            f"[{name}]\n" + "".join(f"{key} = {value}\n"
+                                    for key, value in keys.items()) + "\n"
+            for name, keys in sections.items()))
+
+    @staticmethod
+    def _error(system, label, section):
+        with pytest.raises(ConfigError) as err:
+            TestKeyTable._parse(system, label, section)
+        return str(err.value)
+
+    @pytest.mark.parametrize("system, label, key", list(_key_cases()))
+    def test_every_declared_key_names_itself(self, system, label, key):
+        name, keys = _key_table(system)[label]
+        base = {k: value for k, (value, _, _) in keys.items()}
+        value, how, default = keys[key]
+        where = f"[{name}] {key}"
+        cfg = self._parse(system, label, base)
+        got = cfg.system if name == "system" else getattr(cfg, name)[key]
+        assert got == _read_as(value, how)
+        for raw, tail in _faults(how).items():
+            assert self._error(system, label, {**base, key: raw}) \
+                == f"{where}: {tail}", raw
+        assert self._error(system, label, {**base, key + "_x": "1"}) \
+            == f"[{name}] {key}_x: unknown key"
+        dropped = {k: v for k, v in base.items() if k != key}
+        if default is REQUIRED:
+            assert self._error(system, label, dropped) \
+                == f"{where}: missing required key"
+        elif default is not KEEP:
+            cfg = self._parse(system, label, dropped)
+            assert getattr(cfg, name)[key] == default
+
+
 class TestRoundTrip:
     CASES = {
         "rigid_body": RB,

@@ -33,10 +33,16 @@ numbers; ``;`` and ``#`` open comments, inline ones included.
 [tolerances] energy_drift (1e-8), casimir_drift (1e-8),
              equivalence (1e-6), all strictly positive
 
-Parsing produces a canonical :class:`ScenarioConfig` (tuples of floats,
-plain floats, ints) and every validation error names the offending
-``[section] key``. :func:`emit_config` writes the canonical form back
-out; ``parse_config(emit_config(cfg)) == cfg`` exactly, since floats are
+Each section's keys, their sizes and defaults are declared once, in the
+spec table its parser hands to the one key reader, :func:`_read`:
+``_RUN`` and ``_TOLERANCES``, and the tables the other parsers build
+from the system's rotor slots and algebra (``[params]`` and the matching
+``target_`` keys from :data:`CATALOGUE`). A parser adds only the rules
+that tie keys together. Parsing produces a canonical
+:class:`ScenarioConfig` (tuples of floats, plain floats, ints) and every
+validation error names the offending ``[section] key``.
+:func:`emit_config` writes the canonical form back out;
+``parse_config(emit_config(cfg)) == cfg`` exactly, since floats are
 printed with shortest round-trip precision.
 
 :data:`CATALOGUE` is the one place a system kind is declared: its row
@@ -148,109 +154,92 @@ class ScenarioConfig:
 # parsing
 # ---------------------------------------------------------------------------
 
-def _parse_floats(raw: str, where: str) -> tuple:
-    try:
-        vals = tuple(float(tok) for tok in raw.split())
-    except ValueError:
-        raise ConfigError(f"{where}: could not read {raw!r} as numbers") \
-            from None
-    if not all(math.isfinite(v) for v in vals):
-        raise ConfigError(f"{where}: entries must be finite")
-    return vals
+REQUIRED = object()  # the spec default of a key that must be given
 
 
-def _vector(raw: str, n: int, where: str) -> tuple:
-    vals = _parse_floats(raw, where)
-    if len(vals) != n:
-        raise ConfigError(f"{where}: expected {n} numbers, got {len(vals)}")
-    return vals
+def _zeros(n: int) -> tuple:
+    """The spec entry of an optional n-number key that defaults to zeros."""
+    return n, (0.0,) * n
 
 
-def _scalar(raw: str, where: str) -> float:
-    vals = _parse_floats(raw, where)
-    if len(vals) != 1:
-        raise ConfigError(f"{where}: expected a single number, "
-                          f"got {len(vals)}")
-    return vals[0]
-
-
-def _integer(raw: str, where: str) -> int:
-    try:
-        return int(raw.strip())
-    except ValueError:
-        raise ConfigError(f"{where}: expected an integer, got {raw!r}") \
-            from None
-
-
-def _take(sec: dict, name: str, key: str, required: bool = False):
-    if key not in sec:
-        if required:
-            raise ConfigError(f"[{name}] {key}: missing required key")
-        return None
-    return sec.pop(key)
-
-
-def _no_extras(sec: dict, name: str):
-    if sec:
-        key = sorted(sec)[0]
-        raise ConfigError(f"[{name}] {key}: unknown key")
-
-
-def _parse_system(data: dict) -> str:
-    sec = data.get("system", {})
-    kind = _take(sec, "system", "kind", required=True)
-    if kind not in CATALOGUE:
-        raise ConfigError(f"[system] kind: expected one of "
-                          f"{', '.join(CATALOGUE)}, got {kind!r}")
-    _no_extras(sec, "system")
-    return kind
-
-
-def _parse_params(sec: dict, name: str, system: str,
-                  prefix: str = "") -> dict:
-    """The params keys of ``system`` (each spelled ``prefix + key``),
-    which must be all that is left in ``sec``, checked by its params
-    class."""
+def _read(sec: dict, name: str, spec: dict) -> dict:
+    """Pop the keys of ``spec`` from the ``[name]`` section ``sec`` in spec
+    order and return their values; a key left over is unknown. ``spec``
+    maps a key to (how, default): how is str, int, float (one number) or
+    n (n numbers), default the value of an omitted key or REQUIRED."""
     out = {}
-    for key, n in CATALOGUE[system].keys.items():
-        key = prefix + key
-        raw = _take(sec, name, key, required=True)
+    for key, (how, default) in spec.items():
         where = f"[{name}] {key}"
-        out[key] = _scalar(raw, where) if n is None \
-            else _vector(raw, n, where)
-    _no_extras(sec, name)
+        raw = sec.pop(key, None)
+        if raw is None:
+            if default is REQUIRED:
+                raise ConfigError(f"{where}: missing required key")
+            out[key] = default
+        elif how is str:
+            out[key] = raw
+        elif how is int:
+            try:
+                out[key] = int(raw)
+            except ValueError:
+                raise ConfigError(f"{where}: expected an integer, "
+                                  f"got {raw!r}") from None
+        else:
+            try:
+                vals = tuple(float(tok) for tok in raw.split())
+            except ValueError:
+                raise ConfigError(f"{where}: could not read {raw!r} as "
+                                  "numbers") from None
+            if not all(math.isfinite(v) for v in vals):
+                raise ConfigError(f"{where}: entries must be finite")
+            if len(vals) != (1 if how is float else how):
+                want = "a single number" if how is float \
+                    else f"{how} numbers"
+                raise ConfigError(f"{where}: expected {want}, "
+                                  f"got {len(vals)}")
+            out[key] = vals[0] if how is float else vals
+    if sec:
+        raise ConfigError(f"[{name}] {sorted(sec)[0]}: unknown key")
+    return out
+
+
+def _one_of(value, choices, where: str):
+    """Raise unless value is one of choices; None, an omitted key, is left
+    for :func:`_read` to report."""
+    if value is not None and value not in choices:
+        raise ConfigError(f"{where}: expected one of {', '.join(choices)}, "
+                          f"got {value!r}")
+
+
+_RUN = {"dt": (float, 1e-3), "t_final": (float, 10.0), "seed": (int, 0)}
+_TOLERANCES = {"energy_drift": (float, 1e-8), "casimir_drift": (float, 1e-8),
+               "equivalence": (float, 1e-6)}
+
+
+def _params_spec(system: str, prefix: str = "") -> dict:
+    """The [params] keys of ``system``, each spelled ``prefix + key``."""
+    return {prefix + key: (float if n is None else n, REQUIRED)
+            for key, n in CATALOGUE[system].keys.items()}
+
+
+def _check_params(name: str, system: str, values: dict, prefix: str = ""):
     try:
-        _params(system, out, prefix)
+        _params(system, values, prefix)
     except ValueError as exc:
         raise ConfigError(f"[{name}] {exc}") from None
-    return out
 
 
 def _parse_initial(data: dict, system: str) -> dict:
-    sec = data.get("initial", {})
     k = rotor_count(system)
-    out = {"pi": _vector(_take(sec, "initial", "pi", required=True), 3,
-                         "[initial] pi")}
+    spec = {"pi": (3, REQUIRED)}
     if algebra_kind(system) == lie.SE3:
-        out["gamma"] = _vector(_take(sec, "initial", "gamma", required=True),
-                               3, "[initial] gamma")
-    for key in ("theta", "l"):
-        raw = _take(sec, "initial", key)
-        out[key] = (0.0,) * k if raw is None \
-            else _vector(raw, k, f"[initial] {key}")
-    _no_extras(sec, "initial")
-    return out
+        spec["gamma"] = (3, REQUIRED)
+    spec.update(theta=_zeros(k), l=_zeros(k))
+    return _read(data.get("initial", {}), "initial", spec)
 
 
 def _parse_run(data: dict) -> dict:
-    sec = data.get("run") or {}
-    raw_dt = _take(sec, "run", "dt")
-    raw_tf = _take(sec, "run", "t_final")
-    raw_seed = _take(sec, "run", "seed")
-    dt = 1e-3 if raw_dt is None else _scalar(raw_dt, "[run] dt")
-    t_final = 10.0 if raw_tf is None else _scalar(raw_tf, "[run] t_final")
-    seed = 0 if raw_seed is None else _integer(raw_seed, "[run] seed")
-    _no_extras(sec, "run")
+    out = _read(data.get("run", {}), "run", _RUN)
+    dt, t_final, seed = out.values()
     if dt <= 0:
         raise ConfigError("[run] dt: must be positive")
     if t_final <= 0:
@@ -264,7 +253,7 @@ def _parse_run(data: dict) -> dict:
         raise ConfigError("[run] dt: must divide t_final into whole steps")
     if seed < 0:
         raise ConfigError("[run] seed: must be nonnegative")
-    return {"dt": dt, "t_final": t_final, "seed": seed}
+    return out
 
 
 def _parse_gamma(data: dict, system: str) -> dict | None:
@@ -273,47 +262,26 @@ def _parse_gamma(data: dict, system: str) -> dict | None:
         return None
     k = rotor_count(system)
     dim = lie.algebra_dim(algebra_kind(system))
-    kind = _take(sec, "gamma", "kind", required=True)
-    if kind not in GAMMA_KINDS:
-        raise ConfigError(f"[gamma] kind: expected one of "
-                          f"{', '.join(GAMMA_KINDS)}, got {kind!r}")
-    out = {"kind": kind}
+    kind = sec.get("kind")
+    _one_of(kind, GAMMA_KINDS, "[gamma] kind")
+    by_kind = {
+        "exact_dW": {"name": (str, REQUIRED)},
+        "constant_body": {"nu0": (dim, REQUIRED), "l0": _zeros(k)},
+        "explicit": {"components": (dim + k, REQUIRED),
+                     "theta_coupling": _zeros(k * k)},
+    }
+    out = _read(sec, "gamma", {"kind": (str, REQUIRED),
+                               **by_kind.get(kind, {}), "mu": (dim, None),
+                               "samples": (int, 100)})
     if kind == "exact_dW":
-        name = _take(sec, "gamma", "name", required=True)
-        if name not in SECTION_BUILTINS:
+        if out["name"] not in SECTION_BUILTINS:
             raise ConfigError(f"[gamma] name: unknown built-in section "
-                              f"{name!r}")
+                              f"{out['name']!r}")
         if k < 1:
             raise ConfigError("[gamma] name: rotor_quadratic needs at "
                               "least one rotor slot")
-        out["name"] = name
-    elif kind == "constant_body":
-        out["nu0"] = _vector(_take(sec, "gamma", "nu0", required=True),
-                             dim, "[gamma] nu0")
-        raw_l0 = _take(sec, "gamma", "l0")
-        out["l0"] = (0.0,) * k if raw_l0 is None \
-            else _vector(raw_l0, k, "[gamma] l0")
-    elif kind == "explicit":
-        out["components"] = _vector(
-            _take(sec, "gamma", "components", required=True), dim + k,
-            "[gamma] components")
-        raw_c = _take(sec, "gamma", "theta_coupling")
-        out["theta_coupling"] = (0.0,) * (k * k) if raw_c is None \
-            else _vector(raw_c, k * k, "[gamma] theta_coupling")
-    raw_mu = _take(sec, "gamma", "mu")
-    if raw_mu is None:
-        if kind == "constant_body":
-            out["mu"] = out["nu0"]
-        elif kind == "explicit":
-            out["mu"] = out["components"][:dim]
-        else:
-            out["mu"] = (0.0,) * dim
-    else:
-        out["mu"] = _vector(raw_mu, dim, "[gamma] mu")
-    raw_n = _take(sec, "gamma", "samples")
-    out["samples"] = 100 if raw_n is None \
-        else _integer(raw_n, "[gamma] samples")
-    _no_extras(sec, "gamma")
+    if out["mu"] is None:  # the section's body components at the identity
+        out["mu"] = out.get("nu0", out.get("components", (0.0,) * dim)[:dim])
     if out["samples"] < 1:
         raise ConfigError("[gamma] samples: must be at least 1")
     if out["samples"] > MAX_SAMPLES:
@@ -328,27 +296,23 @@ def _parse_gamma(data: dict, system: str) -> dict | None:
 
 
 def _parse_control(data: dict, system: str, initial: dict) -> dict:
-    sec = data.get("control") or {}
-    raw_kind = _take(sec, "control", "kind")
-    kind = "none" if raw_kind is None else raw_kind
-    if kind not in CONTROL_KINDS:
-        raise ConfigError(f"[control] kind: expected one of "
-                          f"{', '.join(CONTROL_KINDS)}, got {kind!r}")
-    out = {"kind": kind}
+    sec = data.get("control", {})
+    kind = sec.get("kind", "none")
+    _one_of(kind, CONTROL_KINDS, "[control] kind")
+    spec = {"kind": (str, "none")}
     if kind == "constant":
-        sizes = {"d_pi": 3, "d_gamma": 3, "d_l": rotor_count(system)}
-        if algebra_kind(system) == lie.SO3:
-            del sizes["d_gamma"]
-        for key, n in sizes.items():
-            raw = _take(sec, "control", key)
-            out[key] = (0.0,) * n if raw is None \
-                else _vector(raw, n, f"[control] {key}")
+        spec["d_pi"] = _zeros(3)
+        if algebra_kind(system) == lie.SE3:
+            spec["d_gamma"] = _zeros(3)
+        spec["d_l"] = _zeros(rotor_count(system))
     elif kind == "matching":
-        target = _take(sec, "control", "target", required=True)
-        if target not in MATCHING_TARGETS:
-            raise ConfigError(f"[control] target: expected one of "
-                              f"{', '.join(MATCHING_TARGETS)}, "
-                              f"got {target!r}")
+        target = sec.get("target")
+        _one_of(target, MATCHING_TARGETS, "[control] target")
+        spec["target"] = (str, REQUIRED)
+        if target is not None:
+            spec.update(_params_spec(target, "target_"))
+    out = _read(sec, "control", spec)
+    if kind == "matching":
         if system != "rigid_body_rotors":
             raise ConfigError("[control] target: matching transport runs "
                               "the rigid_body_rotors system against the "
@@ -357,24 +321,15 @@ def _parse_control(data: dict, system: str, initial: dict) -> dict:
             raise ConfigError("[initial] theta: matching transport tracks "
                               "the angle-free subsystem; omit theta or "
                               "set it to zeros")
-        out["target"] = target
-        out.update(_parse_params(sec, "control", target, "target_"))
-    _no_extras(sec, "control")
+        _check_params("control", out["target"], out, "target_")
     return out
 
 
 def _parse_tolerances(data: dict) -> dict:
-    sec = data.get("tolerances") or {}
-    defaults = {"energy_drift": 1e-8, "casimir_drift": 1e-8,
-                "equivalence": 1e-6}
-    out = {}
-    for key, default in defaults.items():
-        raw = _take(sec, "tolerances", key)
-        out[key] = default if raw is None \
-            else _scalar(raw, f"[tolerances] {key}")
-        if out[key] <= 0:
+    out = _read(data.get("tolerances", {}), "tolerances", _TOLERANCES)
+    for key, value in out.items():
+        if value <= 0:
             raise ConfigError(f"[tolerances] {key}: must be positive")
-    _no_extras(sec, "tolerances")
     return out
 
 
@@ -392,8 +347,11 @@ def parse_config(text: str) -> ScenarioConfig:
     for name in data:
         if name not in _SECTIONS:
             raise ConfigError(f"[{name}]: unknown section")
-    system = _parse_system(data)
-    params = _parse_params(data.get("params", {}), "params", system)
+    system = _read(data.get("system", {}), "system",
+                   {"kind": (str, REQUIRED)})["kind"]
+    _one_of(system, CATALOGUE, "[system] kind")
+    params = _read(data.get("params", {}), "params", _params_spec(system))
+    _check_params("params", system, params)
     initial = _parse_initial(data, system)
     run = _parse_run(data)
     gamma = _parse_gamma(data, system)

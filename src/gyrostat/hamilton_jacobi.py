@@ -533,7 +533,13 @@ def _block_residuals(sys: RCHSystem, gamma: OneFormSection,
                      stack: ConfigurationStack, mu):
     """Each block of lie.CHUNK samples of stack as a slice and its
     :func:`_residuals`, after one checked :func:`fiber` read of all
-    samples and, with mu, the membership check of every sample."""
+    samples and, with mu (checked finite and of gamma's kind), the
+    membership check of every sample."""
+    if mu is not None:
+        mu, dim = np.asarray(mu, dtype=float), lie.algebra_dim(gamma.kind)
+        if mu.shape != (dim,) or not np.isfinite(mu).all():
+            raise ValueError(f"mu must be {dim} finite numbers for a "
+                             f"{gamma.kind} section, got {mu}")
     rows = fiber(gamma, stack)
     blocks = [slice(lo, lo + lie.CHUNK)
               for lo in range(0, len(stack), lie.CHUNK)]

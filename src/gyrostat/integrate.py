@@ -51,6 +51,8 @@ class Trajectory:
                            np.asarray(self.states, dtype=float))
         if self.times.ndim != 1 or self.times.size != len(self.states):
             raise ValueError("times and states must have equal length")
+        if not np.isfinite(self.times).all():
+            raise ValueError("trajectory times must be finite")
         kind, n_theta, n_l = self.layout
         if self.states.shape[1:] != (lie.algebra_dim(kind) + n_theta + n_l,):
             raise ValueError(f"states of shape {self.states.shape} do not "

@@ -134,9 +134,6 @@ class ReducedTangent:
         parts.extend([self.d_theta, self.d_l])
         return np.concatenate(parts)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.flat()))
-
 
 def tangent_like(p: ReducedPoint | Layout, arr) -> ReducedTangent:
     """Tangent view of flat arr in the layout of p (a point or Layout)."""

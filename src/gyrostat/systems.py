@@ -98,7 +98,8 @@ class HeavyTopRotorParams:
         _positive([self.m, self.g, self.h], "m, g, h")
         if self.ibar.shape != (3,) or self.j.shape != (2,):
             raise ValueError("ibar must be a 3-vector and j a 2-vector")
-        if self.chi.shape != (3,) or abs(np.linalg.norm(self.chi) - 1.0) > UNIT_TOL:
+        if self.chi.shape != (3,) \
+                or not abs(np.linalg.norm(self.chi) - 1.0) <= UNIT_TOL:
             raise ValueError("chi must be a unit 3-vector")
 
     @property
@@ -136,7 +137,8 @@ class HeavyTopParams:
         _positive([self.m, self.g, self.h], "m, g, h")
         if self.i.shape != (3,):
             raise ValueError("i must be a 3-vector")
-        if self.chi.shape != (3,) or abs(np.linalg.norm(self.chi) - 1.0) > UNIT_TOL:
+        if self.chi.shape != (3,) \
+                or not abs(np.linalg.norm(self.chi) - 1.0) <= UNIT_TOL:
             raise ValueError("chi must be a unit 3-vector")
 
     @property
@@ -187,6 +189,8 @@ class HJCandidate:
 
     def _check_orbit(self):
         orbit, kind = lie._flat_algebra(self.orbit)
+        if not np.isfinite(orbit).all():
+            raise ValueError("candidate orbit has non-finite components")
         object.__setattr__(self, "orbit", orbit)
         if (kind == SE3) != (self.advected is not None):
             raise ValueError("orbit kind does not match the candidate "

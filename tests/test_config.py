@@ -301,7 +301,8 @@ target_chi = 0.0 0.0 1.0
 
 
 REQUIRED = object()  # a key table default: the key must be given
-KEEP = object()      # a key table default: the key is not dropped alone
+KEEP = object()      # a key table default: not dropped, as the rest of
+                     # its section would then be unknown keys
 
 # Each [params] key of each system kind: its value and how it is read,
 # n for n numbers or "num" for one number.

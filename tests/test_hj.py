@@ -1013,6 +1013,20 @@ class TestProbeInputs:
             hj.theorem_equivalence_probe(rb_system(), sec, qs[1], mu)
         hj.theorem_equivalence_probe(rb_system(), sec, qs[0], mu)
 
+    @pytest.mark.parametrize("mu", [
+        [np.nan, 0.0, 2.0], [0.0, np.inf, 2.0], [0.0, 0.0, 2.0, 0.0, 0.0, 0.0],
+    ], ids=["nan", "inf", "se3-level"])
+    def test_non_finite_or_wrong_kind_level_is_rejected(self, mu):
+        # a NaN defect compares False against the tolerance, so the level
+        # is checked before any sample is
+        sec, nu = spin_equilibrium()
+        stack = hj.isotropy_configurations(np.random.default_rng(29), nu,
+                                           5, 3)
+        for run in (hj.theorem_equivalence_probe, hj.section_residuals):
+            with pytest.raises(ValueError, match=r"^mu must be 3 finite "
+                               r"numbers for a SO3 section"):
+                run(rb_system(), sec, stack, mu)
+
     def test_stack_membership_error_names_the_first_offender(self,
                                                              small_chunk):
         sec, nu = spin_equilibrium()

@@ -182,6 +182,15 @@ def test_trajectory_rejects_ragged_grid():
                    p.layout)
 
 
+@pytest.mark.parametrize("middle", [np.nan, np.inf])
+def test_trajectory_rejects_non_finite_times(middle):
+    # a NaN step compares False against the uniformity tolerance
+    p = start()
+    with pytest.raises(ValueError, match="times must be finite"):
+        Trajectory(np.array([0.0, middle, 2.0]), np.tile(p.flat(), (3, 1)),
+                   {}, p.layout)
+
+
 def test_trajectory_rejects_length_mismatch():
     p = start()
     with pytest.raises(ValueError, match="equal length"):

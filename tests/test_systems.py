@@ -162,6 +162,15 @@ class TestParams:
         with pytest.raises(ValueError, match="unit"):
             HeavyTopParams(i=(1, 1, 1), m=1, g=1, h=1, chi=(1.0, 1.0, 0.0))
 
+    def test_non_finite_chi_rejected(self):
+        # a NaN norm compares False against UNIT_TOL
+        with pytest.raises(ValueError, match="unit"):
+            HeavyTopRotorParams(ibar=(1, 1, 1), j=(1, 1), m=1, g=1, h=1,
+                                chi=(np.nan, 0.0, 1.0))
+        with pytest.raises(ValueError, match="unit"):
+            HeavyTopParams(i=(1, 1, 1), m=1, g=1, h=1,
+                           chi=(np.nan, 0.0, 1.0))
+
     def test_shape_errors(self):
         with pytest.raises(ValueError):
             RigidBodyRotorParams(ibar=(1.0, 2.0), j=(1, 1, 1))
@@ -307,6 +316,11 @@ class TestCandidates:
         # the orbit's kind is read from its length
         with pytest.raises(ValueError, match=r"shape \(3,\) or \(6,\)"):
             HJCandidate(np.zeros(9), np.zeros(9), orbit=np.zeros(4))
+
+    def test_non_finite_orbit_rejected(self):
+        # a NaN Casimir defect compares False against ORBIT_TOL
+        with pytest.raises(ValueError, match="orbit has non-finite"):
+            HJCandidate(np.zeros(9), np.zeros(9), orbit=[np.nan, 0.0, 0.0])
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):

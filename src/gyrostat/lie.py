@@ -7,11 +7,11 @@ se(3). A momentum of the dual so(3)* or se(3)* is a flat array of the
 same shapes, pi or (pi, gamma), paired with an algebra vector by the dot
 product. The kind is read from the length; any other shape is rejected.
 
-Each formula is written once, as a private kernel on flat lists of
+The bracket is written once, as a private kernel on flat lists of
 floats: :func:`_bracket_list` is the bracket behind the
 exponential-coordinate reconstruction and the axiom suite's stacked
-brackets, and :func:`_ad_star_list` is the ad* behind the Lie-Poisson
-part of the Hamiltonian rates in :mod:`gyrostat.poisson`.
+brackets. The ad* below is written straight into the Hamiltonian rate
+kernels of :mod:`gyrostat.poisson`, one per layout.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -250,18 +250,6 @@ def _bracket_list(a: list, b: list) -> list:
         return _cross_list(a, b)
     u1, u2 = _cross_list(a, b[3:]), _cross_list(b, a[3:])
     return _cross_list(a, b) + [p - q for p, q in zip(u1, u2)]
-
-
-def _ad_star_list(mu: list, xi: list, se3: bool) -> list:
-    """ad*_xi(mu) on flat lists, reading the first 3 (so(3)) or, when
-    se3, 6 entries of each: pi x omega on so(3)*, and
-    (pi x omega + gamma x vel, gamma x omega) on se(3)*."""
-    p = _cross_list(mu, xi)
-    if not se3:
-        return p
-    gamma = mu[3:6]
-    q = _cross_list(gamma, xi[3:6])
-    return [p[0] + q[0], p[1] + q[1], p[2] + q[2], *_cross_list(gamma, xi)]
 
 
 def _rodrigues_coeffs(theta_sq):

@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import neg
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import lie
-from .lie import SE3, SO3, _ad_star_list, _bracket_list
+from .lie import SE3, SO3, _bracket_list
 
 FD_STEP = 1e-6
 
@@ -270,18 +271,34 @@ def product_bracket(f: ScalarField, k: ScalarField, p: ReducedPoint) -> float:
 def _hamiltonian_rates(layout: Layout) -> Callable[[list, list], list]:
     """(x, g) -> the rates of :func:`flat_hamiltonian_field` at flat
     states x, d floats or d equal-length columns, given the gradient g of
-    h there, unchecked."""
+    h there, unchecked: one list display per algebra and rotor pairing.
+    Its Lie-Poisson part is ad*_g(x) in the pairing of :mod:`gyrostat.lie`,
+    pi x omega or (pi x omega + gamma x vel, gamma x omega), each cross
+    product in np.cross's formula and rounding."""
     nc, n_theta = lie.algebra_dim(layout.kind), layout.n_theta
-    se3, paired = nc == 6, n_theta == layout.n_l and n_theta > 0
+    lo = nc + n_theta
+    if 0 < n_theta == layout.n_l:
+        if nc == 3:
+            return lambda x, g: [
+                x[1] * g[2] - x[2] * g[1], x[2] * g[0] - x[0] * g[2],
+                x[0] * g[1] - x[1] * g[0], *g[lo:], *map(neg, g[3:lo])]
+        return lambda x, g: [
+            x[1] * g[2] - x[2] * g[1] + (x[4] * g[5] - x[5] * g[4]),
+            x[2] * g[0] - x[0] * g[2] + (x[5] * g[3] - x[3] * g[5]),
+            x[0] * g[1] - x[1] * g[0] + (x[3] * g[4] - x[4] * g[3]),
+            x[4] * g[2] - x[5] * g[1], x[5] * g[0] - x[3] * g[2],
+            x[3] * g[1] - x[4] * g[0], *g[lo:], *map(neg, g[6:lo])]
     still = [0.0] * (n_theta + layout.n_l)
-
-    def rates(x: list, g: list) -> list:
-        out = _ad_star_list(x, g, se3)
-        if paired:
-            return out + g[nc + n_theta:] + [-v for v in g[nc:nc + n_theta]]
-        return out + still
-
-    return rates
+    if nc == 3:
+        return lambda x, g: [
+            x[1] * g[2] - x[2] * g[1], x[2] * g[0] - x[0] * g[2],
+            x[0] * g[1] - x[1] * g[0], *still]
+    return lambda x, g: [
+        x[1] * g[2] - x[2] * g[1] + (x[4] * g[5] - x[5] * g[4]),
+        x[2] * g[0] - x[0] * g[2] + (x[5] * g[3] - x[3] * g[5]),
+        x[0] * g[1] - x[1] * g[0] + (x[3] * g[4] - x[4] * g[3]),
+        x[4] * g[2] - x[5] * g[1], x[5] * g[0] - x[3] * g[2],
+        x[3] * g[1] - x[4] * g[0], *still]
 
 
 def flat_hamiltonian_field(h: ScalarField, layout: Layout) -> FlatField:
@@ -295,7 +312,8 @@ def flat_hamiltonian_field(h: ScalarField, layout: Layout) -> FlatField:
              pairs only; an unpaired momentum slot is constant)
 
     Every component equals the minus bracket of its coordinate function
-    with h, which the tests verify against :func:`product_bracket`.
+    with h, which the tests verify against :func:`product_bracket`. The
+    rates are the :func:`_hamiltonian_rates` kernel of ``layout``.
     Raises on a non-finite gradient: the row path's one check.
     """
     grad, rates = flat_gradient(h, layout), _hamiltonian_rates(layout)

@@ -121,6 +121,18 @@ def cli(*args):
     return main([str(a) for a in args])
 
 
+def traced_peak(*args):
+    """The tracemalloc peak of one successful command over the traced
+    size at its start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert cli(*args) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 class TestSimulate:
     def test_writes_trajectory_and_drift_summary(self, tmp_path):
         code = cli("simulate", "--config", scenario(tmp_path, RB),
@@ -206,6 +218,20 @@ class TestSimulate:
                    "--out", tmp_path / "out", "--quiet")
         assert code == EXIT_OK
         assert capsys.readouterr().out == ""
+
+    def test_peak_memory_grows_at_most_300_bytes_per_step(self, tmp_path):
+        # The run keeps one (1 + d + m)-float row per state, 96 B here at
+        # d = 9 and m = 2 invariants, and the peak grows 134-165 B per
+        # step from 1000 to 4000 steps, a first run taking the one-time
+        # allocations out. config.MAX_STEPS' comment scales this figure.
+        def peak(n):
+            path = scenario(tmp_path, RB.replace("t_final = 1.0",
+                                                 f"t_final = {n / 100!r}"))
+            return traced_peak("simulate", "--config", path, "--out",
+                               tmp_path / "out", "--quiet")
+
+        peak(20)
+        assert (peak(4000) - peak(1000)) / 3000 <= 300.0
 
 
 class TestHJCheck:
@@ -330,14 +356,8 @@ class TestHJCheck:
         def peak(n):
             path = scenario(tmp_path, text.replace("samples = 40",
                                                    f"samples = {n}"))
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                assert cli("hj-check", "--config", path, "--out",
-                           tmp_path / "out", "--quiet") == EXIT_OK
-                return tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
+            return traced_peak("hj-check", "--config", path, "--out",
+                               tmp_path / "out", "--quiet")
 
         peak(20)
         return (peak(3000) - peak(1000)) / 2000

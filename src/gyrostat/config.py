@@ -86,8 +86,8 @@ SECTION_BUILTINS = ("rotor_quadratic",)
 
 # Ceiling on round(t_final / dt). A run keeps one float64 row of time,
 # state and invariants per step: the tracemalloc peak grows about
-# 131-165 B per step for simulate and 250-275 B for equivalence-demo,
-# so 10^7 steps peak near 1.3-1.7 GB and 2.5-2.8 GB.
+# 131-165 B per step for simulate and 250-290 B for equivalence-demo,
+# so 10^7 steps peak near 1.3-1.7 GB and 2.5-2.9 GB.
 MAX_STEPS = 10**7
 
 # Ceiling on [gamma] samples. hj-check holds every sample, its fiber row

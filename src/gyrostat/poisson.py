@@ -491,6 +491,17 @@ def _flat_bracket(layout: Layout, inject_error: bool = False):
     return bk_vals
 
 
+def _cubic_indices(words: np.ndarray, d: int) -> np.ndarray | None:
+    """numpy's int64 integers(0, d) from the raw PCG64 words (..., w) it
+    reads, as (..., 2w // 3, 3): each word's low 32-bit half u, then its
+    high one, as (u * d) >> 32 (Lemire). None if numpy would redraw a
+    half, as it does when (u * d) mod 2^32 < 2^32 mod d."""
+    u = np.stack([words & 0xFFFFFFFF, words >> 32], axis=-1) * d
+    if np.any((u & 0xFFFFFFFF) < (1 << 32) % d):
+        return None
+    return (u >> 32).astype(np.int64).reshape(*words.shape[:-1], -1, 3)
+
+
 def bracket_axiom_suite(name: str, n_instances: int = 1000, seed: int = 0,
                         inject_error: bool = False) -> dict:
     """Seeded property sweep for one bracket over random cubic
@@ -499,25 +510,37 @@ def bracket_axiom_suite(name: str, n_instances: int = 1000, seed: int = 0,
     g, k and f*g, and Jacobi as the finite difference of the brackets
     built from analytic gradients (:func:`central_difference`, step
     ``FD_STEP``). All instances are drawn first, one after another,
-    into stacked arrays; then each axiom runs over all of them as
-    (n_instances, ...) array operations. Returns max
-    defects plus the worst sample index (in draw order) per axiom.
-    ``inject_error`` corrupts the structure constants so that the
-    Jacobi sweep must fail (mutation check hook).
+    into stacked arrays. The cubic indices are read from raw PCG64
+    words (:func:`_cubic_indices`), the stream numpy's ``integers``
+    draws, and drawn by ``integers`` itself if numpy would redraw. Then
+    each axiom runs over all instances as (n_instances, ...) array
+    operations. Returns max defects plus the worst sample index (in
+    draw order) per axiom. ``inject_error`` corrupts the structure
+    constants so that the Jacobi sweep must fail (mutation check hook).
     """
     if n_instances < 1:
         raise ValueError(f"n_instances must be at least 1, got {n_instances}")
     layout = BRACKET_SPACES[name]
     kind, n_theta, n_l = layout
     n, d = n_instances, lie.algebra_dim(kind) + n_theta + n_l
-    rng, q = np.random.default_rng(seed), 2
-    x, z = np.empty((n, d)), np.empty((3, n, q + 1 + d * (d + 1)))
-    idx = np.empty((3, n, q, 3), dtype=np.int64)
-    for i in range(n):  # one instance after another: its point, then f, g, k
-        rng.standard_normal(out=x[i])
-        for j in range(3):
-            idx[j, i] = rng.integers(0, d, size=(q, 3))
-            rng.standard_normal(out=z[j, i])
+    x, z = np.empty((n, d)), np.empty((3, n, 3 + d * (d + 1)))
+    def draw(cubic, out):  # one instance after another: its point, then
+        # for f, g and k the cubic indices, cubic(rng), and the normals
+        rng = np.random.default_rng(seed)
+        for i in range(n):
+            rng.standard_normal(out=x[i])
+            for j in range(3):
+                out[j, i] = cubic(rng)
+                rng.standard_normal(out=z[j, i])
+        return out
+
+    # 2 x 3 indices are 3 whole words, so numpy's buffered uint32 half
+    # never carries from one integers call to the next
+    idx = _cubic_indices(draw(lambda r: r.bit_generator.random_raw(3),
+                              np.empty((3, n, 3), np.uint64)), d)
+    if idx is None:  # a redraw shifts the stream: replay numpy's own draw
+        idx = draw(lambda r: r.integers(0, d, size=(2, 3)),
+                   np.empty((3, n, 2, 3), np.int64))
     f, g, k = map(_polynomials, idx, z)
     bk = _flat_bracket(layout, inject_error)
 

@@ -425,6 +425,21 @@ class TestEquivalenceDemo:
         assert kv["engaged_within_tolerance"] == "no"
         assert "deviate" in capsys.readouterr().err
 
+    def test_peak_memory_grows_at_most_350_bytes_per_step(self, tmp_path):
+        # The target, engaged and free runs each keep one row of time
+        # and state per step, and the peak grows 286-289 B per step from
+        # 500 to 2000 steps (276 B from 1000 to 4000), a first run taking
+        # the one-time allocations out. config.MAX_STEPS' comment scales
+        # this figure.
+        def peak(n):
+            path = scenario(tmp_path, DEMO.replace("t_final = 1.0",
+                                                   f"t_final = {n / 100!r}"))
+            return traced_peak("equivalence-demo", "--config", path, "--out",
+                               tmp_path / "out", "--quiet")
+
+        peak(20)
+        assert (peak(2000) - peak(500)) / 1500 <= 350.0
+
     def test_needs_matching_control(self, tmp_path, capsys):
         code = cli("equivalence-demo", "--config",
                    scenario(tmp_path, RB), "--out", tmp_path / "out")

@@ -237,6 +237,24 @@ def test_rigid_body_invariants_over_long_run():
     assert traj.max_drift("energy") <= 1e-8
 
 
+def test_rk4_observed_order_on_a_rigid_body_run():
+    # RK4 is order 4 (Hairer, Lubich and Wanner, Geometric Numerical
+    # Integration, 2nd ed., II.1): halving dt twice, the end states'
+    # differences shrink by 2^4. Reads 4.01; a stage weight of
+    # dt / 6.000001 instead of dt / 6 reads 2.32.
+    from gyrostat.controlled import flat_dynamical_field
+    from gyrostat.systems import RigidBodyRotorParams, rigid_body_system
+
+    sys = rigid_body_system(RigidBodyRotorParams((1.0, 2.0, 3.0),
+                                                 (0.5, 0.4, 0.3)))
+    p0 = reduced_point(SO3, (1.0, 0.4, -0.7), theta=(0.0, 0.0, 0.0),
+                       l=(0.1, -0.2, 0.3))
+    field = flat_dynamical_field(sys, p0.layout)
+    a, b, c = (run(field, p0, dt, 2.0).states[-1] for dt in (0.04, 0.02, 0.01))
+    order = np.log2(np.max(np.abs(a - b)) / np.max(np.abs(b - c)))
+    assert order >= 3.5
+
+
 def test_heavy_top_invariants_over_long_run():
     from gyrostat.controlled import flat_dynamical_field
     from gyrostat.systems import HeavyTopRotorParams, heavy_top_system

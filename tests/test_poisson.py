@@ -472,6 +472,71 @@ def test_suite_draws_instances_in_order(name, monkeypatch):
     assert len(built) == 3
 
 
+class _Drawn(Exception):
+    """Stops the axiom suite once its draws are captured."""
+
+
+@pytest.mark.parametrize("name", sorted(poisson.BRACKET_SPACES))
+def test_suite_cubic_indices_are_numpys_integers(name, monkeypatch):
+    # the indices read from raw words, as the suite hands them to
+    # _polynomials, equal bit for bit the ones the draw loop built on
+    # rng.integers got, for seeds 0-4; the suite stops before any axiom
+    kind, nt, nl = poisson.BRACKET_SPACES[name]
+    dim, n = (3 if kind == SO3 else 6) + nt + nl, 2000
+    built = []
+
+    def capture(idx, z):
+        built.append(idx)
+        if len(built) % 3 == 0:
+            raise _Drawn
+
+    monkeypatch.setattr(poisson, "_polynomials", capture)
+    for seed in range(5):
+        with pytest.raises(_Drawn):
+            bracket_axiom_suite(name, n_instances=n, seed=seed)
+        rng = np.random.default_rng(seed)
+        want = np.empty((3, n, 2, 3), dtype=np.int64)
+        for i in range(n):
+            rng.standard_normal(dim)
+            for j in range(3):
+                want[j, i] = rng.integers(0, dim, size=(2, 3))
+                rng.standard_normal(3 + dim * (dim + 1))
+        got = np.stack(built[-3:])
+        assert got.dtype == want.dtype
+        npt.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("d", [3, 9, 10])
+def test_cubic_indices_flag_a_redraw(d):
+    # numpy redraws a 32-bit half u when (u * d) mod 2^32 < 2^32 mod d
+    # (1, 4 and 6 here), which u = 0 meets and u = 1, 2 and 2^32 - 1 miss
+    top, clean = 0xFFFFFFFF, (1 << 32) | 1
+    for word, flagged in [(0, True), (1, True), (1 << 32, True),
+                          (top, True), (top << 32, True), (clean, False),
+                          ((2 << 32) | 2, False), ((2 << 32) | 1, False),
+                          ((top << 32) | top, False), ((1 << 32) | 2, False)]:
+        words = np.array([clean, word, clean], dtype=np.uint64)
+        idx = poisson._cubic_indices(words, d)
+        assert (idx is None) == flagged, (hex(word), d)
+        if not flagged:  # u = 1 maps to 0
+            lo, hi = word & top, word >> 32
+            npt.assert_array_equal(idx, [[0, 0, lo * d >> 32],
+                                         [hi * d >> 32, 0, 0]])
+            assert idx.dtype == np.int64
+
+
+@pytest.mark.parametrize("name", sorted(poisson.BRACKET_SPACES))
+def test_suite_falls_back_to_integers_on_a_redraw(name, monkeypatch):
+    # with every raw read reported as a redraw, the suite draws its
+    # indices by rng.integers itself, and every report field stays
+    want = bracket_axiom_suite(name, n_instances=500, seed=3)
+    reads = []
+    monkeypatch.setattr(poisson, "_cubic_indices",
+                        lambda words, d: reads.append(words.shape) or None)
+    assert bracket_axiom_suite(name, n_instances=500, seed=3) == want
+    assert reads == [(3, 500, 3)]
+
+
 def test_quadratic_random_field_has_no_cubic_terms():
     h = random_polynomial_field(np.random.default_rng(3), 6, cubic_terms=0)
     x = np.random.default_rng(4).standard_normal((5, 6))

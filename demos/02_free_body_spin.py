@@ -38,4 +38,4 @@ print("\n  t      pi")
 for i in range(0, len(traj.states), 2000):
     pi = np.array2string(traj.states[i, :3], precision=4,
                          suppress_small=True)
-    print(f"{traj.times[i]:5.2f}  {pi}")
+    print(f"{i * traj.dt:5.2f}  {pi}")

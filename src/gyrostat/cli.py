@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys as _sys
+from dataclasses import replace
 from itertools import chain
 from pathlib import Path
 
@@ -107,14 +108,14 @@ def _state_columns(layout) -> list:
 
 
 def _trajectory_csv(path: Path, traj):
-    """Stream the trajectory's stored times, states and invariant series
+    """Stream the trajectory's times i * dt, states and invariant series
     to ``path``, one row per state."""
     series = list(traj.series.values())
 
     def rows():
         yield ",".join(["t"] + _state_columns(traj.layout) + list(traj.series))
-        for i, t in enumerate(traj.times.tolist()):
-            row = [t] + traj.states[i].tolist() + [float(s[i]) for s in series]
+        for i, x in enumerate(traj.states):
+            row = [i * traj.dt] + x.tolist() + [float(s[i]) for s in series]
             yield ",".join(map(repr, row))
 
     _write_lines(path, rows())
@@ -141,7 +142,7 @@ def cmd_simulate(args) -> int:
 
     ok = True
     lines = [f"run: dt = {cfg.run['dt']!r}, t_final = "
-             f"{cfg.run['t_final']!r}, steps = {traj.times.size - 1}"]
+             f"{cfg.run['t_final']!r}, steps = {len(traj.states) - 1}"]
     for name in invariants:
         worst = traj.max_drift(name)
         bound = _drift_bound(name, cfg.tolerances)
@@ -247,8 +248,8 @@ def cmd_equivalence_demo(args) -> int:
     cfg = cfgmod.load_config(args.config)
     out = _out_dir(args)
     control, target_system, to_target = cfgmod.build_matching(cfg)
-    engaged_system = cfgmod.build_system(cfg)
     free_system = cfgmod.base_system(cfg)
+    engaged_system = replace(free_system, control=control)
     p0 = cfgmod.build_initial(cfg)
     q0 = to_target(p0)
     dt, t_final = cfg.run["dt"], cfg.run["t_final"]
@@ -337,13 +338,14 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _add_common(sp, config_required: bool = True):
+def _add_common(sp, config_required: bool = True, seeded: bool = False):
     sp.add_argument("--config", required=config_required, default=None,
                     help="scenario file (INI; see the config module)")
     sp.add_argument("--out", default="./out",
                     help="output directory (default ./out)")
-    sp.add_argument("--seed", type=_seed, default=None,
-                    help="sampling seed; overrides [run] seed (default 0)")
+    if seeded:
+        sp.add_argument("--seed", type=_seed, default=None,
+                        help="seed of the random draws; overrides [run] seed")
     sp.add_argument("--quiet", action="store_true",
                     help="suppress success chatter on stdout")
 
@@ -369,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="closedness gate plus relatedness and "
                              "Hamilton-Jacobi residuals for the "
                              "configured section")
-    _add_common(sp)
+    _add_common(sp, seeded=True)
     sp.set_defaults(func=cmd_hj_check)
 
     sp = sub.add_parser("equivalence-demo",
@@ -380,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bracket-verify",
                         help="run the Poisson bracket axiom suites")
-    _add_common(sp, config_required=False)
+    _add_common(sp, config_required=False, seeded=True)
     sp.add_argument("--inject-sign-error", action="store_true",
                     help=argparse.SUPPRESS)
     sp.set_defaults(func=cmd_bracket_verify)

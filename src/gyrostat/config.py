@@ -74,6 +74,7 @@ from .hamilton_jacobi import (ConfigurationStack, affine_rotor_section,
                               constant_body_section, isotropy_configurations,
                               isotropy_sampleable, random_configurations,
                               rotor_quadratic_section, zero_section)
+from .integrate import step_count
 from .poisson import Layout, ReducedPoint, point_like, reduced_point
 from .systems import (HeavyTopParams, HeavyTopRotorParams,
                       RigidBodyRotorParams, heavy_top_free_system,
@@ -84,10 +85,9 @@ CONTROL_KINDS = ("none", "constant", "matching")
 MATCHING_TARGETS = ("heavy_top_free", "rigid_body_rotors")
 SECTION_BUILTINS = ("rotor_quadratic",)
 
-# Ceiling on round(t_final / dt). A run keeps one float64 row of time,
-# state and invariants per step: the tracemalloc peak grows about
-# 131-165 B per step for simulate and 250-290 B for equivalence-demo,
-# so 10^7 steps peak near 1.3-1.7 GB and 2.5-2.9 GB.
+# Ceiling on round(t_final / dt). A run keeps one float64 row of state and
+# invariants per step; the tracemalloc peak grows 131-165 B per step for
+# simulate, 215-265 B for equivalence-demo: 1.3-1.7 and 2.1-2.7 GB at 10^7.
 MAX_STEPS = 10**7
 
 # Ceiling on [gamma] samples. hj-check holds every sample, its fiber row
@@ -249,8 +249,7 @@ def _parse_run(data: dict) -> dict:
     if steps > MAX_STEPS + 0.5:  # round(steps) > MAX_STEPS, or inf
         raise ConfigError(f"[run] t_final / dt: {steps:.0f} steps exceed "
                           f"the limit of {MAX_STEPS}")
-    n = round(steps)
-    if n < 1 or abs(n * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
+    if step_count(dt, t_final) < 1:
         raise ConfigError("[run] dt: must divide t_final into whole steps")
     if seed < 0:
         raise ConfigError("[run] seed: must be nonnegative")

@@ -5,8 +5,9 @@ one flat state, a list of d Python floats, with a field that maps such a
 list to its d rates: at d = 6-11 each numpy call would cost more than
 the arithmetic inside it, and fixed-size slots on the per-evaluation
 path are list displays, as on Python 3.11 each comprehension costs a
-frame. :func:`run` drives it over a uniform grid, writes each state into
-an (n+1, d) float64 array and evaluates each invariant, a batched value
+frame. :func:`run` drives it over the grid t_i = i * dt, which a
+:class:`Trajectory` keeps as its step dt, writes each state into an
+(n+1, d) float64 array and evaluates each invariant, a batched value
 (n, d) -> (n,), once over those stored states; the relative drift series
 (I(t) - I(0)) / max(1, |I(0)|) comes from those raw series. The
 max(1, .) floor keeps it meaningful when an invariant starts near zero.
@@ -28,52 +29,36 @@ Invariant = Callable[[np.ndarray], np.ndarray]
 
 BLOWUP_LIMIT = 1e12
 
-# A grid t_i = i * dt built in float64 is uniform only to rounding: the
-# ulp at t = 10 is already 1.78e-15, so uniformity is checked relative
-# to the span of the grid.
-UNIFORM_TOL = 1e-15
-
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled integration output: the (n+1, d) flat states in
-    ``layout`` and the raw (n+1,) series of each tracked invariant."""
+    """Integration output on the grid t_i = i * dt: the (n+1, d) flat
+    states in ``layout`` and the raw (n+1,) series of each invariant."""
 
-    times: np.ndarray
+    dt: float
     states: np.ndarray
     series: Mapping[str, np.ndarray]
     layout: Layout
 
     def __post_init__(self):
-        object.__setattr__(self, "times",
-                           np.asarray(self.times, dtype=float))
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "states",
                            np.asarray(self.states, dtype=float))
-        if self.times.ndim != 1 or self.times.size != len(self.states):
-            raise ValueError("times and states must have equal length")
-        if not np.isfinite(self.times).all():
-            raise ValueError("trajectory times must be finite")
         kind, n_theta, n_l = self.layout
         if self.states.shape[1:] != (lie.algebra_dim(kind) + n_theta + n_l,):
             raise ValueError(f"states of shape {self.states.shape} do not "
                              f"match the layout {self.layout}")
-        if self.times.size >= 2:
-            steps = np.diff(self.times)
-            dt = steps[0]
-            tol = UNIFORM_TOL * max(1.0, float(np.abs(self.times).max()))
-            if np.max(np.abs(steps - dt)) > tol:
-                raise ValueError("trajectory times are not uniformly spaced")
         for name, values in self.series.items():
-            if np.shape(values) != self.times.shape:
+            if np.shape(values) != (len(self.states),):
                 raise ValueError(f"invariant series {name!r} has shape "
                                  f"{np.shape(values)}; its drift needs one "
-                                 f"value per time, {self.times.shape}")
+                                 f"value per state, ({len(self.states)},)")
 
     @property
-    def dt(self) -> float:
-        if self.times.size < 2:
-            raise ValueError("a single-sample trajectory has no step")
-        return float(self.times[1] - self.times[0])
+    def times(self) -> np.ndarray:
+        return np.arange(len(self.states)) * self.dt
 
     @property
     def drift(self) -> dict:
@@ -117,13 +102,19 @@ def rk4_step(field: FlatField, x: list, dt: float) -> list:
     return y
 
 
+def step_count(dt: float, t_final: float) -> int:
+    """round(t_final / dt) when dt divides t_final to rounding, else 0."""
+    n = round(t_final / dt)
+    return n if abs(n * dt - t_final) <= 1e-9 * max(1.0, abs(t_final)) else 0
+
+
 def run(field: FlatField, p0: ReducedPoint, dt: float, t_final: float,
         invariants: Mapping[str, Invariant] | None = None) -> Trajectory:
     """Integrate p0 for t_final at fixed step dt and track invariants.
 
     ``field`` maps flat states in the layout of p0, lists of d floats, to
-    their rates. dt must divide t_final to rounding. Raises if any state
-    component exceeds ``BLOWUP_LIMIT`` in magnitude, reporting the
+    their rates. dt must divide t_final into whole steps. Raises if any
+    state component exceeds ``BLOWUP_LIMIT`` in magnitude, reporting the
     failure time. Each state is written into the (n+1, d) array of
     stored states, and each invariant is called once, on that array.
     """
@@ -131,8 +122,8 @@ def run(field: FlatField, p0: ReducedPoint, dt: float, t_final: float,
         raise ValueError("dt must be positive")
     if not math.isfinite(t_final / dt):
         raise ValueError(f"t_final / dt = {t_final / dt} is not finite")
-    n = int(round(t_final / dt))
-    if n < 1 or abs(n * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
+    n = step_count(dt, t_final)
+    if n < 1:
         raise ValueError(f"dt {dt} does not divide t_final {t_final}")
 
     x = p0.flat().tolist()
@@ -147,7 +138,7 @@ def run(field: FlatField, p0: ReducedPoint, dt: float, t_final: float,
                 f"max |component| = {worst:.3e}")
         states[i] = x
     series = {name: fn(states) for name, fn in (invariants or {}).items()}
-    return Trajectory(np.arange(n + 1) * dt, states, series, p0.layout)
+    return Trajectory(dt, states, series, p0.layout)
 
 
 def standard_invariants(h: ScalarField, kind: str) -> dict:

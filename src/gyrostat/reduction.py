@@ -98,8 +98,6 @@ def reconstruct(traj: Trajectory, g0: GroupElement, sys: RCHSystem,
     """
     if len(traj.states) == 0:
         raise ValueError("states must be non-empty")
-    if len(traj.states) > 1 and traj.dt <= 0:
-        raise ValueError("dt must be positive")
     if order not in (1, 4):
         raise ValueError(f"order must be 1 or 4, got {order}")
     if g0.kind != traj.layout.kind:

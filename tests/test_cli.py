@@ -220,8 +220,8 @@ class TestSimulate:
         assert capsys.readouterr().out == ""
 
     def test_peak_memory_grows_at_most_300_bytes_per_step(self, tmp_path):
-        # The run keeps one (1 + d + m)-float row per state, 96 B here at
-        # d = 9 and m = 2 invariants, and the peak grows 134-165 B per
+        # The run keeps one (d + m)-float row per state, 88 B here at
+        # d = 9 and m = 2 invariants, and the peak grows 154-158 B per
         # step from 1000 to 4000 steps, a first run taking the one-time
         # allocations out. config.MAX_STEPS' comment scales this figure.
         def peak(n):
@@ -426,9 +426,9 @@ class TestEquivalenceDemo:
         assert "deviate" in capsys.readouterr().err
 
     def test_peak_memory_grows_at_most_350_bytes_per_step(self, tmp_path):
-        # The target, engaged and free runs each keep one row of time
-        # and state per step, and the peak grows 286-289 B per step from
-        # 500 to 2000 steps (276 B from 1000 to 4000), a first run taking
+        # The target, engaged and free runs each keep one row of state
+        # per step, and the peak grows 217-265 B per step from 500 to
+        # 2000 steps (239-252 B from 1000 to 4000), a first run taking
         # the one-time allocations out. config.MAX_STEPS' comment scales
         # this figure.
         def peak(n):
@@ -478,9 +478,18 @@ class TestParser:
             main([])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("command", ["simulate", "hj-check",
-                                         "equivalence-demo",
-                                         "bracket-verify"])
+    @pytest.mark.parametrize("command", ["simulate", "equivalence-demo"])
+    def test_commands_that_draw_nothing_take_no_seed(self, tmp_path, capsys,
+                                                     command):
+        path = scenario(tmp_path, RB)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", path, "--out", str(tmp_path / "out"),
+                  "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["hj-check", "bracket-verify"])
     @pytest.mark.parametrize("seed", ["-1", "x"])
     def test_seed_must_be_a_non_negative_integer(self, tmp_path, capsys,
                                                  command, seed):

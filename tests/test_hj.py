@@ -789,6 +789,28 @@ class TestHJResidual:
         rows = systems.rigid_body_hj_lhs(RB, cand)
         assert_allclose(rows, scales * comp, atol=1e-10)
 
+    @pytest.mark.parametrize("system,kind,k", [(rb_system, lie.SO3, 3),
+                                               (ht_system, lie.SE3, 2)])
+    def test_full_flavor_shifts_by_a_constant_control(self, system, kind, k):
+        # hj_components is -dh along the section plus the fiber part of
+        # the lift: a constant control u adds u without its angle columns,
+        # to rounding, and leaves X_gamma alone
+        rng = np.random.default_rng(26)
+        dim = lie.algebra_dim(kind)
+        u = rng.standard_normal(dim + 2 * k)
+        u[dim:dim + k] = 0.0
+        free = system()
+        sec = hj.constant_body_section(rng.standard_normal(dim),
+                                       rng.standard_normal(k))
+        q = random_stack(rng, kind, 6, k)
+        _, comp, x = hj.section_residuals(free, sec, q)
+        _, shifted, x_shifted = hj.section_residuals(
+            replace(free, control=lambda _: u.tolist()), sec, q)
+        fiber_u = np.delete(u, np.s_[dim:dim + k])
+        assert_allclose(shifted - comp, np.tile(fiber_u, (6, 1)), rtol=0,
+                        atol=1e-12)
+        np.testing.assert_array_equal(x_shifted, x)
+
     def test_full_flavor_differentiates_the_restricted_hamiltonian(self):
         sys = rb_system()
         sec = hj.rotor_quadratic_section()

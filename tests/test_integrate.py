@@ -101,8 +101,8 @@ def test_step_checks_each_stage_before_using_it(stage, delta):
 def test_run_grid_and_lengths():
     traj = run(zero_field, start(), 0.1, 1.0)
     assert len(traj.states) == 11
-    npt.assert_allclose(traj.times, np.arange(11) * 0.1, atol=1e-15)
-    assert traj.dt == pytest.approx(0.1)
+    assert traj.dt == 0.1
+    npt.assert_array_equal(traj.times, np.arange(11) * 0.1)
 
 
 def test_run_rejects_non_dividing_step():
@@ -175,50 +175,24 @@ def test_series_must_hold_one_value_per_time(shape):
 
 # ----------------------------------------------------------------- container
 
-def test_trajectory_rejects_ragged_grid():
+@pytest.mark.parametrize("dt", [0.0, -0.1, np.nan, np.inf])
+def test_trajectory_rejects_a_step_that_is_not_positive_and_finite(dt):
     p = start()
-    with pytest.raises(ValueError, match="uniform"):
-        Trajectory(np.array([0.0, 0.1, 0.3]), np.tile(p.flat(), (3, 1)), {},
-                   p.layout)
-
-
-@pytest.mark.parametrize("middle", [np.nan, np.inf])
-def test_trajectory_rejects_non_finite_times(middle):
-    # a NaN step compares False against the uniformity tolerance
-    p = start()
-    with pytest.raises(ValueError, match="times must be finite"):
-        Trajectory(np.array([0.0, middle, 2.0]), np.tile(p.flat(), (3, 1)),
-                   {}, p.layout)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        Trajectory(dt, np.tile(p.flat(), (2, 1)), {}, p.layout)
 
 
 def test_trajectory_rejects_length_mismatch():
     p = start()
-    with pytest.raises(ValueError, match="equal length"):
-        Trajectory(np.array([0.0, 0.1]), p.flat()[None, :], {}, p.layout)
     with pytest.raises(ValueError, match="drift"):
-        Trajectory(np.array([0.0, 0.1]), np.tile(p.flat(), (2, 1)),
-                   {"x": np.zeros(3)}, p.layout)
+        Trajectory(0.1, np.tile(p.flat(), (2, 1)), {"x": np.zeros(3)},
+                   p.layout)
 
 
 def test_trajectory_rejects_states_off_layout():
     p = start()
     with pytest.raises(ValueError, match="layout"):
-        Trajectory(np.array([0.0, 0.1]), np.zeros((2, 4)), {}, p.layout)
-
-
-def test_single_sample_trajectory_has_no_step():
-    p = start()
-    traj = Trajectory(np.zeros(1), p.flat()[None, :], {}, p.layout)
-    with pytest.raises(ValueError,
-                       match="single-sample trajectory has no step"):
-        traj.dt
-
-
-def test_default_grid_uniformity_at_scale():
-    # the default experiment grid stays uniform to the documented bound
-    times = np.arange(10001) * 1e-3
-    dev = np.max(np.abs(np.diff(times) - 1e-3))
-    assert dev <= 1e-15 * max(1.0, times[-1])
+        Trajectory(0.1, np.zeros((2, 4)), {}, p.layout)
 
 
 # --------------------------------------------------- long physical runs

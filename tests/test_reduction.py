@@ -24,8 +24,7 @@ HT = HeavyTopRotorParams((2.0, 1.5, 1.0), (0.4, 0.3), m=1.0, g=9.8, h=0.3,
 
 def constant_trajectory(q, n, dt):
     """n + 1 copies of the state q on the grid i * dt."""
-    return Trajectory(np.arange(n + 1) * dt, np.tile(q.flat(), (n + 1, 1)),
-                      {}, q.layout)
+    return Trajectory(dt, np.tile(q.flat(), (n + 1, 1)), {}, q.layout)
 
 
 def full_field_at(sys, q):
@@ -336,8 +335,7 @@ class TestReconstruct:
         states = np.zeros((3, 9))
         states[:, 0] = 1.0
         states[1:, 3:6] = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
-        traj = Trajectory(np.arange(3) * 0.1, states, {},
-                          Layout(lie.SO3, 3, 3))
+        traj = Trajectory(0.1, states, {}, Layout(lie.SO3, 3, 3))
         groups = lie.GroupPath(lie.SE3, np.tile(np.eye(3), (3, 1, 1)),
                                np.zeros((3, 3)))
         with pytest.raises(ValueError, match="kind mismatch: SE3 vs SO3"):

@@ -3,7 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from gyrostat import lie
-from gyrostat.integrate import Trajectory, rk4_step, run, standard_invariants
+from gyrostat.integrate import (Trajectory, rk4_step, run, standard_invariants,
+                                step_count)
 from gyrostat.lie import SO3
 from gyrostat.poisson import ScalarField, point_like, reduced_point
 
@@ -105,6 +106,13 @@ def test_run_grid_and_lengths():
     npt.assert_array_equal(traj.times, np.arange(11) * 0.1)
 
 
+@pytest.mark.parametrize("dt,t_final,n", [(0.1, 1.0, 10), (1e-3, 10.0, 10000),
+                                          (0.3, 1.0, 0), (0.5, 0.2, 0)])
+def test_step_count_counts_whole_steps_or_none(dt, t_final, n):
+    # the one whole-steps rule shared by run and the [run] parser
+    assert step_count(dt, t_final) == n
+
+
 def test_run_rejects_non_dividing_step():
     with pytest.raises(ValueError, match="divide"):
         run(zero_field, start(), 0.3, 1.0)
@@ -180,6 +188,13 @@ def test_trajectory_rejects_a_step_that_is_not_positive_and_finite(dt):
     p = start()
     with pytest.raises(ValueError, match="dt must be positive and finite"):
         Trajectory(dt, np.tile(p.flat(), (2, 1)), {}, p.layout)
+
+
+def test_single_sample_trajectory_keeps_its_step():
+    p = start()
+    traj = Trajectory(0.1, p.flat()[None, :], {}, p.layout)
+    assert traj.dt == 0.1
+    npt.assert_array_equal(traj.times, [0.0])
 
 
 def test_trajectory_rejects_length_mismatch():

@@ -45,8 +45,7 @@ target_chi = 0.0 0.0 1.0
 """
 
 cfg = cfgmod.parse_config(SCENARIO)
-control, target_sys, to_target = cfgmod.build_matching(cfg)
-free_sys = cfgmod.base_system(cfg)
+free_sys, control, target_sys, to_target = cfgmod.build_matching(cfg)
 engaged_sys = replace(free_sys, control=control)
 
 p0 = cfgmod.build_initial(cfg)

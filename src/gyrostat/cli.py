@@ -56,6 +56,8 @@ EXIT_CONFIG = 2
 EXIT_MEMBERSHIP = 3
 EXIT_GATE = 4
 
+CSV_BLOCK = 1024  # trajectory.csv rows formatted together
+
 SUITES = ("so3_lie_poisson", "so3_product", "se3_product")
 AXIOMS = ("antisymmetry", "leibniz", "jacobi", "casimir")
 
@@ -107,16 +109,34 @@ def _state_columns(layout) -> list:
     return names
 
 
+def _column_text(col: np.ndarray) -> list:
+    """The shortest round-trip repr of each float64 of ``col``, each
+    distinct value formatted once. Values are told apart by their bit
+    pattern, so 0.0 and -0.0 keep their own text."""
+    keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    if len(keys) == len(col):
+        return list(map(repr, col.tolist()))
+    text = list(map(repr, keys.view(np.float64).tolist()))
+    return [text[i] for i in inverse.tolist()]
+
+
 def _trajectory_csv(path: Path, traj):
     """Stream the trajectory's times i * dt, states and invariant series
-    to ``path``, one row per state."""
-    series = list(traj.series.values())
+    to ``path``, one row per state, built a block of at most
+    ``CSV_BLOCK`` rows at a time, column by column: within a column
+    block each distinct value is formatted once, still with shortest
+    round-trip ``repr``."""
+    dt = traj.dt
+    series = [np.asarray(s, dtype=float) for s in traj.series.values()]
 
     def rows():
         yield ",".join(["t"] + _state_columns(traj.layout) + list(traj.series))
-        for i, x in enumerate(traj.states):
-            row = [i * traj.dt] + x.tolist() + [float(s[i]) for s in series]
-            yield ",".join(map(repr, row))
+        for lo in range(0, len(traj.states), CSV_BLOCK):
+            hi = min(lo + CSV_BLOCK, len(traj.states))
+            columns = [map(repr, map(dt.__rmul__, range(lo, hi)))]
+            columns += map(_column_text, traj.states[lo:hi].T)
+            columns += (_column_text(s[lo:hi]) for s in series)
+            yield from map(",".join, zip(*columns))
 
     _write_lines(path, rows())
 
@@ -247,8 +267,8 @@ def cmd_hj_check(args) -> int:
 def cmd_equivalence_demo(args) -> int:
     cfg = cfgmod.load_config(args.config)
     out = _out_dir(args)
-    control, target_system, to_target = cfgmod.build_matching(cfg)
-    free_system = cfgmod.base_system(cfg)
+    free_system, control, target_system, to_target = \
+        cfgmod.build_matching(cfg)
     engaged_system = replace(free_system, control=control)
     p0 = cfgmod.build_initial(cfg)
     q0 = to_target(p0)

@@ -86,8 +86,8 @@ MATCHING_TARGETS = ("heavy_top_free", "rigid_body_rotors")
 SECTION_BUILTINS = ("rotor_quadratic",)
 
 # Ceiling on round(t_final / dt). A run keeps one float64 row of state and
-# invariants per step; the tracemalloc peak grows 131-165 B per step for
-# simulate, 215-265 B for equivalence-demo: 1.3-1.7 and 2.1-2.7 GB at 10^7.
+# invariants per step; the tracemalloc peak grows 96-109 B per step for
+# simulate, 215-265 B for equivalence-demo: 1.0-1.1 and 2.1-2.7 GB at 10^7.
 MAX_STEPS = 10**7
 
 # Ceiling on [gamma] samples. hj-check holds every sample, its fiber row
@@ -425,10 +425,11 @@ def _identity(x):
 
 
 def build_matching(cfg: ScenarioConfig):
-    """The matching control for the configured target, plus the target
-    system and the point map from controlled points to target points.
-    Flat (pi, l) is the flat target state, (pi, gamma) for the heavy
-    top, so the control's three flat maps are the identity."""
+    """The base system (no control attached), the matching control for
+    the configured target, the target system and the point map from
+    controlled points to target points. Flat (pi, l) is the flat target
+    state, (pi, gamma) for the heavy top, so the control's three flat
+    maps are the identity."""
     if cfg.control["kind"] != "matching":
         raise ConfigError("[control] kind: this command needs "
                           "kind = matching")
@@ -445,7 +446,7 @@ def build_matching(cfg: ScenarioConfig):
             return point_like(layout_b, p.flat())
     control = matching_control(sys_a, sys_b, layout_a, layout_b, _identity,
                                _identity, _identity)
-    return control, sys_b, to_target
+    return sys_a, control, sys_b, to_target
 
 
 def _constant_control(cfg: ScenarioConfig):
@@ -461,11 +462,12 @@ def _constant_control(cfg: ScenarioConfig):
 
 def build_system(cfg: ScenarioConfig) -> RCHSystem:
     """The declared system with the configured control installed."""
+    if cfg.control["kind"] == "matching":
+        sys, control = build_matching(cfg)[:2]
+        return replace(sys, control=control)
     sys = base_system(cfg)
     if cfg.control["kind"] == "constant":
         return replace(sys, control=_constant_control(cfg))
-    if cfg.control["kind"] == "matching":
-        return replace(sys, control=build_matching(cfg)[0])
     return sys
 
 

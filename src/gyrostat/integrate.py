@@ -62,11 +62,14 @@ class Trajectory:
 
     @property
     def drift(self) -> dict:
-        return {name: (s - s[0]) / max(1.0, abs(s[0]))
-                for name, s in self.series.items()}
+        return {name: _relative_drift(s) for name, s in self.series.items()}
 
     def max_drift(self, name: str) -> float:
-        return float(np.max(np.abs(self.drift[name])))
+        return float(np.max(np.abs(_relative_drift(self.series[name]))))
+
+
+def _relative_drift(s: np.ndarray) -> np.ndarray:
+    return (s - s[0]) / max(1.0, abs(s[0]))
 
 
 def _rate_count_error(k: list, n: int) -> ValueError:

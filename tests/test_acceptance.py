@@ -261,7 +261,7 @@ target_chi = 0.0 0.0 1.0
 def test_criterion_7_matching_control_transport():
     start = time.perf_counter()
     cfg = cfgmod.parse_config(TRANSPORT)
-    control, target_sys, to_target = cfgmod.build_matching(cfg)
+    _, _, target_sys, to_target = cfgmod.build_matching(cfg)
     engaged_sys = cfgmod.build_system(cfg)
     free_sys = cfgmod.base_system(cfg)
     p0 = cfgmod.build_initial(cfg)

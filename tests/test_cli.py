@@ -5,11 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gyrostat import config as cfgmod
 from gyrostat import hamilton_jacobi as hj
 from gyrostat import lie
 
 from gyrostat.cli import (EXIT_CONFIG, EXIT_GATE, EXIT_MEMBERSHIP, EXIT_OK,
-                          EXIT_RUNTIME, build_parser, main)
+                          EXIT_RUNTIME, _trajectory_csv, build_parser, main)
+from gyrostat.integrate import Trajectory
+from gyrostat.poisson import Layout
 
 RB = """\
 [system]
@@ -221,7 +224,7 @@ class TestSimulate:
 
     def test_peak_memory_grows_at_most_300_bytes_per_step(self, tmp_path):
         # The run keeps one (d + m)-float row per state, 88 B here at
-        # d = 9 and m = 2 invariants, and the peak grows 154-158 B per
+        # d = 9 and m = 2 invariants, and the peak grows 96-109 B per
         # step from 1000 to 4000 steps, a first run taking the one-time
         # allocations out. config.MAX_STEPS' comment scales this figure.
         def peak(n):
@@ -232,6 +235,39 @@ class TestSimulate:
 
         peak(20)
         assert (peak(4000) - peak(1000)) / 3000 <= 300.0
+
+
+class TestTrajectoryCsv:
+    BLOCK = 4
+
+    @staticmethod
+    def _trajectory(n):
+        """Columns that are constant, hold both signed zeros, repeat a
+        few values, or are all distinct, in the states and the series."""
+        rng = np.random.default_rng(n)
+        signed_zeros = np.where(np.arange(n) % 2 == 0, 0.0, -0.0)
+        few = rng.choice([0.1 + 0.2, -2.25, 1e-300, 0.3], n)
+        states = np.column_stack([
+            np.full(n, 0.1), signed_zeros, few,
+            rng.standard_normal(n), rng.standard_normal(n), np.full(n, -0.0)])
+        ulps = 1.0 + np.spacing(1.0) * rng.integers(0, 3, n)
+        series = {"energy": ulps, "pi_sq": rng.standard_normal(n),
+                  "gamma_sq": signed_zeros[::-1].copy()}
+        return Trajectory(0.1, states, series, Layout(lie.SO3, 0, 3))
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_blocks_match_the_row_by_row_reference(self, tmp_path,
+                                                   monkeypatch, n):
+        monkeypatch.setattr("gyrostat.cli.CSV_BLOCK", self.BLOCK)
+        traj = self._trajectory(n)
+        series = list(traj.series.values())
+        rows = [",".join(map(repr, [i * traj.dt, *row,
+                                    *(float(s[i]) for s in series)]))
+                for i, row in enumerate(traj.states.tolist())]
+        header = "t,pi_1,pi_2,pi_3,l_1,l_2,l_3,energy,pi_sq,gamma_sq"
+        _trajectory_csv(tmp_path / "t.csv", traj)
+        assert (tmp_path / "t.csv").read_bytes() == \
+            "".join(line + "\n" for line in [header] + rows).encode()
 
 
 class TestHJCheck:
@@ -439,6 +475,19 @@ class TestEquivalenceDemo:
 
         peak(20)
         assert (peak(2000) - peak(500)) / 1500 <= 350.0
+
+    def test_builds_the_base_and_the_target_system_once(self, tmp_path,
+                                                         monkeypatch):
+        builds = []
+        for name, row in cfgmod.CATALOGUE.items():
+            def build(params, name=name, build=row.build):
+                builds.append(name)
+                return build(params)
+            monkeypatch.setitem(cfgmod.CATALOGUE, name,
+                                row._replace(build=build))
+        assert cli("equivalence-demo", "--config", scenario(tmp_path, DEMO),
+                   "--out", tmp_path / "out", "--quiet") == EXIT_OK
+        assert sorted(builds) == ["heavy_top_free", "rigid_body_rotors"]
 
     def test_needs_matching_control(self, tmp_path, capsys):
         code = cli("equivalence-demo", "--config",

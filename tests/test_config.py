@@ -788,14 +788,14 @@ class TestBuilders:
 
     def test_identity_matching_control_vanishes(self):
         cfg = parse_config(IDENT)
-        control, _, to_target = cfgmod.build_matching(cfg)
+        _, control, _, to_target = cfgmod.build_matching(cfg)
         p = cfgmod.build_initial(cfg)
         assert to_target(p) is p
         assert np.linalg.norm(control(p.flat().tolist())) == 0.0
 
     def test_matching_control_reproduces_the_target_field(self):
         cfg = parse_config(DEMO)
-        control, target_system, to_target = cfgmod.build_matching(cfg)
+        _, _, target_system, to_target = cfgmod.build_matching(cfg)
         system = cfgmod.build_system(cfg)
         p = cfgmod.build_initial(cfg)
         q = to_target(p)

@@ -25,7 +25,7 @@ traj = run(flat_dynamical_field(sys, p0.layout), p0, 1e-3, 10.0,
 
 print(f"integrated {len(traj.states) - 1} RK4 steps to "
       f"t = {traj.times[-1]:g}")
-for name in traj.drift:
+for name in traj.series:
     print(f"max relative drift of {name}: {traj.max_drift(name):.3e}")
 
 # l is a momentum conjugate to a cyclic variable, so it is frozen

@@ -31,7 +31,7 @@ q0 = reduced_point(lie.SE3, (0.4, -0.2, 0.8), gamma0,
 traj = run(flat_dynamical_field(sys, q0.layout), q0, 1e-3, 10.0,
            standard_invariants(sys.hamiltonian, lie.SE3))
 
-for name in traj.drift:
+for name in traj.series:
     print(f"max relative drift of {name}: {traj.max_drift(name):.3e}")
 
 # Rebuild R(t) with the fourth-order update, then measure how far the

@@ -316,8 +316,7 @@ def cmd_bracket_verify(args) -> int:
     lines = []
     all_ok = True
     for name in SUITES:
-        report = bracket_axiom_suite(name, n_instances=1000, seed=seed,
-                                     inject_error=args.inject_sign_error)
+        report = bracket_axiom_suite(name, n_instances=1000, seed=seed)
         passed = axiom_suite_passes(report)
         all_ok = all_ok and passed
         lines.append(f"suite {name}: instances = {report['instances']}, "
@@ -403,8 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bracket-verify",
                         help="run the Poisson bracket axiom suites")
     _add_common(sp, config_required=False, seeded=True)
-    sp.add_argument("--inject-sign-error", action="store_true",
-                    help=argparse.SUPPRESS)
     sp.set_defaults(func=cmd_bracket_verify)
     return parser
 

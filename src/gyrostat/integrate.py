@@ -60,10 +60,6 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return np.arange(len(self.states)) * self.dt
 
-    @property
-    def drift(self) -> dict:
-        return {name: _relative_drift(s) for name, s in self.series.items()}
-
     def max_drift(self, name: str) -> float:
         return float(np.max(np.abs(_relative_drift(self.series[name]))))
 

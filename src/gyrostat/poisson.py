@@ -451,7 +451,7 @@ BRACKET_SPACES = {
 }
 
 
-def _flat_bracket(layout: Layout, inject_error: bool = False):
+def _flat_bracket(layout: Layout):
     """Vectorized minus bracket on flat states of ``layout``: maps the
     gradients of two fields at a stack of points, as (..., d) arrays,
     and the points to the (...) bracket values. The axiom suite runs
@@ -465,14 +465,7 @@ def _flat_bracket(layout: Layout, inject_error: bool = False):
         # the bracket kernel on whole columns; contiguous columns keep
         # its elementwise operations fast
         a, b = (list(np.ascontiguousarray(w.T)) for w in (w1, w2))
-        out = _bracket_list(a, b)
-        if inject_error:
-            # antisymmetric corruption of the structure constants: it
-            # breaks the Jacobi identity (and Casimir commutation) while
-            # leaving antisymmetry intact, so a healthy implementation of
-            # the suite must flag it (mutation check hook)
-            out[0] = out[0] + 0.5 * (a[0] * b[1] - a[1] * b[0])
-        return np.stack(out, axis=1)
+        return np.stack(_bracket_list(a, b), axis=1)
 
     def bk_vals(gf, gk, pts):
         # contiguous rows: einsum's row dots round by operand layout
@@ -502,8 +495,8 @@ def _cubic_indices(words: np.ndarray, d: int) -> np.ndarray | None:
     return (u >> 32).astype(np.int64).reshape(*words.shape[:-1], -1, 3)
 
 
-def bracket_axiom_suite(name: str, n_instances: int = 1000, seed: int = 0,
-                        inject_error: bool = False) -> dict:
+def bracket_axiom_suite(name: str, n_instances: int = 1000,
+                        seed: int = 0) -> dict:
     """Seeded property sweep for one bracket over random cubic
     polynomial fields f, g, k: antisymmetry and Casimir commutation with
     analytic gradients, Leibniz with finite-difference gradients of f,
@@ -515,8 +508,7 @@ def bracket_axiom_suite(name: str, n_instances: int = 1000, seed: int = 0,
     draws, and drawn by ``integers`` itself if numpy would redraw. Then
     each axiom runs over all instances as (n_instances, ...) array
     operations. Returns max defects plus the worst sample index (in
-    draw order) per axiom. ``inject_error`` corrupts the structure
-    constants so that the Jacobi sweep must fail (mutation check hook).
+    draw order) per axiom.
     """
     if n_instances < 1:
         raise ValueError(f"n_instances must be at least 1, got {n_instances}")
@@ -542,7 +534,7 @@ def bracket_axiom_suite(name: str, n_instances: int = 1000, seed: int = 0,
         idx = draw(lambda r: r.integers(0, d, size=(2, 3)),
                    np.empty((3, n, 2, 3), np.int64))
     f, g, k = map(_polynomials, idx, z)
-    bk = _flat_bracket(layout, inject_error)
+    bk = _flat_bracket(layout)
 
     def values(rows):
         pts = rows.reshape(n, -1, d)

@@ -90,7 +90,7 @@ def test_criterion_3_energy_and_casimir_drift():
                        l=(0.1, -0.2, 0.3))
     traj = run(flat_dynamical_field(rb_sys, p0.layout), p0, 1e-3, 10.0,
                standard_invariants(rb_sys.hamiltonian, lie.SO3))
-    for name in traj.drift:
+    for name in traj.series:
         drifts[f"body {name}"] = traj.max_drift(name)
 
     ht_sys = systems.heavy_top_system(HT)
@@ -100,7 +100,7 @@ def test_criterion_3_energy_and_casimir_drift():
                        theta=(0.0, 0.0), l=(0.05, -0.04))
     traj = run(flat_dynamical_field(ht_sys, q0.layout), q0, 1e-3, 10.0,
                standard_invariants(ht_sys.hamiltonian, lie.SE3))
-    for name in traj.drift:
+    for name in traj.series:
         drifts[f"top {name}"] = traj.max_drift(name)
 
     elapsed = time.perf_counter() - start

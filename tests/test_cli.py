@@ -7,12 +7,13 @@ import pytest
 
 from gyrostat import config as cfgmod
 from gyrostat import hamilton_jacobi as hj
-from gyrostat import lie
+from gyrostat import integrate, lie
 
 from gyrostat.cli import (EXIT_CONFIG, EXIT_GATE, EXIT_MEMBERSHIP, EXIT_OK,
                           EXIT_RUNTIME, _trajectory_csv, build_parser, main)
 from gyrostat.integrate import Trajectory
 from gyrostat.poisson import Layout
+from test_mutations import plant_bracket_sign_error
 
 RB = """\
 [system]
@@ -461,6 +462,17 @@ class TestEquivalenceDemo:
         assert kv["engaged_within_tolerance"] == "no"
         assert "deviate" in capsys.readouterr().err
 
+    def test_blown_up_run_fails(self, tmp_path, capsys, monkeypatch):
+        # states of size about 1 pass a blow-up limit of 0.1 on the first
+        # step; the command writes nothing and reports the failure
+        monkeypatch.setattr(integrate, "BLOWUP_LIMIT", 0.1)
+        code = cli("equivalence-demo", "--config",
+                   scenario(tmp_path, DEMO), "--out", tmp_path / "out")
+        assert code == EXIT_RUNTIME
+        assert not (tmp_path / "out" / "equivalence.txt").exists()
+        assert "equivalence demo failed: trajectory blew up at t = " \
+            in capsys.readouterr().err
+
     def test_peak_memory_grows_at_most_350_bytes_per_step(self, tmp_path):
         # The target, engaged and free runs each keep one row of state
         # per step, and the peak grows 217-265 B per step from 500 to
@@ -506,14 +518,25 @@ class TestBracketVerify:
             assert f"suite {name}" in report
         assert "worst sample" in report
 
-    def test_injected_sign_error_fails_jacobi(self, tmp_path, capsys):
-        code = cli("bracket-verify", "--out", tmp_path / "out",
-                   "--inject-sign-error")
+    def test_injected_sign_error_fails_jacobi(self, tmp_path, capsys,
+                                              monkeypatch):
+        plant_bracket_sign_error(monkeypatch)
+        code = cli("bracket-verify", "--out", tmp_path / "out")
         assert code == EXIT_RUNTIME
         report = (tmp_path / "out" / "bracket_report.txt").read_text()
         assert "overall: fail" in report
         assert "result: fail" in report
         assert "suite failed" in capsys.readouterr().err
+
+    def test_no_hidden_mutation_flag(self, tmp_path, capsys):
+        # planted defects live in the tests, not behind a CLI flag
+        with pytest.raises(SystemExit) as exc:
+            main(["bracket-verify", "--out", str(tmp_path / "out"),
+                  "--inject-sign-error"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --inject-sign-error" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestParser:

@@ -125,6 +125,10 @@ class TestParsing:
         (lambda t: t + "\n[run]\ndt = -0.1\n", r"\[run\] dt"),
         (lambda t: t + "\n[run]\ndt = 0.3\n", r"\[run\] dt"),
         (lambda t: t + "\n[run]\nseed = 1.5\n", r"\[run\] seed"),
+        (lambda t: t + "\n[run]\nt_final = -1.0\n",
+         r"^\[run\] t_final: must be positive$"),
+        (lambda t: t + "\n[run]\nseed = -1\n",
+         r"^\[run\] seed: must be nonnegative$"),
         (lambda t: t + "\n[tolerances]\nenergy_drift = 0.0\n",
          r"\[tolerances\] energy_drift"),
         (lambda t: t.replace("l = 0.1 0.2 0.3", "l = 0.1 0.2 0.3\nspin = 1"),
@@ -689,8 +693,12 @@ class TestBuilders:
         assert section.family == "constant_body"
 
     def test_missing_gamma_section_is_an_error(self):
+        cfg = parse_config(RB)
         with pytest.raises(ConfigError, match=r"\[gamma\] kind"):
-            cfgmod.build_section(parse_config(RB))
+            cfgmod.build_section(cfg)
+        with pytest.raises(ConfigError, match=r"\[gamma\] kind"):
+            cfgmod.sample_configurations(cfg, np.zeros(3),
+                                         np.random.default_rng(0))
 
     def test_planted_coupling_sets_the_closedness_defect(self):
         cfg = parse_config(RB + "\n[gamma]\nkind = explicit\n"

@@ -32,6 +32,7 @@ from gyrostat.integrate import run
 from gyrostat.poisson import BRACKET_SPACES, bracket_axiom_suite, reduced_point
 from gyrostat.reduction import momentum_drift, reconstruct
 from test_acceptance import HJ_CHECK, HT, RB, SIMULATE, TRANSPORT
+from test_mutations import plant_bracket_sign_error
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -307,8 +308,8 @@ def test_full_space_residuals_match_golden(case):
 
 
 # The axiom suite's reports at three seeds (seed 10 holds a Jacobi
-# sample near its bound) and with the mutation hook on: each run as
-# (seed, instances, inject_error).
+# sample near its bound) and with the planted bracket sign error of
+# test_mutations: each run as (seed, instances, inject).
 BRACKET_SUITE_RUNS = [(1, 300, False), (10, 300, False), (2027, 300, False),
                       (12, 40, True)]
 
@@ -318,10 +319,13 @@ def _bracket_suite_text() -> bytes:
     BRACKET_SUITE_RUNS, written with repr."""
     lines = []
     for seed, n, inject in BRACKET_SUITE_RUNS:
-        for name in sorted(BRACKET_SPACES):
-            report = bracket_axiom_suite(name, n, seed, inject_error=inject)
-            lines += [f"{name} seed {seed} inject {inject} {key} {value!r}"
-                      for key, value in report.items()]
+        with pytest.MonkeyPatch.context() as patch:
+            if inject:
+                plant_bracket_sign_error(patch)
+            for name in sorted(BRACKET_SPACES):
+                report = bracket_axiom_suite(name, n, seed)
+                lines += [f"{name} seed {seed} inject {inject} {key} "
+                          f"{value!r}" for key, value in report.items()]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

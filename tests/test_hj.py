@@ -392,6 +392,14 @@ class TestSections:
         with pytest.raises(ValueError, match="family"):
             hj.OneFormSection(lambda q: None, lie.SO3, 0, family="best")
 
+    @pytest.mark.parametrize("kind, k, match", [
+        ("SU2", 0, "unknown group kind 'SU2'"),
+        (lie.SO3, -1, "rotor_count must be non-negative"),
+    ])
+    def test_kind_and_rotor_count_are_checked(self, kind, k, match):
+        with pytest.raises(ValueError, match=match):
+            hj.OneFormSection(lambda q: None, kind, k)
+
     def test_shear_needs_two_rotors(self):
         with pytest.raises(ValueError, match="two rotor"):
             hj.shear_section(lie.SO3, 1)
@@ -684,6 +692,21 @@ class TestRelatedness:
                            match=r"level set \(defect 4\.794e-01\)"):
             hj.section_residuals(rb_system(), sec, q, nu)
 
+    def test_membership_sits_at_its_tolerance(self):
+        # MEMBERSHIP_TOL is 1e-8: at the identity the defect is the body
+        # momentum's offset from mu, rejected at 1.1e-8, kept at 0.9e-8
+        mu = lie.coalgebra(lie.SO3, (0.5, 0.0, 0.0))
+        q = one_row(lie.identity(lie.SO3), np.zeros(3))
+        for offset, rejected in ((1.1e-8, True), (0.9e-8, False)):
+            sec = hj.constant_body_section(mu + [0.0, 0.0, offset],
+                                           np.zeros(3))
+            if rejected:
+                with pytest.raises(hj.MembershipError,
+                                   match=r"defect 1\.100e-08"):
+                    hj.section_residuals(rb_system(), sec, q, mu)
+            else:
+                hj.section_residuals(rb_system(), sec, q, mu)
+
 
 class TestHJResidual:
     def test_zero_section_solves_the_torque_free_equations(self):
@@ -859,6 +882,23 @@ class TestProbe:
         with pytest.raises(hj.GateRejection, match="closedness gate"):
             hj.theorem_equivalence_probe(rb_system(),
                                          hj.spatial_section(mu, 2), qs, mu)
+
+    def test_gate_sits_at_its_tolerance(self):
+        # GATE_TOL is 1e-5: an affine rotor coupling C reads max |C - C^T|
+        # on the gate, exactly, rejected at 1.1e-5 and let through at 0.9e-5
+        nu = lie.coalgebra(lie.SO3, (0.0, 0.0, 1.3))
+        qs = random_stack(np.random.default_rng(27), lie.SO3, 4, 3)
+        for asymmetry, rejected in ((1.1e-5, True), (0.9e-5, False)):
+            coupling = np.zeros((3, 3))
+            coupling[0, 1] = asymmetry
+            sec = hj.affine_rotor_section(nu, np.zeros(3), coupling)
+            if rejected:
+                with pytest.raises(hj.GateRejection) as exc:
+                    hj.theorem_equivalence_probe(rb_system(), sec, qs)
+                assert exc.value.closedness_defect == asymmetry
+            else:
+                res = hj.theorem_equivalence_probe(rb_system(), sec, qs)
+                assert res.gate_defect == asymmetry
 
     def test_probe_needs_samples(self):
         # the probe takes a stack, and no stack holds zero samples

@@ -118,6 +118,12 @@ def test_run_rejects_non_dividing_step():
         run(zero_field, start(), 0.3, 1.0)
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.1])
+def test_run_requires_positive_dt(dt):
+    with pytest.raises(ValueError, match="^dt must be positive$"):
+        run(zero_field, start(), dt, 1.0)
+
+
 def test_run_rejects_an_overflowing_step_count():
     with pytest.raises(ValueError, match="not finite"):
         run(zero_field, start(), 1e-300, 1e300)
@@ -151,15 +157,19 @@ def test_time_reversal_returns_to_start():
 
 
 def test_invariant_drift_series():
-    # x_dot = x doubles nothing invariant; a genuinely conserved
-    # quantity stays at zero drift while a growing one accumulates
+    # x_dot = x: a genuinely conserved quantity stays at zero drift while
+    # a growing one accumulates (e - 1) I(0) by t = 1, relative to
+    # max(1, |I(0)|); "first" starts at 0.3, under that floor, "large"
+    # at 6, above it
     traj = run(linear_field, start(), 0.01, 1.0,
                invariants={"first": lambda x: x[:, 0],
+                           "large": lambda x: 20.0 * x[:, 0],
                            "ratio": lambda x: x[:, 0] / x[:, 1]})
+    assert list(traj.series) == ["first", "large", "ratio"]
     assert traj.max_drift("ratio") <= 1e-12
-    assert traj.max_drift("first") > 0.1
-    assert set(traj.drift) == {"first", "ratio"}
-    assert all(len(s) == len(traj.states) for s in traj.drift.values())
+    assert traj.max_drift("first") == pytest.approx((np.e - 1) * 0.3,
+                                                    rel=1e-8)
+    assert traj.max_drift("large") == pytest.approx(np.e - 1, rel=1e-8)
 
 
 def test_standard_invariants_names():

@@ -325,6 +325,12 @@ def test_flat_algebra_shape_check():
         lie.Ad_star(e_so3, six)
     with pytest.raises(ValueError, match="kind mismatch: SE3 vs SO3"):
         lie.Ad_star(e_se3, E1)
+    with pytest.raises(ValueError, match="kind mismatch: SO3 vs SE3"):
+        lie.compose(e_so3, e_se3)
+    # and vee reads it from the matrix: 3x3 or 4x4
+    for bad in (np.zeros((2, 2)), np.zeros((3, 4)), np.zeros(3)):
+        with pytest.raises(ValueError, match="3x3 or 4x4 matrix"):
+            lie.vee(bad)
     # coalgebra, the checked momentum constructor
     npt.assert_array_equal(lie.coalgebra(SE3, E1), [1, 0, 0, 0, 0, 0])
     for args, match in (((SO3, E1, E2), "no gamma part"),

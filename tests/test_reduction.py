@@ -208,8 +208,7 @@ class TestColumnPass:
                                  Layout(lie.SE3, 2, 2), states)
 
 
-@pytest.fixture(scope="module")
-def heavy_top_drifts():
+def reconstruction_drifts():
     """dt -> order -> momentum drift of the order-1 and order-4
     reconstructions over the heavy top with two rotors, run to T = 2.5
     at dt = 4e-3, 2e-3 and 1e-3."""
@@ -225,6 +224,11 @@ def heavy_top_drifts():
             traj, lie.identity(lie.SE3), sys, order=order))
             for order in (1, 4)}
     return drifts
+
+
+@pytest.fixture(scope="module")
+def heavy_top_drifts():
+    return reconstruction_drifts()
 
 
 class TestReconstruct:

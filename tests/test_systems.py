@@ -179,6 +179,11 @@ class TestParams:
                                 chi=(0, 0, 1))
         with pytest.raises(ValueError):
             RigidBodyRotorParams.from_raw((1, 1, 1), np.eye(2))
+        with pytest.raises(ValueError, match="rotor_inertia must be 2x3"):
+            HeavyTopRotorParams.from_raw((1, 1, 1), np.eye(3), 1, 1, 1,
+                                         (0, 0, 1))
+        with pytest.raises(ValueError, match="i must be a 3-vector"):
+            HeavyTopParams(i=(1, 1), m=1, g=1, h=1, chi=(0, 0, 1))
 
 
 class TestReducedHamiltonians:
@@ -329,6 +334,10 @@ class TestCandidates:
         with pytest.raises(ValueError, match="finite"):
             HJCandidate(np.zeros(3), np.zeros(0),
                         advected=np.array([0.0, np.nan, 1.0]))
+
+    def test_short_gamma_bar_rejected(self):
+        with pytest.raises(ValueError, match="at least the 3 orbit"):
+            HJCandidate(np.zeros(2), np.zeros(0))
 
     def test_advected_shape_checked(self):
         with pytest.raises(ValueError, match="3-vector"):

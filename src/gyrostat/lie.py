@@ -39,8 +39,9 @@ SE3 = "SE3"
 #: blocks' temporaries are a fixed peak (0.6 MB on a heavy-top hj-check)
 CHUNK = 256
 
-#: below this angle the exponential's Rodrigues coefficients switch to
-#: 2-term Taylor expansions to avoid 0/0
+#: below this angle the exponential's Rodrigues coefficients are their
+#: limits at 0, to avoid 0/0: their next Taylor terms are below half an
+#: ulp of those limits there
 SMALL_ANGLE = 1e-8
 
 _ORTHO_TOL = 1e-10
@@ -255,7 +256,8 @@ def _bracket_list(a: list, b: list) -> list:
 def _rodrigues_coeffs(theta_sq):
     # a = sin t / t, b = (1 - cos t) / t^2, c = (t - sin t) / t^3 of
     # t^2 = theta_sq elementwise, as scalars or (n, 1, 1) stacks; where
-    # small, the series replace them, and t^2 + 1 avoids 0/0
+    # small, their limits 1, 1/2 and 1/6 replace them, and t^2 + 1
+    # avoids 0/0
     small = theta_sq < SMALL_ANGLE * SMALL_ANGLE
     sq = theta_sq + small
     t = np.sqrt(sq)
@@ -263,12 +265,11 @@ def _rodrigues_coeffs(theta_sq):
     closed = (sin / t, (1.0 - np.cos(t)) / sq, (t - sin) / (sq * t))
     if not (small.ndim or small):
         return closed
-    series = (1.0 - theta_sq / 6.0, 0.5 - theta_sq / 24.0,
-              1.0 / 6.0 - theta_sq / 120.0)
+    limits = (1.0, 0.5, 1.0 / 6.0)
     if not small.ndim:
-        return series
+        return limits
     return tuple(np.where(small, s, c)[..., None, None]
-                 for s, c in zip(series, closed))
+                 for s, c in zip(limits, closed))
 
 
 def flat_exp(x: np.ndarray) -> tuple:

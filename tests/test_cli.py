@@ -302,7 +302,7 @@ class TestHJCheck:
         assert all(line.endswith("FAIL") for line in rows)
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "ROADMAP item 2: the reduced HJ residual is the whole reduced "
+        "ROADMAP item 3: the reduced HJ residual is the whole reduced "
         "field at the section's image, angle rates included, while the "
         "relatedness residual cancels them; this valid section reads "
         "relatedness 0.0 against HJ residual 0.6667 on every sample"))

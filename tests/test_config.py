@@ -201,7 +201,9 @@ class TestParsing:
                               "nu0 = 1.0 0.0 0.0 0.0 1.0 0.0\n")
 
     # The zero level is sampled globally; a nonzero one needs the
-    # isotropy rule of hamilton_jacobi.isotropy_sampleable.
+    # isotropy rule of hamilton_jacobi.isotropy_sampleable. The last two
+    # sit at its tolerance 1e-12 * max(1, |gamma|) from both sides:
+    # |pi x gamma| is 3.6e-12 and 4.4e-12 against 4e-12.
     @pytest.mark.parametrize("mu, accepted", [
         ("0.0 0.0 0.0 0.0 0.0 0.0", True),
         ("0.0 0.0 0.0 0.0 0.0 2.0", True),
@@ -209,6 +211,8 @@ class TestParsing:
         ("0.0 1e-13 3.0 0.0 0.0 2.0", True),
         ("0.0 1e-11 3.0 0.0 0.0 2.0", False),
         ("0.0 0.0 3.0 0.0 0.0 0.0", False),
+        ("0.0 0.9e-12 3.0 0.0 0.0 4.0", True),
+        ("0.0 1.1e-12 3.0 0.0 0.0 4.0", False),
     ])
     def test_momentum_level_follows_the_isotropy_rule(self, mu, accepted):
         text = (HT + "\n[gamma]\nkind = constant_body\n"

@@ -10,7 +10,7 @@ from gyrostat import hamilton_jacobi as hj
 from gyrostat import lie, systems
 from gyrostat.config import CATALOGUE
 from gyrostat.controlled import RCHSystem
-from gyrostat.poisson import ScalarField, reduced_point
+from gyrostat.poisson import ScalarField, analytic_field, reduced_point
 
 RB = systems.RigidBodyRotorParams((1.0, 2.0, 3.0), (0.5, 0.4, 0.3))
 HT = systems.HeavyTopRotorParams((2.0, 1.5, 1.0), (0.4, 0.3), 1.2, 9.8, 0.5,
@@ -417,6 +417,38 @@ class TestSections:
         v = rng.standard_normal((5, 6))
         assert_allclose(hj.fiber_derivative(with_jac, q, v),
                         hj.fiber_derivative(without, q, v), atol=1e-9)
+
+    def test_affine_rotor_jacobian_matches_its_value(self):
+        # the jacobian C v against central differences of the value
+        # l0 + C theta, read through a copy of the section without it
+        mu = lie.coalgebra(lie.SE3, (0.2, 0.1, -0.3), (0.0, 0.5, 0.8))
+        sec = hj.affine_rotor_section(mu, (0.4, -0.6),
+                                      [[0.7, -0.3], [0.4, 1.1]])
+        rng = np.random.default_rng(41)
+        q = random_stack(rng, lie.SE3, 6, 2)
+        v = rng.standard_normal((6, 8))
+        assert_allclose(hj.fiber_derivative(sec, q, v),
+                        hj.fiber_derivative(replace(sec, jacobian=None), q,
+                                            v), rtol=0, atol=1e-8)
+
+    def test_se3_derivative_follows_the_translation(self):
+        # with gamma != 0 the spatial section's body momentum
+        # Ad*_{g^-1} mu depends on the translation of g: fiber_derivative
+        # against a central difference over g exp(s xi) built with
+        # lie.compose and lie.exp_group, one sample at a time
+        mu = lie.coalgebra(lie.SE3, (0.3, -0.5, 0.2), (0.4, 0.0, 1.1))
+        sec = hj.spatial_section(mu, 2)
+        rng = np.random.default_rng(42)
+        q = random_stack(rng, lie.SE3, 5, 2)
+        v = rng.standard_normal((5, 8))
+        step = 1e-5
+        for row, one, vj in zip(hj.fiber_derivative(sec, q, v),
+                                one_row_views(q), v):
+            def at(s):
+                g = lie.compose(element(one), lie.exp_group(s * vj[:6]))
+                return hj.fiber(sec, one_row(g, one.theta[0] + s * vj[6:]))
+            assert_allclose(row, (at(step) - at(-step))[0] / (2 * step),
+                            rtol=0, atol=1e-7)
 
     def test_fiber_derivative_checks_the_direction_shape(self):
         # both paths: the analytic jacobian and finite differences; one
@@ -857,6 +889,35 @@ class TestProbe:
         assert_allclose(res.x_norm,
                         1.3 / (np.asarray(RB.ibar)[2] + np.asarray(RB.j)[2]),
                         rtol=1e-12)
+
+    @pytest.mark.parametrize("with_jacobian", [True, False])
+    def test_moving_rotor_rows_pass_in_full_space(self, with_jacobian):
+        # h = (|nu|^2 + |l|^2 - c^2 |theta|^2) / 2 keeps the rotor rows
+        # l = c theta invariant: along theta' = l the rows move at
+        # c^2 theta, the field's l' = c^2 theta, and h is constant on the
+        # section. The rows and the field both move, so the relatedness
+        # residual is a difference of nonzero terms.
+        c2 = 0.64
+
+        def grad(x):
+            return [x[0], x[1], x[2], -c2 * x[3], -c2 * x[4], x[5], x[6]]
+
+        h = analytic_field(lambda pts: 0.5 * np.sum(pts * pts * np.array(
+            [1.0, 1.0, 1.0, -c2, -c2, 1.0, 1.0]), axis=1), grad)
+        sys = RCHSystem(h, lie.SO3, 2)
+        nu = lie.coalgebra(lie.SO3, (0.3, -0.2, 0.5))
+        sec = hj.affine_rotor_section(nu, np.zeros(2),
+                                      np.sqrt(c2) * np.eye(2))
+        if not with_jacobian:
+            sec = replace(sec, jacobian=None)
+        qs = random_stack(np.random.default_rng(43), lie.SO3, 6, 2)
+        res = hj.theorem_equivalence_probe(sys, sec, qs)
+        assert res.verdict == "PASS"
+        x = hj.section_residuals(sys, sec, qs)[2]
+        assert_allclose(x[:, 3:], np.sqrt(c2) * qs.theta, rtol=1e-12)
+        assert_allclose(hj.fiber_derivative(sec, qs, x)[:, 3:],
+                        c2 * qs.theta, rtol=1e-6)
+        assert np.abs(qs.theta).min() > 1e-3
 
     def test_tilted_gravity_fails_coherently(self):
         sec, mu, _ = tilted_gravity_data()

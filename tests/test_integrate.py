@@ -106,8 +106,11 @@ def test_run_grid_and_lengths():
     npt.assert_array_equal(traj.times, np.arange(11) * 0.1)
 
 
-@pytest.mark.parametrize("dt,t_final,n", [(0.1, 1.0, 10), (1e-3, 10.0, 10000),
-                                          (0.3, 1.0, 0), (0.5, 0.2, 0)])
+@pytest.mark.parametrize("dt,t_final,n", [
+    (0.1, 1.0, 10), (1e-3, 10.0, 10000), (0.3, 1.0, 0), (0.5, 0.2, 0),
+    # the tolerance 1e-9 * max(1, |t_final|) from both sides: 1000 steps
+    # miss t_final = 100 by 0.9e-7 and 1.1e-7 against 1e-7
+    (0.10000000009, 100.0, 1000), (0.10000000011, 100.0, 0)])
 def test_step_count_counts_whole_steps_or_none(dt, t_final, n):
     # the one whole-steps rule shared by run and the [run] parser
     assert step_count(dt, t_final) == n

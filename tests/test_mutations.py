@@ -8,12 +8,15 @@ IEEE Computer 11(4), 1978) kept as a table, so a check that loses its
 teeth fails here.
 
 Each row patches the name that the checked path looks up at call time,
-in the module that looks it up. The first row is the bracket sign error
+in the module that looks it up. An operator inside a function body,
+which no wrapper reaches, is swapped by recompiling the function from its
+source with one edit (:func:`_edited`). The first row is the bracket sign error
 that ``test_cli``, ``test_poisson`` and ``test_golden`` also plant, through
 :func:`plant_bracket_sign_error`. The table ends with one test that
 every patched attribute is its original object again.
 """
 
+import inspect
 from operator import add, neg
 from typing import Callable, NamedTuple
 
@@ -147,6 +150,23 @@ def _own_field_kept(matching):
     return mutated
 
 
+def _edited(old: str, new: str):
+    """A mutant that recompiles a package function from its source with
+    the one occurrence of old replaced by new, in a copy of its module's
+    namespace, so the module itself is untouched until the row patches
+    it. The source keeps its line numbers in tracebacks."""
+    def mutant(func):
+        lines, first = inspect.getsourcelines(func)
+        source = "".join(lines)
+        assert source.count(old) == 1, (func.__name__, old)
+        namespace = dict(vars(inspect.getmodule(func)))
+        exec(compile("\n" * (first - 1) + source.replace(old, new),
+                     inspect.getsourcefile(func), "exec",
+                     dont_inherit=True), namespace)
+        return namespace[func.__name__]
+    return mutant
+
+
 class Row(NamedTuple):
     """One planted defect: ``module.name`` becomes ``mutant(original)``
     and ``check()`` must then fail."""
@@ -207,6 +227,21 @@ ROWS = {
         hj, "_residuals", _relatedness_squared,
         lambda: test_hj.TestRelatedness()
         .test_gravity_breaks_the_zero_candidate()),
+    "full-flavor-relatedness-sign": Row(
+        hj, "_residuals",
+        _edited("d_fiber - np.delete", "d_fiber + np.delete"),
+        lambda: test_hj.TestProbe()
+        .test_moving_rotor_rows_pass_in_full_space(True)),
+    "se3-chart-translation-sign": Row(
+        hj, "_chart",
+        _edited("] + np.repeat(g.trans", "] - np.repeat(g.trans"),
+        lambda: test_hj.TestSections()
+        .test_se3_derivative_follows_the_translation()),
+    "affine-rotor-value-sign": Row(
+        hj, "affine_rotor_section",
+        _edited("l0 + (coupling @", "l0 - (coupling @"),
+        lambda: test_hj.TestSections()
+        .test_affine_rotor_jacobian_matches_its_value()),
     "matching-control-keeps-own-field": Row(
         config, "matching_control", _own_field_kept,
         test_acceptance.test_criterion_7_matching_control_transport),

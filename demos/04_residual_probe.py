@@ -63,8 +63,7 @@ print()
 try:
     hj.theorem_equivalence_probe(
         rigid_body_system(RB), hj.shear_section(lie.SO3, 3),
-        hj.random_configurations(rng, lie.SO3, 4, 3,
-                                 lambda: rng.standard_normal(3)),
+        hj.random_configurations(rng, lie.SO3, rng.standard_normal((4, 3))),
         lie.coalgebra(lie.SO3, np.zeros(3)))
 except hj.GateRejection as exc:
     print("sheared section:", exc)

@@ -521,6 +521,6 @@ def sample_configurations(cfg: ScenarioConfig, mu,
     k = rotor_count(cfg.system)
     kind = algebra_kind(cfg.system)
     if float(np.linalg.norm(mu)) == 0.0:
-        return random_configurations(rng, kind, n, k,
-                                     lambda: rng.uniform(-1.0, 1.0, k))
+        return random_configurations(rng, kind,
+                                     rng.uniform(-1.0, 1.0, (n, k)))
     return isotropy_configurations(rng, mu, n, k)

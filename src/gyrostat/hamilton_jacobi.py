@@ -31,7 +31,7 @@ of ``lie.CHUNK`` samples it makes the gate's derivative passes (one per
 frame direction); then it reads all N fiber rows in one section call
 and per block makes one membership check, one field pass and one
 derivative pass; the field pass evaluates the field once on the columns
-of the block. Only the samplers' RNG draws run per sample.
+of the block.
 """
 
 from __future__ import annotations
@@ -108,19 +108,14 @@ class ConfigurationStack:
         return stack
 
 
-def _stack(kind: str, n: int, rotor_count: int, width: int,
-           draw: Callable[[np.ndarray, np.ndarray], None],
+def _stack(kind: str, raw: np.ndarray, theta: np.ndarray,
            group: Callable[[np.ndarray], tuple]) -> ConfigurationStack:
-    """n samples drawn one at a time, so the RNG order is the per-sample
-    one: draw(raw_row, theta_row) writes a sample's width raw numbers and
-    its angles into its rows of preallocated arrays; then group maps each
-    block of lie.CHUNK raw rows to its rotations and translations (None
-    on SO(3))."""
+    """The stack of the drawn rows raw, one per sample, and the rotor
+    angles theta: group maps each block of lie.CHUNK rows of raw to their
+    rotations and translations (None on SO(3))."""
+    n = len(raw)
     if n < 1:
         raise ValueError("need at least one sample configuration")
-    raw, theta = np.empty((n, width)), np.empty((n, rotor_count))
-    for i in range(n):
-        draw(raw[i], theta[i])
     rot = np.empty((n, 3, 3))
     trans = None if kind == lie.SO3 else np.empty((n, 3))
     for lo in range(0, n, lie.CHUNK):
@@ -131,23 +126,16 @@ def _stack(kind: str, n: int, rotor_count: int, width: int,
     return ConfigurationStack(lie.GroupPath(kind, rot, trans), theta)
 
 
-def random_configurations(rng: np.random.Generator, kind: str, n: int,
-                          rotor_count: int,
-                          angles: Callable[[], np.ndarray]
-                          ) -> ConfigurationStack:
-    """n configurations over the whole configuration space, each drawn as
-    :func:`lie.random_group` draws its group part, then angles(), which
-    must return a (rotor_count,) array: it is never broadcast."""
-
-    def draw(raw_row, theta_row):
-        rng.standard_normal(out=raw_row)
-        if np.shape(a := angles()) != (rotor_count,):
-            raise ValueError(f"angles() returned shape {np.shape(a)}, "
-                             f"expected ({rotor_count},)")
-        theta_row[:] = a
-
-    return _stack(kind, n, rotor_count, lie.algebra_dim(kind), draw,
-                  lie.flat_exp)
+def random_configurations(rng: np.random.Generator, kind: str,
+                          theta) -> ConfigurationStack:
+    """Configurations over the whole configuration space with the (n, k)
+    rotor angles theta that the caller drew: the group parts are the
+    exponentials of one (n, d) standard normal draw, so row i is the
+    element :func:`lie.random_group` draws from row i's normals. theta
+    is never broadcast: anything but an (n, k) array is rejected."""
+    n = len(np.atleast_1d(theta))
+    return _stack(kind, rng.standard_normal((n, lie.algebra_dim(kind))),
+                  theta, lie.flat_exp)
 
 
 def isotropy_configurations(rng: np.random.Generator, mu, n: int,
@@ -158,24 +146,20 @@ def isotropy_configurations(rng: np.random.Generator, mu, n: int,
 
     Supports any so(3)* value and the aligned se(3)* values (pi parallel
     to gamma, including pi = 0); a generic se(3)* momentum has a
-    stabilizer this sampler does not parameterize. Each sample draws its
-    angle about the axis, then on se(3)* its slide along the axis, then
-    its rotor angles, straight into its rows of the stack.
+    stabilizer this sampler does not parameterize. It draws the n angles
+    about the axis, uniform in [-pi, pi), then on se(3)* the n standard
+    normal slides along it, then the (n, rotor_count) standard normal
+    rotor angles: one call each. On the zero so(3)* level it samples the
+    whole group with :func:`random_configurations`.
     """
-
-    def draw(raw_row, theta_row):
-        raw_row[0] = -np.pi + 2 * np.pi * rng.random()
-        rng.standard_normal(out=raw_row[1:])
-        rng.standard_normal(out=theta_row)
-
     mu, kind = lie._flat_algebra(mu)
     if kind == lie.SO3:
         norm = float(np.linalg.norm(mu))
         if norm == 0.0:
             return random_configurations(
-                rng, lie.SO3, n, rotor_count,
-                lambda: rng.standard_normal(rotor_count))
-        return _stack(lie.SO3, n, rotor_count, 1, draw,
+                rng, lie.SO3, rng.standard_normal((n, rotor_count)))
+        return _stack(lie.SO3, rng.uniform(-np.pi, np.pi, (n, 1)),
+                      rng.standard_normal((n, rotor_count)),
                       lambda angle: lie.flat_exp(angle * mu / norm))
     if not isotropy_sampleable(mu):
         raise ValueError("isotropy sampling needs pi parallel to gamma "
@@ -189,7 +173,10 @@ def isotropy_configurations(rng: np.random.Generator, mu, n: int,
         rot = lie.flat_exp(raw[:, :1] * axis)[0]
         return rot, (rot @ (raw[:, 1:] * axis)[..., None])[..., 0]
 
-    return _stack(lie.SE3, n, rotor_count, 2, draw, slide_group)
+    raw = np.column_stack([rng.uniform(-np.pi, np.pi, n),
+                           rng.standard_normal(n)])
+    return _stack(lie.SE3, raw, rng.standard_normal((n, rotor_count)),
+                  slide_group)
 
 
 @dataclass(frozen=True)
@@ -408,12 +395,11 @@ def spatial_section(mu, rotor_count: int = 0, l0=()) -> OneFormSection:
 
 def _default_samples(gamma: OneFormSection, n_samples: int,
                      seed: int) -> ConfigurationStack:
-    """n_samples configurations, each group part drawn as
-    :func:`lie.random_group` draws it, then standard normal angles."""
+    """n_samples configurations of :func:`random_configurations` with
+    standard normal rotor angles, drawn first."""
     rng = np.random.default_rng(seed)
-    k = gamma.rotor_count
-    return random_configurations(rng, gamma.kind, n_samples, k,
-                                 lambda: rng.standard_normal(k))
+    return random_configurations(rng, gamma.kind, rng.standard_normal(
+        (n_samples, gamma.rotor_count)))
 
 
 def _frame_partials(gamma: OneFormSection, samples, n_samples: int,

@@ -131,8 +131,8 @@ def test_criterion_5_residuals_pass_and_fail_together():
     rb_sys = systems.rigid_body_system(RB)
     zero = hj.zero_section(lie.SO3, 3)
     mu0 = lie.coalgebra(lie.SO3, np.zeros(3))
-    qs = hj.random_configurations(rng, lie.SO3, 100, 3,
-                                  lambda: rng.standard_normal(3))
+    qs = hj.random_configurations(rng, lie.SO3,
+                                  rng.standard_normal((100, 3)))
     solved = hj.theorem_equivalence_probe(rb_sys, zero, qs, mu0)
 
     # Unsolved scenario: gravity torque survives the zero candidate.

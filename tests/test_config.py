@@ -747,10 +747,9 @@ class TestBuilders:
 
     @pytest.mark.parametrize("seed", [0, 3, 2027])
     @pytest.mark.parametrize("text", [RB, HT], ids=["so3", "se3"])
-    def test_zero_level_stack_is_bitwise_the_per_sample_loop(self, text,
-                                                             seed):
-        # the draws as they were made one sample at a time, before
-        # sampling stacked them
+    def test_zero_level_stack_is_the_array_draws(self, text, seed):
+        # the (n, k) uniform angles in one call, then one
+        # lie.random_group per sample, whose normals follow one another
         cfg = parse_config(text + "\n[gamma]\nkind = zero\nsamples = 30\n")
         _, mu = cfgmod.build_section(cfg)
         stack = cfgmod.sample_configurations(cfg, mu,
@@ -758,12 +757,12 @@ class TestBuilders:
         rng = np.random.default_rng(seed)
         k = cfgmod.rotor_count(cfg.system)
         kind = cfgmod.algebra_kind(cfg.system)
-        want = [(lie.random_group(rng, kind), rng.uniform(-1.0, 1.0, k))
-                for _ in range(30)]
-        assert np.array_equal(stack.g.rot, [g.rot for g, _ in want])
+        theta = rng.uniform(-1.0, 1.0, (30, k))
+        want = [lie.random_group(rng, kind) for _ in range(30)]
+        assert np.array_equal(stack.g.rot, [g.rot for g in want])
         if kind == lie.SE3:
-            assert np.array_equal(stack.g.trans, [g.trans for g, _ in want])
-        assert np.array_equal(stack.theta, [theta for _, theta in want])
+            assert np.array_equal(stack.g.trans, [g.trans for g in want])
+        assert np.array_equal(stack.theta, theta)
 
     def test_samples_retain_one_stacked_row_each(self):
         # 112 B a sample on the heavy top (a 3x3 rotation, a translation

@@ -281,8 +281,7 @@ def _hj_full_text(case: str) -> bytes:
     sys = HJ_FULL_CASES[case]
     rng = np.random.default_rng(31)
     k = sys.rotor_count
-    qs = hj.random_configurations(rng, sys.kind, 3, k,
-                                  lambda: rng.standard_normal(k))
+    qs = hj.random_configurations(rng, sys.kind, rng.standard_normal((3, k)))
     lines = []
     for name, sec in _hj_full_sections(sys.kind, sys.rotor_count).items():
         lines += [f"section {name}",
@@ -307,9 +306,8 @@ def test_full_space_residuals_match_golden(case):
                                               stored, fresh)
 
 
-# The axiom suite's reports at three seeds (seed 10 holds a Jacobi
-# sample near its bound) and with the planted bracket sign error of
-# test_mutations: each run as (seed, instances, inject).
+# The axiom suite's reports at three seeds and with the planted bracket
+# sign error of test_mutations: each run as (seed, instances, inject).
 BRACKET_SUITE_RUNS = [(1, 300, False), (10, 300, False), (2027, 300, False),
                       (12, 40, True)]
 

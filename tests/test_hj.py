@@ -77,10 +77,9 @@ def hj_norm(*args):
 
 
 def random_stack(rng, kind, n, k):
-    """n configurations, each group part drawn as lie.random_group draws
-    it, then k standard normal angles."""
-    return hj.random_configurations(rng, kind, n, k,
-                                    lambda: rng.standard_normal(k))
+    """n configurations over the whole group with k standard normal
+    angles, drawn first."""
+    return hj.random_configurations(rng, kind, rng.standard_normal((n, k)))
 
 
 def tilted_gravity_data():
@@ -143,27 +142,30 @@ class TestConfigurations:
 
 
 def _reference_rows(rng, mu, n, k):
-    """Samples as drawn one group element at a time before they were
-    stacked: rng.uniform turn angles, per-sample flat_exp, and compose of
-    the angle and slide factors on se(3)*."""
-    rows, kind = [], lie.SO3 if mu.size == 3 else lie.SE3
-    for _ in range(n):
-        if not np.any(mu):
-            x = lie.random_algebra(rng, kind)
-            g = lie.GroupElement(kind, *lie.flat_exp(x))
-        elif kind == lie.SO3:
+    """The isotropy sampler's draws, one array call each (the n turn
+    angles, on se(3)* the n slides, then the (n, k) rotor angles), made
+    into group elements one sample at a time: per-sample flat_exp, and
+    compose of the angle and slide factors on se(3)*. On the zero level
+    the rotor angles come first, then one lie.random_group per sample."""
+    kind = lie.SO3 if mu.size == 3 else lie.SE3
+    if not np.any(mu):
+        theta = rng.standard_normal((n, k))
+        return [(g.rot, g.trans, t) for g, t in zip(
+            [lie.random_group(rng, kind) for _ in range(n)], theta)]
+    angles = rng.uniform(-np.pi, np.pi, n)
+    slides = rng.standard_normal(n) if kind == lie.SE3 else angles
+    theta, rows = rng.standard_normal((n, k)), []
+    for angle, slide, t in zip(angles, slides, theta):
+        if kind == lie.SO3:
             norm = float(np.linalg.norm(mu))
-            angle = rng.uniform(-np.pi, np.pi)
             g = lie.GroupElement(lie.SO3, *lie.flat_exp(angle * mu / norm))
         else:
             axis = mu[3:] / np.linalg.norm(mu[3:])
-            angle = rng.uniform(-np.pi, np.pi)
-            slide = rng.standard_normal()
             turn = lie.flat_exp(np.concatenate([angle * axis, np.zeros(3)]))
             shift = lie.flat_exp(np.concatenate([np.zeros(3), slide * axis]))
             g = lie.compose(lie.GroupElement(lie.SE3, *turn),
                             lie.GroupElement(lie.SE3, *shift))
-        rows.append((g.rot, g.trans, rng.standard_normal(k)))
+        rows.append((g.rot, g.trans, t))
     return rows
 
 
@@ -182,74 +184,67 @@ ISOTROPY_LEVELS = {
 
 
 class TestStackedSamples:
-    @pytest.mark.parametrize("seed", [0, 1, 7, 2027])
+    @pytest.mark.parametrize("k", [0, 3])
+    @pytest.mark.parametrize("seed", [0, 7, 2027])
     @pytest.mark.parametrize("level", sorted(ISOTROPY_LEVELS))
-    def test_isotropy_stack_is_bitwise_the_per_sample_loop(self, level,
-                                                           seed):
+    def test_isotropy_stack_is_the_array_draws(self, level, seed, k):
+        # the stack is bit for bit the per-sample group elements of the
+        # array draws, and the generator ends where those draws leave it
         mu = ISOTROPY_LEVELS[level]
-        stack = hj.isotropy_configurations(np.random.default_rng(seed), mu,
-                                           60, 3)
-        want = _reference_rows(np.random.default_rng(seed), mu, 60, 3)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        stack = hj.isotropy_configurations(rng, mu, 60, k)
+        want = _reference_rows(ref, mu, 60, k)
+        assert rng.bit_generator.state == ref.bit_generator.state
         assert _same_bits(stack.g.rot, np.array([r[0] for r in want]))
         if mu.size == 6:
             assert _same_bits(stack.g.trans, np.array([r[1] for r in want]))
         else:
             assert stack.g.trans is None
-        assert _same_bits(stack.theta, np.array([r[2] for r in want]))
-
-    @pytest.mark.parametrize("k", [0, 3])
-    @pytest.mark.parametrize("level", sorted(ISOTROPY_LEVELS))
-    def test_isotropy_sampler_leaves_the_per_sample_rng_state(self, level,
-                                                              k):
-        # the rows are written in place, one sample's draws at a time, and
-        # the generator ends where the per-sample draws leave it
-        mu = ISOTROPY_LEVELS[level]
-        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
-        stack = hj.isotropy_configurations(rng, mu, 37, k)
-        want = _reference_rows(ref, mu, 37, k)
-        assert rng.bit_generator.state == ref.bit_generator.state
         assert _same_bits(stack.theta, np.array([r[2] for r in want])
-                          .reshape(37, k))
+                          .reshape(60, k))
 
     @pytest.mark.parametrize("k", [0, 2])
     @pytest.mark.parametrize("kind", [lie.SO3, lie.SE3])
-    def test_zero_level_sampler_leaves_the_per_sample_rng_state(self, kind,
-                                                                k):
-        # the zero level's sampler: a group draw, then config's uniform
-        # angles
+    def test_zero_level_sampler_draws_the_group_after_the_angles(self, kind,
+                                                                 k):
+        # config's zero level: uniform angles, then one (n, d) normal
+        # draw whose rows the group exponential maps
         rng, ref = np.random.default_rng(12), np.random.default_rng(12)
-        stack = hj.random_configurations(rng, kind, 37, k,
-                                         lambda: rng.uniform(-1.0, 1.0, k))
-        want = [(ref.standard_normal(lie.algebra_dim(kind)),
-                 ref.uniform(-1.0, 1.0, k)) for _ in range(37)]
+        stack = hj.random_configurations(rng, kind,
+                                         rng.uniform(-1.0, 1.0, (37, k)))
+        theta = ref.uniform(-1.0, 1.0, (37, k))
+        rot, trans = lie.flat_exp(ref.standard_normal(
+            (37, lie.algebra_dim(kind))))
         assert rng.bit_generator.state == ref.bit_generator.state
-        assert _same_bits(stack.theta, np.array([t for _, t in want])
-                          .reshape(37, k))
+        assert _same_bits(stack.theta, theta)
+        assert _same_bits(stack.g.rot, rot)
+        assert trans is None or _same_bits(stack.g.trans, trans)
 
-    @pytest.mark.parametrize("angles", [
-        lambda: np.array([0.5]), lambda: 0.25, lambda: np.zeros((1, 3)),
-        lambda: np.zeros(4)], ids=["one", "scalar", "row", "long"])
-    def test_angles_of_another_shape_are_not_broadcast(self, angles):
+    @pytest.mark.parametrize("theta", [
+        0.25, np.zeros(3), np.zeros((4, 3, 1))], ids=["scalar", "flat",
+                                                      "deep"])
+    def test_angles_of_another_shape_are_not_broadcast(self, theta):
         rng = np.random.default_rng(13)
-        with pytest.raises(ValueError, match=r"angles\(\) returned shape "
-                                             r".*, expected \(3,\)"):
-            hj.random_configurations(rng, lie.SO3, 4, 3, angles)
+        with pytest.raises(ValueError, match=r"theta must be an \(\d, k\) "
+                                             r"array, got shape"):
+            hj.random_configurations(rng, lie.SO3, theta)
 
     @pytest.mark.parametrize("seed", [0, 5, 2027])
     @pytest.mark.parametrize("kind", [lie.SO3, lie.SE3])
     def test_default_samples_are_bitwise_random_group_draws(self, kind,
                                                              seed):
-        # per sample: lie.random_group, then two standard normal angles
+        # two standard normal angles per sample, then one
+        # lie.random_group per sample
         gamma = hj.zero_section(kind, 2)
         stack = hj._default_samples(gamma, 40, seed)
         rng = np.random.default_rng(seed)
-        want = [(lie.random_group(rng, kind), rng.standard_normal(2))
-                for _ in range(40)]
-        assert _same_bits(stack.g.rot, np.array([g.rot for g, _ in want]))
+        theta = rng.standard_normal((40, 2))
+        want = [lie.random_group(rng, kind) for _ in range(40)]
+        assert _same_bits(stack.g.rot, np.array([g.rot for g in want]))
         if kind == lie.SE3:
             assert _same_bits(stack.g.trans,
-                              np.array([g.trans for g, _ in want]))
-        assert _same_bits(stack.theta, np.array([t for _, t in want]))
+                              np.array([g.trans for g in want]))
+        assert _same_bits(stack.theta, theta)
 
     def test_rotations_are_checked_once_over_the_stack(self, monkeypatch):
         calls = []
@@ -591,7 +586,9 @@ class TestGateBlocks:
         stack = self.stack()
         gate = hj.closedness_defect(sec, samples=stack)
         assert gate == _per_sample_gate(sec, stack)
-        assert gate == np.max(np.abs(stack.theta[:, 0]))
+        # the asymmetric entry is (c + theta_0) - c for c = SYMMETRIC[0, 1]
+        c = self.SYMMETRIC[0, 1]
+        assert gate == np.max(np.abs((c + stack.theta[:, 0]) - c))
 
     def test_asymmetry_only_in_the_last_block(self):
         stack = self.stack()
@@ -929,8 +926,8 @@ class TestProbe:
 
     def test_rotor_quadratic_fails_on_the_unit_box(self):
         rng = np.random.default_rng(22)
-        qs = hj.random_configurations(rng, lie.SO3, 8, 3,
-                                      lambda: rng.uniform(-1.0, 1.0, 3))
+        qs = hj.random_configurations(rng, lie.SO3,
+                                      rng.uniform(-1.0, 1.0, (8, 3)))
         res = hj.theorem_equivalence_probe(rb_system(),
                                            hj.rotor_quadratic_section(), qs)
         assert res.verdict == "FAIL"

@@ -153,7 +153,7 @@ def _reference_rows(rng, mu, n, k):
         return [(g.rot, g.trans, t) for g, t in zip(
             [lie.random_group(rng, kind) for _ in range(n)], theta)]
     angles = rng.uniform(-np.pi, np.pi, n)
-    slides = rng.standard_normal(n) if kind == lie.SE3 else angles
+    slides = rng.standard_normal(n) if kind == lie.SE3 else [None] * n
     theta, rows = rng.standard_normal((n, k)), []
     for angle, slide, t in zip(angles, slides, theta):
         if kind == lie.SO3:

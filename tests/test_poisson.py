@@ -354,6 +354,16 @@ def test_axiom_suite_small_sweep(name, n_instances, seed):
     assert poisson.axiom_suite_passes(report)
 
 
+@pytest.mark.parametrize("seed", [438, 838, 889])
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "CHANGES.md FOUND: Leibniz sits on its finite-difference rounding "
+    "floor, so correct code exceeds its 1e-8 bound at these seeds "
+    "(1.20e-8, 2.65e-8, 1.05e-8); no bound moved"))
+def test_axiom_suite_leibniz_floor_fails_known_seeds(seed):
+    report = bracket_axiom_suite("so3_lie_poisson", 1000, seed)
+    assert poisson.axiom_suite_passes(report)
+
+
 def test_axiom_suite_detects_injected_error(monkeypatch):
     test_mutations.plant_bracket_sign_error(monkeypatch)
     for name in sorted(poisson.BRACKET_SPACES):
@@ -473,6 +483,38 @@ def test_stacked_polynomials_match_polynomial_field(name):
                         for (i, j, k), t in zip(idx, coef))
             npt.assert_allclose(v, c0 + x @ a + 0.5 * np.einsum(
                 "mi,ij,mj->m", x, b, x) + cubic, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [3, 9, 10])
+@pytest.mark.parametrize("q", [0, 2])
+@pytest.mark.parametrize("n", [1, 7])
+def test_polynomials_round_by_the_rounding_contract(d, q, n):
+    # the steps that fix the golden bits, term by term: the BLAS calls on
+    # (n, m, d) stacks, the sequential (i, j) sum of (x_i * b_ij) * x_j,
+    # and the affine gradient a + pts @ b
+    rng = np.random.default_rng(d + 10 * q + 100 * n)
+    stack = poisson._polynomials(
+        rng.integers(0, d, size=(n, q, 3)),
+        rng.standard_normal((n, q + 1 + d * (d + 1))))
+    c0, a, b, idx, coef = stack
+    for m in (1, 2 * d):
+        pts = rng.standard_normal((n, m, d))
+        quad = np.zeros((n, m))
+        for i, j in itertools.product(range(d), repeat=2):
+            quad += (pts[..., i] * b[:, None, i, j]) * pts[..., j]
+        rows = np.arange(n)[:, None]
+        x = [pts[rows, :, idx[:, :, s]] for s in range(3)]
+        cubic = (x[0] * x[1] * x[2]).swapaxes(1, 2) @ coef[:, :, None]
+        value = (c0[:, None] + (pts @ a[:, :, None])[..., 0] + 0.5 * quad
+                 + cubic[..., 0])
+        npt.assert_array_equal(stack.value(pts), value)
+        grad = a[:, None, :] + pts @ b
+        for g, p, ijk, ts in zip(grad, pts, idx, coef):
+            for (i, j, k), t in zip(ijk, ts):
+                g[:, i] += t * p[:, j] * p[:, k]
+                g[:, j] += t * p[:, i] * p[:, k]
+                g[:, k] += t * p[:, i] * p[:, j]
+        npt.assert_array_equal(stack.grad(pts), grad)
 
 
 @pytest.mark.parametrize("name", sorted(poisson.BRACKET_SPACES))

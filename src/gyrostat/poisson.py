@@ -371,8 +371,7 @@ class _Polynomials(NamedTuple):
     coef: np.ndarray
 
     def value(self, pts: np.ndarray) -> np.ndarray:
-        # coordinate-major copies: the same sequential (i, j) sum of
-        # (x_i * b_ij) * x_j, with the inner loop over the n instances
+        # coordinate-major copies: the same (i, j) order, inner loop over n
         xt = np.ascontiguousarray(pts.transpose(2, 1, 0))
         bt = np.ascontiguousarray(self.b.transpose(1, 2, 0))
         v = (self.c0[:, None] + (pts @ self.a[:, :, None])[..., 0]

@@ -5,7 +5,12 @@ one flat state, a list of d Python floats, with a field that maps such a
 list to its d rates: at d = 6-11 each numpy call would cost more than
 the arithmetic inside it, and fixed-size slots on the per-evaluation
 path are list displays, as on Python 3.11 each comprehension costs a
-frame. :func:`run` drives it over the grid t_i = i * dt, which a
+frame. So the step's stage sums are list displays too, in a kernel
+generated once per state length from that integer alone; it keeps the
+arithmetic and evaluation order of the comprehensions over zip it
+replaces, so every state is bitwise the same as theirs (Hairer, Norsett
+and Wanner, Solving ODEs I, sec. II.1, give the method). :func:`run`
+drives the step over the grid t_i = i * dt, which a
 :class:`Trajectory` keeps as its step dt, writes each state into an
 (n+1, d) float64 array and evaluates each invariant, a batched value
 (n, d) -> (n,), once over those stored states; the relative drift series
@@ -28,6 +33,9 @@ from .poisson import (FlatField, Layout, ReducedPoint, ScalarField,
 Invariant = Callable[[np.ndarray], np.ndarray]
 
 BLOWUP_LIMIT = 1e12
+
+# the rk4_step kernel of each state length, generated on first use
+_STEPS: dict = {}
 
 
 @dataclass(frozen=True)
@@ -73,29 +81,45 @@ def _rate_count_error(k: list, n: int) -> ValueError:
                       f"{n} components")
 
 
+def _generated_step(n: int):
+    """The stages of :func:`rk4_step` for states of n components, as a
+    function generated from the integer n alone, so no outside text
+    reaches ``exec``. It unpacks x and each stage's rates into locals,
+    the rates once their count is checked, and builds each stage state
+    and the final state as a list display: the terms of a comprehension
+    over zip, in its order, without its frame. A bracketed target
+    unpacks n = 0 too."""
+    def display(term: str) -> str:
+        return "[" + ", ".join(term.format(i=i) for i in range(n)) + "]"
+
+    body = [display("x{i}") + " = x", "half, sixth = 0.5 * dt, dt / 6.0",
+            "k = field(x)"]
+    for rates, use in (
+            ("p{i}", "k = field(" + display("x{i} + half * p{i}") + ")"),
+            ("q{i}", "k = field(" + display("x{i} + half * q{i}") + ")"),
+            ("r{i}", "k = field(" + display("x{i} + dt * r{i}") + ")"),
+            ("s{i}", "return " + display(
+                "x{i} + sixth * (p{i} + 2.0 * q{i} + 2.0 * r{i} + s{i})"))):
+        body += [f"if len(k) != {n}: raise _rate_count_error(k, {n})",
+                 display(rates) + " = k", use]
+    namespace = {"_rate_count_error": _rate_count_error}
+    exec("def step(field, x, dt):\n    " + "\n    ".join(body), namespace)
+    return namespace["step"]
+
+
 def rk4_step(field: FlatField, x: list, dt: float) -> list:
     """One classical Runge-Kutta step of size dt (local error O(dt^5))
-    of the list x; raises if the field returns a rate list of another
-    length (checked at each stage, before its rates are used) or the
-    step a non-finite state."""
+    of the list x. Its stages run in the kernel generated once per state
+    length from that integer alone and kept in ``_STEPS``: list displays
+    with the arithmetic and order of comprehensions over zip, so each
+    state is bitwise theirs. Raises if the field returns a rate list of
+    another length (checked at each stage, before its rates are used)
+    or the step a non-finite state."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    n, half = len(x), 0.5 * dt
-    k1 = field(x)
-    if len(k1) != n:
-        raise _rate_count_error(k1, n)
-    k2 = field([a + half * k for a, k in zip(x, k1)])
-    if len(k2) != n:
-        raise _rate_count_error(k2, n)
-    k3 = field([a + half * k for a, k in zip(x, k2)])
-    if len(k3) != n:
-        raise _rate_count_error(k3, n)
-    k4 = field([a + dt * k for a, k in zip(x, k3)])
-    if len(k4) != n:
-        raise _rate_count_error(k4, n)
-    sixth = dt / 6.0
-    y = [a + sixth * (p + 2.0 * q + 2.0 * r + s)
-         for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
+    n = len(x)
+    step = _STEPS.get(n) or _STEPS.setdefault(n, _generated_step(n))
+    y = step(field, x, dt)
     if not all(map(math.isfinite, y)):
         raise ValueError("integration step produced a non-finite state")
     return y

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from gyrostat import lie
+from gyrostat import integrate, lie
 from gyrostat.integrate import (Trajectory, rk4_step, run, standard_invariants,
                                 step_count)
 from gyrostat.lie import SO3
@@ -20,6 +22,50 @@ def linear_field(x):
 
 def start():
     return reduced_point(SO3, [0.3, -0.4, 0.8], theta=[0.1], l=[0.2])
+
+
+def _reference_step(field, x, dt):
+    """The RK4 step as comprehensions over zip, the reference whose
+    arithmetic and evaluation order the generated kernel keeps."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    n, half = len(x), 0.5 * dt
+    k1 = field(x)
+    if len(k1) != n:
+        raise integrate._rate_count_error(k1, n)
+    k2 = field([a + half * k for a, k in zip(x, k1)])
+    if len(k2) != n:
+        raise integrate._rate_count_error(k2, n)
+    k3 = field([a + half * k for a, k in zip(x, k2)])
+    if len(k3) != n:
+        raise integrate._rate_count_error(k3, n)
+    k4 = field([a + dt * k for a, k in zip(x, k3)])
+    if len(k4) != n:
+        raise integrate._rate_count_error(k4, n)
+    sixth = dt / 6.0
+    y = [a + sixth * (p + 2.0 * q + 2.0 * r + s)
+         for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, y)):
+        raise ValueError("integration step produced a non-finite state")
+    return y
+
+
+def bits(states) -> np.ndarray:
+    """The float64 bit patterns of states, so that -0.0 differs from 0.0."""
+    return np.asarray(states, dtype=float).view(np.int64)
+
+
+def rigid_body_with_rotors():
+    """The rigid body with three rotors of the long runs below: the
+    system, its list field and the start point."""
+    from gyrostat.controlled import flat_dynamical_field
+    from gyrostat.systems import RigidBodyRotorParams, rigid_body_system
+
+    sys = rigid_body_system(RigidBodyRotorParams((1.0, 2.0, 3.0),
+                                                 (0.5, 0.4, 0.3)))
+    p0 = reduced_point(SO3, (1.0, 0.4, -0.7), theta=(0.0, 0.0, 0.0),
+                       l=(0.1, -0.2, 0.3))
+    return sys, flat_dynamical_field(sys, p0.layout), p0
 
 
 # ------------------------------------------------------------------- stepping
@@ -64,10 +110,56 @@ def test_non_finite_step_rejected():
         rk4_step(bad, start().flat(), 0.1)
 
 
+def nonlinear_field(x):
+    # couples each component to its neighbours, so that a change in the
+    # rounding of any stage sum shows in the result
+    n = len(x)
+    return [math.sin(x[(i + 1) % n]) * x[i] - 0.3 * x[i - 1] * x[i - 1]
+            + 0.1 * (i % 3 - 1) for i in range(n)]
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["list", "ndarray"])
+@pytest.mark.parametrize("n", [0, 1, 3, 6, 9, 10, 12, 40])
+def test_step_equals_the_comprehension_bit_for_bit(n, as_array):
+    x = np.random.default_rng(n).standard_normal(n)
+    x = x if as_array else x.tolist()
+    # dt = 0.01 is one where dt * (1 / 6) and dt / 6 round apart
+    for dt in (1e-3, 0.01, 0.1, 0.7):
+        npt.assert_array_equal(
+            bits(rk4_step(nonlinear_field, x, dt)),
+            bits(_reference_step(nonlinear_field, x, dt)))
+
+
+def test_long_run_equals_the_comprehension_bit_for_bit(monkeypatch):
+    _, field, p0 = rigid_body_with_rotors()
+    states = run(field, p0, 1e-3, 10.0).states
+    monkeypatch.setattr(integrate, "rk4_step", _reference_step)
+    npt.assert_array_equal(bits(states),
+                           bits(run(field, p0, 1e-3, 10.0).states))
+
+
+def test_step_kernel_is_generated_once_per_length(monkeypatch):
+    made = []
+
+    def counted(n):
+        made.append(n)
+        return generate(n)
+
+    generate = integrate._generated_step
+    monkeypatch.setattr(integrate, "_STEPS", {})
+    monkeypatch.setattr(integrate, "_generated_step", counted)
+    assert rk4_step(zero_field, [], 0.1) == []
+    for n in (3, 9, 3, 0, 9, 3):
+        rk4_step(nonlinear_field, [0.5] * n, 0.1)
+    assert made == [0, 3, 9]
+    assert sorted(integrate._STEPS) == [0, 3, 9]
+
+
 @pytest.mark.parametrize("field", [lambda x: x[:-1], lambda x: 2 * x],
                          ids=["d-1 rates", "2d rates"])
 def test_step_rejects_rates_of_another_length(field):
-    # zip would silently truncate the stage sums
+    # the count is checked before the rates are unpacked, so the error
+    # names both counts
     x = start().flat().tolist()
     n = len(field(x))
     with pytest.raises(ValueError,
@@ -79,8 +171,7 @@ def test_step_rejects_rates_of_another_length(field):
 @pytest.mark.parametrize("delta", [-1, 1], ids=["d-1 rates", "d+1 rates"])
 def test_step_checks_each_stage_before_using_it(stage, delta):
     # a stage that returns the wrong count must be caught before its rates
-    # enter the next stage's state or the final sum, where zip would
-    # silently truncate them
+    # enter the next stage's state or the final sum
     x = start().flat().tolist()
     calls = []
 
@@ -226,14 +317,8 @@ def test_trajectory_rejects_states_off_layout():
 # --------------------------------------------------- long physical runs
 
 def test_rigid_body_invariants_over_long_run():
-    from gyrostat.controlled import flat_dynamical_field
-    from gyrostat.systems import RigidBodyRotorParams, rigid_body_system
-
-    sys = rigid_body_system(RigidBodyRotorParams((1.0, 2.0, 3.0),
-                                                 (0.5, 0.4, 0.3)))
-    p0 = reduced_point(SO3, (1.0, 0.4, -0.7), theta=(0.0, 0.0, 0.0),
-                       l=(0.1, -0.2, 0.3))
-    traj = run(flat_dynamical_field(sys, p0.layout), p0, 1e-3, 10.0,
+    sys, field, p0 = rigid_body_with_rotors()
+    traj = run(field, p0, 1e-3, 10.0,
                standard_invariants(sys.hamiltonian, SO3))
     assert traj.max_drift("pi_sq") <= 1e-8
     assert traj.max_drift("energy") <= 1e-8
@@ -243,15 +328,9 @@ def test_rk4_observed_order_on_a_rigid_body_run():
     # RK4 is order 4 (Hairer, Lubich and Wanner, Geometric Numerical
     # Integration, 2nd ed., II.1): halving dt twice, the end states'
     # differences shrink by 2^4. Reads 4.01; a stage weight of
-    # dt / 6.000001 instead of dt / 6 reads 2.32.
-    from gyrostat.controlled import flat_dynamical_field
-    from gyrostat.systems import RigidBodyRotorParams, rigid_body_system
-
-    sys = rigid_body_system(RigidBodyRotorParams((1.0, 2.0, 3.0),
-                                                 (0.5, 0.4, 0.3)))
-    p0 = reduced_point(SO3, (1.0, 0.4, -0.7), theta=(0.0, 0.0, 0.0),
-                       l=(0.1, -0.2, 0.3))
-    field = flat_dynamical_field(sys, p0.layout)
+    # dt / 6.000001 instead of dt / 6 reads 2.32, and a q weight of
+    # 2.0001 instead of 2 in the generated kernel 1.01.
+    _, field, p0 = rigid_body_with_rotors()
     a, b, c = (run(field, p0, dt, 2.0).states[-1] for dt in (0.04, 0.02, 0.01))
     order = np.log2(np.max(np.abs(a - b)) / np.max(np.abs(b - c)))
     assert order >= 3.5

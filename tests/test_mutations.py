@@ -10,9 +10,10 @@ teeth fails here.
 Each row patches the name that the checked path looks up at call time,
 in the module that looks it up. An operator inside a function body,
 which no wrapper reaches, is swapped by recompiling the function from its
-source with one edit (:func:`_edited`). The first row is the bracket sign error
-that ``test_cli``, ``test_poisson`` and ``test_golden`` also plant, through
-:func:`plant_bracket_sign_error`. The table ends with one test that
+source with one edit (:func:`_edited`); an edit of the RK4 kernel's
+template reaches every kernel generated under it. The first row is the
+bracket sign error that ``test_cli``, ``test_poisson`` and
+``test_golden`` also plant, through :func:`plant_bracket_sign_error`. The table ends with one test that
 every patched attribute is its original object again.
 """
 
@@ -198,6 +199,10 @@ ROWS = {
     "rk4-stage-weight": Row(
         integrate, "rk4_step", _rk4_weight,
         test_integrate.test_rk4_observed_order_on_a_rigid_body_run),
+    "rk4-kernel-q-weight": Row(
+        integrate, "_generated_step",
+        _edited("2.0 * q{i}", "2.0001 * q{i}"),
+        test_integrate.test_rk4_observed_order_on_a_rigid_body_run),
     "se3-omega-x-gamma": Row(
         poisson, "_hamiltonian_rates", _on_se3(_omega_x_gamma),
         lambda: test_poisson.test_field_components_equal_coordinate_brackets(
@@ -255,6 +260,9 @@ ORIGINALS = {(row.module, row.name): getattr(row.module, row.name)
 def test_planted_defect_fails_its_check(row, monkeypatch):
     module, name, mutant, check = ROWS[row]
     monkeypatch.setattr(module, name, mutant(getattr(module, name)))
+    # an empty RK4 kernel cache, so that a row editing the generated step
+    # runs kernels built under its edit, and leaves none behind
+    monkeypatch.setattr(integrate, "_STEPS", {})
     with pytest.raises((AssertionError, pytest.fail.Exception)):
         check()
 

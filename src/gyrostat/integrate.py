@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import isfinite
 from typing import Callable, Mapping
 
 import numpy as np
@@ -114,13 +115,15 @@ def rk4_step(field: FlatField, x: list, dt: float) -> list:
     with the arithmetic and order of comprehensions over zip, so each
     state is bitwise theirs. Raises if the field returns a rate list of
     another length (checked at each stage, before its rates are used)
-    or the step a non-finite state."""
+    or the step a non-finite state, checked as isfinite(sum(y)) or
+    all(map(isfinite, y)): the sum alone when it is finite, the exact
+    per-entry test when an overflowing sum leaves it open."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     n = len(x)
     step = _STEPS.get(n) or _STEPS.setdefault(n, _generated_step(n))
     y = step(field, x, dt)
-    if not all(map(math.isfinite, y)):
+    if not (isfinite(sum(y)) or all(map(isfinite, y))):
         raise ValueError("integration step produced a non-finite state")
     return y
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import neg
+from math import isfinite
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -38,6 +38,9 @@ from . import lie
 from .lie import SE3, SO3, _bracket_list
 
 FD_STEP = 1e-6
+
+# the _hamiltonian_rates kernel of each layout, generated on first use
+_RATES: dict = {}
 
 
 def _vec(x, name: str) -> np.ndarray:
@@ -268,37 +271,42 @@ def product_bracket(f: ScalarField, k: ScalarField, p: ReducedPoint) -> float:
     return float(_flat_bracket(p.layout)(gf, gk, x)[0])
 
 
+def _generated_rates(nc: int, n_theta: int, n_l: int):
+    """The rates kernel of a layout, generated from its algebra dimension
+    nc and rotor slot sizes alone, so no outside text reaches ``exec``:
+    x and g unpacked into locals by bracketed targets, which reject a
+    gradient of another length, and one list display of the rates, each
+    cross product in np.cross's formula and term order. A paired rotor
+    slot reads its conjugate gradient, the momentum's negated; an
+    unpaired slot is 0.0."""
+    lo, d = nc + n_theta, nc + n_theta + n_l
+    rates = ["x1 * g2 - x2 * g1", "x2 * g0 - x0 * g2", "x0 * g1 - x1 * g0"]
+    if nc == 6:
+        rates = [f"{a} + ({b})" for a, b in zip(rates, (
+            "x4 * g5 - x5 * g4", "x5 * g3 - x3 * g5", "x3 * g4 - x4 * g3"))]
+        rates += ["x4 * g2 - x5 * g1", "x5 * g0 - x3 * g2",
+                  "x3 * g1 - x4 * g0"]
+    if 0 < n_theta == n_l:
+        rates += [f"g{i}" for i in range(lo, d)]
+        rates += [f"-g{i}" for i in range(nc, lo)]
+    else:
+        rates += ["0.0"] * (n_theta + n_l)
+    x, g = (f"[{', '.join(f'{v}{i}' for i in range(d))}] = {v}" for v in "xg")
+    namespace: dict = {}
+    exec(f"def rates(x, g):\n    {x}\n    {g}\n"
+         f"    return [{', '.join(rates)}]", namespace)
+    return namespace["rates"]
+
+
 def _hamiltonian_rates(layout: Layout) -> Callable[[list, list], list]:
     """(x, g) -> the rates of :func:`flat_hamiltonian_field` at flat
     states x, d floats or d equal-length columns, given the gradient g of
-    h there, unchecked: one list display per algebra and rotor pairing.
-    Its Lie-Poisson part is ad*_g(x) in the pairing of :mod:`gyrostat.lie`,
-    pi x omega or (pi x omega + gamma x vel, gamma x omega), each cross
-    product in np.cross's formula and rounding."""
-    nc, n_theta = lie.algebra_dim(layout.kind), layout.n_theta
-    lo = nc + n_theta
-    if 0 < n_theta == layout.n_l:
-        if nc == 3:
-            return lambda x, g: [
-                x[1] * g[2] - x[2] * g[1], x[2] * g[0] - x[0] * g[2],
-                x[0] * g[1] - x[1] * g[0], *g[lo:], *map(neg, g[3:lo])]
-        return lambda x, g: [
-            x[1] * g[2] - x[2] * g[1] + (x[4] * g[5] - x[5] * g[4]),
-            x[2] * g[0] - x[0] * g[2] + (x[5] * g[3] - x[3] * g[5]),
-            x[0] * g[1] - x[1] * g[0] + (x[3] * g[4] - x[4] * g[3]),
-            x[4] * g[2] - x[5] * g[1], x[5] * g[0] - x[3] * g[2],
-            x[3] * g[1] - x[4] * g[0], *g[lo:], *map(neg, g[6:lo])]
-    still = [0.0] * (n_theta + layout.n_l)
-    if nc == 3:
-        return lambda x, g: [
-            x[1] * g[2] - x[2] * g[1], x[2] * g[0] - x[0] * g[2],
-            x[0] * g[1] - x[1] * g[0], *still]
-    return lambda x, g: [
-        x[1] * g[2] - x[2] * g[1] + (x[4] * g[5] - x[5] * g[4]),
-        x[2] * g[0] - x[0] * g[2] + (x[5] * g[3] - x[3] * g[5]),
-        x[0] * g[1] - x[1] * g[0] + (x[3] * g[4] - x[4] * g[3]),
-        x[4] * g[2] - x[5] * g[1], x[5] * g[0] - x[3] * g[2],
-        x[3] * g[1] - x[4] * g[0], *still]
+    h there, unchecked but for its length: the :func:`_generated_rates`
+    kernel of the layout, generated once and kept in ``_RATES``. Its
+    Lie-Poisson part is ad*_g(x) in the pairing of :mod:`gyrostat.lie`,
+    pi x omega or (pi x omega + gamma x vel, gamma x omega)."""
+    key = (lie.algebra_dim(layout.kind), layout.n_theta, layout.n_l)
+    return _RATES.get(key) or _RATES.setdefault(key, _generated_rates(*key))
 
 
 def flat_hamiltonian_field(h: ScalarField, layout: Layout) -> FlatField:
@@ -314,13 +322,16 @@ def flat_hamiltonian_field(h: ScalarField, layout: Layout) -> FlatField:
     Every component equals the minus bracket of its coordinate function
     with h, which the tests verify against :func:`product_bracket`. The
     rates are the :func:`_hamiltonian_rates` kernel of ``layout``.
-    Raises on a non-finite gradient: the row path's one check.
+    Raises on a non-finite gradient, the row path's one check, made as
+    isfinite(sum(g)) or all(map(isfinite, g)): a sum with an inf or nan
+    term is never finite, and a finite gradient whose sum overflows
+    falls through to the exact per-entry test.
     """
     grad, rates = flat_gradient(h, layout), _hamiltonian_rates(layout)
 
     def field(x: list) -> list:
         g = grad(x)
-        if not all(map(math.isfinite, g)):
+        if not (isfinite(sum(g)) or all(map(isfinite, g))):
             raise ValueError("non-finite gradient")
         return rates(x, g)
 

@@ -110,6 +110,23 @@ def test_non_finite_step_rejected():
         rk4_step(bad, start().flat(), 0.1)
 
 
+def test_finite_state_whose_sum_overflows_is_kept():
+    # the guard's sum overflows to inf, so the exact per-entry test
+    # decides: every entry is finite, and a zero field keeps the state
+    x = [1e308, 1e308]
+    assert bits(rk4_step(zero_field, x, 0.1)).tolist() == bits(x).tolist()
+
+
+@pytest.mark.parametrize("rates", [
+    *(row for bad in (math.nan, math.inf, -math.inf)
+      for row in ([bad, 0.0], [0.0, bad])),
+    [math.inf, -math.inf]], ids=lambda r: ",".join(map(str, r)))
+def test_non_finite_state_in_any_slot_rejected(rates):
+    with pytest.raises(ValueError, match="^integration step produced a "
+                                         "non-finite state$"):
+        rk4_step(lambda x: rates, [0.5, -0.5], 0.1)
+
+
 def nonlinear_field(x):
     # couples each component to its neighbours, so that a change in the
     # rounding of any stage sum shows in the result

@@ -10,10 +10,11 @@ teeth fails here.
 Each row patches the name that the checked path looks up at call time,
 in the module that looks it up. An operator inside a function body,
 which no wrapper reaches, is swapped by recompiling the function from its
-source with one edit (:func:`_edited`); an edit of the RK4 kernel's
-template reaches every kernel generated under it. The first row is the
-bracket sign error that ``test_cli``, ``test_poisson`` and
-``test_golden`` also plant, through :func:`plant_bracket_sign_error`. The table ends with one test that
+source with one edit (:func:`_edited`); an edit of a generated kernel's
+template, the RK4 step's or the Hamiltonian rates', reaches every kernel
+generated under it. The first row is the bracket sign error that
+``test_cli``, ``test_poisson`` and ``test_golden`` also plant, through
+:func:`plant_bracket_sign_error`. The table ends with one test that
 every patched attribute is its original object again.
 """
 
@@ -102,6 +103,23 @@ def _gamma_x_vel_dropped(x, g, out):
     """pi_dot = pi x omega, without gamma x vel."""
     return [x[1] * g[2] - x[2] * g[1], x[2] * g[0] - x[0] * g[2],
             x[0] * g[1] - x[1] * g[0], *out[3:]]
+
+
+def _casimir_shifted(gradient):
+    """flat_gradient of h + 0.3 C, C the Casimir |pi|^2 / 2 on so(3)*
+    and pi . gamma on se(3)*: the reduced flow stays, the body velocity
+    that reconstruction integrates moves."""
+    def mutated(h, layout):
+        grad = gradient(h, layout)
+        swap = [0, 1, 2] if layout.kind == lie.SO3 else [3, 4, 5, 0, 1, 2]
+
+        def shifted(x):
+            g = list(grad(x))
+            for i, j in enumerate(swap):
+                g[i] += 0.3 * x[j]
+            return g
+        return shifted
+    return mutated
 
 
 def _loose(value):
@@ -211,6 +229,18 @@ ROWS = {
         poisson, "_hamiltonian_rates", _on_se3(_gamma_x_vel_dropped),
         lambda: test_poisson.test_field_components_equal_coordinate_brackets(
             lie.SE3, 2, 2)),
+    "rates-kernel-l-dot-sign": Row(
+        poisson, "_generated_rates", _edited('"-g{i}"', '"+g{i}"'),
+        lambda: test_poisson.test_field_components_equal_coordinate_brackets(
+            lie.SO3, 3, 3)),
+    "so3-casimir-shifted-velocity": Row(
+        reduction, "flat_gradient", _casimir_shifted,
+        lambda: test_reduction.TestReconstruct()
+        .test_constant_velocity_matches_closed_form()),
+    "se3-casimir-shifted-velocity": Row(
+        reduction, "flat_gradient", _casimir_shifted,
+        lambda: test_reduction.TestReconstruct()
+        .test_se3_constant_velocity_matches_closed_form()),
     "gate-tolerance-1e-3": Row(
         hj, "GATE_TOL", _loose(1e-3),
         lambda: test_hj.TestProbe().test_gate_sits_at_its_tolerance()),
@@ -260,9 +290,10 @@ ORIGINALS = {(row.module, row.name): getattr(row.module, row.name)
 def test_planted_defect_fails_its_check(row, monkeypatch):
     module, name, mutant, check = ROWS[row]
     monkeypatch.setattr(module, name, mutant(getattr(module, name)))
-    # an empty RK4 kernel cache, so that a row editing the generated step
-    # runs kernels built under its edit, and leaves none behind
+    # empty kernel caches, so that a row editing a generated kernel runs
+    # kernels built under its edit, and leaves none behind
     monkeypatch.setattr(integrate, "_STEPS", {})
+    monkeypatch.setattr(poisson, "_RATES", {})
     with pytest.raises((AssertionError, pytest.fail.Exception)):
         check()
 

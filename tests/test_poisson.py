@@ -126,6 +126,33 @@ def test_flat_field_rejects_a_non_finite_row_gradient(bad):
         field([1.0, 0.0, 0.0])
 
 
+def test_flat_field_accepts_a_finite_gradient_whose_sum_overflows():
+    # the guard's sum overflows to inf, so the exact per-entry test
+    # decides: every entry is finite, and the rates are np.cross's
+    g = [1e308, 1e308, 0.0]
+    layout = poisson.Layout(SO3, 0, 0)
+    h = ScalarField(lambda p: 0.0, grad_row=lambda x: g)
+    x = [1.0, 0.5, -0.25]
+    out = flat_hamiltonian_field(h, layout)(x)
+    want = np_cross_rates(layout, np.array(x), np.array(g))
+    assert np.array(out).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("g", [
+    *([bad if i == slot else 0.0 for i in range(3)]
+      for bad in (float("nan"), float("inf"), float("-inf"))
+      for slot in range(3)),
+    [float("inf"), float("-inf"), 0.0]],
+    ids=lambda g: ",".join(map(str, g)))
+def test_flat_field_rejects_a_non_finite_entry_in_any_slot(g):
+    # nan, +inf and -inf each make the guard's sum non-finite, and so do
+    # an inf and a -inf together, whose sum is nan
+    h = ScalarField(lambda p: 0.0, grad_row=lambda x: g)
+    field = flat_hamiltonian_field(h, poisson.Layout(SO3, 0, 0))
+    with pytest.raises(ValueError, match="^non-finite gradient$"):
+        field([1.0, 0.0, 0.0])
+
+
 # ----------------------------------------------------------------- brackets
 
 def test_lie_poisson_antisymmetry_self():
@@ -270,6 +297,37 @@ def test_hamiltonian_field_is_the_rate_kernel(kind, nt, nl):
         out = poisson.flat_hamiltonian_field(h, layout)(x)
         want = np_cross_rates(layout, np.array(x), np.array(grad))
         assert np.array(out).tobytes() == want.tobytes()
+
+
+def test_rate_kernel_is_generated_once_per_layout(monkeypatch):
+    made = []
+
+    def counted(*key):
+        made.append(key)
+        return generate(*key)
+
+    generate = poisson._generated_rates
+    monkeypatch.setattr(poisson, "_RATES", {})
+    monkeypatch.setattr(poisson, "_generated_rates", counted)
+    for layout in [(SO3, 3, 3), (SE3, 2, 2), (SO3, 3, 3), (SO3, 0, 3),
+                   (SE3, 2, 2), (SO3, 0, 3)]:
+        flat_hamiltonian_field(HALF_SQ, poisson.Layout(*layout))
+    assert made == [(3, 3, 3), (6, 2, 2), (3, 0, 3)]
+    assert sorted(poisson._RATES) == [(3, 0, 3), (3, 3, 3), (6, 2, 2)]
+
+
+@pytest.mark.parametrize("delta", [-1, 1], ids=["d-1 entries", "d+1 entries"])
+@pytest.mark.parametrize("layout", [(SO3, 3, 3), (SO3, 0, 3), (SO3, 0, 0),
+                                    (SE3, 2, 2), (SE3, 0, 0)],
+                         ids=lambda t: "-".join(map(str, t)))
+def test_flat_field_rejects_a_gradient_of_another_length(layout, delta):
+    # the kernel's bracketed targets unpack exactly d gradient entries
+    layout = poisson.Layout(*layout)
+    d = lie.algebra_dim(layout.kind) + layout.n_theta + layout.n_l
+    h = ScalarField(lambda p: 0.0,
+                    grad_row=lambda x: [0.5] * (len(x) + delta))
+    with pytest.raises(ValueError, match="values to unpack"):
+        flat_hamiltonian_field(h, layout)([0.25] * d)
 
 
 def test_unpaired_momentum_slot_is_constant():

@@ -257,6 +257,28 @@ class TestReconstruct:
         final = groups.rot[-1]
         assert_allclose(final @ final.T, np.eye(3), atol=1e-12)
 
+    def test_se3_constant_velocity_matches_closed_form(self):
+        # a linear h on the heavy-top layout: pi and gamma move, but the
+        # body velocity xi = dh/dnu stays constant, so the order-4 steps,
+        # whose joint field runs the se(3)* rates kernel, must give
+        # g(t) = g0 exp(t xi) to rounding. A Casimir shift of h, such as
+        # 0.3 (pi . gamma), keeps the reduced flow and moves xi
+        w = np.array([0.4, -0.2, 0.9, 0.3, 0.1, -0.5, 0.2, -0.3, 0.6, 0.1])
+        grad = w.tolist()
+        h = ScalarField(lambda p: float(w @ p.flat()),
+                        grad_row=lambda x: grad)
+        q0 = reduced_point(lie.SE3, (0.4, -0.2, 0.8), (0.2, -0.1, 0.97),
+                           theta=(0.0, 0.0), l=(0.05, -0.04))
+        g0 = lie.exp_group((0.3, -0.1, 0.8, 0.5, 0.2, -0.4))
+        traj = run(flat_hamiltonian_field(h, q0.layout), q0, 1e-3, 1.0)
+        assert np.ptp(traj.states[:, :6], axis=0).min() > 0.01
+        groups = reconstruct(traj, g0, RCHSystem(h, lie.SE3, 2), order=4)
+        # reads 2.6e-14 in the rotations and 1.3e-14 in the translations
+        rot, trans = lie.flat_exp(np.outer(traj.times, w[:6]))
+        assert_allclose(groups.rot, g0.rot @ rot, rtol=0, atol=1e-12)
+        assert_allclose(groups.trans, (g0.rot @ trans[..., None])[..., 0]
+                        + g0.trans, rtol=0, atol=1e-12)
+
     def test_argument_validation(self):
         h = ScalarField(lambda p: 0.0)
         sys = RCHSystem(h, lie.SO3, 0)

@@ -16,7 +16,8 @@ form, a fiber-preserving map F of flat states, enters through
 to zero. :func:`matching_control` returns its lift, on one state only.
 
 The integrator steps :func:`flat_dynamical_field`, a map from a flat
-state to its d rates; :func:`dynamical_field` is its view at one point.
+state to its d rates; at one point p the field is
+``flat_dynamical_field(sys, p.layout)(p.flat().tolist())``.
 
 Admissibility of controls is not constrained here: any vertical field
 is accepted.
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 from operator import add, sub
 
 from .lie import SE3, SO3, algebra_dim
-from .poisson import (FlatField, Layout, ReducedPoint, ReducedTangent,
-                      ScalarField, flat_hamiltonian_field, tangent_like)
+from .poisson import (FlatField, Layout, ReducedPoint, ScalarField,
+                      flat_hamiltonian_field)
 
 
 @dataclass(frozen=True)
@@ -103,12 +104,6 @@ def _add_lifts(sys: RCHSystem, x: list, out: list) -> list:
                                  f"components for {len(out)} rates")
             out = list(map(add, out, v))
     return out
-
-
-def dynamical_field(sys: RCHSystem, p: ReducedPoint) -> ReducedTangent:
-    """:func:`flat_dynamical_field` at the point p."""
-    return tangent_like(
-        p, flat_dynamical_field(sys, p.layout)(p.flat().tolist()))
 
 
 INVERSE_TOL = 1e-9

@@ -43,8 +43,7 @@ import numpy as np
 
 from . import lie
 from .controlled import RCHSystem
-from .poisson import (Layout, _row_dot, _vec, central_difference,
-                      point_like)
+from .poisson import Layout, _row_dot, _vec, central_difference
 from .reduction import full_dynamical_field
 
 GATE_TOL = 1e-5
@@ -505,11 +504,8 @@ def _residuals(sys: RCHSystem, gamma: OneFormSection,
     if mu is not None:
         pushed = np.hstack([d_fiber[:, :dim], x[:, dim:], d_fiber[:, dim:]])
         return _row_norms(pushed - full.body), full.body, x
-    # h on the section at the chart points; eval_batch matches eval
-    h = sys.hamiltonian
-    energy = h.eval_batch or (lambda pts: [h.eval(point_like(layout, p))
-                                           for p in pts])
-    d_h = central_difference(lambda pts: energy(states(
+    # h on the section at the chart points: every ScalarField has eval_batch
+    d_h = central_difference(lambda pts: sys.hamiltonian.eval_batch(states(
         (q := _chart(block, pts)), fiber(gamma, q))), np.zeros(x.shape))
     return (_row_norms(d_fiber - np.delete(full.body, angles, axis=1)),
             -d_h + np.delete(full.lift, angles, axis=1), x)

@@ -7,10 +7,11 @@ rotor factor V x V* of angle/momentum pairs. Points are
 inside fields: one state is a row of d Python floats (a
 :data:`FlatField` maps it to d rates), and batched work takes (n, d)
 float64 arrays. A momentum nu is a flat (3,) or (6,) array (see
-:mod:`gyrostat.lie`). Scalar observables are :class:`ScalarField` values
-whose gradients are either supplied analytically or taken by central
-finite differences (:func:`central_difference`, the package's one
-stencil); :func:`_gradient_rows` and :func:`flat_gradient` read them.
+:mod:`gyrostat.lie`). Scalar observables are :class:`ScalarField` values,
+each read through its batched value, whose gradients are supplied
+analytically or taken by central differences of that value
+(:func:`central_difference`, the package's one stencil);
+:func:`_gradient_rows` and :func:`flat_gradient` read them.
 
 The bracket is the minus Lie-Poisson bracket plus the canonical rotor
 pairs, the one under which the body-frame equations take their usual
@@ -139,38 +140,26 @@ class ReducedTangent:
         return np.concatenate(parts)
 
 
-def tangent_like(p: ReducedPoint | Layout, arr) -> ReducedTangent:
-    """Tangent view of flat arr in the layout of p (a point or Layout)."""
-    arr = np.asarray(arr, dtype=float)
-    if p.kind == SO3:
-        nc, dg = 3, None
-    else:
-        nc, dg = 6, arr[3:6]
-    return ReducedTangent(arr[:3], dg, arr[nc:nc + p.n_theta], arr[nc + p.n_theta:])
-
-
 @dataclass(frozen=True)
 class ScalarField:
     """Observable on reduced points.
 
-    eval maps a ReducedPoint to a float and grad, when given, to its
-    analytic gradient in tangent layout. eval_batch, when given, maps an
-    (n, dim) array of flat states to their n values and must match eval
-    row by row; :func:`central_difference` and the invariants of
-    :func:`~gyrostat.integrate.run` call it. grad_batch, when given, maps
-    it to the (n, dim) flat analytic gradients. grad_row, when given, is
-    the componentwise gradient: the dim floats of one flat state, or the
-    dim equal-length columns of a stack, to dim components, floats or
-    columns. :func:`flat_gradient` and :func:`_gradient_rows` read
-    grad_row, else grad_batch, else finite differences, never eval and
-    grad; :func:`analytic_field` builds all four from one formula. The
-    five are plain callables that wrappers may replace, so code must not
-    rely on attributes attached to them.
+    eval_batch, required, maps an (n, dim) array of flat states to their
+    n values; it is the one way the package reads a value. eval, its
+    view at one ReducedPoint, serves the API boundary; grad, a point
+    view of the gradient, is set by no builder. grad_batch, when given,
+    maps the states to their (n, dim) flat analytic gradients. grad_row,
+    when given, is the componentwise gradient: the dim floats of one flat
+    state, or the dim equal-length columns of a stack, to dim components,
+    floats or columns. :func:`flat_gradient` and :func:`_gradient_rows`
+    read grad_row, else grad_batch, else central differences of
+    eval_batch. The five are plain callables that wrappers may replace,
+    so code must not rely on attributes attached to them.
     """
 
     eval: Callable[[ReducedPoint], float]
+    eval_batch: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[ReducedPoint], ReducedTangent] | None = None
-    eval_batch: Callable[[np.ndarray], np.ndarray] | None = None
     grad_batch: Callable[[np.ndarray], np.ndarray] | None = None
     grad_row: Callable[[list], list] | None = None
 
@@ -183,11 +172,11 @@ def analytic_field(eval_batch: Callable[[np.ndarray], np.ndarray],
     gradient with elementwise operations only. On a list of d Python
     floats it is the row gradient ``grad_row``; on the d columns of an
     (n, d) array it gives ``grad_batch``, the same numbers bit for bit.
-    ``eval`` and ``grad`` are views on one point."""
+    ``eval`` is the one-row view of ``eval_batch``."""
     return ScalarField(
-        lambda p: float(eval_batch(p.flat()[None, :])[0]),
-        lambda p: tangent_like(p, grad(p.flat().tolist())),
-        eval_batch, lambda x: _from_columns(grad(list(x.T)), x.shape), grad)
+        lambda p: float(eval_batch(p.flat()[None, :])[0]), eval_batch,
+        grad_batch=lambda x: _from_columns(grad(list(x.T)), x.shape),
+        grad_row=grad)
 
 
 def _from_columns(columns: list, shape: tuple) -> np.ndarray:
@@ -230,18 +219,16 @@ def central_difference(fn: Callable[[np.ndarray], np.ndarray],
     return (v[:, 0::2] - v[:, 1::2]) / (2.0 * h)
 
 
-def _gradient_rows(h: ScalarField, layout: Layout,
-                   pts: np.ndarray) -> np.ndarray:
-    """The (n, d) gradient rows of h at the flat states ``pts`` of
-    ``layout``, checked finite once: grad_row on the columns of pts, else
-    grad_batch, else :func:`central_difference` over eval_batch or eval."""
+def _gradient_rows(h: ScalarField, pts: np.ndarray) -> np.ndarray:
+    """The (n, d) gradient rows of h at the flat states ``pts``, checked
+    finite once: grad_row on the columns of pts, else grad_batch, else
+    :func:`central_difference` over eval_batch."""
     if h.grad_row is not None:
         g = _from_columns(h.grad_row(list(pts.T)), pts.shape)
     elif h.grad_batch is not None:
         g = h.grad_batch(pts)
     else:
-        g = central_difference(h.eval_batch or (lambda q: [
-            h.eval(point_like(layout, x)) for x in q]), pts)
+        g = central_difference(h.eval_batch, pts)
     if not np.isfinite(g).all():
         raise ValueError("non-finite gradient")
     return g
@@ -252,7 +239,7 @@ def flat_gradient(h: ScalarField, layout: Layout) -> Callable[[list], list]:
     grad_row, else the one-row view of :func:`_gradient_rows`."""
     if h.grad_row is not None:
         return h.grad_row
-    return lambda x: _gradient_rows(h, layout, np.array([x]))[0].tolist()
+    return lambda x: _gradient_rows(h, np.array([x]))[0].tolist()
 
 
 def product_bracket(f: ScalarField, k: ScalarField, p: ReducedPoint) -> float:
@@ -267,7 +254,7 @@ def product_bracket(f: ScalarField, k: ScalarField, p: ReducedPoint) -> float:
     gradient.
     """
     x = p.flat()[None]
-    gf, gk = (_gradient_rows(h, p.layout, x) for h in (f, k))
+    gf, gk = (_gradient_rows(h, x) for h in (f, k))
     return float(_flat_bracket(p.layout)(gf, gk, x)[0])
 
 
@@ -424,12 +411,12 @@ def polynomial_field(c0: float, a: np.ndarray, b: np.ndarray,
                      cubic_idx: np.ndarray | None = None,
                      cubic_coef: np.ndarray | None = None) -> ScalarField:
     """c0 + a.x + x.B.x/2 plus optional sparse cubic terms, on the flat
-    coordinate layout (B is symmetrised). eval, grad (analytic),
-    eval_batch and grad_batch are views of one :class:`_Polynomials`
-    row; flat fields read one row of grad_batch. Both round by the
-    call's row count, which picks the BLAS kernel: a stack differs from
-    its one-row calls in the last bits (2.2e-16 in grad_batch, 8.9e-16
-    in eval_batch seen on random fields of 3, 9 and 10 components)."""
+    coordinate layout (B is symmetrised). eval, eval_batch and the
+    analytic grad_batch are views of one :class:`_Polynomials` row; flat
+    fields read one row of grad_batch. Both round by the call's row
+    count, which picks the BLAS kernel: a stack differs from its one-row
+    calls in the last bits (2.2e-16 in grad_batch, 8.9e-16 in eval_batch
+    seen on random fields of 3, 9 and 10 components)."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     idx = np.asarray(np.zeros((0, 3), int) if cubic_idx is None else cubic_idx)
     coef = np.asarray(() if cubic_coef is None else cubic_coef, dtype=float)
@@ -448,9 +435,8 @@ def polynomial_field(c0: float, a: np.ndarray, b: np.ndarray,
                        0.5 * (b + b.T)[None], idx[None], coef[None])
     return ScalarField(
         lambda p: float(one.value(p.flat()[None, None])[0, 0]),
-        lambda p: tangent_like(p, one.grad(p.flat()[None, None])[0, 0]),
         lambda pts: one.value(pts[None])[0],
-        lambda pts: one.grad(pts[None])[0])
+        grad_batch=lambda pts: one.grad(pts[None])[0])
 
 
 def random_polynomial_field(rng: np.random.Generator, dim: int,

@@ -57,7 +57,7 @@ def full_dynamical_field(sys: RCHSystem, layout: Layout,
     if states.ndim != 2 or states.shape[1] != d or not len(states):
         raise ValueError(f"expected an (n, {d}) array of flat states, got "
                          f"shape {states.shape}")
-    g = _gradient_rows(sys.hamiltonian, layout, states)
+    g = _gradient_rows(sys.hamiltonian, states)
     x = list(states.T)
     hamiltonian = _hamiltonian_rates(layout)(x, list(g.T))
     body = _from_columns(_add_lifts(sys, x, hamiltonian), states.shape)

@@ -518,6 +518,14 @@ class TestBracketVerify:
             assert f"suite {name}" in report
         assert "worst sample" in report
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "CHANGES.md FOUND: Leibniz sits on its finite-difference rounding "
+        "floor, so correct code reads 2.65e-8 against its 1e-8 bound on "
+        "so3_lie_poisson at seed 838; no bound moved"))
+    def test_seed_838_passes(self, tmp_path):
+        assert cli("bracket-verify", "--seed", 838,
+                   "--out", tmp_path / "out") == EXIT_OK
+
     def test_injected_sign_error_fails_jacobi(self, tmp_path, capsys,
                                               monkeypatch):
         plant_bracket_sign_error(monkeypatch)

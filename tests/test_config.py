@@ -10,11 +10,10 @@ from numpy.testing import assert_allclose
 from gyrostat import config as cfgmod
 from gyrostat import lie
 from gyrostat.config import ConfigError, emit_config, parse_config
-from gyrostat.controlled import dynamical_field
 from gyrostat.hamilton_jacobi import closedness_defect
-from gyrostat.poisson import reduced_point
 from gyrostat.systems import (HeavyTopParams, HeavyTopRotorParams,
                               RigidBodyRotorParams)
+from test_controlled import field_at
 
 RB = """\
 [system]
@@ -678,8 +677,7 @@ class TestBuilders:
         system = cfgmod.build_system(cfg)
         p = cfgmod.build_initial(cfg)
         free = cfgmod.base_system(cfg)
-        delta = dynamical_field(system, p).flat() \
-            - dynamical_field(free, p).flat()
+        delta = field_at(system, p) - field_at(free, p)
         assert_allclose(delta, [0, 0, 0, 0, 0, 0, 0.25, 0, 0], atol=0)
 
     def test_section_families(self):
@@ -810,8 +808,7 @@ class TestBuilders:
         system = cfgmod.build_system(cfg)
         p = cfgmod.build_initial(cfg)
         q = to_target(p)
-        assert_allclose(dynamical_field(system, p).flat(),
-                        dynamical_field(target_system, q).flat(),
+        assert_allclose(field_at(system, p), field_at(target_system, q),
                         rtol=0, atol=1e-13)
 
     def test_matching_needs_a_matching_config(self):

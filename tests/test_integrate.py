@@ -290,11 +290,6 @@ def test_standard_invariants_names():
                                                     "gamma_sq"}
 
 
-def test_standard_invariants_need_a_batched_value():
-    with pytest.raises(ValueError, match="eval_batch"):
-        standard_invariants(ScalarField(lambda p: 0.0), SO3)
-
-
 @pytest.mark.parametrize("shape", [(11, 1), (11, 2)])
 def test_series_must_hold_one_value_per_time(shape):
     with pytest.raises(ValueError, match="'bad'.*shape"):

@@ -11,8 +11,7 @@ from gyrostat.poisson import (ReducedPoint, ScalarField, analytic_field,
                               bracket_axiom_suite, central_difference,
                               flat_gradient, flat_hamiltonian_field,
                               point_like, product_bracket,
-                              random_polynomial_field, reduced_point,
-                              tangent_like)
+                              random_polynomial_field, reduced_point)
 import test_mutations  # a module import: test_mutations imports this one
 
 E1, E2, E3 = np.eye(3)
@@ -38,7 +37,14 @@ def linear_field(w):
     """x -> <w, x> on flat states, with the constant gradient w."""
     w = np.asarray(w, dtype=float)
     grad = w.tolist()
-    return ScalarField(lambda p: float(w @ p.flat()), grad_row=lambda x: grad)
+    return ScalarField(lambda p: float(w @ p.flat()), lambda x: x @ w,
+                       grad_row=lambda x: grad)
+
+
+def row_field(grad_row):
+    """A zero-valued field whose gradient rows come from grad_row alone."""
+    return ScalarField(lambda p: 0.0, lambda x: np.zeros(len(x)),
+                       grad_row=grad_row)
 
 
 def random_point(rng, kind, n_theta, n_l):
@@ -73,19 +79,9 @@ def test_fd_gradient_matches_analytic_polynomial():
             assert np.max(np.abs(ana - num)) / scale <= 1e-5
 
 
-def test_fd_gradient_batched_equals_loop():
-    rng = np.random.default_rng(1)
-    f = random_polynomial_field(rng, 9)
-    p = random_point(rng, SO3, 3, 3)
-    x = p.flat().tolist()
-    batched = flat_gradient(without_gradient(f), p.layout)(x)
-    looped = flat_gradient(ScalarField(f.eval), p.layout)(x)
-    npt.assert_allclose(batched, looped, atol=1e-12)
-
-
 def test_polynomial_gradient_is_one_row_of_grad_batch_bitwise():
-    # a field without grad_row reads one row of its grad_batch: the same
-    # (1, 1, d) computation as its point grad
+    # a field without grad_row reads one row of its grad_batch, bit for
+    # bit: the (1, 1, d) computation of a one-row stack
     rng = np.random.default_rng(19)
     for kind, nt, nl in ((SO3, 3, 3), (SE3, 2, 2)):
         dim = lie.algebra_dim(kind) + nt + nl
@@ -93,7 +89,7 @@ def test_polynomial_gradient_is_one_row_of_grad_batch_bitwise():
             f = random_polynomial_field(rng, dim)
             p = random_point(rng, kind, nt, nl)
             row = flat_gradient(f, p.layout)(p.flat().tolist())
-            assert row == f.grad(p).flat().tolist()
+            assert row == f.grad_batch(p.flat()[None])[0].tolist()
 
 
 def test_central_difference_returns_jacobian_of_vector_map():
@@ -112,7 +108,7 @@ def test_central_difference_returns_jacobian_of_vector_map():
 
 
 def test_gradient_error_on_nan_field():
-    f = ScalarField(lambda p: float("nan"))
+    f = ScalarField(lambda p: float("nan"), lambda x: np.full(len(x), np.nan))
     with pytest.raises(ValueError, match="non-finite"):
         product_bracket(f, f, reduced_point(SO3, E1))
 
@@ -120,7 +116,7 @@ def test_gradient_error_on_nan_field():
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_flat_field_rejects_a_non_finite_row_gradient(bad):
     # the row path's one check, before the rates read the gradient
-    h = ScalarField(lambda p: 0.0, grad_row=lambda x: [0.0, bad, 0.0])
+    h = row_field(lambda x: [0.0, bad, 0.0])
     field = flat_hamiltonian_field(h, poisson.Layout(SO3, 0, 0))
     with pytest.raises(ValueError, match="^non-finite gradient$"):
         field([1.0, 0.0, 0.0])
@@ -131,7 +127,7 @@ def test_flat_field_accepts_a_finite_gradient_whose_sum_overflows():
     # decides: every entry is finite, and the rates are np.cross's
     g = [1e308, 1e308, 0.0]
     layout = poisson.Layout(SO3, 0, 0)
-    h = ScalarField(lambda p: 0.0, grad_row=lambda x: g)
+    h = row_field(lambda x: g)
     x = [1.0, 0.5, -0.25]
     out = flat_hamiltonian_field(h, layout)(x)
     want = np_cross_rates(layout, np.array(x), np.array(g))
@@ -147,7 +143,7 @@ def test_flat_field_accepts_a_finite_gradient_whose_sum_overflows():
 def test_flat_field_rejects_a_non_finite_entry_in_any_slot(g):
     # nan, +inf and -inf each make the guard's sum non-finite, and so do
     # an inf and a -inf together, whose sum is nan
-    h = ScalarField(lambda p: 0.0, grad_row=lambda x: g)
+    h = row_field(lambda x: g)
     field = flat_hamiltonian_field(h, poisson.Layout(SO3, 0, 0))
     with pytest.raises(ValueError, match="^non-finite gradient$"):
         field([1.0, 0.0, 0.0])
@@ -188,8 +184,9 @@ def test_product_bracket_canonical_pairs():
 def test_product_bracket_mixed_field_vs_fd_oracle():
     # F = pi_1 * l_2, K = theta_2 gives {F, K} = -pi_1
     rng = np.random.default_rng(4)
-    f = ScalarField(lambda p: float(p.nu[0] * p.l[1]))
-    k = ScalarField(lambda p: float(p.theta[1]))
+    f = ScalarField(lambda p: float(p.nu[0] * p.l[1]),
+                    lambda x: x[:, 0] * x[:, 7])
+    k = ScalarField(lambda p: float(p.theta[1]), lambda x: x[:, 4])
     for _ in range(10):
         p = random_point(rng, SO3, 3, 3)
         assert product_bracket(f, k, p) == pytest.approx(-p.nu[0], abs=1e-8)
@@ -203,7 +200,8 @@ def test_product_bracket_reduces_to_lie_poisson():
     def lift(field):
         # same polynomial, read off the momentum slots only
         return ScalarField(lambda p: field.eval(
-            ReducedPoint(p.nu, np.zeros(0), np.zeros(0))))
+            ReducedPoint(p.nu, np.zeros(0), np.zeros(0))),
+            lambda x: field.eval_batch(x[:, :3]))
 
     for _ in range(10):
         nu = lie.random_algebra(rng, SO3)
@@ -324,8 +322,7 @@ def test_flat_field_rejects_a_gradient_of_another_length(layout, delta):
     # the kernel's bracketed targets unpack exactly d gradient entries
     layout = poisson.Layout(*layout)
     d = lie.algebra_dim(layout.kind) + layout.n_theta + layout.n_l
-    h = ScalarField(lambda p: 0.0,
-                    grad_row=lambda x: [0.5] * (len(x) + delta))
+    h = row_field(lambda x: [0.5] * (len(x) + delta))
     with pytest.raises(ValueError, match="values to unpack"):
         flat_hamiltonian_field(h, layout)([0.25] * d)
 
@@ -336,9 +333,7 @@ def test_unpaired_momentum_slot_is_constant():
     h = random_polynomial_field(rng, 6)
     p = ReducedPoint(lie.random_algebra(rng, SO3), np.zeros(0),
                      rng.standard_normal(3))
-    out = tangent_like(p, rates(h, p))
-    npt.assert_array_equal(out.d_l, np.zeros(3))
-    npt.assert_array_equal(out.d_theta, np.zeros(0))
+    npt.assert_array_equal(rates(h, p)[3:], np.zeros(3))
 
 
 # ------------------------------------------------------------------ kks form
@@ -632,11 +627,13 @@ def test_point_flat_round_trip():
     assert q.kind == SE3 and q.n_theta == 2 and q.n_l == 2
 
 
-def test_tangent_flat_round_trip():
-    p = reduced_point(SO3, [1.0, 0.0, 0.0], theta=[0.0], l=[2.0])
-    t = tangent_like(p.layout, np.arange(5.0))
-    npt.assert_array_equal(t.flat(), np.arange(5.0))
-    assert t.d_gamma is None and t.d_theta.size == 1 and t.d_l.size == 1
+@pytest.mark.parametrize("gradient", [None, "grad_row", "grad_batch"])
+def test_scalar_field_needs_a_batched_value(gradient):
+    # the package reads a field's value only through eval_batch, also
+    # when the field brings its own gradient
+    kwargs = {gradient: lambda x: x} if gradient else {}
+    with pytest.raises(TypeError, match="'eval_batch'"):
+        ScalarField(lambda p: 0.0, **kwargs)
 
 
 def test_non_finite_point_rejected():

@@ -6,8 +6,7 @@ from numpy.testing import assert_allclose
 
 from gyrostat import lie
 from gyrostat.config import CATALOGUE
-from gyrostat.controlled import (RCHSystem, dynamical_field,
-                                 flat_dynamical_field)
+from gyrostat.controlled import RCHSystem, flat_dynamical_field
 from gyrostat.integrate import Trajectory, run
 from gyrostat.poisson import (Layout, ScalarField, flat_gradient,
                               flat_hamiltonian_field, random_polynomial_field,
@@ -16,6 +15,7 @@ from gyrostat.reduction import (full_dynamical_field, momentum_drift,
                                 reconstruct)
 from gyrostat.systems import (HeavyTopRotorParams, RigidBodyRotorParams,
                               heavy_top_system, rigid_body_system)
+from test_controlled import field_at
 
 RB = RigidBodyRotorParams((1.0, 2.0, 3.0), (0.5, 0.4, 0.3))
 HT = HeavyTopRotorParams((2.0, 1.5, 1.0), (0.4, 0.3), m=1.0, g=9.8, h=0.3,
@@ -63,7 +63,7 @@ class TestCommutation:
                               theta=rng.standard_normal(3),
                               l=rng.standard_normal(3))
             v = full_field_at(sys, q)
-            body = dynamical_field(sys, q).flat()
+            body = field_at(sys, q)
             assert np.array_equal(v.body, body)
             rates = flat_hamiltonian_field(sys.hamiltonian, q.layout)(
                 q.flat().tolist())
@@ -169,13 +169,11 @@ class TestColumnPass:
         for got, want in zip(full, list_path(sys, layout, states)):
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("source", ["eval_batch", "eval"])
-    def test_finite_difference_gradients_equal_the_list_path(self, source):
-        # the catalogue systems above read grad_row; these read central
-        # differences of the heavy top's batched or pointwise value
+    def test_finite_difference_gradients_equal_the_list_path(self):
+        # the catalogue systems above read grad_row; this reads central
+        # differences of the heavy top's batched value
         h = heavy_top_system(HT).hamiltonian
-        h = {"eval_batch": ScalarField(h.eval, eval_batch=h.eval_batch),
-             "eval": ScalarField(h.eval)}[source]
+        h = ScalarField(h.eval, h.eval_batch)
         sys, layout = with_lifts(h, lie.SE3, 2), Layout(lie.SE3, 2, 2)
         states = np.random.default_rng(32).standard_normal((23, 10))
         full = full_dynamical_field(sys, layout, states)
@@ -195,14 +193,15 @@ class TestColumnPass:
         for got, want in zip(full, list_path(sys, layout, states)):
             assert_allclose(got, want, rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("source", ["grad_row", "eval"])
+    @pytest.mark.parametrize("source", ["grad_row", "eval_batch"])
     def test_non_finite_gradient_is_rejected(self, source):
         h = heavy_top_system(HT).hamiltonian
         h = {"grad_row": h,
-             "eval": ScalarField(
-                 lambda p: float("nan") if p.nu[0] < 0 else 0.0)}[source]
+             "eval_batch": ScalarField(
+                 lambda p: float("nan") if p.nu[0] < 0 else 0.0,
+                 lambda x: np.where(x[:, 0] < 0, np.nan, 0.0))}[source]
         states = np.ones((5, 10))
-        states[3, 0] = {"grad_row": np.inf, "eval": -1.0}[source]
+        states[3, 0] = {"grad_row": np.inf, "eval_batch": -1.0}[source]
         with pytest.raises(ValueError, match="^non-finite gradient$"):
             full_dynamical_field(RCHSystem(h, lie.SE3, 2),
                                  Layout(lie.SE3, 2, 2), states)
@@ -233,7 +232,8 @@ def heavy_top_drifts():
 
 class TestReconstruct:
     def test_zero_field_keeps_the_group_fixed(self):
-        h = ScalarField(lambda p: 0.0, grad_row=lambda x: [0.0] * len(x))
+        h = ScalarField(lambda p: 0.0, lambda x: np.zeros(len(x)),
+                        grad_row=lambda x: [0.0] * len(x))
         g0 = lie.exp_group((0.3, -0.1, 0.8))
         traj = constant_trajectory(reduced_point(lie.SO3, (1.0, 2.0, 3.0)),
                                    49, 0.01)
@@ -245,6 +245,7 @@ class TestReconstruct:
         omega = np.array([0.4, -0.2, 0.9])
         grad = omega.tolist()
         h = ScalarField(lambda p: float(omega @ p.nu[:3]),
+                        lambda x: x[:, :3] @ omega,
                         grad_row=lambda x: grad + [0.0] * (len(x) - 3))
         g0 = lie.identity(lie.SO3)
         n, dt = 1000, 1e-3
@@ -265,7 +266,7 @@ class TestReconstruct:
         # 0.3 (pi . gamma), keeps the reduced flow and moves xi
         w = np.array([0.4, -0.2, 0.9, 0.3, 0.1, -0.5, 0.2, -0.3, 0.6, 0.1])
         grad = w.tolist()
-        h = ScalarField(lambda p: float(w @ p.flat()),
+        h = ScalarField(lambda p: float(w @ p.flat()), lambda x: x @ w,
                         grad_row=lambda x: grad)
         q0 = reduced_point(lie.SE3, (0.4, -0.2, 0.8), (0.2, -0.1, 0.97),
                            theta=(0.0, 0.0), l=(0.05, -0.04))
@@ -280,7 +281,7 @@ class TestReconstruct:
                         + g0.trans, rtol=0, atol=1e-12)
 
     def test_argument_validation(self):
-        h = ScalarField(lambda p: 0.0)
+        h = ScalarField(lambda p: 0.0, lambda x: np.zeros(len(x)))
         sys = RCHSystem(h, lie.SO3, 0)
         q = reduced_point(lie.SO3, (1.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="positive"):
@@ -436,6 +437,44 @@ class TestFreeSymmetricGyrostat:
                                - gyrostat_exact(runs[dt].times)[1]).max()
                         for dt in (4e-3, 2e-3))
         assert abs(np.log2(coarse / fine) - 1.0) <= 0.05, (coarse, fine)
+
+
+# The sleeping top: pi, gamma and chi along e3 on an axisymmetric heavy top
+# with resting rotors, a steady spin about the vertical. The state stays
+# put and the body velocity is xi = (0, 0, pi3 / I3, 0, 0, m g h), so the
+# attitude from the identity is g(t) = exp(t xi).
+SLEEPING = HeavyTopRotorParams((2.0, 2.0, 1.0), (0.4, 0.3), m=1.0, g=9.8,
+                               h=0.3, chi=(0.0, 0.0, 1.0))
+
+
+@pytest.fixture(scope="module")
+def sleeping_run():
+    """The system and its run to T = 1 at dt = 1e-3 from the sleeping
+    state, rotor angles included."""
+    sys = heavy_top_system(SLEEPING)
+    q0 = reduced_point(lie.SE3, (0.0, 0.0, 1.7), (0.0, 0.0, 1.0),
+                       theta=(0.3, -1.2), l=(0.0, 0.0))
+    return sys, run(flat_dynamical_field(sys, q0.layout), q0, 1e-3, 1.0)
+
+
+class TestSleepingTop:
+    def test_run_keeps_the_state(self, sleeping_run):
+        # reads exactly 0
+        traj = sleeping_run[1]
+        assert np.array_equal(traj.states, np.broadcast_to(
+            traj.states[0], traj.states.shape))
+
+    @pytest.mark.parametrize("order", [1, 4])
+    def test_attitude_is_the_steady_spin(self, sleeping_run, order):
+        # the body velocity is constant, so both orders are exact: each
+        # reads 5.0e-14 in the rotations and 1.4e-14 in the translations
+        sys, traj = sleeping_run
+        xi = [0.0, 0.0, 1.7 / SLEEPING.ibar[2], 0.0, 0.0, SLEEPING.mgh]
+        groups = reconstruct(traj, lie.identity(lie.SE3), sys, order=order)
+        for got, want in zip((groups.rot, groups.trans),
+                             lie.flat_exp(np.outer(traj.times, xi))):
+            err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+            assert err.max() <= 1e-12
 
 
 class TestBodyVelocity:

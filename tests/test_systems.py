@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gyrostat.controlled import dynamical_field, flat_dynamical_field
+from gyrostat.controlled import flat_dynamical_field
 from gyrostat.integrate import run
 from gyrostat.lie import SE3, SO3, Ad_star, coalgebra, random_group
 from gyrostat.poisson import (ScalarField, casimir_fields,
@@ -15,6 +15,7 @@ from gyrostat.systems import (HeavyTopParams, HeavyTopRotorParams,
                               heavy_top_reduced_h, heavy_top_system,
                               rigid_body_field, rigid_body_hj_lhs,
                               rigid_body_reduced_h, rigid_body_system)
+from test_controlled import field_at
 
 RB = RigidBodyRotorParams(ibar=(1.0, 2.0, 3.0), j=(0.5, 0.4, 0.3))
 HT = HeavyTopRotorParams(ibar=(2.0, 1.5, 1.0), j=(0.4, 0.3), m=1.2, g=9.8,
@@ -230,7 +231,7 @@ class TestExplicitFields:
         for k in range(1000):
             p = random_rb_point(rng, with_theta=(k % 2 == 0))
             a = rigid_body_field(RB, p).flat()
-            b = dynamical_field(sys, p).flat()
+            b = field_at(sys, p)
             worst = max(worst, float(np.max(np.abs(a - b))))
         assert worst <= 1e-10
 
@@ -241,7 +242,7 @@ class TestExplicitFields:
         for k in range(1000):
             p = random_ht_point(rng, with_theta=(k % 2 == 0))
             a = heavy_top_field(HT, p).flat()
-            b = dynamical_field(sys, p).flat()
+            b = field_at(sys, p)
             worst = max(worst, float(np.max(np.abs(a - b))))
         assert worst <= 1e-10
 
@@ -372,8 +373,7 @@ class TestRigidBodyHJ:
             u = rng.standard_normal(9)
             cand = HJCandidate(g, u)
             state = reduced_point(SO3, g[:3], theta=g[3:6], l=g[6:9])
-            expected = rb_scales(RB) * (dynamical_field(sys, state).flat()
-                                        + u)
+            expected = rb_scales(RB) * (field_at(sys, state) + u)
             assert_allclose(rigid_body_hj_lhs(RB, cand, "SO3"), expected,
                             rtol=0, atol=1e-10)
 
@@ -388,7 +388,7 @@ class TestRigidBodyHJ:
             u = rng.standard_normal(6)
             cand = HJCandidate(g, u)
             state = reduced_point(SO3, g[:3], l=g[3:6])
-            expected = scales * (dynamical_field(sys, state).flat() + u)
+            expected = scales * (field_at(sys, state) + u)
             assert_allclose(rigid_body_hj_lhs(RB, cand, "SO3xR3"), expected,
                             rtol=0, atol=1e-10)
 
@@ -435,8 +435,7 @@ class TestHeavyTopHJ:
             cand = HJCandidate(g, u, advected=adv)
             state = reduced_point(SE3, g[:3], adv, theta=(0.0, 0.0),
                                   l=g[5:7])
-            expected = ht_scales(HT) * (dynamical_field(sys, state).flat()
-                                        + u)
+            expected = ht_scales(HT) * (field_at(sys, state) + u)
             assert_allclose(heavy_top_hj_lhs(HT, cand), expected, rtol=0,
                             atol=1e-10)
 
@@ -473,7 +472,7 @@ class TestFreeTopHJ:
             adv = rng.standard_normal(3)
             cand = HJCandidate(g, np.zeros(0), advected=adv)
             state = reduced_point(SE3, g, adv)
-            expected = scales * dynamical_field(sys, state).flat()
+            expected = scales * field_at(sys, state)
             assert_allclose(heavy_top_lp_hj_lhs(FREE, cand), expected,
                             rtol=0, atol=1e-10)
 

@@ -17,7 +17,8 @@ to zero. :func:`matching_control` returns its lift, on one state only.
 
 The integrator steps :func:`flat_dynamical_field`, a map from a flat
 state to its d rates; at one point p the field is
-``flat_dynamical_field(sys, p.layout)(p.flat().tolist())``.
+``flat_dynamical_field(sys, p.layout)(p.flat().tolist())``. It evaluates
+the Hamiltonian field once per state, under its own matching control too.
 
 Admissibility of controls is not constrained here: any vertical field
 is accepted.
@@ -25,8 +26,9 @@ is accepted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import add, sub
+from typing import NamedTuple
 
 from .lie import SE3, SO3, algebra_dim
 from .poisson import (FlatField, Layout, ReducedPoint, ScalarField,
@@ -85,17 +87,29 @@ def flat_dynamical_field(sys: RCHSystem, layout: Layout) -> FlatField:
     """The full vector field of the controlled system on flat states of
     ``layout``, lists of d floats to their d rates: Hamiltonian part
     plus the vertical lifts of force and control. With both absent this
-    is exactly the Hamiltonian field."""
+    is exactly the Hamiltonian field. A :class:`MatchingControl` built for
+    ``sys.hamiltonian`` on ``layout`` reuses its rates, bit for bit."""
     _check_point(sys, layout)
     field = flat_hamiltonian_field(sys.hamiltonian, layout)
     if sys.force is None and sys.control is None:
         return field
+    c = sys.control
+    if (isinstance(c, MatchingControl) and c.layout == layout
+            and c.hamiltonian is sys.hamiltonian):
+        free, transported = replace(sys, control=None), c.transported
+
+        def engaged(x: list) -> list:
+            rates = field(x)
+            return list(map(add, _add_lifts(free, x, rates),
+                            map(sub, transported(x), rates)))
+
+        return engaged
     return lambda x: _add_lifts(sys, x, field(x))
 
 
 def _add_lifts(sys: RCHSystem, x: list, out: list) -> list:
     """out plus the vertical lifts of the force and then the control at
-    the flat states x, floats or columns: the one place they are summed."""
+    the flat states x, floats or columns."""
     for lift in (sys.force, sys.control):
         if lift is not None:
             v = lift(x)
@@ -109,10 +123,22 @@ def _add_lifts(sys: RCHSystem, x: list, out: list) -> list:
 INVERSE_TOL = 1e-9
 
 
+class MatchingControl(NamedTuple):
+    """The lift transported(x) - field_a(x) of :func:`matching_control`."""
+
+    hamiltonian: ScalarField
+    layout: Layout
+    field_a: FlatField
+    transported: FlatField
+
+    def __call__(self, x: list) -> list:
+        return list(map(sub, self.transported(x), self.field_a(x)))
+
+
 def matching_control(sys_a: RCHSystem, sys_b: RCHSystem,
                      layout_a: Layout, layout_b: Layout,
                      pullback: FlatField, push_tangent: FlatField,
-                     pullback_inverse: FlatField) -> FlatField:
+                     pullback_inverse: FlatField) -> MatchingControl:
     """Control law under which system A shadows system B through a
     diffeomorphism of their reduced spaces.
 
@@ -128,29 +154,32 @@ def matching_control(sys_a: RCHSystem, sys_b: RCHSystem,
     control of a force-free A makes A's dynamical field agree with the
     transported B-field at every state; a force on A stays in the
     controlled field on top of that. Each evaluation takes one state
-    (columns raise TypeError), checks its length against ``layout_a``,
-    round-trips it through both maps and raises where they do not invert.
+    (columns raise TypeError), checks the lengths of it and of each map's
+    result, round-trips it and raises where the maps do not invert.
     """
     _check_point(sys_a, layout_a)
     field_a = flat_hamiltonian_field(sys_a.hamiltonian, layout_a)
     field_b = flat_dynamical_field(sys_b, layout_b)
-    d = algebra_dim(layout_a.kind) + layout_a.n_theta + layout_a.n_l
+    d, d_b = (algebra_dim(k) + t + n for k, t, n in (layout_a, layout_b))
 
-    def control(x: list) -> list:
+    def transported(x: list) -> list:
         if len(x) != d:
             raise ValueError(f"state of length {len(x)} does not match the "
                              f"control's layout {layout_a}")
         if not isinstance(x[0], float):
             raise TypeError("the control takes one flat state, not columns")
-        y = pullback_inverse(x)
-        back = pullback(y)
-        if len(back) != d:
+        if len(y := pullback_inverse(x)) != d_b:
+            raise ValueError(f"pullback_inverse returned {len(y)} components "
+                             f"for a target state of {d_b}")
+        if len(back := pullback(y)) != d:
             raise ValueError(f"pullback returned {len(back)} components for "
                              f"a state of {d}")
-        defect = max(map(abs, map(sub, back, x)))
+        defect = back != x and max(map(abs, map(sub, back, x)))
         if defect > INVERSE_TOL:
             raise ValueError("pullback is not invertible at this point "
                              f"(round-trip defect {defect:.3e})")
-        return list(map(sub, push_tangent(field_b(y)), field_a(x)))
+        if len(v := push_tangent(field_b(y))) != d:
+            raise ValueError(f"push_tangent returned {len(v)} rates, not {d}")
+        return v
 
-    return control
+    return MatchingControl(sys_a.hamiltonian, layout_a, field_a, transported)

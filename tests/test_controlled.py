@@ -1,17 +1,25 @@
+import ast
+import importlib
 from dataclasses import replace
+from operator import add
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from gyrostat import config as cfgmod
 from gyrostat import lie, systems
-from gyrostat.controlled import (RCHSystem, fiber_map_lift,
+from gyrostat.controlled import (MatchingControl, RCHSystem, fiber_map_lift,
                                  flat_dynamical_field, matching_control)
+from gyrostat.integrate import run
 from gyrostat.lie import SO3, SE3
 from gyrostat.poisson import (Layout, ReducedPoint, ScalarField,
                               flat_hamiltonian_field,
                               random_polynomial_field)
 from gyrostat.reduction import full_dynamical_field
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def random_point(rng, kind=SO3, nt=3, nl=3):
@@ -276,6 +284,26 @@ def test_pullback_changing_length_rejected():
             v(x)
 
 
+@pytest.mark.parametrize("delta", [-1, 1])
+@pytest.mark.parametrize("which, message", [
+    ("pullback_inverse", "pullback_inverse returned {} components for a "
+                         "target state of 9"),
+    ("push_tangent", "push_tangent returned {} rates, not 9")])
+def test_map_changing_length_rejected(which, message, delta):
+    # each map's result is checked against its own layout, so a push that
+    # adds a component is not truncated and an inverse of another length
+    # is named, by the control and by the engaged field alike
+    h = quadratic_h(9)
+    sys = RCHSystem(h, SO3, 3)
+    maps = {"pullback": same, "push_tangent": same, "pullback_inverse": same,
+            which: lambda y: y[:-1] if delta < 0 else y + [0.0]}
+    v = matching_control(sys, sys, LAYOUT, LAYOUT, **maps)
+    x = random_point(np.random.default_rng(19)).flat().tolist()
+    for call in (v, flat_dynamical_field(replace(sys, control=v), LAYOUT)):
+        with pytest.raises(ValueError, match=f"^{message.format(9 + delta)}$"):
+            call(x)
+
+
 def test_control_rejects_points_of_another_layout():
     # (SO3, 0, 3) fits the system, but the control was built for (SO3, 3, 3)
     h = quadratic_h(9)
@@ -321,20 +349,21 @@ def rigid_body(ibar, j):
 RB_A = rigid_body((1.0, 2.0, 3.0), (0.5, 0.4, 0.3))
 
 
+def flat_states(seed, n=200):
+    return np.random.default_rng(seed).standard_normal((n, 9)).tolist()
+
+
 class TestCyclicAxisPermutation:
     """The cyclic permutation (0, 1, 2) -> (1, 2, 0) preserves the cross
     product, so it is a Lie-Poisson automorphism of so(3)*. Applied to
     the pi, theta and l blocks it maps the rigid body ibar = 1 2 3,
     j = 0.5 0.4 0.3 onto ibar = 2 3 1, j = 0.4 0.3 0.5."""
 
-    def states(self, seed, n=200):
-        return np.random.default_rng(seed).standard_normal((n, 9)).tolist()
-
     def test_control_toward_the_permuted_body_is_zero(self):
         permuted = rigid_body((2.0, 3.0, 1.0), (0.4, 0.3, 0.5))
         v = matching_control(RB_A, permuted, LAYOUT, LAYOUT,
                              *axis_permutation((1, 2, 0)))
-        for x in self.states(40):
+        for x in flat_states(40):
             assert v(x) == [0.0] * 9
 
     def test_control_toward_a_third_body_transports_its_field(self):
@@ -344,7 +373,7 @@ class TestCyclicAxisPermutation:
                              inverse)
         controlled = flat_dynamical_field(replace(RB_A, control=v), LAYOUT)
         field = flat_dynamical_field(third, LAYOUT)
-        for x in self.states(41):
+        for x in flat_states(41):
             want = push(field(inverse(x)))
             npt.assert_allclose(controlled(x), want, rtol=1e-12,
                                 atol=1e-12)
@@ -354,5 +383,99 @@ class TestCyclicAxisPermutation:
         swapped = rigid_body((2.0, 1.0, 3.0), (0.4, 0.5, 0.3))
         v = matching_control(RB_A, swapped, LAYOUT, LAYOUT,
                              *axis_permutation((1, 0, 2)))
-        worst = max(max(map(abs, v(x))) for x in self.states(42))
+        worst = max(max(map(abs, v(x))) for x in flat_states(42))
         assert worst > 1.0
+
+
+# ---------------------------------- one evaluation of A's field per state
+
+def wrapped(sys):
+    """sys with its control behind a lambda, as the span recorder wraps
+    it: the generic path, which calls the whole control as a lift."""
+    return replace(sys, control=lambda x: sys.control(x))
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+THIRD = rigid_body((1.5, 2.5, 0.8), (0.2, 0.6, 0.35))
+
+
+def test_engaged_field_evaluates_its_hamiltonian_field_once():
+    calls = []
+    grad = RB_A.hamiltonian.grad_row
+    h = replace(RB_A.hamiltonian,
+                grad_row=lambda x: calls.append(x) or grad(x))
+    sys_a = replace(RB_A, hamiltonian=h)
+    v = matching_control(sys_a, THIRD, LAYOUT, LAYOUT,
+                         *axis_permutation((1, 2, 0)))
+    x = flat_states(43, 1)[0]
+    for sys, evaluations in ((replace(sys_a, control=v), 1),
+                             (wrapped(replace(sys_a, control=v)), 2)):
+        calls.clear()
+        flat_dynamical_field(sys, LAYOUT)(x)
+        assert len(calls) == evaluations
+
+
+def transport_cases() -> dict:
+    """The transport workload's perfbench seeds 0-9, and the scenario text
+    of demo 05."""
+    demo = ast.parse((ROOT / "demos" / "05_matched_transport.py").read_text())
+    text = next(ast.literal_eval(node.value) for node in demo.body
+                if isinstance(node, ast.Assign)
+                and node.targets[0].id == "SCENARIO")
+    return {**{f"seed {seed}": seed for seed in range(10)}, "demo 05": text}
+
+
+TRANSPORT_CASES = transport_cases()
+
+
+@pytest.mark.parametrize("case", TRANSPORT_CASES.values(),
+                         ids=TRANSPORT_CASES.keys())
+def test_engaged_transport_run_is_bitwise_the_generic_sum(case, tmp_path,
+                                                          monkeypatch):
+    if isinstance(case, int):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        argv = importlib.import_module("workloads").prepare("transport", case,
+                                                            tmp_path)
+        cfg = cfgmod.load_config(argv[argv.index("--config") + 1])
+    else:
+        cfg = cfgmod.parse_config(case)
+    sys = cfgmod.build_system(cfg)
+    assert isinstance(sys.control, MatchingControl)
+    p0 = cfgmod.build_initial(cfg)
+    fast, generic = (run(flat_dynamical_field(s, p0.layout), p0,
+                         cfg.run["dt"], cfg.run["t_final"]).states
+                     for s in (sys, wrapped(sys)))
+    assert np.array_equal(bits(fast), bits(generic))
+
+
+def test_forced_system_adds_its_force_to_the_matched_sum():
+    # v subtracts X_{h_A} alone, so the engaged field of a forced A is the
+    # transported field plus the force lift, bit for bit the generic sum
+    kick = [0.0] * 6 + [0.4, -0.3, 0.9]
+    forced = replace(RB_A, force=fiber_map_lift(
+        lambda x: list(map(add, x, kick))))
+    pullback, push, inverse = axis_permutation((1, 2, 0))
+    v = matching_control(forced, THIRD, LAYOUT, LAYOUT, pullback, push,
+                         inverse)
+    sys = replace(forced, control=v)
+    fast, generic = (flat_dynamical_field(s, LAYOUT)
+                     for s in (sys, wrapped(sys)))
+    target = flat_dynamical_field(THIRD, LAYOUT)
+    for x in flat_states(44):
+        assert np.array_equal(bits(fast(x)), bits(generic(x)))
+        want = np.array(push(target(inverse(x)))) + kick
+        npt.assert_allclose(fast(x), want, rtol=1e-12, atol=1e-12)
+
+
+def test_control_on_another_hamiltonian_is_added_as_a_lift():
+    v = matching_control(RB_A, THIRD, LAYOUT, LAYOUT,
+                         *axis_permutation((1, 2, 0)))
+    other = rigid_body((1.2, 0.9, 2.2), (0.3, 0.1, 0.6))
+    field = flat_dynamical_field(replace(other, control=v), LAYOUT)
+    own = flat_hamiltonian_field(other.hamiltonian, LAYOUT)
+    for x in flat_states(45):
+        assert np.array_equal(bits(field(x)),
+                              bits(list(map(add, own(x), v(x)))))

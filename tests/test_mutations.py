@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 import test_acceptance
+import test_controlled
 import test_hj
 import test_integrate
 import test_poisson
@@ -161,7 +162,9 @@ def _gamma_sq_dropped(casimirs):
 
 def _own_field_kept(matching):
     """matching_control without the -X_{h_A} term: A's own field is not
-    cancelled."""
+    cancelled. Its lambda is no :class:`MatchingControl`, so the engaged
+    field takes only the generic path, which calls the control as a lift;
+    the matched sum has its own row."""
     def mutated(sys_a, sys_b, layout_a, *rest):
         control = matching(sys_a, sys_b, layout_a, *rest)
         field_a = poisson.flat_hamiltonian_field(sys_a.hamiltonian, layout_a)
@@ -280,6 +283,11 @@ ROWS = {
     "matching-control-keeps-own-field": Row(
         config, "matching_control", _own_field_kept,
         test_acceptance.test_criterion_7_matching_control_transport),
+    "matched-sum-subtracts-forced-rates": Row(
+        test_controlled, "flat_dynamical_field",
+        _edited("map(sub, transported(x), rates)",
+                "map(sub, transported(x), _add_lifts(free, x, rates))"),
+        test_controlled.test_forced_system_adds_its_force_to_the_matched_sum),
 }
 
 ORIGINALS = {(row.module, row.name): getattr(row.module, row.name)

@@ -18,7 +18,8 @@ to zero. :func:`matching_control` returns its lift, on one state only.
 The integrator steps :func:`flat_dynamical_field`, a map from a flat
 state to its d rates; at one point p the field is
 ``flat_dynamical_field(sys, p.layout)(p.flat().tolist())``. It evaluates
-the Hamiltonian field once per state, under its own matching control too.
+the Hamiltonian field once per state, under its own matching control too;
+there the rates are summed by a kernel generated once per state length.
 
 Admissibility of controls is not constrained here: any vertical field
 is accepted.
@@ -27,12 +28,16 @@ is accepted.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import isnan, nan
 from operator import add, sub
 from typing import NamedTuple
 
 from .lie import SE3, SO3, algebra_dim
 from .poisson import (FlatField, Layout, ReducedPoint, ScalarField,
                       flat_hamiltonian_field)
+
+# the engaged-sum kernel of each state length, generated on first use
+_SUMS: dict = {}
 
 
 @dataclass(frozen=True)
@@ -83,12 +88,26 @@ def fiber_map_lift(fmap: FlatField) -> FlatField:
     return lift
 
 
+def _generated_sum(n: int):
+    """(a, t, u) -> a + (t - u) on lists of n floats, generated from n
+    alone, so no outside text reaches ``exec``: bracketed unpacking and
+    one list display, bitwise ``list(map(add, a, map(sub, t, u)))``."""
+    a, t, u = (f"[{', '.join(f'{v}{i}' for i in range(n))}] = {v}"
+               for v in "atu")
+    namespace: dict = {}
+    exec(f"def total(a, t, u):\n    {a}\n    {t}\n    {u}\n    return ["
+         f"{', '.join(f'a{i} + (t{i} - u{i})' for i in range(n))}]", namespace)
+    return namespace["total"]
+
+
 def flat_dynamical_field(sys: RCHSystem, layout: Layout) -> FlatField:
     """The full vector field of the controlled system on flat states of
     ``layout``, lists of d floats to their d rates: Hamiltonian part
     plus the vertical lifts of force and control. With both absent this
     is exactly the Hamiltonian field. A :class:`MatchingControl` built for
-    ``sys.hamiltonian`` on ``layout`` reuses its rates, bit for bit."""
+    ``sys.hamiltonian`` on ``layout`` reuses its rates r, bit for bit:
+    the :func:`_generated_sum` kernel returns a + (t - r), t the
+    transported rates and a the rates plus any force lift."""
     _check_point(sys, layout)
     field = flat_hamiltonian_field(sys.hamiltonian, layout)
     if sys.force is None and sys.control is None:
@@ -97,11 +116,14 @@ def flat_dynamical_field(sys: RCHSystem, layout: Layout) -> FlatField:
     if (isinstance(c, MatchingControl) and c.layout == layout
             and c.hamiltonian is sys.hamiltonian):
         free, transported = replace(sys, control=None), c.transported
+        forced = sys.force is not None
+        n = algebra_dim(layout.kind) + layout.n_theta + layout.n_l
+        total = _SUMS.get(n) or _SUMS.setdefault(n, _generated_sum(n))
 
         def engaged(x: list) -> list:
             rates = field(x)
-            return list(map(add, _add_lifts(free, x, rates),
-                            map(sub, transported(x), rates)))
+            a = _add_lifts(free, x, rates) if forced else rates
+            return total(a, transported(x), rates)
 
         return engaged
     return lambda x: _add_lifts(sys, x, field(x))
@@ -174,10 +196,13 @@ def matching_control(sys_a: RCHSystem, sys_b: RCHSystem,
         if len(back := pullback(y)) != d:
             raise ValueError(f"pullback returned {len(back)} components for "
                              f"a state of {d}")
-        defect = back != x and max(map(abs, map(sub, back, x)))
-        if defect > INVERSE_TOL:
-            raise ValueError("pullback is not invertible at this point "
-                             f"(round-trip defect {defect:.3e})")
+        if back != x:
+            diffs = list(map(abs, map(sub, back, x)))
+            # max keeps a NaN only when it comes first; the sum keeps any
+            defect = nan if isnan(sum(diffs)) else max(diffs)
+            if not defect <= INVERSE_TOL:
+                raise ValueError("pullback is not invertible at this point "
+                                 f"(round-trip defect {defect:.3e})")
         if len(v := push_tangent(field_b(y))) != d:
             raise ValueError(f"push_tangent returned {len(v)} rates, not {d}")
         return v

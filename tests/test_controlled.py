@@ -1,7 +1,7 @@
 import ast
 import importlib
 from dataclasses import replace
-from operator import add
+from operator import add, sub
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +9,7 @@ import numpy.testing as npt
 import pytest
 
 from gyrostat import config as cfgmod
+from gyrostat import controlled
 from gyrostat import lie, systems
 from gyrostat.controlled import (MatchingControl, RCHSystem, fiber_map_lift,
                                  flat_dynamical_field, matching_control)
@@ -271,6 +272,24 @@ def test_non_invertible_pullback_raises():
         v(p.flat().tolist())
 
 
+@pytest.mark.parametrize("slot", [0, 8])
+def test_nan_round_trip_raises(slot):
+    # max over the defects keeps a NaN only when it comes first, and a
+    # NaN defect compares below any tolerance; either slot must raise
+    h = quadratic_h(9)
+    sys = RCHSystem(h, SO3, 3)
+
+    def poisoned(y):
+        return y[:slot] + [float("nan")] + y[slot + 1:]
+
+    v = matching_control(sys, sys, LAYOUT, LAYOUT, poisoned, same, same)
+    x = random_point(np.random.default_rng(20)).flat().tolist()
+    for call in (v, flat_dynamical_field(replace(sys, control=v), LAYOUT)):
+        with pytest.raises(ValueError, match=r"not invertible at this point "
+                                             r"\(round-trip defect nan\)$"):
+            call(x)
+
+
 def test_pullback_changing_length_rejected():
     # a round trip that drops or adds a component names the pullback and
     # both lengths
@@ -416,6 +435,51 @@ def test_engaged_field_evaluates_its_hamiltonian_field_once():
         calls.clear()
         flat_dynamical_field(sys, LAYOUT)(x)
         assert len(calls) == evaluations
+
+
+def test_sum_kernel_is_generated_once_per_length(monkeypatch):
+    made, generate = [], controlled._generated_sum
+
+    def counted(n):
+        made.append(n)
+        return generate(n)
+
+    monkeypatch.setattr(controlled, "_SUMS", {})
+    monkeypatch.setattr(controlled, "_generated_sum", counted)
+    for dim, rotors, layout in ((9, 3, LAYOUT), (6, 3, Layout(SO3, 0, 3)),
+                                (9, 3, LAYOUT), (3, 0, Layout(SO3, 0, 0)),
+                                (6, 3, Layout(SO3, 0, 3))):
+        sys = RCHSystem(quadratic_h(dim), SO3, rotors)
+        v = matching_control(sys, sys, layout, layout, same, same, same)
+        flat_dynamical_field(replace(sys, control=v), layout)
+    assert made == [9, 6, 3]
+    assert sorted(controlled._SUMS) == [3, 6, 9]
+
+
+def test_sum_kernel_is_bitwise_the_mapped_sum():
+    assert controlled._generated_sum(0)([], [], []) == []
+    a, t, u = np.random.default_rng(46).standard_normal((3, 9)) * 1e3
+    want = list(map(add, a.tolist(), map(sub, t.tolist(), u.tolist())))
+    got = controlled._generated_sum(9)(a.tolist(), t.tolist(), u.tolist())
+    assert np.array_equal(bits(got), bits(want))
+    with pytest.raises(ValueError):
+        controlled._generated_sum(9)(a.tolist()[:-1], t.tolist(), u.tolist())
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
+def test_engaged_field_adds_lifts_only_under_a_force(forced, monkeypatch):
+    calls = []
+    add_lifts = controlled._add_lifts
+    monkeypatch.setattr(controlled, "_add_lifts",
+                        lambda *args: calls.append(1) or add_lifts(*args))
+    kick = fiber_map_lift(lambda x: [v + 0.25 for v in x])
+    sys_a = replace(RB_A, force=kick if forced else None)
+    v = matching_control(sys_a, THIRD, LAYOUT, LAYOUT,
+                         *axis_permutation((1, 2, 0)))
+    field = flat_dynamical_field(replace(sys_a, control=v), LAYOUT)
+    for x in flat_states(47, 3):
+        field(x)
+    assert len(calls) == (3 if forced else 0)
 
 
 def transport_cases() -> dict:

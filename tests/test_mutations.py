@@ -11,11 +11,11 @@ Each row patches the name that the checked path looks up at call time,
 in the module that looks it up. An operator inside a function body,
 which no wrapper reaches, is swapped by recompiling the function from its
 source with one edit (:func:`_edited`); an edit of a generated kernel's
-template, the RK4 step's or the Hamiltonian rates', reaches every kernel
-generated under it. The first row is the bracket sign error that
-``test_cli``, ``test_poisson`` and ``test_golden`` also plant, through
-:func:`plant_bracket_sign_error`. The table ends with one test that
-every patched attribute is its original object again.
+template, the RK4 step's, the Hamiltonian rates' or the engaged sum's,
+reaches every kernel generated under it. The first row is the bracket
+sign error that ``test_cli``, ``test_poisson`` and ``test_golden`` also
+plant, through :func:`plant_bracket_sign_error`. The table ends with one
+test that every patched attribute is its original object again.
 """
 
 import inspect
@@ -31,7 +31,7 @@ import test_hj
 import test_integrate
 import test_poisson
 import test_reduction
-from gyrostat import config, integrate, lie, poisson, reduction
+from gyrostat import config, controlled, integrate, lie, poisson, reduction
 from gyrostat import hamilton_jacobi as hj
 
 
@@ -285,9 +285,15 @@ ROWS = {
         test_acceptance.test_criterion_7_matching_control_transport),
     "matched-sum-subtracts-forced-rates": Row(
         test_controlled, "flat_dynamical_field",
-        _edited("map(sub, transported(x), rates)",
-                "map(sub, transported(x), _add_lifts(free, x, rates))"),
+        _edited("total(a, transported(x), rates)",
+                "total(a, transported(x), a)"),
         test_controlled.test_forced_system_adds_its_force_to_the_matched_sum),
+    "matched-sum-reassociated": Row(
+        controlled, "_generated_sum",
+        _edited("a{i} + (t{i} - u{i})", "(a{i} + t{i}) - u{i}"),
+        lambda: test_controlled
+        .test_engaged_transport_run_is_bitwise_the_generic_sum(
+            test_controlled.TRANSPORT_CASES["demo 05"], None, None)),
 }
 
 ORIGINALS = {(row.module, row.name): getattr(row.module, row.name)
@@ -302,6 +308,7 @@ def test_planted_defect_fails_its_check(row, monkeypatch):
     # kernels built under its edit, and leaves none behind
     monkeypatch.setattr(integrate, "_STEPS", {})
     monkeypatch.setattr(poisson, "_RATES", {})
+    monkeypatch.setattr(controlled, "_SUMS", {})
     with pytest.raises((AssertionError, pytest.fail.Exception)):
         check()
 

@@ -19,7 +19,7 @@ The integrator steps :func:`flat_dynamical_field`, a map from a flat
 state to its d rates; at one point p the field is
 ``flat_dynamical_field(sys, p.layout)(p.flat().tolist())``. It evaluates
 the Hamiltonian field once per state, under its own matching control too;
-there the rates are summed by a kernel generated once per state length.
+there the rates are summed by a kernel cached once per state length.
 
 Admissibility of controls is not constrained here: any vertical field
 is accepted.
@@ -28,6 +28,7 @@ is accepted.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from math import isnan, nan
 from operator import add, sub
 from typing import NamedTuple
@@ -35,9 +36,6 @@ from typing import NamedTuple
 from .lie import SE3, SO3, algebra_dim
 from .poisson import (FlatField, Layout, ReducedPoint, ScalarField,
                       flat_hamiltonian_field)
-
-# the engaged-sum kernel of each state length, generated on first use
-_SUMS: dict = {}
 
 
 @dataclass(frozen=True)
@@ -88,9 +86,10 @@ def fiber_map_lift(fmap: FlatField) -> FlatField:
     return lift
 
 
+@cache
 def _generated_sum(n: int):
-    """(a, t, u) -> a + (t - u) on lists of n floats, generated from n
-    alone, so no outside text reaches ``exec``: bracketed unpacking and
+    """(a, t, u) -> a + (t - u) on lists of n floats, generated once from
+    n alone, so no outside text reaches ``exec``: bracketed unpacking and
     one list display, bitwise ``list(map(add, a, map(sub, t, u)))``."""
     a, t, u = (f"[{', '.join(f'{v}{i}' for i in range(n))}] = {v}"
                for v in "atu")
@@ -117,8 +116,8 @@ def flat_dynamical_field(sys: RCHSystem, layout: Layout) -> FlatField:
             and c.hamiltonian is sys.hamiltonian):
         free, transported = replace(sys, control=None), c.transported
         forced = sys.force is not None
-        n = algebra_dim(layout.kind) + layout.n_theta + layout.n_l
-        total = _SUMS.get(n) or _SUMS.setdefault(n, _generated_sum(n))
+        total = _generated_sum(algebra_dim(layout.kind) + layout.n_theta
+                               + layout.n_l)
 
         def engaged(x: list) -> list:
             rates = field(x)

@@ -6,12 +6,12 @@ list to its d rates: at d = 6-11 each numpy call would cost more than
 the arithmetic inside it, and fixed-size slots on the per-evaluation
 path are list displays, as on Python 3.11 each comprehension costs a
 frame. So the step's stage sums are list displays too, in a kernel
-generated once per state length from that integer alone; it keeps the
-arithmetic and evaluation order of the comprehensions over zip it
-replaces, so every state is bitwise the same as theirs (Hairer, Norsett
-and Wanner, Solving ODEs I, sec. II.1, give the method). :func:`run`
-drives the step over the grid t_i = i * dt, which a
-:class:`Trajectory` keeps as its step dt, writes each state into an
+generated once per state length from that integer alone, cached on its
+generator; it keeps the arithmetic and evaluation order of the
+comprehensions over zip it replaces, so every state is bitwise the same
+as theirs (Hairer, Norsett and Wanner, Solving ODEs I, sec. II.1, give
+the method). :func:`run` drives the step over the grid t_i = i * dt,
+which a :class:`Trajectory` keeps as its step dt, writes each state into an
 (n+1, d) float64 array and evaluates each invariant, a batched value
 (n, d) -> (n,), once over those stored states; the relative drift series
 (I(t) - I(0)) / max(1, |I(0)|) comes from those raw series. The
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from math import isfinite
 from typing import Callable, Mapping
 
@@ -34,9 +35,6 @@ from .poisson import (FlatField, Layout, ReducedPoint, ScalarField,
 Invariant = Callable[[np.ndarray], np.ndarray]
 
 BLOWUP_LIMIT = 1e12
-
-# the rk4_step kernel of each state length, generated on first use
-_STEPS: dict = {}
 
 
 @dataclass(frozen=True)
@@ -82,9 +80,10 @@ def _rate_count_error(k: list, n: int) -> ValueError:
                       f"{n} components")
 
 
+@cache
 def _generated_step(n: int):
     """The stages of :func:`rk4_step` for states of n components, as a
-    function generated from the integer n alone, so no outside text
+    function generated once from the integer n alone, so no outside text
     reaches ``exec``. It unpacks x and each stage's rates into locals,
     the rates once their count is checked, and builds each stage state
     and the final state as a list display: the terms of a comprehension
@@ -110,8 +109,8 @@ def _generated_step(n: int):
 
 def rk4_step(field: FlatField, x: list, dt: float) -> list:
     """One classical Runge-Kutta step of size dt (local error O(dt^5))
-    of the list x. Its stages run in the kernel generated once per state
-    length from that integer alone and kept in ``_STEPS``: list displays
+    of the list x. Its stages run in the :func:`_generated_step` kernel
+    of the state length, generated once from that integer: list displays
     with the arithmetic and order of comprehensions over zip, so each
     state is bitwise theirs. Raises if the field returns a rate list of
     another length (checked at each stage, before its rates are used)
@@ -120,9 +119,7 @@ def rk4_step(field: FlatField, x: list, dt: float) -> list:
     per-entry test when an overflowing sum leaves it open."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    n = len(x)
-    step = _STEPS.get(n) or _STEPS.setdefault(n, _generated_step(n))
-    y = step(field, x, dt)
+    y = _generated_step(len(x))(field, x, dt)
     if not (isfinite(sum(y)) or all(map(isfinite, y))):
         raise ValueError("integration step produced a non-finite state")
     return y

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from math import isfinite
 from typing import Callable, NamedTuple
 
@@ -39,9 +40,6 @@ from . import lie
 from .lie import SE3, SO3, _bracket_list
 
 FD_STEP = 1e-6
-
-# the _hamiltonian_rates kernel of each layout, generated on first use
-_RATES: dict = {}
 
 
 def _vec(x, name: str) -> np.ndarray:
@@ -147,14 +145,15 @@ class ScalarField:
     eval_batch, required, maps an (n, dim) array of flat states to their
     n values; it is the one way the package reads a value. eval, its
     view at one ReducedPoint, serves the API boundary; grad, a point
-    view of the gradient, is set by no builder. grad_batch, when given,
-    maps the states to their (n, dim) flat analytic gradients. grad_row,
-    when given, is the componentwise gradient: the dim floats of one flat
-    state, or the dim equal-length columns of a stack, to dim components,
-    floats or columns. :func:`flat_gradient` and :func:`_gradient_rows`
-    read grad_row, else grad_batch, else central differences of
-    eval_batch. The five are plain callables that wrappers may replace,
-    so code must not rely on attributes attached to them.
+    view of the gradient, is set by no builder. grad_batch, which only
+    :func:`polynomial_field` builds, maps the states to their (n, dim)
+    flat analytic gradients. grad_row, when given, is the componentwise
+    gradient: the dim floats of one flat state, or the dim equal-length
+    columns of a stack, to dim components, floats or columns.
+    :func:`flat_gradient` and :func:`_gradient_rows` read grad_row, else
+    grad_batch, else central differences of eval_batch. The five are
+    plain callables that wrappers may replace, so code must not rely on
+    attributes attached to them.
     """
 
     eval: Callable[[ReducedPoint], float]
@@ -171,11 +170,11 @@ def analytic_field(eval_batch: Callable[[np.ndarray], np.ndarray],
     maps the d components of a flat state to the d components of its
     gradient with elementwise operations only. On a list of d Python
     floats it is the row gradient ``grad_row``; on the d columns of an
-    (n, d) array it gives ``grad_batch``, the same numbers bit for bit.
-    ``eval`` is the one-row view of ``eval_batch``."""
+    (n, d) array, as :func:`_gradient_rows` passes them, it gives the
+    batched gradients, the same numbers bit for bit. ``eval`` is the
+    one-row view of ``eval_batch``."""
     return ScalarField(
         lambda p: float(eval_batch(p.flat()[None, :])[0]), eval_batch,
-        grad_batch=lambda x: _from_columns(grad(list(x.T)), x.shape),
         grad_row=grad)
 
 
@@ -234,9 +233,9 @@ def _gradient_rows(h: ScalarField, pts: np.ndarray) -> np.ndarray:
     return g
 
 
-def flat_gradient(h: ScalarField, layout: Layout) -> Callable[[list], list]:
-    """Row gradient of h on one flat state of ``layout``, d floats: its
-    grad_row, else the one-row view of :func:`_gradient_rows`."""
+def flat_gradient(h: ScalarField) -> Callable[[list], list]:
+    """Row gradient of h on one flat state, d floats: its grad_row, else
+    the one-row view of :func:`_gradient_rows`."""
     if h.grad_row is not None:
         return h.grad_row
     return lambda x: _gradient_rows(h, np.array([x]))[0].tolist()
@@ -258,14 +257,20 @@ def product_bracket(f: ScalarField, k: ScalarField, p: ReducedPoint) -> float:
     return float(_flat_bracket(p.layout)(gf, gk, x)[0])
 
 
-def _generated_rates(nc: int, n_theta: int, n_l: int):
-    """The rates kernel of a layout, generated from its algebra dimension
-    nc and rotor slot sizes alone, so no outside text reaches ``exec``:
-    x and g unpacked into locals by bracketed targets, which reject a
-    gradient of another length, and one list display of the rates, each
-    cross product in np.cross's formula and term order. A paired rotor
-    slot reads its conjugate gradient, the momentum's negated; an
-    unpaired slot is 0.0."""
+@cache
+def _hamiltonian_rates(layout: Layout) -> Callable[[list, list], list]:
+    """(x, g) -> the rates of :func:`flat_hamiltonian_field` at flat
+    states x, d floats or d equal-length columns, given the gradient g of
+    h there, unchecked but for its length. A kernel generated once per
+    layout from its slot sizes alone, so no outside text reaches
+    ``exec``: bracketed targets unpack x and g, rejecting a gradient of
+    another length, and one list display gives the rates. Its Lie-Poisson
+    part is ad*_g(x) in the pairing of :mod:`gyrostat.lie`, pi x omega or
+    (pi x omega + gamma x vel, gamma x omega), each cross product in
+    np.cross's formula and term order; a paired rotor slot reads its
+    conjugate gradient, the momentum's negated, an unpaired one is 0.0."""
+    kind, n_theta, n_l = layout
+    nc = lie.algebra_dim(kind)
     lo, d = nc + n_theta, nc + n_theta + n_l
     rates = ["x1 * g2 - x2 * g1", "x2 * g0 - x0 * g2", "x0 * g1 - x1 * g0"]
     if nc == 6:
@@ -283,17 +288,6 @@ def _generated_rates(nc: int, n_theta: int, n_l: int):
     exec(f"def rates(x, g):\n    {x}\n    {g}\n"
          f"    return [{', '.join(rates)}]", namespace)
     return namespace["rates"]
-
-
-def _hamiltonian_rates(layout: Layout) -> Callable[[list, list], list]:
-    """(x, g) -> the rates of :func:`flat_hamiltonian_field` at flat
-    states x, d floats or d equal-length columns, given the gradient g of
-    h there, unchecked but for its length: the :func:`_generated_rates`
-    kernel of the layout, generated once and kept in ``_RATES``. Its
-    Lie-Poisson part is ad*_g(x) in the pairing of :mod:`gyrostat.lie`,
-    pi x omega or (pi x omega + gamma x vel, gamma x omega)."""
-    key = (lie.algebra_dim(layout.kind), layout.n_theta, layout.n_l)
-    return _RATES.get(key) or _RATES.setdefault(key, _generated_rates(*key))
 
 
 def flat_hamiltonian_field(h: ScalarField, layout: Layout) -> FlatField:
@@ -314,7 +308,7 @@ def flat_hamiltonian_field(h: ScalarField, layout: Layout) -> FlatField:
     term is never finite, and a finite gradient whose sum overflows
     falls through to the exact per-entry test.
     """
-    grad, rates = flat_gradient(h, layout), _hamiltonian_rates(layout)
+    grad, rates = flat_gradient(h), _hamiltonian_rates(layout)
 
     def field(x: list) -> list:
         g = grad(x)
@@ -538,7 +532,7 @@ def bracket_axiom_suite(name: str, n_instances: int = 1000,
         "leibniz": bk(fd_fg, fd_k, x) - (vf * bk(fd_g, fd_k, x)
                                          + vg * bk(fd_f, fd_k, x)),
         "jacobi": bk(d_fg, gk, x) + bk(d_gk, gf, x) + bk(d_kf, gg, x),
-        "casimir": np.max([np.abs(bk(c.grad_batch(x), gk, x))
+        "casimir": np.max([np.abs(bk(_gradient_rows(c, x), gk, x))
                            for _, c in casimir_fields(kind)], axis=0),
     }
     report = {"bracket": name, "instances": n_instances, "seed": seed}

@@ -106,7 +106,7 @@ def reconstruct(traj: Trajectory, g0: GroupElement, sys: RCHSystem,
     nc = lie.algebra_dim(traj.layout.kind)
     _check_point(sys, traj.layout)
     rates = _hamiltonian_rates(traj.layout)
-    grad = flat_gradient(sys.hamiltonian, traj.layout)
+    grad = flat_gradient(sys.hamiltonian)
 
     def joint(z: list) -> list:
         y = z[:d]

@@ -437,33 +437,28 @@ def test_engaged_field_evaluates_its_hamiltonian_field_once():
         assert len(calls) == evaluations
 
 
-def test_sum_kernel_is_generated_once_per_length(monkeypatch):
-    made, generate = [], controlled._generated_sum
-
-    def counted(n):
-        made.append(n)
-        return generate(n)
-
-    monkeypatch.setattr(controlled, "_SUMS", {})
-    monkeypatch.setattr(controlled, "_generated_sum", counted)
+def test_sum_kernel_is_generated_once_per_length():
+    controlled._generated_sum.cache_clear()
     for dim, rotors, layout in ((9, 3, LAYOUT), (6, 3, Layout(SO3, 0, 3)),
                                 (9, 3, LAYOUT), (3, 0, Layout(SO3, 0, 0)),
                                 (6, 3, Layout(SO3, 0, 3))):
         sys = RCHSystem(quadratic_h(dim), SO3, rotors)
         v = matching_control(sys, sys, layout, layout, same, same, same)
         flat_dynamical_field(replace(sys, control=v), layout)
-    assert made == [9, 6, 3]
-    assert sorted(controlled._SUMS) == [3, 6, 9]
+    info = controlled._generated_sum.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 2, 3)
 
 
 def test_sum_kernel_is_bitwise_the_mapped_sum():
-    assert controlled._generated_sum(0)([], [], []) == []
-    a, t, u = np.random.default_rng(46).standard_normal((3, 9)) * 1e3
-    want = list(map(add, a.tolist(), map(sub, t.tolist(), u.tolist())))
-    got = controlled._generated_sum(9)(a.tolist(), t.tolist(), u.tolist())
-    assert np.array_equal(bits(got), bits(want))
-    with pytest.raises(ValueError):
-        controlled._generated_sum(9)(a.tolist()[:-1], t.tolist(), u.tolist())
+    # every length of a state with at most three rotor pairs
+    rng = np.random.default_rng(46)
+    for n in range(13):
+        a, t, u = (rng.standard_normal((3, n)) * 1e3).tolist()
+        want = list(map(add, a, map(sub, t, u)))
+        got = controlled._generated_sum(n)(a, t, u)
+        assert np.array_equal(bits(got), bits(want))
+        with pytest.raises(ValueError):
+            controlled._generated_sum(n)(a + [0.0], t, u)
 
 
 @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])

@@ -155,21 +155,13 @@ def test_long_run_equals_the_comprehension_bit_for_bit(monkeypatch):
                            bits(run(field, p0, 1e-3, 10.0).states))
 
 
-def test_step_kernel_is_generated_once_per_length(monkeypatch):
-    made = []
-
-    def counted(n):
-        made.append(n)
-        return generate(n)
-
-    generate = integrate._generated_step
-    monkeypatch.setattr(integrate, "_STEPS", {})
-    monkeypatch.setattr(integrate, "_generated_step", counted)
+def test_step_kernel_is_generated_once_per_length():
+    integrate._generated_step.cache_clear()
     assert rk4_step(zero_field, [], 0.1) == []
     for n in (3, 9, 3, 0, 9, 3):
         rk4_step(nonlinear_field, [0.5] * n, 0.1)
-    assert made == [0, 3, 9]
-    assert sorted(integrate._STEPS) == [0, 3, 9]
+    info = integrate._generated_step.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 4, 3)
 
 
 @pytest.mark.parametrize("field", [lambda x: x[:-1], lambda x: 2 * x],

@@ -12,7 +12,8 @@ in the module that looks it up. An operator inside a function body,
 which no wrapper reaches, is swapped by recompiling the function from its
 source with one edit (:func:`_edited`); an edit of a generated kernel's
 template, the RK4 step's, the Hamiltonian rates' or the engaged sum's,
-reaches every kernel generated under it. The first row is the bracket
+reaches every kernel generated under it, and the recompiled generator
+caches its kernels apart from the original's. The first row is the bracket
 sign error that ``test_cli``, ``test_poisson`` and ``test_golden`` also
 plant, through :func:`plant_bracket_sign_error`. The table ends with one
 test that every patched attribute is its original object again.
@@ -106,21 +107,24 @@ def _gamma_x_vel_dropped(x, g, out):
             x[0] * g[1] - x[1] * g[0], *out[3:]]
 
 
-def _casimir_shifted(gradient):
+def _casimir_shifted(kind):
     """flat_gradient of h + 0.3 C, C the Casimir |pi|^2 / 2 on so(3)*
-    and pi . gamma on se(3)*: the reduced flow stays, the body velocity
-    that reconstruction integrates moves."""
-    def mutated(h, layout):
-        grad = gradient(h, layout)
-        swap = [0, 1, 2] if layout.kind == lie.SO3 else [3, 4, 5, 0, 1, 2]
+    and pi . gamma on se(3)*, for states of ``kind``: the reduced flow
+    stays, the body velocity that reconstruction integrates moves."""
+    swap = [0, 1, 2] if kind == lie.SO3 else [3, 4, 5, 0, 1, 2]
 
-        def shifted(x):
-            g = list(grad(x))
-            for i, j in enumerate(swap):
-                g[i] += 0.3 * x[j]
-            return g
-        return shifted
-    return mutated
+    def mutant(gradient):
+        def mutated(h):
+            grad = gradient(h)
+
+            def shifted(x):
+                g = list(grad(x))
+                for i, j in enumerate(swap):
+                    g[i] += 0.3 * x[j]
+                return g
+            return shifted
+        return mutated
+    return mutant
 
 
 def _loose(value):
@@ -183,7 +187,7 @@ def _edited(old: str, new: str):
         assert source.count(old) == 1, (func.__name__, old)
         namespace = dict(vars(inspect.getmodule(func)))
         exec(compile("\n" * (first - 1) + source.replace(old, new),
-                     inspect.getsourcefile(func), "exec",
+                     inspect.getsourcefile(inspect.unwrap(func)), "exec",
                      dont_inherit=True), namespace)
         return namespace[func.__name__]
     return mutant
@@ -233,15 +237,15 @@ ROWS = {
         lambda: test_poisson.test_field_components_equal_coordinate_brackets(
             lie.SE3, 2, 2)),
     "rates-kernel-l-dot-sign": Row(
-        poisson, "_generated_rates", _edited('"-g{i}"', '"+g{i}"'),
+        poisson, "_hamiltonian_rates", _edited('"-g{i}"', '"+g{i}"'),
         lambda: test_poisson.test_field_components_equal_coordinate_brackets(
             lie.SO3, 3, 3)),
     "so3-casimir-shifted-velocity": Row(
-        reduction, "flat_gradient", _casimir_shifted,
+        reduction, "flat_gradient", _casimir_shifted(lie.SO3),
         lambda: test_reduction.TestReconstruct()
         .test_constant_velocity_matches_closed_form()),
     "se3-casimir-shifted-velocity": Row(
-        reduction, "flat_gradient", _casimir_shifted,
+        reduction, "flat_gradient", _casimir_shifted(lie.SE3),
         lambda: test_reduction.TestReconstruct()
         .test_se3_constant_velocity_matches_closed_form()),
     "gate-tolerance-1e-3": Row(
@@ -304,11 +308,6 @@ ORIGINALS = {(row.module, row.name): getattr(row.module, row.name)
 def test_planted_defect_fails_its_check(row, monkeypatch):
     module, name, mutant, check = ROWS[row]
     monkeypatch.setattr(module, name, mutant(getattr(module, name)))
-    # empty kernel caches, so that a row editing a generated kernel runs
-    # kernels built under its edit, and leaves none behind
-    monkeypatch.setattr(integrate, "_STEPS", {})
-    monkeypatch.setattr(poisson, "_RATES", {})
-    monkeypatch.setattr(controlled, "_SUMS", {})
     with pytest.raises((AssertionError, pytest.fail.Exception)):
         check()
 
@@ -318,3 +317,13 @@ def test_every_patched_attribute_is_restored():
     # test that plants one, would otherwise pass silently into later tests
     for (module, name), original in ORIGINALS.items():
         assert getattr(module, name) is original, (module.__name__, name)
+    # and so would a mutant kernel left in a generator's cache: each
+    # generator's kernels are bitwise their references again
+    for n in (0, 1, 3, 6, 9, 10, 12, 40):
+        test_integrate.test_step_equals_the_comprehension_bit_for_bit(
+            n, False)
+    for layout in ((lie.SO3, 3, 3), (lie.SO3, 1, 1), (lie.SO3, 0, 3),
+                   (lie.SO3, 0, 0), (lie.SE3, 2, 2), (lie.SE3, 0, 2),
+                   (lie.SE3, 0, 0)):
+        test_poisson.test_rate_kernels_equal_np_cross_bitwise(layout)
+    test_controlled.test_sum_kernel_is_bitwise_the_mapped_sum()

@@ -73,8 +73,8 @@ def test_fd_gradient_matches_analytic_polynomial():
             f = random_polynomial_field(rng, dim)
             p = random_point(rng, kind, nt, nl)
             x = p.flat().tolist()
-            ana = np.array(flat_gradient(f, p.layout)(x))
-            num = np.array(flat_gradient(without_gradient(f), p.layout)(x))
+            ana = np.array(flat_gradient(f)(x))
+            num = np.array(flat_gradient(without_gradient(f))(x))
             scale = max(1.0, np.max(np.abs(ana)), np.max(np.abs(num)))
             assert np.max(np.abs(ana - num)) / scale <= 1e-5
 
@@ -88,7 +88,7 @@ def test_polynomial_gradient_is_one_row_of_grad_batch_bitwise():
         for _ in range(20):
             f = random_polynomial_field(rng, dim)
             p = random_point(rng, kind, nt, nl)
-            row = flat_gradient(f, p.layout)(p.flat().tolist())
+            row = flat_gradient(f)(p.flat().tolist())
             assert row == f.grad_batch(p.flat()[None])[0].tolist()
 
 
@@ -291,27 +291,19 @@ def test_hamiltonian_field_is_the_rate_kernel(kind, nt, nl):
     for _ in range(50):
         h = random_polynomial_field(rng, lie.algebra_dim(kind) + nt + nl)
         x = random_point(rng, kind, nt, nl).flat().tolist()
-        grad = poisson.flat_gradient(h, layout)(x)
+        grad = poisson.flat_gradient(h)(x)
         out = poisson.flat_hamiltonian_field(h, layout)(x)
         want = np_cross_rates(layout, np.array(x), np.array(grad))
         assert np.array(out).tobytes() == want.tobytes()
 
 
-def test_rate_kernel_is_generated_once_per_layout(monkeypatch):
-    made = []
-
-    def counted(*key):
-        made.append(key)
-        return generate(*key)
-
-    generate = poisson._generated_rates
-    monkeypatch.setattr(poisson, "_RATES", {})
-    monkeypatch.setattr(poisson, "_generated_rates", counted)
+def test_rate_kernel_is_generated_once_per_layout():
+    poisson._hamiltonian_rates.cache_clear()
     for layout in [(SO3, 3, 3), (SE3, 2, 2), (SO3, 3, 3), (SO3, 0, 3),
                    (SE3, 2, 2), (SO3, 0, 3)]:
         flat_hamiltonian_field(HALF_SQ, poisson.Layout(*layout))
-    assert made == [(3, 3, 3), (6, 2, 2), (3, 0, 3)]
-    assert sorted(poisson._RATES) == [(3, 0, 3), (3, 3, 3), (6, 2, 2)]
+    info = poisson._hamiltonian_rates.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
 
 
 @pytest.mark.parametrize("delta", [-1, 1], ids=["d-1 entries", "d+1 entries"])

@@ -124,7 +124,7 @@ def list_path(sys, layout, states):
     the list path: xi from the flat_gradient row, body from
     flat_dynamical_field and lift as body minus flat_hamiltonian_field."""
     nc = lie.algebra_dim(layout.kind)
-    grad = flat_gradient(sys.hamiltonian, layout)
+    grad = flat_gradient(sys.hamiltonian)
     field = flat_dynamical_field(sys, layout)
     hamiltonian = flat_hamiltonian_field(sys.hamiltonian, layout)
     rows = states.tolist()

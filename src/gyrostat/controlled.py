@@ -18,8 +18,8 @@ to zero. :func:`matching_control` returns its lift, on one state only.
 The integrator steps :func:`flat_dynamical_field`, a map from a flat
 state to its d rates; at one point p the field is
 ``flat_dynamical_field(sys, p.layout)(p.flat().tolist())``. It evaluates
-the Hamiltonian field once per state, under its own matching control too;
-there the rates are summed by a kernel cached once per state length.
+the Hamiltonian field once per state, under its own matching control too
+on a force-free system; there a kernel cached per state length sums the rates.
 
 Admissibility of controls is not constrained here: any vertical field
 is accepted.
@@ -27,7 +27,7 @@ is accepted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from math import isnan, nan
 from operator import add, sub
@@ -88,14 +88,13 @@ def fiber_map_lift(fmap: FlatField) -> FlatField:
 
 @cache
 def _generated_sum(n: int):
-    """(a, t, u) -> a + (t - u) on lists of n floats, generated once from
-    n alone, so no outside text reaches ``exec``: bracketed unpacking and
-    one list display, bitwise ``list(map(add, a, map(sub, t, u)))``."""
-    a, t, u = (f"[{', '.join(f'{v}{i}' for i in range(n))}] = {v}"
-               for v in "atu")
+    """(r, t) -> r + (t - r) on lists of n floats, generated once from n
+    alone, so no outside text reaches ``exec``: bracketed unpacking and
+    one list display, bitwise ``list(map(add, r, map(sub, t, r)))``."""
+    r, t = (f"[{', '.join(f'{v}{i}' for i in range(n))}] = {v}" for v in "rt")
     namespace: dict = {}
-    exec(f"def total(a, t, u):\n    {a}\n    {t}\n    {u}\n    return ["
-         f"{', '.join(f'a{i} + (t{i} - u{i})' for i in range(n))}]", namespace)
+    exec(f"def total(r, t):\n    {r}\n    {t}\n    return ["
+         f"{', '.join(f'r{i} + (t{i} - r{i})' for i in range(n))}]", namespace)
     return namespace["total"]
 
 
@@ -103,28 +102,22 @@ def flat_dynamical_field(sys: RCHSystem, layout: Layout) -> FlatField:
     """The full vector field of the controlled system on flat states of
     ``layout``, lists of d floats to their d rates: Hamiltonian part
     plus the vertical lifts of force and control. With both absent this
-    is exactly the Hamiltonian field. A :class:`MatchingControl` built for
-    ``sys.hamiltonian`` on ``layout`` reuses its rates r, bit for bit:
-    the :func:`_generated_sum` kernel returns a + (t - r), t the
-    transported rates and a the rates plus any force lift."""
+    is exactly the Hamiltonian field. A force-free system under a
+    :class:`MatchingControl` built for ``sys.hamiltonian`` on ``layout``
+    reuses its rates r, bit for bit: the :func:`_generated_sum` kernel
+    returns r + (t - r), t the transported rates. Under a force the
+    lifts are added one by one, as for any other control."""
     _check_point(sys, layout)
     field = flat_hamiltonian_field(sys.hamiltonian, layout)
     if sys.force is None and sys.control is None:
         return field
     c = sys.control
-    if (isinstance(c, MatchingControl) and c.layout == layout
-            and c.hamiltonian is sys.hamiltonian):
-        free, transported = replace(sys, control=None), c.transported
-        forced = sys.force is not None
+    if (sys.force is None and isinstance(c, MatchingControl)
+            and c.layout == layout and c.hamiltonian is sys.hamiltonian):
         total = _generated_sum(algebra_dim(layout.kind) + layout.n_theta
                                + layout.n_l)
-
-        def engaged(x: list) -> list:
-            rates = field(x)
-            a = _add_lifts(free, x, rates) if forced else rates
-            return total(a, transported(x), rates)
-
-        return engaged
+        transported = c.transported
+        return lambda x: total(field(x), transported(x))
     return lambda x: _add_lifts(sys, x, field(x))
 
 

@@ -8,10 +8,10 @@ inside fields: one state is a row of d Python floats (a
 :data:`FlatField` maps it to d rates), and batched work takes (n, d)
 float64 arrays. A momentum nu is a flat (3,) or (6,) array (see
 :mod:`gyrostat.lie`). Scalar observables are :class:`ScalarField` values,
-each read through its batched value, whose gradients are supplied
-analytically or taken by central differences of that value
-(:func:`central_difference`, the package's one stencil);
-:func:`_gradient_rows` and :func:`flat_gradient` read them.
+each read through its batched value, whose gradients are one analytic
+``grad_row`` on a state's floats or a stack's columns, or central
+differences of that value (:func:`central_difference`, the package's one
+stencil); :func:`_gradient_rows` and :func:`flat_gradient` read them.
 
 The bracket is the minus Lie-Poisson bracket plus the canonical rotor
 pairs, the one under which the body-frame equations take their usual
@@ -145,13 +145,11 @@ class ScalarField:
     eval_batch, required, maps an (n, dim) array of flat states to their
     n values; it is the one way the package reads a value. eval, its
     view at one ReducedPoint, serves the API boundary; grad, a point
-    view of the gradient, is set by no builder. grad_batch, which only
-    :func:`polynomial_field` builds, maps the states to their (n, dim)
-    flat analytic gradients. grad_row, when given, is the componentwise
-    gradient: the dim floats of one flat state, or the dim equal-length
-    columns of a stack, to dim components, floats or columns.
-    :func:`flat_gradient` and :func:`_gradient_rows` read grad_row, else
-    grad_batch, else central differences of eval_batch. The five are
+    view of the gradient, is set by no builder. grad_row, when given, is
+    the componentwise gradient: the dim floats of one flat state, or the
+    dim equal-length columns of a stack, to dim components, floats or
+    columns. :func:`flat_gradient` and :func:`_gradient_rows` read
+    grad_row, else central differences of eval_batch. The four are
     plain callables that wrappers may replace, so code must not rely on
     attributes attached to them.
     """
@@ -159,7 +157,6 @@ class ScalarField:
     eval: Callable[[ReducedPoint], float]
     eval_batch: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[ReducedPoint], ReducedTangent] | None = None
-    grad_batch: Callable[[np.ndarray], np.ndarray] | None = None
     grad_row: Callable[[list], list] | None = None
 
 
@@ -220,12 +217,10 @@ def central_difference(fn: Callable[[np.ndarray], np.ndarray],
 
 def _gradient_rows(h: ScalarField, pts: np.ndarray) -> np.ndarray:
     """The (n, d) gradient rows of h at the flat states ``pts``, checked
-    finite once: grad_row on the columns of pts, else grad_batch, else
+    finite once: grad_row on the columns of pts, else
     :func:`central_difference` over eval_batch."""
     if h.grad_row is not None:
         g = _from_columns(h.grad_row(list(pts.T)), pts.shape)
-    elif h.grad_batch is not None:
-        g = h.grad_batch(pts)
     else:
         g = central_difference(h.eval_batch, pts)
     if not np.isfinite(g).all():
@@ -235,7 +230,7 @@ def _gradient_rows(h: ScalarField, pts: np.ndarray) -> np.ndarray:
 
 def flat_gradient(h: ScalarField) -> Callable[[list], list]:
     """Row gradient of h on one flat state, d floats: its grad_row, else
-    the one-row view of :func:`_gradient_rows`."""
+    the one-row view of :func:`_gradient_rows`, a central difference."""
     if h.grad_row is not None:
         return h.grad_row
     return lambda x: _gradient_rows(h, np.array([x]))[0].tolist()
@@ -405,11 +400,11 @@ def polynomial_field(c0: float, a: np.ndarray, b: np.ndarray,
                      cubic_idx: np.ndarray | None = None,
                      cubic_coef: np.ndarray | None = None) -> ScalarField:
     """c0 + a.x + x.B.x/2 plus optional sparse cubic terms, on the flat
-    coordinate layout (B is symmetrised). eval, eval_batch and the
-    analytic grad_batch are views of one :class:`_Polynomials` row; flat
-    fields read one row of grad_batch. Both round by the call's row
+    coordinate layout (B is symmetrised). eval, eval_batch and grad_row
+    are views of one :class:`_Polynomials` row, grad_row through one
+    (1, n, d) stack of its d floats or columns. Each rounds by its row
     count, which picks the BLAS kernel: a stack differs from its one-row
-    calls in the last bits (2.2e-16 in grad_batch, 8.9e-16 in eval_batch
+    calls in the last bits (2.2e-16 in grad_row, 8.9e-16 in eval_batch
     seen on random fields of 3, 9 and 10 components)."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     idx = np.asarray(np.zeros((0, 3), int) if cubic_idx is None else cubic_idx)
@@ -427,10 +422,15 @@ def polynomial_field(c0: float, a: np.ndarray, b: np.ndarray,
                          f"{coef.shape}")
     one = _Polynomials(np.array([c0], dtype=float), a[None],
                        0.5 * (b + b.T)[None], idx[None], coef[None])
+
+    def grad(x: list) -> list:
+        s = np.stack(x, axis=-1)
+        g = one.grad(s.reshape(1, -1, d))[0]
+        return g[0].tolist() if s.ndim == 1 else list(g.T)
+
     return ScalarField(
         lambda p: float(one.value(p.flat()[None, None])[0, 0]),
-        lambda pts: one.value(pts[None])[0],
-        grad_batch=lambda pts: one.grad(pts[None])[0])
+        lambda pts: one.value(pts[None])[0], grad_row=grad)
 
 
 def random_polynomial_field(rng: np.random.Generator, dim: int,

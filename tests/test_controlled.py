@@ -245,7 +245,7 @@ def test_scaling_target_hamiltonian_doubles_transported_term():
     hb = random_polynomial_field(rng, 9)
     hb2 = ScalarField(lambda p: 2.0 * hb.eval(p),
                       lambda x: 2.0 * hb.eval_batch(x),
-                      grad_batch=lambda x: 2.0 * hb.grad_batch(x))
+                      grad_row=lambda x: [2.0 * g for g in hb.grad_row(x)])
     pullback, push, inverse = linear_transport(1.0)
     sys_a = RCHSystem(ha, SO3, 3)
     v1 = matching_control(sys_a, RCHSystem(hb, SO3, 3), LAYOUT, LAYOUT,
@@ -453,16 +453,18 @@ def test_sum_kernel_is_bitwise_the_mapped_sum():
     # every length of a state with at most three rotor pairs
     rng = np.random.default_rng(46)
     for n in range(13):
-        a, t, u = (rng.standard_normal((3, n)) * 1e3).tolist()
-        want = list(map(add, a, map(sub, t, u)))
-        got = controlled._generated_sum(n)(a, t, u)
+        r, t = (rng.standard_normal((2, n)) * 1e3).tolist()
+        want = list(map(add, r, map(sub, t, r)))
+        got = controlled._generated_sum(n)(r, t)
         assert np.array_equal(bits(got), bits(want))
         with pytest.raises(ValueError):
-            controlled._generated_sum(n)(a + [0.0], t, u)
+            controlled._generated_sum(n)(r + [0.0], t)
 
 
 @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
 def test_engaged_field_adds_lifts_only_under_a_force(forced, monkeypatch):
+    # a free A sums its matched rates in the kernel alone; a forced A runs
+    # the generic path, one _add_lifts call per state
     calls = []
     add_lifts = controlled._add_lifts
     monkeypatch.setattr(controlled, "_add_lifts",
@@ -512,7 +514,8 @@ def test_engaged_transport_run_is_bitwise_the_generic_sum(case, tmp_path,
 
 def test_forced_system_adds_its_force_to_the_matched_sum():
     # v subtracts X_{h_A} alone, so the engaged field of a forced A is the
-    # transported field plus the force lift, bit for bit the generic sum
+    # transported field plus the force lift; a forced A skips the matched
+    # sum, so its rates are bit for bit those of a wrapped control
     kick = [0.0] * 6 + [0.4, -0.3, 0.9]
     forced = replace(RB_A, force=fiber_map_lift(
         lambda x: list(map(add, x, kick))))

@@ -287,14 +287,13 @@ ROWS = {
     "matching-control-keeps-own-field": Row(
         config, "matching_control", _own_field_kept,
         test_acceptance.test_criterion_7_matching_control_transport),
-    "matched-sum-subtracts-forced-rates": Row(
+    "matched-sum-under-a-force": Row(
         test_controlled, "flat_dynamical_field",
-        _edited("total(a, transported(x), rates)",
-                "total(a, transported(x), a)"),
+        _edited("sys.force is None and isinstance", "isinstance"),
         test_controlled.test_forced_system_adds_its_force_to_the_matched_sum),
     "matched-sum-reassociated": Row(
         controlled, "_generated_sum",
-        _edited("a{i} + (t{i} - u{i})", "(a{i} + t{i}) - u{i}"),
+        _edited("r{i} + (t{i} - r{i})", "(r{i} + t{i}) - r{i}"),
         lambda: test_controlled
         .test_engaged_transport_run_is_bitwise_the_generic_sum(
             test_controlled.TRANSPORT_CASES["demo 05"], None, None)),

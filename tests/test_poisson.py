@@ -79,9 +79,9 @@ def test_fd_gradient_matches_analytic_polynomial():
             assert np.max(np.abs(ana - num)) / scale <= 1e-5
 
 
-def test_polynomial_gradient_is_one_row_of_grad_batch_bitwise():
-    # a field without grad_row reads one row of its grad_batch, bit for
-    # bit: the (1, 1, d) computation of a one-row stack
+def test_polynomial_gradient_is_one_row_of_its_gradient_rows_bitwise():
+    # a polynomial's row gradient is its one-row stack of gradient rows,
+    # bit for bit: both are the (1, 1, d) computation
     rng = np.random.default_rng(19)
     for kind, nt, nl in ((SO3, 3, 3), (SE3, 2, 2)):
         dim = lie.algebra_dim(kind) + nt + nl
@@ -89,7 +89,7 @@ def test_polynomial_gradient_is_one_row_of_grad_batch_bitwise():
             f = random_polynomial_field(rng, dim)
             p = random_point(rng, kind, nt, nl)
             row = flat_gradient(f)(p.flat().tolist())
-            assert row == f.grad_batch(p.flat()[None])[0].tolist()
+            assert row == poisson._gradient_rows(f, p.flat()[None])[0].tolist()
 
 
 def test_central_difference_returns_jacobian_of_vector_map():
@@ -522,7 +522,7 @@ def test_stacked_polynomials_match_polynomial_field(name):
             npt.assert_array_equal(b, b.T)
             field = poisson.polynomial_field(c0, a, b, idx, coef)
             npt.assert_array_equal(v, field.eval_batch(x))
-            npt.assert_array_equal(g, field.grad_batch(x))
+            npt.assert_array_equal(g, poisson._gradient_rows(field, x))
             # the formula itself, term by term
             cubic = sum(t * x[:, i] * x[:, j] * x[:, k]
                         for (i, j, k), t in zip(idx, coef))
@@ -585,9 +585,9 @@ def test_quadratic_random_field_has_no_cubic_terms():
     h = random_polynomial_field(np.random.default_rng(3), 6, cubic_terms=0)
     x = np.random.default_rng(4).standard_normal((5, 6))
     # a quadratic's gradient is affine: g(x) + g(-x) = 2 g(0)
-    npt.assert_allclose(h.grad_batch(x) + h.grad_batch(-x),
-                        2 * h.grad_batch(np.zeros((1, 6))).repeat(5, 0),
-                        rtol=0, atol=1e-15)
+    g = [poisson._gradient_rows(h, y) for y in (x, -x, np.zeros((1, 6)))]
+    npt.assert_allclose(g[0] + g[1], 2 * g[2].repeat(5, 0), rtol=0,
+                        atol=1e-15)
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -619,13 +619,20 @@ def test_point_flat_round_trip():
     assert q.kind == SE3 and q.n_theta == 2 and q.n_l == 2
 
 
-@pytest.mark.parametrize("gradient", [None, "grad_row", "grad_batch"])
+@pytest.mark.parametrize("gradient", [None, "grad_row"])
 def test_scalar_field_needs_a_batched_value(gradient):
     # the package reads a field's value only through eval_batch, also
     # when the field brings its own gradient
     kwargs = {gradient: lambda x: x} if gradient else {}
     with pytest.raises(TypeError, match="'eval_batch'"):
         ScalarField(lambda p: 0.0, **kwargs)
+
+
+def test_scalar_field_has_no_batched_gradient():
+    # a batched gradient is read from grad_row on columns; no field
+    # carries a separate one
+    with pytest.raises(TypeError, match="'grad_batch'"):
+        ScalarField(lambda p: 0.0, lambda x: x, grad_batch=lambda x: x)
 
 
 def test_non_finite_point_rejected():

@@ -8,9 +8,9 @@ from gyrostat import lie
 from gyrostat.config import CATALOGUE
 from gyrostat.controlled import RCHSystem, flat_dynamical_field
 from gyrostat.integrate import Trajectory, run
-from gyrostat.poisson import (Layout, ScalarField, flat_gradient,
-                              flat_hamiltonian_field, random_polynomial_field,
-                              reduced_point)
+from gyrostat.poisson import (Layout, ScalarField, _gradient_rows,
+                              flat_gradient, flat_hamiltonian_field,
+                              random_polynomial_field, reduced_point)
 from gyrostat.reduction import (full_dynamical_field, momentum_drift,
                                 reconstruct)
 from gyrostat.systems import (HeavyTopRotorParams, RigidBodyRotorParams,
@@ -180,16 +180,17 @@ class TestColumnPass:
         for got, want in zip(full, list_path(sys, layout, states)):
             assert np.array_equal(got, want)
 
-    def test_grad_batch_field_reads_the_batched_rows(self):
-        # a polynomial's grad_batch rounds its matmul by the height of the
-        # stack (the axiom suite's tests pin that), so its rows may differ
-        # from its one-row calls, the list path's gradient, in the last
-        # bit; the column pass reads the batched rows themselves
+    def test_polynomial_field_reads_its_stacked_rows(self):
+        # a polynomial's grad_row on columns rounds its matmul by the
+        # height of the stack (the axiom suite's tests pin that), so its
+        # rows may differ from its one-row calls, the list path's gradient,
+        # in the last bit; the column pass reads the stacked rows themselves
         h = random_polynomial_field(np.random.default_rng(33), 10)
         sys, layout = with_lifts(h, lie.SE3, 2), Layout(lie.SE3, 2, 2)
         states = np.random.default_rng(34).standard_normal((23, 10))
         full = full_dynamical_field(sys, layout, states)
-        assert np.array_equal(full.xi, h.grad_batch(states)[:, :6])
+        assert np.array_equal(full.xi,
+                              _gradient_rows(h, states)[:, :6])
         for got, want in zip(full, list_path(sys, layout, states)):
             assert_allclose(got, want, rtol=0, atol=1e-14)
 

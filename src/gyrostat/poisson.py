@@ -425,8 +425,8 @@ def polynomial_field(c0: float, a: np.ndarray, b: np.ndarray,
 
     def grad(x: list) -> list:
         s = np.stack(x, axis=-1)
-        g = one.grad(s.reshape(1, -1, d))[0]
-        return g[0].tolist() if s.ndim == 1 else list(g.T)
+        g = one.grad(s[None] if s.ndim == 2 else s[None, None])[0]
+        return list(g.T) if s.ndim == 2 else g[0].tolist()
 
     return ScalarField(
         lambda p: float(one.value(p.flat()[None, None])[0, 0]),
